@@ -1,11 +1,20 @@
 """The ACR core itself: matcher accuracy and throughput, with the
-Hamming-tolerance ablation called out in DESIGN.md (D3)."""
+Hamming-tolerance ablation called out in DESIGN.md (D3), and the cost of
+fingerprinting the reference library the matcher searches."""
 
 import pytest
+from bench_net_hotpath import best_of
 
-from repro.acr import (FingerprintMatcher, capture_state)
+from repro.acr import (FingerprintMatcher, ReferenceLibrary, capture_state)
+from repro.acr.fingerprint import clear_fingerprint_cache
+from repro.acr.library import (DEFAULT_SAMPLE_INTERVAL_S,
+                               MAX_REFERENCE_SECONDS)
 from repro.media import PlayState
 from repro.testbed import media_library, reference_library
+
+#: Batched ingest vs one ``capture_state`` per sample: measured 3.0x on
+#: these 8 shows on a 2-core container; 2x leaves headroom for noise.
+REFERENCE_BUILD_SPEEDUP_FLOOR = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +79,33 @@ def test_index_build(benchmark, reference):
     matcher = FingerprintMatcher(reference)
     benchmark(matcher.reindex)
     assert len(reference) > 10_000
+
+
+def test_reference_build(library):
+    """Fingerprinting 8 shows from an empty memo: the per-item batched
+    ingest against one single-position ``capture_state`` call per
+    sample."""
+    shows = library.shows[:8]
+
+    def batched():
+        clear_fingerprint_cache()
+        return ReferenceLibrary().ingest_all(shows)
+
+    def per_sample():
+        clear_fingerprint_cache()
+        for item in shows:
+            for position in range(0, min(item.duration_s,
+                                         MAX_REFERENCE_SECONDS),
+                                  DEFAULT_SAMPLE_INTERVAL_S):
+                capture_state(PlayState(item, position))
+
+    samples = batched()
+    batched_s = best_of(batched, repeats=3)
+    per_sample_s = best_of(per_sample, repeats=3)
+    clear_fingerprint_cache()
+    speedup = per_sample_s / batched_s
+    print(f"\nreference build, {samples} samples: per-sample "
+          f"{per_sample_s * 1e3:.0f} ms, batched {batched_s * 1e3:.0f} ms "
+          f"({speedup:.1f}x)")
+    assert speedup >= REFERENCE_BUILD_SPEEDUP_FLOOR, \
+        f"batched reference build only {speedup:.1f}x faster"

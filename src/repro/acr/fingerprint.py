@@ -21,8 +21,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..media.content import PlayState
-from ..media.frames import _SCENE_LENGTH_S, render_audio, render_frame
+from ..media.content import ContentItem, PlayState
+from ..media.frames import (render_audio_batch, render_frame_batch,
+                            sample_clock)
 from ..obs.metrics import get_registry
 
 VIDEO_HASH_BITS = 64
@@ -32,16 +33,30 @@ _DHASH_HEIGHT = 8
 AUDIO_PEAKS = 5
 AUDIO_FANOUT = 3
 
+#: (anchor rank, target rank, rank gap) of every landmark, in hash order.
+_ANCHORS, _TARGETS, _GAPS = (np.array(column) for column in zip(*(
+    (i, i + j, j) for i in range(AUDIO_PEAKS)
+    for j in range(1, AUDIO_FANOUT + 1))))
+
+
+def video_fingerprint_batch(frames: np.ndarray) -> List[int]:
+    """64-bit dHash of each luma frame in an ``(n, h, w)`` stack."""
+    if frames.ndim != 3:
+        raise ValueError("expected a stack of 2-D luma frames")
+    grids = _resample(frames, _DHASH_HEIGHT, _DHASH_WIDTH)
+    # MSB-first row-major neighbour comparisons, packed in one shot —
+    # identical bits to the original per-cell shift loop.
+    comparisons = grids[:, :, :-1] > grids[:, :, 1:]
+    packed = np.packbits(comparisons.reshape(
+        len(frames), _DHASH_HEIGHT * (_DHASH_WIDTH - 1)), axis=1)
+    return packed.view(">u8").ravel().tolist()
+
 
 def video_fingerprint(frame: np.ndarray) -> int:
     """64-bit dHash of a luma frame."""
     if frame.ndim != 2:
         raise ValueError("expected a 2-D luma frame")
-    grid = _resample(frame, _DHASH_HEIGHT, _DHASH_WIDTH)
-    # MSB-first row-major neighbour comparisons, packed in one shot —
-    # identical bits to the original per-cell shift loop.
-    comparisons = grid[:, :-1] > grid[:, 1:]
-    return int.from_bytes(np.packbits(comparisons).tobytes(), "big")
+    return video_fingerprint_batch(frame[None])[0]
 
 
 #: (frame shape, grid shape) -> [(flat grid positions, gather indices)],
@@ -75,21 +90,24 @@ def _resample_plan(h: int, w: int, rows: int, cols: int) -> List:
     return plan
 
 
-def _resample(frame: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Block-mean downsample to ``rows x cols`` (no scipy dependency).
+def _resample(frames: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Block-mean downsample each of ``n`` frames to ``rows x cols``.
 
-    Same-shape blocks are gathered into one ``(blocks, h, w)`` array
-    per shape class and reduced in a single batched ``mean`` —
-    bit-identical to reducing each block view on its own
-    (``tests/test_acr_fingerprint.py`` pins the equivalence), just
-    without thousands of tiny reductions per frame.
+    Same-shape blocks of every frame are gathered into one
+    ``(n, blocks, h, w)`` array per shape class and averaged in a single
+    batched reduction — bit-identical to ``mean`` over each block view
+    on its own (``tests/test_acr_fingerprint.py`` pins the equivalence),
+    just without thousands of tiny reductions per frame.
     """
-    h, w = frame.shape
-    flat = frame.ravel()
-    out = np.empty((rows, cols), dtype=np.float64)
+    n, h, w = frames.shape
+    flat = frames.reshape(n, h * w)
+    out = np.empty((n, rows * cols), dtype=np.float64)
     for positions, indices in _resample_plan(h, w, rows, cols):
-        out.flat[positions] = flat[indices].mean(axis=(1, 2))
-    return out
+        # Sum over count is ``mean`` to the bit, without the Python-level
+        # overhead of ``mean`` (about half of a one-frame call).
+        out[:, positions] = np.add.reduce(flat[:, indices], axis=(2, 3)) \
+            / indices[0].size
+    return out.reshape(n, rows, cols)
 
 
 def hamming_distance(a: int, b: int) -> int:
@@ -97,27 +115,30 @@ def hamming_distance(a: int, b: int) -> int:
     return bin((a ^ b) & ((1 << VIDEO_HASH_BITS) - 1)).count("1")
 
 
-def audio_fingerprint(signal: np.ndarray) -> List[int]:
-    """Landmark hashes from a one-second audio excerpt.
+def audio_fingerprint_batch(signals: np.ndarray) -> List[Tuple[int, ...]]:
+    """Landmark hashes of each one-second excerpt in an ``(n, samples)``
+    stack.
 
-    Returns up to ``AUDIO_PEAKS * AUDIO_FANOUT`` 32-bit hashes of
-    (anchor_bin, target_bin, rank_gap) triples.
+    Each excerpt yields ``AUDIO_PEAKS * AUDIO_FANOUT`` 32-bit hashes of
+    (anchor_bin, target_bin, rank_gap) triples over its strongest FFT
+    bins, strongest anchor first.
     """
+    if signals.ndim != 2:
+        raise ValueError("expected a stack of 1-D audio excerpts")
+    spectra = np.abs(np.fft.rfft(signals, axis=1))
+    if spectra.shape[1] < AUDIO_PEAKS + AUDIO_FANOUT:
+        raise ValueError("audio excerpt too short")
+    peaks = np.argsort(spectra, axis=1)[:, ::-1][
+        :, :AUDIO_PEAKS + AUDIO_FANOUT] & 0xFFF
+    hashes = (peaks[:, _ANCHORS] << 20) | (peaks[:, _TARGETS] << 8) | _GAPS
+    return [tuple(row) for row in hashes.tolist()]
+
+
+def audio_fingerprint(signal: np.ndarray) -> List[int]:
+    """Landmark hashes from a one-second audio excerpt."""
     if signal.ndim != 1:
         raise ValueError("expected 1-D audio samples")
-    spectrum = np.abs(np.fft.rfft(signal))
-    if len(spectrum) < AUDIO_PEAKS + AUDIO_FANOUT:
-        raise ValueError("audio excerpt too short")
-    peak_bins = np.argsort(spectrum)[-(AUDIO_PEAKS + AUDIO_FANOUT):][::-1]
-    hashes: List[int] = []
-    for i in range(min(AUDIO_PEAKS, len(peak_bins))):
-        for j in range(1, AUDIO_FANOUT + 1):
-            if i + j >= len(peak_bins):
-                break
-            anchor = int(peak_bins[i]) & 0xFFF
-            target = int(peak_bins[i + j]) & 0xFFF
-            hashes.append((anchor << 20) | (target << 8) | (j & 0xFF))
-    return hashes
+    return list(audio_fingerprint_batch(signal[None])[0])
 
 
 class Capture:
@@ -153,20 +174,34 @@ def clear_fingerprint_cache() -> None:
     _FINGERPRINT_CACHE.clear()
 
 
+def capture_batch(item: ContentItem, positions: Sequence[float],
+                  offset_ns: int = 0) -> List[Capture]:
+    """Fingerprint ``item`` at each playback position (memoized).
+
+    Equal to one :func:`capture_state` call per position, in order: the
+    same captures, memo entries and ``acr.memo.*`` counts (a key that
+    repeats within the batch is one miss, then hits).  The misses are
+    rendered and fingerprinted together as one numpy batch.
+    """
+    seed = item.visual_seed
+    keys = [(seed, *sample_clock(position)) for position in positions]
+    missing = {key: position for key, position in zip(keys, positions)
+               if key not in _FINGERPRINT_CACHE}
+    registry = get_registry()
+    if missing:
+        registry.inc("acr.memo.miss", len(missing))
+        fresh = list(missing.values())
+        _FINGERPRINT_CACHE.update(zip(missing, zip(
+            video_fingerprint_batch(render_frame_batch(item, fresh)),
+            audio_fingerprint_batch(render_audio_batch(item, fresh)))))
+    if len(keys) > len(missing):
+        registry.inc("acr.memo.hit", len(keys) - len(missing))
+    return [Capture(offset_ns, *_FINGERPRINT_CACHE[key]) for key in keys]
+
+
 def capture_state(state: PlayState, offset_ns: int = 0) -> Capture:
     """Fingerprint whatever a play state is showing (memoized)."""
-    position = state.position_s
-    key = (state.item.visual_seed, int(position),
-           int(position / _SCENE_LENGTH_S))
-    cached = _FINGERPRINT_CACHE.get(key)
-    if cached is None:
-        get_registry().inc("acr.memo.miss")
-        video = video_fingerprint(render_frame(state))
-        audio = audio_fingerprint(render_audio(state))
-        cached = _FINGERPRINT_CACHE[key] = (video, tuple(audio))
-    else:
-        get_registry().inc("acr.memo.hit")
-    return Capture(offset_ns, cached[0], list(cached[1]))
+    return capture_batch(state.item, [state.position_s], offset_ns)[0]
 
 
 class FingerprintBatch:

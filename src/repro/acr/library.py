@@ -8,11 +8,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..media.content import ContentItem, PlayState
-from .fingerprint import capture_state
+from ..media.content import ContentItem
+from .fingerprint import capture_batch
 
 DEFAULT_SAMPLE_INTERVAL_S = 4
 MAX_REFERENCE_SECONDS = 2700  # fingerprint the first N seconds per item
+#: Positions fingerprinted per batch: large enough to amortise numpy's
+#: per-call overhead, small enough to keep temporaries near 1-2 MB.
+INGEST_CHUNK = 64
 
 
 class ReferenceEntry:
@@ -54,17 +57,21 @@ class ReferenceLibrary:
         """
         if item.content_id in self._content_ids:
             return 0
-        self._content_ids[item.content_id] = item
-        added = 0
         cap = self.max_seconds if max_seconds is None else max_seconds
-        horizon = min(item.duration_s, cap)
-        for position in range(0, horizon, self.sample_interval_s):
-            capture = capture_state(PlayState(item, position))
-            self.entries.append(ReferenceEntry(
-                item.content_id, position, capture.video_hash,
-                capture.audio_hashes))
-            added += 1
-        return added
+        positions = range(0, min(item.duration_s, cap),
+                          self.sample_interval_s)
+        captures = []
+        for start in range(0, len(positions), INGEST_CHUNK):
+            captures += capture_batch(item,
+                                      positions[start:start + INGEST_CHUNK])
+        # Registered only once every chunk is fingerprinted, so a failure
+        # mid-item leaves no half-ingested item behind.
+        self._content_ids[item.content_id] = item
+        self.entries += [
+            ReferenceEntry(item.content_id, position, capture.video_hash,
+                           capture.audio_hashes)
+            for position, capture in zip(positions, captures)]
+        return len(positions)
 
     def ingest_all(self, items: Iterable[ContentItem],
                    max_seconds: Optional[int] = None) -> int:

@@ -22,7 +22,8 @@ Durability is layered:
 
 Fault injection (``checkpoint.torn`` / ``checkpoint.corrupt``) damages
 these same two writes deterministically by write sequence: torn tears
-the canonical write (the rotated twin of the same snapshot survives),
+the canonical write unless the rotated twin of the same snapshot was
+corrupted (so one copy always survives),
 corrupt smashes the rotated file's digest (bounded per
 :data:`~repro.faults.plan.FAULT_ATTEMPT_CAP`-sized sequence block, so
 every block contains a durable rotated snapshot — which is why
@@ -162,18 +163,21 @@ def write_checkpoint(directory: str, state: LiveState,
     registry = get_registry()
 
     rotated_text = text
-    if faults.fires_bounded("checkpoint.corrupt",
-                            seq % CHECKPOINT_KEEP, seq // CHECKPOINT_KEEP):
+    corrupt = faults.fires_bounded("checkpoint.corrupt",
+                                   seq % CHECKPOINT_KEEP,
+                                   seq // CHECKPOINT_KEEP)
+    if corrupt:
         # Parseable but wrong: the digest check must catch this one.
         rotated_text = text.replace(document["digest"], "0" * 64)
         registry.inc("faults.injected.checkpoint.corrupt")
     atomic_write_text(rotated_path(directory, seq), rotated_text)
 
     canonical_text = text
-    if faults.fires("checkpoint.torn", seq):
-        # Torn mid-payload: not even JSON.  The rotated twin written
-        # above survives, which is what keeps recovery total at any
-        # injection rate.
+    if not corrupt and faults.fires("checkpoint.torn", seq):
+        # Torn mid-payload: not even JSON.  Only when the rotated twin
+        # written above survives: one durable copy of every snapshot is
+        # what keeps recovery total at any injection rate, even when
+        # the run stops after its first checkpoint.
         canonical_text = text[:len(text) // 2]
         registry.inc("faults.injected.checkpoint.torn")
     path = checkpoint_path(directory)

@@ -1,14 +1,112 @@
-"""Tests for fingerprinting: dHash, audio landmarks, batch codec."""
+"""Tests for fingerprinting: dHash, audio landmarks, batch codec.
+
+Production renders and fingerprints samples in numpy batches.  The
+per-sample path it replaced lives on here as the oracle (``_oracle_*``):
+every batch result must equal it bit for bit.
+"""
+
+import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.acr import (Capture, FingerprintBatch, audio_fingerprint,
-                       capture_state, hamming_distance, video_fingerprint)
-from repro.media import (PlayState, render_audio, render_frame,
-                         standard_library)
+from repro.acr import (Capture, FingerprintBatch, ReferenceLibrary,
+                       audio_fingerprint, capture_state, hamming_distance,
+                       video_fingerprint)
+from repro.acr.fingerprint import (_FINGERPRINT_CACHE,
+                                   audio_fingerprint_batch, capture_batch,
+                                   clear_fingerprint_cache,
+                                   video_fingerprint_batch)
+from repro.acr.library import INGEST_CHUNK
+from repro.media import (AUDIO_RATE_HZ, AUDIO_SAMPLES, FRAME_HEIGHT,
+                         FRAME_WIDTH, ContentItem, ContentKind, PlayState,
+                         render_audio, render_frame, standard_library)
+from repro.media.frames import render_audio_batch, render_frame_batch
+from repro.obs import disable, enable
+
+
+def _oracle_rng(seed, scene):
+    return np.random.default_rng(
+        np.uint64(seed) ^ np.uint64(scene * 2654435761 + 7))
+
+
+def _oracle_render_frame(state):
+    seed = state.item.visual_seed
+    second = int(state.position_s)
+    scene = int(state.position_s / 8.0)
+    base = _oracle_rng(seed, scene).random((FRAME_HEIGHT, FRAME_WIDTH),
+                                           dtype=np.float32)
+    drift = _oracle_rng(seed ^ 0x5DEECE66D, scene * 100000 + second).random(
+        (FRAME_HEIGHT, FRAME_WIDTH), dtype=np.float32)
+    return (0.96 * base + 0.04 * drift).astype(np.float32)
+
+
+def _oracle_render_audio(state):
+    seed = state.item.visual_seed ^ 0xA5A5A5A5
+    second = int(state.position_s)
+    scene = int(state.position_s / 8.0)
+    rng = _oracle_rng(seed, scene)
+    tones = rng.integers(60, AUDIO_RATE_HZ // 4, size=4)
+    amplitudes = rng.random(4) * 0.5 + 0.2
+    t = np.arange(AUDIO_SAMPLES, dtype=np.float32) / AUDIO_RATE_HZ
+    phase = (second % 16) * 0.37
+    signal = np.zeros(AUDIO_SAMPLES, dtype=np.float32)
+    for frequency, amplitude in zip(tones, amplitudes):
+        signal += amplitude * np.sin(
+            2.0 * np.pi * float(frequency) * t + phase).astype(np.float32)
+    peak = float(np.max(np.abs(signal)))
+    if peak > 0:
+        signal = signal / peak
+    return signal
+
+
+def _oracle_video_fingerprint(frame):
+    """dHash with one ``mean`` per block and one shift per bit."""
+    rows, cols = 8, 9
+    h, w = frame.shape
+    row_edges = np.linspace(0, h, rows + 1).astype(int)
+    col_edges = np.linspace(0, w, cols + 1).astype(int)
+    grid = np.empty((rows, cols), dtype=np.float64)
+    for r in range(rows):
+        for c in range(cols):
+            block = frame[row_edges[r]:max(row_edges[r + 1],
+                                           row_edges[r] + 1),
+                          col_edges[c]:max(col_edges[c + 1],
+                                           col_edges[c] + 1)]
+            grid[r, c] = float(block.mean())
+    bits = 0
+    for r in range(rows):
+        for c in range(cols - 1):
+            bits = (bits << 1) | int(grid[r, c] > grid[r, c + 1])
+    return bits
+
+
+def _oracle_audio_fingerprint(signal):
+    spectrum = np.abs(np.fft.rfft(signal))
+    peak_bins = np.argsort(spectrum)[-8:][::-1]
+    hashes = []
+    for i in range(5):
+        for j in range(1, 4):
+            anchor = int(peak_bins[i]) & 0xFFF
+            target = int(peak_bins[i + j]) & 0xFFF
+            hashes.append((anchor << 20) | (target << 8) | j)
+    return hashes
+
+
+def _oracle_capture(item, position):
+    state = PlayState(item, position)
+    return (_oracle_video_fingerprint(_oracle_render_frame(state)),
+            tuple(_oracle_audio_fingerprint(_oracle_render_audio(state))))
+
+
+def _item(content_id):
+    return ContentItem(content_id, "Title", ContentKind.SHOW, 5400, "news")
+
+
+def _memo_key(item, position):
+    return (item.visual_seed, int(position), int(position / 8.0))
 
 
 @pytest.fixture(scope="module")
@@ -63,39 +161,21 @@ class TestVectorizedResampleEquivalence:
     the per-block reference loop — fingerprints feed matcher verdicts,
     which feed wire traffic, so any drift would change captures."""
 
-    @staticmethod
-    def _reference_fingerprint(frame):
-        rows, cols = 8, 9
-        h, w = frame.shape
-        row_edges = np.linspace(0, h, rows + 1).astype(int)
-        col_edges = np.linspace(0, w, cols + 1).astype(int)
-        grid = np.empty((rows, cols), dtype=np.float64)
-        for r in range(rows):
-            for c in range(cols):
-                block = frame[row_edges[r]:max(row_edges[r + 1],
-                                               row_edges[r] + 1),
-                              col_edges[c]:max(col_edges[c + 1],
-                                               col_edges[c] + 1)]
-                grid[r, c] = float(block.mean())
-        bits = 0
-        for r in range(rows):
-            for c in range(cols - 1):
-                bits = (bits << 1) | int(grid[r, c] > grid[r, c + 1])
-        return bits
-
     def test_matches_reference_on_rendered_frames(self, library):
         for item in (library.shows[0], library.ads[0]):
             for position in (0.0, 9.5, 63.0, 127.9):
                 frame = render_frame(PlayState(item, position))
                 assert video_fingerprint(frame) == \
-                    self._reference_fingerprint(frame)
+                    _oracle_video_fingerprint(frame)
 
     def test_matches_reference_on_random_frames(self):
         rng = np.random.default_rng(7)
-        for __ in range(200):
-            frame = rng.random((18, 32), dtype=np.float32)
+        frames = rng.random((200, 18, 32), dtype=np.float32)
+        assert video_fingerprint_batch(frames) == \
+            [_oracle_video_fingerprint(frame) for frame in frames]
+        for frame in frames[:20]:
             assert video_fingerprint(frame) == \
-                self._reference_fingerprint(frame)
+                _oracle_video_fingerprint(frame)
 
 
 class TestAudioFingerprint:
@@ -167,3 +247,130 @@ class TestBatchCodec:
     def test_capture_repr(self):
         capture = Capture(10 ** 9, 0xDEADBEEF, [1, 2])
         assert "audio landmarks" in repr(capture)
+
+
+content_ids = st.text("abcdefghijklmnopqrstuvwxyz0123456789:-", min_size=1,
+                      max_size=24)
+#: Whole and fractional seconds, and positions on and either side of a
+#: scene cut (every 8 s), where the memo key's scene component flips.
+positions = st.one_of(
+    st.integers(min_value=0, max_value=5400),
+    st.floats(min_value=0.0, max_value=5400.0),
+    st.builds(lambda scene, delta: max(0.0, 8.0 * scene + delta),
+              st.integers(min_value=0, max_value=675),
+              st.sampled_from([-1.0, -1e-9, 0.0, 1e-9, 0.5])))
+
+
+class TestBatchEquivalence:
+    """The batch renderers, kernels and memo-aware entry point against
+    the per-sample oracle.  Frames and audio are compared as float32
+    bits, not just as hashes: a near-tie FFT bin turns a one-ulp
+    difference into a different landmark only rarely."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(content_ids, st.lists(positions, min_size=1, max_size=24))
+    def test_renderers_and_kernels_match_oracle(self, content_id,
+                                                points):
+        item = _item(content_id)
+        states = [PlayState(item, position) for position in points]
+        frames = render_frame_batch(item, points)
+        audio = render_audio_batch(item, points)
+        assert frames.dtype == audio.dtype == np.float32
+        expected_frames = np.stack([_oracle_render_frame(s) for s in states])
+        expected_audio = np.stack([_oracle_render_audio(s) for s in states])
+        assert np.array_equal(frames, expected_frames)
+        assert np.array_equal(audio, expected_audio)
+        assert video_fingerprint_batch(frames) == \
+            [_oracle_video_fingerprint(frame) for frame in frames]
+        assert audio_fingerprint_batch(audio) == \
+            [tuple(_oracle_audio_fingerprint(clip)) for clip in audio]
+
+    @settings(max_examples=30, deadline=None)
+    @given(content_ids, st.lists(positions, min_size=1, max_size=16),
+           st.integers(min_value=0, max_value=8), st.data())
+    def test_capture_batch_matches_oracle_and_memo(self, content_id, points,
+                                                   repeats, data):
+        """Chunk cuts anywhere, repeated keys within and across chunks:
+        same captures, memo and counters as one call per position."""
+        item = _item(content_id)
+        points = points + points[:repeats]
+        cut = data.draw(st.integers(min_value=0, max_value=len(points)))
+        clear_fingerprint_cache()
+        registry = enable()
+        try:
+            captures = (capture_batch(item, points[:cut], offset_ns=5)
+                        + capture_batch(item, points[cut:], offset_ns=5))
+            counters = registry.snapshot()["counters"]
+        finally:
+            disable()
+        expected = {_memo_key(item, p): _oracle_capture(item, p)
+                    for p in points}
+        try:
+            assert [(c.video_hash, tuple(c.audio_hashes)) for c in captures] \
+                == [expected[_memo_key(item, p)] for p in points]
+            assert {c.offset_ns for c in captures} == {5}
+            assert _FINGERPRINT_CACHE == expected
+            assert counters.get("acr.memo.miss", 0) == len(expected)
+            assert counters.get("acr.memo.hit", 0) == \
+                len(points) - len(expected)
+            assert len({id(c.audio_hashes) for c in captures}) == \
+                len(captures)
+        finally:
+            clear_fingerprint_cache()
+
+    @pytest.mark.parametrize("content_id, position", [
+        ("uk-catalog:show:0005", 2476), ("uk-catalog:show:0009", 56),
+        ("uk-catalog:show:0024", 660), ("uk-catalog:show:0040", 180),
+        ("us-catalog:show:0010", 456), ("us-catalog:episode:0116", 152)])
+    def test_near_tie_landmarks(self, content_id, position):
+        """Reference samples whose top FFT bins nearly tie: computing
+        the tone argument in float64 instead of float32 reorders them
+        and changes these landmarks (and no others in either library)."""
+        item = _item(content_id)
+        clear_fingerprint_cache()
+        try:
+            capture, = capture_batch(item, [position])
+        finally:
+            clear_fingerprint_cache()
+        assert (capture.video_hash, tuple(capture.audio_hashes)) == \
+            _oracle_capture(item, position)
+
+    def test_ingest_across_chunk_cuts_matches_oracle(self):
+        item = _item("chunked:0001")
+        count = 3 * INGEST_CHUNK + 5
+        reference = ReferenceLibrary(sample_interval_s=1, max_seconds=count)
+        assert reference.ingest(item) == count
+        assert [(e.position_s, e.video_hash, tuple(e.audio_hashes))
+                for e in reference.entries] == \
+            [(p, *_oracle_capture(item, p)) for p in range(count)]
+
+    def test_batch_kernels_reject_wrong_rank(self):
+        with pytest.raises(ValueError):
+            video_fingerprint_batch(np.zeros((18, 32), dtype=np.float32))
+        with pytest.raises(ValueError):
+            audio_fingerprint_batch(np.zeros(512, dtype=np.float32))
+
+    def test_negative_position_rejected(self):
+        item = _item("negative")
+        for call in (render_frame_batch, render_audio_batch, capture_batch):
+            with pytest.raises(ValueError):
+                call(item, [3.0, -0.5])
+
+
+#: sha256 of each country's reference entries, computed with the
+#: per-sample build the batches replaced.
+LIBRARY_DIGESTS = {
+    "uk": "5ae3e7c71f93acd20ac5dc910e872b58ebe89e89145024b08e300051a95d578e",
+    "us": "c2ebffbc9637ad69f37b0a624b627b0a0fcebb1ca05a324bfa91d916c549d94f",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("country", sorted(LIBRARY_DIGESTS))
+def test_reference_library_digest(country):
+    from repro.testbed import reference_library
+    library = reference_library(country, 0)
+    text = repr([(e.content_id, e.position_s, e.video_hash,
+                  list(e.audio_hashes)) for e in library.entries])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        LIBRARY_DIGESTS[country]

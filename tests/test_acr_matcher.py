@@ -56,6 +56,35 @@ class TestReferenceLibrary:
         with pytest.raises(ValueError):
             ReferenceLibrary(sample_interval_s=0)
 
+    def test_failed_ingest_leaves_no_partial_item(self, library,
+                                                  monkeypatch):
+        from repro.acr import library as reference_module
+        chunk = reference_module.INGEST_CHUNK
+        ref = ReferenceLibrary(sample_interval_s=1, max_seconds=3 * chunk)
+        ref.ingest(library.ads[0])
+        before = len(ref)
+        real = reference_module.capture_batch
+        calls = []
+
+        def fail_second_chunk(item, positions):
+            calls.append(len(positions))
+            if len(calls) == 2:
+                raise RuntimeError("render failed")
+            return real(item, positions)
+
+        item = library.shows[0]
+        monkeypatch.setattr(reference_module, "capture_batch",
+                            fail_second_chunk)
+        with pytest.raises(RuntimeError):
+            ref.ingest(item)
+        assert not ref.knows(item.content_id)
+        assert len(ref) == before
+        assert ref.ingest(item) == 3 * chunk
+        assert ref.knows(item.content_id)
+        assert len(ref) == before + 3 * chunk
+        assert [e.position_s for e in ref.entries[before:]] == \
+            list(range(3 * chunk))
+
 
 class TestBands:
     def test_band_count_and_width(self):

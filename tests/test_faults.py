@@ -20,7 +20,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.grid import ResultCache
@@ -300,6 +300,10 @@ class TestLosslessPlansConverge:
            fault_seed=st.integers(0, 999),
            stop_after=st.integers(min_value=1, max_value=80),
            arrival_seed=st.integers(0, 10_000))
+    # Both faults on the only snapshot written before the stop: its
+    # canonical copy must not be torn when the rotated twin is corrupt.
+    @example(rates={"checkpoint.corrupt": 1, "checkpoint.torn": 4},
+             fault_seed=1, stop_after=1, arrival_seed=0)
     @settings(max_examples=5, deadline=None)
     def test_kill_resume_under_random_plan_matches_batch(
             self, cache, population, batch_sha, rates, fault_seed,

@@ -8,7 +8,7 @@ from repro.media import (AD_BREAK_EVERY_S, Channel, ContentItem, ContentKind,
                          OttApp, PlayState, ScheduleSlot, ScreenCast,
                          SourceType, Tuner, build_channel, build_lineup,
                          frame_similarity, render_audio, render_frame,
-                         standard_library)
+                         render_sequence, standard_library)
 from repro.sim import seconds
 
 
@@ -102,6 +102,23 @@ class TestFrames:
         audio = render_audio(PlayState(library.shows[0], 1.0))
         assert np.max(np.abs(audio)) <= 1.0 + 1e-6
         assert len(audio) == 512
+
+    def test_render_sequence_matches_render_frame(self, library):
+        item = library.shows[0]
+        frames = render_sequence(item, 5.5, 7, step_s=1.5)
+        assert len(frames) == 7
+        for i, frame in enumerate(frames):
+            assert np.array_equal(
+                frame, render_frame(PlayState(item, 5.5 + i * 1.5)))
+        assert render_sequence(item, 3.0, 0) == []
+
+    def test_render_sequence_rejects_negative_count(self, library):
+        with pytest.raises(ValueError):
+            render_sequence(library.shows[0], 0.0, -1)
+
+    def test_render_sequence_rejects_negative_start(self, library):
+        with pytest.raises(ValueError):
+            render_sequence(library.shows[0], -1.0, 3)
 
 
 class TestSchedule:

@@ -251,3 +251,21 @@ class TestFingerprintMemo:
         warm.audio_hashes.append(0xDEAD)
         assert capture_state(state).audio_hashes == cold.audio_hashes
         clear_fingerprint_cache()
+
+    def test_batch_shares_memo_but_never_landmark_lists(self):
+        from repro.acr.fingerprint import (capture_batch, capture_state,
+                                           clear_fingerprint_cache)
+        from repro.media.content import ContentItem, ContentKind, PlayState
+        item = ContentItem("c1", "Title", ContentKind.SHOW, 600, "news")
+        clear_fingerprint_cache()
+        first, again = capture_batch(item, [123.4, 123.9], offset_ns=7)
+        single = capture_state(PlayState(item, 123.4))
+        assert (first.video_hash, first.audio_hashes) == \
+            (again.video_hash, again.audio_hashes) == \
+            (single.video_hash, single.audio_hashes)
+        assert (first.offset_ns, again.offset_ns) == (7, 7)
+        assert first.audio_hashes is not again.audio_hashes
+        first.audio_hashes.append(0xDEAD)
+        assert capture_batch(item, [123.0])[0].audio_hashes == \
+            single.audio_hashes
+        clear_fingerprint_cache()

@@ -406,6 +406,32 @@ class TestAcrMemoCounters:
             disable()
             clear_fingerprint_cache()
 
+    def test_capture_batch_counts_like_sequential_calls(self):
+        from repro.acr.fingerprint import (capture_batch, capture_state,
+                                           clear_fingerprint_cache)
+        from repro.media.content import PlayState, launcher_item
+        item = launcher_item()
+        # 1.0 and 1.5 share the key (seed, second 1, scene 0).
+        positions = [1.0, 1.5, 2.0, 9.0, 1.0]
+
+        def count(run):
+            clear_fingerprint_cache()
+            registry = enable()
+            try:
+                run()
+                run()
+                return registry.snapshot()["counters"]
+            finally:
+                disable()
+                clear_fingerprint_cache()
+
+        batched = count(lambda: capture_batch(item, positions))
+        sequential = count(lambda: [capture_state(PlayState(item, p))
+                                    for p in positions])
+        assert batched == sequential
+        assert batched["acr.memo.miss"] == 3
+        assert batched["acr.memo.hit"] == 7
+
 
 class TestJsonlExport:
     def _snapshot(self):
