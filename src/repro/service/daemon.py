@@ -495,7 +495,12 @@ class AuditService:
                             faults=faults) as source:
             admit_next()
             while loop.pending:
-                if self.stop_check is not None and self.stop_check():
+                # Only a stop with households still unfolded interrupts:
+                # once all are folded, the leftover events are no-op
+                # retries and late duplicates, and the run is complete.
+                if (self.stop_check is not None
+                        and len(state.completed) < total
+                        and self.stop_check()):
                     path = self._checkpoint(state, auditor)
                     raise ServiceStopped(
                         f"stop requested with "

@@ -15,7 +15,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.grid import ResultCache
@@ -175,6 +175,10 @@ class TestKillResumeEqualsBatch:
            segments=st.integers(min_value=2, max_value=7),
            resume_credits=st.integers(min_value=1, max_value=3),
            arrival_seed=st.integers(min_value=0, max_value=10_000))
+    # A stop that lands after the last household folds, while no-op
+    # retry events are still queued: the run completes, not stops.
+    @example(stop_after=34, segments=7, resume_credits=1,
+             arrival_seed=1466)
     @settings(max_examples=6, deadline=None)
     def test_kill_anywhere_then_resume_matches_batch(
             self, cache, population, batch_sha, stop_after, segments,
