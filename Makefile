@@ -10,7 +10,8 @@ COV_FLOOR := 75
 
 .PHONY: test test-fast bench bench-grid bench-fleet bench-json \
 	coverage docs-check golden-update report resume-smoke \
-	metrics-smoke tier-smoke chaos-smoke findings-smoke
+	metrics-smoke tier-smoke chaos-smoke findings-smoke \
+	invariance-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -80,6 +81,13 @@ chaos-smoke:
 findings-smoke:
 	$(PY) scripts/findings_smoke.py --households $(or $(SMOKE_N),24) \
 		--jobs $(or $(SMOKE_JOBS),8)
+
+# Start-method and hash-seed invariance smoke: the fleet report and
+# the findings export must be sha256-identical under the fork and spawn
+# start methods and under PYTHONHASHSEED 0, 1 and 2.
+invariance-smoke:
+	$(PY) scripts/invariance_smoke.py --households $(or $(SMOKE_N),32) \
+		--jobs $(or $(SMOKE_JOBS),2)
 
 # Decode-tier identity smoke: lazy --jobs 1 vs columnar --jobs 8 with
 # shared-memory columns (publish, keep, attach across runs, clean up)

@@ -1,16 +1,17 @@
 """The ACR core itself: matcher accuracy and throughput, with the
-Hamming-tolerance ablation called out in DESIGN.md (D3), and the cost of
-fingerprinting the reference library the matcher searches."""
+Hamming-tolerance ablation called out in DESIGN.md (D3), the cost of
+fingerprinting the reference library the matcher searches, and of its
+band index and the backends built over it."""
 
 import pytest
 from bench_net_hotpath import best_of
 
 from repro.acr import (FingerprintMatcher, ReferenceLibrary, capture_state)
 from repro.acr.fingerprint import clear_fingerprint_cache
-from repro.acr.library import (DEFAULT_SAMPLE_INTERVAL_S,
-                               MAX_REFERENCE_SECONDS)
+from repro.acr.library import (BANDS, DEFAULT_SAMPLE_INTERVAL_S,
+                               MAX_REFERENCE_SECONDS, index_bands)
 from repro.media import PlayState
-from repro.testbed import media_library, reference_library
+from repro.testbed import fresh_backend, media_library, reference_library
 
 #: Batched ingest vs one ``capture_state`` per sample: measured 3.0x on
 #: these 8 shows on a 2-core container; 2x leaves headroom for noise.
@@ -75,10 +76,21 @@ def test_tolerance_ablation(benchmark, reference, probe_captures,
 
 
 def test_index_build(benchmark, reference):
-    """Cost of (re)building the LSH band index."""
-    matcher = FingerprintMatcher(reference)
-    benchmark(matcher.reindex)
+    """Cost of building the library's LSH band index over the uk
+    entries (done once per library, in ``assets.reference_library``)."""
+    hashes = [entry.video_hash for entry in reference.entries]
+    order, offsets = benchmark(index_bands, hashes)
+    assert order.shape == (BANDS, len(reference))
     assert len(reference) > 10_000
+    print(f"\nband index: {len(reference)} entries, "
+          f"{(order.nbytes + offsets.nbytes) / 1e6:.2f} MB")
+
+
+def test_backend_setup(benchmark, reference):
+    """An operator backend over the warm library: the band index is the
+    library's, so this builds nothing."""
+    backend = benchmark(fresh_backend, "lg", "uk")
+    assert backend.library is reference
 
 
 def test_reference_build(library):

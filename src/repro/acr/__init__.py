@@ -6,8 +6,8 @@ from .client import AcrClient, AcrClientStats, AcrTransport
 from .fingerprint import (Capture, FingerprintBatch, audio_fingerprint,
                           capture_state, hamming_distance,
                           video_fingerprint)
-from .library import ReferenceEntry, ReferenceLibrary
-from .matcher import (BatchVerdict, FingerprintMatcher, Match, bands_of)
+from .library import ReferenceEntry, ReferenceLibrary, bands_of
+from .matcher import BatchVerdict, FingerprintMatcher, Match
 from .policy import (CaptureDecision, VendorAcrProfile,
                      capture_decision, profile_for)
 from .segments import (AudienceProfile, SEGMENT_LABELS, SegmentProfiler)

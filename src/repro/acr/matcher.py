@@ -1,32 +1,24 @@
-"""Fingerprint matching: LSH-banded inverted index with Hamming tolerance.
+"""Fingerprint matching: LSH-banded candidates with Hamming tolerance.
 
 The 64-bit video hash is split into four 16-bit bands; a query retrieves
 candidates sharing at least one exact band (any hash within Hamming
-distance 3 is guaranteed to share a band by pigeonhole), then candidates
-are verified with the true Hamming distance and audio-landmark overlap.
-Batch queries vote across captures, so a 15-60 second batch resolves to a
-(content, offset) even when single frames are ambiguous.
+distance 3 is guaranteed to share a band by pigeonhole) from the
+reference library's band index, then candidates are verified with the
+true Hamming distance and audio-landmark overlap.  Batch queries vote
+across captures, so a 15-60 second batch resolves to a (content, offset)
+even when single frames are ambiguous.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .fingerprint import Capture, hamming_distance
-from .library import ReferenceLibrary
+from .library import BANDS, ReferenceLibrary
 
-BANDS = 4
-BAND_BITS = 16
 DEFAULT_HAMMING_TOLERANCE = BANDS - 1  # pigeonhole guarantee
 MIN_VOTES_FRACTION = 0.34
-
-
-def bands_of(video_hash: int) -> Tuple[int, ...]:
-    """The four 16-bit bands of a 64-bit hash, most significant first."""
-    mask = (1 << BAND_BITS) - 1
-    return tuple((video_hash >> (BAND_BITS * (BANDS - 1 - i))) & mask
-                 for i in range(BANDS))
 
 
 class Match:
@@ -79,38 +71,12 @@ class FingerprintMatcher:
             raise ValueError("negative tolerance")
         self.library = library
         self.hamming_tolerance = hamming_tolerance
-        # band index -> band value -> list of entry indexes
-        self._band_index: List[Dict[int, List[int]]] = [
-            defaultdict(list) for __ in range(BANDS)]
-        self._indexed_entries = 0
-        self.reindex()
-
-    def reindex(self) -> None:
-        """(Re)build the band index over the current library entries."""
-        for band in self._band_index:
-            band.clear()
-        for position, entry in enumerate(self.library.entries):
-            for band_no, value in enumerate(bands_of(entry.video_hash)):
-                self._band_index[band_no][value].append(position)
-        self._indexed_entries = len(self.library.entries)
-
-    def _candidates(self, video_hash: int) -> List[int]:
-        seen = set()
-        out: List[int] = []
-        for band_no, value in enumerate(bands_of(video_hash)):
-            for entry_index in self._band_index[band_no].get(value, ()):
-                if entry_index not in seen:
-                    seen.add(entry_index)
-                    out.append(entry_index)
-        return out
 
     def match_capture(self, capture: Capture) -> Optional[Match]:
         """Best verified match for one capture, or None."""
-        if self._indexed_entries != len(self.library.entries):
-            self.reindex()
         best: Optional[Match] = None
         query_audio = set(capture.audio_hashes)
-        for entry_index in self._candidates(capture.video_hash):
+        for entry_index in self.library.candidates(capture.video_hash):
             entry = self.library.entries[entry_index]
             distance = hamming_distance(capture.video_hash,
                                         entry.video_hash)

@@ -62,15 +62,18 @@ class FleetRunError(RuntimeError):
 
 def household_record(household: HouseholdSpec,
                      cache: Optional[ResultCache],
-                     validate_results: bool = True):
+                     validate_results: bool = True,
+                     warm: Optional[Callable[[], None]] = None):
     """Produce (or recall) one household's capture record.
 
     Returns ``(record, executed)``.  A cached capture that turns out to
     be unreadable is dropped and the household re-run, mirroring the
-    grid's self-healing behaviour.  This is the single capture-
-    production step shared by the batch shard workers below and the
-    streaming service tier (:mod:`repro.service`), which chops the
-    record's pcap into segments instead of auditing it in one piece.
+    grid's self-healing behaviour.  ``warm``, if given, runs before a
+    household is simulated, outside its ``fleet.simulate`` span.  This
+    is the single capture-production step shared by the batch shard
+    workers below and the streaming service tier (:mod:`repro.service`),
+    which chops the record's pcap into segments instead of auditing it
+    in one piece.
     """
     diary = household.diary_obj
     record = cache.load_for(household.label, diary.duration_ns,
@@ -82,6 +85,8 @@ def household_record(household: HouseholdSpec,
         except CacheReadError:
             record = None
     if record is None:
+        if warm is not None:
+            warm()
         with get_registry().span("fleet.simulate"):
             result = run_session(
                 household.vendor, household.country, household.phase,
@@ -107,7 +112,8 @@ def _audit_household(household: HouseholdSpec,
                      validate_results: bool,
                      tier: Optional[str] = None,
                      arena: Optional[ColumnArena] = None,
-                     faults: FaultPlan = NULL_PLAN
+                     faults: FaultPlan = NULL_PLAN,
+                     warm: Optional[Callable[[], None]] = None
                      ) -> Tuple[dict, bool, Optional[str]]:
     """Run (or recall) one household and reduce it to a summary.
 
@@ -139,7 +145,7 @@ def _audit_household(household: HouseholdSpec,
             del pipeline, capture
             return summary, False, key
     record, executed = household_record(household, cache,
-                                        validate_results)
+                                        validate_results, warm)
     pcap_bytes = record.pcap_bytes
     packet_count, pcap_len = record.packet_count, record.pcap_len
     if faults:
@@ -205,13 +211,28 @@ def _run_shard(payload) -> Tuple[FleetAggregate, int, int,
     faults = FaultPlan.from_tuple(plan_tuple)
     arena = ColumnArena() \
         if shm_columns and resolve_tier(tier) == "columnar" else None
+    households = [HouseholdSpec.from_tuple(values)
+                  for values in household_tuples]
     aggregate = FleetAggregate()
     executed = cached = 0
     touched: List[str] = []
+    warmed = False
+
+    def warm() -> None:
+        # The shard's countries' assets, built (or, when a forked
+        # parent already built them, found) once, before the shard's
+        # first simulation, so that no household's timer absorbs it.
+        # A shard served wholly from the cache never needs them.
+        nonlocal warmed
+        if not warmed:
+            warmed = True
+            with get_registry().span("assets.warm"):
+                warm_assets(countries={household.country.value
+                                       for household in households})
+
     with scoped(collect_metrics) as registry:
         with get_registry().span("fleet.shard"):
-            for values in household_tuples:
-                household = HouseholdSpec.from_tuple(values)
+            for household in households:
                 # An injected audit-worker crash/hang kills this
                 # household's attempt mid-shard; the bounded retry
                 # makes the shard self-healing.
@@ -219,7 +240,7 @@ def _run_shard(payload) -> Tuple[FleetAggregate, int, int,
                     faults, (household.index,),
                     lambda: _audit_household(
                         household, cache, validate_results, tier,
-                        arena, faults))
+                        arena, faults, warm))
                 aggregate.fold(summary)
                 if key is not None:
                     touched.append(key)

@@ -31,6 +31,8 @@ def reference_library(country: str, seed: int = 0) -> ReferenceLibrary:
     operator ingests the feeds it has agreements over; live feeds keep a
     rolling prefix; the long-tail on-demand catalog keeps a short prefix
     (it is never fingerprinted by the client anyway — OTT is restricted).
+    The band index is built here too, so every backend over the library
+    shares it and pool workers forked after a warm-up inherit it.
     """
     library = media_library(country, seed)
     reference = ReferenceLibrary()
@@ -39,6 +41,7 @@ def reference_library(country: str, seed: int = 0) -> ReferenceLibrary:
     reference.ingest_all(library.live_feeds, max_seconds=900)
     reference.ingest_all(library.movies, max_seconds=240)
     reference.ingest_all(library.episodes, max_seconds=240)
+    reference.band_index()
     return reference
 
 

@@ -1,11 +1,97 @@
-"""Tests for the reference library and the LSH-banded matcher."""
+"""Tests for the reference library, its band index and the LSH-banded
+matcher.
 
+The oracle for the library's CSR band index is the index it replaced: a
+dict of lists per band, built by every matcher and rebuilt whenever the
+library had grown (:class:`OracleMatcher`).
+"""
+
+from collections import defaultdict
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.acr import (Capture, FingerprintMatcher, ReferenceLibrary,
-                       bands_of, capture_state)
+from repro.acr import (FingerprintMatcher, ReferenceLibrary, bands_of,
+                       capture_state)
+from repro.acr import library as library_module
+from repro.acr.fingerprint import hamming_distance
+from repro.acr.library import BAND_BITS, BAND_VALUES, BANDS
+from repro.acr.matcher import DEFAULT_HAMMING_TOLERANCE, Match
 from repro.media import PlayState, build_channel, standard_library
 from repro.sim import seconds
+from repro.testbed import assets
+
+
+class OracleMatcher(FingerprintMatcher):
+    """The matcher with its own dict-of-lists band index, rebuilt on the
+    first query after the library grows."""
+
+    def __init__(self, library: ReferenceLibrary,
+                 hamming_tolerance: int = DEFAULT_HAMMING_TOLERANCE
+                 ) -> None:
+        super().__init__(library, hamming_tolerance)
+        self._band_index = [defaultdict(list) for __ in range(BANDS)]
+        self._indexed_entries = 0
+        self.reindex()
+
+    def reindex(self) -> None:
+        for band in self._band_index:
+            band.clear()
+        for position, entry in enumerate(self.library.entries):
+            for band_no, value in enumerate(bands_of(entry.video_hash)):
+                self._band_index[band_no][value].append(position)
+        self._indexed_entries = len(self.library.entries)
+
+    def _candidates(self, video_hash):
+        seen = set()
+        out = []
+        for band_no, value in enumerate(bands_of(video_hash)):
+            for entry_index in self._band_index[band_no].get(value, ()):
+                if entry_index not in seen:
+                    seen.add(entry_index)
+                    out.append(entry_index)
+        return out
+
+    def match_capture(self, capture):
+        if self._indexed_entries != len(self.library.entries):
+            self.reindex()
+        best = None
+        query_audio = set(capture.audio_hashes)
+        for entry_index in self._candidates(capture.video_hash):
+            entry = self.library.entries[entry_index]
+            distance = hamming_distance(capture.video_hash,
+                                        entry.video_hash)
+            if distance > self.hamming_tolerance:
+                continue
+            overlap = len(query_audio.intersection(entry.audio_hashes))
+            if best is None or (distance, -overlap) < (
+                    best.video_distance, -best.audio_overlap):
+                best = Match(entry.content_id, entry.position_s,
+                             distance, overlap)
+        return best
+
+
+def lookup_mismatches(reference):
+    """Every (band, value) slot whose run differs from the oracle's."""
+    oracle = OracleMatcher(reference)._band_index
+    return [(band_no, value)
+            for band_no in range(BANDS) for value in range(BAND_VALUES)
+            if reference.band_run(band_no, value)
+            != oracle[band_no].get(value, [])]
+
+
+def match_fields(match):
+    if match is None:
+        return None
+    return (match.content_id, match.position_s, match.video_distance,
+            match.audio_overlap)
+
+
+def verdict_fields(verdict):
+    return (verdict.content_id, verdict.votes, verdict.total,
+            verdict.confidence, [match_fields(m) for m in verdict.matches])
 
 
 @pytest.fixture(scope="module")
@@ -163,13 +249,15 @@ class TestMatcher:
         with pytest.raises(ValueError):
             FingerprintMatcher(reference, hamming_tolerance=-1)
 
-    def test_incremental_reindex(self, library):
+    def test_matcher_sees_later_ingest(self, library):
         ref = ReferenceLibrary()
         ref.ingest(library.shows[0])
         matcher = FingerprintMatcher(ref)
+        assert matcher.match_capture(
+            capture_state(PlayState(library.shows[0], 10.0))) is not None
         ref.ingest(library.shows[5])
         capture = capture_state(PlayState(library.shows[5], 10.0))
-        match = matcher.match_capture(capture)  # triggers lazy reindex
+        match = matcher.match_capture(capture)  # rebuilds the index
         assert match is not None
         assert match.content_id == library.shows[5].content_id
 
@@ -185,3 +273,163 @@ class TestMatcher:
                 if match and match.content_id == item.content_id:
                     hits += 1
         assert hits / trials > 0.9
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """The entry count of every band-index build from here on."""
+    builds = []
+    real = library_module.index_bands
+
+    def counting(video_hashes):
+        builds.append(len(video_hashes))
+        return real(video_hashes)
+
+    monkeypatch.setattr(library_module, "index_bands", counting)
+    return builds
+
+
+@pytest.fixture(scope="module")
+def small_reference(library):
+    """Small enough to check every slot quickly, with enough repeated
+    band values that an unstable sort reorders them."""
+    ref = ReferenceLibrary(max_seconds=120)
+    ref.ingest_all(library.shows[:4])
+    ref.ingest_all(library.ads[:4])
+    return ref
+
+
+class TestBandIndex:
+    def test_every_lookup_matches_oracle(self, small_reference):
+        assert lookup_mismatches(small_reference) == []
+
+    def test_fixture_needs_the_stable_sort(self, small_reference):
+        """The lookup test above catches an unstable sort: numpy's
+        default sort reorders this library's repeated band values."""
+        hashes = np.array([entry.video_hash
+                           for entry in small_reference.entries],
+                          dtype=np.uint64)
+        for band_no in range(BANDS):
+            shift = np.uint64(BAND_BITS * (BANDS - 1 - band_no))
+            values = ((hashes >> shift)
+                      & np.uint64(BAND_VALUES - 1)).astype(np.uint16)
+            assert (np.argsort(values)
+                    != np.argsort(values, kind="stable")).any()
+
+    def test_absent_value_gives_empty_run(self, small_reference):
+        present = {bands_of(entry.video_hash)[0]
+                   for entry in small_reference.entries}
+        absent = next(value for value in range(BAND_VALUES)
+                      if value not in present)
+        assert small_reference.band_run(0, absent) == []
+
+    def test_empty_library(self, library):
+        empty = ReferenceLibrary()
+        assert empty.candidates(0xAAAABBBBCCCCDDDD) == []
+        assert all(empty.band_run(band_no, value) == []
+                   for band_no in range(BANDS) for value in (0, 1, 0xFFFF))
+        matcher = FingerprintMatcher(empty)
+        capture = capture_state(PlayState(library.shows[0], 8.0))
+        assert matcher.match_capture(capture) is None
+        assert not matcher.match_batch([capture]).recognised
+
+    def test_candidates_deduplicated_in_band_order(self, small_reference):
+        oracle = OracleMatcher(small_reference)
+        for entry in small_reference.entries[::7]:
+            for flip in (0, 1, 1 << 20, 1 << 40, 1 << 63):
+                video_hash = entry.video_hash ^ flip
+                assert small_reference.candidates(video_hash) \
+                    == oracle._candidates(video_hash)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("country", ["uk", "us"])
+    def test_shipped_libraries_match_oracle(self, country):
+        assert lookup_mismatches(assets.reference_library(country, 0)) \
+            == []
+
+
+class TestIndexBuilds:
+    def test_backends_share_the_warm_index(self, uk_reference, uk_library,
+                                           index_builds):
+        item = uk_library.shows[0]
+        capture = capture_state(PlayState(item, 50.0))
+        for vendor in ("samsung", "lg") * 3:
+            backend = assets.fresh_backend(vendor, "uk")
+            assert backend.library is uk_reference
+            assert backend.matcher.match_capture(capture).content_id \
+                == item.content_id
+        assert index_builds == []
+
+    def test_ingest_then_match_builds_once(self, library, index_builds):
+        ref = ReferenceLibrary()
+        ref.ingest(library.shows[0])
+        matcher = FingerprintMatcher(ref)
+        assert index_builds == []
+        for position in (10.0, 50.0, 90.0):
+            matcher.match_capture(
+                capture_state(PlayState(library.shows[0], position)))
+        assert index_builds == [len(ref)]
+
+    def test_repeat_ingest_keeps_the_index(self, library, index_builds):
+        ref = ReferenceLibrary()
+        ref.ingest(library.shows[0])
+        ref.candidates(0)
+        assert ref.ingest(library.shows[0]) == 0
+        ref.candidates(0)
+        assert index_builds == [len(ref)]
+
+
+#: Items the property draws from: shows, ads and a live feed.
+POOL = 8
+
+#: One ingest: (item, per-item depth cap or the library's own).
+INGEST = st.tuples(st.integers(0, POOL - 1),
+                   st.one_of(st.none(), st.integers(1, 160)))
+
+#: One probe: (kind, item, position).  ``on`` lands on the 4 s
+#: reference grid, ``off`` between its samples, and ``unknown`` shows
+#: content the operator never fingerprinted.
+PROBE = st.tuples(st.sampled_from(["on", "off", "unknown"]),
+                  st.integers(0, POOL - 1), st.integers(0, 160))
+
+
+class TestMatcherAgainstOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(before=st.lists(INGEST, max_size=3),
+           after=st.lists(INGEST, max_size=3),
+           probes=st.lists(PROBE, min_size=1, max_size=6),
+           tolerance=st.sampled_from([0, 3, 6]))
+    def test_matches_oracle_field_for_field(self, library, before, after,
+                                            probes, tolerance):
+        """Some items are ingested after both matchers exist and have
+        matched, so the library's index is dropped and rebuilt."""
+        items = library.shows[:4] + library.ads[:3] + library.live_feeds[:1]
+        ref = ReferenceLibrary(max_seconds=160)
+
+        def ingest(steps):
+            for index, cap in steps:
+                ref.ingest(items[index], cap)
+
+        def capture(kind, index, position):
+            if kind == "unknown":
+                return capture_state(PlayState(
+                    library.game() if index % 2 else library.desktop(),
+                    float(position)))
+            offset = 0.0 if kind == "on" else 1.5
+            return capture_state(PlayState(
+                items[index], float(position - position % 4) + offset))
+
+        def check():
+            for item in captures:
+                assert match_fields(ours.match_capture(item)) \
+                    == match_fields(oracle.match_capture(item))
+            assert verdict_fields(ours.match_batch(captures)) \
+                == verdict_fields(oracle.match_batch(captures))
+
+        captures = [capture(*probe) for probe in probes]
+        ingest(before)
+        ours = FingerprintMatcher(ref, tolerance)
+        oracle = OracleMatcher(ref, tolerance)
+        check()
+        ingest(after)
+        check()

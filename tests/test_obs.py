@@ -10,6 +10,7 @@ totals independent of ``--jobs``.
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -513,9 +514,38 @@ class TestFleetMetricsJobsInvariance:
         # depend on what already ran in this process, not on --jobs.
         # Span histogram *counts* are deterministic (sums are wall time).
         for name in ("fleet.simulate.wall_ms", "fleet.decode.wall_ms",
-                     "fleet.shard.wall_ms"):
+                     "fleet.shard.wall_ms", "assets.warm.wall_ms"):
             assert serial["histograms"][name]["count"] \
                 == parallel["histograms"][name]["count"], name
+        # Each shard warms its countries' assets once, outside the
+        # per-household simulate timer (three one-household shards).
+        assert serial["histograms"]["assets.warm.wall_ms"]["count"] == 3
+
+    def test_warm_up_is_not_booked_to_a_household(self, tmp_path):
+        """In a fresh serial run the first shard builds the reference
+        library; that time lands in ``assets.warm``, so no household's
+        ``fleet.simulate`` span comes near it."""
+        import repro
+        src_dir = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p)
+        path = tmp_path / "metrics.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "fleet", "--households",
+             "3", "--seed", "22", "--mix", "country=uk:1", "--jobs", "1",
+             "--no-cache", "--metrics-out", str(path)],
+            env=env, capture_output=True, check=True)
+        histograms = {}
+        for line in path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            if record["record"] == "histogram":
+                histograms[record["name"]] = record
+        simulate = histograms["fleet.simulate.wall_ms"]
+        warm = histograms["assets.warm.wall_ms"]
+        assert simulate["count"] == 3 and warm["count"] == 1
+        assert simulate["max"] < warm["max"]
 
 
 @pytest.mark.slow
