@@ -10,7 +10,7 @@ COV_FLOOR := 75
 
 .PHONY: test test-fast bench bench-grid bench-fleet bench-json \
 	coverage docs-check golden-update report resume-smoke \
-	metrics-smoke tier-smoke chaos-smoke findings-smoke \
+	metrics-smoke chaos-smoke findings-smoke \
 	invariance-smoke
 
 test:
@@ -88,13 +88,6 @@ findings-smoke:
 invariance-smoke:
 	$(PY) scripts/invariance_smoke.py --households $(or $(SMOKE_N),32) \
 		--jobs $(or $(SMOKE_JOBS),2)
-
-# Decode-tier identity smoke: lazy --jobs 1 vs columnar --jobs 8 with
-# shared-memory columns (publish, keep, attach across runs, clean up)
-# must render sha256-identical fleet reports.
-tier-smoke:
-	$(PY) scripts/tier_smoke.py --households $(or $(SMOKE_N),32) \
-		--jobs $(or $(SMOKE_JOBS),8)
 
 report:
 	$(PY) -m repro.cli report --jobs 4 > EXPERIMENTS.md

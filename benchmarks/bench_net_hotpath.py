@@ -9,7 +9,7 @@ path, so its perf trajectory is pinned hard:
   realistic synthesized capture;
 * columnar decode (raw pcap bytes -> numpy struct-array columns, zero
   per-packet Python objects) must beat full object decode by >= 50x —
-  the tier the pipeline/fleet actually run on by default;
+  the one decode every audit runs;
 * template-based segment encode must beat the full object codec
   (checked at >= 1.5x with wide headroom against timer noise — actual
   is ~2.1x; the remaining per-segment cost is the payload word sum,
@@ -100,7 +100,7 @@ def measure_decode(segments=1500):
 
 
 def measure_columnar(segments=1500):
-    """Raw pcap bytes all the way to queryable packets: object tier
+    """Raw pcap bytes all the way to queryable packets: object decode
     (``load_bytes`` + ``decode_all``) vs one columnar build."""
     raw = dump_bytes(synth_capture(segments))
     full_s = best_of(lambda: decode_all(load_bytes(raw)), repeats=3)

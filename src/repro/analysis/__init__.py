@@ -11,7 +11,7 @@ from .compare import (CountryComparison, PhaseComparison, acr_volume_total,
 from .dns_map import DnsMap
 from .periodicity import (PeriodicityReport, analyze_periodicity,
                           dominant_period_s)
-from .pipeline import AuditPipeline, infer_tv_ip
+from .pipeline import AuditPipeline
 from .timeline import (Timeline, burst_times_ns, packets_per_ms,
                        packets_per_second, peak_ratio, window_of)
 from .volumes import (VolumeCell, VolumeTable, build_volume_table,
@@ -38,7 +38,6 @@ __all__ = [
     "cumulative_bytes",
     "domain_volumes",
     "dominant_period_s",
-    "infer_tv_ip",
     "median_step_interval_s",
     "no_new_acr_domains",
     "normalize_rotating",

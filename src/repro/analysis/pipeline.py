@@ -5,252 +5,49 @@ works from the capture alone — packets and the DNS answers inside them —
 never from simulator ground truth, preserving the black-box vantage.
 
 The pipeline is the single decode of a capture: pcap bytes are parsed
-once through the lazy tier (:func:`repro.net.packet.lazy_decode_all` —
-flow keys and lengths from fixed-offset header slices, full object
-decode only where a packet's payload is actually read, i.e. DNS), and
+once into parallel columns (:class:`repro.net.columnar.ColumnarCapture`
+— flow keys and lengths gathered from fixed header offsets, a per-row
+object decode only where a payload is actually read, i.e. DNS), and
 every consumer — flow table, DNS map, per-domain index, table/figure/
 finding drivers — shares the resulting indexed view instead of
-re-decoding.
+re-decoding.  Every index and query is a column scan; per-packet
+objects exist only in query *results*.
 
 Incremental extension
 ---------------------
 
 A pipeline can also be grown one capture *segment* at a time
-(:meth:`AuditPipeline.incremental` + :meth:`AuditPipeline.extend`) — the
-streaming service tier feeds it per-household segments as they arrive.
-The invariant that makes this byte-identical to a one-shot decode: a
-packet's domain label is a pure function of its remote IP and the *final*
-DNS map.  Packets are therefore indexed by remote IP at ingest (order
-preserved), and the label -> packets view is materialized lazily at query
-time against the DNS map as observed so far.  After the last segment the
-map equals the batch map, so every query answers exactly as a
-whole-capture pipeline would — regardless of how the capture was cut.
+(:meth:`AuditPipeline.incremental` +
+:meth:`AuditPipeline.extend_pcap_bytes`) — the streaming service tier
+feeds it per-household segments as they arrive.  The invariant that
+makes this byte-identical to a one-shot decode: a packet's domain label
+is a pure function of its remote IP and the *final* DNS map.  Rows are
+therefore indexed by remote IP at ingest (order preserved), and the
+label -> rows view is materialized lazily at query time against the DNS
+map as observed so far.  After the last segment the map equals the
+batch map, so every query answers exactly as a whole-capture pipeline
+would — regardless of how the capture was cut.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..net.addresses import Ipv4Address
 from ..net.columnar import ColumnarCapture, ColumnarSlice
 from ..net.flow import FlowTable
-from ..net.packet import DecodedPacket, decode_all, lazy_decode_all
-from ..net.pcap import load_bytes
-from ..net.tiers import resolve_tier
 from ..obs.metrics import get_registry
 from .dns_map import DnsMap
 
 
 class AuditPipeline:
-    """Decoded capture + DNS map + flow table + per-domain packet index."""
-
-    def __init__(self, packets: Sequence[DecodedPacket],
-                 tv_ip: Ipv4Address) -> None:
-        self.packets: List[DecodedPacket] = []
-        self.tv_ip = tv_ip
-        self.dns_map = DnsMap()
-        self.flows = FlowTable()
-        #: remote IP -> [(arrival seq, packet), ...] in capture order.
-        #: Labels are *not* assigned here: a DNS answer later in the
-        #: capture may name an IP contacted earlier, so the label view
-        #: is derived lazily against the complete map (`_domain_index`).
-        self._by_remote: Dict[Ipv4Address,
-                              List[Tuple[int, DecodedPacket]]] = {}
-        self._domain_view: Optional[Dict[str, List[DecodedPacket]]] = None
-        self.extend(packets)
-
-    # -- constructors -----------------------------------------------------------
-
-    @classmethod
-    def incremental(cls, tv_ip: Ipv4Address,
-                    tier: Optional[str] = None) -> "AuditPipeline":
-        """An empty pipeline to be grown segment by segment."""
-        if resolve_tier(tier) == "columnar":
-            return ColumnarAuditPipeline(ColumnarCapture(), tv_ip)
-        return cls((), tv_ip)
-
-    @classmethod
-    def from_pcap_bytes(cls, raw: bytes,
-                        tv_ip: Optional[Ipv4Address] = None,
-                        tier: Optional[str] = None) -> "AuditPipeline":
-        tier = resolve_tier(tier)
-        if tier == "columnar":
-            capture = ColumnarCapture.from_pcap_bytes(raw)
-            if tv_ip is None:
-                tv_ip = capture.infer_tv_ip()
-            return ColumnarAuditPipeline(capture, tv_ip)
-        if tier == "object":
-            packets: Sequence[DecodedPacket] = decode_all(load_bytes(raw))
-        else:
-            packets = lazy_decode_all(load_bytes(raw))
-        if tv_ip is None:
-            tv_ip = infer_tv_ip(packets)
-        return cls(packets, tv_ip)
-
-    @classmethod
-    def from_result(cls, result,
-                    tier: Optional[str] = None) -> "AuditPipeline":
-        """From an ExperimentResult (reads only its pcap + TV IP)."""
-        return cls.from_pcap_bytes(result.pcap_bytes,
-                                   Ipv4Address.parse(result.tv_ip),
-                                   tier=tier)
-
-    # -- indexing ----------------------------------------------------------------
-
-    def extend(self, packets: Iterable[DecodedPacket]) -> "AuditPipeline":
-        """Absorb more packets, in capture order.
-
-        Extends the DNS map, the flow table and the per-remote index in
-        one sweep and invalidates the lazy label view.  Feeding a capture
-        through ``extend`` in any number of slices produces a pipeline
-        whose every query is byte-identical to a one-shot construction.
-        """
-        add_flow = self.flows.add
-        by_remote = self._by_remote
-        observe = self.dns_map.observe
-        tv_ip = self.tv_ip
-        seq = start = len(self.packets)
-        appended = self.packets
-        for packet in packets:
-            observe(packet)
-            add_flow(packet)
-            if packet.src_ip == tv_ip:
-                remote = packet.dst_ip
-            elif packet.dst_ip == tv_ip:
-                remote = packet.src_ip
-            else:
-                remote = None
-            if remote is not None:
-                bucket = by_remote.get(remote)
-                if bucket is None:
-                    bucket = by_remote[remote] = []
-                bucket.append((seq, packet))
-            appended.append(packet)
-            seq += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.inc("pipeline.extends")
-            registry.inc("pipeline.packets.lazy", seq - start)
-        self._domain_view = None
-        return self
-
-    def extend_pcap_bytes(self, raw: bytes) -> int:
-        """Absorb one pcap-framed capture segment; returns its packet
-        count (the streaming tier's per-segment ingest)."""
-        packets = lazy_decode_all(load_bytes(raw))
-        self.extend(packets)
-        return len(packets)
-
-    def _label(self, remote: Ipv4Address) -> str:
-        if remote.is_private:
-            return f"lan:{remote}"
-        return self.dns_map.label(remote)
-
-    def _domain_index(self) -> Dict[str, List[DecodedPacket]]:
-        """label -> packets (capture order), built against the DNS map
-        as of now and cached until the next :meth:`extend`."""
-        registry = get_registry()
-        if self._domain_view is None:
-            registry.inc("pipeline.domain_view.build")
-            grouped: Dict[str, List[List[Tuple[int, DecodedPacket]]]] = {}
-            for remote, entries in self._by_remote.items():
-                grouped.setdefault(self._label(remote), []).append(entries)
-            view: Dict[str, List[DecodedPacket]] = {}
-            for label, groups in grouped.items():
-                if len(groups) == 1:
-                    view[label] = [packet for __, packet in groups[0]]
-                else:
-                    # Several IPs resolved to one name: interleave their
-                    # per-IP runs back into capture order.
-                    merged = sorted((entry for group in groups
-                                     for entry in group),
-                                    key=itemgetter(0))
-                    view[label] = [packet for __, packet in merged]
-            self._domain_view = view
-        else:
-            registry.inc("pipeline.domain_view.memo_hit")
-        return self._domain_view
-
-    # -- queries ------------------------------------------------------------------
-
-    @property
-    def contacted_domains(self) -> List[str]:
-        """Every resolved Internet domain the TV exchanged traffic with."""
-        return sorted(name for name in self._domain_index()
-                      if not name.startswith(("lan:", "unresolved:")))
-
-    def packets_for(self, domain: str) -> List[DecodedPacket]:
-        return list(self._domain_index().get(domain, ()))
-
-    def packets_for_all(self, domains: List[str]) -> List[DecodedPacket]:
-        index = self._domain_index()
-        out: List[DecodedPacket] = []
-        for domain in domains:
-            out.extend(index.get(domain, ()))
-        out.sort(key=lambda p: p.timestamp)
-        return out
-
-    def bytes_for(self, domain: str) -> int:
-        """Total bytes sent + received to/from one domain."""
-        return sum(p.length for p in self._domain_index().get(domain, ()))
-
-    def kilobytes_for(self, domain: str) -> float:
-        return self.bytes_for(domain) / 1000.0
-
-    def bytes_sent_to(self, domain: str) -> int:
-        return sum(p.length for p in self._domain_index().get(domain, ())
-                   if p.src_ip == self.tv_ip)
-
-    def packet_count_for(self, domain: str) -> int:
-        return len(self._domain_index().get(domain, ()))
-
-    def upload_timestamps(self, domains: List[str]) -> List[int]:
-        """Sorted capture times of TV-originated packets to ``domains``."""
-        return sorted(p.timestamp for p in self.packets_for_all(domains)
-                      if p.src_ip == self.tv_ip)
-
-    def byte_totals(self) -> Dict[str, int]:
-        return {domain: self.bytes_for(domain)
-                for domain in self.contacted_domains}
-
-    # -- the heuristic's first stage ------------------------------------------------
-
-    def acr_candidate_domains(self) -> List[str]:
-        """Contacted domains whose *name* contains "acr" (§3.2)."""
-        return [domain for domain in self.contacted_domains
-                if "acr" in domain]
-
-    def __repr__(self) -> str:
-        return (f"AuditPipeline({len(self.packets)} packets, "
-                f"{len(self.contacted_domains)} domains)")
-
-
-def infer_tv_ip(packets: Sequence[DecodedPacket]) -> Ipv4Address:
-    """The device under audit is the most talkative private address."""
-    counter: Counter = Counter()
-    for packet in packets:
-        for address in (packet.src_ip, packet.dst_ip):
-            if address is not None and address.is_private:
-                counter[address] += 1
-    if not counter:
-        raise ValueError("no private addresses in capture")
-    return counter.most_common(1)[0][0]
-
-
-class ColumnarAuditPipeline(AuditPipeline):
-    """The columnar decode tier's pipeline: every index and query is a
-    column scan; per-packet objects exist only in query *results*.
+    """Decoded capture + DNS map + flow table + per-domain packet index.
 
     ``packets`` is a :class:`~repro.net.columnar.ColumnarCapture` (row
-    views on demand) rather than a list, and the per-remote index holds
-    u32 address keys and row-index arrays instead of packet objects.
-    Query semantics — including tie-breaking, stable sorts, and the
-    label-view memoization — replicate the base class bit for bit; the
-    equivalence suite and golden corpus hold the two tiers identical.
+    views on demand), and the per-remote index holds u32 address keys
+    and row-index arrays.
     """
 
     def __init__(self, capture: ColumnarCapture,
@@ -260,18 +57,44 @@ class ColumnarAuditPipeline(AuditPipeline):
         self.dns_map = DnsMap()
         self._flows: Optional[FlowTable] = None
         #: remote u32 -> [row-index array, ...] (one chunk per segment,
-        #: indices ascending within and across chunks).
+        #: indices ascending within and across chunks).  Labels are
+        #: *not* assigned here: a DNS answer later in the capture may
+        #: name an IP contacted earlier, so the label view is derived
+        #: lazily against the complete map (`_domain_index`).
         self._by_remote: Dict[int, List[np.ndarray]] = {}
-        self._domain_view = None
+        self._domain_view: Optional[Dict[str, np.ndarray]] = None
         self._absorb(0, len(capture))
+
+    # -- constructors -----------------------------------------------------------
+
+    @classmethod
+    def incremental(cls, tv_ip: Ipv4Address) -> "AuditPipeline":
+        """An empty pipeline to be grown segment by segment."""
+        return cls(ColumnarCapture(), tv_ip)
+
+    @classmethod
+    def from_pcap_bytes(cls, raw: bytes,
+                        tv_ip: Optional[Ipv4Address] = None
+                        ) -> "AuditPipeline":
+        capture = ColumnarCapture.from_pcap_bytes(raw)
+        if tv_ip is None:
+            tv_ip = capture.infer_tv_ip()
+        return cls(capture, tv_ip)
+
+    @classmethod
+    def from_result(cls, result) -> "AuditPipeline":
+        """From an ExperimentResult (reads only its pcap + TV IP)."""
+        return cls.from_pcap_bytes(result.pcap_bytes,
+                                   Ipv4Address.parse(result.tv_ip))
 
     # -- indexing ----------------------------------------------------------------
 
-    def extend(self, packets) -> "AuditPipeline":
-        raise TypeError("columnar pipelines grow from capture segments; "
-                        "use extend_pcap_bytes")
-
     def extend_pcap_bytes(self, raw: bytes) -> int:
+        """Absorb one pcap-framed capture segment; returns its packet
+        count (the streaming tier's per-segment ingest).
+
+        All or nothing: a segment that fails to decode raises before
+        the pipeline changes."""
         start, end = self.packets.extend_pcap_bytes(raw)
         self._absorb(start, end)
         return end - start
@@ -327,6 +150,8 @@ class ColumnarAuditPipeline(AuditPipeline):
             add(capture.view(index))
 
     def _domain_index(self) -> Dict[str, np.ndarray]:
+        """label -> row indices (capture order), built against the DNS
+        map as of now and cached until the next extension."""
         registry = get_registry()
         if self._domain_view is None:
             registry.inc("pipeline.domain_view.build")
@@ -341,8 +166,9 @@ class ColumnarAuditPipeline(AuditPipeline):
                 if len(chunks) == 1:
                     view[label] = chunks[0]
                 else:
-                    # Arrival seq == row index, so the base class's
-                    # seq-keyed merge is just a sort of the indices.
+                    # Several IPs resolved to one name (or one IP spans
+                    # several segments): row index is arrival order, so
+                    # sorting the indices restores capture order.
                     merged = np.concatenate(chunks)
                     merged.sort()
                     view[label] = merged
@@ -352,6 +178,12 @@ class ColumnarAuditPipeline(AuditPipeline):
         return self._domain_view
 
     # -- queries ------------------------------------------------------------------
+
+    @property
+    def contacted_domains(self) -> List[str]:
+        """Every resolved Internet domain the TV exchanged traffic with."""
+        return sorted(name for name in self._domain_index()
+                      if not name.startswith(("lan:", "unresolved:")))
 
     def packets_for(self, domain: str) -> ColumnarSlice:
         return ColumnarSlice(self.packets,
@@ -367,10 +199,14 @@ class ColumnarAuditPipeline(AuditPipeline):
         return ColumnarSlice(self.packets, rows[order])
 
     def bytes_for(self, domain: str) -> int:
+        """Total bytes sent + received to/from one domain."""
         rows = self._domain_index().get(domain)
         if rows is None:
             return 0
         return int(self.packets.length[rows].sum())
+
+    def kilobytes_for(self, domain: str) -> float:
+        return self.bytes_for(domain) / 1000.0
 
     def bytes_sent_to(self, domain: str) -> int:
         rows = self._domain_index().get(domain)
@@ -385,6 +221,7 @@ class ColumnarAuditPipeline(AuditPipeline):
         return 0 if rows is None else len(rows)
 
     def upload_timestamps(self, domains: List[str]) -> List[int]:
+        """Sorted capture times of TV-originated packets to ``domains``."""
         index = self._domain_index()
         parts = [index[domain] for domain in domains if domain in index]
         if not parts:
@@ -393,3 +230,22 @@ class ColumnarAuditPipeline(AuditPipeline):
         capture = self.packets
         sent = capture.src[rows] == np.uint32(self.tv_ip.value)
         return np.sort(capture.ts[rows][sent]).tolist()
+
+    def byte_totals(self) -> Dict[str, int]:
+        return {domain: self.bytes_for(domain)
+                for domain in self.contacted_domains}
+
+    # -- the heuristic's first stage ------------------------------------------------
+
+    def acr_candidate_domains(self) -> List[str]:
+        """Contacted domains whose *name* contains "acr" (§3.2)."""
+        return [domain for domain in self.contacted_domains
+                if "acr" in domain]
+
+    def __repr__(self) -> str:
+        return (f"AuditPipeline({len(self.packets)} packets, "
+                f"{len(self.contacted_domains)} domains)")
+
+
+#: The name the benchmark's tracer (``perfbench/workloads.py``) imports.
+ColumnarAuditPipeline = AuditPipeline

@@ -54,24 +54,6 @@ def _parse_vendors(args) -> Optional[List[str]]:
             if name.strip()]
 
 
-def _add_decode_options(cmd: argparse.ArgumentParser) -> None:
-    from .net.tiers import DECODE_TIERS, DEFAULT_DECODE_TIER
-    cmd.add_argument(
-        "--decode-tier", choices=DECODE_TIERS,
-        default=DEFAULT_DECODE_TIER,
-        help="packet decode implementation: columnar (array columns, "
-             "the fast default), lazy (on-demand per-packet objects) "
-             "or object (eager full decode); every tier produces "
-             "byte-identical output")
-
-
-def _apply_decode_tier(args) -> None:
-    """Make ``--decode-tier`` the process default, so every pipeline
-    this command builds (including memoized grid pipelines) uses it."""
-    from .net.tiers import set_decode_tier
-    set_decode_tier(args.decode_tier)
-
-
 def _add_obs_options(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--dashboard", action="store_true",
                      help="live ANSI status frame on stderr (degrades "
@@ -230,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid_cmd.add_argument("--plain", action="store_true",
                           help="with --dashboard: plain progress lines "
                                "instead of the live frame")
-    _add_decode_options(grid_cmd)
     _add_obs_options(grid_cmd)
     _add_fault_options(grid_cmd)
     _add_cache_options(grid_cmd)
@@ -254,16 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="plain per-shard progress lines (the "
                                 "default without --dashboard; forces "
                                 "the dashboard's line mode)")
-    fleet_cmd.add_argument(
-        "--shm-columns", action="store_true",
-        help="with the columnar tier: publish each household's packet "
-             "columns to shared memory so other workers (and, with "
-             "--shm-keep, later runs) attach instead of re-decoding")
-    fleet_cmd.add_argument(
-        "--shm-keep", action="store_true",
-        help="leave published column segments in shared memory after "
-             "the run instead of unlinking them")
-    _add_decode_options(fleet_cmd)
     _add_obs_options(fleet_cmd)
     _add_fault_options(fleet_cmd)
     _add_findings_option(fleet_cmd)
@@ -307,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "the live status line (for logs/CI)")
     serve_cmd.add_argument("--out", default=None,
                            help="also write the report to this path")
-    _add_decode_options(serve_cmd)
     _add_obs_options(serve_cmd)
     _add_fault_options(serve_cmd)
     _add_findings_option(serve_cmd)
@@ -320,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
              "vendor findings (X1-X6); incremental over the grid cache")
     _add_grid_options(scorecard_cmd)
     _add_vendors_option(scorecard_cmd)
-    _add_decode_options(scorecard_cmd)
     _add_findings_option(scorecard_cmd)
 
     report_cmd = sub.add_parser(
@@ -329,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
              "incremental over the grid cache")
     _add_grid_options(report_cmd)
     _add_vendors_option(report_cmd)
-    _add_decode_options(report_cmd)
 
     table_cmd = sub.add_parser("table",
                                help="regenerate a paper table (2-5)")
@@ -403,7 +371,6 @@ def _cmd_audit(args) -> int:
 def _cmd_grid(args) -> int:
     from .experiments import grid as grid_mod
     from .sim.clock import minutes as minutes_ns
-    _apply_decode_tier(args)
     try:
         filters = grid_mod.parse_filters(args.filter)
         specs = grid_mod.enumerate_cells(
@@ -474,7 +441,6 @@ def _cmd_grid(args) -> int:
 
 def _cmd_fleet(args) -> int:
     from . import fleet as fleet_mod
-    _apply_decode_tier(args)
     try:
         mixes = fleet_mod.parse_mix(args.mix)
         population = fleet_mod.PopulationSpec(
@@ -491,9 +457,6 @@ def _cmd_fleet(args) -> int:
         print(f"error: {fault_error}", file=sys.stderr)
         return 2
     runner = fleet_mod.FleetRunner(cache=cache, jobs=args.jobs,
-                                   decode_tier=args.decode_tier,
-                                   shm_columns=args.shm_columns,
-                                   shm_keep=args.shm_keep,
                                    faults=faults)
     registry = _obs_start(args)
     # Progress and timing go to stderr: the stdout report is a pure
@@ -550,7 +513,6 @@ def _cmd_serve(args) -> int:
 
     from . import fleet as fleet_mod
     from . import service as service_mod
-    _apply_decode_tier(args)
     faults, fault_error = _parse_faults(args)
     if fault_error:
         print(f"error: {fault_error}", file=sys.stderr)
@@ -675,7 +637,6 @@ def _vendors_selection_error(args) -> Optional[str]:
 def _cmd_scorecard(args) -> int:
     from .experiments import run_all_checks
     from .experiments.findings import render_checks
-    _apply_decode_tier(args)
     error = _vendors_selection_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
@@ -692,7 +653,6 @@ def _cmd_scorecard(args) -> int:
 
 def _cmd_report(args) -> int:
     from .experiments.report import generate
-    _apply_decode_tier(args)
     error = _vendors_selection_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)

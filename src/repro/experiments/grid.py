@@ -204,13 +204,11 @@ class CellRecord:
             self._pcap_z = zlib.compress(self.pcap_bytes, 1)
         return self._pcap_z
 
-    def pipeline(self, tier: Optional[str] = None) -> AuditPipeline:
-        """Decode this cell's capture into an audit pipeline (the
-        process-default decode tier unless one is named)."""
+    def pipeline(self) -> AuditPipeline:
+        """Decode this cell's capture into an audit pipeline."""
         with get_registry().span("grid.decode"):
             return AuditPipeline.from_pcap_bytes(
-                self.pcap_bytes, Ipv4Address.parse(self.tv_ip),
-                tier=tier)
+                self.pcap_bytes, Ipv4Address.parse(self.tv_ip))
 
     def meta(self) -> Dict:
         return {
@@ -461,6 +459,10 @@ class GridRunner:
 
     def _execute(self, missing: List[Tuple[int, ExperimentSpec]]):
         if self.jobs == 1 or len(missing) == 1:
+            # Built once up front, so that no cell's grid.simulate
+            # timer absorbs the per-country asset build.
+            with get_registry().span("assets.warm"):
+                warm_assets([spec for __, spec in missing])
             for index, spec in missing:
                 meta, compressed, snapshot = _execute_cell(
                     _payload(spec, self.seed, self.validate_results,
@@ -519,6 +521,7 @@ class GridResults:
         self.campaign = CampaignRunner(seed=seed)
         self._records: Dict[Tuple[str, int], CellRecord] = {}
         self._pipelines: Dict[Tuple[str, int], AuditPipeline] = {}
+        self._warmed: Set[str] = set()
 
     def _key(self, spec: ExperimentSpec) -> Tuple[str, int]:
         return (spec.label, spec.duration_ns)
@@ -540,6 +543,11 @@ class GridResults:
             record = self.cache.load(spec, self.seed) if self.cache \
                 else None
         if record is None:
+            country = spec.country.value
+            if country not in self._warmed:
+                self._warmed.add(country)
+                with get_registry().span("assets.warm"):
+                    warm_assets(countries=[country])
             started = time.perf_counter()
             with get_registry().span("grid.simulate"):
                 result = self.campaign.run(spec)

@@ -6,15 +6,15 @@ Two halves:
   :class:`~repro.faults.plan.FaultPlan`: tamper a pcap segment
   (truncate mid-record / corrupt one frame header) or raise an
   :class:`InjectedFault` where a worker would crash or hang.  Injected
-  pcap damage is constructed so *both* decode tiers detect it (a
-  structural ``PcapError`` or a frame ``ValueError``) before any
-  pipeline state mutates — which is what lets the ingest layer
-  quarantine and re-apply safely.
+  pcap damage is constructed so the decode detects it (a structural
+  ``PcapError`` or a frame ``ValueError``) before any pipeline state
+  mutates — which is what lets the ingest layer quarantine and
+  re-apply safely.
 
 * **Salvage** — :func:`salvage_pcap_bytes`, the hardening that turns a
   corrupt capture from an abort into a counted degradation: walk the
   record stream tolerantly, probe every frame with the same defensive
-  decode the analysis tiers use, keep the good records byte-for-byte,
+  decode the analysis uses, keep the good records byte-for-byte,
   and report each dropped record with evidence (index + reason).
 """
 
@@ -130,8 +130,8 @@ def tamper_pcap_bytes(plan: FaultPlan, payload: bytes,
     * ``pcap.truncate`` cuts the stream mid-record at a drawn record,
       losing that record and everything after it (a torn capture tail);
     * ``pcap.corrupt`` rewrites one drawn record's frame to claim IPv4
-      with an impossible version nibble, so every decode tier rejects
-      exactly that record.
+      with an impossible version nibble, so the decode rejects exactly
+      that record.
     """
     injected: List[str] = []
     if not plan or len(payload) <= GLOBAL_HEADER.size:
@@ -154,9 +154,9 @@ def tamper_pcap_bytes(plan: FaultPlan, payload: bytes,
             frame = start + RECORD_HEADER.size
             if end - frame >= 15:
                 tampered = bytearray(payload)
-                # Claim IPv4, then break the version nibble: both the
-                # lazy and columnar tiers raise ValueError for this
-                # exact frame and nothing else.
+                # Claim IPv4, then break the version nibble: the
+                # columnar decode and its LazyPacket reference raise
+                # ValueError for this exact frame and nothing else.
                 tampered[frame + 12:frame + 14] = b"\x08\x00"
                 tampered[frame + 14] = 0x0F
                 payload = bytes(tampered)
@@ -180,8 +180,8 @@ def tamper_pcap_bytes(plan: FaultPlan, payload: bytes,
 
 def _probe(timestamp: int, data: bytes) -> Optional[str]:
     """Reason string if this frame would fail analysis decode, else
-    ``None``.  Mirrors the decode tiers' failure surface: LazyPacket
-    field parse plus the in-place DNS parse for UDP datagrams."""
+    ``None``.  Mirrors the decode's failure surface: LazyPacket field
+    parse plus the in-place DNS parse for UDP datagrams."""
     try:
         packet = LazyPacket(timestamp, data)
         if packet.proto == 17:
@@ -202,8 +202,8 @@ def salvage_pcap_bytes(raw: bytes) -> Tuple[bytes, List[Tuple[int, str]]]:
     framing past the break cannot be trusted, so the remaining records
     are reported as a single drop at the break's index.
 
-    ``salvage(raw) == (raw, [])`` for any capture the decode tiers
-    accept, so routing a *healthy* segment through here is a no-op.
+    ``salvage(raw) == (raw, [])`` for any capture the decode accepts,
+    so routing a *healthy* segment through here is a no-op.
     """
     try:
         swapped, snaplen, __ = parse_global_header(raw)

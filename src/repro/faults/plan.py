@@ -58,8 +58,6 @@ FAULT_SITES: Dict[str, str] = {
     # checkpoint durability (lossless: fallback to last valid snapshot)
     "checkpoint.torn": "service: checkpoint write torn mid-payload",
     "checkpoint.corrupt": "service: checkpoint bytes corrupted on disk",
-    # shared-memory arena (lossless: attach falls back to re-decode)
-    "shm.vanish": "fleet: column segment unlinked before attach",
 }
 
 _SCALE = float(1 << 64)

@@ -28,7 +28,7 @@ import multiprocessing
 import time
 from typing import Callable, List, Optional, Tuple
 
-from ..analysis.pipeline import AuditPipeline, ColumnarAuditPipeline
+from ..analysis.pipeline import AuditPipeline
 from ..faults import (NULL_PLAN, FaultPlan, produce_with_retries,
                       salvage_pcap_bytes, tamper_pcap_bytes)
 from ..findings import Finding
@@ -36,13 +36,11 @@ from ..experiments.grid import (CacheReadError, ResultCache,
                                 record_from_result, warm_assets)
 from ..net.addresses import Ipv4Address
 from ..net.pcap import GLOBAL_HEADER, PcapError
-from ..net.tiers import resolve_tier
 from ..obs.metrics import get_registry, metrics_enabled, scoped
 from ..testbed.runner import run_session
 from ..testbed.validation import validate_session
 from .aggregate import FleetAggregate, merge_all, summarize_household
 from .population import HouseholdSpec, PopulationSpec
-from .shm import ColumnArena, shm_key
 
 #: Households per shard.  Fixed (not derived from --jobs) so the shard
 #: partition — and therefore the fold/merge structure — depends only on
@@ -110,40 +108,13 @@ def household_record(household: HouseholdSpec,
 def _audit_household(household: HouseholdSpec,
                      cache: Optional[ResultCache],
                      validate_results: bool,
-                     tier: Optional[str] = None,
-                     arena: Optional[ColumnArena] = None,
                      faults: FaultPlan = NULL_PLAN,
                      warm: Optional[Callable[[], None]] = None
-                     ) -> Tuple[dict, bool, Optional[str]]:
+                     ) -> Tuple[dict, bool]:
     """Run (or recall) one household and reduce it to a summary.
 
-    Returns ``(summary, executed, touched shm key or None)``.  With an
-    arena, a household already published to shared memory is audited
-    straight from the attached columns — no pcap read, no decode — and
-    a freshly decoded one is published for the next process."""
+    Returns ``(summary, executed)``."""
     registry = get_registry()
-    key = None
-    if arena is not None:
-        key = shm_key(household.label, household.diary_obj.duration_ns,
-                      household.seed, cache.version if cache else None)
-        if faults and faults.fires("shm.vanish", household.index):
-            # The published segment disappears out from under us (a
-            # purge, a reboot, another run's unlink); recovery is the
-            # local decode below.
-            registry.inc("faults.injected.shm.vanish")
-            ColumnArena.unlink(key)
-            registry.inc("faults.recovered.shm.fallback")
-        attached = arena.attach(key)
-        if attached is not None:
-            capture, meta = attached
-            pipeline = ColumnarAuditPipeline(
-                capture, Ipv4Address.parse(meta["tv_ip"]))
-            summary = summarize_household(household, pipeline,
-                                          meta["packet_count"],
-                                          meta["pcap_len"])
-            registry.inc("fleet.households")
-            del pipeline, capture
-            return summary, False, key
     record, executed = household_record(household, cache,
                                         validate_results, warm)
     pcap_bytes = record.pcap_bytes
@@ -155,8 +126,7 @@ def _audit_household(household: HouseholdSpec,
     tv_ip = Ipv4Address.parse(record.tv_ip)
     with registry.span("fleet.decode"):
         try:
-            pipeline = AuditPipeline.from_pcap_bytes(
-                pcap_bytes, tv_ip, tier=tier)
+            pipeline = AuditPipeline.from_pcap_bytes(pcap_bytes, tv_ip)
         except (PcapError, ValueError) as exc:
             # Quarantine-and-continue: salvage what still decodes and
             # surface every dropped record as a counted finding instead
@@ -168,19 +138,10 @@ def _audit_household(household: HouseholdSpec,
                 quarantined.append(Finding.degradation(
                     household.label, household.index, None,
                     record_index, reason))
-            pipeline = AuditPipeline.from_pcap_bytes(
-                clean, tv_ip, tier=tier) if clean \
-                else AuditPipeline.incremental(tv_ip)
+            pipeline = AuditPipeline.from_pcap_bytes(clean, tv_ip) \
+                if clean else AuditPipeline.incremental(tv_ip)
             packet_count = len(pipeline.packets)
             pcap_len = max(len(clean), GLOBAL_HEADER.size)
-    touched = None
-    if (arena is not None and not quarantined
-            and isinstance(pipeline, ColumnarAuditPipeline)):
-        touched = arena.publish(
-            key, pipeline.packets,
-            {"tv_ip": record.tv_ip, "label": household.label,
-             "packet_count": record.packet_count,
-             "pcap_len": record.pcap_len})
     summary = summarize_household(household, pipeline,
                                   packet_count, pcap_len)
     if quarantined:
@@ -189,33 +150,29 @@ def _audit_household(household: HouseholdSpec,
     # Drop the heavy objects before the next household: the aggregate
     # keeps only the summary's integers.
     del pipeline, record
-    return summary, executed, touched
+    return summary, executed
 
 
 def _run_shard(payload) -> Tuple[FleetAggregate, int, int,
-                                 Optional[dict], Tuple[str, ...]]:
+                                 Optional[dict]]:
     """Pool worker: audit one shard, return its merged aggregate.
 
-    Takes only primitives (household tuples + cache coordinates + tier
-    and shared-memory flags) and returns the shard's
-    :class:`FleetAggregate` plus executed/cached counts, — when the
-    parent had metrics enabled — the shard's own metrics snapshot,
-    collected in a worker-local registry so the parent can absorb it
-    without double counting, and the shm keys it touched (published or
-    attached).  Never a capture.
+    Takes only primitives (household tuples + cache coordinates + the
+    fault plan) and returns the shard's :class:`FleetAggregate` plus
+    executed/cached counts and — when the parent had metrics enabled —
+    the shard's own metrics snapshot, collected in a worker-local
+    registry so the parent can absorb it without double counting.
+    Never a capture.
     """
     (household_tuples, cache_root, cache_version, validate_results,
-     collect_metrics, tier, shm_columns, plan_tuple) = payload
+     collect_metrics, plan_tuple) = payload
     cache = ResultCache(cache_root, version=cache_version) \
         if cache_root else None
     faults = FaultPlan.from_tuple(plan_tuple)
-    arena = ColumnArena() \
-        if shm_columns and resolve_tier(tier) == "columnar" else None
     households = [HouseholdSpec.from_tuple(values)
                   for values in household_tuples]
     aggregate = FleetAggregate()
     executed = cached = 0
-    touched: List[str] = []
     warmed = False
 
     def warm() -> None:
@@ -236,21 +193,19 @@ def _run_shard(payload) -> Tuple[FleetAggregate, int, int,
                 # An injected audit-worker crash/hang kills this
                 # household's attempt mid-shard; the bounded retry
                 # makes the shard self-healing.
-                (summary, ran, key), __ = produce_with_retries(
+                (summary, ran), __ = produce_with_retries(
                     faults, (household.index,),
                     lambda: _audit_household(
-                        household, cache, validate_results, tier,
-                        arena, faults, warm))
+                        household, cache, validate_results, faults,
+                        warm))
                 aggregate.fold(summary)
-                if key is not None:
-                    touched.append(key)
                 if ran:
                     executed += 1
                 else:
                     cached += 1
         get_registry().inc("fleet.shards.completed")
         snapshot = registry.snapshot() if registry is not None else None
-    return aggregate, executed, cached, snapshot, tuple(touched)
+    return aggregate, executed, cached, snapshot
 
 
 class FleetResult:
@@ -281,9 +236,6 @@ class FleetRunner:
     def __init__(self, cache: Optional[ResultCache] = None, jobs: int = 1,
                  shard_size: int = SHARD_SIZE,
                  validate_results: bool = True,
-                 decode_tier: Optional[str] = None,
-                 shm_columns: bool = False,
-                 shm_keep: bool = False,
                  faults: FaultPlan = NULL_PLAN) -> None:
         if shard_size <= 0:
             raise ValueError("shard size must be positive")
@@ -291,11 +243,6 @@ class FleetRunner:
         self.jobs = max(1, jobs)
         self.shard_size = shard_size
         self.validate_results = validate_results
-        #: Resolved once here so workers get an explicit tier rather
-        #: than relying on inheriting the parent's process default.
-        self.decode_tier = resolve_tier(decode_tier)
-        self.shm_columns = shm_columns
-        self.shm_keep = shm_keep
         self.faults = faults
 
     def _payloads(self, population: PopulationSpec) -> List[Tuple]:
@@ -305,8 +252,7 @@ class FleetRunner:
         return [
             (tuple(households[start:start + self.shard_size]),
              cache_root, cache_version, self.validate_results,
-             metrics_enabled(), self.decode_tier, self.shm_columns,
-             self.faults.as_tuple())
+             metrics_enabled(), self.faults.as_tuple())
             for start in range(0, len(households), self.shard_size)]
 
     def run(self, population: PopulationSpec,
@@ -366,14 +312,6 @@ class FleetRunner:
         aggregate = merge_all(output[0] for output in shard_outputs)
         executed = sum(output[1] for output in shard_outputs)
         cached = sum(output[2] for output in shard_outputs)
-        if self.shm_columns and not self.shm_keep:
-            # Shared-memory columns are a per-run decode cache by
-            # default: every segment this run touched (published or
-            # attached) is removed.  --shm-keep leaves them for the
-            # next run/process to attach.
-            for output in shard_outputs:
-                for key in output[4]:
-                    ColumnArena.unlink(key)
         return FleetResult(aggregate, population.households,
                            len(payloads), executed, cached,
                            time.perf_counter() - started)

@@ -20,8 +20,6 @@ from .pcap import (PcapError, PcapReader, PcapWriter, dump_bytes, load_bytes,
 from .stack import HostStack, TlsSession
 from .tcp import TcpSegment
 from .template import TcpFrameTemplate
-from .tiers import (DECODE_TIERS, DEFAULT_DECODE_TIER, decode_tier,
-                    resolve_tier, set_decode_tier)
 from .tls import TlsRecord, extract_sni
 from .udp import UdpDatagram
 
@@ -31,8 +29,6 @@ __all__ = [
     "ColumnarCapture",
     "ColumnarSlice",
     "ColumnarView",
-    "DECODE_TIERS",
-    "DEFAULT_DECODE_TIER",
     "DecodedPacket",
     "DnsMessage",
     "DnsQuestion",
@@ -58,7 +54,6 @@ __all__ = [
     "canonical_key",
     "decode_all",
     "decode_packet",
-    "decode_tier",
     "dump_bytes",
     "extract_sni",
     "lazy_decode",
@@ -67,7 +62,5 @@ __all__ = [
     "load_file",
     "mac_from_seed",
     "parse_endpoint",
-    "resolve_tier",
     "save_file",
-    "set_decode_tier",
 ]

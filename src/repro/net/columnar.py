@@ -1,7 +1,6 @@
-"""Columnar decode tier: a whole capture as parallel field columns.
+"""Columnar decode: a whole capture as parallel field columns.
 
-The third decode tier (after the object and lazy tiers in
-:mod:`repro.net.packet`): walk the pcap record headers once, then
+The audit's one decode path: walk the pcap record headers once, then
 byte-gather every fixed-offset header field — timestamps, lengths,
 src/dst IPv4 addresses, ports, protocol, the UDP/53 DNS flag — into
 parallel numpy columns.  Zero per-packet Python objects are built;
@@ -10,25 +9,21 @@ is actually read (DNS answers) are object-decoded via
 :class:`ColumnarView`, a row adapter with the exact ``LazyPacket``
 attribute surface.
 
-Equivalence with the reference tiers is non-negotiable and pinned by
-the golden corpus and hypothesis suites:
+The reference for every row is :class:`~repro.net.packet.LazyPacket`,
+and the equivalence suite holds the two identical:
 
 * the record walk raises the same :class:`~repro.net.pcap.PcapError`
   surface as :class:`~repro.net.pcap.PcapReader`, and raises it before
-  any frame-level error, exactly like ``load_bytes`` + lazy decode;
+  any frame-level error, exactly like ``load_bytes`` + per-row decode;
 * malformed or clipped frames raise the same ``ValueError`` messages in
-  the same (capture) order as :class:`~repro.net.packet.LazyPacket` —
-  any row the vectorized gather can't prove well-formed (short frames,
-  IPv4 options, claimed-but-truncated IPv4) is re-run through a real
-  ``LazyPacket``, so the slow path *is* the reference implementation.
+  the same (capture) order as ``LazyPacket`` — any row the vectorized
+  gather can't prove well-formed (short frames, IPv4 options,
+  claimed-but-truncated IPv4) is re-run through a real ``LazyPacket``,
+  so the slow path *is* the reference implementation.
 
 The vectorized fast path covers plain ``IHL=20`` IPv4 frames of at
 least 38 bytes — every byte the gathers touch is then inside the
 record's own data, so no mask can misread a neighbouring record.
-
-Columns are plain contiguous arrays, which is what makes the
-shared-memory fleet fan-out (:mod:`repro.fleet.shm`) possible: a worker
-re-attaches the buffers read-only instead of re-decoding the capture.
 """
 
 from __future__ import annotations
@@ -58,7 +53,7 @@ _MISSING = object()
 #: Column name -> dtype.  ``off`` is the frame's byte offset inside its
 #: segment buffer; ``src``/``dst`` are big-endian IPv4 values (0 for
 #: non-IP rows); ``sport``/``dport``/``proto`` use -1 for "absent",
-#: mirroring the lazy tier's ``None``.
+#: mirroring ``LazyPacket``'s ``None``.
 COLUMN_DTYPES = (
     ("ts", np.int64),
     ("off", np.int64),
@@ -190,7 +185,7 @@ def _walk_offsets(buf: memoryview, data: np.ndarray, start: int,
 
 
 def _build_columns(buf: memoryview) -> Dict[str, np.ndarray]:
-    """Decode one pcap buffer into columns (the tier's hot path)."""
+    """Decode one pcap buffer into columns (the decode hot path)."""
     swapped, snaplen, __ = parse_global_header(buf)
     data = np.frombuffer(buf, dtype=np.uint8)
     record, cursor = _walk_offsets(buf, data, GLOBAL_HEADER.size, swapped)
@@ -287,15 +282,14 @@ class ColumnarCapture:
     """A capture decoded into parallel columns, one row per packet.
 
     Supports multi-segment growth (:meth:`extend_pcap_bytes` — the
-    streaming service feeds pcap-framed segments) and a frozen
-    read-only mode for shared-memory attached columns.  Iterating or
-    indexing yields :class:`ColumnarView` rows, so the capture is
-    drop-in wherever a list of lazy packets was.
+    streaming service feeds pcap-framed segments).  Iterating or
+    indexing yields :class:`ColumnarView` rows, which carry the
+    ``LazyPacket`` attribute surface.
     """
 
     __slots__ = ("ts", "off", "length", "src", "dst", "sport", "dport",
                  "proto", "ihl", "dns", "_seg_starts", "_seg_bufs",
-                 "_intern", "_owner", "frozen")
+                 "_intern")
 
     def __init__(self) -> None:
         for name, dtype in COLUMN_DTYPES:
@@ -303,8 +297,6 @@ class ColumnarCapture:
         self._seg_starts: List[int] = []
         self._seg_bufs: List[memoryview] = []
         self._intern: Dict[int, Ipv4Address] = {}
-        self._owner = None
-        self.frozen = False
 
     # -- constructors -----------------------------------------------------------
 
@@ -315,32 +307,13 @@ class ColumnarCapture:
         capture.extend_pcap_bytes(raw)
         return capture
 
-    @classmethod
-    def from_columns(cls, columns: Dict[str, np.ndarray],
-                     buf: memoryview,
-                     owner=None) -> "ColumnarCapture":
-        """Adopt pre-built columns over one pcap buffer (the
-        shared-memory attach path); the result is frozen.  ``owner``
-        (e.g. the backing ``SharedMemory`` segment) is kept alive for
-        the capture's lifetime so the mapped buffers stay valid."""
-        capture = cls()
-        for name in COLUMN_NAMES:
-            setattr(capture, name, columns[name])
-        capture._seg_starts = [0]
-        capture._seg_bufs = [buf if isinstance(buf, memoryview)
-                             else memoryview(buf)]
-        capture._owner = owner
-        capture.frozen = True
-        return capture
-
     # -- growth -----------------------------------------------------------------
 
     def extend_pcap_bytes(self, raw: Union[bytes, bytearray, memoryview]
                           ) -> Tuple[int, int]:
         """Decode one pcap-framed segment; returns its [start, end) row
-        range."""
-        if self.frozen:
-            raise TypeError("shared-memory columns are read-only")
+        range.  A segment that fails to decode raises before any
+        column changes."""
         buf = raw if isinstance(raw, memoryview) else memoryview(raw)
         registry = get_registry()
         with registry.span("decode.columnar.build"):
@@ -397,9 +370,8 @@ class ColumnarCapture:
     # -- capture-level queries ---------------------------------------------------
 
     def infer_tv_ip(self) -> Ipv4Address:
-        """Column equivalent of :func:`repro.analysis.pipeline.infer_tv_ip`
-        — most talkative private address, ties broken by first
-        appearance in src-then-dst packet order."""
+        """The device under audit: the most talkative private address,
+        ties broken by first appearance in src-then-dst packet order."""
         count = len(self.ts)
         interleaved = np.empty(2 * count, np.uint32)
         interleaved[0::2] = self.src
@@ -422,32 +394,9 @@ class ColumnarCapture:
                       for v in tied}
         return self.address(min(first_seen, key=first_seen.get))
 
-    @property
-    def segment_count(self) -> int:
-        return len(self._seg_starts)
-
-    @property
-    def buffer(self) -> memoryview:
-        """The single backing pcap buffer (shared-memory publish path —
-        only defined for unsegmented captures)."""
-        if len(self._seg_bufs) != 1:
-            raise ValueError(
-                f"capture has {len(self._seg_bufs)} segments, not 1")
-        return self._seg_bufs[0]
-
-    def columns(self) -> Dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in COLUMN_NAMES}
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes needed to publish this capture (columns + raw pcap)."""
-        return (sum(getattr(self, name).nbytes for name in COLUMN_NAMES)
-                + sum(len(buf) for buf in self._seg_bufs))
-
     def __repr__(self) -> str:
         return (f"ColumnarCapture({len(self.ts)} packets, "
-                f"{self.segment_count} segments"
-                f"{', frozen' if self.frozen else ''})")
+                f"{len(self._seg_starts)} segments)")
 
 
 class ColumnarView:
@@ -586,10 +535,9 @@ _EMPTY_INDICES = np.empty(0, np.int64)
 class ColumnarSlice:
     """An ordered subset of capture rows (a query result).
 
-    Behaves like the list of packets the object/lazy pipelines return —
-    ``len``/iteration/indexing/``==`` — while keeping the underlying
-    index array addressable so consumers like the CDF builder can stay
-    columnar."""
+    Behaves like a list of packets — ``len``/iteration/indexing/``==``
+    — while keeping the underlying index array addressable so consumers
+    like the CDF builder can stay columnar."""
 
     __slots__ = ("capture", "indices")
 

@@ -1,6 +1,7 @@
 """DNS wire format (RFC 1035): queries and responses with A, PTR and CNAME
 records, including message-compression-free name encoding (legal, simpler,
-and what several embedded stacks emit).
+and what several embedded stacks emit).  Decoding follows compression
+pointers anywhere a name appears, record data included.
 
 The paper's methodology leans on DNS: "the majority of DNS requests are
 typically sent within the first few seconds after device activation", and the
@@ -93,15 +94,23 @@ class DnsQuestion:
 
 
 class DnsRecord:
-    """One resource record (answer/authority/additional)."""
+    """One resource record (answer/authority/additional).
 
-    __slots__ = ("name", "rtype", "ttl", "data")
+    ``target`` is a CNAME/PTR record's decoded target name.  A decoded
+    message passes it in, because compressed record data can only be
+    resolved against the whole message; otherwise it is read from
+    ``data`` on first use.
+    """
 
-    def __init__(self, name: str, rtype: int, ttl: int, data: bytes) -> None:
+    __slots__ = ("name", "rtype", "ttl", "data", "_target")
+
+    def __init__(self, name: str, rtype: int, ttl: int, data: bytes,
+                 target: Optional[str] = None) -> None:
         self.name = name.lower()
         self.rtype = rtype
         self.ttl = ttl
         self.data = data
+        self._target = target
 
     @classmethod
     def a(cls, name: str, address: Ipv4Address, ttl: int = 300) -> "DnsRecord":
@@ -125,8 +134,9 @@ class DnsRecord:
     def target_name(self) -> str:
         if self.rtype not in (TYPE_CNAME, TYPE_PTR):
             raise ValueError("record has no target name")
-        name, __ = decode_name(self.data, 0)
-        return name
+        if self._target is None:
+            self._target, __ = decode_name(self.data, 0)
+        return self._target
 
     def encode(self) -> bytes:
         return (encode_name(self.name)
@@ -211,11 +221,23 @@ class DnsMessage:
             ttl = int.from_bytes(raw[offset + 4:offset + 8], "big")
             rdlength = int.from_bytes(raw[offset + 8:offset + 10], "big")
             offset += 10
-            if offset + rdlength > len(raw):
+            end = offset + rdlength
+            if end > len(raw):
                 raise ValueError("truncated DNS record data")
-            answers.append(
-                DnsRecord(name, rtype, ttl, raw[offset:offset + rdlength]))
-            offset += rdlength
+            target = None
+            if rtype == TYPE_A and rdlength != 4:
+                raise ValueError(
+                    f"A record needs 4 bytes of data, got {rdlength}")
+            if rtype in (TYPE_CNAME, TYPE_PTR):
+                # Resolved now, against the whole message: the record
+                # data may be (or end in) a pointer to an earlier name.
+                target, name_end = decode_name(raw, offset)
+                if name_end > end:
+                    raise ValueError("DNS target name overruns its "
+                                     "record data")
+            answers.append(DnsRecord(name, rtype, ttl, raw[offset:end],
+                                     target))
+            offset = end
         return cls(txid, flags, questions, answers)
 
     def __repr__(self) -> str:

@@ -18,10 +18,10 @@ FlowKey = Tuple[Ipv4Address, int, Ipv4Address, int, str]
 def canonical_key(packet: DecodedPacket) -> Optional[FlowKey]:
     """Direction-independent flow key, lower endpoint first.
 
-    Works on either decode tier — only the flat ``src_ip``/``dst_ip``/
+    Works on any packet view — only the flat ``src_ip``/``dst_ip``/
     port/``flow_proto`` attributes are read, so a
-    :class:`~repro.net.packet.LazyPacket` never has to build its object
-    layers just to be keyed.
+    :class:`~repro.net.packet.LazyPacket` or a columnar row never has
+    to build its object layers just to be keyed.
     """
     proto = packet.flow_proto
     if proto is None:

@@ -1,20 +1,21 @@
-"""Captured-packet model and the two decode tiers.
+"""Captured-packet model and the per-packet decoders.
 
 A :class:`CapturedPacket` is what the access point's tap records: a
 timestamp plus raw Ethernet bytes.  Two views re-parse those bytes:
 
-* :func:`decode_packet` — the full tier: constructs
+* :func:`decode_packet` — the full decode: constructs
   Ethernet/IP/TCP/UDP/DNS objects, validating as it goes.
-* :func:`lazy_decode` — the fast tier: precompiled fixed-offset header
-  slicing that yields the flow key (addresses, ports, protocol) and
-  lengths without building any per-layer object.  Full decode is
-  deferred to the packets that need it (DNS payloads parse on first
-  ``.dns`` access; ``.ip``/``.tcp``/``.udp``/``.eth`` delegate to a
-  memoized full decode).
+* :func:`lazy_decode` — precompiled fixed-offset header slicing that
+  yields the flow key (addresses, ports, protocol) and lengths without
+  building any per-layer object.  Full decode is deferred to the
+  packets that need it (DNS payloads parse on first ``.dns`` access;
+  ``.ip``/``.tcp``/``.udp``/``.eth`` delegate to a memoized full
+  decode).
 
-The analysis pipeline only ever sees decoded views of raw captures,
-mirroring the paper's capture-then-analyze workflow; the lazy tier is
-what lets it decode population-scale captures once, cheaply.
+The analysis pipeline decodes whole captures column-wise
+(:mod:`repro.net.columnar`); :class:`LazyPacket` is that decode's
+per-row slow path and reference, and every columnar row exposes its
+exact attribute surface.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def decode_packet(packet: CapturedPacket,
 
 _PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}
 
-# Fixed-offset header fields for the lazy tier, relative to frame start:
+# Fixed-offset header fields for LazyPacket, relative to frame start:
 # Ethernet ethertype, then the IPv4 fields the flow key needs, then the
 # transport ports (TCP and UDP both lead with source/destination port).
 _IP_FIXED = struct.Struct("!HHxxBBxx4s4s")  # total_len, id.. from offset 16
@@ -170,8 +171,8 @@ class LazyPacket:
     ``tcp``, ``udp``, ``eth``) fall back to a memoized
     :func:`decode_packet`, so a lazy capture is drop-in compatible with
     a fully decoded one — consumers just stay fast when they only touch
-    the flow key.  Keeps the full tier's failure surface: a frame that
-    claims IPv4 but is malformed or truncated (e.g. snaplen-clipped
+    the flow key.  Keeps the full decode's failure surface: a frame
+    that claims IPv4 but is malformed or truncated (e.g. snaplen-clipped
     records) raises ``ValueError`` exactly like ``Ipv4Packet.decode``,
     rather than silently vanishing from the flow analysis.
     """
@@ -196,7 +197,7 @@ class LazyPacket:
             raise ValueError(f"frame too short: {len(data)} bytes")
         if data[12:14] != b"\x08\x00":
             return
-        # The frame claims IPv4: validate like the full tier so bad
+        # The frame claims IPv4: validate like the full decode so bad
         # frames (including snaplen-truncated records) fail loudly
         # instead of silently dropping out of the analysis.
         if len(data) < 34:
@@ -278,7 +279,8 @@ class LazyPacket:
 
     @property
     def dns(self) -> Optional[DnsMessage]:
-        """Parse DNS in place for UDP/53 packets, like the full tier."""
+        """Parse DNS in place for UDP/53 packets, like the full
+        decode."""
         if self._dns is _MISSING:
             self._dns = None
             if self.proto == PROTO_UDP \
@@ -303,12 +305,12 @@ class LazyPacket:
 
 
 def lazy_decode(packet: CapturedPacket) -> LazyPacket:
-    """Fast-tier view of one captured packet."""
+    """Flow-level view of one captured packet."""
     return LazyPacket(packet.timestamp, packet.data)
 
 
 def lazy_decode_all(packets: List[CapturedPacket]) -> List[LazyPacket]:
-    """Fast-tier views of a capture, in order.
+    """Flow-level views of a capture, in order.
 
     Shares one address intern table across the capture: the handful of
     distinct endpoints repeat across thousands of packets, so the flow

@@ -144,9 +144,10 @@ def iter_records(buf, start: int = 0
     Yields ``(timestamp_ns, frame_offset, incl_len, orig_len)`` per
     record without copying a single frame byte — consumers slice (or
     index into) the one buffer they already hold.  This is the
-    mmap-friendly walk under both :func:`load_bytes` and the columnar
-    decode tier.  ``start`` skips an already-validated global header so
-    capture *segments* (record stream only) can reuse the same walk.
+    mmap-friendly walk under :func:`load_bytes` (the columnar decode
+    walks the same headers with its own vectorized speculation).
+    ``start`` skips an already-validated global header so capture
+    *segments* (record stream only) can reuse the same walk.
     """
     if start == 0:
         swapped, snaplen, __ = parse_global_header(buf)

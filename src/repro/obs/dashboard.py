@@ -148,19 +148,8 @@ def render_frame(view: DashboardView, width: int = 80,
              f"({hits} hit / {misses} miss / "
              f"{counters.get('cache.store', 0)} stored)")
     built = counters.get("decode.columnar.packets", 0)
-    attached = counters.get("decode.columnar.shm.attach", 0)
-    published = counters.get("decode.columnar.shm.publish", 0)
-    skipped = counters.get("decode.columnar.shm.skipped", 0)
-    audits = attached + published + skipped
-    if audits:
-        # Shared-memory reuse meter: fraction of columnar audits that
-        # attached published columns instead of decoding the capture.
-        emit(f"columns  {meter(attached / audits, 20)} "
-             f"{100.0 * attached / audits:5.1f}% shm   "
-             f"({attached} attach / {published} publish / "
-             f"{skipped} skip)")
-    elif built:
-        emit(f"columns  {built} pkts decoded (no shared-memory arena)")
+    if built:
+        emit(f"columns  {built} pkts decoded")
     injected = sum(value for name, value in counters.items()
                    if name.startswith("faults.injected."))
     recovered = sum(value for name, value in counters.items()

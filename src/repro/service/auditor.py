@@ -51,43 +51,30 @@ class HouseholdIngest:
     def ingest(self, segment: CaptureSegment) -> None:
         """Extend the pipeline with one (in-order) segment.
 
-        A segment the decode tier rejects is quarantined, not fatal:
+        A segment the decode rejects is quarantined, not fatal:
         the decodable records are salvaged and applied, each dropped
         record becomes a degradation finding, and byte/packet
         accounting covers only what was actually audited.
         """
-        before = len(self.pipeline.packets)
         try:
             applied = self.pipeline.extend_pcap_bytes(segment.payload)
             applied_bytes = segment.record_bytes
-        except (PcapError, ValueError) as exc:
-            applied, applied_bytes = self._quarantine(
-                segment, exc, before)
+        except (PcapError, ValueError):
+            applied, applied_bytes = self._quarantine(segment)
         self.packet_count += applied
         self.pcap_len += applied_bytes
         self.segments_ingested += 1
 
-    def _quarantine(self, segment: CaptureSegment, exc: Exception,
-                    before: int):
+    def _quarantine(self, segment: CaptureSegment):
         """Recover what a rejected segment still holds.
 
-        Both decode tiers validate a whole extension before mutating,
-        so the normal case re-extends with the salvaged records.  The
-        defensive branch (state *did* move — possible only for decode
-        errors past that validation surface) degrades the entire
-        segment coarsely rather than risk double-applying records.
+        ``extend_pcap_bytes`` is all or nothing (a segment that fails to
+        decode leaves the pipeline unchanged), so the salvaged records
+        simply re-extend it.
         """
         registry = get_registry()
         registry.inc("faults.degraded.segments")
         household = self.household
-        if len(self.pipeline.packets) != before:
-            self.findings.append(Finding.degradation(
-                household.label, household.index, segment.seq, 0,
-                f"partial segment decode: "
-                f"{type(exc).__name__}: {exc}"))
-            registry.inc("faults.degraded.records")
-            return (len(self.pipeline.packets) - before,
-                    segment.record_bytes)
         clean, drops = salvage_pcap_bytes(segment.payload)
         applied = self.pipeline.extend_pcap_bytes(clean) \
             if len(clean) > PCAP_HEADER_LEN else 0

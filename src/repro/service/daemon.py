@@ -211,6 +211,7 @@ class _CaptureSource:
         self._pool = None
         self._futures: Dict[int, concurrent.futures.Future] = {}
         self._next_submit = 0
+        self._warmed = False
         self.executed = 0
         self.cached = 0
 
@@ -230,6 +231,17 @@ class _CaptureSource:
                 future.cancel()
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+
+    def _warm(self) -> None:
+        # The queue's countries' assets, built once before the first
+        # household this process simulates, so that no household's
+        # fleet.simulate timer absorbs them.  A run served wholly from
+        # the cache never needs them.
+        if not self._warmed:
+            self._warmed = True
+            with get_registry().span("assets.warm"):
+                warm_assets(countries={household.country.value
+                                       for household in self._queue})
 
     def _payload(self, household: HouseholdSpec, attempt: int = 0):
         return (household.as_tuple(),
@@ -260,7 +272,7 @@ class _CaptureSource:
             (record, executed), sites = produce_with_retries(
                 self._faults, (household.index,),
                 lambda: household_record(household, self._cache,
-                                         self._validate))
+                                         self._validate, self._warm))
             tv_ip, pcap = record.tv_ip, record.pcap_bytes
         else:
             registry = get_registry()

@@ -12,11 +12,11 @@ from repro.analysis import (AcrDomainAuditor, AuditPipeline, Blocklist,
                             PhaseComparison, acr_volume_total,
                             analyze_periodicity, burst_times_ns,
                             cumulative_bytes, dominant_period_s,
-                            infer_tv_ip, median_step_interval_s,
+                            median_step_interval_s,
                             no_new_acr_domains, normalize_rotating,
                             packets_per_ms, packets_per_second,
                             peak_ratio)
-from repro.net import Ipv4Address, load_bytes, decode_all
+from repro.net import Ipv4Address
 from repro.sim import minutes, seconds
 
 
@@ -29,8 +29,9 @@ class TestPipeline:
             lg_uk_linear_result.packet_count
 
     def test_tv_ip_inference(self, lg_uk_linear_result):
-        packets = decode_all(load_bytes(lg_uk_linear_result.pcap_bytes))
-        assert infer_tv_ip(packets) == Ipv4Address.parse(
+        pipeline = AuditPipeline.from_pcap_bytes(
+            lg_uk_linear_result.pcap_bytes)
+        assert pipeline.tv_ip == Ipv4Address.parse(
             lg_uk_linear_result.tv_ip)
 
     def test_contacted_domains_no_lan(self, lg_uk_linear_pipeline):

@@ -1,27 +1,32 @@
-"""Equivalence and lifetime tests for the columnar decode tier.
+"""Equivalence, error-surface and fuzz tests for the audit's one decode.
 
-The columnar tier (:mod:`repro.net.columnar`) is only allowed to change
-*speed*: every query the audit pipeline answers — domains, byte totals,
-flow tables, upload timestamps, CDF curves — must be identical to the
-object and lazy reference tiers, under hypothesis-generated captures
-including malformed/snaplen-clipped frames (same errors, same order)
-and arbitrary segment cuts (incremental == batch).  The shared-memory
-arena tests pin the publish/attach round trip and segment lifetime.
+:class:`~repro.analysis.AuditPipeline` decodes a capture into columns
+(:mod:`repro.net.columnar`).  That decode is only allowed to be *fast*:
+every query the pipeline answers — domains, byte totals, flow tables,
+upload timestamps, CDF curves — must equal :class:`OraclePipeline`, a
+one-shot list-based pipeline over per-packet decodes, under
+hypothesis-generated captures, malformed/snaplen-clipped frames (same
+errors, same order as the ``LazyPacket`` reference), arbitrary segment
+cuts (incremental == batch) and fuzzed bytes (mutated captures and
+hostile DNS answers).
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import AuditPipeline
+from repro.analysis import AuditPipeline, DnsMap
 from repro.analysis.cdf import cumulative_bytes
-from repro.analysis.pipeline import ColumnarAuditPipeline
+from repro.faults import salvage_pcap_bytes
 from repro.net import (CapturedPacket, ColumnarCapture, ColumnarSlice,
-                       DnsMessage, DnsRecord, EthernetFrame, Ipv4Address,
-                       MacAddress, PcapError, TcpSegment, dump_bytes)
+                       DnsMessage, DnsRecord, EthernetFrame, FlowTable,
+                       Ipv4Address, MacAddress, PcapError, TcpSegment,
+                       decode_all, dump_bytes, lazy_decode_all, load_bytes)
+from repro.net.dns import TYPE_A, TYPE_CNAME, TYPE_PTR, encode_name
 from repro.net.packet import build_tcp_frame, build_udp_frame
-from repro.net.tiers import DECODE_TIERS
 
 MAC_TV = MacAddress.parse("02:00:00:00:00:01")
 MAC_GW = MacAddress.parse("02:00:00:00:00:02")
@@ -75,9 +80,7 @@ def _frames(items):
             query = DnsMessage.query(i & 0xFFFF, NAMES[name])
             answer = DnsMessage.response(
                 query, [DnsRecord.a(NAMES[name], REMOTES[remote])])
-            packets.append(CapturedPacket(ts, build_udp_frame(
-                MAC_GW, MAC_TV, RESOLVER, TV, 53, 40000,
-                answer.encode())))
+            packets.append(_resolver_frame(ts, answer.encode()))
         elif kind == "arp":
             __, long = event
             # The long form takes the vectorized non-IP path; the short
@@ -93,49 +96,119 @@ def _frames(items):
     return packets
 
 
-def _pipelines(raw):
-    return {tier: AuditPipeline.from_pcap_bytes(raw, TV, tier=tier)
-            for tier in DECODE_TIERS}
+def _resolver_frame(ts: int, message: bytes) -> CapturedPacket:
+    """A DNS answer from the resolver to the TV."""
+    return CapturedPacket(ts, build_udp_frame(
+        MAC_GW, MAC_TV, RESOLVER, TV, 53, 40000, message))
 
 
-def _flow_stats(pipeline):
-    return {flow.key: (flow.packets_ab, flow.packets_ba,
-                       flow.bytes_ab, flow.bytes_ba)
-            for flow in pipeline.flows.flows}
+# -- the oracle ---------------------------------------------------------------
 
 
-def _assert_queries_agree(reference, columnar):
-    domains = sorted(set(
-        list(reference._domain_index()) + ["ghost.example"]))
-    assert columnar.contacted_domains == reference.contacted_domains
-    assert columnar.byte_totals() == reference.byte_totals()
-    for domain in domains:
-        assert columnar.bytes_for(domain) == reference.bytes_for(domain)
-        assert columnar.bytes_sent_to(domain) == \
-            reference.bytes_sent_to(domain)
-        assert columnar.packet_count_for(domain) == \
-            reference.packet_count_for(domain)
-        mine = columnar.packets_for(domain)
-        theirs = reference.packets_for(domain)
-        assert [p.timestamp for p in mine] == \
-            [p.timestamp for p in theirs]
-    assert columnar.upload_timestamps(domains) == \
-        reference.upload_timestamps(domains)
-    assert [p.timestamp for p in columnar.packets_for_all(domains)] == \
-        [p.timestamp for p in reference.packets_for_all(domains)]
-    assert _flow_stats(columnar) == _flow_stats(reference)
+def infer_tv_ip(packets):
+    """The device under audit is the most talkative private address."""
+    counter = Counter(address for packet in packets
+                      for address in (packet.src_ip, packet.dst_ip)
+                      if address is not None and address.is_private)
+    if not counter:
+        raise ValueError("no private addresses in capture")
+    return counter.most_common(1)[0][0]
+
+
+class OraclePipeline:
+    """The list-based audit pipeline, decoded and labelled in one shot:
+    every packet to or from the TV is filed, in capture order, under its
+    remote address's label in the capture's *complete* DNS map."""
+
+    def __init__(self, packets, tv_ip=None):
+        self.packets = list(packets)
+        self.tv_ip = infer_tv_ip(self.packets) if tv_ip is None else tv_ip
+        self.dns_map = DnsMap().observe_all(self.packets)
+        self.flows = FlowTable()
+        self.flows.add_all(self.packets)
+        self.index = {}
+        for packet in self.packets:
+            if self.tv_ip not in (packet.src_ip, packet.dst_ip):
+                continue
+            remote = packet.dst_ip if packet.src_ip == self.tv_ip \
+                else packet.src_ip
+            label = (f"lan:{remote}" if remote.is_private
+                     else self.dns_map.label(remote))
+            self.index.setdefault(label, []).append(packet)
+
+    @classmethod
+    def from_pcap_bytes(cls, raw, tv_ip=None, decode=decode_all):
+        return cls(decode(load_bytes(raw)), tv_ip)
+
+    def _domain_index(self):
+        return self.index
+
+    @property
+    def contacted_domains(self):
+        return sorted(name for name in self.index
+                      if not name.startswith(("lan:", "unresolved:")))
+
+    def packets_for(self, domain):
+        return list(self.index.get(domain, ()))
+
+    def packets_for_all(self, domains):
+        return sorted((p for domain in domains
+                       for p in self.index.get(domain, ())),
+                      key=lambda p: p.timestamp)
+
+    def bytes_for(self, domain):
+        return sum(p.length for p in self.index.get(domain, ()))
+
+    def bytes_sent_to(self, domain):
+        return sum(p.length for p in self.index.get(domain, ())
+                   if p.src_ip == self.tv_ip)
+
+    def packet_count_for(self, domain):
+        return len(self.index.get(domain, ()))
+
+    def upload_timestamps(self, domains):
+        return sorted(p.timestamp for p in self.packets_for_all(domains)
+                      if p.src_ip == self.tv_ip)
+
+    def byte_totals(self):
+        return {domain: self.bytes_for(domain)
+                for domain in self.contacted_domains}
+
+
+def _answers(pipeline, domains):
+    """Every query the pipeline answers, as plain values."""
+    return {
+        "packets": len(pipeline.packets),
+        "labels": sorted(pipeline._domain_index()),
+        "contacted": pipeline.contacted_domains,
+        "totals": pipeline.byte_totals(),
+        "per_domain": [(pipeline.bytes_for(domain),
+                        pipeline.bytes_sent_to(domain),
+                        pipeline.packet_count_for(domain),
+                        [p.timestamp for p in pipeline.packets_for(domain)])
+                       for domain in domains],
+        "uploads": pipeline.upload_timestamps(domains),
+        "all": [p.timestamp for p in pipeline.packets_for_all(domains)],
+        "flows": {flow.key: (flow.packets_ab, flow.packets_ba,
+                             flow.bytes_ab, flow.bytes_ba)
+                  for flow in pipeline.flows.flows},
+    }
+
+
+def _assert_queries_agree(reference, pipeline):
+    domains = sorted(set(reference._domain_index()) | {"ghost.example"})
+    assert _answers(pipeline, domains) == _answers(reference, domains)
 
 
 class TestRowEquivalence:
-    """Every row field matches the lazy tier, byte for byte."""
+    """Every row field matches LazyPacket, byte for byte."""
 
     @given(events)
     @settings(max_examples=40, deadline=None)
     def test_fields_match_lazy_tier(self, items):
-        packets = _frames(items)
-        raw = dump_bytes(packets)
+        raw = dump_bytes(_frames(items))
         capture = ColumnarCapture.from_pcap_bytes(raw)
-        lazy = _pipelines(raw)["lazy"].packets
+        lazy = lazy_decode_all(load_bytes(raw))
         assert len(capture) == len(lazy)
         for view, ref in zip(capture, lazy):
             assert view.timestamp == ref.timestamp
@@ -177,18 +250,18 @@ class TestRowEquivalence:
     @given(events)
     @settings(max_examples=20, deadline=None)
     def test_infer_tv_ip_matches_object_tier(self, items):
-        from repro.analysis.pipeline import infer_tv_ip
-        packets = _frames(items)
-        raw = dump_bytes(packets)
+        raw = dump_bytes(_frames(items))
         capture = ColumnarCapture.from_pcap_bytes(raw)
-        lazy = _pipelines(raw)["lazy"].packets
         try:
-            expected = infer_tv_ip(lazy)
+            expected = infer_tv_ip(decode_all(load_bytes(raw)))
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
                 capture.infer_tv_ip()
+            with pytest.raises(ValueError, match=str(exc)):
+                AuditPipeline.from_pcap_bytes(raw)
         else:
             assert capture.infer_tv_ip() == expected
+            assert AuditPipeline.from_pcap_bytes(raw).tv_ip == expected
 
 
 class TestPipelineEquivalence:
@@ -196,33 +269,30 @@ class TestPipelineEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_queries_identical_across_all_tiers(self, items):
         raw = dump_bytes(_frames(items))
-        tiers = _pipelines(raw)
-        _assert_queries_agree(tiers["object"], tiers["columnar"])
-        _assert_queries_agree(tiers["lazy"], tiers["columnar"])
+        _assert_queries_agree(OraclePipeline.from_pcap_bytes(raw, TV),
+                              AuditPipeline.from_pcap_bytes(raw, TV))
 
     @given(events, st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_cdf_curves_identical(self, items, sent_only):
         raw = dump_bytes(_frames(items))
-        tiers = _pipelines(raw)
-        domains = sorted(tiers["object"]._domain_index())
+        oracle = OraclePipeline.from_pcap_bytes(raw, TV)
+        pipeline = AuditPipeline.from_pcap_bytes(raw, TV)
+        domains = sorted(oracle._domain_index())
         window = (0, 60 * 1_000_000_000)
         sender = TV if sent_only else None
-        curves = [cumulative_bytes(tiers[tier].packets_for_all(domains),
-                                   *window, sent_only_from=sender)
-                  for tier in DECODE_TIERS]
-        reference = curves[0]
-        for curve in curves[1:]:
-            assert np.array_equal(curve.times_s, reference.times_s)
-            assert np.array_equal(curve.cumulative_bytes,
-                                  reference.cumulative_bytes)
-            assert curve.total_bytes == reference.total_bytes
+        reference, curve = (
+            cumulative_bytes(source.packets_for_all(domains), *window,
+                             sent_only_from=sender)
+            for source in (oracle, pipeline))
+        assert np.array_equal(curve.times_s, reference.times_s)
+        assert np.array_equal(curve.cumulative_bytes,
+                              reference.cumulative_bytes)
+        assert curve.total_bytes == reference.total_bytes
 
     def test_unknown_domain_compares_equal_to_empty_list(self):
         raw = dump_bytes(_frames([("tcp", 0, True, 5000, b"x")]))
-        pipeline = AuditPipeline.from_pcap_bytes(raw, TV,
-                                                 tier="columnar")
-        assert isinstance(pipeline, ColumnarAuditPipeline)
+        pipeline = AuditPipeline.from_pcap_bytes(raw, TV)
         assert pipeline.packets_for("ghost.example") == []
 
 
@@ -236,33 +306,28 @@ class TestIncrementalSegments:
         segments = [dump_bytes(packets[lo:hi])
                     for lo, hi in zip(bounds[:-1], bounds[1:])] \
             or [dump_bytes([])]
-        grown = AuditPipeline.incremental(TV, tier="columnar")
-        assert isinstance(grown, ColumnarAuditPipeline)
+        grown = AuditPipeline.incremental(TV)
         assert sum(grown.extend_pcap_bytes(segment)
                    for segment in segments) == len(packets)
-        batch = AuditPipeline.from_pcap_bytes(dump_bytes(packets), TV,
-                                              tier="columnar")
-        lazy = AuditPipeline.incremental(TV, tier="lazy")
-        for segment in segments:
-            lazy.extend_pcap_bytes(segment)
-        _assert_queries_agree(lazy, grown)
-        _assert_queries_agree(batch, grown)
-
-    def test_columnar_pipeline_rejects_object_extend(self):
-        pipeline = AuditPipeline.incremental(TV, tier="columnar")
-        with pytest.raises(TypeError, match="extend_pcap_bytes"):
-            pipeline.extend([])
-
-    def test_frozen_capture_rejects_growth(self):
-        raw = dump_bytes(_frames([("tcp", 0, True, 5000, b"x")]))
-        capture = ColumnarCapture.from_pcap_bytes(raw)
-        frozen = ColumnarCapture.from_columns(capture.columns(),
-                                              memoryview(raw))
-        with pytest.raises(TypeError, match="read-only"):
-            frozen.extend_pcap_bytes(raw)
+        raw = dump_bytes(packets)
+        _assert_queries_agree(OraclePipeline.from_pcap_bytes(raw, TV),
+                              grown)
+        _assert_queries_agree(AuditPipeline.from_pcap_bytes(raw, TV),
+                              grown)
 
 
 class TestErrorSurface:
+    """Bad frames raise exactly what LazyPacket raises, in capture
+    order, and record-level errors win over frame-level ones."""
+
+    @staticmethod
+    def _assert_same_error(raw):
+        with pytest.raises((PcapError, ValueError)) as expected:
+            lazy_decode_all(load_bytes(raw))
+        with pytest.raises(expected.type) as actual:
+            AuditPipeline.from_pcap_bytes(raw, TV)
+        assert str(actual.value) == str(expected.value)
+
     def test_snaplen_clipped_frame_raises_lazy_message(self):
         import io
         from repro.net import PcapWriter
@@ -272,24 +337,14 @@ class TestErrorSurface:
         buffer = io.BytesIO()
         PcapWriter(buffer, snaplen=60).write(
             CapturedPacket(1_000_000, frame))
-        raw = buffer.getvalue()
-        with pytest.raises(ValueError) as lazy_err:
-            AuditPipeline.from_pcap_bytes(raw, TV, tier="lazy")
-        with pytest.raises(ValueError) as columnar_err:
-            AuditPipeline.from_pcap_bytes(raw, TV, tier="columnar")
-        assert str(columnar_err.value) == str(lazy_err.value)
+        self._assert_same_error(buffer.getvalue())
 
     @pytest.mark.parametrize("clip", [20, 40, 64])
     def test_short_frames_raise_identical_messages(self, clip):
         frame = build_udp_frame(MAC_TV, MAC_GW, TV, REMOTES[1],
                                 40000, 7777, b"y" * 100)
-        raw = dump_bytes([CapturedPacket(1_000_000, frame[:clip])])
-        errors = {}
-        for tier in ("lazy", "columnar"):
-            with pytest.raises(ValueError) as excinfo:
-                AuditPipeline.from_pcap_bytes(raw, TV, tier=tier)
-            errors[tier] = str(excinfo.value)
-        assert errors["columnar"] == errors["lazy"]
+        self._assert_same_error(
+            dump_bytes([CapturedPacket(1_000_000, frame[:clip])]))
 
     def test_first_bad_frame_wins(self):
         good = build_udp_frame(MAC_TV, MAC_GW, TV, REMOTES[0],
@@ -302,32 +357,31 @@ class TestErrorSurface:
             CapturedPacket(1_000_000, good),
             CapturedPacket(2_000_000, bytes(bad_ihl)),
             CapturedPacket(3_000_000, bytes(bad_version))])
-        for tier in ("lazy", "columnar"):
-            with pytest.raises(ValueError, match="bad IHL: 4"):
-                AuditPipeline.from_pcap_bytes(raw, TV, tier=tier)
+        with pytest.raises(ValueError, match="bad IHL: 4"):
+            AuditPipeline.from_pcap_bytes(raw, TV)
+        self._assert_same_error(raw)
 
     def test_pcap_error_precedes_frame_error(self):
-        # The record walk finishes before any frame decodes in every
-        # tier, so a truncated trailing record must mask an earlier
-        # malformed frame.
+        # The record walk finishes before any frame decodes, so a
+        # truncated trailing record must mask an earlier malformed
+        # frame.
         bad = bytearray(build_udp_frame(MAC_TV, MAC_GW, TV, REMOTES[0],
                                         40000, 7777, b"zz"))
         bad[14] = 0x65
         raw = dump_bytes([CapturedPacket(1_000_000, bytes(bad)),
                           CapturedPacket(2_000_000, bad_frame_tail())])
         truncated = raw[:-4]
-        for tier in DECODE_TIERS:
-            with pytest.raises(PcapError, match="truncated pcap record"):
-                AuditPipeline.from_pcap_bytes(truncated, TV, tier=tier)
+        with pytest.raises(PcapError, match="truncated pcap record"):
+            AuditPipeline.from_pcap_bytes(truncated, TV)
+        self._assert_same_error(truncated)
 
     def test_implausible_record_length_matches_reader(self):
         raw = bytearray(dump_bytes(
             [CapturedPacket(1_000_000, b"\x00" * 20)]))
         raw[24 + 8:24 + 12] = (2 ** 31).to_bytes(4, "little")
-        for tier in DECODE_TIERS:
-            with pytest.raises(PcapError,
-                               match="implausible record length"):
-                AuditPipeline.from_pcap_bytes(bytes(raw), TV, tier=tier)
+        with pytest.raises(PcapError, match="implausible record length"):
+            AuditPipeline.from_pcap_bytes(bytes(raw), TV)
+        self._assert_same_error(bytes(raw))
 
 
 def bad_frame_tail() -> bytes:
@@ -342,8 +396,7 @@ class TestColumnarSlice:
             ("tcp", 0, True, 5000, b"a"),
             ("tcp", 0, False, 5000, b"bb"),
             ("tcp", 0, True, 5001, b"ccc")]))
-        pipeline = AuditPipeline.from_pcap_bytes(raw, TV,
-                                                 tier="columnar")
+        pipeline = AuditPipeline.from_pcap_bytes(raw, TV)
         return pipeline.packets_for(NAMES[0])
 
     def test_len_iter_getitem(self):
@@ -361,177 +414,241 @@ class TestColumnarSlice:
         assert result == result[:]
         assert not result == result[1:]
         assert AuditPipeline.from_pcap_bytes(
-            dump_bytes(_frames([])), TV,
-            tier="columnar").packets_for("nothing") == []
+            dump_bytes(_frames([])), TV).packets_for("nothing") == []
 
 
-class TestSharedMemoryArena:
-    def _capture(self):
-        raw = dump_bytes(_frames([
-            ("dns", 0, 0), ("tcp", 0, True, 5000, b"hello"),
-            ("udp", 1, False, 6000, b"world"), ("arp", True)]))
-        return ColumnarCapture.from_pcap_bytes(raw), raw
+# -- hostile DNS answers --------------------------------------------------------
 
-    @staticmethod
-    def _check_attached(key, capture, raw):
-        # Scoped so every view over the shared mapping is released
-        # before the segment is unlinked (no exported-pointer teardown).
-        from repro.fleet.shm import ColumnArena
-        attached, meta = ColumnArena().attach(key)
-        assert meta == {"tv_ip": str(TV)}
-        assert attached.frozen
-        for name, mine in attached.columns().items():
-            assert np.array_equal(mine, capture.columns()[name])
-            assert not mine.flags.writeable
-        assert bytes(attached.buffer) == raw
-        view = ref = None
-        for view, ref in zip(attached, capture):
-            assert view.timestamp == ref.timestamp
-            assert view.src_ip == ref.src_ip
-        # Release every view over the mapping before the capture (and
-        # with it the segment) goes away — teardown order in a dying
-        # frame is otherwise arbitrary.
-        del mine, view, ref
+#: Offset of the question name in every message built below.
+QNAME_AT = 12
 
-    def test_publish_attach_round_trip(self):
-        from repro.fleet.shm import ColumnArena, shm_key
-        capture, raw = self._capture()
-        key = shm_key("hh-0001", 123, 7, "v-test")
-        arena = ColumnArena()
+
+def _pointer(offset):
+    return bytes([0xC0 | (offset >> 8) & 0x3F, offset & 0xFF])
+
+
+def _message(question, records):
+    """A one-question DNS response written byte by byte.  ``records``
+    are ``(owner, rtype, rdlength, rdata)``: nothing keeps the declared
+    length honest, and owners or data may hold compression pointers."""
+    out = bytearray(b"\x00\x07\x81\x80\x00\x01")
+    out += len(records).to_bytes(2, "big") + bytes(4)
+    out += encode_name(question) + b"\x00\x01\x00\x01"
+    for owner, rtype, rdlength, rdata in records:
+        out += (owner + rtype.to_bytes(2, "big") + b"\x00\x01"
+                + bytes(4) + rdlength.to_bytes(2, "big") + rdata)
+    return bytes(out)
+
+
+def _upload(ts):
+    return CapturedPacket(ts, build_tcp_frame(
+        MAC_TV, MAC_GW, TV, REMOTES[0],
+        TcpSegment(5000, 443, 1, 2, 0x18, payload=b"fingerprints")))
+
+
+def _short_a_capture():
+    """An A record with 2 bytes of data, then an upload."""
+    message = _message(NAMES[0], [(_pointer(QNAME_AT), TYPE_A, 2,
+                                   b"\xcb\x00")])
+    return dump_bytes([_resolver_frame(1_000_000, message),
+                       _upload(2_000_000)])
+
+
+def _cname_capture(compressed):
+    """``www.example.com`` CNAME ``acr1.example.com`` A REMOTES[0], then
+    an upload to that address: names spelled out, or compressed (the
+    target is "acr1" plus a pointer into the question, and the A
+    record's owner points at that target)."""
+    question = "www.example.com"
+    if compressed:
+        target = b"\x04acr1" + _pointer(QNAME_AT + 4)
+        target_at = QNAME_AT + len(encode_name(question)) + 4 + 12
+        cname_owner, a_owner = _pointer(QNAME_AT), _pointer(target_at)
+    else:
+        target = encode_name(NAMES[0])
+        cname_owner, a_owner = encode_name(question), target
+    message = _message(question, [
+        (cname_owner, TYPE_CNAME, len(target), target),
+        (a_owner, TYPE_A, 4, REMOTES[0].to_bytes())])
+    return dump_bytes([_resolver_frame(1_000_000, message),
+                       _upload(2_000_000)])
+
+
+class TestHostileDns:
+    """A DNS answer the codec refuses leaves its packet unlabelled on
+    every path that audits a capture; compression is understood."""
+
+    def test_short_a_record_batch_and_segment(self):
+        raw = _short_a_capture()
+        assert salvage_pcap_bytes(raw) == (raw, [])
+        batch = AuditPipeline.from_pcap_bytes(raw, TV)
+        assert batch.packets[0].dns is None
+        assert batch.dns_map.answers_seen == 0
+        grown = AuditPipeline.incremental(TV)
+        assert grown.extend_pcap_bytes(raw) == 2
+        _assert_queries_agree(batch, grown)
+        assert grown.packet_count_for(f"unresolved:{REMOTES[0]}") == 1
+
+    def test_short_a_record_through_fleet_and_service(self, tmp_path):
+        from repro.experiments.grid import CellRecord, ResultCache
+        from repro.fleet import PopulationSpec
+        from repro.fleet.runner import _audit_household
+        from repro.service.auditor import HouseholdIngest
+        from repro.service.segments import CaptureSegment
+        household = next(iter(PopulationSpec(1, seed=21)))
+        raw = _short_a_capture()
+        cache = ResultCache(str(tmp_path), version="hostile-dns")
+        cache.store(CellRecord(
+            household.label, household.seed,
+            household.diary_obj.duration_ns, packet_count=2,
+            pcap_len=len(raw), tv_mac=str(MAC_TV), tv_ip=str(TV),
+            device_id="test", elapsed_s=0.0, pcap_bytes=raw))
+        # A capture the fleet recalls from the cache and audits...
+        summary, executed = _audit_household(household, cache, True)
+        assert not executed and "findings" not in summary
+        # ...and one the service ingests as a segment: no quarantine.
+        ingest = HouseholdIngest(household, str(TV))
+        ingest.ingest(CaptureSegment(household.index, 0, 1, raw))
+        assert ingest.findings == []
+        assert ingest.summarize() == summary
+
+    def test_compressed_cname_resolves_like_spelled_out(self):
+        spelled, compressed = (
+            AuditPipeline.from_pcap_bytes(_cname_capture(flag), TV)
+            for flag in (False, True))
+        assert spelled.contacted_domains == ["www.example.com"]
+        assert compressed.dns_map.addresses_for("www.example.com") == \
+            [REMOTES[0]]
+        domains = ["www.example.com", NAMES[0], "ghost.example"]
+        mine, theirs = (_answers(pipeline, domains)
+                        for pipeline in (compressed, spelled))
+        del mine["flows"], theirs["flows"]  # the DNS frames' sizes differ
+        assert mine == theirs
+
+
+# -- fuzzing the decode ---------------------------------------------------------
+
+positions = st.integers(0, 1 << 16)
+
+#: 1-5 byte-level mutations: bit flip, overwrite, truncation, insertion.
+mutations = st.lists(st.one_of(
+    st.tuples(st.just("flip"), positions, st.integers(0, 7)),
+    st.tuples(st.just("set"), positions, st.integers(0, 255)),
+    st.tuples(st.just("cut"), positions, st.none()),
+    st.tuples(st.just("insert"), positions,
+              st.binary(min_size=1, max_size=8))), min_size=1, max_size=5)
+
+
+def _mutate(raw, steps):
+    data = bytearray(raw)
+    for kind, position, argument in steps:
+        if kind == "insert":
+            at = position % (len(data) + 1)
+            data[at:at] = argument
+        elif data and kind == "flip":
+            data[position % len(data)] ^= 1 << argument
+        elif data and kind == "set":
+            data[position % len(data)] = argument
+        elif data:
+            del data[position % len(data):]
+    return bytes(data)
+
+
+pointers = st.integers(0, 0x3FFF).map(_pointer)
+
+#: An answer with an arbitrary type, owner, data and declared length.
+hostile_records = st.tuples(
+    st.one_of(st.sampled_from(NAMES).map(encode_name),
+              st.just(_pointer(QNAME_AT)), pointers),
+    st.sampled_from([TYPE_A, TYPE_CNAME, TYPE_PTR, 28]),
+    st.one_of(st.none(), st.integers(0, 0xFFFF)),
+    st.one_of(st.sampled_from(REMOTES).map(Ipv4Address.to_bytes),
+              st.binary(max_size=12), pointers,
+              st.sampled_from(NAMES).map(encode_name),
+              st.tuples(st.binary(min_size=1, max_size=6), pointers).map(
+                  lambda p: bytes([len(p[0])]) + p[0] + p[1]))).map(
+    lambda r: (r[0], r[1], len(r[3]) if r[2] is None else r[2], r[3]))
+
+
+@st.composite
+def hostile_captures(draw):
+    """A healthy capture with 1-3 hostile DNS responses spliced in."""
+    packets = [p.data for p in _frames(draw(events))]
+    for __ in range(draw(st.integers(1, 3))):
+        message = _message(draw(st.sampled_from(NAMES)),
+                           draw(st.lists(hostile_records, min_size=1,
+                                         max_size=4)))
+        packets.insert(draw(st.integers(0, len(packets))),
+                       _resolver_frame(0, message).data)
+    return dump_bytes([CapturedPacket((i + 1) * 1_000_000, frame)
+                       for i, frame in enumerate(packets)])
+
+
+fuzzed_captures = st.one_of(
+    st.tuples(events.map(lambda items: dump_bytes(_frames(items))),
+              mutations).map(lambda pair: _mutate(*pair)),
+    hostile_captures(),
+    st.tuples(hostile_captures(), mutations).map(
+        lambda pair: _mutate(*pair)))
+
+
+def check_decode_properties(raw):
+    # 1. Only the documented exceptions escape the decode.
+    for decode in (ColumnarCapture.from_pcap_bytes,
+                   AuditPipeline.from_pcap_bytes,
+                   AuditPipeline.incremental(TV).extend_pcap_bytes):
         try:
-            assert arena.publish(key, capture,
-                                 {"tv_ip": str(TV)}) == key
-            self._check_attached(key, capture, raw)
-        finally:
-            assert ColumnArena.unlink(key)
-        assert ColumnArena().attach(key) is None
-        assert not ColumnArena.unlink(key)
-
-    def test_same_coordinates_same_key(self):
-        from repro.fleet.shm import SHM_PREFIX, shm_key
-        assert shm_key("a", 1, 2, "v") == shm_key("a", 1, 2, "v")
-        assert shm_key("a", 1, 2, "v") != shm_key("a", 1, 2, "w")
-        assert shm_key("a", 1, 2, None).startswith(SHM_PREFIX)
-
-    def test_over_budget_publish_is_skipped(self):
-        from repro.fleet.shm import ColumnArena, shm_key
-        capture, __ = self._capture()
-        arena = ColumnArena(budget_bytes=8)
-        assert arena.publish(shm_key("hh-0002", 1, 2, None), capture,
-                             {}) is None
-
-    def test_multi_segment_capture_is_skipped(self):
-        from repro.fleet.shm import ColumnArena, shm_key
-        capture, raw = self._capture()
-        capture.extend_pcap_bytes(raw)
-        assert capture.segment_count == 2
-        assert ColumnArena().publish(shm_key("hh-0003", 1, 2, None),
-                                     capture, {}) is None
-
-    def test_publish_race_loser_skips(self):
-        from repro.fleet.shm import ColumnArena, shm_key
-        capture, __ = self._capture()
-        key = shm_key("hh-0004", 9, 9, None)
-        first, second = ColumnArena(), ColumnArena()
-        try:
-            assert first.publish(key, capture, {"tv_ip": str(TV)}) == key
-            assert second.publish(key, capture,
-                                  {"tv_ip": str(TV)}) is None
-        finally:
-            assert ColumnArena.unlink(key)
-
-
-def _shm_exists(key: str) -> bool:
-    from multiprocessing import shared_memory
-    from repro.fleet.shm import _untrack
+            decode(raw)
+        except (PcapError, ValueError):
+            pass
+    # 2. A segment extension is all or nothing.
+    pipeline = AuditPipeline.incremental(TV)
+    pipeline.extend_pcap_bytes(dump_bytes(_frames([
+        ("dns", 0, 0), ("tcp", 0, True, 5000, b"seed")])))
+    domains = sorted(pipeline._domain_index()) + ["ghost.example"]
+    before = _answers(pipeline, domains), pipeline.dns_map.answers_seen
     try:
-        segment = shared_memory.SharedMemory(name=key)
-    except FileNotFoundError:
-        return False
-    _untrack(segment)
-    segment.close()
-    return True
+        pipeline.extend_pcap_bytes(raw)
+    except (PcapError, ValueError):
+        assert (_answers(pipeline, domains),
+                pipeline.dns_map.answers_seen) == before
+    # 3. Salvage keeps what it accepts; an empty result is an unusable
+    #    global header and nothing else.
+    clean, drops = salvage_pcap_bytes(raw)
+    if not clean:
+        assert len(drops) == 1 and drops[0][0] == -1
+        return
+    assert salvage_pcap_bytes(clean) == (clean, [])
+    # 4. What salvage keeps decodes exactly like the oracle, here over
+    #    LazyPacket rows (the build's reference): decode_all is stricter
+    #    past the IPv4 header (TCP data offset, UDP length).
+    _assert_queries_agree(
+        OraclePipeline.from_pcap_bytes(clean, TV, lazy_decode_all),
+        AuditPipeline.from_pcap_bytes(clean, TV))
 
 
-@pytest.mark.slow
-class TestFleetSharedMemory:
-    """--shm-columns must change only where columns come from: reports
-    stay byte-identical, and segment lifetime follows --shm-keep."""
+class TestDecodeFuzz:
+    @given(fuzzed_captures)
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_captures_decode_safely(self, raw):
+        check_decode_properties(raw)
 
-    MIXES = {"country": {"uk": 1.0}, "diary": {"second_screen": 1.0}}
-
-    def test_keep_publish_attach_cleanup_cycle(self, tmp_path):
-        from repro.experiments.grid import ResultCache
-        from repro.fleet import (FleetRunner, PopulationSpec,
-                                 render_population_report)
-        from repro.fleet.shm import shm_key
-        population = PopulationSpec(3, seed=21, mixes=self.MIXES)
-        version = "shm-t1"
-
-        def runner(**kwargs):
-            return FleetRunner(
-                cache=ResultCache(str(tmp_path), version=version),
-                jobs=1, **kwargs)
-
-        base = runner().run(population)
-        keys = [shm_key(h.label, h.diary_obj.duration_ns, h.seed,
-                        version) for h in population]
-
-        keep = runner(shm_columns=True, shm_keep=True).run(population)
-        assert all(_shm_exists(key) for key in keys)
-        assert keep.aggregate == base.aggregate
-
-        # The next run audits straight off the published segments (no
-        # cache read, counted as cached) and, without --shm-keep,
-        # unlinks everything it touched on the way out.
-        attach = runner(shm_columns=True).run(population)
-        assert (attach.executed, attach.cached) == (0, 3)
-        assert not any(_shm_exists(key) for key in keys)
-        assert render_population_report(attach.aggregate, population) \
-            == render_population_report(base.aggregate, population)
-
-    def test_parallel_shm_report_matches_serial_plain(self, tmp_path):
-        from repro.experiments.grid import ResultCache
-        from repro.fleet import (FleetRunner, PopulationSpec,
-                                 render_population_report)
-        population = PopulationSpec(4, seed=23, mixes=self.MIXES)
-        cache = lambda: ResultCache(str(tmp_path), version="shm-t2")  # noqa: E731
-        plain = FleetRunner(cache=cache(), jobs=1, shard_size=2).run(
-            population)
-        shm = FleetRunner(cache=cache(), jobs=2, shard_size=2,
-                          shm_columns=True).run(population)
-        assert shm.aggregate == plain.aggregate
-        assert render_population_report(shm.aggregate, population) \
-            == render_population_report(plain.aggregate, population)
-
-    def test_non_columnar_tier_never_touches_shm(self, tmp_path):
-        from repro.experiments.grid import ResultCache
-        from repro.fleet import FleetRunner, PopulationSpec
-        from repro.fleet.shm import shm_key
-        population = PopulationSpec(2, seed=24, mixes=self.MIXES)
-        version = "shm-t3"
-        result = FleetRunner(
-            cache=ResultCache(str(tmp_path), version=version),
-            jobs=1, decode_tier="lazy", shm_columns=True,
-            shm_keep=True).run(population)
-        assert result.households == 2
-        assert not any(
-            _shm_exists(shm_key(h.label, h.diary_obj.duration_ns,
-                                h.seed, version))
-            for h in population)
+    @pytest.mark.slow
+    @given(fuzzed_captures)
+    @settings(max_examples=1500, deadline=None)
+    def test_fuzzed_captures_decode_safely_long_run(self, raw):
+        check_decode_properties(raw)
 
 
 @pytest.mark.slow
 class TestRealCaptureTiers:
-    """Tier equivalence on a genuine simulated experiment capture."""
+    """The oracle agrees on a genuine simulated experiment capture."""
 
     def test_experiment_capture_identical_across_tiers(
             self, lg_uk_linear_result):
         raw = lg_uk_linear_result.pcap_bytes
         tv = Ipv4Address.parse(lg_uk_linear_result.tv_ip)
-        tiers = {tier: AuditPipeline.from_pcap_bytes(raw, tv, tier=tier)
-                 for tier in DECODE_TIERS}
-        assert isinstance(tiers["columnar"], ColumnarAuditPipeline)
-        _assert_queries_agree(tiers["object"], tiers["columnar"])
-        _assert_queries_agree(tiers["lazy"], tiers["columnar"])
-        assert ColumnarCapture.from_pcap_bytes(raw).infer_tv_ip() == tv
+        oracle = OraclePipeline.from_pcap_bytes(raw, tv)
+        _assert_queries_agree(oracle, AuditPipeline.from_pcap_bytes(raw, tv))
+        assert infer_tv_ip(oracle.packets) == tv
+        assert AuditPipeline.from_pcap_bytes(raw).tv_ip == tv

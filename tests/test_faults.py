@@ -92,6 +92,10 @@ class TestFaultPlanGrammar:
         with pytest.raises(FaultSpecError, match="unknown fault site"):
             FaultPlan.parse("segment.dorp:0.5")
 
+    def test_retired_shm_site_is_refused(self):
+        with pytest.raises(FaultSpecError, match="unknown fault site"):
+            FaultPlan.parse("shm.vanish:1")
+
     def test_duplicate_site_is_refused(self):
         with pytest.raises(FaultSpecError, match="duplicate"):
             FaultPlan.parse("segment.drop:0.1,segment.drop:0.2")
@@ -385,56 +389,3 @@ class TestLossyPlansDegrade:
         plan = FaultPlan(**self.PLAN)
         first = serve_faults_sha(population, cache, plan)
         assert first == serve_faults_sha(population, cache, plan)
-
-
-@pytest.mark.slow
-class TestShmVanishFallback:
-    """Satellite: a column segment unlinked mid-run (or replaced with
-    garbage) is a cache miss — the audit re-decodes and the report is
-    unchanged."""
-
-    MIXES = {"country": {"uk": 1.0}, "diary": {"second_screen": 1.0}}
-
-    def test_vanished_segments_fall_back_to_decode(self, tmp_path):
-        population = PopulationSpec(3, seed=21, mixes=self.MIXES)
-
-        def runner(**kwargs):
-            return FleetRunner(
-                cache=ResultCache(str(tmp_path), version="faults-shm"),
-                jobs=1, **kwargs)
-
-        base = runner().run(population)
-        vanish = runner(shm_columns=True,
-                        faults=FaultPlan({"shm.vanish": 1.0})).run(
-            population)
-        assert render_population_report(vanish.aggregate, population) \
-            == render_population_report(base.aggregate, population)
-
-    def test_attach_of_garbage_segment_is_a_cache_miss(self):
-        from multiprocessing import shared_memory
-
-        from repro.fleet.shm import ColumnArena, _untrack, shm_key
-        key = shm_key("hh-garbage", 1, 2, "faults-t")
-        segment = shared_memory.SharedMemory(name=key, create=True,
-                                             size=64)
-        _untrack(segment)
-        try:
-            # A header length pointing far past the mapping: attach
-            # must treat it as a miss, never raise.
-            segment.buf[0:8] = (1 << 32).to_bytes(8, "little")
-            assert ColumnArena().attach(key) is None
-        finally:
-            segment.close()
-            ColumnArena.unlink(key)
-
-    def test_unlink_mid_run_regression(self):
-        """Publish, unlink behind the arena's back, then attach."""
-        from repro.fleet.shm import ColumnArena, shm_key
-        from repro.net import ColumnarCapture
-        raw = _capture()
-        capture = ColumnarCapture.from_pcap_bytes(raw)
-        key = shm_key("hh-vanish", 3, 4, "faults-t")
-        arena = ColumnArena()
-        assert arena.publish(key, capture, {"tv_ip": str(TV)}) == key
-        assert ColumnArena.unlink(key)
-        assert ColumnArena().attach(key) is None

@@ -136,3 +136,63 @@ class TestMessages:
         decoded = DnsMessage.decode(DnsMessage.query(txid, name).encode())
         assert decoded.questions[0].name == name
         assert decoded.txid == txid
+
+
+
+def _response(question: str, *records) -> bytes:
+    """A one-question response; answers are ``(owner, rtype, rdata)``
+    written verbatim, so they may hold compression pointers."""
+    out = bytearray(b"\x00\x07\x81\x80\x00\x01")
+    out += len(records).to_bytes(2, "big") + bytes(4)
+    out += encode_name(question) + b"\x00\x01\x00\x01"
+    for owner, rtype, rdata in records:
+        out += (owner + rtype.to_bytes(2, "big") + b"\x00\x01" + bytes(4)
+                + len(rdata).to_bytes(2, "big") + rdata)
+    return bytes(out)
+
+
+#: A pointer to the question name, right after the 12-byte header.
+QUESTION = b"\xc0\x0c"
+
+
+class TestRecordDataAtParseTime:
+    """Record data is checked when the message is decoded, so a decoded
+    message never raises from ``address`` or ``target_name``."""
+
+    @pytest.mark.parametrize("rdata", [b"\xcb\x00", bytes(5)])
+    def test_a_record_needs_four_bytes(self, rdata):
+        raw = _response("acr.example.com", (QUESTION, TYPE_A, rdata))
+        with pytest.raises(ValueError, match="A record needs 4 bytes"):
+            DnsMessage.decode(raw)
+
+    @pytest.mark.parametrize("rdata, target", [
+        (QUESTION, "tracker.example.net"),
+        # "acr1", then a pointer to the question's "example.net".
+        (b"\x04acr1\xc0\x14", "acr1.example.net"),
+        (encode_name("acr1.example.net"), "acr1.example.net"),
+    ])
+    def test_targets_resolve_against_the_message(self, rdata, target):
+        for rtype in (TYPE_CNAME, TYPE_PTR):
+            raw = _response("tracker.example.net", (QUESTION, rtype, rdata))
+            record = DnsMessage.decode(raw).answers[0]
+            assert record.target_name == target
+            assert record.data == rdata
+
+    @pytest.mark.parametrize("rdata", [
+        b"\xc0\xff",            # pointer past the end of the message
+        b"\x05ab",              # label longer than the data left
+        b"\x02\xff\xfe\x00",    # not ASCII
+    ])
+    def test_undecodable_target_rejected(self, rdata):
+        raw = _response("tracker.example.net", (QUESTION, TYPE_CNAME, rdata))
+        with pytest.raises(ValueError):
+            DnsMessage.decode(raw)
+
+    def test_target_overrunning_its_data_rejected(self):
+        # The name's terminating zero lies in the next record (whose
+        # owner is the root name), past the declared data.
+        raw = _response("tracker.example.net",
+                        (QUESTION, TYPE_CNAME, b"\x02ab"),
+                        (b"\x00", TYPE_A, ADDR.to_bytes()))
+        with pytest.raises(ValueError, match="overruns"):
+            DnsMessage.decode(raw)

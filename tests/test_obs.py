@@ -284,27 +284,18 @@ class TestRenderFrame:
         assert "0/0 cells" in frame
 
     def test_columns_row_absent_without_decode_counters(self):
-        # The golden frame above predates the columnar tier; frames
+        # The golden frame above predates the columnar decode; frames
         # from runs that never touch it must not change.
         assert "columns" not in render_frame(_view(), width=80)
-
-    def test_columns_row_shm_meter(self):
-        registry = _registry()
-        registry.inc("decode.columnar.packets", 5556)
-        registry.inc("decode.columnar.shm.attach", 3)
-        registry.inc("decode.columnar.shm.publish", 1)
-        frame = render_frame(_view(snapshot=registry.snapshot()),
-                             width=80, color=False)
-        assert ("│ columns  [###############-----]  75.0% shm   "
-                "(3 attach / 1 publish / 0 skip) │") in frame
 
     def test_columns_row_without_arena_reports_decodes(self):
         registry = _registry()
         registry.inc("decode.columnar.packets", 5556)
         frame = render_frame(_view(snapshot=registry.snapshot()),
                              width=80, color=False)
-        assert "columns  5556 pkts decoded (no shared-memory arena)" \
-            in frame
+        row = next(line for line in frame.splitlines()
+                   if "columns" in line)
+        assert row.strip("│ ") == "columns  5556 pkts decoded"
 
     def test_faults_row_absent_without_fault_counters(self):
         # Clean runs never show the faults meter, so every pre-existing
@@ -525,23 +516,57 @@ class TestFleetMetricsJobsInvariance:
         """In a fresh serial run the first shard builds the reference
         library; that time lands in ``assets.warm``, so no household's
         ``fleet.simulate`` span comes near it."""
-        import repro
-        src_dir = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_dir, env.get("PYTHONPATH")) if p)
-        path = tmp_path / "metrics.jsonl"
-        subprocess.run(
-            [sys.executable, "-m", "repro.cli", "fleet", "--households",
-             "3", "--seed", "22", "--mix", "country=uk:1", "--jobs", "1",
-             "--no-cache", "--metrics-out", str(path)],
-            env=env, capture_output=True, check=True)
-        histograms = {}
-        for line in path.read_text(encoding="utf-8").splitlines():
-            record = json.loads(line)
-            if record["record"] == "histogram":
-                histograms[record["name"]] = record
+        histograms = _fresh_run_histograms(
+            tmp_path, "fleet", "--households", "3", "--seed", "22",
+            "--mix", "country=uk:1", "--jobs", "1")
+        simulate = histograms["fleet.simulate.wall_ms"]
+        warm = histograms["assets.warm.wall_ms"]
+        assert simulate["count"] == 3 and warm["count"] == 1
+        assert simulate["max"] < warm["max"]
+
+
+def _fresh_run_histograms(tmp_path, *command):
+    """Run one uncached CLI command in a fresh process with
+    ``--metrics-out``; return its histograms by name."""
+    import repro
+    src_dir = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    path = tmp_path / "metrics.jsonl"
+    subprocess.run(
+        [sys.executable, "-m", "repro.cli", *command, "--no-cache",
+         "--metrics-out", str(path)],
+        env=env, capture_output=True, check=True)
+    histograms = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["record"] == "histogram":
+            histograms[record["name"]] = record
+    return histograms
+
+
+@pytest.mark.slow
+class TestWarmUpAttribution:
+    """The grid's and the service's serial producers build each
+    country's assets once, under ``assets.warm``, before their first
+    simulation, so no cell's or household's timer absorbs the build."""
+
+    def test_serial_grid(self, tmp_path):
+        histograms = _fresh_run_histograms(
+            tmp_path, "grid", "--jobs", "1", "--minutes", "1",
+            "--filter", "vendor=samsung", "--filter", "country=uk",
+            "--filter", "phase=LIn-OIn")
+        simulate = histograms["grid.simulate.wall_ms"]
+        warm = histograms["assets.warm.wall_ms"]
+        assert simulate["count"] == 6 and warm["count"] == 1
+        assert simulate["max"] < warm["max"]
+
+    def test_serial_serve(self, tmp_path):
+        histograms = _fresh_run_histograms(
+            tmp_path, "serve", "--households", "3", "--seed", "22",
+            "--mix", "country=uk:1", "--jobs", "1", "--plain")
         simulate = histograms["fleet.simulate.wall_ms"]
         warm = histograms["assets.warm.wall_ms"]
         assert simulate["count"] == 3 and warm["count"] == 1

@@ -56,7 +56,8 @@ class _FakeRecord:
         self.pcap_bytes = pcap_bytes
 
 
-def fake_household_record(household, cache, validate_results=True):
+def fake_household_record(household, cache, validate_results=True,
+                          warm=None):
     return _FakeRecord(TV_IP, synthetic_pcap(household.index)), True
 
 
