@@ -1,13 +1,18 @@
-"""Check that docs/cli.md documents the ``repro.cli`` surface, both ways.
+"""Check that the docs match the code: the CLI surface, both ways, and
+the source files they name.
 
-Run via ``make docs-check``.  Three checks:
+Run via ``make docs-check``.  Four checks:
 
-* each subcommand has its own ``### `name` `` heading;
+* each subcommand has its own ``### `name` `` heading in docs/cli.md;
 * every ``--flag`` of every subcommand appears in the reference;
-* every ``--flag`` the reference mentions exists on some subcommand.
+* every ``--flag`` the reference mentions exists on some subcommand;
+* every ``*.py`` path in an inline code span of docs/architecture.md,
+  docs/cli.md or README.md exists at the repo root or under
+  ``src/repro/``.
 
 So a new command or flag fails this check until it is documented, and
-a removed one fails it until the reference stops describing it.
+a removed command, flag or module fails it until the docs stop
+describing it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import sys
 from typing import Dict, Set
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE_ROOT = os.path.join(REPO_ROOT, "src", "repro")
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.cli import build_parser  # noqa: E402
@@ -26,6 +32,14 @@ from repro.cli import build_parser  # noqa: E402
 #: A long option as written in prose or code; the look-behind skips
 #: link anchors such as ``#observability-flags--dashboard``.
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9]*(?:-[a-z0-9]+)*")
+
+#: An inline code span on one line, and a ``.py`` path inside one (a
+#: glob such as ``repro/*.py`` names no single file and is skipped).
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+PY_PATH = re.compile(r"(?<![\w./*-])(?:[\w-]+/)*[\w-]+\.py(?![\w*])")
+
+#: The documents whose ``.py`` paths must resolve.
+PATH_DOCS = ("docs/architecture.md", "docs/cli.md", "README.md")
 
 
 def _subparsers(parser: argparse.ArgumentParser
@@ -58,14 +72,33 @@ def cli_flags(parser=None, name: str = "") -> Dict[str, Set[str]]:
     return flags
 
 
+def stale_paths(name: str, text: str) -> list:
+    """``doc:line: path`` for each ``.py`` path in an inline code span
+    of ``text`` that exists neither at the repo root nor under
+    ``src/repro/``."""
+    stale = []
+    for number, line in enumerate(text.splitlines(), 1):
+        for span in CODE_SPAN.findall(line):
+            for path in PY_PATH.findall(span):
+                if not any(os.path.isfile(os.path.join(root, path))
+                           for root in (REPO_ROOT, PACKAGE_ROOT)):
+                    stale.append(f"{name}:{number}: {path}")
+    return stale
+
+
+def _read(name: str) -> str:
+    with open(os.path.join(REPO_ROOT, name), "r",
+              encoding="utf-8") as fileobj:
+        return fileobj.read()
+
+
 def main() -> int:
-    docs_path = os.path.join(REPO_ROOT, "docs", "cli.md")
     try:
-        with open(docs_path, "r", encoding="utf-8") as fileobj:
-            text = fileobj.read()
+        docs = {name: _read(name) for name in PATH_DOCS}
     except OSError as exc:
-        print(f"docs-check: cannot read {docs_path}: {exc}")
+        print(f"docs-check: cannot read {exc.filename}: {exc}")
         return 1
+    text = docs["docs/cli.md"]
     commands, flags = cli_subcommands(), cli_flags()
     documented = set(FLAG.findall(text))
     problems = []
@@ -83,12 +116,18 @@ def main() -> int:
     if unknown:
         problems.append(f"docs/cli.md documents flags no subcommand "
                         f"accepts: {', '.join(unknown)}")
+    stale = [entry for name, doc in docs.items()
+             for entry in stale_paths(name, doc)]
+    if stale:
+        problems.append("the docs name .py files that do not exist: "
+                        + ", ".join(stale))
     for problem in problems:
         print(f"docs-check: {problem}")
     if problems:
         return 1
     print(f"docs-check: all {len(commands)} subcommands and "
-          f"{len(flags)} flags documented ({', '.join(commands)})")
+          f"{len(flags)} flags documented ({', '.join(commands)}); "
+          f"every .py path in {', '.join(PATH_DOCS)} exists")
     return 0
 
 

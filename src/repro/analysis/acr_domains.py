@@ -19,6 +19,14 @@ from .pipeline import AuditPipeline
 _NUMBERED_RE = re.compile(r"\d")
 
 
+def _contacts(packets) -> List:
+    """The packets that carry transport payload: the contacts the
+    cadence heuristic scores.  A bare ACK or the FIN/ACK teardown that
+    closes a session is not a contact; counted as one, a teardown just
+    after the last upload reads as one more, short, interval."""
+    return [packet for packet in packets if len(packet.transport_payload)]
+
+
 class AcrDomainFinding:
     """Everything the heuristic learned about one candidate domain."""
 
@@ -89,7 +97,7 @@ class AcrDomainAuditor:
                 numbered_scheme=bool(_NUMBERED_RE.search(
                     domain.split(".")[0])),
                 periodicity=analyze_periodicity(
-                    domain, opted_in.packets_for(domain)),
+                    domain, _contacts(opted_in.packets_for(domain))),
                 disappears_on_optout=disappears,
             ))
         return findings
@@ -115,7 +123,7 @@ class AcrDomainAuditor:
                 continue
             if self.netify.is_tracking_related(domain):
                 reports[domain] = analyze_periodicity(
-                    domain, pipeline.packets_for(domain))
+                    domain, _contacts(pipeline.packets_for(domain)))
         return reports
 
 

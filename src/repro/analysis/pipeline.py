@@ -6,12 +6,12 @@ never from simulator ground truth, preserving the black-box vantage.
 
 The pipeline is the single decode of a capture: pcap bytes are parsed
 once into parallel columns (:class:`repro.net.columnar.ColumnarCapture`
-— flow keys and lengths gathered from fixed header offsets, a per-row
-object decode only where a payload is actually read, i.e. DNS), and
-every consumer — flow table, DNS map, per-domain index, table/figure/
-finding drivers — shares the resulting indexed view instead of
-re-decoding.  Every index and query is a column scan; per-packet
-objects exist only in query *results*.
+— addresses, ports and lengths gathered from fixed header offsets, a
+per-row decode only where a payload is actually read, i.e. DNS), and
+every consumer — DNS map, per-domain index, table/figure/finding
+drivers, the streaming tier's flow count — shares the resulting
+indexed view instead of re-decoding.  Every index and query is a
+column scan; per-packet objects exist only in query *results*.
 
 Incremental extension
 ---------------------
@@ -37,13 +37,12 @@ import numpy as np
 
 from ..net.addresses import Ipv4Address
 from ..net.columnar import ColumnarCapture, ColumnarSlice
-from ..net.flow import FlowTable
 from ..obs.metrics import get_registry
 from .dns_map import DnsMap
 
 
 class AuditPipeline:
-    """Decoded capture + DNS map + flow table + per-domain packet index.
+    """Decoded capture + DNS map + per-domain packet index.
 
     ``packets`` is a :class:`~repro.net.columnar.ColumnarCapture` (row
     views on demand), and the per-remote index holds u32 address keys
@@ -55,7 +54,6 @@ class AuditPipeline:
         self.packets = capture
         self.tv_ip = tv_ip
         self.dns_map = DnsMap()
-        self._flows: Optional[FlowTable] = None
         #: remote u32 -> [row-index array, ...] (one chunk per segment,
         #: indices ascending within and across chunks).  Labels are
         #: *not* assigned here: a DNS answer later in the capture may
@@ -100,8 +98,7 @@ class AuditPipeline:
         return end - start
 
     def _absorb(self, start: int, end: int) -> None:
-        """Index rows [start, end): DNS map, per-remote buckets, and —
-        only if already materialized — the flow table."""
+        """Index rows [start, end): DNS map and per-remote buckets."""
         capture = self.packets
         observe = self.dns_map.observe
         for i in np.nonzero(capture.dns[start:end])[0].tolist():
@@ -127,27 +124,10 @@ class AuditPipeline:
                 if chunks is None:
                     chunks = by_remote[int(remote[lo])] = []
                 chunks.append(rows[lo:hi])
-        if self._flows is not None:
-            self._add_flows(start, end)
         registry = get_registry()
         if registry.enabled:
             registry.inc("pipeline.extends")
         self._domain_view = None
-
-    @property
-    def flows(self) -> FlowTable:
-        """Built lazily on first access (batch audits never pay for
-        it), then maintained incrementally across segments."""
-        if self._flows is None:
-            self._flows = FlowTable()
-            self._add_flows(0, len(self.packets))
-        return self._flows
-
-    def _add_flows(self, start: int, end: int) -> None:
-        add = self._flows.add
-        capture = self.packets
-        for index in range(start, end):
-            add(capture.view(index))
 
     def _domain_index(self) -> Dict[str, np.ndarray]:
         """label -> row indices (capture order), built against the DNS

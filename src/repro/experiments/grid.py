@@ -363,7 +363,7 @@ def _execute_cell(payload: Tuple) -> Tuple[Dict, bytes, Optional[Dict]]:
     without double counting.
     """
     (vendor, country, scenario, phase, duration_ns, seed,
-     validate_results, collect_metrics, plan_tuple) = payload
+     collect_metrics, plan_tuple) = payload
     spec = ExperimentSpec(Vendor(vendor), Country(country),
                           Scenario(scenario), Phase(phase), duration_ns)
     faults = FaultPlan.from_tuple(plan_tuple)
@@ -378,11 +378,10 @@ def _execute_cell(payload: Tuple) -> Tuple[Dict, bytes, Optional[Dict]]:
         # the retry counters are identical at any job count.
         result, __ = produce_with_retries(faults, (spec.label,),
                                           simulate)
-        if validate_results:
-            report = validate(result)
-            if not report.ok:
-                raise RuntimeError(f"experiment {spec.label} failed "
-                                   f"validation: {report.failures}")
+        report = validate(result)
+        if not report.ok:
+            raise RuntimeError(f"experiment {spec.label} failed "
+                               f"validation: {report.failures}")
         get_registry().inc("grid.cells.executed")
         record = record_from_result(
             result, elapsed_s=time.perf_counter() - started)
@@ -390,11 +389,11 @@ def _execute_cell(payload: Tuple) -> Tuple[Dict, bytes, Optional[Dict]]:
     return record.meta(), zlib.compress(result.pcap_bytes, 1), snapshot
 
 
-def _payload(spec: ExperimentSpec, seed: int, validate_results: bool,
+def _payload(spec: ExperimentSpec, seed: int,
              faults: FaultPlan = NULL_PLAN) -> Tuple:
     return (spec.vendor.value, spec.country.value, spec.scenario.value,
-            spec.phase.value, spec.duration_ns, seed, validate_results,
-            metrics_enabled(), faults.as_tuple())
+            spec.phase.value, spec.duration_ns, seed, metrics_enabled(),
+            faults.as_tuple())
 
 
 def warm_assets(specs: Sequence[ExperimentSpec] = (),
@@ -426,12 +425,10 @@ class GridRunner:
 
     def __init__(self, seed: int = DEFAULT_SEED,
                  cache: Optional[ResultCache] = None, jobs: int = 1,
-                 validate_results: bool = True,
                  faults: FaultPlan = NULL_PLAN) -> None:
         self.seed = seed
         self.cache = cache
         self.jobs = max(1, jobs)
-        self.validate_results = validate_results
         self.faults = faults
 
     def run(self, specs: Sequence[ExperimentSpec],
@@ -465,8 +462,7 @@ class GridRunner:
                 warm_assets([spec for __, spec in missing])
             for index, spec in missing:
                 meta, compressed, snapshot = _execute_cell(
-                    _payload(spec, self.seed, self.validate_results,
-                             self.faults))
+                    _payload(spec, self.seed, self.faults))
                 get_registry().absorb(snapshot)
                 yield index, spec, self._record(meta, compressed)
             return
@@ -479,8 +475,7 @@ class GridRunner:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             futures = {
                 pool.submit(_execute_cell, _payload(
-                    spec, self.seed, self.validate_results,
-                    self.faults)):
+                    spec, self.seed, self.faults)):
                 (index, spec)
                 for index, spec in missing}
             for future in concurrent.futures.as_completed(futures):

@@ -60,7 +60,6 @@ class FleetRunError(RuntimeError):
 
 def household_record(household: HouseholdSpec,
                      cache: Optional[ResultCache],
-                     validate_results: bool = True,
                      warm: Optional[Callable[[], None]] = None):
     """Produce (or recall) one household's capture record.
 
@@ -90,13 +89,12 @@ def household_record(household: HouseholdSpec,
                 household.vendor, household.country, household.phase,
                 diary.as_runner_segments(), seed=household.seed,
                 label=household.label)
-        if validate_results:
-            report = validate_session(result, diary.scenarios)
-            if not report.ok:
-                raise FleetRunError(
-                    f"household {household.label} (seed "
-                    f"{household.seed}) failed validation: "
-                    f"{report.failures}")
+        report = validate_session(result, diary.scenarios)
+        if not report.ok:
+            raise FleetRunError(
+                f"household {household.label} (seed "
+                f"{household.seed}) failed validation: "
+                f"{report.failures}")
         record = record_from_result(result)
         record.label = household.label
         executed = True
@@ -107,7 +105,6 @@ def household_record(household: HouseholdSpec,
 
 def _audit_household(household: HouseholdSpec,
                      cache: Optional[ResultCache],
-                     validate_results: bool,
                      faults: FaultPlan = NULL_PLAN,
                      warm: Optional[Callable[[], None]] = None
                      ) -> Tuple[dict, bool]:
@@ -115,8 +112,7 @@ def _audit_household(household: HouseholdSpec,
 
     Returns ``(summary, executed)``."""
     registry = get_registry()
-    record, executed = household_record(household, cache,
-                                        validate_results, warm)
+    record, executed = household_record(household, cache, warm)
     pcap_bytes = record.pcap_bytes
     packet_count, pcap_len = record.packet_count, record.pcap_len
     if faults:
@@ -164,8 +160,8 @@ def _run_shard(payload) -> Tuple[FleetAggregate, int, int,
     registry so the parent can absorb it without double counting.
     Never a capture.
     """
-    (household_tuples, cache_root, cache_version, validate_results,
-     collect_metrics, plan_tuple) = payload
+    (household_tuples, cache_root, cache_version, collect_metrics,
+     plan_tuple) = payload
     cache = ResultCache(cache_root, version=cache_version) \
         if cache_root else None
     faults = FaultPlan.from_tuple(plan_tuple)
@@ -195,9 +191,8 @@ def _run_shard(payload) -> Tuple[FleetAggregate, int, int,
                 # makes the shard self-healing.
                 (summary, ran), __ = produce_with_retries(
                     faults, (household.index,),
-                    lambda: _audit_household(
-                        household, cache, validate_results, faults,
-                        warm))
+                    lambda: _audit_household(household, cache, faults,
+                                             warm))
                 aggregate.fold(summary)
                 if ran:
                     executed += 1
@@ -235,14 +230,12 @@ class FleetRunner:
 
     def __init__(self, cache: Optional[ResultCache] = None, jobs: int = 1,
                  shard_size: int = SHARD_SIZE,
-                 validate_results: bool = True,
                  faults: FaultPlan = NULL_PLAN) -> None:
         if shard_size <= 0:
             raise ValueError("shard size must be positive")
         self.cache = cache
         self.jobs = max(1, jobs)
         self.shard_size = shard_size
-        self.validate_results = validate_results
         self.faults = faults
 
     def _payloads(self, population: PopulationSpec) -> List[Tuple]:
@@ -251,8 +244,8 @@ class FleetRunner:
         households = [household.as_tuple() for household in population]
         return [
             (tuple(households[start:start + self.shard_size]),
-             cache_root, cache_version, self.validate_results,
-             metrics_enabled(), self.faults.as_tuple())
+             cache_root, cache_version, metrics_enabled(),
+             self.faults.as_tuple())
             for start in range(0, len(households), self.shard_size)]
 
     def run(self, population: PopulationSpec,

@@ -1,4 +1,5 @@
-"""Network substrate: packet codecs, pcap files, flows, and a host stack.
+"""Network substrate: packet codecs, pcap files, a columnar decode, and a
+host stack.
 
 Everything here is implemented from scratch at wire-format level so the
 testbed's captures are real pcap files and the analysis pipeline operates on
@@ -10,7 +11,6 @@ from .addresses import (BROADCAST_MAC, Ipv4Address, Ipv4Network, MacAddress,
 from .columnar import ColumnarCapture, ColumnarSlice, ColumnarView
 from .dns import DnsMessage, DnsQuestion, DnsRecord
 from .ethernet import EthernetFrame
-from .flow import Flow, FlowTable, canonical_key
 from .ip import Ipv4Packet
 from .link import LatencyModel
 from .packet import (CapturedPacket, DecodedPacket, LazyPacket, decode_all,
@@ -34,8 +34,6 @@ __all__ = [
     "DnsQuestion",
     "DnsRecord",
     "EthernetFrame",
-    "Flow",
-    "FlowTable",
     "HostStack",
     "Ipv4Address",
     "Ipv4Network",
@@ -51,7 +49,6 @@ __all__ = [
     "TlsRecord",
     "TlsSession",
     "UdpDatagram",
-    "canonical_key",
     "decode_all",
     "decode_packet",
     "dump_bytes",

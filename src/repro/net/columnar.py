@@ -4,10 +4,12 @@ The audit's one decode path: walk the pcap record headers once, then
 byte-gather every fixed-offset header field — timestamps, lengths,
 src/dst IPv4 addresses, ports, protocol, the UDP/53 DNS flag — into
 parallel numpy columns.  Zero per-packet Python objects are built;
-consumers scan columns directly, and only the packets whose *payload*
-is actually read (DNS answers) are object-decoded via
-:class:`ColumnarView`, a row adapter with the exact ``LazyPacket``
-attribute surface.
+consumers scan columns directly (flow keys included:
+:meth:`ColumnarCapture.flow_keys`), and only the packets whose
+*payload* is actually read (DNS answers) are decoded further, via
+:class:`ColumnarView`, a row adapter with ``LazyPacket``'s flow-level
+attributes (addresses, ports, protocol, length, transport payload,
+DNS) but none of its object layers.
 
 The reference for every row is :class:`~repro.net.packet.LazyPacket`,
 and the equivalence suite holds the two identical:
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -38,8 +40,7 @@ from ..obs.metrics import get_registry
 from .addresses import Ipv4Address
 from .dns import DnsMessage
 from .ip import PROTO_TCP, PROTO_UDP
-from .packet import (DNS_PORT, CapturedPacket, DecodedPacket, LazyPacket,
-                     decode_packet)
+from .packet import DNS_PORT, LazyPacket
 from .pcap import GLOBAL_HEADER, RECORD_HEADER, PcapError, \
     parse_global_header
 
@@ -47,6 +48,17 @@ _NS_PER_US = 1_000
 _NS_PER_S = 1_000_000_000
 
 _PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}
+
+#: A direction-independent flow key: ``(low address, low port, high
+#: address, high port, protocol class)``, every field a Python int.
+FlowKey = Tuple[int, int, int, int, int]
+
+#: The protocol class every IP protocol but TCP and UDP shares (TCP and
+#: UDP keep their protocol numbers), as ``flow_proto``'s ``"ip"`` does.
+OTHER_IP_CLASS = 0
+
+_ENDPOINT_BITS = 48
+_ENDPOINT_MASK = (1 << _ENDPOINT_BITS) - 1
 
 _MISSING = object()
 
@@ -283,8 +295,7 @@ class ColumnarCapture:
 
     Supports multi-segment growth (:meth:`extend_pcap_bytes` — the
     streaming service feeds pcap-framed segments).  Iterating or
-    indexing yields :class:`ColumnarView` rows, which carry the
-    ``LazyPacket`` attribute surface.
+    indexing yields :class:`ColumnarView` rows.
     """
 
     __slots__ = ("ts", "off", "length", "src", "dst", "sport", "dport",
@@ -369,6 +380,37 @@ class ColumnarCapture:
 
     # -- capture-level queries ---------------------------------------------------
 
+    def flow_keys(self, start: int, end: int) -> Set[FlowKey]:
+        """The distinct flow keys of rows [start, end).
+
+        Non-IP rows have no key.  An endpoint is its u32 address and
+        port, both ports 0 when the row has none; the lower endpoint
+        comes first, so both directions of a flow share one key.  The
+        protocol class is 6 (TCP), 17 (UDP) or :data:`OTHER_IP_CLASS`.
+        """
+        proto = self.proto[start:end]
+        ip = proto >= 0
+        proto = proto[ip].astype(np.int64)
+        sport = self.sport[start:end][ip]
+        dport = self.dport[start:end][ip]
+        portless = (sport < 0) | (dport < 0)
+        # An endpoint packs into 48 bits (address << 16 | port), so the
+        # numeric order of packed endpoints is (address, port) order.
+        a = (self.src[start:end][ip].astype(np.int64) << 16
+             | np.where(portless, 0, sport))
+        b = (self.dst[start:end][ip].astype(np.int64) << 16
+             | np.where(portless, 0, dport))
+        klass = np.where((proto == PROTO_TCP) | (proto == PROTO_UDP),
+                         proto, OTHER_IP_CLASS)
+        keys = np.unique(np.stack(
+            (klass << _ENDPOINT_BITS | np.minimum(a, b),
+             np.maximum(a, b)), axis=1), axis=0)
+        low = keys[:, 0] & _ENDPOINT_MASK
+        high = keys[:, 1]
+        return set(zip((low >> 16).tolist(), (low & 0xFFFF).tolist(),
+                       (high >> 16).tolist(), (high & 0xFFFF).tolist(),
+                       (keys[:, 0] >> _ENDPOINT_BITS).tolist()))
+
     def infer_tv_ip(self) -> Ipv4Address:
         """The device under audit: the most talkative private address,
         ties broken by first appearance in src-then-dst packet order."""
@@ -400,20 +442,19 @@ class ColumnarCapture:
 
 
 class ColumnarView:
-    """One capture row with the full ``LazyPacket`` attribute surface.
+    """One capture row with ``LazyPacket``'s flow-level attributes.
 
     Built only where a consumer genuinely needs a per-packet object —
-    DNS payload decodes, flow-table rows, query results — never during
-    the column scans themselves.
+    DNS payload decodes and query results — never during the column
+    scans themselves.
     """
 
-    __slots__ = ("_capture", "_index", "_dns", "_full")
+    __slots__ = ("_capture", "_index", "_dns")
 
     def __init__(self, capture: ColumnarCapture, index: int) -> None:
         self._capture = capture
         self._index = index
         self._dns = _MISSING
-        self._full: Optional[DecodedPacket] = None
 
     @property
     def timestamp(self) -> int:
@@ -462,30 +503,6 @@ class ColumnarView:
         if value < 0:
             return None
         return _PROTO_NAMES.get(value, "ip")
-
-    @property
-    def full(self) -> DecodedPacket:
-        if self._full is None:
-            get_registry().inc("pipeline.full_decodes")
-            self._full = decode_packet(
-                CapturedPacket(self.timestamp, self.data))
-        return self._full
-
-    @property
-    def eth(self):
-        return self.full.eth
-
-    @property
-    def ip(self):
-        return self.full.ip
-
-    @property
-    def tcp(self):
-        return self.full.tcp
-
-    @property
-    def udp(self):
-        return self.full.udp
 
     @property
     def transport_payload(self):

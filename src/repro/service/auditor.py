@@ -16,7 +16,7 @@ capture.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..analysis.pipeline import AuditPipeline
 from ..faults import salvage_pcap_bytes
@@ -24,6 +24,7 @@ from ..findings import Finding
 from ..fleet.aggregate import summarize_household
 from ..fleet.population import HouseholdSpec
 from ..net.addresses import Ipv4Address
+from ..net.columnar import FlowKey
 from ..net.pcap import PcapError
 from ..obs.metrics import get_registry
 from .segments import PCAP_HEADER_LEN, CaptureSegment
@@ -34,7 +35,7 @@ class HouseholdIngest:
     """Streaming audit state for one in-flight household."""
 
     __slots__ = ("household", "pipeline", "packet_count", "pcap_len",
-                 "segments_ingested", "findings")
+                 "segments_ingested", "findings", "flow_keys")
 
     def __init__(self, household: HouseholdSpec, tv_ip: str) -> None:
         self.household = household
@@ -47,6 +48,8 @@ class HouseholdIngest:
         #: Degradation findings, one per quarantined record — empty on
         #: any clean capture.
         self.findings: List[Finding] = []
+        #: Distinct flow keys of every row applied so far.
+        self.flow_keys: Set[FlowKey] = set()
 
     def ingest(self, segment: CaptureSegment) -> None:
         """Extend the pipeline with one (in-order) segment.
@@ -57,7 +60,7 @@ class HouseholdIngest:
         accounting covers only what was actually audited.
         """
         try:
-            applied = self.pipeline.extend_pcap_bytes(segment.payload)
+            applied = self._extend(segment.payload)
             applied_bytes = segment.record_bytes
         except (PcapError, ValueError):
             applied, applied_bytes = self._quarantine(segment)
@@ -76,7 +79,7 @@ class HouseholdIngest:
         registry.inc("faults.degraded.segments")
         household = self.household
         clean, drops = salvage_pcap_bytes(segment.payload)
-        applied = self.pipeline.extend_pcap_bytes(clean) \
+        applied = self._extend(clean) \
             if len(clean) > PCAP_HEADER_LEN else 0
         for record_index, reason in drops:
             self.findings.append(Finding.degradation(
@@ -85,9 +88,18 @@ class HouseholdIngest:
         registry.inc("faults.degraded.records", len(drops))
         return applied, max(len(clean) - PCAP_HEADER_LEN, 0)
 
+    def _extend(self, raw: bytes) -> int:
+        """Apply one pcap-framed segment and collect its rows' flow
+        keys; returns the applied packet count."""
+        capture = self.pipeline.packets
+        start = len(capture)
+        applied = self.pipeline.extend_pcap_bytes(raw)
+        self.flow_keys.update(capture.flow_keys(start, start + applied))
+        return applied
+
     @property
     def tracked_flows(self) -> int:
-        return len(self.pipeline.flows)
+        return len(self.flow_keys)
 
     def summarize(self) -> Dict[str, object]:
         """The finished household summary (batch-identical).
@@ -149,8 +161,8 @@ class IncrementalAuditor:
 
     @property
     def tracked_flows(self) -> int:
-        """Flows currently held across every open household — the
-        streaming tier's bounded-memory metric."""
+        """Distinct flows seen so far across every open household —
+        the streaming tier's bounded-memory metric."""
         return sum(ingest.tracked_flows
                    for ingest in self._open.values())
 

@@ -40,7 +40,7 @@ import hashlib
 import json
 import os
 import re
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from ..faults import FAULT_ATTEMPT_CAP, NULL_PLAN, FaultPlan
 from ..fleet.aggregate import FleetAggregate
@@ -192,23 +192,58 @@ def write_checkpoint(directory: str, state: LiveState,
     return path
 
 
-def _parse_snapshot(path: str) -> Tuple[Optional[dict], Optional[str]]:
-    """``(document, None)`` when the file holds a verified snapshot,
-    else ``(None, reason)``."""
+def _checkpoint_from(document: Mapping) -> Checkpoint:
+    """The snapshot a document describes.  A missing or mistyped field
+    raises ``KeyError``, ``TypeError``, ``ValueError``,
+    ``AttributeError`` or ``OverflowError``."""
+    population = document["population"]
+    cursors = document["cursors"]
+    completed = document["completed"]
+    aggregate = document["aggregate"]
+    if not (isinstance(population, str) and isinstance(cursors, dict)
+            and isinstance(completed, list)
+            and isinstance(aggregate, dict)):
+        raise TypeError("mistyped population, cursors, completed or "
+                        "aggregate field")
+    return Checkpoint(
+        aggregate=FleetAggregate.from_dict(aggregate),
+        completed=[int(index) for index in completed],
+        cursors={int(index): int(ingested)
+                 for index, ingested in cursors.items()},
+        population_key=population,
+        households=int(document["households"]),
+        segments_folded=int(document.get("segments_folded", 0)),
+    )
+
+
+def _read_snapshot(path: str) -> Tuple[Optional[Checkpoint], Optional[str]]:
+    """``(checkpoint, None)`` when the file holds a verified, well-formed
+    snapshot, else ``(None, reason)``."""
     try:
-        with open(path, "r", encoding="utf-8") as fileobj:
-            document = json.load(fileobj)
+        with open(path, "rb") as fileobj:
+            raw = fileobj.read()
     except FileNotFoundError:
         return None, "missing"
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         return None, f"unreadable: {exc}"
+    try:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors.
+        document = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        return None, f"unreadable: {exc}"
+    if not isinstance(document, dict):
+        return None, f"not a JSON object ({type(document).__name__})"
     version = document.get("version")
     if version != CHECKPOINT_VERSION:
         return None, f"version {version!r} != {CHECKPOINT_VERSION}"
     digest = document.get("digest")
     if digest is not None and digest != _document_digest(document):
         return None, "digest mismatch (corrupt payload)"
-    return document, None
+    try:
+        return _checkpoint_from(document), None
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        return None, f"malformed: {type(exc).__name__}: {exc}"
 
 
 def load_checkpoint(directory: str,
@@ -216,46 +251,34 @@ def load_checkpoint(directory: str,
     """Load the newest *valid* snapshot under ``directory``.
 
     Tries the canonical file first, then rotated snapshots newest
-    first, skipping anything torn, corrupt, or version-mismatched
-    (each skip is counted; a successful skip-then-load increments
-    ``faults.recovered.checkpoint.fallback``).  A snapshot that
-    verifies but belongs to a different fleet is a hard refusal, not a
-    fallback — resuming the wrong population must never "recover".
+    first, skipping anything torn, corrupt, malformed (not UTF-8 JSON,
+    not an object, a field missing or of the wrong type) or
+    version-mismatched (each skip is counted; a successful
+    skip-then-load increments ``faults.recovered.checkpoint.fallback``)
+    and raising :class:`CheckpointError` when nothing valid is left.  A
+    snapshot that verifies but belongs to a different fleet is a hard
+    refusal, not a fallback — resuming the wrong population must never
+    "recover".
     """
     candidates = [checkpoint_path(directory)]
     candidates += [rotated_path(directory, seq)
                    for seq in reversed(rotated_sequences(directory))]
     registry = get_registry()
     failures: List[str] = []
-    seen_payloads = set()
     for path in candidates:
-        document, reason = _parse_snapshot(path)
-        if document is None:
+        checkpoint, reason = _read_snapshot(path)
+        if checkpoint is None:
             if reason != "missing":
                 failures.append(f"{os.path.basename(path)}: {reason}")
             continue
-        payload_id = document.get("digest") or id(document)
-        if payload_id in seen_payloads:
-            continue
-        seen_payloads.add(payload_id)
-        if expect_key is not None and document["population"] != expect_key:
+        if expect_key is not None and checkpoint.population_key != expect_key:
             raise CheckpointError(
                 "checkpoint belongs to a different fleet (seed/mix "
                 "mismatch); refusing to merge incompatible populations")
         if failures:
             registry.inc("checkpoint.fallback", len(failures))
             registry.inc("faults.recovered.checkpoint.fallback")
-        cursors: Dict[int, int] = {int(index): int(ingested)
-                                   for index, ingested
-                                   in document["cursors"].items()}
-        return Checkpoint(
-            aggregate=FleetAggregate.from_dict(document["aggregate"]),
-            completed=[int(index) for index in document["completed"]],
-            cursors=cursors,
-            population_key=document["population"],
-            households=int(document["households"]),
-            segments_folded=int(document.get("segments_folded", 0)),
-        )
+        return checkpoint
     if failures:
         raise CheckpointError(
             f"no valid checkpoint under {directory}: "

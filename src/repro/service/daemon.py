@@ -103,12 +103,11 @@ class ServiceConfig:
     gets audited, visibly and with evidence.)"""
 
     __slots__ = ("window", "credits", "segments", "checkpoint_every",
-                 "arrival_seed", "validate_results", "faults")
+                 "arrival_seed", "faults")
 
     def __init__(self, window: int = 8, credits: int = DEFAULT_CREDITS,
                  segments: int = 6, checkpoint_every: int = 25,
                  arrival_seed: Optional[int] = None,
-                 validate_results: bool = True,
                  faults: FaultPlan = NULL_PLAN) -> None:
         if window <= 0:
             raise ValueError("household window must be positive")
@@ -121,7 +120,6 @@ class ServiceConfig:
         self.segments = segments
         self.checkpoint_every = checkpoint_every
         self.arrival_seed = arrival_seed
-        self.validate_results = validate_results
         self.faults = faults
 
 
@@ -175,15 +173,15 @@ def _produce(payload) -> Tuple[int, str, bytes, bool, Optional[dict]]:
     with the next attempt number, so injection totals live entirely
     parent-side and stay jobs-invariant.
     """
-    (household_tuple, cache_root, cache_version, validate,
-     collect_metrics, plan_tuple, attempt) = payload
+    (household_tuple, cache_root, cache_version, collect_metrics,
+     plan_tuple, attempt) = payload
     household = HouseholdSpec.from_tuple(household_tuple)
     maybe_raise_worker_fault(FaultPlan.from_tuple(plan_tuple), attempt,
                              household.index)
     cache = ResultCache(cache_root, version=cache_version) \
         if cache_root else None
     with scoped(collect_metrics) as registry:
-        record, executed = household_record(household, cache, validate)
+        record, executed = household_record(household, cache)
         snapshot = registry.snapshot() if registry is not None else None
     return (household.index, record.tv_ip, record.pcap_bytes, executed,
             snapshot)
@@ -199,12 +197,10 @@ class _CaptureSource:
     """
 
     def __init__(self, queue: List[HouseholdSpec],
-                 cache: Optional[ResultCache], jobs: int,
-                 validate: bool, lookahead: int,
+                 cache: Optional[ResultCache], jobs: int, lookahead: int,
                  faults: FaultPlan = NULL_PLAN) -> None:
         self._queue = queue
         self._cache = cache
-        self._validate = validate
         self._lookahead = max(1, lookahead)
         self._jobs = max(1, jobs)
         self._faults = faults
@@ -247,8 +243,7 @@ class _CaptureSource:
         return (household.as_tuple(),
                 self._cache.root if self._cache else None,
                 self._cache.version if self._cache else None,
-                self._validate, metrics_enabled(),
-                self._faults.as_tuple(), attempt)
+                metrics_enabled(), self._faults.as_tuple(), attempt)
 
     def _top_up(self) -> None:
         while (self._next_submit < len(self._queue)
@@ -272,7 +267,7 @@ class _CaptureSource:
             (record, executed), sites = produce_with_retries(
                 self._faults, (household.index,),
                 lambda: household_record(household, self._cache,
-                                         self._validate, self._warm))
+                                         self._warm))
             tv_ip, pcap = record.tv_ip, record.pcap_bytes
         else:
             registry = get_registry()
@@ -502,7 +497,6 @@ class AuditService:
                                         deliver_dup, segment)
 
         with _CaptureSource(queue, self.cache, self.jobs,
-                            config.validate_results,
                             lookahead=config.window,
                             faults=faults) as source:
             admit_next()

@@ -6,7 +6,7 @@ from .access_point import AccessPoint
 from .assets import (fast_channel, fresh_backend, linear_channel,
                      media_library, ott_playlist, reference_library,
                      ui_item)
-from .campaign import CampaignRunner, default_artifact_dir
+from .campaign import CampaignRunner
 from .experiment import (Country, DEFAULT_DURATION_NS, ExperimentSpec,
                          Phase, POWER_ON_AT_NS, Scenario,
                          SCENARIO_START_NS, Vendor, full_matrix,
@@ -30,7 +30,6 @@ __all__ = [
     "ValidationReport",
     "Vendor",
     "build_source",
-    "default_artifact_dir",
     "fast_channel",
     "fresh_backend",
     "full_matrix",

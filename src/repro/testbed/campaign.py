@@ -1,20 +1,17 @@
-"""Campaign orchestration: run experiment matrices with a disk-backed cache.
+"""Campaign runner: run, validate and memoize experiment cells in memory.
 
-One-hour captures are deterministic in (spec, seed), so a campaign memoizes
-each cell as a pcap plus a small metadata record.  Benches and the
-per-figure experiment drivers all pull from the same cache, which is how a
-full 6x4x2x2 matrix stays tractable.
+One-hour captures are deterministic in (spec, seed).  The on-disk capture
+cache is the grid's :class:`~repro.experiments.grid.ResultCache`; a
+campaign keeps what that cache cannot hold, the full
+:class:`~repro.testbed.runner.ExperimentResult` of each cell with its
+ground-truth handles, for the drivers that check the audit against them.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
-from ..util import atomic_write_bytes, atomic_write_text
-from .experiment import ExperimentSpec, full_matrix
+from .experiment import ExperimentSpec
 from .runner import ExperimentResult, run_experiment
 from .validation import validate
 
@@ -22,8 +19,8 @@ from .validation import validate
 def cell_key(label: str, seed: int, duration_ns: int) -> str:
     """The canonical ``label-seed-duration`` cell key.
 
-    Every cache layer (the campaign's in-memory/artifact memo and the
-    grid's content-addressed :class:`~repro.experiments.grid.ResultCache`)
+    Every cache layer (the campaign's in-memory memo and the grid's
+    content-addressed :class:`~repro.experiments.grid.ResultCache`)
     identifies a finished capture by this one string, so the layers can
     never disagree about what "the same cell" means.
     """
@@ -33,92 +30,29 @@ def cell_key(label: str, seed: int, duration_ns: int) -> str:
 class CampaignRunner:
     """Runs and memoizes experiment cells."""
 
-    def __init__(self, seed: int = 0, artifact_dir: Optional[str] = None,
-                 validate_results: bool = True) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.artifact_dir = artifact_dir
-        self.validate_results = validate_results
         self._memory: Dict[str, ExperimentResult] = {}
         self.runs = 0
         self.cache_hits = 0
-        if artifact_dir:
-            os.makedirs(artifact_dir, exist_ok=True)
-
-    # -- cache keys -------------------------------------------------------------
-
-    def _key(self, spec: ExperimentSpec) -> str:
-        return cell_key(spec.label, self.seed, spec.duration_ns)
-
-    def _pcap_path(self, spec: ExperimentSpec) -> Optional[str]:
-        if not self.artifact_dir:
-            return None
-        return os.path.join(self.artifact_dir, self._key(spec) + ".pcap")
-
-    # -- execution ----------------------------------------------------------------
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
         """Run (or recall) one experiment."""
-        key = self._key(spec)
+        key = cell_key(spec.label, self.seed, spec.duration_ns)
         cached = self._memory.get(key)
         if cached is not None:
             self.cache_hits += 1
             return cached
         result = run_experiment(spec, seed=self.seed)
         self.runs += 1
-        if self.validate_results:
-            report = validate(result)
-            if not report.ok:
-                raise RuntimeError(
-                    f"experiment {spec.label} failed validation: "
-                    f"{report.failures}")
-        path = self._pcap_path(spec)
-        if path:
-            # Atomic (write-then-rename, matching ResultCache.store): a
-            # crashed run never leaves a readable partial capture.
-            atomic_write_bytes(path, result.pcap_bytes)
-            self._write_metadata(spec, result)
+        report = validate(result)
+        if not report.ok:
+            raise RuntimeError(
+                f"experiment {spec.label} failed validation: "
+                f"{report.failures}")
         self._memory[key] = result
         return result
-
-    def run_all(self, specs: List[ExperimentSpec],
-                progress: Optional[Callable[[ExperimentSpec], None]] = None
-                ) -> List[ExperimentResult]:
-        results = []
-        for spec in specs:
-            if progress:
-                progress(spec)
-            results.append(self.run(spec))
-        return results
-
-    def run_full_matrix(self, duration_ns: Optional[int] = None
-                        ) -> List[ExperimentResult]:
-        specs = full_matrix(duration_ns) if duration_ns else full_matrix()
-        return self.run_all(specs)
-
-    def _write_metadata(self, spec: ExperimentSpec,
-                        result: ExperimentResult) -> None:
-        path = os.path.join(self.artifact_dir, self._key(spec) + ".json")
-        metadata = {
-            "label": spec.label,
-            "seed": self.seed,
-            "duration_ns": spec.duration_ns,
-            "packets": result.packet_count,
-            "tv_mac": result.tv_mac,
-            "tv_ip": result.tv_ip,
-            "device_id": result.device_id,
-            "actions": [[t, a] for t, a in result.action_log],
-        }
-        atomic_write_text(path, json.dumps(metadata, indent=2))
-
-    def evict(self, spec: ExperimentSpec) -> None:
-        """Drop one cell from the in-memory cache (pcap on disk remains)."""
-        self._memory.pop(self._key(spec), None)
 
     def __repr__(self) -> str:
         return (f"CampaignRunner(seed={self.seed}, runs={self.runs}, "
                 f"hits={self.cache_hits}, cached={len(self._memory)})")
-
-
-def default_artifact_dir() -> str:
-    """A workspace-local artifact directory."""
-    return os.path.join(tempfile.gettempdir(), "repro-acr-artifacts")

@@ -9,10 +9,10 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     """Write ``payload`` to ``path`` atomically (write-then-rename).
 
     A reader never observes a partially written file: either the old
-    content (or absence) or the complete new content.  Both cache layers
-    (the grid :class:`~repro.experiments.grid.ResultCache` and campaign
-    pcap artifacts) persist through this helper so a crashed run cannot
-    leave a readable truncated capture behind.
+    content (or absence) or the complete new content.  The grid
+    :class:`~repro.experiments.grid.ResultCache` persists captures
+    through this helper so a crashed run cannot leave a readable
+    truncated capture behind.
     """
     temp = path + ".tmp"
     with open(temp, "wb") as fileobj:

@@ -2,7 +2,7 @@
 
 :class:`~repro.analysis.AuditPipeline` decodes a capture into columns
 (:mod:`repro.net.columnar`).  That decode is only allowed to be *fast*:
-every query the pipeline answers — domains, byte totals, flow tables,
+every query the pipeline answers — domains, byte totals, flow keys,
 upload timestamps, CDF curves — must equal :class:`OraclePipeline`, a
 one-shot list-based pipeline over per-packet decodes, under
 hypothesis-generated captures, malformed/snaplen-clipped frames (same
@@ -18,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flow_oracle import flow_keys as oracle_flow_keys
 from repro.analysis import AuditPipeline, DnsMap
 from repro.analysis.cdf import cumulative_bytes
 from repro.faults import salvage_pcap_bytes
 from repro.net import (CapturedPacket, ColumnarCapture, ColumnarSlice,
-                       DnsMessage, DnsRecord, EthernetFrame, FlowTable,
-                       Ipv4Address, MacAddress, PcapError, TcpSegment,
+                       DnsMessage, DnsRecord, EthernetFrame, Ipv4Address,
+                       Ipv4Packet, MacAddress, PcapError, TcpSegment,
                        decode_all, dump_bytes, lazy_decode_all, load_bytes)
+from repro.net.columnar import OTHER_IP_CLASS
 from repro.net.dns import TYPE_A, TYPE_CNAME, TYPE_PTR, encode_name
 from repro.net.packet import build_tcp_frame, build_udp_frame
 
@@ -39,19 +41,40 @@ NAMES = ["acr1.example.com", "tracker.example.net", "cdn.example.org"]
 
 ports = st.integers(min_value=1024, max_value=65535)
 
-#: One capture event: protocol, remote index, TV-originated?, port, payload.
+#: IP protocols other than TCP and UDP (ICMP, GRE, ESP, SCTP): portless,
+#: and all one flow-key class.
+OTHER_PROTOCOLS = [1, 47, 50, 132]
+
+#: One capture event: protocol, remote index, TV-originated?, port (or
+#: IP protocol number), payload.
 events = st.lists(
     st.one_of(
         st.tuples(st.just("tcp"), st.integers(0, 4), st.booleans(),
                   ports, st.binary(max_size=120)),
         st.tuples(st.just("udp"), st.integers(0, 4), st.booleans(),
                   ports, st.binary(max_size=120)),
+        st.tuples(st.just("options"), st.integers(0, 4), st.booleans(),
+                  ports, st.binary(max_size=40)),
+        st.tuples(st.just("ip"), st.integers(0, 4), st.booleans(),
+                  st.sampled_from(OTHER_PROTOCOLS),
+                  st.binary(max_size=40)),
         st.tuples(st.just("dns"), st.integers(0, 2), st.integers(0, 4)),
         st.tuples(st.just("arp"), st.booleans()),
         st.tuples(st.just("noise"), st.integers(0, 4),
                   st.binary(max_size=40)),
     ),
     max_size=40)
+
+
+def _with_options(frame):
+    """The same IPv4 frame with 4 bytes of IP options (IHL = 24), a
+    shape the vectorized gathers leave to the ``LazyPacket`` path."""
+    framed = bytearray(frame)
+    framed[14] = 0x46
+    framed[16:18] = (int.from_bytes(frame[16:18], "big")
+                     + 4).to_bytes(2, "big")
+    framed[34:34] = bytes(4)
+    return bytes(framed)
 
 
 def _frames(items):
@@ -69,12 +92,22 @@ def _frames(items):
                 MAC_TV, MAC_GW, src, dst,
                 TcpSegment(sport, dport, i, 2, 0x18, payload=payload),
                 identification=i & 0xFFFF)))
-        elif kind == "udp":
+        elif kind in ("udp", "options"):
             __, remote, from_tv, port, payload = event
             src, dst = (TV, REMOTES[remote]) if from_tv \
                 else (REMOTES[remote], TV)
-            packets.append(CapturedPacket(ts, build_udp_frame(
-                MAC_TV, MAC_GW, src, dst, port, 7777, payload)))
+            frame = build_udp_frame(MAC_TV, MAC_GW, src, dst, port, 7777,
+                                    payload)
+            packets.append(CapturedPacket(
+                ts, _with_options(frame) if kind == "options" else frame))
+        elif kind == "ip":
+            __, remote, from_tv, protocol, payload = event
+            src, dst = (TV, REMOTES[remote]) if from_tv \
+                else (REMOTES[remote], TV)
+            packets.append(CapturedPacket(ts, EthernetFrame(
+                MAC_GW, MAC_TV, 0x0800, Ipv4Packet(
+                    src, dst, protocol, payload,
+                    identification=i & 0xFFFF).encode()).encode()))
         elif kind == "dns":
             __, name, remote = event
             query = DnsMessage.query(i & 0xFFFF, NAMES[name])
@@ -124,8 +157,6 @@ class OraclePipeline:
         self.packets = list(packets)
         self.tv_ip = infer_tv_ip(self.packets) if tv_ip is None else tv_ip
         self.dns_map = DnsMap().observe_all(self.packets)
-        self.flows = FlowTable()
-        self.flows.add_all(self.packets)
         self.index = {}
         for packet in self.packets:
             if self.tv_ip not in (packet.src_ip, packet.dst_ip):
@@ -189,9 +220,9 @@ def _answers(pipeline, domains):
                        for domain in domains],
         "uploads": pipeline.upload_timestamps(domains),
         "all": [p.timestamp for p in pipeline.packets_for_all(domains)],
-        "flows": {flow.key: (flow.packets_ab, flow.packets_ba,
-                             flow.bytes_ab, flow.bytes_ba)
-                  for flow in pipeline.flows.flows},
+        "flows": (pipeline.packets.flow_keys(0, len(pipeline.packets))
+                  if isinstance(pipeline, AuditPipeline)
+                  else oracle_flow_keys(pipeline.packets)),
     }
 
 
@@ -231,16 +262,11 @@ class TestRowEquivalence:
         # IHL > 20 defeats the vectorized gather; the row must fall
         # back to the LazyPacket reference and still agree exactly.
         from repro.net.packet import LazyPacket
-        plain = build_udp_frame(MAC_TV, MAC_GW, TV, REMOTES[0],
-                                40000, 7777, b"options")
-        framed = bytearray(plain)
-        framed[14] = 0x46  # IHL = 24
-        framed[16:18] = (int.from_bytes(plain[16:18], "big")
-                         + 4).to_bytes(2, "big")
-        framed[34:34] = b"\x00\x00\x00\x00"  # the option bytes
-        raw = dump_bytes([CapturedPacket(1_000_000, bytes(framed))])
+        framed = _with_options(build_udp_frame(
+            MAC_TV, MAC_GW, TV, REMOTES[0], 40000, 7777, b"options"))
+        raw = dump_bytes([CapturedPacket(1_000_000, framed)])
         view = ColumnarCapture.from_pcap_bytes(raw)[0]
-        ref = LazyPacket(1_000_000, bytes(framed))
+        ref = LazyPacket(1_000_000, framed)
         assert view.src_ip == ref.src_ip
         assert view.dst_ip == ref.dst_ip
         assert (view.src_port, view.dst_port) == (ref.src_port,
@@ -314,6 +340,67 @@ class TestIncrementalSegments:
                               grown)
         _assert_queries_agree(AuditPipeline.from_pcap_bytes(raw, TV),
                               grown)
+
+
+class TestFlowKeys:
+    """The column flow keys follow the per-packet oracle's rule."""
+
+    @given(events, st.lists(st.integers(0, 40), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_segment_keys_match_oracle_after_every_segment(self, items,
+                                                           cuts):
+        packets = _frames(items)
+        bounds = sorted({min(cut, len(packets)) for cut in cuts}
+                        | {0, len(packets)})
+        capture = ColumnarCapture()
+        seen = set()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            start, end = capture.extend_pcap_bytes(
+                dump_bytes(packets[lo:hi]))
+            seen |= capture.flow_keys(start, end)
+            assert seen == oracle_flow_keys(decode_all(packets[:hi]))
+
+    def test_other_ip_protocols_collapse_to_one_key(self):
+        raw = dump_bytes(_frames([("ip", 0, True, 1, b"ping"),
+                                  ("ip", 0, False, 47, b"tunnel"),
+                                  ("ip", 0, True, 50, b"")]))
+        capture = ColumnarCapture.from_pcap_bytes(raw)
+        assert capture.flow_keys(0, len(capture)) == {
+            (TV.value, 0, REMOTES[0].value, 0, OTHER_IP_CLASS)}
+
+    def test_options_row_keys_like_plain_row(self):
+        plain = ("udp", 1, True, 40000, b"payload")
+        raw = dump_bytes(_frames([plain, ("options",) + plain[1:]]))
+        capture = ColumnarCapture.from_pcap_bytes(raw)
+        assert capture.flow_keys(0, 1) == capture.flow_keys(1, 2) == {
+            (TV.value, 40000, REMOTES[1].value, 7777, 17)}
+
+    def test_arp_rows_have_no_key(self):
+        raw = dump_bytes(_frames([("arp", True), ("arp", False)]))
+        capture = ColumnarCapture.from_pcap_bytes(raw)
+        assert capture.flow_keys(0, len(capture)) == set()
+
+    def test_household_ingest_tracks_every_applied_row(self):
+        # Salvaged rows of a quarantined segment count; the record the
+        # salvage drops does not.
+        from repro.fleet import PopulationSpec
+        from repro.service.auditor import HouseholdIngest
+        from repro.service.segments import CaptureSegment
+        household = next(iter(PopulationSpec(1, seed=21)))
+        first = _frames([("dns", 0, 0), ("tcp", 0, True, 5000, b"a")])
+        salvaged = _frames([("udp", 1, True, 6000, b"b")])
+        dropped = bytearray(_frames([("udp", 2, True, 7000, b"c")])[0].data)
+        dropped[14] = 0x41  # IHL = 4: the decode rejects this record
+        ingest = HouseholdIngest(household, str(TV))
+        ingest.ingest(CaptureSegment(household.index, 0, 2,
+                                     dump_bytes(first)))
+        assert ingest.tracked_flows == 2
+        ingest.ingest(CaptureSegment(household.index, 1, 2, dump_bytes(
+            salvaged + [CapturedPacket(9_000_000, bytes(dropped))])))
+        assert len(ingest.findings) == 1
+        assert ingest.flow_keys == oracle_flow_keys(
+            decode_all(first + salvaged))
+        assert ingest.tracked_flows == 3
 
 
 class TestErrorSurface:
@@ -504,7 +591,7 @@ class TestHostileDns:
             pcap_len=len(raw), tv_mac=str(MAC_TV), tv_ip=str(TV),
             device_id="test", elapsed_s=0.0, pcap_bytes=raw))
         # A capture the fleet recalls from the cache and audits...
-        summary, executed = _audit_household(household, cache, True)
+        summary, executed = _audit_household(household, cache)
         assert not executed and "findings" not in summary
         # ...and one the service ingests as a segment: no quarantine.
         ingest = HouseholdIngest(household, str(TV))
@@ -520,10 +607,7 @@ class TestHostileDns:
         assert compressed.dns_map.addresses_for("www.example.com") == \
             [REMOTES[0]]
         domains = ["www.example.com", NAMES[0], "ghost.example"]
-        mine, theirs = (_answers(pipeline, domains)
-                        for pipeline in (compressed, spelled))
-        del mine["flows"], theirs["flows"]  # the DNS frames' sizes differ
-        assert mine == theirs
+        assert _answers(compressed, domains) == _answers(spelled, domains)
 
 
 # -- fuzzing the decode ---------------------------------------------------------

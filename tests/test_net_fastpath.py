@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import (CapturedPacket, FlowTable, Ipv4Address, MacAddress,
-                       TcpFrameTemplate, TcpSegment, UdpDatagram,
-                       canonical_key, decode_packet, lazy_decode,
+from flow_oracle import canonical_key, flow_keys
+from repro.net import (CapturedPacket, ColumnarCapture, Ipv4Address,
+                       MacAddress, TcpFrameTemplate, TcpSegment,
+                       UdpDatagram, decode_packet, dump_bytes, lazy_decode,
                        lazy_decode_all)
 from repro.net.checksum import (incremental_update, internet_checksum,
                                 ones_complement_sum, verify_checksum)
@@ -196,6 +197,9 @@ class TestLazyDecodeEquivalence:
         assert fast.flow_proto is None
         assert fast.src_ip is None
         assert canonical_key(fast) is None
+        capture = ColumnarCapture.from_pcap_bytes(
+            dump_bytes([CapturedPacket(1, frame)]))
+        assert capture.flow_keys(0, 1) == set()
 
     def test_dns_parses_in_place(self):
         from repro.net import DnsMessage
@@ -224,14 +228,10 @@ class TestLazyDecodeEquivalence:
     def test_flow_tables_identical_across_tiers(self, tuples):
         packets = _tcp_capture([(s, d, sp, dp, b"x")
                                 for s, d, sp, dp in tuples])
-        fast_table, full_table = FlowTable(), FlowTable()
-        fast_table.add_all(lazy_decode_all(packets))
-        full_table.add_all(decode_packet(p) for p in packets)
-        fast = {f.key: (f.packets_ab, f.packets_ba, f.bytes_ab, f.bytes_ba)
-                for f in fast_table.flows}
-        full = {f.key: (f.packets_ab, f.packets_ba, f.bytes_ab, f.bytes_ba)
-                for f in full_table.flows}
-        assert fast == full
+        capture = ColumnarCapture.from_pcap_bytes(dump_bytes(packets))
+        assert flow_keys(lazy_decode_all(packets)) == \
+            flow_keys(decode_packet(p) for p in packets) == \
+            capture.flow_keys(0, len(capture))
 
 
 class TestFingerprintMemo:

@@ -1,7 +1,7 @@
 """Cross-module property-based tests on core invariants.
 
 These complement the per-module property tests: they exercise whole
-sub-stacks (codec compositions, flow accounting, batch codec, timelines)
+sub-stacks (codec compositions, flow keys, batch codec, timelines)
 under hypothesis-generated inputs.
 """
 
@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flow_oracle import canonical_key
 from repro.acr import Capture, FingerprintBatch, bands_of, hamming_distance
 from repro.analysis import Timeline, cumulative_bytes, packets_per_ms
-from repro.net import (CapturedPacket, FlowTable, Ipv4Address, MacAddress,
-                       TcpSegment, decode_all, decode_packet, dump_bytes,
-                       load_bytes)
+from repro.net import (CapturedPacket, ColumnarCapture, Ipv4Address,
+                       MacAddress, TcpSegment, decode_all, decode_packet,
+                       dump_bytes, load_bytes)
 from repro.net.checksum import incremental_update, internet_checksum
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
@@ -67,37 +68,19 @@ class TestFullStackCodec:
 
     @given(st.lists(st.tuples(addresses, addresses, ports, ports),
                     min_size=1, max_size=40))
-    @settings(max_examples=30)
-    def test_flow_bytes_conserved(self, tuples):
-        """Sum of per-flow bytes equals total capture bytes."""
-        packets = [CapturedPacket(i, _frame(src, dst, sport, dport, b"x"))
-                   for i, (src, dst, sport, dport) in enumerate(tuples)]
-        decoded = decode_all(packets)
-        table = FlowTable()
-        table.add_all(decoded)
-        assert sum(f.total_bytes for f in table.flows) == \
-            sum(p.length for p in decoded)
-
-    @given(st.lists(st.tuples(addresses, addresses, ports, ports),
-                    min_size=1, max_size=40))
     @settings(max_examples=20)
     def test_flow_direction_symmetry(self, tuples):
-        """A->B and B->A land in the same flow."""
-        tuples = [(src, dst, sport, dport)
-                  for src, dst, sport, dport in tuples
-                  if (src.value, sport) != (dst.value, dport)]
-        if not tuples:
-            return
+        """A->B and B->A share one flow key, the oracle's."""
         packets = []
         for i, (src, dst, sport, dport) in enumerate(tuples):
             packets.append(CapturedPacket(
                 2 * i, _frame(src, dst, sport, dport, b"x")))
             packets.append(CapturedPacket(
                 2 * i + 1, _frame(dst, src, dport, sport, b"y")))
-        table = FlowTable()
-        table.add_all(decode_all(packets))
-        for flow in table.flows:
-            assert flow.packets_ab > 0 and flow.packets_ba > 0
+        capture = ColumnarCapture.from_pcap_bytes(dump_bytes(packets))
+        for i in range(len(tuples)):
+            assert capture.flow_keys(2 * i, 2 * i + 2) == {
+                canonical_key(decode_packet(packets[2 * i]))}
 
 
 def _udp_frame(src_ip, dst_ip, sport, dport, payload):

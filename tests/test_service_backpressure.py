@@ -56,8 +56,7 @@ class _FakeRecord:
         self.pcap_bytes = pcap_bytes
 
 
-def fake_household_record(household, cache, validate_results=True,
-                          warm=None):
+def fake_household_record(household, cache, warm=None):
     return _FakeRecord(TV_IP, synthetic_pcap(household.index)), True
 
 
@@ -73,8 +72,7 @@ def service(households, **kwargs):
         window=kwargs.pop("window", 2),
         credits=kwargs.pop("credits", 2),
         segments=kwargs.pop("segments", 6),
-        arrival_seed=kwargs.pop("arrival_seed", None),
-        validate_results=False)
+        arrival_seed=kwargs.pop("arrival_seed", None))
     spec = PopulationSpec(households, seed=kwargs.pop("seed", 5))
     return AuditService(spec, cache=None, config=config, **kwargs)
 

@@ -11,6 +11,7 @@ example replays cached captures through a different streaming schedule.
 """
 
 import hashlib
+import json
 import os
 import tempfile
 
@@ -25,7 +26,8 @@ from repro.net import CapturedPacket, dump_bytes
 from repro.service import (CheckpointError, LiveState, ServiceConfig,
                            ServiceStopped, load_checkpoint, serve_fleet,
                            split_pcap_bytes, write_checkpoint)
-from repro.service.checkpoint import population_key
+from repro.service.checkpoint import (CHECKPOINT_NAME, checkpoint_path,
+                                      population_key)
 from repro.service.segments import PCAP_HEADER_LEN
 
 # The cheap simulated fleet: one country (one asset build), the
@@ -310,6 +312,49 @@ class TestCheckpointDurability:
                 <= CHECKPOINT_KEEP
 
 
+#: Canonical-file contents that are no checkpoint: JSON that is not an
+#: object, bytes that are not UTF-8, and an object missing its fields.
+MALFORMED = [b"[]", b'"x"', b"\xff\xfe{}", b'{"version": 1}']
+MALFORMED_IDS = ["list", "string", "not-utf8", "fields-missing"]
+
+#: Any JSON value, nested a little.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+
+def valid_document():
+    """A verified checkpoint document, one household folded."""
+    with tempfile.TemporaryDirectory() as directory:
+        state = LiveState()
+        state.aggregate.households = 1
+        write_checkpoint(directory, state, {3: 2}, population_key(1, {}), 5)
+        with open(checkpoint_path(directory), encoding="utf-8") as fileobj:
+            return json.load(fileobj)
+
+
+#: Where a mistyped value can go: a top-level field, or one slot of the
+#: folded aggregate.
+DOCUMENT_FIELDS = sorted(
+    [(field,) for field in valid_document()]
+    + [("aggregate", slot) for slot in LiveState().aggregate.to_dict()])
+
+
+def assert_loads_or_refuses(raw):
+    """A canonical file holding ``raw`` loads or raises CheckpointError:
+    nothing else escapes the loader."""
+    with tempfile.TemporaryDirectory() as directory:
+        with open(checkpoint_path(directory), "wb") as fileobj:
+            fileobj.write(raw)
+        try:
+            load_checkpoint(directory)
+        except CheckpointError:
+            pass
+
+
 class TestCheckpointGuards:
     """Simulation-free checkpoint validation behaviour."""
 
@@ -328,6 +373,50 @@ class TestCheckpointGuards:
     def test_missing_checkpoint_is_a_clean_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
             load_checkpoint(str(tmp_path / "nowhere"))
+
+    @pytest.mark.parametrize("key", [None, population_key(1, {})],
+                             ids=["unkeyed", "keyed"])
+    @pytest.mark.parametrize("raw", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_checkpoint_is_a_clean_error(self, tmp_path, raw,
+                                                   key):
+        (tmp_path / CHECKPOINT_NAME).write_bytes(raw)
+        with pytest.raises(CheckpointError, match="no valid checkpoint"):
+            load_checkpoint(str(tmp_path), expect_key=key)
+
+    @pytest.mark.parametrize("raw", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_canonical_falls_back_to_rotated_twin(
+            self, tmp_path, raw):
+        key = population_key(1, {})
+        write_checkpoint(str(tmp_path), LiveState(), {3: 2}, key, 5)
+        with open(checkpoint_path(str(tmp_path)), "wb") as fileobj:
+            fileobj.write(raw)
+        loaded = load_checkpoint(str(tmp_path), expect_key=key)
+        assert (loaded.households, loaded.cursors) == (5, {3: 2})
+
+    def test_resume_from_malformed_checkpoint_exits_2(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+        (tmp_path / CHECKPOINT_NAME).write_bytes(b"[]")
+        assert main(["serve", "--households", "1", "--no-cache",
+                     "--plain", "--checkpoint-dir", str(tmp_path),
+                     "--resume"]) == 2
+        assert "no valid checkpoint" in capsys.readouterr().err
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_canonical_bytes_load_or_refuse(self, raw):
+        assert_loads_or_refuses(raw)
+
+    @given(st.sampled_from(DOCUMENT_FIELDS), json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_mistyped_field_loads_or_refuses(self, path, value):
+        document = valid_document()
+        del document["digest"]
+        parent = document
+        for name in path[:-1]:
+            parent = parent[name]
+        parent[path[-1]] = value
+        assert_loads_or_refuses(json.dumps(document).encode())
 
     def test_resume_without_checkpoint_dir_is_rejected(self):
         population = PopulationSpec(households=1, seed=3)

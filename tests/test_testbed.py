@@ -1,7 +1,5 @@
 """Tests for experiment vocabulary, runner, validation and campaign."""
 
-import os
-
 import pytest
 
 from repro.net import load_bytes
@@ -147,31 +145,3 @@ class TestCampaign:
         assert first is second
         assert runner.runs == 1
         assert runner.cache_hits == 1
-
-    def test_artifact_files_written(self, tmp_path):
-        runner = CampaignRunner(seed=3, artifact_dir=str(tmp_path))
-        spec = ExperimentSpec(Vendor.LG, Country.UK, Scenario.IDLE,
-                              Phase.LIN_OIN, duration_ns=SHORT)
-        runner.run(spec)
-        files = os.listdir(str(tmp_path))
-        assert any(name.endswith(".pcap") for name in files)
-        assert any(name.endswith(".json") for name in files)
-
-    def test_evict(self):
-        runner = CampaignRunner(seed=3)
-        spec = ExperimentSpec(Vendor.LG, Country.UK, Scenario.IDLE,
-                              Phase.LIN_OIN, duration_ns=SHORT)
-        runner.run(spec)
-        runner.evict(spec)
-        runner.run(spec)
-        assert runner.runs == 2
-
-    def test_run_all(self):
-        runner = CampaignRunner(seed=3)
-        specs = [ExperimentSpec(Vendor.LG, Country.UK, scenario,
-                                Phase.LIN_OIN, duration_ns=SHORT)
-                 for scenario in (Scenario.IDLE, Scenario.OTT)]
-        seen = []
-        results = runner.run_all(specs, progress=seen.append)
-        assert len(results) == 2
-        assert seen == specs
