@@ -9,7 +9,7 @@ PY := PYTHONPATH=src python
 COV_FLOOR := 75
 
 .PHONY: test test-fast bench bench-grid bench-fleet bench-json \
-	coverage docs-check golden-update report resume-smoke \
+	bench-point coverage docs-check golden-update report resume-smoke \
 	metrics-smoke chaos-smoke findings-smoke \
 	invariance-smoke
 
@@ -34,6 +34,14 @@ bench-fleet:
 # cell, written to BENCH_5.json so future PRs can regress-check.
 bench-json:
 	$(PY) scripts/bench_report.py --out BENCH_5.json
+
+# Commit-ready perf point: fold perfbench's result files
+# (.perfbench/results/, written by perfbench/run.py) into the next free
+# BENCH_<n>.json.  Needs at least 5 --trace 0 seeds and one --trace 1
+# run per workload, all from one code and benchmark version, with no
+# failed operation; never overwrites an existing point.
+bench-point:
+	$(PY) scripts/bench_report.py --point
 
 # Full suite under coverage with the floor enforced (requires
 # pytest-cov, which CI installs; locally: pip install pytest-cov).

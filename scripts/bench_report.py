@@ -1,18 +1,27 @@
-"""Measure the codec hot path and emit a ``BENCH_<n>.json`` trajectory
-point.
+"""Emit a ``BENCH_<n>.json`` trajectory point.
 
-Run via ``make bench-json``.  The report captures the hot-path
-microbenches (seed-vs-fast checksum, full-vs-lazy decode,
-object-vs-columnar decode, object-vs-template encode) plus a
-reduced-grid end-to-end measurement
-(one cell simulated cold, then decoded into an audit pipeline), so every
-PR can be regression-checked against the committed trajectory: a future
-change that erodes a speedup shows up as a smaller ratio in its
-``BENCH_<n+1>.json`` diff.
+Two kinds of point:
+
+* ``make bench-json`` measures the codec hot path: the hot-path
+  microbenches (seed-vs-fast checksum, full-vs-lazy decode,
+  object-vs-columnar decode, object-vs-template encode) plus a
+  reduced-grid end-to-end measurement (one cell simulated cold, then
+  decoded into an audit pipeline).  A future change that erodes a
+  speedup shows up as a smaller ratio in its ``BENCH_<n+1>.json`` diff.
+  The microbench ratios are also asserted as floors by
+  ``benchmarks/bench_net_hotpath.py`` in the tier-1-adjacent bench
+  suite.
+* ``make bench-point`` (``--point``) folds the result files that
+  ``perfbench/run.py`` leaves under ``.perfbench/results/`` into the
+  next free ``BENCH_<n>.json``, never overwriting an existing point.
+  Per workload it records the code and benchmark versions, ``nproc``,
+  the seeds used, the median and quartiles of each end-to-end metric
+  over the ``--trace 0`` seeds (at least :data:`MIN_SEEDS`), and the
+  ``--trace 1`` layer table.  It refuses (exit 2) too few seeds, mixed
+  versions or core counts, and any result with failed operations.
 
 Wall times are machine-dependent; the *ratios* are what the trajectory
-pins.  The microbench ratios are also asserted as floors by
-``benchmarks/bench_net_hotpath.py`` in the tier-1-adjacent bench suite.
+pins.
 """
 
 from __future__ import annotations
@@ -21,18 +30,27 @@ import argparse
 import json
 import os
 import platform
+import re
+import statistics
 import sys
 import time
+from typing import Dict, List
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, REPO_ROOT)
 
-os.environ.setdefault("REPRO_NO_CACHE", "1")  # cold by construction
+#: Where ``perfbench/run.py`` stores its result files.
+RESULTS_DIR = os.path.join(REPO_ROOT, ".perfbench", "results")
 
-from benchmarks.bench_net_hotpath import (measure_checksum,  # noqa: E402
-                                          measure_columnar, measure_decode,
-                                          measure_encode, measure_pcap_load)
+#: Trace-0 seeds a workload needs before its medians are committed.
+MIN_SEEDS = 5
+
+RESULT_NAME = re.compile(r"^[a-z-]+-seed\d+-trace[01]\.json$")
+POINT_NAME = re.compile(r"^BENCH_(\d+)\.json$")
+
+#: Provenance every result folded into one point must share.
+SHARED_PROVENANCE = ("code_version", "bench_version", "nproc")
 
 
 def _entry(slow_s: float, fast_s: float) -> dict:
@@ -44,6 +62,10 @@ def _entry(slow_s: float, fast_s: float) -> dict:
 
 
 def microbenches() -> dict:
+    from benchmarks.bench_net_hotpath import (measure_checksum,
+                                              measure_columnar,
+                                              measure_decode, measure_encode,
+                                              measure_pcap_load)
     checksum = measure_checksum()
     decode = measure_decode()
     columnar = measure_columnar()
@@ -120,9 +142,90 @@ def end_to_end(minutes: int) -> dict:
     }
 
 
+class PointError(ValueError):
+    """The result files cannot make one committed point."""
+
+
+def _quartiles(values: List[float]) -> Dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def fold_results(results_dir: str) -> dict:
+    """One point from every ``perfbench/run.py`` result file in
+    ``results_dir``; raises :class:`PointError` when they cannot make
+    one."""
+    try:
+        names = sorted(name for name in os.listdir(results_dir)
+                       if RESULT_NAME.match(name))
+    except OSError as exc:
+        raise PointError(f"cannot list {results_dir}: {exc}") from None
+    if not names:
+        raise PointError(f"no perfbench result files in {results_dir}")
+    by_workload: Dict[str, Dict[int, Dict[int, dict]]] = {}
+    for name in names:
+        try:
+            with open(os.path.join(results_dir, name), "r",
+                      encoding="utf-8") as fileobj:
+                record = json.load(fileobj)
+            failed_ratio = record["failed_ratio"]
+            prov = record["provenance"]
+            runs = by_workload.setdefault(prov["workload"], {})
+            runs.setdefault(prov["trace"], {})[prov["seed"]] = record
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise PointError(f"{name}: unreadable result file: "
+                             f"{exc!r}") from None
+        if failed_ratio > 0:
+            raise PointError(f"{name}: failed_ratio {failed_ratio:g} > 0")
+    records = [record for traces in by_workload.values()
+               for runs in traces.values() for record in runs.values()]
+    shared = {}
+    for field in SHARED_PROVENANCE:
+        values = {record["provenance"][field] for record in records}
+        if len(values) > 1:
+            raise PointError(f"mixed {field}: {sorted(values)}")
+        shared[field] = values.pop()
+    workloads = {}
+    for workload, traces in sorted(by_workload.items()):
+        runs, traced = traces.get(0, {}), traces.get(1, {})
+        if len(runs) < MIN_SEEDS:
+            raise PointError(
+                f"{workload}: {len(runs)} trace-0 seed(s), need at "
+                f"least {MIN_SEEDS}")
+        if not traced:
+            raise PointError(f"{workload}: no trace-1 result")
+        metrics = {}
+        for name, entry in runs[min(runs)]["result"]["metrics"].items():
+            metrics[name] = dict(_quartiles(
+                [record["result"]["metrics"][name]["value"]
+                 for __, record in sorted(runs.items())]),
+                unit=entry["unit"])
+        trace_seed = min(traced)
+        trace = traced[trace_seed]["trace"]
+        workloads[workload] = dict(
+            shared, seeds=sorted(runs), metrics=metrics,
+            trace_seed=trace_seed,
+            trace_body_s=trace["metrics"]["trace.body_s"],
+            layers=[{key: row[key]
+                     for key in ("layer", "n", "p50", "self_share")}
+                    for row in trace["layers"]])
+    return {"suite": "perfbench", "workloads": workloads}
+
+
+def write_point(point: dict, directory: str) -> str:
+    """Write ``point`` to the next free ``BENCH_<n>.json``."""
+    taken = [int(match.group(1)) for name in os.listdir(directory)
+             if (match := POINT_NAME.match(name))]
+    path = os.path.join(directory, f"BENCH_{max(taken, default=0) + 1}"
+                                   f".json")
+    with open(path, "x", encoding="utf-8") as fileobj:
+        fileobj.write(json.dumps(point, indent=2) + "\n")
+    return path
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="emit the codec hot-path benchmark JSON")
+        description="emit a BENCH_<n>.json trajectory point")
     parser.add_argument("--out", default="BENCH_5.json",
                         help="output path (default BENCH_5.json)")
     parser.add_argument("--minutes", type=int, default=10,
@@ -131,8 +234,28 @@ def main() -> int:
                              "grid)")
     parser.add_argument("--skip-e2e", action="store_true",
                         help="microbenches only")
+    parser.add_argument("--point", action="store_true",
+                        help="fold the perfbench result files into the "
+                             "next free BENCH_<n>.json instead")
+    parser.add_argument("--results", default=RESULTS_DIR,
+                        help="perfbench result directory for --point "
+                             "(default .perfbench/results)")
+    parser.add_argument("--point-dir", default=REPO_ROOT,
+                        help="where --point writes (default: the "
+                             "repository root)")
     args = parser.parse_args()
 
+    if args.point:
+        try:
+            path = write_point(fold_results(args.results),
+                               args.point_dir)
+        except PointError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(f"wrote {os.path.relpath(path)}", file=sys.stderr)
+        return 0
+
+    os.environ.setdefault("REPRO_NO_CACHE", "1")  # cold by construction
     report = {
         "suite": "net-hotpath",
         "python": platform.python_version(),

@@ -96,7 +96,7 @@ def check_lines(lines) -> int:
             _fail(line_no, "blank line")
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             _fail(line_no, f"not JSON: {exc}")
         if not isinstance(record, dict):
             _fail(line_no, "record must be a JSON object")

@@ -51,8 +51,11 @@ def _check_histogram(record: dict, line_no: int) -> None:
             _fail(line_no, f"histogram missing {key!r}")
     bounds = record["le"]
     counts = record["counts"]
-    if not all(isinstance(b, (int, float)) for b in bounds):
-        _fail(line_no, "histogram bounds must be numeric")
+    if not isinstance(bounds, list) \
+            or not all(isinstance(b, (int, float)) for b in bounds):
+        _fail(line_no, "histogram bounds must be a list of numbers")
+    if not isinstance(counts, list):
+        _fail(line_no, "histogram counts must be a list")
     if any(nxt <= prev for prev, nxt in zip(bounds, bounds[1:])):
         _fail(line_no, "histogram bounds must be strictly increasing")
     if len(counts) != len(bounds) + 1:
@@ -87,7 +90,7 @@ def check_lines(lines) -> int:
             _fail(line_no, "blank line")
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             _fail(line_no, f"not JSON: {exc}")
         if not isinstance(record, dict):
             _fail(line_no, "record must be a JSON object")

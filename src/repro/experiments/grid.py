@@ -10,8 +10,9 @@ grid as a first-class object instead of one cell at a time:
   :class:`concurrent.futures.ProcessPoolExecutor` — and memoizes each
   finished cell in a :class:`ResultCache`.
 * :class:`ResultCache` is a content-addressed on-disk store keyed by
-  ``(spec, seed, code-version)``: captures survive across processes and
-  are invalidated automatically whenever the simulator sources change.
+  ``(spec, seed, code-version)``: captures survive across processes as
+  plain pcap files, checked against a CRC-32 on every read, and are
+  invalidated automatically whenever the simulator sources change.
 * :class:`GridResults` is the single API the scorecard, report and the
   per-figure drivers consume cells through, so warm caches make
   ``scorecard``/``report`` incremental instead of recomputing everything.
@@ -157,52 +158,61 @@ class CellRecord:
     """One finished grid cell: capture metadata plus its (lazy) pcap."""
 
     __slots__ = ("label", "seed", "duration_ns", "packet_count",
-                 "pcap_len", "tv_mac", "tv_ip", "device_id", "elapsed_s",
-                 "from_cache", "_pcap_bytes", "_pcap_z", "_pcap_path")
+                 "pcap_len", "pcap_crc32", "tv_mac", "tv_ip", "device_id",
+                 "elapsed_s", "from_cache", "_pcap_bytes", "_pcap_path")
 
     def __init__(self, label: str, seed: int, duration_ns: int,
                  packet_count: int, pcap_len: int, tv_mac: str,
                  tv_ip: str, device_id: str, elapsed_s: float,
+                 pcap_crc32: Optional[int] = None,
                  from_cache: bool = False,
                  pcap_bytes: Optional[bytes] = None,
-                 pcap_z: Optional[bytes] = None,
                  pcap_path: Optional[str] = None) -> None:
         self.label = label
         self.seed = seed
         self.duration_ns = duration_ns
         self.packet_count = packet_count
         self.pcap_len = pcap_len
+        if pcap_crc32 is None and pcap_bytes is not None:
+            pcap_crc32 = zlib.crc32(pcap_bytes)
+        self.pcap_crc32 = pcap_crc32
         self.tv_mac = tv_mac
         self.tv_ip = tv_ip
         self.device_id = device_id
         self.elapsed_s = elapsed_s
         self.from_cache = from_cache
         self._pcap_bytes = pcap_bytes
-        self._pcap_z = pcap_z
         self._pcap_path = pcap_path
 
     @property
     def pcap_bytes(self) -> bytes:
-        """The raw capture (decompressed lazily on first access)."""
+        """The raw capture, read from the cache file on first access.
+
+        Raises :class:`CacheReadError` when the file cannot be read or
+        its length or CRC-32 differs from the recorded ``pcap_len`` and
+        ``pcap_crc32``.
+        """
         if self._pcap_bytes is None:
             try:
-                compressed = self._pcap_z
-                if compressed is None:
-                    with open(self._pcap_path, "rb") as fileobj:
-                        compressed = fileobj.read()
-                self._pcap_bytes = zlib.decompress(compressed)
-            except (OSError, zlib.error) as exc:
+                with open(self._pcap_path, "rb") as fileobj:
+                    payload = fileobj.read()
+            except OSError as exc:
                 raise CacheReadError(
                     f"cached capture for {self.label} unreadable: "
                     f"{exc}") from exc
+            if len(payload) != self.pcap_len \
+                    or zlib.crc32(payload) != self.pcap_crc32:
+                raise CacheReadError(
+                    f"cached capture for {self.label} is damaged: "
+                    f"{len(payload)} bytes do not match the recorded "
+                    f"length and CRC-32")
+            self._pcap_bytes = payload
         return self._pcap_bytes
 
-    @property
-    def pcap_compressed(self) -> bytes:
-        """The zlib payload (reused so captures are compressed once)."""
-        if self._pcap_z is None:
-            self._pcap_z = zlib.compress(self.pcap_bytes, 1)
-        return self._pcap_z
+    # A read-only alias of the stored bytes, kept only because
+    # perfbench's traced ``cache.store`` hook reads this name and the
+    # benchmark's sources change only in benchmark-only commits.
+    pcap_compressed = pcap_bytes
 
     def pipeline(self) -> AuditPipeline:
         """Decode this cell's capture into an audit pipeline."""
@@ -217,6 +227,7 @@ class CellRecord:
             "duration_ns": self.duration_ns,
             "packet_count": self.packet_count,
             "pcap_len": self.pcap_len,
+            "pcap_crc32": self.pcap_crc32,
             "tv_mac": self.tv_mac,
             "tv_ip": self.tv_ip,
             "device_id": self.device_id,
@@ -248,8 +259,10 @@ class ResultCache:
 
     The key is a SHA-256 over the canonical ``(spec label, duration,
     seed, code-version)`` tuple; entries live two levels deep
-    (``<root>/<key[:2]>/<key>.{json,pcap.z}``) so directories stay small
-    even for large grids.
+    (``<root>/<key[:2]>/<key>.{json,pcap}``) so directories stay small
+    even for large grids.  The capture is a plain pcap file; its meta
+    JSON records the capture's length and CRC-32, which every read
+    checks.
     """
 
     def __init__(self, root: str,
@@ -273,7 +286,7 @@ class ResultCache:
     def _paths(self, key: str) -> Tuple[str, str]:
         shard = os.path.join(self.root, key[:2])
         return (os.path.join(shard, key + ".json"),
-                os.path.join(shard, key + ".pcap.z"))
+                os.path.join(shard, key + ".pcap"))
 
     def load(self, spec: ExperimentSpec, seed: int) -> Optional[CellRecord]:
         """Recall one cell, or ``None`` on a miss (or corrupt entry)."""
@@ -307,7 +320,7 @@ class ResultCache:
             record.label, record.duration_ns, record.seed))
         os.makedirs(os.path.dirname(meta_path), exist_ok=True)
         for path, payload in (
-                (pcap_path, record.pcap_compressed),
+                (pcap_path, record.pcap_bytes),
                 (meta_path,
                  json.dumps(record.meta(), indent=2).encode())):
             atomic_write_bytes(path, payload)
@@ -353,8 +366,8 @@ def default_cache() -> Optional[ResultCache]:
 
 
 def _execute_cell(payload: Tuple) -> Tuple[Dict, bytes, Optional[Dict]]:
-    """Process-pool worker: run one cell, return (meta, compressed pcap,
-    metrics snapshot).
+    """Process-pool worker: run one cell, return (meta, pcap, metrics
+    snapshot).  The meta carries the capture's CRC-32, computed here.
 
     Takes and returns only primitives so it pickles cleanly; the heavy
     ground-truth handles (backend, registry, zone) stay in the worker.
@@ -386,7 +399,7 @@ def _execute_cell(payload: Tuple) -> Tuple[Dict, bytes, Optional[Dict]]:
         record = record_from_result(
             result, elapsed_s=time.perf_counter() - started)
         snapshot = registry.snapshot() if registry is not None else None
-    return record.meta(), zlib.compress(result.pcap_bytes, 1), snapshot
+    return record.meta(), result.pcap_bytes, snapshot
 
 
 def _payload(spec: ExperimentSpec, seed: int,
@@ -461,10 +474,10 @@ class GridRunner:
             with get_registry().span("assets.warm"):
                 warm_assets([spec for __, spec in missing])
             for index, spec in missing:
-                meta, compressed, snapshot = _execute_cell(
+                meta, pcap, snapshot = _execute_cell(
                     _payload(spec, self.seed, self.faults))
                 get_registry().absorb(snapshot)
-                yield index, spec, self._record(meta, compressed)
+                yield index, spec, CellRecord(pcap_bytes=pcap, **meta)
             return
         workers = min(self.jobs, len(missing))
         if multiprocessing.get_start_method() == "fork":
@@ -480,16 +493,9 @@ class GridRunner:
                 for index, spec in missing}
             for future in concurrent.futures.as_completed(futures):
                 index, spec = futures[future]
-                meta, compressed, snapshot = future.result()
+                meta, pcap, snapshot = future.result()
                 get_registry().absorb(snapshot)
-                yield index, spec, self._record(meta, compressed)
-
-    @staticmethod
-    def _record(meta: Dict, compressed: bytes) -> CellRecord:
-        # Keep the worker's compressed payload: the cache stores it
-        # verbatim, and consumers decompress lazily only when they
-        # actually read the capture.
-        return CellRecord(pcap_z=compressed, **meta)
+                yield index, spec, CellRecord(pcap_bytes=pcap, **meta)
 
 
 # -- the consumer API ---------------------------------------------------------

@@ -16,6 +16,7 @@ import json
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .ledger import FindingsLedger
+from .model import EVIDENCE_TYPES, SEVERITIES
 
 #: Bump on any incompatible change to the JSONL schema.
 FINDINGS_SCHEMA_VERSION = 1
@@ -51,9 +52,9 @@ def read_findings_jsonl(path: str
     """Parse an export back into ``(meta, finding records)``.
 
     Raises ``ValueError`` with a ``line <n>:`` prefix on structural
-    problems; the full schema check lives in
-    ``scripts/check_findings.py`` (this reader only needs enough shape
-    to diff two files).
+    problems and on mistyped fields that ``diff_records`` reads; the
+    full schema check lives in ``scripts/check_findings.py`` (this
+    reader only needs enough shape to diff two files).
     """
     with open(path, "r", encoding="utf-8") as fileobj:
         lines = fileobj.read().splitlines()
@@ -64,7 +65,7 @@ def read_findings_jsonl(path: str
     for line_no, line in enumerate(lines, start=1):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"line {line_no}: not JSON: {exc}")
         if not isinstance(record, dict):
             raise ValueError(f"line {line_no}: record must be a JSON "
@@ -83,8 +84,41 @@ def read_findings_jsonl(path: str
         if kind != "finding":
             raise ValueError(f"line {line_no}: unknown record kind "
                              f"{kind!r}")
+        _check_finding(record, line_no)
         records.append(record)
     return meta, records
+
+
+def _check_finding(record: Dict[str, object], line_no: int) -> None:
+    """Type-check the fields of one finding record that the diff reads."""
+
+    def fail(message: str) -> None:
+        raise ValueError(f"line {line_no}: {message}")
+
+    code = record.get("code")
+    if not isinstance(code, str) or not code:
+        fail("finding needs a non-empty string 'code'")
+    if not isinstance(record.get("title"), str):
+        fail("finding 'title' must be a string")
+    if record.get("severity") not in SEVERITIES:
+        fail(f"unknown severity {record.get('severity')!r} "
+             f"(choose from {', '.join(SEVERITIES)})")
+    if not isinstance(record.get("passed"), bool):
+        fail("finding 'passed' must be a bool")
+    evidence = record.get("evidence")
+    if not isinstance(evidence, list):
+        fail("finding 'evidence' must be a list of objects")
+    for entry in evidence:
+        if not isinstance(entry, dict):
+            fail("finding 'evidence' must be a list of objects")
+        for key, value in entry.items():
+            expected = EVIDENCE_TYPES.get(key)
+            if expected is None:
+                fail(f"unknown evidence field {key!r}")
+            if not isinstance(value, expected) \
+                    or isinstance(value, bool):
+                fail(f"evidence field {key!r} must be "
+                     f"{expected.__name__}, got {value!r}")
 
 
 def ledger_from_file(path: str) -> FindingsLedger:

@@ -50,6 +50,15 @@ def severity_rank(severity: str) -> int:
     return _SEVERITY_RANK[severity]
 
 
+#: The JSON type of every :class:`Evidence` field, for readers of
+#: exported evidence objects.
+EVIDENCE_TYPES: Dict[str, type] = {
+    "text": str, "capture": str, "household": int, "vendor": str,
+    "country": str, "phase": str, "flow": str, "segment": int,
+    "record_start": int, "record_end": int,
+}
+
+
 @dataclass(frozen=True)
 class Evidence:
     """One machine-checkable pointer backing a finding.

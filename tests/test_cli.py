@@ -142,6 +142,26 @@ class TestFindingsDiffCommand:
         assert main(["findings", "diff", good, str(bad)]) == 2
         assert "invalid findings file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        '{"record": "finding", "title": "t", "severity": "low", '
+        '"passed": false, "evidence": []}',
+        '{"record": "finding", "code": "S2", "title": "t", '
+        '"severity": "low", "passed": false, "evidence": [3]}',
+        "[" * 100_000,
+        '{"record": "finding", "code": "S2", "title": "t", '
+        '"severity": "urgent", "passed": false, "evidence": []}',
+    ], ids=["missing-code", "numeric-evidence", "nested-arrays",
+            "unknown-severity"])
+    def test_malformed_finding_exits_2(self, tmp_path, capsys, line):
+        good = self._export(tmp_path / "ok.jsonl",
+                            _fabricated_checks(True))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"record": "meta", "schema": 1}\n' + line + "\n",
+                       encoding="utf-8")
+        assert main(["findings", "diff", good, str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid findings file: line 2: ")
+
     def test_diff_subcommand_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["findings"])

@@ -7,15 +7,18 @@ ledgers must combine associatively and commutatively with
 ``--findings-out`` export byte-identical across ``--jobs`` counts.
 """
 
+import dataclasses
 import json
 import os
 import pickle
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fuzz_inputs import NESTED_LINE, damaged_jsonl
 from repro.experiments.findings import (FindingCheck, ledger_from_checks,
                                         render_checks, scorecard)
 from repro.faults import degradation_evidence
@@ -25,6 +28,7 @@ from repro.findings import (DEGRADATION_CODE, FINDINGS_SCHEMA_VERSION,
                             ledger_from_file, ledger_to_jsonl, merge_all,
                             read_findings_jsonl, record_identity,
                             severity_rank, write_findings_jsonl)
+from repro.findings.model import EVIDENCE_TYPES
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -284,6 +288,88 @@ class TestExport:
             fileobj.write('{"record": "meta", "schema": 1}\nnot json\n')
         with pytest.raises(ValueError, match="line 2: not JSON"):
             read_findings_jsonl(path)
+
+
+#: A valid export: passing and failing findings, several severities,
+#: evidence with and without structured pointers.
+EXPORT_LINES = ledger_to_jsonl(FindingsLedger([
+    _finding(code="S1"),
+    _finding(code="S2", severity="high", passed=False, capture="lg-uk",
+             vendor="lg"),
+    _finding(code="DEG", passed=False, household=3, record_start=1,
+             record_end=2),
+]), {"command": "fleet"}).splitlines()
+
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as fileobj:
+        fileobj.write("\n".join(lines) + "\n")
+
+
+class TestMalformedExports:
+    """Whatever an export holds, the reader, the diff and the schema
+    checker end in a result or in ``ValueError``: never a traceback."""
+
+    def test_evidence_types_cover_the_model(self):
+        assert set(EVIDENCE_TYPES) == {
+            spec.name for spec in dataclasses.fields(Evidence)}
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("code", None, "non-empty string 'code'"),
+        ("code", "", "non-empty string 'code'"),
+        ("title", 3, "'title' must be a string"),
+        ("severity", "urgent", "unknown severity 'urgent'"),
+        ("severity", ["high"], "unknown severity"),
+        ("passed", "yes", "'passed' must be a bool"),
+        ("evidence", {"text": "x"}, "list of objects"),
+        ("evidence", [7], "list of objects"),
+        ("evidence", [{"household": "3"}], "'household' must be int"),
+        ("evidence", [{"household": [3]}], "'household' must be int"),
+        ("evidence", [{"bogus": 1}], "unknown evidence field 'bogus'"),
+    ])
+    def test_reader_rejects_mistyped_fields(self, tmp_path, field, value,
+                                            message):
+        record = json.loads(EXPORT_LINES[1])
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        path = str(tmp_path / "bad.jsonl")
+        _write_lines(path, [EXPORT_LINES[0], json.dumps(record)])
+        with pytest.raises(ValueError, match=f"line 2: .*{message}"):
+            read_findings_jsonl(path)
+
+    def test_nested_line_is_not_json(self, tmp_path):
+        path = str(tmp_path / "nested.jsonl")
+        _write_lines(path, [EXPORT_LINES[0], NESTED_LINE])
+        with pytest.raises(ValueError, match="line 2: not JSON"):
+            read_findings_jsonl(path)
+        with pytest.raises(ValueError, match="line 2: not JSON"):
+            check_lines([EXPORT_LINES[0], NESTED_LINE])
+
+    @given(old=st.just(EXPORT_LINES) | damaged_jsonl(EXPORT_LINES),
+           new=damaged_jsonl(EXPORT_LINES))
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_exports_diff_or_refuse(self, old, new):
+        with tempfile.TemporaryDirectory() as directory:
+            paths = [os.path.join(directory, name)
+                     for name in ("old.jsonl", "new.jsonl")]
+            for path, lines in zip(paths, (old, new)):
+                _write_lines(path, lines)
+            try:
+                records = [read_findings_jsonl(path)[1] for path in paths]
+            except ValueError:
+                return
+            diff_records(*records).render(*paths)
+
+    @given(lines=damaged_jsonl(EXPORT_LINES))
+    @example(lines=[EXPORT_LINES[0], NESTED_LINE])
+    @settings(max_examples=300, deadline=None)
+    def test_checker_validates_or_refuses(self, lines):
+        try:
+            check_lines(lines)
+        except ValueError:
+            pass
 
 
 # -- the diff -----------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.fleet import (DIARIES, FleetAggregate, FleetRunner,
                          HouseholdSpec, MixError, PopulationSpec,
                          diary_named, merge_all, parse_mix,
                          render_population_report, sample_population)
+from repro.fleet.runner import household_record
 from repro.sim.clock import minutes, seconds
 from repro.testbed.experiment import (Phase, SCENARIO_START_NS, Scenario,
                                       Vendor)
@@ -416,6 +417,34 @@ class TestFleetRunner:
         grown = FleetRunner(cache=cache, jobs=1).run(
             PopulationSpec(households=6, seed=21, mixes=UK_QUICK))
         assert (grown.executed, grown.cached) == (2, 4)
+
+    def test_damaged_cached_capture_is_resimulated(self, tmp_path):
+        population = PopulationSpec(**self.POP)
+        cache = ResultCache(str(tmp_path), version="fleet-t5")
+        first = FleetRunner(cache=cache, jobs=1).run(population)
+        report = render_population_report(first.aggregate, population)
+        household = next(iter(population))
+        __, pcap_path = cache._paths(cache.key_for(
+            household.label, household.diary_obj.duration_ns,
+            household.seed))
+        with open(pcap_path, "rb") as fileobj:
+            raw = fileobj.read()
+
+        def flip_one_byte():
+            # Same length: only the CRC-32 in the meta catches it.
+            with open(pcap_path, "wb") as fileobj:
+                fileobj.write(raw[:-5] + bytes([raw[-5] ^ 0x40])
+                              + raw[-4:])
+
+        flip_one_byte()
+        record, executed = household_record(household, cache)
+        assert executed and record.pcap_bytes == raw
+        flip_one_byte()
+        again = FleetRunner(cache=cache, jobs=2, shard_size=2).run(
+            population)
+        assert (again.executed, again.cached) == (1, 3)
+        assert render_population_report(again.aggregate, population) \
+            == report
 
     def test_progress_reports_every_shard(self, tmp_path):
         population = PopulationSpec(**self.POP)

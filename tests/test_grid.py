@@ -5,16 +5,41 @@ with filters, cache hit/miss/invalidation (seed and code-version), and
 that a 2-job parallel run is byte-identical to a serial run.
 """
 
-import pytest
+import json
+import tempfile
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.pipeline import AuditPipeline
 from repro.cli import main
-from repro.experiments.grid import (CellRecord, GridFilterError,
-                                    GridResults, GridRunner, ResultCache,
+from repro.experiments.grid import (CacheReadError, CellRecord,
+                                    GridFilterError, GridResults,
+                                    GridRunner, ResultCache,
                                     enumerate_cells, parse_filters)
+from repro.net.addresses import Ipv4Address
 from repro.sim.clock import minutes
 from repro.testbed import Country, ExperimentSpec, Phase, Scenario, Vendor
 
 SHORT = minutes(6)
+
+#: Ways a stored capture can be damaged on disk: one flipped byte at the
+#: same length (only the CRC-32 catches it), a truncation, one extra
+#: trailing byte.
+DAMAGE = {
+    "flipped-byte": lambda raw: raw[:-5] + bytes([raw[-5] ^ 0x40])
+    + raw[-4:],
+    "truncated": lambda raw: raw[:-1],
+    "extra-byte": lambda raw: raw + b"\x00",
+}
+
+
+def damage_file(path, kind):
+    with open(path, "rb") as fileobj:
+        raw = fileobj.read()
+    with open(path, "wb") as fileobj:
+        fileobj.write(DAMAGE[kind](raw))
 
 
 def short_cells(*expressions):
@@ -71,7 +96,10 @@ class TestEnumeration:
         assert filters["vendor"] == {Vendor.LG, Vendor.SAMSUNG}
 
 
-def fake_record(spec, seed=5, payload=b"\xd4\xc3\xb2\xa1-fake-pcap"):
+FAKE_PCAP = b"\xd4\xc3\xb2\xa1-fake-pcap"
+
+
+def fake_record(spec, seed=5, payload=FAKE_PCAP):
     return CellRecord(
         label=spec.label, seed=seed, duration_ns=spec.duration_ns,
         packet_count=3, pcap_len=len(payload), tv_mac="02:00:00:00:00:01",
@@ -122,6 +150,69 @@ class TestResultCache:
         with open(meta_path, "w", encoding="utf-8") as fileobj:
             fileobj.write("{not json")
         assert cache.load(self.SPEC, 5) is None
+
+    def test_capture_is_a_plain_pcap_beside_its_meta(self, tmp_path):
+        cache = ResultCache(str(tmp_path), version="v1")
+        record = fake_record(self.SPEC)
+        cache.store(record)
+        meta_path, pcap_path = cache._paths(cache.key(self.SPEC, 5))
+        assert pcap_path.endswith(".pcap")
+        with open(pcap_path, "rb") as fileobj:
+            assert fileobj.read() == record.pcap_bytes
+        with open(meta_path, encoding="utf-8") as fileobj:
+            meta = json.load(fileobj)
+        assert meta["pcap_len"] == len(record.pcap_bytes)
+        assert meta["pcap_crc32"] == record.pcap_crc32
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGE))
+    def test_damaged_capture_raises_cache_read_error(self, tmp_path,
+                                                     kind):
+        cache = ResultCache(str(tmp_path), version="v1")
+        cache.store(fake_record(self.SPEC))
+        __, pcap_path = cache._paths(cache.key(self.SPEC, 5))
+        damage_file(pcap_path, kind)
+        with pytest.raises(CacheReadError, match="damaged"):
+            cache.load(self.SPEC, 5).pcap_bytes
+
+    @pytest.mark.parametrize("crc", [None, "1234", 1.5])
+    def test_mistyped_or_missing_crc_never_serves_bytes(self, tmp_path,
+                                                       crc):
+        cache = ResultCache(str(tmp_path), version="v1")
+        cache.store(fake_record(self.SPEC))
+        meta_path, __ = cache._paths(cache.key(self.SPEC, 5))
+        with open(meta_path, encoding="utf-8") as fileobj:
+            meta = json.load(fileobj)
+        if crc is None:
+            del meta["pcap_crc32"]
+        else:
+            meta["pcap_crc32"] = crc
+        with open(meta_path, "w", encoding="utf-8") as fileobj:
+            json.dump(meta, fileobj)
+        record = cache.load(self.SPEC, 5)
+        if record is not None:
+            with pytest.raises(CacheReadError):
+                record.pcap_bytes
+
+    @given(st.binary(max_size=40) | st.tuples(
+        st.integers(min_value=0, max_value=len(FAKE_PCAP) - 1),
+        st.integers(min_value=0, max_value=255)).map(
+            lambda edit: FAKE_PCAP[:edit[0]] + bytes([edit[1]])
+            + FAKE_PCAP[edit[0] + 1:]))
+    @settings(max_examples=150, deadline=None)
+    def test_overwritten_capture_reads_back_exactly_or_refuses(self,
+                                                               raw):
+        # Any bytes at all, or the capture with one byte rewritten
+        # (sometimes to its own value).
+        with tempfile.TemporaryDirectory() as directory:
+            cache = ResultCache(directory, version="v1")
+            cache.store(fake_record(self.SPEC))
+            __, pcap_path = cache._paths(cache.key(self.SPEC, 5))
+            with open(pcap_path, "wb") as fileobj:
+                fileobj.write(raw)
+            try:
+                assert cache.load(self.SPEC, 5).pcap_bytes == FAKE_PCAP
+            except CacheReadError:
+                assert raw != FAKE_PCAP
 
     def test_entry_count(self, tmp_path):
         cache = ResultCache(str(tmp_path), version="v1")
@@ -216,6 +307,36 @@ class TestGridResults:
         assert again.pipeline(self.SPEC).byte_totals() == \
             pipeline.byte_totals()
         assert again.campaign.runs == 0  # repaired entry serves from disk
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGE))
+    def test_damaged_pcap_self_heals(self, tmp_path, kind):
+        cache = ResultCache(str(tmp_path))
+        stored = GridRunner(seed=3, cache=cache).run([self.SPEC])[0]
+        __, pcap_path = cache._paths(cache.key(self.SPEC, 3))
+        damage_file(pcap_path, kind)
+
+        healed = GridResults(seed=3, cache=cache)
+        healed.pipeline(self.SPEC)  # re-runs and re-stores
+        assert healed.campaign.runs == 1
+        with open(pcap_path, "rb") as fileobj:
+            assert fileobj.read() == stored.pcap_bytes
+        assert cache.load(self.SPEC, 3).pcap_bytes == stored.pcap_bytes
+
+    def test_parallel_store_reloads_identically(self, tmp_path):
+        specs = short_cells(*CELLS)
+        stored = GridRunner(seed=3, cache=ResultCache(str(tmp_path)),
+                            jobs=2).run(specs)
+        fresh = ResultCache(str(tmp_path))
+        for spec, record in zip(specs, stored):
+            loaded = fresh.load(spec, 3)
+            assert loaded.from_cache
+            assert loaded.pcap_bytes == record.pcap_bytes
+            # The stored file is itself the capture: it decodes as is.
+            __, pcap_path = fresh._paths(fresh.key(spec, 3))
+            with open(pcap_path, "rb") as fileobj:
+                pipeline = AuditPipeline.from_pcap_bytes(
+                    fileobj.read(), Ipv4Address.parse(record.tv_ip))
+            assert len(pipeline.packets) == record.packet_count
 
     def test_capture_identical_across_processes(self, tmp_path):
         """The cache's core guarantee: a fresh process reproduces the

@@ -14,7 +14,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
 
+from fuzz_inputs import NESTED_LINE, damaged_jsonl
 from repro.fleet import FleetAggregate, FleetRunner, PopulationSpec
 from repro.obs import (Dashboard, DashboardView, detect_plain,
                        render_frame, render_plain_line)
@@ -465,6 +467,44 @@ class TestJsonlExport:
             check_lines(bad)
         with pytest.raises(ValueError, match="first record"):
             check_lines(lines[1:])
+
+
+def _export_lines():
+    registry = _registry()
+    registry.gauge_max("peak", 3.5)
+    registry.observe("work.wall_ms", 12.0)
+    return snapshot_to_jsonl(registry.snapshot(),
+                             {"command": "fleet"}).splitlines()
+
+
+class TestCheckerFuzz:
+    """Whatever an export holds, the checker accepts it or raises
+    ``ValueError``: never a traceback."""
+
+    def test_nested_line_is_not_json(self):
+        lines = _export_lines()
+        with pytest.raises(ValueError, match="line 2: not JSON"):
+            check_lines([lines[0], NESTED_LINE])
+
+    @pytest.mark.parametrize("field, value", [
+        ("le", 5), ("le", {}), ("le", None), ("counts", 5),
+        ("counts", None)])
+    def test_mistyped_histogram_is_refused(self, field, value):
+        lines = _export_lines()
+        record = json.loads(lines[-1])
+        record[field] = value
+        with pytest.raises(ValueError, match=f"line {len(lines)}: "
+                                             f"histogram"):
+            check_lines(lines[:-1] + [json.dumps(record)])
+
+    @given(lines=damaged_jsonl(_export_lines()))
+    @example(lines=[_export_lines()[0], NESTED_LINE])
+    @settings(max_examples=500, deadline=None)
+    def test_checker_validates_or_refuses(self, lines):
+        try:
+            check_lines(lines)
+        except ValueError:
+            pass
 
 
 @pytest.mark.slow

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fuzz_inputs import json_values
 from repro.experiments.grid import ResultCache
 from repro.fleet import (FleetRunner, PopulationSpec,
                          render_population_report)
-from repro.net import CapturedPacket, dump_bytes
+from repro.net import CapturedPacket, PcapError, dump_bytes
 from repro.service import (CheckpointError, LiveState, ServiceConfig,
                            ServiceStopped, load_checkpoint, serve_fleet,
                            split_pcap_bytes, write_checkpoint)
@@ -91,6 +92,23 @@ class TestSplitIsBytePreserving:
         # The pcap_len accounting the fleet report depends on.
         assert sum(len(chunk) - PCAP_HEADER_LEN for chunk in chunks) \
             + PCAP_HEADER_LEN == len(raw)
+
+    @given(raw=st.binary(max_size=200)
+           | st.binary(max_size=200).map(lambda tail: dump_bytes([]) + tail),
+           parts=st.integers(min_value=-2, max_value=15))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_split_or_refuse(self, raw, parts):
+        # Anything but a native-order pcap is refused with PcapError (a
+        # ValueError), as is a non-positive part count; whatever splits
+        # loses no byte.
+        try:
+            chunks = split_pcap_bytes(raw, parts)
+        except (PcapError, ValueError):
+            return
+        assert all(chunk[:PCAP_HEADER_LEN] == raw[:PCAP_HEADER_LEN]
+                   for chunk in chunks)
+        assert b"".join(chunk[PCAP_HEADER_LEN:] for chunk in chunks) \
+            == raw[PCAP_HEADER_LEN:]
 
     def test_empty_capture_yields_header_only_chunk(self):
         raw = dump_bytes([])
@@ -316,14 +334,6 @@ class TestCheckpointDurability:
 #: object, bytes that are not UTF-8, and an object missing its fields.
 MALFORMED = [b"[]", b'"x"', b"\xff\xfe{}", b'{"version": 1}']
 MALFORMED_IDS = ["list", "string", "not-utf8", "fields-missing"]
-
-#: Any JSON value, nested a little.
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=8)
 
 
 def valid_document():
