@@ -237,18 +237,11 @@ def main() -> int:
     parser.add_argument("--point", action="store_true",
                         help="fold the perfbench result files into the "
                              "next free BENCH_<n>.json instead")
-    parser.add_argument("--results", default=RESULTS_DIR,
-                        help="perfbench result directory for --point "
-                             "(default .perfbench/results)")
-    parser.add_argument("--point-dir", default=REPO_ROOT,
-                        help="where --point writes (default: the "
-                             "repository root)")
     args = parser.parse_args()
 
     if args.point:
         try:
-            path = write_point(fold_results(args.results),
-                               args.point_dir)
+            path = write_point(fold_results(RESULTS_DIR), REPO_ROOT)
         except PointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -33,6 +33,9 @@ SEVERITIES = ("info", "low", "medium", "high", "critical")
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
 
 #: Evidence keys beyond ``text`` the model defines, with their types.
+#: This checker runs standalone, so the scale above and this table are
+#: copies of ``repro.findings.model``'s; ``tests/test_findings.py``
+#: pins them equal.
 EVIDENCE_POINTERS = {
     "capture": str,
     "household": int,

@@ -120,9 +120,9 @@ class TestWritePoint:
         results = tmp_path / "results"
         results.mkdir()
         write_results(results, full_set(seeds=(1, 2, 3)))
-        argv = ["bench_report.py", "--point", "--results", str(results),
-                "--point-dir", str(tmp_path)]
-        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.setattr(bench_report, "RESULTS_DIR", str(results))
+        monkeypatch.setattr(bench_report, "REPO_ROOT", str(tmp_path))
+        monkeypatch.setattr(sys, "argv", ["bench_report.py", "--point"])
         assert bench_report.main() == 2
         assert "error: fleet-warm: 3 trace-0 seed(s), need at least 5" \
             in capsys.readouterr().err

@@ -33,6 +33,7 @@ from repro.findings.model import EVIDENCE_TYPES
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "scripts"))
+import check_findings  # noqa: E402
 from check_findings import check_lines  # noqa: E402
 
 
@@ -313,6 +314,15 @@ class TestMalformedExports:
     def test_evidence_types_cover_the_model(self):
         assert set(EVIDENCE_TYPES) == {
             spec.name for spec in dataclasses.fields(Evidence)}
+
+    def test_checker_schema_matches_the_model(self):
+        """The schema checker runs without ``src`` on the path, so it
+        keeps its own copies of the severity scale and evidence types;
+        they must not drift from the model's."""
+        assert check_findings.SEVERITIES == SEVERITIES
+        assert check_findings.EVIDENCE_POINTERS == {
+            key: value for key, value in EVIDENCE_TYPES.items()
+            if key != "text"}
 
     @pytest.mark.parametrize("field, value, message", [
         ("code", None, "non-empty string 'code'"),
