@@ -1,7 +1,7 @@
 """The ACR core itself: matcher accuracy and throughput, with the
 Hamming-tolerance ablation called out in DESIGN.md (D3), the cost of
-fingerprinting the reference library the matcher searches, and of its
-band index and the backends built over it."""
+fingerprinting the reference library the matcher searches, its resident
+size, and the cost of its band index and the backends built over it."""
 
 import pytest
 from bench_net_hotpath import best_of
@@ -16,6 +16,9 @@ from repro.testbed import fresh_backend, media_library, reference_library
 #: Batched ingest vs one ``capture_state`` per sample: measured 3.0x on
 #: these 8 shows on a 2-core container; 2x leaves headroom for noise.
 REFERENCE_BUILD_SPEEDUP_FLOOR = 2.0
+
+#: One country's columns plus band index measure about 3 MB.
+LIBRARY_RESIDENT_BYTES_CEILING = 8_000_000
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +80,24 @@ def test_tolerance_ablation(benchmark, reference, probe_captures,
 
 def test_index_build(benchmark, reference):
     """Cost of building the library's LSH band index over the uk
-    entries (done once per library, in ``assets.reference_library``)."""
-    hashes = [entry.video_hash for entry in reference.entries]
-    order, offsets = benchmark(index_bands, hashes)
+    samples' video-hash column (done once per library, in
+    ``assets.reference_library``)."""
+    order, offsets = benchmark(index_bands, reference.columns().video_hash)
     assert order.shape == (BANDS, len(reference))
     assert len(reference) > 10_000
-    print(f"\nband index: {len(reference)} entries, "
+    print(f"\nband index: {len(reference)} samples, "
           f"{(order.nbytes + offsets.nbytes) / 1e6:.2f} MB")
+
+
+def test_library_resident_bytes(reference):
+    """The uk library's numpy footprint: its four sample columns plus
+    its band index (about 3 MB; the per-entry objects it replaced took
+    about 25 MB of Python allocations per country)."""
+    arrays = [*reference.columns(), *reference.band_index()]
+    resident = sum(array.nbytes for array in arrays)
+    print(f"\nreference library: {len(reference)} samples, "
+          f"{resident / 1e6:.2f} MB resident (columns + band index)")
+    assert resident < LIBRARY_RESIDENT_BYTES_CEILING
 
 
 def test_backend_setup(benchmark, reference):

@@ -6,7 +6,7 @@ from .client import AcrClient, AcrClientStats, AcrTransport
 from .fingerprint import (Capture, FingerprintBatch, audio_fingerprint,
                           capture_state, hamming_distance,
                           video_fingerprint)
-from .library import ReferenceEntry, ReferenceLibrary, bands_of
+from .library import ReferenceLibrary, bands_of
 from .matcher import BatchVerdict, FingerprintMatcher, Match
 from .policy import (CaptureDecision, VendorAcrProfile,
                      capture_decision, profile_for)
@@ -25,7 +25,6 @@ __all__ = [
     "FingerprintBatch",
     "FingerprintMatcher",
     "Match",
-    "ReferenceEntry",
     "ReferenceLibrary",
     "SEGMENT_LABELS",
     "SegmentProfiler",

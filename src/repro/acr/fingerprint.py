@@ -32,6 +32,7 @@ _DHASH_HEIGHT = 8
 
 AUDIO_PEAKS = 5
 AUDIO_FANOUT = 3
+AUDIO_LANDMARKS = AUDIO_PEAKS * AUDIO_FANOUT
 
 #: (anchor rank, target rank, rank gap) of every landmark, in hash order.
 _ANCHORS, _TARGETS, _GAPS = (np.array(column) for column in zip(*(
@@ -39,8 +40,9 @@ _ANCHORS, _TARGETS, _GAPS = (np.array(column) for column in zip(*(
     for j in range(1, AUDIO_FANOUT + 1))))
 
 
-def video_fingerprint_batch(frames: np.ndarray) -> List[int]:
-    """64-bit dHash of each luma frame in an ``(n, h, w)`` stack."""
+def video_fingerprint_batch(frames: np.ndarray) -> np.ndarray:
+    """64-bit dHash of each luma frame in an ``(n, h, w)`` stack, as a
+    ``uint64`` array."""
     if frames.ndim != 3:
         raise ValueError("expected a stack of 2-D luma frames")
     grids = _resample(frames, _DHASH_HEIGHT, _DHASH_WIDTH)
@@ -49,14 +51,14 @@ def video_fingerprint_batch(frames: np.ndarray) -> List[int]:
     comparisons = grids[:, :, :-1] > grids[:, :, 1:]
     packed = np.packbits(comparisons.reshape(
         len(frames), _DHASH_HEIGHT * (_DHASH_WIDTH - 1)), axis=1)
-    return packed.view(">u8").ravel().tolist()
+    return packed.view(">u8").ravel().astype(np.uint64)
 
 
 def video_fingerprint(frame: np.ndarray) -> int:
     """64-bit dHash of a luma frame."""
     if frame.ndim != 2:
         raise ValueError("expected a 2-D luma frame")
-    return video_fingerprint_batch(frame[None])[0]
+    return int(video_fingerprint_batch(frame[None])[0])
 
 
 #: (frame shape, grid shape) -> [(flat grid positions, gather indices)],
@@ -112,14 +114,14 @@ def _resample(frames: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def hamming_distance(a: int, b: int) -> int:
     """Number of differing bits between two 64-bit hashes."""
-    return bin((a ^ b) & ((1 << VIDEO_HASH_BITS) - 1)).count("1")
+    return ((a ^ b) & ((1 << VIDEO_HASH_BITS) - 1)).bit_count()
 
 
-def audio_fingerprint_batch(signals: np.ndarray) -> List[Tuple[int, ...]]:
+def audio_fingerprint_batch(signals: np.ndarray) -> np.ndarray:
     """Landmark hashes of each one-second excerpt in an ``(n, samples)``
-    stack.
+    stack, as a ``uint32`` array of shape ``(n, AUDIO_LANDMARKS)``.
 
-    Each excerpt yields ``AUDIO_PEAKS * AUDIO_FANOUT`` 32-bit hashes of
+    Each excerpt yields ``AUDIO_LANDMARKS`` 32-bit hashes of
     (anchor_bin, target_bin, rank_gap) triples over its strongest FFT
     bins, strongest anchor first.
     """
@@ -131,14 +133,23 @@ def audio_fingerprint_batch(signals: np.ndarray) -> List[Tuple[int, ...]]:
     peaks = np.argsort(spectra, axis=1)[:, ::-1][
         :, :AUDIO_PEAKS + AUDIO_FANOUT] & 0xFFF
     hashes = (peaks[:, _ANCHORS] << 20) | (peaks[:, _TARGETS] << 8) | _GAPS
-    return [tuple(row) for row in hashes.tolist()]
+    return hashes.astype(np.uint32)
 
 
 def audio_fingerprint(signal: np.ndarray) -> List[int]:
     """Landmark hashes from a one-second audio excerpt."""
     if signal.ndim != 1:
         raise ValueError("expected 1-D audio samples")
-    return list(audio_fingerprint_batch(signal[None])[0])
+    return audio_fingerprint_batch(signal[None])[0].tolist()
+
+
+def fingerprint_positions(item: ContentItem, positions: Sequence[float]
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Render ``item`` at each position and fingerprint it, unmemoized:
+    the video hashes and the landmark rows, as the batch kernels return
+    them."""
+    return (video_fingerprint_batch(render_frame_batch(item, positions)),
+            audio_fingerprint_batch(render_audio_batch(item, positions)))
 
 
 class Capture:
@@ -181,7 +192,8 @@ def capture_batch(item: ContentItem, positions: Sequence[float],
     Equal to one :func:`capture_state` call per position, in order: the
     same captures, memo entries and ``acr.memo.*`` counts (a key that
     repeats within the batch is one miss, then hits).  The misses are
-    rendered and fingerprinted together as one numpy batch.
+    fingerprinted together by :func:`fingerprint_positions`; only they
+    become Python ints and tuples.
     """
     seed = item.visual_seed
     keys = [(seed, *sample_clock(position)) for position in positions]
@@ -190,10 +202,9 @@ def capture_batch(item: ContentItem, positions: Sequence[float],
     registry = get_registry()
     if missing:
         registry.inc("acr.memo.miss", len(missing))
-        fresh = list(missing.values())
+        video, audio = fingerprint_positions(item, list(missing.values()))
         _FINGERPRINT_CACHE.update(zip(missing, zip(
-            video_fingerprint_batch(render_frame_batch(item, fresh)),
-            audio_fingerprint_batch(render_audio_batch(item, fresh)))))
+            video.tolist(), map(tuple, audio.tolist()))))
     if len(keys) > len(missing):
         registry.inc("acr.memo.hit", len(keys) - len(missing))
     return [Capture(offset_ns, *_FINGERPRINT_CACHE[key]) for key in keys]
@@ -202,6 +213,10 @@ def capture_batch(item: ContentItem, positions: Sequence[float],
 def capture_state(state: PlayState, offset_ns: int = 0) -> Capture:
     """Fingerprint whatever a play state is showing (memoized)."""
     return capture_batch(state.item, [state.position_s], offset_ns)[0]
+
+
+#: Per capture on the wire: offset (ms), video hash, landmark count.
+_CAPTURE_HEAD = struct.Struct(">IQB")
 
 
 class FingerprintBatch:
@@ -226,29 +241,36 @@ class FingerprintBatch:
         out += self.HEADER.pack(self.MAGIC, len(device), len(self.captures))
         out += device
         for capture in self.captures:
-            out += struct.pack(">IQB", capture.offset_ns // 1_000_000,
-                               capture.video_hash,
-                               min(255, len(capture.audio_hashes)))
+            out += _CAPTURE_HEAD.pack(capture.offset_ns // 1_000_000,
+                                      capture.video_hash,
+                                      min(255, len(capture.audio_hashes)))
             for landmark in capture.audio_hashes[:255]:
                 out += struct.pack(">I", landmark)
         return bytes(out)
 
     @classmethod
     def decode(cls, raw: bytes) -> "FingerprintBatch":
+        """Parse an encoded batch; ``ValueError`` on a bad magic, a
+        non-ASCII device id or any truncation."""
         if len(raw) < cls.HEADER.size:
             raise ValueError("batch too short")
         magic, device_len, count = cls.HEADER.unpack_from(raw, 0)
         if magic != cls.MAGIC:
             raise ValueError("bad batch magic")
         offset = cls.HEADER.size
+        if offset + device_len > len(raw):
+            raise ValueError("batch truncated in the device id")
         device_id = raw[offset:offset + device_len].decode("ascii")
         offset += device_len
         captures: List[Capture] = []
         for __ in range(count):
-            ms, video_hash, n_audio = struct.unpack_from(">IQB", raw, offset)
-            offset += 13
-            audio = [struct.unpack_from(">I", raw, offset + 4 * k)[0]
-                     for k in range(n_audio)]
+            if offset + _CAPTURE_HEAD.size > len(raw):
+                raise ValueError("batch truncated in a capture header")
+            ms, video_hash, n_audio = _CAPTURE_HEAD.unpack_from(raw, offset)
+            offset += _CAPTURE_HEAD.size
+            if offset + 4 * n_audio > len(raw):
+                raise ValueError("batch truncated in a capture's landmarks")
+            audio = list(struct.unpack_from(f">{n_audio}I", raw, offset))
             offset += 4 * n_audio
             captures.append(Capture(ms * 1_000_000, video_hash, audio))
         return cls(device_id, captures)

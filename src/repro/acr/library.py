@@ -2,19 +2,21 @@
 
 The ACR operator pre-fingerprints its content library ("movies, ads, live
 feed", Figure 1); the matcher then recognises screen captures against it.
-The library also owns the LSH band index the matcher queries: one index
-per library, shared by every matcher over it.
+The library holds its samples as numpy columns and owns the LSH band
+index the matcher queries: one index per library, shared by every
+matcher over it.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from ..media.content import ContentItem
-from .fingerprint import capture_batch
+from .fingerprint import AUDIO_LANDMARKS, fingerprint_positions
 
 DEFAULT_SAMPLE_INTERVAL_S = 4
 MAX_REFERENCE_SECONDS = 2700  # fingerprint the first N seconds per item
@@ -41,13 +43,13 @@ def bands_of(video_hash: int) -> Tuple[int, ...]:
 def index_bands(video_hashes: Sequence[int]) -> BandIndex:
     """The band index over ``video_hashes`` as CSR arrays.
 
-    ``order[b]`` holds the entry indexes sorted by their band-``b``
+    ``order[b]`` holds the row numbers sorted by their band-``b``
     value, and ``order[b, offsets[b, v]:offsets[b, v + 1]]`` is the run
-    of entries whose band ``b`` equals ``v``.  The sort is stable, so
-    every run lists its entries in ascending entry order; matching's
-    candidate order and tie-breaks depend on that.
+    of rows whose band ``b`` equals ``v``.  The sort is stable, so
+    every run lists its rows in ascending order; matching's candidate
+    order and tie-breaks depend on that.
     """
-    hashes = np.array(video_hashes, dtype=np.uint64)
+    hashes = np.asarray(video_hashes, dtype=np.uint64)
     order = np.empty((BANDS, len(hashes)), dtype=np.int32)
     offsets = np.zeros((BANDS, BAND_VALUES + 1), dtype=np.int32)
     for band_no in range(BANDS):
@@ -60,25 +62,24 @@ def index_bands(video_hashes: Sequence[int]) -> BandIndex:
     return order, offsets
 
 
-class ReferenceEntry:
-    """One reference sample: which content, where, and its hashes."""
+class LibraryColumns(NamedTuple):
+    """Every reference sample, one row each."""
 
-    __slots__ = ("content_id", "position_s", "video_hash", "audio_hashes")
+    item_no: np.ndarray      # int32: index into ``ReferenceLibrary.items``
+    position_s: np.ndarray   # int32
+    video_hash: np.ndarray   # uint64
+    landmarks: np.ndarray    # uint32, shape (n, AUDIO_LANDMARKS)
 
-    def __init__(self, content_id: str, position_s: int, video_hash: int,
-                 audio_hashes: List[int]) -> None:
-        self.content_id = content_id
-        self.position_s = position_s
-        self.video_hash = video_hash
-        self.audio_hashes = audio_hashes
 
-    def __repr__(self) -> str:
-        return (f"ReferenceEntry({self.content_id}@{self.position_s}s, "
-                f"{self.video_hash:#018x})")
+def _empty_columns() -> LibraryColumns:
+    return LibraryColumns(np.empty(0, np.int32), np.empty(0, np.int32),
+                          np.empty(0, np.uint64),
+                          np.empty((0, AUDIO_LANDMARKS), np.uint32))
 
 
 class ReferenceLibrary:
-    """All reference samples for an operator's content catalog."""
+    """All reference samples for an operator's content catalog, held as
+    :class:`LibraryColumns`: no Python object per sample."""
 
     def __init__(self, sample_interval_s: int = DEFAULT_SAMPLE_INTERVAL_S,
                  max_seconds: int = MAX_REFERENCE_SECONDS) -> None:
@@ -86,8 +87,12 @@ class ReferenceLibrary:
             raise ValueError("sample interval must be positive")
         self.sample_interval_s = sample_interval_s
         self.max_seconds = max_seconds
-        self.entries: List[ReferenceEntry] = []
-        self._content_ids: Dict[str, ContentItem] = {}
+        #: Every ingested item, in ingest order; ``item_no`` indexes it.
+        self.items: List[ContentItem] = []
+        self._item_nos: Dict[str, int] = {}
+        self._columns = _empty_columns()
+        #: One block per item ingested since the columns were last joined.
+        self._blocks: List[LibraryColumns] = []
         self._index: Optional[BandIndex] = None
 
     def ingest(self, item: ContentItem,
@@ -98,22 +103,25 @@ class ReferenceLibrary:
         (operators fingerprint broadcast content in full but may only keep
         a prefix of a long-tail movie catalog).
         """
-        if item.content_id in self._content_ids:
+        if item.content_id in self._item_nos:
             return 0
         cap = self.max_seconds if max_seconds is None else max_seconds
         positions = range(0, min(item.duration_s, cap),
                           self.sample_interval_s)
-        captures = []
-        for start in range(0, len(positions), INGEST_CHUNK):
-            captures += capture_batch(item,
-                                      positions[start:start + INGEST_CHUNK])
+        chunks = [fingerprint_positions(item,
+                                        positions[start:start + INGEST_CHUNK])
+                  for start in range(0, len(positions), INGEST_CHUNK)]
         # Registered only once every chunk is fingerprinted, so a failure
         # mid-item leaves no half-ingested item behind.
-        self._content_ids[item.content_id] = item
-        self.entries += [
-            ReferenceEntry(item.content_id, position, capture.video_hash,
-                           capture.audio_hashes)
-            for position, capture in zip(positions, captures)]
+        item_no = len(self.items)
+        self.items.append(item)
+        self._item_nos[item.content_id] = item_no
+        if chunks:
+            video, audio = zip(*chunks)
+            self._blocks.append(LibraryColumns(
+                np.full(len(positions), item_no, np.int32),
+                np.array(positions, np.int32),
+                np.concatenate(video), np.concatenate(audio)))
         self._index = None
         return len(positions)
 
@@ -121,23 +129,30 @@ class ReferenceLibrary:
                    max_seconds: Optional[int] = None) -> int:
         return sum(self.ingest(item, max_seconds) for item in items)
 
+    def columns(self) -> LibraryColumns:
+        """The sample columns, joined on first use after an ingest."""
+        if self._blocks:
+            self._columns = LibraryColumns(*map(
+                np.concatenate, zip(self._columns, *self._blocks)))
+            self._blocks.clear()
+        return self._columns
+
     def band_index(self) -> BandIndex:
-        """The band index over the current entries, built on first use
+        """The band index over the current samples, built on first use
         after an ingest."""
         if self._index is None:
-            self._index = index_bands(
-                [entry.video_hash for entry in self.entries])
+            self._index = index_bands(self.columns().video_hash)
         return self._index
 
     def band_run(self, band_no: int, value: int) -> List[int]:
-        """Indexes of the entries whose band ``band_no`` is ``value``,
+        """Rows of the samples whose band ``band_no`` is ``value``,
         ascending."""
         order, offsets = self.band_index()
         return order[band_no, offsets[band_no, value]:
                      offsets[band_no, value + 1]].tolist()
 
     def candidates(self, video_hash: int) -> List[int]:
-        """Indexes of the entries sharing at least one band with
+        """Rows of the samples sharing at least one band with
         ``video_hash``: each band's run in turn, first occurrence kept."""
         return list(dict.fromkeys(chain.from_iterable(
             self.band_run(band_no, value)
@@ -145,21 +160,21 @@ class ReferenceLibrary:
 
     def item(self, content_id: str) -> ContentItem:
         try:
-            return self._content_ids[content_id]
+            return self.items[self._item_nos[content_id]]
         except KeyError:
             raise KeyError(f"content not in library: {content_id!r}") \
                 from None
 
     def knows(self, content_id: str) -> bool:
-        return content_id in self._content_ids
+        return content_id in self._item_nos
 
     @property
     def content_count(self) -> int:
-        return len(self._content_ids)
+        return len(self.items)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.columns().position_s)
 
     def __repr__(self) -> str:
         return (f"ReferenceLibrary({self.content_count} items, "
-                f"{len(self.entries)} samples)")
+                f"{len(self)} samples)")

@@ -12,7 +12,7 @@ even when single frames are ambiguous.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .fingerprint import Capture, hamming_distance
 from .library import BANDS, ReferenceLibrary
@@ -73,21 +73,27 @@ class FingerprintMatcher:
         self.hamming_tolerance = hamming_tolerance
 
     def match_capture(self, capture: Capture) -> Optional[Match]:
-        """Best verified match for one capture, or None."""
-        best: Optional[Match] = None
+        """Best verified match for one capture, or None: the smallest
+        ``(distance, -overlap)``, the first candidate on a tie."""
+        columns = self.library.columns()
+        rows = self.library.candidates(capture.video_hash)
+        # (distance, -overlap, row) of the best candidate so far.
+        best: Optional[Tuple[int, int, int]] = None
         query_audio = set(capture.audio_hashes)
-        for entry_index in self.library.candidates(capture.video_hash):
-            entry = self.library.entries[entry_index]
-            distance = hamming_distance(capture.video_hash,
-                                        entry.video_hash)
+        for row, video_hash in zip(rows, columns.video_hash[rows].tolist()):
+            distance = hamming_distance(capture.video_hash, video_hash)
             if distance > self.hamming_tolerance:
                 continue
-            overlap = len(query_audio.intersection(entry.audio_hashes))
-            if best is None or (distance, -overlap) < (
-                    best.video_distance, -best.audio_overlap):
-                best = Match(entry.content_id, entry.position_s,
-                             distance, overlap)
-        return best
+            overlap = len(query_audio.intersection(
+                columns.landmarks[row].tolist()))
+            if best is None or (distance, -overlap) < best[:2]:
+                best = (distance, -overlap, row)
+        if best is None:
+            return None
+        distance, negative_overlap, row = best
+        return Match(self.library.items[columns.item_no[row]].content_id,
+                     int(columns.position_s[row]), distance,
+                     -negative_overlap)
 
     def match_batch(self, captures: List[Capture]) -> BatchVerdict:
         """Vote across a batch; a content wins with a qualified majority."""

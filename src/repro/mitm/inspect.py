@@ -61,7 +61,12 @@ class InspectedMessage:
 
 
 def inspect_record(record: PlaintextRecord) -> InspectedMessage:
-    """Classify and parse one plaintext message."""
+    """Classify and parse one plaintext message.
+
+    Malformed plaintext never raises: a fingerprint batch that does not
+    decode, or JSON that does not parse (bad UTF-8, bad syntax, nesting
+    deeper than the parser's recursion limit), is classified opaque.
+    """
     data = record.plaintext
     identifiers = [m.decode("ascii")
                    for m in _UUID_RE.findall(data.lower())]
@@ -77,7 +82,7 @@ def inspect_record(record: PlaintextRecord) -> InspectedMessage:
         try:
             json_body = json.loads(data.decode("utf-8"))
             kind = KIND_JSON_LOG
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (ValueError, RecursionError):
             kind = KIND_UNKNOWN
     elif len(data) <= 64:
         kind = KIND_KEEPALIVE
@@ -85,7 +90,8 @@ def inspect_record(record: PlaintextRecord) -> InspectedMessage:
         kind = KIND_UNKNOWN
     if json_body:
         for value in _iter_strings(json_body):
-            if _UUID_RE.match(value.lower().encode("ascii")):
+            if value.isascii() and _UUID_RE.match(
+                    value.lower().encode("ascii")):
                 identifiers.append(value.lower())
     return InspectedMessage(record, kind, batch, json_body,
                             sorted(set(identifiers)),
@@ -93,15 +99,20 @@ def inspect_record(record: PlaintextRecord) -> InspectedMessage:
 
 
 def _iter_strings(obj) -> List[str]:
+    """Every string value in a parsed JSON document, in document order.
+
+    Iterative, so a deeply nested document cannot overflow the stack.
+    """
     out: List[str] = []
-    if isinstance(obj, str):
-        out.append(obj)
-    elif isinstance(obj, dict):
-        for value in obj.values():
-            out.extend(_iter_strings(value))
-    elif isinstance(obj, list):
-        for value in obj:
-            out.extend(_iter_strings(value))
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, dict):
+            stack.extend(reversed(node.values()))
+        elif isinstance(node, list):
+            stack.extend(reversed(node))
     return out
 
 

@@ -31,8 +31,9 @@ def reference_library(country: str, seed: int = 0) -> ReferenceLibrary:
     operator ingests the feeds it has agreements over; live feeds keep a
     rolling prefix; the long-tail on-demand catalog keeps a short prefix
     (it is never fingerprinted by the client anyway — OTT is restricted).
-    The band index is built here too, so every backend over the library
-    shares it and pool workers forked after a warm-up inherit it.
+    The sample columns are joined and the band index is built here too
+    (``band_index`` does both), so every backend over the library shares
+    them and pool workers forked after a warm-up inherit them.
     """
     library = media_library(country, seed)
     reference = ReferenceLibrary()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.acr import (Capture, FingerprintBatch, ReferenceLibrary,
                        audio_fingerprint, capture_state, hamming_distance,
                        video_fingerprint)
-from repro.acr.fingerprint import (_FINGERPRINT_CACHE,
+from repro.acr.fingerprint import (_FINGERPRINT_CACHE, AUDIO_LANDMARKS,
                                    audio_fingerprint_batch, capture_batch,
                                    clear_fingerprint_cache,
                                    video_fingerprint_batch)
@@ -25,6 +25,7 @@ from repro.media import (AUDIO_RATE_HZ, AUDIO_SAMPLES, FRAME_HEIGHT,
                          render_audio, render_frame, standard_library)
 from repro.media.frames import render_audio_batch, render_frame_batch
 from repro.obs import disable, enable
+from reference_oracle import column_rows
 
 
 def _oracle_rng(seed, scene):
@@ -171,7 +172,7 @@ class TestVectorizedResampleEquivalence:
     def test_matches_reference_on_random_frames(self):
         rng = np.random.default_rng(7)
         frames = rng.random((200, 18, 32), dtype=np.float32)
-        assert video_fingerprint_batch(frames) == \
+        assert video_fingerprint_batch(frames).tolist() == \
             [_oracle_video_fingerprint(frame) for frame in frames]
         for frame in frames[:20]:
             assert video_fingerprint(frame) == \
@@ -244,6 +245,35 @@ class TestBatchCodec:
         with pytest.raises(ValueError):
             FingerprintBatch.decode(b"ACR")
 
+    def test_every_truncation_rejected(self, library):
+        """A cut in the device id, a capture header or its landmarks
+        is a ``ValueError``, never a ``struct.error``."""
+        raw = self._batch(library, n=2).encode()
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError):
+                FingerprintBatch.decode(raw[:cut])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(st.characters(max_codepoint=127), max_size=40),
+           st.lists(st.tuples(st.integers(0, 2 ** 32 - 1),
+                              st.integers(0, 2 ** 64 - 1),
+                              st.lists(st.integers(0, 2 ** 32 - 1),
+                                       max_size=20)),
+                    max_size=6))
+    def test_roundtrip_property(self, device_id, rows):
+        captures = [Capture(ms * 1_000_000, video_hash, landmarks)
+                    for ms, video_hash, landmarks in rows]
+        raw = FingerprintBatch(device_id, captures).encode()
+        decoded = FingerprintBatch.decode(raw)
+        assert decoded.device_id == device_id
+        assert [(c.offset_ns, c.video_hash, c.audio_hashes)
+                for c in decoded.captures] == \
+            [(c.offset_ns, c.video_hash, c.audio_hashes) for c in captures]
+        assert decoded.encode() == raw
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError):
+                FingerprintBatch.decode(raw[:cut])
+
     def test_capture_repr(self):
         capture = Capture(10 ** 9, 0xDEADBEEF, [1, 2])
         assert "audio landmarks" in repr(capture)
@@ -280,10 +310,15 @@ class TestBatchEquivalence:
         expected_audio = np.stack([_oracle_render_audio(s) for s in states])
         assert np.array_equal(frames, expected_frames)
         assert np.array_equal(audio, expected_audio)
-        assert video_fingerprint_batch(frames) == \
+        video = video_fingerprint_batch(frames)
+        landmarks = audio_fingerprint_batch(audio)
+        assert (video.dtype, video.shape) == (np.uint64, (len(points),))
+        assert (landmarks.dtype, landmarks.shape) == \
+            (np.uint32, (len(points), AUDIO_LANDMARKS))
+        assert video.tolist() == \
             [_oracle_video_fingerprint(frame) for frame in frames]
-        assert audio_fingerprint_batch(audio) == \
-            [tuple(_oracle_audio_fingerprint(clip)) for clip in audio]
+        assert landmarks.tolist() == \
+            [list(_oracle_audio_fingerprint(clip)) for clip in audio]
 
     @settings(max_examples=30, deadline=None)
     @given(content_ids, st.lists(positions, min_size=1, max_size=16),
@@ -340,8 +375,10 @@ class TestBatchEquivalence:
         count = 3 * INGEST_CHUNK + 5
         reference = ReferenceLibrary(sample_interval_s=1, max_seconds=count)
         assert reference.ingest(item) == count
-        assert [(e.position_s, e.video_hash, tuple(e.audio_hashes))
-                for e in reference.entries] == \
+        columns = reference.columns()
+        assert list(zip(columns.position_s.tolist(),
+                        columns.video_hash.tolist(),
+                        map(tuple, columns.landmarks.tolist()))) == \
             [(p, *_oracle_capture(item, p)) for p in range(count)]
 
     def test_batch_kernels_reject_wrong_rank(self):
@@ -357,8 +394,9 @@ class TestBatchEquivalence:
                 call(item, [3.0, -0.5])
 
 
-#: sha256 of each country's reference entries, computed with the
-#: per-sample build the batches replaced.
+#: sha256 of each country's reference samples, computed with the
+#: per-sample build the batches replaced (as a list of per-entry
+#: ``(content_id, position_s, video_hash, landmarks)`` tuples).
 LIBRARY_DIGESTS = {
     "uk": "5ae3e7c71f93acd20ac5dc910e872b58ebe89e89145024b08e300051a95d578e",
     "us": "c2ebffbc9637ad69f37b0a624b627b0a0fcebb1ca05a324bfa91d916c549d94f",
@@ -369,8 +407,6 @@ LIBRARY_DIGESTS = {
 @pytest.mark.parametrize("country", sorted(LIBRARY_DIGESTS))
 def test_reference_library_digest(country):
     from repro.testbed import reference_library
-    library = reference_library(country, 0)
-    text = repr([(e.content_id, e.position_s, e.video_hash,
-                  list(e.audio_hashes)) for e in library.entries])
+    text = repr(column_rows(reference_library(country, 0)))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         LIBRARY_DIGESTS[country]

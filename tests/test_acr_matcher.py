@@ -3,9 +3,11 @@ matcher.
 
 The oracle for the library's CSR band index is the index it replaced: a
 dict of lists per band, built by every matcher and rebuilt whenever the
-library had grown (:class:`OracleMatcher`).
+library had grown (:class:`OracleMatcher`).  It matches over the
+per-sample build the columns replaced (``reference_oracle``).
 """
 
+import gc
 from collections import defaultdict
 
 import numpy as np
@@ -16,19 +18,25 @@ from hypothesis import strategies as st
 from repro.acr import (FingerprintMatcher, ReferenceLibrary, bands_of,
                        capture_state)
 from repro.acr import library as library_module
-from repro.acr.fingerprint import hamming_distance
+from repro.acr.fingerprint import (_FINGERPRINT_CACHE, AUDIO_LANDMARKS,
+                                   clear_fingerprint_cache, hamming_distance)
 from repro.acr.library import BAND_BITS, BAND_VALUES, BANDS
 from repro.acr.matcher import DEFAULT_HAMMING_TOLERANCE, Match
-from repro.media import PlayState, build_channel, standard_library
+from repro.media import (ContentItem, ContentKind, PlayState, build_channel,
+                         standard_library)
+from repro.obs import disable, enable
 from repro.sim import seconds
 from repro.testbed import assets
+from reference_oracle import (OracleLibrary, column_rows, entry_rows,
+                              shipped_oracle)
 
 
 class OracleMatcher(FingerprintMatcher):
-    """The matcher with its own dict-of-lists band index, rebuilt on the
-    first query after the library grows."""
+    """The matcher over an :class:`OracleLibrary`, with its own
+    dict-of-lists band index, rebuilt on the first query after the
+    library grows."""
 
-    def __init__(self, library: ReferenceLibrary,
+    def __init__(self, library: OracleLibrary,
                  hamming_tolerance: int = DEFAULT_HAMMING_TOLERANCE
                  ) -> None:
         super().__init__(library, hamming_tolerance)
@@ -73,9 +81,9 @@ class OracleMatcher(FingerprintMatcher):
         return best
 
 
-def lookup_mismatches(reference):
+def lookup_mismatches(reference, oracle_library):
     """Every (band, value) slot whose run differs from the oracle's."""
-    oracle = OracleMatcher(reference)._band_index
+    oracle = OracleMatcher(oracle_library)._band_index
     return [(band_no, value)
             for band_no in range(BANDS) for value in range(BAND_VALUES)
             if reference.band_run(band_no, value)
@@ -149,7 +157,7 @@ class TestReferenceLibrary:
         ref = ReferenceLibrary(sample_interval_s=1, max_seconds=3 * chunk)
         ref.ingest(library.ads[0])
         before = len(ref)
-        real = reference_module.capture_batch
+        real = reference_module.fingerprint_positions
         calls = []
 
         def fail_second_chunk(item, positions):
@@ -159,7 +167,7 @@ class TestReferenceLibrary:
             return real(item, positions)
 
         item = library.shows[0]
-        monkeypatch.setattr(reference_module, "capture_batch",
+        monkeypatch.setattr(reference_module, "fingerprint_positions",
                             fail_second_chunk)
         with pytest.raises(RuntimeError):
             ref.ingest(item)
@@ -168,8 +176,73 @@ class TestReferenceLibrary:
         assert ref.ingest(item) == 3 * chunk
         assert ref.knows(item.content_id)
         assert len(ref) == before + 3 * chunk
-        assert [e.position_s for e in ref.entries[before:]] == \
+        assert ref.columns().position_s[before:].tolist() == \
             list(range(3 * chunk))
+
+    def test_column_dtypes_and_shapes(self, reference):
+        columns = reference.columns()
+        rows = len(reference)
+        assert rows > 0
+        assert (columns.item_no.dtype, columns.item_no.shape) == \
+            (np.int32, (rows,))
+        assert (columns.position_s.dtype, columns.position_s.shape) == \
+            (np.int32, (rows,))
+        assert (columns.video_hash.dtype, columns.video_hash.shape) == \
+            (np.uint64, (rows,))
+        assert (columns.landmarks.dtype, columns.landmarks.shape) == \
+            (np.uint32, (rows, AUDIO_LANDMARKS))
+        assert columns.item_no.min() == 0
+        assert columns.item_no.max() == reference.content_count - 1
+
+    def test_empty_library_columns(self):
+        ref = ReferenceLibrary()
+        columns = ref.columns()
+        assert [(column.dtype, column.shape) for column in columns] == [
+            (np.int32, (0,)), (np.int32, (0,)), (np.uint64, (0,)),
+            (np.uint32, (0, AUDIO_LANDMARKS))]
+        assert len(ref) == ref.content_count == 0
+        assert repr(ref) == "ReferenceLibrary(0 items, 0 samples)"
+
+    def test_zero_depth_item_known_without_rows(self, library):
+        """As with the per-entry build, ``max_seconds=0`` registers the
+        item but adds no sample."""
+        ref = ReferenceLibrary()
+        empty, show = library.ads[0], library.shows[0]
+        assert ref.ingest(empty, max_seconds=0) == 0
+        assert ref.knows(empty.content_id)
+        assert ref.item(empty.content_id) is empty
+        assert ref.ingest(empty) == 0
+        assert len(ref) == 0
+        added = ref.ingest(show)
+        assert len(ref) == added > 0
+        assert set(ref.columns().item_no.tolist()) == {1}
+        assert ref.items == [empty, show]
+
+    def test_ingest_adds_no_object_per_sample(self):
+        """A 300-position item adds a handful of GC-tracked objects and
+        leaves the TV-side memo untouched.  The per-entry build added a
+        ``ReferenceEntry`` and a landmark list per sample."""
+        # The first ingest in a process fills the dHash resample plans.
+        warm = ReferenceLibrary(sample_interval_s=1, max_seconds=300)
+        warm.ingest(ContentItem("gc:warm", "Warm", ContentKind.SHOW, 300,
+                                "news"))
+        item = ContentItem("gc:item", "Item", ContentKind.SHOW, 300, "news")
+        ref = ReferenceLibrary(sample_interval_s=1, max_seconds=300)
+        clear_fingerprint_cache()
+        registry = enable()
+        try:
+            gc.collect()
+            before = len(gc.get_objects())
+            assert ref.ingest(item) == 300
+            gc.collect()
+            added = len(gc.get_objects()) - before
+            counters = registry.snapshot()["counters"]
+        finally:
+            disable()
+        assert added < 20
+        assert len(_FINGERPRINT_CACHE) == 0
+        assert counters.get("acr.memo.miss", 0) == 0
+        assert counters.get("acr.memo.hit", 0) == 0
 
 
 class TestBands:
@@ -299,15 +372,28 @@ def small_reference(library):
     return ref
 
 
-class TestBandIndex:
-    def test_every_lookup_matches_oracle(self, small_reference):
-        assert lookup_mismatches(small_reference) == []
+@pytest.fixture(scope="module")
+def small_oracle(library):
+    """The per-entry build of ``small_reference``."""
+    oracle = OracleLibrary(max_seconds=120)
+    oracle.ingest_all(library.shows[:4])
+    oracle.ingest_all(library.ads[:4])
+    return oracle
 
-    def test_fixture_needs_the_stable_sort(self, small_reference):
+
+class TestBandIndex:
+    def test_every_lookup_matches_oracle(self, small_reference,
+                                         small_oracle):
+        assert lookup_mismatches(small_reference, small_oracle) == []
+
+    def test_columns_match_oracle(self, small_reference, small_oracle):
+        assert column_rows(small_reference) == entry_rows(small_oracle)
+
+    def test_fixture_needs_the_stable_sort(self, small_oracle):
         """The lookup test above catches an unstable sort: numpy's
         default sort reorders this library's repeated band values."""
         hashes = np.array([entry.video_hash
-                           for entry in small_reference.entries],
+                           for entry in small_oracle.entries],
                           dtype=np.uint64)
         for band_no in range(BANDS):
             shift = np.uint64(BAND_BITS * (BANDS - 1 - band_no))
@@ -316,9 +402,10 @@ class TestBandIndex:
             assert (np.argsort(values)
                     != np.argsort(values, kind="stable")).any()
 
-    def test_absent_value_gives_empty_run(self, small_reference):
+    def test_absent_value_gives_empty_run(self, small_reference,
+                                          small_oracle):
         present = {bands_of(entry.video_hash)[0]
-                   for entry in small_reference.entries}
+                   for entry in small_oracle.entries}
         absent = next(value for value in range(BAND_VALUES)
                       if value not in present)
         assert small_reference.band_run(0, absent) == []
@@ -333,9 +420,10 @@ class TestBandIndex:
         assert matcher.match_capture(capture) is None
         assert not matcher.match_batch([capture]).recognised
 
-    def test_candidates_deduplicated_in_band_order(self, small_reference):
-        oracle = OracleMatcher(small_reference)
-        for entry in small_reference.entries[::7]:
+    def test_candidates_deduplicated_in_band_order(self, small_reference,
+                                                   small_oracle):
+        oracle = OracleMatcher(small_oracle)
+        for entry in small_oracle.entries[::7]:
             for flip in (0, 1, 1 << 20, 1 << 40, 1 << 63):
                 video_hash = entry.video_hash ^ flip
                 assert small_reference.candidates(video_hash) \
@@ -344,8 +432,13 @@ class TestBandIndex:
     @pytest.mark.slow
     @pytest.mark.parametrize("country", ["uk", "us"])
     def test_shipped_libraries_match_oracle(self, country):
-        assert lookup_mismatches(assets.reference_library(country, 0)) \
-            == []
+        reference = assets.reference_library(country, 0)
+        try:
+            oracle = shipped_oracle(country)
+        finally:
+            clear_fingerprint_cache()
+        assert column_rows(reference) == entry_rows(oracle)
+        assert lookup_mismatches(reference, oracle) == []
 
 
 class TestIndexBuilds:
@@ -405,10 +498,12 @@ class TestMatcherAgainstOracle:
         matched, so the library's index is dropped and rebuilt."""
         items = library.shows[:4] + library.ads[:3] + library.live_feeds[:1]
         ref = ReferenceLibrary(max_seconds=160)
+        oracle_ref = OracleLibrary(max_seconds=160)
 
         def ingest(steps):
             for index, cap in steps:
                 ref.ingest(items[index], cap)
+                oracle_ref.ingest(items[index], cap)
 
         def capture(kind, index, position):
             if kind == "unknown":
@@ -429,7 +524,7 @@ class TestMatcherAgainstOracle:
         captures = [capture(*probe) for probe in probes]
         ingest(before)
         ours = FingerprintMatcher(ref, tolerance)
-        oracle = OracleMatcher(ref, tolerance)
+        oracle = OracleMatcher(oracle_ref, tolerance)
         check()
         ingest(after)
         check()

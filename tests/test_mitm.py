@@ -4,9 +4,11 @@ and the end-to-end payload audit."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mitm import (KIND_ACR_BATCH, KIND_JSON_LOG, KIND_KEEPALIVE,
-                        MitmProxy, OPERATOR_CA, PINNED_DOMAINS,
+                        KIND_UNKNOWN, MitmProxy, OPERATOR_CA, PINNED_DOMAINS,
                         PayloadInspector, PlaintextRecord, TESTBED_CA,
                         TrustStore, inspect_record, shannon_entropy)
 from repro.acr import FingerprintBatch, capture_state
@@ -111,6 +113,46 @@ class TestInspection:
         assert message.kind == KIND_JSON_LOG
         assert message.identifiers == [
             "6c438a63-2963-4aab-91e0-f87be476b447"]
+
+    def test_truncated_acr_batch_is_opaque(self, library):
+        captures = [capture_state(PlayState(library.shows[0], 10.0))]
+        raw = FingerprintBatch("lg-0000-dev", captures).encode()
+        message = inspect_record(PlaintextRecord(0, "x", "request",
+                                                 raw[:-3]))
+        assert message.kind == KIND_UNKNOWN
+        assert message.batch is None
+
+    def test_non_ascii_json_is_still_json(self):
+        raw = json.dumps({
+            "device": "café",
+            "ad_id": "6C438A63-2963-4AAB-91E0-F87BE476B447",
+        }, ensure_ascii=False).encode()
+        message = inspect_record(PlaintextRecord(0, "x", "request", raw))
+        assert message.kind == KIND_JSON_LOG
+        assert message.json_body["device"] == "café"
+        assert message.identifiers == [
+            "6c438a63-2963-4aab-91e0-f87be476b447"]
+
+    def test_deeply_nested_json_is_opaque(self):
+        depth = 100_000
+        raw = ('{"a":' * depth + '1' + '}' * depth).encode()
+        message = inspect_record(PlaintextRecord(0, "x", "request", raw))
+        assert message.kind == KIND_UNKNOWN
+        assert message.json_body is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes_after_batch_magic_never_raise(self, tail):
+        raw = FingerprintBatch.MAGIC + tail
+        message = inspect_record(PlaintextRecord(0, "x", "request", raw))
+        assert message.kind in (KIND_ACR_BATCH, KIND_UNKNOWN)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=200))
+    def test_arbitrary_text_after_brace_never_raises(self, tail):
+        raw = ("{" + tail).encode()
+        message = inspect_record(PlaintextRecord(0, "x", "request", raw))
+        assert message.kind in (KIND_JSON_LOG, KIND_UNKNOWN)
 
     def test_classifies_keepalive(self):
         message = inspect_record(PlaintextRecord(0, "x", "request",
