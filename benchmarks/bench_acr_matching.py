@@ -13,8 +13,10 @@ from repro.acr.library import (BANDS, DEFAULT_SAMPLE_INTERVAL_S,
 from repro.media import PlayState
 from repro.testbed import fresh_backend, media_library, reference_library
 
-#: Batched ingest vs one ``capture_state`` per sample: measured 3.0x on
-#: these 8 shows on a 2-core container; 2x leaves headroom for noise.
+#: Batched ingest vs one ``capture_state`` per sample: measured 6.5x to
+#: 11.7x (three runs) on these 8 shows on a 2-core container, since each
+#: render call seeds all its streams in one pass; 2x leaves headroom for
+#: noise.
 REFERENCE_BUILD_SPEEDUP_FLOOR = 2.0
 
 #: One country's columns plus band index measure about 3 MB.

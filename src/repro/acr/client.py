@@ -16,10 +16,11 @@ isolation:
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from itertools import groupby
+from typing import Callable, List, Optional
 
 from ..media.sources import InputSource, SourceType
-from .fingerprint import Capture, FingerprintBatch, capture_state
+from .fingerprint import Capture, FingerprintBatch, capture_batch
 from .matcher import BatchVerdict
 from .policy import (CaptureDecision, TRIGGER_CONTENT_CHANGE,
                      VendorAcrProfile, capture_decision)
@@ -250,20 +251,29 @@ class AcrClient:
         *offsets* tick at the true capture interval, so payload-level
         inspection (the MITM study) recovers the vendor's capture cadence
         — 10 ms for LG, 500 ms for Samsung — from the batch alone.
+
+        Each run of consecutive samples showing one item is fingerprinted
+        by one :func:`capture_batch` call, so a cold upload renders its
+        misses together; runs keep their order, so the captures, memo
+        entries and hit/miss counts are those of one call per sample.
         """
         window = self.profile.batch_interval_ns
-        samples = self.profile.match_samples_per_batch
-        spread = window // samples
-        captures = []
-        for index in range(samples):
-            offset = index * self.profile.capture_interval_ns
+        count = self.profile.match_samples_per_batch
+        spread = window // count
+        samples = []
+        for index in range(count):
             t = at_ns - window + index * spread
             if t < 0:
                 continue
             state = source.screen_state(t)
             if state is None:
                 continue
-            captures.append(capture_state(state, offset_ns=offset))
+            samples.append((state, index * self.profile.capture_interval_ns))
+        captures: List[Capture] = []
+        for item, run in groupby(samples, key=lambda sample: sample[0].item):
+            states, offsets = zip(*run)
+            captures += capture_batch(
+                item, [state.position_s for state in states], offsets)
         return FingerprintBatch(self.device_id, captures)
 
     def __repr__(self) -> str:

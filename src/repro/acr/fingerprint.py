@@ -17,7 +17,7 @@ quantity the paper measures on the wire.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,15 +186,22 @@ def clear_fingerprint_cache() -> None:
 
 
 def capture_batch(item: ContentItem, positions: Sequence[float],
-                  offset_ns: int = 0) -> List[Capture]:
+                  offsets_ns: Optional[Sequence[int]] = None
+                  ) -> List[Capture]:
     """Fingerprint ``item`` at each playback position (memoized).
 
-    Equal to one :func:`capture_state` call per position, in order: the
-    same captures, memo entries and ``acr.memo.*`` counts (a key that
-    repeats within the batch is one miss, then hits).  The misses are
-    fingerprinted together by :func:`fingerprint_positions`; only they
-    become Python ints and tuples.
+    Capture ``i`` carries ``offsets_ns[i]`` (every offset is 0 without
+    them).  Equal to one :func:`capture_state` call per position, in
+    order: the same captures, memo entries and ``acr.memo.hit``/``miss``
+    counts (a key that repeats within the batch is one miss, then hits).
+    The misses are fingerprinted together by one
+    :func:`fingerprint_positions` call, counted in
+    ``acr.memo.miss_batches``; only they become Python ints and tuples.
     """
+    if offsets_ns is None:
+        offsets_ns = [0] * len(positions)
+    elif len(offsets_ns) != len(positions):
+        raise ValueError("need one offset per position")
     seed = item.visual_seed
     keys = [(seed, *sample_clock(position)) for position in positions]
     missing = {key: position for key, position in zip(keys, positions)
@@ -202,17 +209,19 @@ def capture_batch(item: ContentItem, positions: Sequence[float],
     registry = get_registry()
     if missing:
         registry.inc("acr.memo.miss", len(missing))
+        registry.inc("acr.memo.miss_batches")
         video, audio = fingerprint_positions(item, list(missing.values()))
         _FINGERPRINT_CACHE.update(zip(missing, zip(
             video.tolist(), map(tuple, audio.tolist()))))
     if len(keys) > len(missing):
         registry.inc("acr.memo.hit", len(keys) - len(missing))
-    return [Capture(offset_ns, *_FINGERPRINT_CACHE[key]) for key in keys]
+    return [Capture(offset_ns, *_FINGERPRINT_CACHE[key])
+            for key, offset_ns in zip(keys, offsets_ns)]
 
 
 def capture_state(state: PlayState, offset_ns: int = 0) -> Capture:
     """Fingerprint whatever a play state is showing (memoized)."""
-    return capture_batch(state.item, [state.position_s], offset_ns)[0]
+    return capture_batch(state.item, [state.position_s], [offset_ns])[0]
 
 
 #: Per capture on the wire: offset (ms), video hash, landmark count.

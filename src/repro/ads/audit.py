@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..acr.fingerprint import FingerprintBatch, capture_state
+from ..acr.fingerprint import FingerprintBatch, capture_batch
 from ..acr.segments import SEGMENT_LABELS, SegmentProfiler
 from ..acr.server import AcrBackend
-from ..media.content import ContentItem, PlayState
+from ..media.content import ContentItem
 from ..sim.clock import seconds
 from ..sim.rng import RngRegistry
 from .inventory import AdInventory
@@ -68,8 +68,7 @@ def _watch(backend: AcrBackend, device_id: str, item: ContentItem,
     """Feed the backend recognised batches as if the device watched."""
     for minute in range(minutes_watched):
         position = (60.0 * minute) % max(1, item.duration_s - 10)
-        captures = [capture_state(PlayState(item, position + i))
-                    for i in range(6)]
+        captures = capture_batch(item, [position + i for i in range(6)])
         backend.ingest(FingerprintBatch(device_id, captures),
                        seconds(60 * minute))
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .content import ContentItem, PlayState
 
@@ -36,8 +37,103 @@ _AUDIO_TONES = 4
 _AUDIO_TIME = np.arange(AUDIO_SAMPLES, dtype=np.float32) / AUDIO_RATE_HZ
 
 
-def _rng_for(seed: int, scene: int) -> np.random.Generator:
-    return np.random.default_rng(np.uint64(seed) ^ np.uint64(scene * 2654435761 + 7))
+# numpy's ``SeedSequence`` constants (``numpy/random/bit_generator.pyx``).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """``init`` and the next ``count`` values of ``hash_const *= mult``,
+    as a uint32 column."""
+    chain = [init]
+    for __ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+def _hash_calls(chain: np.ndarray, first: int,
+                count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``count`` consecutive
+    ``hashmix`` calls: call ``k`` xors with ``chain[k]`` and multiplies
+    by ``chain[k + 1]``."""
+    return chain[first:first + count], chain[first + 1:first + count + 1]
+
+
+# ``SeedSequence`` steps its hash constant once per ``hashmix``: one per
+# pool word, then one per (source, destination) pair of pool words, and
+# ``generate_state`` steps its own once per output word.  None of this
+# depends on the entropy, so every pass reuses it.
+_HASH_A = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE ** 2)
+_HASH_B = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_FILL = _hash_calls(_HASH_A, 0, _POOL_SIZE)
+#: Round ``src`` mixes pool word ``src`` into every other word, in order.
+_ROUNDS = [(np.array([dst for dst in range(_POOL_SIZE) if dst != src]),
+            *_hash_calls(_HASH_A, _POOL_SIZE + src * (_POOL_SIZE - 1),
+                         _POOL_SIZE - 1))
+           for src in range(_POOL_SIZE)]
+_OUTPUT = _hash_calls(_HASH_B, 0, 2 * _POOL_SIZE)
+_OUTPUT_POOL_WORDS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray,
+             mul: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mul
+    value ^= value >> 16
+    return value
+
+
+def _seed_words(keys: Sequence[int]) -> np.ndarray:
+    """``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for
+    every key, as the rows of an ``(n, 4)`` uint64 array.
+
+    numpy's mixing, one stream per column of uint32 arithmetic (which
+    wraps exactly as its C does).  A key below 2**64 is at most two
+    entropy words, low word first; the pool's missing words hash as 0,
+    which is what ``SeedSequence`` hashes for them too.  A key outside
+    uint64 raises ``OverflowError``, as ``np.uint64(key)`` does.
+    """
+    keys = np.array(keys, dtype=np.uint64)
+    entropy = np.zeros((_POOL_SIZE, len(keys)), dtype=np.uint32)
+    entropy[0] = keys & 0xFFFFFFFF
+    entropy[1] = keys >> 32
+    pool = _hashmix(entropy, *_FILL)
+    for src, (dsts, xor, mul) in enumerate(_ROUNDS):
+        mixed = pool[dsts] * _MIX_MULT_L
+        mixed -= _hashmix(pool[src], xor, mul) * _MIX_MULT_R
+        mixed ^= mixed >> 16
+        pool[dsts] = mixed
+    state = _hashmix(pool[_OUTPUT_POOL_WORDS], *_OUTPUT)
+    words = state[0::2] | state[1::2].astype(np.uint64) << 32
+    return np.ascontiguousarray(words.T)
+
+
+class _SeedWords(ISeedSequence):
+    """Four precomputed seeding words, handed to ``np.random.PCG64``
+    (which asks for exactly ``generate_state(4, np.uint64)``)."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words: int,
+                       dtype: type = np.uint32) -> np.ndarray:
+        return self._words
+
+
+def _streams(keys: Sequence[int]) -> List[np.random.Generator]:
+    """``np.random.default_rng(np.uint64(key))`` for every key, draw for
+    draw, with every stream's ``SeedSequence`` mixing done in one pass."""
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for words in _seed_words(keys)]
+
+
+def _stream_key(seed: int, index: int) -> int:
+    """The entropy of stream ``index`` of ``seed`` (a Python int, so a
+    key past 2**64 reaches ``_seed_words`` and overflows there)."""
+    return seed ^ (index * 2654435761 + 7)
 
 
 def sample_clock(position_s: float) -> Tuple[int, int]:
@@ -73,15 +169,15 @@ def render_frame_batch(item: ContentItem,
     seed = item.visual_seed
     clocks = [sample_clock(position) for position in positions]
     scenes, rows = _scene_rows(clocks)
-    base = np.empty((len(scenes), FRAME_HEIGHT, FRAME_WIDTH),
-                    dtype=np.float32)
-    for scene, row in scenes.items():
-        _rng_for(seed, scene).random(dtype=np.float32, out=base[row])
-    drift = np.empty((len(clocks), FRAME_HEIGHT, FRAME_WIDTH),
-                     dtype=np.float32)
-    for row, (second, scene) in enumerate(clocks):
-        _rng_for(seed ^ 0x5DEECE66D, scene * 100000 + second).random(
-            dtype=np.float32, out=drift[row])
+    streams = _streams(
+        [_stream_key(seed, scene) for scene in scenes]
+        + [_stream_key(seed ^ 0x5DEECE66D, scene * 100000 + second)
+           for second, scene in clocks])
+    fields = np.empty((len(streams), FRAME_HEIGHT, FRAME_WIDTH),
+                      dtype=np.float32)
+    for stream, field in zip(streams, fields):
+        stream.random(dtype=np.float32, out=field)
+    base, drift = fields[:len(scenes)], fields[len(scenes):]
     return 0.96 * base[rows] + 0.04 * drift
 
 
@@ -108,10 +204,11 @@ def render_audio_batch(item: ContentItem,
     scenes, rows = _scene_rows(clocks)
     tones = np.empty((len(scenes), _AUDIO_TONES), dtype=np.int64)
     amplitudes = np.empty((len(scenes), _AUDIO_TONES))
-    for scene, row in scenes.items():
-        rng = _rng_for(seed, scene)
-        tones[row] = rng.integers(60, AUDIO_RATE_HZ // 4, size=_AUDIO_TONES)
-        amplitudes[row] = rng.random(_AUDIO_TONES) * 0.5 + 0.2
+    for row, stream in enumerate(
+            _streams([_stream_key(seed, scene) for scene in scenes])):
+        tones[row] = stream.integers(60, AUDIO_RATE_HZ // 4,
+                                     size=_AUDIO_TONES)
+        amplitudes[row] = stream.random(_AUDIO_TONES) * 0.5 + 0.2
     omega = (2.0 * np.pi * tones).astype(np.float32)[rows]
     amplitudes = amplitudes[rows]
     seconds = np.array([second for second, __ in clocks], dtype=np.int64)
@@ -130,14 +227,20 @@ def render_audio(state: PlayState) -> np.ndarray:
 
 
 def frame_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Normalised correlation between two frames (1.0 = identical)."""
+    """Normalised correlation between two frames (1.0 = identical).
+
+    A flat frame has nothing to correlate: two equal flat frames score
+    1.0, and a flat frame scores 0.0 against any other frame.
+    """
     if a.shape != b.shape:
         raise ValueError("frame shape mismatch")
     fa = a.ravel() - a.mean()
     fb = b.ravel() - b.mean()
     denom = float(np.linalg.norm(fa) * np.linalg.norm(fb))
-    if denom == 0:
-        return 1.0
+    # A flat frame's float32 mean can round, leaving a constant residue
+    # that would correlate perfectly with another flat frame's.
+    if denom == 0 or np.ptp(a) == 0 or np.ptp(b) == 0:
+        return 1.0 if np.array_equal(a, b) else 0.0
     return float(np.dot(fa, fb) / denom)
 
 

@@ -1,13 +1,20 @@
 """Tests for the ACR client state machine, backend, and segmentation."""
 
+from itertools import groupby
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.acr import (AcrBackend, AcrClient, AcrTransport, CaptureDecision,
                        FingerprintBatch, ReferenceLibrary, SegmentProfiler,
                        capture_decision, capture_state, profile_for)
-from repro.media import (HdmiInput, HomeScreen, OttApp, PlayState,
-                         ScreenCast, SourceType, Tuner, build_channel,
-                         standard_library, ContentItem, ContentKind)
+from repro.acr.fingerprint import _FINGERPRINT_CACHE, clear_fingerprint_cache
+from repro.media import (HdmiInput, HomeScreen, InputSource, OttApp,
+                         PlayState, ScreenCast, SourceType, Tuner,
+                         build_channel, standard_library, ContentItem,
+                         ContentKind)
+from repro.obs import disable, enable
 from repro.sim import minutes, seconds
 
 
@@ -164,6 +171,108 @@ class TestClientModes:
         _run_ticks(cast_client, 2)
         _run_ticks(ott_client, 2)
         assert cast_transport.sends[0][2] > ott_transport.sends[0][2]
+
+
+class ScriptedSource(InputSource):
+    """Shows ``script[i]`` at an upload's ``i``-th sample time."""
+
+    source_type = SourceType.TUNER
+
+    def __init__(self, script, window_start_ns, spread_ns):
+        self.script = script
+        self.window_start_ns = window_start_ns
+        self.spread_ns = spread_ns
+
+    def screen_state(self, at_ns):
+        return self.script[(at_ns - self.window_start_ns) // self.spread_ns]
+
+
+def _per_sample_batch(client, at_ns, source):
+    """The upload as one ``capture_state`` call per sample (the oracle)."""
+    profile = client.profile
+    window = profile.batch_interval_ns
+    spread = window // profile.match_samples_per_batch
+    captures = []
+    for index in range(profile.match_samples_per_batch):
+        t = at_ns - window + index * spread
+        if t < 0:
+            continue
+        state = source.screen_state(t)
+        if state is None:
+            continue
+        captures.append(capture_state(
+            state, offset_ns=index * profile.capture_interval_ns))
+    return FingerprintBatch(client.device_id, captures)
+
+
+UPLOAD_ITEMS = [ContentItem(f"upload:{name}", name, ContentKind.SHOW, 5400,
+                            "news") for name in "ABC"]
+#: 40.0 and 40.5 share a memo key; 47.9 and 48.0 straddle a scene cut.
+UPLOAD_POSITIONS = [40.0, 40.5, 41.0, 47.9, 48.0, 300.0]
+upload_samples = st.tuples(st.sampled_from(UPLOAD_ITEMS),
+                           st.sampled_from(UPLOAD_POSITIONS))
+A, B = UPLOAD_ITEMS[:2]
+
+
+class TestBatchedUpload:
+    """``_sample_batch`` fingerprints each run of same-item samples in
+    one call; it must upload, memoize and count exactly as one
+    ``capture_state`` per sample."""
+
+    def _upload(self, sample_batch, client, script, warm):
+        window = client.profile.batch_interval_ns
+        source = ScriptedSource(
+            script, 0, window // client.profile.match_samples_per_batch)
+        clear_fingerprint_cache()
+        for item, position in warm:
+            capture_state(PlayState(item, position))
+        registry = enable()
+        try:
+            raw = sample_batch(client, window, source).encode()
+            counters = registry.snapshot()["counters"]
+        finally:
+            disable()
+        memo = list(_FINGERPRINT_CACHE.items())
+        clear_fingerprint_cache()
+        return raw, memo, counters
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["lg", "samsung"]),
+           st.lists(st.one_of(st.none(), upload_samples),
+                    min_size=8, max_size=8),
+           st.lists(upload_samples, max_size=3))
+    @example("lg", [(A, p) for p in (40.0, 41.0, 47.9, 48.0, 300.0, 301.0,
+                                     302.0, 303.0)], [])
+    @example("samsung", [(A, 40.0), (A, 41.0), (B, 40.0), None, (B, 48.0),
+                         (A, 47.9), (A, 300.0), (A, 301.0)], [])
+    @example("lg", [(A, 40.0), (A, 40.5), (B, 40.0), (A, 40.5),
+                    (A, 40.0), None, (B, 40.0), (B, 300.0)], [(B, 300.0)])
+    def test_upload_matches_one_capture_per_sample(self, vendor, script,
+                                                   warm):
+        client = _client(vendor, "uk", None, RecordingTransport())
+        states = [sample and PlayState(*sample) for sample in script]
+        raw, memo, counters = self._upload(
+            AcrClient._sample_batch, client, states, warm)
+        oracle_raw, oracle_memo, oracle_counters = self._upload(
+            _per_sample_batch, client, states, warm)
+        assert raw == oracle_raw
+        assert memo == oracle_memo
+        for name in ("acr.memo.hit", "acr.memo.miss"):
+            assert counters.get(name, 0) == oracle_counters.get(name, 0)
+        # One kernel call per run of same-item samples holding a new
+        # key, against one per miss.
+        known = {(item.visual_seed, int(p), int(p / 8.0))
+                 for item, p in warm}
+        runs_with_a_miss = 0
+        for __, run in groupby(filter(None, script),
+                               key=lambda sample: sample[0]):
+            keys = {(item.visual_seed, int(p), int(p / 8.0))
+                    for item, p in run}
+            runs_with_a_miss += bool(keys - known)
+            known |= keys
+        assert counters.get("acr.memo.miss_batches", 0) == runs_with_a_miss
+        assert oracle_counters.get("acr.memo.miss_batches", 0) == \
+            oracle_counters.get("acr.memo.miss", 0)
 
 
 class TestBackoff:

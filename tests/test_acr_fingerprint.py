@@ -9,7 +9,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.acr import (Capture, FingerprintBatch, ReferenceLibrary,
@@ -23,7 +23,8 @@ from repro.acr.library import INGEST_CHUNK
 from repro.media import (AUDIO_RATE_HZ, AUDIO_SAMPLES, FRAME_HEIGHT,
                          FRAME_WIDTH, ContentItem, ContentKind, PlayState,
                          render_audio, render_frame, standard_library)
-from repro.media.frames import render_audio_batch, render_frame_batch
+from repro.media.frames import (_seed_words, _streams, render_audio_batch,
+                                render_frame_batch)
 from repro.obs import disable, enable
 from reference_oracle import column_rows
 
@@ -279,6 +280,59 @@ class TestBatchCodec:
         assert "audio landmarks" in repr(capture)
 
 
+#: Entropies whose one- or two-word split is at an edge.
+EDGE_ENTROPIES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+entropies = st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
+                     min_size=1, max_size=12)
+
+
+class TestSeedingPass:
+    """The render streams' one-pass seeding against ``SeedSequence`` and
+    ``default_rng`` stream by stream, the oracle it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(entropies)
+    @example(EDGE_ENTROPIES)
+    def test_words_match_seed_sequence(self, keys):
+        words = _seed_words(keys)
+        assert (words.dtype, words.shape) == (np.uint64, (len(keys), 4))
+        for key, row in zip(keys, words):
+            assert row.tolist() == np.random.SeedSequence(key) \
+                .generate_state(4, np.uint64).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(entropies)
+    @example(EDGE_ENTROPIES)
+    def test_streams_draw_like_default_rng(self, keys):
+        for key, stream in zip(keys, _streams(keys), strict=True):
+            oracle = np.random.default_rng(np.uint64(key))
+            assert np.array_equal(
+                stream.random((FRAME_HEIGHT, FRAME_WIDTH), dtype=np.float32),
+                oracle.random((FRAME_HEIGHT, FRAME_WIDTH), dtype=np.float32))
+            assert np.array_equal(stream.integers(60, 1000, size=4),
+                                  oracle.integers(60, 1000, size=4))
+            assert np.array_equal(stream.random(4), oracle.random(4))
+
+    def test_empty_pass(self):
+        assert _seed_words([]).shape == (0, 4)
+        assert _streams([]) == []
+
+    @pytest.mark.parametrize("key", [2 ** 64, 2 ** 64 + 5, -1])
+    def test_key_outside_uint64_overflows(self, key):
+        with pytest.raises(OverflowError):
+            np.uint64(key)
+        with pytest.raises(OverflowError):
+            _streams([7, key])
+
+    def test_far_position_overflows_like_the_oracle(self):
+        """A drift stream's key passes 2**64 from about 556,000 s."""
+        state = PlayState(_item("far"), 600_000.0)
+        with pytest.raises(OverflowError):
+            _oracle_render_frame(state)
+        with pytest.raises(OverflowError):
+            render_frame_batch(state.item, [3.0, state.position_s])
+
+
 content_ids = st.text("abcdefghijklmnopqrstuvwxyz0123456789:-", min_size=1,
                       max_size=24)
 #: Whole and fractional seconds, and positions on and either side of a
@@ -330,24 +384,31 @@ class TestBatchEquivalence:
         item = _item(content_id)
         points = points + points[:repeats]
         cut = data.draw(st.integers(min_value=0, max_value=len(points)))
+        offsets = [5 * index for index in range(len(points))]
         clear_fingerprint_cache()
         registry = enable()
         try:
-            captures = (capture_batch(item, points[:cut], offset_ns=5)
-                        + capture_batch(item, points[cut:], offset_ns=5))
+            captures = (capture_batch(item, points[:cut], offsets[:cut])
+                        + capture_batch(item, points[cut:], offsets[cut:]))
             counters = registry.snapshot()["counters"]
         finally:
             disable()
         expected = {_memo_key(item, p): _oracle_capture(item, p)
                     for p in points}
+        # A chunk makes one kernel call when any of its keys is new.
+        first_seen = {}
+        for index, point in enumerate(points):
+            first_seen.setdefault(_memo_key(item, point), index)
+        kernel_calls = len({index < cut for index in first_seen.values()})
         try:
             assert [(c.video_hash, tuple(c.audio_hashes)) for c in captures] \
                 == [expected[_memo_key(item, p)] for p in points]
-            assert {c.offset_ns for c in captures} == {5}
-            assert _FINGERPRINT_CACHE == expected
+            assert [c.offset_ns for c in captures] == offsets
+            assert list(_FINGERPRINT_CACHE.items()) == list(expected.items())
             assert counters.get("acr.memo.miss", 0) == len(expected)
             assert counters.get("acr.memo.hit", 0) == \
                 len(points) - len(expected)
+            assert counters.get("acr.memo.miss_batches", 0) == kernel_calls
             assert len({id(c.audio_hashes) for c in captures}) == \
                 len(captures)
         finally:
@@ -386,6 +447,10 @@ class TestBatchEquivalence:
             video_fingerprint_batch(np.zeros((18, 32), dtype=np.float32))
         with pytest.raises(ValueError):
             audio_fingerprint_batch(np.zeros(512, dtype=np.float32))
+
+    def test_offsets_must_match_positions(self):
+        with pytest.raises(ValueError):
+            capture_batch(_item("offsets"), [3.0, 4.0], [0])
 
     def test_negative_position_rejected(self):
         item = _item("negative")

@@ -94,6 +94,21 @@ class TestFrames:
         b = render_frame(PlayState(item, 9.0))  # across a scene boundary
         assert frame_similarity(a, b) < 0.5
 
+    def test_flat_frame_is_not_similar_to_a_show(self, library):
+        shown = render_frame(PlayState(library.shows[0], 40.0))
+        grey = np.full_like(shown, 0.5)
+        assert frame_similarity(grey, shown) == 0.0
+        assert frame_similarity(shown, grey) == 0.0
+
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.3, 0.7)])
+    def test_different_flat_frames_are_not_identical(self, low, high):
+        """0.3's float32 mean rounds, so its centred frame is a small
+        constant instead of zeros."""
+        dark = np.full((18, 32), low, dtype=np.float32)
+        bright = np.full((18, 32), high, dtype=np.float32)
+        assert frame_similarity(dark, bright) == 0.0
+        assert frame_similarity(dark, dark.copy()) == 1.0
+
     def test_frame_range(self, library):
         frame = render_frame(PlayState(library.shows[0], 1.0))
         assert frame.min() >= 0.0 and frame.max() <= 1.0

@@ -258,12 +258,12 @@ class TestFingerprintMemo:
         from repro.media.content import ContentItem, ContentKind, PlayState
         item = ContentItem("c1", "Title", ContentKind.SHOW, 600, "news")
         clear_fingerprint_cache()
-        first, again = capture_batch(item, [123.4, 123.9], offset_ns=7)
+        first, again = capture_batch(item, [123.4, 123.9], [7, 8])
         single = capture_state(PlayState(item, 123.4))
         assert (first.video_hash, first.audio_hashes) == \
             (again.video_hash, again.audio_hashes) == \
             (single.video_hash, single.audio_hashes)
-        assert (first.offset_ns, again.offset_ns) == (7, 7)
+        assert (first.offset_ns, again.offset_ns) == (7, 8)
         assert first.audio_hashes is not again.audio_hashes
         first.audio_hashes.append(0xDEAD)
         assert capture_batch(item, [123.0])[0].audio_hashes == \

@@ -422,6 +422,10 @@ class TestAcrMemoCounters:
         batched = count(lambda: capture_batch(item, positions))
         sequential = count(lambda: [capture_state(PlayState(item, p))
                                     for p in positions])
+        # The same hits and misses; one kernel call fills all three
+        # misses of the batch, against one per miss.
+        assert batched.pop("acr.memo.miss_batches") == 1
+        assert sequential.pop("acr.memo.miss_batches") == 3
         assert batched == sequential
         assert batched["acr.memo.miss"] == 3
         assert batched["acr.memo.hit"] == 7
