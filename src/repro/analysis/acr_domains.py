@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional
 
+from ..net.columnar import ColumnarSlice
 from .blocklists import Blocklist, NetifyDirectory
 from .periodicity import PeriodicityReport, analyze_periodicity
 from .pipeline import AuditPipeline
@@ -19,12 +20,15 @@ from .pipeline import AuditPipeline
 _NUMBERED_RE = re.compile(r"\d")
 
 
-def _contacts(packets) -> List:
+def _contacts(packets: ColumnarSlice) -> ColumnarSlice:
     """The packets that carry transport payload: the contacts the
     cadence heuristic scores.  A bare ACK or the FIN/ACK teardown that
     closes a session is not a contact; counted as one, a teardown just
-    after the last upload reads as one more, short, interval."""
-    return [packet for packet in packets if len(packet.transport_payload)]
+    after the last upload reads as one more, short, interval.  Reads the
+    payload-length column, so it works on released frames too."""
+    rows = packets.indices
+    carrying = packets.capture.payload_lengths()[rows] > 0
+    return ColumnarSlice(packets.capture, rows[carrying])
 
 
 class AcrDomainFinding:

@@ -8,7 +8,9 @@ makes ``scorecard`` and ``report`` incremental across invocations.
 
 The legacy helpers (:func:`result_for`, :func:`pipeline_for`,
 :func:`campaign`) remain as thin wrappers so existing callers keep
-working; new code should go through :func:`grid`.
+working; new code should go through :func:`grid`.  :func:`result_for`
+serves only the tests' ground-truth fixtures: every audit reads its
+cells through pipelines.
 """
 
 from __future__ import annotations

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..dnsinfra.registry import DomainRegistry
+from ..dnsinfra.zones import Zone
 from ..geo.audit import GeolocationAudit, GeolocationFinding
 from ..sim.rng import RngRegistry
 from ..testbed.experiment import (Country, ExperimentSpec, Phase, Scenario,
-                                  Vendor, paper_vendors)
+                                  paper_vendors)
 from . import cache
 
 
@@ -60,23 +62,22 @@ def observed_acr_domains(country: Country,
 def run_geo_experiment(country: Country,
                        seed: int = cache.DEFAULT_SEED) -> GeoExperiment:
     """Locate every observed ACR endpoint from this country's vantage."""
-    # Any cell's result carries the registry/zone the capture ran against
-    # (ground-truth handles require a full in-process result, so this one
-    # cell is simulated even when the capture grid is warm on disk).
-    spec = ExperimentSpec(Vendor.LG, country, Scenario.LINEAR,
-                          Phase.LIN_OIN)
-    result = cache.grid(seed).result(spec)
-    resolver = result.zone
+    # The simulated Internet every capture runs against (servers, their
+    # addresses and PTR names) is a pure function of the vendor catalog,
+    # so the geolocation tools are built from the catalog directly: the
+    # domains come from the captures alone, and no cell is simulated.
+    registry = DomainRegistry()
+    resolver = Zone(registry)
     audit = GeolocationAudit(
-        result.registry.ipspace, RngRegistry(seed).fork("geo"),
+        registry.ipspace, RngRegistry(seed).fork("geo"),
         ptr_lookup=lambda address: (
             resolver.lookup_ptr(address).target_name
             if resolver.lookup_ptr(address) else None))
     findings: Dict[str, GeolocationFinding] = {}
     dpf_ok: Dict[str, bool] = {}
     for domain in observed_acr_domains(country, seed):
-        address = result.registry.server(domain).address
+        address = registry.server(domain).address
         findings[domain] = audit.locate(address, country.vantage, domain)
-        provider = result.registry.record(domain).provider
+        provider = registry.record(domain).provider
         dpf_ok[domain] = audit.transfer_allowed(provider)
     return GeoExperiment(country, findings, dpf_ok)

@@ -7,8 +7,9 @@ grid as a first-class object instead of one cell at a time:
 * :func:`enumerate_cells` expands the matrix, optionally restricted by
   ``axis=value[,value...]`` filters (the CLI's ``--filter``).
 * :class:`GridRunner` executes cells — serially or on a
-  :class:`concurrent.futures.ProcessPoolExecutor` — and memoizes each
-  finished cell in a :class:`ResultCache`.
+  :class:`concurrent.futures.ProcessPoolExecutor` — and each cell stores
+  its own entry in the :class:`ResultCache`, in the process that
+  simulated it, so only its metadata travels back.
 * :class:`ResultCache` is a content-addressed on-disk store keyed by
   ``(spec, seed, code-version)``: captures survive across processes as
   plain pcap files, checked against a CRC-32 on every read, and are
@@ -184,29 +185,31 @@ class CellRecord:
         self._pcap_bytes = pcap_bytes
         self._pcap_path = pcap_path
 
+    def _read(self) -> bytes:
+        """Read the cache file, checked against ``pcap_len`` and
+        ``pcap_crc32``; raises :class:`CacheReadError` when the file
+        cannot be read or either differs."""
+        try:
+            with open(self._pcap_path, "rb") as fileobj:
+                payload = fileobj.read()
+        except OSError as exc:
+            raise CacheReadError(
+                f"cached capture for {self.label} unreadable: "
+                f"{exc}") from exc
+        if len(payload) != self.pcap_len \
+                or zlib.crc32(payload) != self.pcap_crc32:
+            raise CacheReadError(
+                f"cached capture for {self.label} is damaged: "
+                f"{len(payload)} bytes do not match the recorded "
+                f"length and CRC-32")
+        return payload
+
     @property
     def pcap_bytes(self) -> bytes:
-        """The raw capture, read from the cache file on first access.
-
-        Raises :class:`CacheReadError` when the file cannot be read or
-        its length or CRC-32 differs from the recorded ``pcap_len`` and
-        ``pcap_crc32``.
-        """
+        """The raw capture, read from the cache file on first access
+        and kept (see :meth:`_read` for the checks)."""
         if self._pcap_bytes is None:
-            try:
-                with open(self._pcap_path, "rb") as fileobj:
-                    payload = fileobj.read()
-            except OSError as exc:
-                raise CacheReadError(
-                    f"cached capture for {self.label} unreadable: "
-                    f"{exc}") from exc
-            if len(payload) != self.pcap_len \
-                    or zlib.crc32(payload) != self.pcap_crc32:
-                raise CacheReadError(
-                    f"cached capture for {self.label} is damaged: "
-                    f"{len(payload)} bytes do not match the recorded "
-                    f"length and CRC-32")
-            self._pcap_bytes = payload
+            self._pcap_bytes = self._read()
         return self._pcap_bytes
 
     # A read-only alias of the stored bytes, kept only because
@@ -215,10 +218,16 @@ class CellRecord:
     pcap_compressed = pcap_bytes
 
     def pipeline(self) -> AuditPipeline:
-        """Decode this cell's capture into an audit pipeline."""
+        """Decode this cell's capture into an audit pipeline.
+
+        A capture not already in memory is read from its cache file for
+        the decode only: the record does not keep it.
+        """
         with get_registry().span("grid.decode"):
+            raw = self._pcap_bytes if self._pcap_bytes is not None \
+                else self._read()
             return AuditPipeline.from_pcap_bytes(
-                self.pcap_bytes, Ipv4Address.parse(self.tv_ip))
+                raw, Ipv4Address.parse(self.tv_ip))
 
     def meta(self) -> Dict:
         return {
@@ -328,6 +337,13 @@ class ResultCache:
         self.stores += 1
         get_registry().inc("cache.store")
 
+    def stored(self, meta: Dict) -> CellRecord:
+        """The record of an entry stored under this root (by a grid
+        worker) with ``meta``; its capture stays on disk until read."""
+        __, pcap_path = self._paths(self.key_for(
+            meta["label"], meta["duration_ns"], meta["seed"]))
+        return CellRecord(pcap_path=pcap_path, **meta)
+
     def entry_count(self) -> int:
         return sum(name.endswith(".json")
                    for __, ___, names in os.walk(self.root)
@@ -365,9 +381,17 @@ def default_cache() -> Optional[ResultCache]:
 # -- execution ----------------------------------------------------------------
 
 
-def _execute_cell(payload: Tuple) -> Tuple[Dict, bytes, Optional[Dict]]:
-    """Process-pool worker: run one cell, return (meta, pcap, metrics
-    snapshot).  The meta carries the capture's CRC-32, computed here.
+def _execute_cell(payload: Tuple
+                  ) -> Tuple[Dict, Optional[bytes], Optional[Dict]]:
+    """Run, validate and store one cell; return (meta, pcap, metrics
+    snapshot).  The grid's one way to produce a cell, in a pool worker
+    or in process.  The meta carries the capture's CRC-32, computed
+    here.
+
+    When the payload names a cache (its root and version), the cell is
+    stored here through :meth:`ResultCache.store` and ``pcap`` is
+    ``None``: the capture bytes never travel to the caller.  Without a
+    cache they come back as ``pcap``.
 
     Takes and returns only primitives so it pickles cleanly; the heavy
     ground-truth handles (backend, registry, zone) stay in the worker.
@@ -376,7 +400,7 @@ def _execute_cell(payload: Tuple) -> Tuple[Dict, bytes, Optional[Dict]]:
     without double counting.
     """
     (vendor, country, scenario, phase, duration_ns, seed,
-     collect_metrics, plan_tuple) = payload
+     collect_metrics, plan_tuple, cache_at) = payload
     spec = ExperimentSpec(Vendor(vendor), Country(country),
                           Scenario(scenario), Phase(phase), duration_ns)
     faults = FaultPlan.from_tuple(plan_tuple)
@@ -398,15 +422,30 @@ def _execute_cell(payload: Tuple) -> Tuple[Dict, bytes, Optional[Dict]]:
         get_registry().inc("grid.cells.executed")
         record = record_from_result(
             result, elapsed_s=time.perf_counter() - started)
+        if cache_at is not None:
+            ResultCache(*cache_at).store(record)
         snapshot = registry.snapshot() if registry is not None else None
-    return record.meta(), result.pcap_bytes, snapshot
+    pcap = None if cache_at is not None else result.pcap_bytes
+    return record.meta(), pcap, snapshot
 
 
 def _payload(spec: ExperimentSpec, seed: int,
+             cache: Optional[ResultCache],
              faults: FaultPlan = NULL_PLAN) -> Tuple:
     return (spec.vendor.value, spec.country.value, spec.scenario.value,
             spec.phase.value, spec.duration_ns, seed, metrics_enabled(),
-            faults.as_tuple())
+            faults.as_tuple(),
+            (cache.root, cache.version) if cache else None)
+
+
+def _cell_record(cache: Optional[ResultCache], outcome: Tuple
+                 ) -> CellRecord:
+    """The caller's record of an :func:`_execute_cell` outcome."""
+    meta, pcap, snapshot = outcome
+    get_registry().absorb(snapshot)
+    if pcap is None:
+        return cache.stored(meta)
+    return CellRecord(pcap_bytes=pcap, **meta)
 
 
 def warm_assets(specs: Sequence[ExperimentSpec] = (),
@@ -460,8 +499,6 @@ class GridRunner:
                 missing.append((index, spec))
         if missing:
             for index, spec, record in self._execute(missing):
-                if self.cache:
-                    self.cache.store(record)
                 records[index] = record
                 if progress:
                     progress(spec, record)
@@ -474,10 +511,8 @@ class GridRunner:
             with get_registry().span("assets.warm"):
                 warm_assets([spec for __, spec in missing])
             for index, spec in missing:
-                meta, pcap, snapshot = _execute_cell(
-                    _payload(spec, self.seed, self.faults))
-                get_registry().absorb(snapshot)
-                yield index, spec, CellRecord(pcap_bytes=pcap, **meta)
+                yield index, spec, _cell_record(self.cache, _execute_cell(
+                    _payload(spec, self.seed, self.cache, self.faults)))
             return
         workers = min(self.jobs, len(missing))
         if multiprocessing.get_start_method() == "fork":
@@ -488,14 +523,13 @@ class GridRunner:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             futures = {
                 pool.submit(_execute_cell, _payload(
-                    spec, self.seed, self.faults)):
+                    spec, self.seed, self.cache, self.faults)):
                 (index, spec)
                 for index, spec in missing}
             for future in concurrent.futures.as_completed(futures):
                 index, spec = futures[future]
-                meta, pcap, snapshot = future.result()
-                get_registry().absorb(snapshot)
-                yield index, spec, CellRecord(pcap_bytes=pcap, **meta)
+                yield index, spec, _cell_record(self.cache,
+                                                future.result())
 
 
 # -- the consumer API ---------------------------------------------------------
@@ -507,10 +541,13 @@ class GridResults:
     Every scorecard check, table and figure driver asks this object for
     cells.  Pipelines are served from memory, then from the on-disk
     :class:`ResultCache` (no simulation), and only then by running the
-    cell.  Full :class:`~repro.testbed.runner.ExperimentResult` objects
-    (which carry unpicklable ground-truth handles — registry, zone,
-    backend) always come from an in-process
-    :class:`~repro.testbed.campaign.CampaignRunner`.
+    cell.  With a cache, the records hold metadata only and each kept
+    pipeline has released its frames, so the process holds decoded
+    columns, never capture bytes.  Full
+    :class:`~repro.testbed.runner.ExperimentResult` objects (which carry
+    unpicklable ground-truth handles — registry, zone, backend) come
+    from an in-process :class:`~repro.testbed.campaign.CampaignRunner`
+    and serve only the tests' ground-truth fixtures.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED,
@@ -544,27 +581,30 @@ class GridResults:
             record = self.cache.load(spec, self.seed) if self.cache \
                 else None
         if record is None:
-            country = spec.country.value
-            if country not in self._warmed:
-                self._warmed.add(country)
-                with get_registry().span("assets.warm"):
-                    warm_assets(countries=[country])
-            started = time.perf_counter()
-            with get_registry().span("grid.simulate"):
-                result = self.campaign.run(spec)
-            record = record_from_result(
-                result, elapsed_s=time.perf_counter() - started)
-            if self.cache:
-                self.cache.store(record)
+            record = self._produce(spec)
         self._records[key] = record
         return record
+
+    def _produce(self, spec: ExperimentSpec) -> CellRecord:
+        """Simulate one cell in this process, as a grid worker would."""
+        country = spec.country.value
+        if country not in self._warmed:
+            self._warmed.add(country)
+            with get_registry().span("assets.warm"):
+                warm_assets(countries=[country])
+        return _cell_record(self.cache, _execute_cell(
+            _payload(spec, self.seed, self.cache)))
 
     def pipeline(self, spec: ExperimentSpec) -> AuditPipeline:
         """The decoded audit pipeline for one cell, memoized.
 
-        A cache entry whose capture turns out to be unreadable (e.g. a
-        pcap damaged on disk) is dropped and the cell re-run, so
-        corruption self-heals instead of poisoning every later run.
+        The kept pipeline has released its frames
+        (:meth:`~repro.net.columnar.ColumnarCapture.release_frames`):
+        its queries answer from the columns, and the frame bytes stay
+        in the raw ``.pcap`` cache file.  A cache entry whose
+        capture turns out to be unreadable (e.g. a pcap damaged on
+        disk) is re-run and re-stored, so corruption self-heals instead
+        of poisoning every later run.
         """
         key = self._key(spec)
         pipeline = self._pipelines.get(key)
@@ -572,17 +612,15 @@ class GridResults:
             try:
                 pipeline = self.record(spec).pipeline()
             except CacheReadError:
-                self._records.pop(key, None)
-                record = record_from_result(self.campaign.run(spec))
-                if self.cache:
-                    self.cache.store(record)
-                self._records[key] = record
+                record = self._records[key] = self._produce(spec)
                 pipeline = record.pipeline()
+            pipeline.packets.release_frames()
             self._pipelines[key] = pipeline
         return pipeline
 
     def result(self, spec: ExperimentSpec):
-        """The full in-process result (ground-truth handles included)."""
+        """The full in-process result (ground-truth handles included),
+        for the tests' ground-truth fixtures; always simulated here."""
         result = self.campaign.run(spec)
         key = self._key(spec)
         if key not in self._records:

@@ -26,6 +26,12 @@ and the equivalence suite holds the two identical:
 The vectorized fast path covers plain ``IHL=20`` IPv4 frames of at
 least 38 bytes — every byte the gathers touch is then inside the
 record's own data, so no mask can misread a neighbouring record.
+
+A capture that is done growing can give its frame bytes back
+(:meth:`ColumnarCapture.release_frames`): every column query, flow keys
+and the per-row transport payload length (:meth:`ColumnarCapture.
+payload_lengths`) keep answering from the columns, and only the frame
+bytes themselves are gone.
 """
 
 from __future__ import annotations
@@ -61,6 +67,12 @@ _ENDPOINT_BITS = 48
 _ENDPOINT_MASK = (1 << _ENDPOINT_BITS) - 1
 
 _MISSING = object()
+
+
+class FramesReleasedError(RuntimeError):
+    """A frame was read (or a segment added) after
+    :meth:`ColumnarCapture.release_frames` dropped the capture bytes."""
+
 
 #: Column name -> dtype.  ``off`` is the frame's byte offset inside its
 #: segment buffer; ``src``/``dst`` are big-endian IPv4 values (0 for
@@ -290,24 +302,60 @@ def _empty_columns() -> Dict[str, np.ndarray]:
             for name, dtype in COLUMN_DTYPES}
 
 
+def _payload_lengths(data: np.ndarray, off: np.ndarray, length: np.ndarray,
+                     proto: np.ndarray, ihl: np.ndarray) -> np.ndarray:
+    """``len(ColumnarView.transport_payload)`` for rows of one segment.
+
+    Mirrors the view's slices, clamped to the captured frame.  The fast
+    path proves only bytes 0-37 inside a record, while the UDP length
+    sits at bytes 38-39 and the TCP data offset at byte 46, so gathers
+    are clamped to the buffer and a value read past a row's own frame
+    never reaches its length: a UDP length field cut short puts the
+    payload start past the frame too (an empty slice either way), and a
+    TCP row cut before its data-offset byte has no locatable payload,
+    so it reads 0 (its view raises ``IndexError``).
+    """
+    last = len(data) - 1
+    transport = 14 + ihl.astype(np.int64)
+
+    def byte_at(rel) -> np.ndarray:
+        return data[np.minimum(off + rel, last)].astype(np.int64)
+
+    tcp = (proto == PROTO_TCP) & (transport + 12 < length)
+    total = byte_at(16) << 8 | byte_at(17)
+    start = transport + (byte_at(transport + 12) >> 4) * 4
+    tcp_len = np.minimum(14 + total, length) - np.minimum(start, length)
+
+    field = byte_at(transport + 4) << 8 | byte_at(transport + 5)
+    udp_len = (np.minimum(transport + field, length)
+               - np.minimum(transport + 8, length))
+
+    lengths = np.where(tcp, tcp_len,
+                       np.where(proto == PROTO_UDP, udp_len, 0))
+    return np.maximum(lengths, 0)
+
+
 class ColumnarCapture:
     """A capture decoded into parallel columns, one row per packet.
 
     Supports multi-segment growth (:meth:`extend_pcap_bytes` — the
     streaming service feeds pcap-framed segments).  Iterating or
-    indexing yields :class:`ColumnarView` rows.
+    indexing yields :class:`ColumnarView` rows.  Once
+    :meth:`release_frames` has run, the capture holds columns only.
     """
 
     __slots__ = ("ts", "off", "length", "src", "dst", "sport", "dport",
                  "proto", "ihl", "dns", "_seg_starts", "_seg_bufs",
-                 "_intern")
+                 "_intern", "_payload_len")
 
     def __init__(self) -> None:
         for name, dtype in COLUMN_DTYPES:
             setattr(self, name, np.empty(0, dtype))
         self._seg_starts: List[int] = []
-        self._seg_bufs: List[memoryview] = []
+        #: The segments' capture bytes; ``None`` once released.
+        self._seg_bufs: Optional[List[memoryview]] = []
         self._intern: Dict[int, Ipv4Address] = {}
+        self._payload_len: Optional[np.ndarray] = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -325,6 +373,9 @@ class ColumnarCapture:
         """Decode one pcap-framed segment; returns its [start, end) row
         range.  A segment that fails to decode raises before any
         column changes."""
+        if self._seg_bufs is None:
+            raise FramesReleasedError(
+                "cannot extend a capture whose frames were released")
         buf = raw if isinstance(raw, memoryview) else memoryview(raw)
         registry = get_registry()
         with registry.span("decode.columnar.build"):
@@ -333,6 +384,7 @@ class ColumnarCapture:
         count = len(columns["ts"])
         self._seg_starts.append(start)
         self._seg_bufs.append(buf)
+        self._payload_len = None
         if start == 0:
             for name in COLUMN_NAMES:
                 setattr(self, name, columns[name])
@@ -366,7 +418,13 @@ class ColumnarCapture:
         return ColumnarView(self, index)
 
     def frame(self, index: int) -> memoryview:
-        """The raw frame bytes of one row (a view, not a copy)."""
+        """The raw frame bytes of one row (a view, not a copy).
+
+        Raises :class:`FramesReleasedError` after :meth:`release_frames`.
+        """
+        if self._seg_bufs is None:
+            raise FramesReleasedError(
+                f"frame {index} was released with the capture bytes")
         seg = bisect_right(self._seg_starts, index) - 1
         offset = int(self.off[index])
         return self._seg_bufs[seg][offset:offset + int(self.length[index])]
@@ -377,6 +435,39 @@ class ColumnarCapture:
         if addr is None:
             addr = self._intern[value] = Ipv4Address(value)
         return addr
+
+    def payload_lengths(self) -> np.ndarray:
+        """Per row, ``len(view.transport_payload)`` (int64).
+
+        Computed from the frames on first call, column-wide, and kept:
+        it is what :meth:`release_frames` leaves behind of the frames.
+        """
+        if self._payload_len is None:
+            parts = []
+            bounds = self._seg_starts + [len(self.ts)]
+            for seg, buf in enumerate(self._seg_bufs):
+                lo, hi = bounds[seg], bounds[seg + 1]
+                if lo == hi:
+                    continue
+                parts.append(_payload_lengths(
+                    np.frombuffer(buf, dtype=np.uint8), self.off[lo:hi],
+                    self.length[lo:hi], self.proto[lo:hi],
+                    self.ihl[lo:hi]))
+            self._payload_len = np.concatenate(parts) if parts \
+                else np.empty(0, np.int64)
+        return self._payload_len
+
+    def release_frames(self) -> None:
+        """Drop the capture bytes, keeping every column.
+
+        Fills :meth:`payload_lengths` first.  Afterwards the column
+        queries answer as before, while :meth:`frame` (so a view's
+        ``data``, ``transport_payload`` and an undecoded ``dns``) and
+        :meth:`extend_pcap_bytes` raise :class:`FramesReleasedError`.
+        """
+        if self._seg_bufs is not None:
+            self.payload_lengths()
+            self._seg_bufs = None
 
     # -- capture-level queries ---------------------------------------------------
 

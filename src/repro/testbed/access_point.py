@@ -2,8 +2,8 @@
 
 One AP per TV: it is the TV's Wi-Fi gateway and DNS resolver, and it taps
 every frame the TV sends or receives.  At the end of an experiment the tap
-is serialized to a real pcap file, which is all the analysis pipeline gets —
-exactly the paper's black-box vantage.
+is handed over and serialized to a real pcap file, which is all the
+analysis pipeline gets — exactly the paper's black-box vantage.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from ..dnsinfra.zones import Zone
 from ..net.addresses import Ipv4Address, MacAddress, mac_from_seed
 from ..net.link import LatencyModel
 from ..net.packet import CapturedPacket
-from ..net.pcap import dump_bytes, save_file
 from ..sim.rng import RngRegistry
 
 AP_LAN_IP = "192.168.1.1"
@@ -49,8 +48,17 @@ class AccessPoint:
         self.capturing = True
 
     def stop_capture(self) -> List[CapturedPacket]:
+        """Stop tapping and hand the capture over, in capture-time order.
+
+        The tap is emptied: the AP is reachable from the simulation's
+        reference cycles, which only the cyclic garbage collector frees,
+        so a tap kept here would hold a finished cell's whole capture
+        until the next full collection.
+        """
         self.capturing = False
-        return self.packets
+        packets = self.packets
+        self._tap = []
+        return packets
 
     def capture(self, packet: CapturedPacket) -> None:
         """The tap callback handed to the TV's host stack."""
@@ -65,14 +73,6 @@ class AccessPoint:
     @property
     def packet_count(self) -> int:
         return len(self._tap)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_pcap_bytes(self) -> bytes:
-        return dump_bytes(self.packets)
-
-    def save_pcap(self, path: str) -> int:
-        return save_file(path, self.packets)
 
     def register_servers(self, servers) -> None:
         """Teach the latency model where every ground-truth server is."""

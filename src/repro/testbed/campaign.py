@@ -4,7 +4,7 @@ One-hour captures are deterministic in (spec, seed).  The on-disk capture
 cache is the grid's :class:`~repro.experiments.grid.ResultCache`; a
 campaign keeps what that cache cannot hold, the full
 :class:`~repro.testbed.runner.ExperimentResult` of each cell with its
-ground-truth handles, for the drivers that check the audit against them.
+ground-truth handles, for the tests that check the audit against them.
 """
 
 from __future__ import annotations

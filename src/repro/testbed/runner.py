@@ -23,6 +23,7 @@ from ..dnsinfra.zones import Zone
 from ..media.sources import (FastApp, HdmiInput, HomeScreen, InputSource,
                              OttApp, ScreenCast, Tuner)
 from ..net.packet import CapturedPacket
+from ..net.pcap import dump_bytes
 from ..net.stack import HostStack
 from ..sim.clock import seconds
 from ..sim.events import EventLoop
@@ -235,7 +236,7 @@ def _run_workflow(spec: ExperimentSpec, seed: int, rng_label: str,
     return ExperimentResult(
         spec=spec,
         seed=seed,
-        pcap_bytes=ap.to_pcap_bytes(),
+        pcap_bytes=dump_bytes(packets),
         packet_count=len(packets),
         tv_mac=str(stack.mac),
         tv_ip=str(stack.ip),

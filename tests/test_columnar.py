@@ -26,7 +26,7 @@ from repro.net import (CapturedPacket, ColumnarCapture, ColumnarSlice,
                        DnsMessage, DnsRecord, EthernetFrame, Ipv4Address,
                        Ipv4Packet, MacAddress, PcapError, TcpSegment,
                        decode_all, dump_bytes, lazy_decode_all, load_bytes)
-from repro.net.columnar import OTHER_IP_CLASS
+from repro.net.columnar import OTHER_IP_CLASS, FramesReleasedError
 from repro.net.dns import TYPE_A, TYPE_CNAME, TYPE_PTR, encode_name
 from repro.net.packet import build_tcp_frame, build_udp_frame
 
@@ -340,6 +340,113 @@ class TestIncrementalSegments:
                               grown)
         _assert_queries_agree(AuditPipeline.from_pcap_bytes(raw, TV),
                               grown)
+
+
+def _cut_frame(proto, size):
+    """A plain IPv4 frame of ``size`` bytes whose transport header is
+    cut short, its IP total length matching the cut (so the row takes
+    the vectorized path)."""
+    if proto == "tcp":
+        frame = bytearray(build_tcp_frame(
+            MAC_TV, MAC_GW, TV, REMOTES[0],
+            TcpSegment(40000, 443, 1, 2, 0x18, payload=b"x" * 40)))
+    else:
+        frame = bytearray(build_udp_frame(MAC_TV, MAC_GW, TV, REMOTES[0],
+                                          40000, 7777, b"x" * 40))
+    del frame[size:]
+    frame[16:18] = (size - 14).to_bytes(2, "big")
+    return bytes(frame)
+
+
+class TestPayloadLengths:
+    """``payload_lengths()`` is ``len(view.transport_payload)`` per row,
+    from the columns once the frames are gone."""
+
+    @given(events)
+    @settings(max_examples=40, deadline=None)
+    def test_one_shot_matches_views(self, items):
+        capture = ColumnarCapture.from_pcap_bytes(dump_bytes(_frames(items)))
+        assert capture.payload_lengths().tolist() == \
+            [len(view.transport_payload) for view in capture]
+
+    @given(events, st.lists(st.integers(0, 40), max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_segment_cuts_match_one_shot(self, items, cuts):
+        packets = _frames(items)
+        bounds = sorted({min(cut, len(packets)) for cut in cuts}
+                        | {0, len(packets)})
+        grown = ColumnarCapture()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            grown.extend_pcap_bytes(dump_bytes(packets[lo:hi]))
+            # Asked between segments, then grown again.
+            assert grown.payload_lengths().tolist() == \
+                [len(view.transport_payload) for view in grown]
+        whole = ColumnarCapture.from_pcap_bytes(dump_bytes(packets))
+        assert grown.payload_lengths().tolist() == \
+            whole.payload_lengths().tolist()
+
+    @pytest.mark.parametrize("long", [False, True])
+    def test_lone_arp_frame(self, long):
+        # Its record ends the buffer before any transport byte would.
+        capture = ColumnarCapture.from_pcap_bytes(
+            dump_bytes(_frames([("arp", long)])))
+        assert capture.payload_lengths().tolist() == [0]
+
+    @pytest.mark.parametrize("size", range(38, 47))
+    @pytest.mark.parametrize("last", [False, True])
+    def test_tcp_header_cut_before_data_offset(self, size, last):
+        # Bytes 0-37 are inside the record, the data offset (byte 46)
+        # is not: a gather there would read the next record or run off
+        # the buffer.
+        rows = [_cut_frame("tcp", size)] + [
+            p.data for p in _frames([("tcp", 1, True, 5000, b"\xf0" * 9),
+                                     ("udp", 2, False, 6000, b"y")])]
+        if last:
+            rows.append(rows.pop(0))
+        capture = ColumnarCapture.from_pcap_bytes(dump_bytes(
+            [CapturedPacket((i + 1) * 1_000_000, frame)
+             for i, frame in enumerate(rows)]))
+        cut = len(rows) - 1 if last else 0
+        assert capture.view(cut).proto == 6
+        lengths = capture.payload_lengths().tolist()
+        assert lengths[cut] == 0
+        assert [n for i, n in enumerate(lengths) if i != cut] == [9, 1]
+
+    @pytest.mark.parametrize("size", [38, 39, 40, 41])
+    def test_udp_length_field_cut(self, size):
+        capture = ColumnarCapture.from_pcap_bytes(dump_bytes(
+            [CapturedPacket(1_000_000, _cut_frame("udp", size))]))
+        assert capture.view(0).proto == 17
+        assert capture.payload_lengths().tolist() == \
+            [len(capture.view(0).transport_payload)]
+
+
+class TestReleaseFrames:
+    @given(events, st.lists(st.integers(0, 40), max_size=2))
+    @settings(max_examples=30, deadline=None)
+    def test_queries_survive_release(self, items, cuts):
+        packets = _frames(items)
+        bounds = sorted({min(cut, len(packets)) for cut in cuts}
+                        | {0, len(packets)})
+        pipeline = AuditPipeline.incremental(TV)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            pipeline.extend_pcap_bytes(dump_bytes(packets[lo:hi]))
+        domains = sorted(pipeline._domain_index()) + ["ghost.example"]
+        capture = pipeline.packets
+        before = (_answers(pipeline, domains),
+                  capture.payload_lengths().tolist())
+        capture.release_frames()
+        capture.release_frames()  # a second release changes nothing
+        assert (_answers(pipeline, domains),
+                capture.payload_lengths().tolist()) == before
+        with pytest.raises(FramesReleasedError):
+            capture.extend_pcap_bytes(dump_bytes(packets))
+        if packets:
+            view = capture.view(0)
+            for read in (lambda: capture.frame(0), lambda: view.data,
+                         lambda: view.transport_payload):
+                with pytest.raises(FramesReleasedError):
+                    read()
 
 
 class TestFlowKeys:

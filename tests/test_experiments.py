@@ -14,8 +14,11 @@ from repro.experiments import findings as findings_mod
 from repro.experiments.fig_timelines import acr_timeline
 from repro.experiments.tables_volumes import SCENARIO_NAMES
 from repro.experiments import cache
+from repro.experiments.geolocation import observed_acr_domains
+from repro.geo.audit import GeolocationAudit
+from repro.sim.rng import RngRegistry
 from repro.testbed import (Country, ExperimentSpec, Phase, Scenario,
-                           Vendor)
+                           Vendor, run_experiment)
 
 
 class TestTimelineFigures:
@@ -119,7 +122,61 @@ class TestVolumeTables:
             assert cell is None or not cell.present
 
 
+def _fields(value):
+    """A slotted object as nested plain values, field by field."""
+    if isinstance(value, list):
+        return [_fields(item) for item in value]
+    slots = getattr(type(value), "__slots__", None)
+    if not slots:
+        return value
+    return (type(value).__name__,) + tuple(
+        _fields(getattr(value, name)) for name in slots)
+
+
+def _geo_from_simulated_cell(country, seed):
+    """S10's former path, kept as the oracle: simulate the LG Linear
+    cell and locate against the registry and zone its capture ran on."""
+    result = run_experiment(ExperimentSpec(
+        Vendor.LG, country, Scenario.LINEAR, Phase.LIN_OIN), seed=seed)
+    resolver = result.zone
+    audit = GeolocationAudit(
+        result.registry.ipspace, RngRegistry(seed).fork("geo"),
+        ptr_lookup=lambda address: (
+            resolver.lookup_ptr(address).target_name
+            if resolver.lookup_ptr(address) else None))
+    findings, dpf_ok = {}, {}
+    for domain in observed_acr_domains(country, seed):
+        address = result.registry.server(domain).address
+        findings[domain] = audit.locate(address, country.vantage, domain)
+        provider = result.registry.record(domain).provider
+        dpf_ok[domain] = audit.transfer_allowed(provider)
+    return findings, dpf_ok
+
+
+def _assert_geo_matches_oracle(country, seed):
+    experiment = run_geo_experiment(country, seed)
+    findings, dpf_ok = _geo_from_simulated_cell(country, seed)
+    assert experiment.domains == sorted(findings)
+    assert {domain: _fields(finding)
+            for domain, finding in experiment.findings.items()} == \
+        {domain: _fields(finding) for domain, finding in findings.items()}
+    assert experiment.dpf_ok == dpf_ok
+
+
 class TestGeoExperiment:
+    @pytest.mark.parametrize("country", [Country.UK, Country.US])
+    def test_catalog_matches_simulated_cell(self, country):
+        _assert_geo_matches_oracle(country, cache.DEFAULT_SEED)
+
+    @pytest.mark.slow
+    def test_catalog_matches_simulated_cell_seeds_1_to_10(self,
+                                                          monkeypatch):
+        # Other seeds replace the process-wide grid; restore it after.
+        monkeypatch.setattr(cache, "_grid", None)
+        for seed in range(1, 11):
+            for country in (Country.UK, Country.US):
+                _assert_geo_matches_oracle(country, seed)
+
     def test_uk_findings(self):
         experiment = run_geo_experiment(Country.UK)
         lg_domains = [d for d in experiment.domains

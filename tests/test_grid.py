@@ -5,8 +5,10 @@ with filters, cache hit/miss/invalidation (seed and code-version), and
 that a 2-job parallel run is byte-identical to a serial run.
 """
 
+import concurrent.futures
 import json
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.pipeline import AuditPipeline
 from repro.cli import main
+from repro.experiments import grid as grid_mod
 from repro.experiments.grid import (CacheReadError, CellRecord,
                                     GridFilterError, GridResults,
                                     GridRunner, ResultCache,
-                                    enumerate_cells, parse_filters)
+                                    enumerate_cells, parse_filters,
+                                    warm_assets)
 from repro.net.addresses import Ipv4Address
+from repro.net.columnar import FramesReleasedError
 from repro.sim.clock import minutes
 from repro.testbed import Country, ExperimentSpec, Phase, Scenario, Vendor
 
@@ -44,6 +49,24 @@ def damage_file(path, kind):
 
 def short_cells(*expressions):
     return enumerate_cells(list(expressions), duration_ns=SHORT)
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """The labels of the cells this process simulates, in order.
+
+    Every grid cell, served from a pool worker or in process, is made
+    by ``grid.run_experiment``; a pool worker's calls land in its own
+    copy of this list, so only this process's simulations count."""
+    labels = []
+    simulate = grid_mod.run_experiment
+
+    def counted(spec, *args, **kwargs):
+        labels.append(spec.label)
+        return simulate(spec, *args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "run_experiment", counted)
+    return labels
 
 
 class TestEnumeration:
@@ -270,67 +293,114 @@ class TestGridResults:
     SPEC = ExperimentSpec(Vendor.LG, Country.UK, Scenario.LINEAR,
                           Phase.LIN_OIN, SHORT)
 
-    def test_pipeline_from_warm_cache_matches_fresh(self, tmp_path):
+    def test_pipeline_from_warm_cache_matches_fresh(self, tmp_path,
+                                                    simulations):
         cache = ResultCache(str(tmp_path))
         GridRunner(seed=3, cache=cache).run([self.SPEC])
+        simulations.clear()
 
         warm = GridResults(seed=3, cache=cache)
         pipeline = warm.pipeline(self.SPEC)
-        assert warm.campaign.runs == 0  # served from disk, no simulation
+        assert simulations == []  # served from disk, no simulation
 
         fresh = GridResults(seed=3, cache=None).pipeline(self.SPEC)
         assert pipeline.acr_candidate_domains() == \
             fresh.acr_candidate_domains()
         assert pipeline.byte_totals() == fresh.byte_totals()
 
-    def test_ensure_prefetches(self, tmp_path):
+    def test_ensure_prefetches(self, tmp_path, simulations):
         results = GridResults(seed=3, cache=ResultCache(str(tmp_path)))
         specs = short_cells(*CELLS)
         results.ensure(specs, jobs=2)
         for spec in specs:
             results.pipeline(spec)
-        assert results.campaign.runs == 0
+        assert simulations == []
 
-    def test_corrupt_pcap_self_heals(self, tmp_path):
+    def test_corrupt_pcap_self_heals(self, tmp_path, simulations):
         cache = ResultCache(str(tmp_path))
         GridRunner(seed=3, cache=cache).run([self.SPEC])
         __, pcap_path = cache._paths(cache.key(self.SPEC, 3))
         with open(pcap_path, "wb") as fileobj:
             fileobj.write(b"garbage, not zlib")
+        simulations.clear()
 
         healed = GridResults(seed=3, cache=cache)
         pipeline = healed.pipeline(self.SPEC)  # re-runs and re-stores
-        assert healed.campaign.runs == 1
+        assert simulations == [self.SPEC.label]
         assert pipeline.acr_candidate_domains()
 
         again = GridResults(seed=3, cache=cache)
         assert again.pipeline(self.SPEC).byte_totals() == \
             pipeline.byte_totals()
-        assert again.campaign.runs == 0  # repaired entry serves from disk
+        # The repaired entry serves from disk.
+        assert simulations == [self.SPEC.label]
 
     @pytest.mark.parametrize("kind", sorted(DAMAGE))
-    def test_damaged_pcap_self_heals(self, tmp_path, kind):
+    def test_damaged_pcap_self_heals(self, tmp_path, kind, simulations):
         cache = ResultCache(str(tmp_path))
         stored = GridRunner(seed=3, cache=cache).run([self.SPEC])[0]
+        original = stored.pcap_bytes  # read before the file is damaged
         __, pcap_path = cache._paths(cache.key(self.SPEC, 3))
         damage_file(pcap_path, kind)
+        simulations.clear()
 
         healed = GridResults(seed=3, cache=cache)
         healed.pipeline(self.SPEC)  # re-runs and re-stores
-        assert healed.campaign.runs == 1
+        assert simulations == [self.SPEC.label]
         with open(pcap_path, "rb") as fileobj:
-            assert fileobj.read() == stored.pcap_bytes
-        assert cache.load(self.SPEC, 3).pcap_bytes == stored.pcap_bytes
+            assert fileobj.read() == original
+        assert cache.load(self.SPEC, 3).pcap_bytes == original
 
-    def test_parallel_store_reloads_identically(self, tmp_path):
+    def test_parent_holds_columns_not_captures(self, tmp_path):
         specs = short_cells(*CELLS)
-        stored = GridRunner(seed=3, cache=ResultCache(str(tmp_path)),
-                            jobs=2).run(specs)
-        fresh = ResultCache(str(tmp_path))
+        # Assets and the pool machinery's first-use imports are made
+        # before tracing: they are not the grid's data.
+        warm_assets(specs)
+        with concurrent.futures.ProcessPoolExecutor(1) as pool:
+            pool.submit(int).result()
+        results = GridResults(seed=3, cache=ResultCache(str(tmp_path)))
+        tracemalloc.start()
+        try:
+            results.ensure(specs, jobs=2)
+            pipelines = [results.pipeline(spec) for spec in specs]
+            held, __ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        records = [results.record(spec) for spec in specs]
+        assert all(record._pcap_bytes is None for record in records)
+        for pipeline in pipelines:
+            with pytest.raises(FramesReleasedError):
+                pipeline.packets.frame(0)
+        # Holding the captures alone would cost their full size.
+        assert held < sum(record.pcap_len for record in records) / 2
+
+    def test_parallel_store_reloads_identically(self, tmp_path,
+                                                monkeypatch):
+        stores = []
+        store = ResultCache.store
+
+        def counted(cache, record):
+            stores.append(record.label)
+            store(cache, record)
+
+        # Pool workers call their own copy; only this process's calls
+        # land in ``stores``.
+        monkeypatch.setattr(ResultCache, "store", counted)
+        specs = short_cells(*CELLS)
+        pooled = str(tmp_path / "pooled")
+        stored = GridRunner(seed=3, cache=ResultCache(
+            pooled, version="v-test"), jobs=2).run(specs)
+        assert stores == []  # each worker stored its own cell
+
+        serial = ResultCache(str(tmp_path / "serial"), version="v-test")
+        GridRunner(seed=3, cache=serial, jobs=1).run(specs)
+        assert sorted(stores) == sorted(spec.label for spec in specs)
+
+        fresh = ResultCache(pooled, version="v-test")
         for spec, record in zip(specs, stored):
             loaded = fresh.load(spec, 3)
             assert loaded.from_cache
-            assert loaded.pcap_bytes == record.pcap_bytes
+            assert loaded.pcap_bytes == serial.load(spec, 3).pcap_bytes
             # The stored file is itself the capture: it decodes as is.
             __, pcap_path = fresh._paths(fresh.key(spec, 3))
             with open(pcap_path, "rb") as fileobj:

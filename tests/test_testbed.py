@@ -121,9 +121,10 @@ class TestAccessPoint:
         ap.start_capture()
         ap.capture(CapturedPacket(2, b"x" * 20))
         assert ap.packet_count == 1
-        ap.stop_capture()
+        # Stopping hands the capture over and empties the tap.
+        assert [p.timestamp for p in ap.stop_capture()] == [2]
         ap.capture(CapturedPacket(3, b"x" * 20))
-        assert ap.packet_count == 1
+        assert ap.packet_count == 0
 
     def test_packets_sorted(self):
         registry = DomainRegistry()

@@ -1,12 +1,15 @@
 """Tests for validation scripts and the EXPERIMENTS.md report generator
 building blocks."""
 
+import copy
+
 import pytest
 
 from repro.experiments.report import (cadence_section, cdf_section,
                                       scorecard_section)
 from repro.experiments.tables_volumes import (PAPER_TABLE2, PAPER_TABLE4,
                                               paper_reference)
+from repro.net.pcap import GLOBAL_HEADER, RECORD_HEADER, iter_records
 from repro.sim import minutes
 from repro.testbed import (Country, ExperimentSpec, Phase, Scenario,
                            Vendor, run_experiment, validate)
@@ -50,6 +53,55 @@ class TestValidationOnRealRuns:
         report = validate(result)
         assert "opted-out-client-silent" in report.checks
         assert report.ok
+
+
+@pytest.fixture(scope="module")
+def short_run():
+    return run_experiment(ExperimentSpec(
+        Vendor.LG, Country.UK, Scenario.LINEAR, Phase.LIN_OIN,
+        duration_ns=minutes(6)), seed=1)
+
+
+def _records(raw):
+    """The capture's records as raw byte strings, header included."""
+    return [(timestamp, raw[offset - RECORD_HEADER.size:offset + incl])
+            for timestamp, offset, incl, __ in iter_records(raw)]
+
+
+def _with_records(result, records, packet_count=None):
+    broken = copy.copy(result)
+    broken.pcap_bytes = result.pcap_bytes[:GLOBAL_HEADER.size] + b"".join(
+        record for __, record in records)
+    if packet_count is not None:
+        broken.packet_count = packet_count
+    return broken
+
+
+def _failed(result):
+    return {failure.split(":")[0] for failure in validate(result).failures}
+
+
+class TestValidationCatchesBrokenCaptures:
+    """Each workflow check fails on the capture fault it exists for."""
+
+    def test_dropped_record_fails_roundtrip(self, short_run):
+        records = _records(short_run.pcap_bytes)
+        assert _failed(_with_records(short_run, records[:-1])) == \
+            {"pcap-roundtrip"}
+
+    def test_swapped_records_fail_ordering(self, short_run):
+        records = _records(short_run.pcap_bytes)
+        first = next(i for i in range(len(records) - 1)
+                     if records[i][0] < records[i + 1][0])
+        records[first], records[first + 1] = \
+            records[first + 1], records[first]
+        assert _failed(_with_records(short_run, records)) == \
+            {"timestamps-sorted"}
+
+    def test_empty_capture_fails_nonempty(self, short_run):
+        failed = _failed(_with_records(short_run, [], packet_count=0))
+        assert "capture-nonempty" in failed
+        assert "pcap-roundtrip" not in failed
 
 
 class TestPaperReferenceData:
