@@ -8,9 +8,9 @@ PY := PYTHONPATH=src python
 # routine refactors do not.
 COV_FLOOR := 75
 
-.PHONY: test test-fast bench bench-grid bench-fleet bench-json \
-	bench-point coverage docs-check golden-update report resume-smoke \
-	metrics-smoke chaos-smoke findings-smoke \
+.PHONY: test test-fast bench bench-fidelity bench-grid bench-fleet \
+	bench-json bench-point coverage docs-check golden-update report \
+	resume-smoke metrics-smoke chaos-smoke findings-smoke \
 	invariance-smoke
 
 test:
@@ -23,6 +23,12 @@ test-fast:
 
 bench:
 	$(PY) -m pytest benchmarks -q
+
+# The benchmark suite without its wall-clock speedup floors (marker
+# `wallclock`): the paper-fidelity comparisons, which hold on any
+# machine.  CI runs it; `make bench` still runs everything.
+bench-fidelity:
+	$(PY) -m pytest benchmarks -q -m "not wallclock"
 
 bench-grid:
 	$(PY) -m pytest benchmarks/bench_grid_runner.py -q

@@ -109,6 +109,7 @@ def test_backend_setup(benchmark, reference):
     assert backend.library is reference
 
 
+@pytest.mark.wallclock
 def test_reference_build(library):
     """Fingerprinting 8 shows from an empty memo: the per-item batched
     ingest against one single-position ``capture_state`` call per

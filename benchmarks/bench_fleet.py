@@ -40,6 +40,7 @@ def shared_assets():
     warm_assets(countries=["uk"])
 
 
+@pytest.mark.wallclock
 def test_fleet_parallel_scaling(shared_assets):
     # shard_size=3 over 12 households -> 4 shards, so the jobs=4 run
     # genuinely executes on the process pool (a single shard would
@@ -73,6 +74,7 @@ def test_fleet_parallel_scaling(shared_assets):
         f"parallel fleet only {speedup:.2f}x faster on {cores} cores"
 
 
+@pytest.mark.wallclock
 def test_fleet_warm_cache_speedup(shared_assets, tmp_path):
     pop = population(10)
     cache = ResultCache(str(tmp_path), version="bench-fleet")

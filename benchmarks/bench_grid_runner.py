@@ -52,6 +52,7 @@ def test_grid_parallel_cold(benchmark, shared_assets):
     assert not any(record.from_cache for record in records)
 
 
+@pytest.mark.wallclock
 def test_grid_warm_cache_speedup(shared_assets, tmp_path):
     cache = grid_mod.ResultCache(str(tmp_path))
     specs = grid_specs()

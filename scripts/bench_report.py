@@ -4,7 +4,7 @@ Two kinds of point:
 
 * ``make bench-json`` measures the codec hot path: the hot-path
   microbenches (seed-vs-fast checksum, full-vs-lazy decode,
-  object-vs-columnar decode, object-vs-template encode) plus a
+  object-vs-columnar decode, object-vs-capture-log encode) plus a
   reduced-grid end-to-end measurement (one cell simulated cold, then
   decoded into an audit pipeline).  A future change that erodes a
   speedup shows up as a smaller ratio in its ``BENCH_<n+1>.json`` diff.
@@ -98,7 +98,7 @@ def fold_spans(snapshot: dict) -> dict:
 
 
 def end_to_end(minutes: int) -> dict:
-    """One cold cell: simulate (template encode) then audit (lazy
+    """One cold cell: simulate (capture-log encode) then audit (columnar
     decode).  Assets are warmed first so the numbers isolate the codec
     path the way the grid/fleet runners see it.  Runs under a live
     metrics registry so the span/counter breakdown (fingerprint memo

@@ -8,6 +8,7 @@ raw bytes, exactly like the paper's Mon(IoT)r-based setup.
 
 from .addresses import (BROADCAST_MAC, Ipv4Address, Ipv4Network, MacAddress,
                         mac_from_seed, parse_endpoint)
+from .capture import CaptureLog
 from .columnar import ColumnarCapture, ColumnarSlice, ColumnarView
 from .dns import DnsMessage, DnsQuestion, DnsRecord
 from .ethernet import EthernetFrame
@@ -19,12 +20,12 @@ from .pcap import (PcapError, PcapReader, PcapWriter, dump_bytes, load_bytes,
                    load_file, save_file)
 from .stack import HostStack, TlsSession
 from .tcp import TcpSegment
-from .template import TcpFrameTemplate
 from .tls import TlsRecord, extract_sni
 from .udp import UdpDatagram
 
 __all__ = [
     "BROADCAST_MAC",
+    "CaptureLog",
     "CapturedPacket",
     "ColumnarCapture",
     "ColumnarSlice",
@@ -44,7 +45,6 @@ __all__ = [
     "PcapError",
     "PcapReader",
     "PcapWriter",
-    "TcpFrameTemplate",
     "TcpSegment",
     "TlsRecord",
     "TlsSession",

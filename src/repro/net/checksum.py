@@ -50,22 +50,6 @@ def verify_checksum(data: bytes) -> bool:
     return ones_complement_sum(data) == 0xFFFF
 
 
-def incremental_update(checksum: int, old: bytes, new: bytes) -> int:
-    """Recompute a checksum after replacing ``old`` bytes with ``new``,
-    per RFC 1624 (eqn. 3) — without touching the unchanged bytes.
-
-    ``old``/``new`` are the before/after images of the changed fields
-    (16-bit aligned within the checksummed buffer).  The buffer is
-    assumed nonzero after the update — true for any real IP/TCP/UDP
-    header — which is what lets the mod-0xFFFF zero collapse resolve to
-    0xFFFF, keeping the result bit-identical to a full recompute.
-    """
-    total = ((~checksum & 0xFFFF) + word_sum(new) - word_sum(old)) % 0xFFFF
-    if total == 0:
-        total = 0xFFFF
-    return (~total) & 0xFFFF
-
-
 def pseudo_header(src: bytes, dst: bytes, protocol: int,
                   length: int) -> bytes:
     """IPv4 pseudo header used in TCP/UDP checksum computation."""

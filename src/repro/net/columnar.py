@@ -313,7 +313,7 @@ def _payload_lengths(data: np.ndarray, off: np.ndarray, length: np.ndarray,
     never reaches its length: a UDP length field cut short puts the
     payload start past the frame too (an empty slice either way), and a
     TCP row cut before its data-offset byte has no locatable payload,
-    so it reads 0 (its view raises ``IndexError``).
+    so it reads 0 (its view returns ``b""``).
     """
     last = len(data) - 1
     transport = 14 + ihl.astype(np.int64)
@@ -602,6 +602,8 @@ class ColumnarView:
         data = self.data
         transport = 14 + int(capture.ihl[index])
         if proto == PROTO_TCP:
+            if len(data) <= transport + 12:
+                return b""  # cut before the data offset: no payload
             offset = transport + ((data[transport + 12] >> 4) * 4)
             total = int.from_bytes(data[16:18], "big")
             return data[offset:14 + total]

@@ -267,6 +267,8 @@ class LazyPacket:
     def transport_payload(self) -> bytes:
         if self.proto == PROTO_TCP:
             transport = 14 + self._ihl
+            if len(self.data) <= transport + 12:
+                return b""  # cut before the data offset: no payload
             offset = transport + ((self.data[transport + 12] >> 4) * 4)
             total = int.from_bytes(self.data[16:18], "big")
             return self.data[offset:14 + total]

@@ -20,6 +20,9 @@ VERSION_MAJOR = 2
 VERSION_MINOR = 4
 LINKTYPE_ETHERNET = 1
 
+#: The snaplen a PcapWriter declares unless told otherwise.
+SNAPLEN = 65535
+
 GLOBAL_HEADER = struct.Struct("<IHHiIII")
 RECORD_HEADER = struct.Struct("<IIII")
 
@@ -34,7 +37,7 @@ class PcapError(ValueError):
 class PcapWriter:
     """Stream packets into a pcap file object."""
 
-    def __init__(self, fileobj: BinaryIO, snaplen: int = 65535) -> None:
+    def __init__(self, fileobj: BinaryIO, snaplen: int = SNAPLEN) -> None:
         if snaplen <= 0:
             raise ValueError(f"snaplen must be positive: {snaplen}")
         self._file = fileobj

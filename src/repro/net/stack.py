@@ -3,23 +3,24 @@
 Device models call high-level operations (resolve a name, open a TLS
 session, exchange payloads, keep a connection alive); the stack emits every
 packet of both directions — handshakes, segmentation, ACKs, teardown — with
-capture timestamps as seen at the access point tap.  The resulting capture
-is indistinguishable, for the paper's analysis pipeline, from a tcpdump of a
+capture timestamps as seen at the access point tap, as one row each in the
+AP's capture log (:mod:`repro.net.capture`).  The resulting capture is
+indistinguishable, for the paper's analysis pipeline, from a tcpdump of a
 physical TV.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..sim.clock import microseconds
 from ..sim.rng import RngRegistry
 from .addresses import Ipv4Address, MacAddress
+from .capture import CaptureLog
 from .dns import DnsMessage, DnsRecord
 from .link import LatencyModel
-from .packet import CapturedPacket, build_tcp_frame, build_udp_frame
+from .packet import build_tcp_frame, build_udp_frame
 from .tcp import (FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN, TcpSegment)
-from .template import TcpFrameTemplate
 from .tls import (AEAD_OVERHEAD, TlsRecord, application_records,
                   handshake_flights)
 
@@ -27,28 +28,23 @@ MSS = 1460
 EPHEMERAL_BASE = 40000
 PROCESSING_NS = microseconds(150)
 
-CaptureFn = Callable[[CapturedPacket], None]
-
 
 class HostStack:
-    """The TV-side network stack attached to the AP's capture tap."""
+    """The TV-side network stack, logging into the AP's capture log."""
 
     def __init__(self, mac: MacAddress, ip: Ipv4Address,
                  gateway_mac: MacAddress, latency: LatencyModel,
-                 rng: RngRegistry, capture: CaptureFn) -> None:
+                 rng: RngRegistry, log: CaptureLog) -> None:
         self.mac = mac
         self.ip = ip
         self.gateway_mac = gateway_mac
         self.latency = latency
         self.rng = rng
-        self.capture = capture
+        self.log = log
         self._next_port = EPHEMERAL_BASE
         self._ip_id = rng.bounded_int("stack:ipid", 0, 0xFFFF)
         self._remote_ip_id = rng.bounded_int("stack:remote-ipid", 0, 0xFFFF)
         self._dns_txid = rng.bounded_int("stack:dns-txid", 0, 0xFFFF)
-        # Header templates per flow direction: a TLS session re-emits
-        # hundreds of segments that differ only in the patchable fields.
-        self._templates: Dict[Tuple, TcpFrameTemplate] = {}
         # The TV's radio and the AP's delivery queue each serialize frames,
         # so capture timestamps are monotonic per direction even when
         # latency jitter would say otherwise.
@@ -82,66 +78,74 @@ class HostStack:
         self._remote_ip_id = (self._remote_ip_id + 1) & 0xFFFF
         return self._remote_ip_id
 
+    def _emit_outbound_frame(self, at: int, frame: bytes) -> int:
+        ts = self._serialize_out(at + self.latency.wifi_hop_ns())
+        self.log.frame(ts, frame)
+        return ts
+
+    def _emit_inbound_frame(self, at: int, frame: bytes) -> int:
+        ts = self._serialize_in(at)
+        self.log.frame(ts, frame)
+        return ts
+
     def emit_outbound_udp(self, at: int, dst_ip: Ipv4Address,
                           src_port: int, dst_port: int,
                           payload: bytes) -> int:
         """TV -> Internet UDP datagram; returns capture timestamp."""
-        frame = build_udp_frame(self.mac, self.gateway_mac, self.ip, dst_ip,
-                                src_port, dst_port, payload,
-                                identification=self._next_ip_id())
-        ts = self._serialize_out(at + self.latency.wifi_hop_ns())
-        self.capture(CapturedPacket(ts, frame))
-        return ts
+        return self._emit_outbound_frame(at, build_udp_frame(
+            self.mac, self.gateway_mac, self.ip, dst_ip, src_port,
+            dst_port, payload, identification=self._next_ip_id()))
 
     def emit_inbound_udp(self, at: int, src_ip: Ipv4Address,
                          src_port: int, dst_port: int,
                          payload: bytes, ttl: int = 57) -> int:
         """Internet -> TV UDP datagram; returns capture timestamp."""
-        frame = build_udp_frame(self.gateway_mac, self.mac, src_ip, self.ip,
-                                src_port, dst_port, payload,
-                                identification=self._next_remote_ip_id(),
-                                ttl=ttl)
-        ts = self._serialize_in(at)
-        self.capture(CapturedPacket(ts, frame))
-        return ts
+        return self._emit_inbound_frame(at, build_udp_frame(
+            self.gateway_mac, self.mac, src_ip, self.ip, src_port,
+            dst_port, payload, identification=self._next_remote_ip_id(),
+            ttl=ttl))
 
-    def _tcp_frame(self, src_mac: MacAddress, dst_mac: MacAddress,
-                   src_ip: Ipv4Address, dst_ip: Ipv4Address, ttl: int,
-                   identification: int, segment: TcpSegment) -> bytes:
-        """Encode via a cached header template when the segment has the
-        fast-path shape (no options, default window) — the overwhelming
-        majority; SYN segments carry an MSS option and fall back to the
-        full object codec."""
-        if segment.mss_option or segment.window != 0xFFFF:
-            return build_tcp_frame(src_mac, dst_mac, src_ip, dst_ip,
-                                   segment, identification=identification,
-                                   ttl=ttl)
-        key = (src_mac.value, dst_mac.value, src_ip.value, dst_ip.value,
-               segment.src_port, segment.dst_port, ttl)
-        template = self._templates.get(key)
-        if template is None:
-            template = TcpFrameTemplate(src_mac, dst_mac, src_ip, dst_ip,
-                                        segment.src_port, segment.dst_port,
-                                        ttl=ttl)
-            self._templates[key] = template
-        return template.frame(identification, segment.seq, segment.ack,
-                              segment.flags, segment.payload)
+    def emit_outbound_segment(self, at: int, dst_ip: Ipv4Address,
+                              segment: TcpSegment) -> int:
+        """TV -> Internet segment through the object codec (the SYN,
+        whose MSS option the capture log's fixed layout lacks)."""
+        return self._emit_outbound_frame(at, build_tcp_frame(
+            self.mac, self.gateway_mac, self.ip, dst_ip, segment,
+            identification=self._next_ip_id()))
 
-    def emit_outbound_tcp(self, at: int, dst_ip: Ipv4Address,
-                          segment: TcpSegment) -> int:
-        frame = self._tcp_frame(self.mac, self.gateway_mac, self.ip,
-                                dst_ip, 64, self._next_ip_id(), segment)
+    def emit_inbound_segment(self, at: int, src_ip: Ipv4Address,
+                             segment: TcpSegment, ttl: int = 57) -> int:
+        """Internet -> TV segment through the object codec (SYN-ACK)."""
+        return self._emit_inbound_frame(at, build_tcp_frame(
+            self.gateway_mac, self.mac, src_ip, self.ip, segment,
+            identification=self._next_remote_ip_id(), ttl=ttl))
+
+    def tcp_flows(self, remote_ip: Ipv4Address, local_port: int,
+                  remote_port: int, ttl: int = 57) -> Tuple[int, int]:
+        """Capture-log flow ids of a connection's outbound and inbound
+        directions."""
+        log = self.log
+        return (log.flow(self.mac, self.gateway_mac, self.ip, remote_ip,
+                         local_port, remote_port, 64),
+                log.flow(self.gateway_mac, self.mac, remote_ip, self.ip,
+                         remote_port, local_port, ttl))
+
+    def emit_outbound_tcp(self, at: int, flow: int, seq: int, ack: int,
+                          flags: int, payload: bytes = b"") -> int:
+        """TV -> Internet option-less segment; returns capture
+        timestamp."""
+        ip_id = self._next_ip_id()
         ts = self._serialize_out(at + self.latency.wifi_hop_ns())
-        self.capture(CapturedPacket(ts, frame))
+        self.log.tcp(ts, flow, ip_id, seq, ack, flags, payload)
         return ts
 
-    def emit_inbound_tcp(self, at: int, src_ip: Ipv4Address,
-                         segment: TcpSegment, ttl: int = 57) -> int:
-        frame = self._tcp_frame(self.gateway_mac, self.mac, src_ip,
-                                self.ip, ttl, self._next_remote_ip_id(),
-                                segment)
+    def emit_inbound_tcp(self, at: int, flow: int, seq: int, ack: int,
+                         flags: int, payload: bytes = b"") -> int:
+        """Internet -> TV option-less segment; returns capture
+        timestamp."""
         ts = self._serialize_in(at)
-        self.capture(CapturedPacket(ts, frame))
+        self.log.tcp(ts, flow, self._next_remote_ip_id(), seq, ack, flags,
+                     payload)
         return ts
 
     # -- DNS ---------------------------------------------------------------
@@ -186,6 +190,8 @@ class TlsSession:
             f"tls:{server_name}:cseq", 1, 0xFFFF0000)
         self.server_seq = stack.rng.bounded_int(
             f"tls:{server_name}:sseq", 1, 0xFFFF0000)
+        self._out, self._in = stack.tcp_flows(server_ip, client_port,
+                                              server_port)
         self.established_at: Optional[int] = None
         self.closed = False
         self.bytes_sent = 0
@@ -208,19 +214,19 @@ class TlsSession:
 
         syn = TcpSegment(session.client_port, server_port,
                          session.client_seq, 0, FLAG_SYN, mss_option=MSS)
-        ts = stack.emit_outbound_tcp(at, server_ip, syn)
+        ts = stack.emit_outbound_segment(at, server_ip, syn)
         session.client_seq += 1
 
         synack = TcpSegment(server_port, session.client_port,
                             session.server_seq, session.client_seq,
                             FLAG_SYN | FLAG_ACK, mss_option=MSS)
-        ts = stack.emit_inbound_tcp(ts + 2 * owd + PROCESSING_NS,
-                                    server_ip, synack)
+        ts = stack.emit_inbound_segment(ts + 2 * owd + PROCESSING_NS,
+                                        server_ip, synack)
         session.server_seq += 1
 
-        ack = TcpSegment(session.client_port, server_port,
-                         session.client_seq, session.server_seq, FLAG_ACK)
-        ts = stack.emit_outbound_tcp(ts + PROCESSING_NS, server_ip, ack)
+        ts = stack.emit_outbound_tcp(ts + PROCESSING_NS, session._out,
+                                     session.client_seq, session.server_seq,
+                                     FLAG_ACK)
 
         client_random = stack.rng.token_bytes(
             f"tls:{server_name}:crandom", 32)
@@ -262,20 +268,17 @@ class TlsSession:
         last_captured = at
         for index, chunk in enumerate(chunks):
             flags = FLAG_ACK | (FLAG_PSH if index == len(chunks) - 1 else 0)
-            segment = TcpSegment(self.client_port, self.server_port,
-                                 self.client_seq, self.server_seq,
-                                 flags, payload=chunk)
             last_captured = self.stack.emit_outbound_tcp(
-                send_ts, self.server_ip, segment)
+                send_ts, self._out, self.client_seq, self.server_seq,
+                flags, chunk)
             self.client_seq = (self.client_seq + len(chunk)) & 0xFFFFFFFF
             self.bytes_sent += len(chunk)
             send_ts += self.stack.latency.serialization_ns(len(chunk))
             # Delayed ACK: every second segment and the final one.
             if index % 2 == 1 or index == len(chunks) - 1:
-                ack = TcpSegment(self.server_port, self.client_port,
-                                 self.server_seq, self.client_seq, FLAG_ACK)
                 last_captured = max(last_captured, self.stack.emit_inbound_tcp(
-                    last_captured + 2 * owd, self.server_ip, ack))
+                    last_captured + 2 * owd, self._in, self.server_seq,
+                    self.client_seq, FLAG_ACK))
         return last_captured
 
     def _recv_records(self, at: int, records: List[TlsRecord]) -> int:
@@ -285,20 +288,17 @@ class TlsSession:
         last_captured = at
         for index, chunk in enumerate(chunks):
             flags = FLAG_ACK | (FLAG_PSH if index == len(chunks) - 1 else 0)
-            segment = TcpSegment(self.server_port, self.client_port,
-                                 self.server_seq, self.client_seq,
-                                 flags, payload=chunk)
             last_captured = self.stack.emit_inbound_tcp(
-                send_ts, self.server_ip, segment)
+                send_ts, self._in, self.server_seq, self.client_seq,
+                flags, chunk)
             self.server_seq = (self.server_seq + len(chunk)) & 0xFFFFFFFF
             self.bytes_received += len(chunk)
             send_ts = max(send_ts + self.stack.latency.serialization_ns(
                 len(chunk)), last_captured)
             if index % 2 == 1 or index == len(chunks) - 1:
-                ack = TcpSegment(self.client_port, self.server_port,
-                                 self.client_seq, self.server_seq, FLAG_ACK)
                 last_captured = max(last_captured, self.stack.emit_outbound_tcp(
-                    send_ts, self.server_ip, ack))
+                    send_ts, self._out, self.client_seq, self.server_seq,
+                    FLAG_ACK))
         return last_captured
 
     # -- application operations ---------------------------------------------
@@ -331,34 +331,28 @@ class TlsSession:
         """RFC 1122 keep-alive probe: an empty ACK and its ACK reply."""
         self._ensure_open()
         owd = self.stack.latency.one_way_ns(self.server_ip)
-        probe = TcpSegment(self.client_port, self.server_port,
-                           (self.client_seq - 1) & 0xFFFFFFFF,
-                           self.server_seq, FLAG_ACK)
-        ts = self.stack.emit_outbound_tcp(at, self.server_ip, probe)
-        reply = TcpSegment(self.server_port, self.client_port,
-                           self.server_seq, self.client_seq, FLAG_ACK)
-        return self.stack.emit_inbound_tcp(ts + 2 * owd, self.server_ip,
-                                           reply)
+        ts = self.stack.emit_outbound_tcp(
+            at, self._out, (self.client_seq - 1) & 0xFFFFFFFF,
+            self.server_seq, FLAG_ACK)
+        return self.stack.emit_inbound_tcp(ts + 2 * owd, self._in,
+                                           self.server_seq, self.client_seq,
+                                           FLAG_ACK)
 
     def close(self, at: int) -> int:
         """FIN/ACK teardown in both directions; returns last ts."""
         self._ensure_open()
         owd = self.stack.latency.one_way_ns(self.server_ip)
-        fin = TcpSegment(self.client_port, self.server_port,
-                         self.client_seq, self.server_seq,
-                         FLAG_FIN | FLAG_ACK)
-        ts = self.stack.emit_outbound_tcp(at, self.server_ip, fin)
+        ts = self.stack.emit_outbound_tcp(at, self._out, self.client_seq,
+                                          self.server_seq,
+                                          FLAG_FIN | FLAG_ACK)
         self.client_seq += 1
-        finack = TcpSegment(self.server_port, self.client_port,
-                            self.server_seq, self.client_seq,
-                            FLAG_FIN | FLAG_ACK)
         ts = self.stack.emit_inbound_tcp(ts + 2 * owd + PROCESSING_NS,
-                                         self.server_ip, finack)
+                                         self._in, self.server_seq,
+                                         self.client_seq, FLAG_FIN | FLAG_ACK)
         self.server_seq += 1
-        last_ack = TcpSegment(self.client_port, self.server_port,
-                              self.client_seq, self.server_seq, FLAG_ACK)
-        ts = self.stack.emit_outbound_tcp(ts + PROCESSING_NS,
-                                          self.server_ip, last_ack)
+        ts = self.stack.emit_outbound_tcp(ts + PROCESSING_NS, self._out,
+                                          self.client_seq, self.server_seq,
+                                          FLAG_ACK)
         self.closed = True
         return ts
 

@@ -43,11 +43,18 @@ class RngRegistry:
         """
         if not 0.0 <= fraction < 1.0:
             raise ValueError("fraction must be in [0, 1)")
-        stream = self.stream(name)
         spread = int(base * fraction)
         if spread == 0:
             return int(base)
-        return max(0, int(base) + stream.randint(-spread, spread))
+        # ``randint(-spread, spread)`` inlined: the same getrandbits
+        # rejection loop, so the same value from the same stream state.
+        getrandbits = self.stream(name).getrandbits
+        width = 2 * spread + 1
+        bits = width.bit_length()
+        draw = getrandbits(bits)
+        while draw >= width:
+            draw = getrandbits(bits)
+        return max(0, int(base) - spread + draw)
 
     def bounded_int(self, name: str, low: int, high: int) -> int:
         """Uniform integer in [low, high] from the named stream."""

@@ -1,21 +1,21 @@
 """The Mon(IoT)r-style capture access point.
 
 One AP per TV: it is the TV's Wi-Fi gateway and DNS resolver, and it taps
-every frame the TV sends or receives.  At the end of an experiment the tap
-is handed over and serialized to a real pcap file, which is all the
+every frame the TV sends or receives into a capture log.  At the end of
+an experiment the log is encoded into a real pcap file, which is all the
 analysis pipeline gets — exactly the paper's black-box vantage.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional
+from typing import Tuple
 
 from ..dnsinfra.resolver import RecursiveResolver
 from ..dnsinfra.zones import Zone
 from ..net.addresses import Ipv4Address, MacAddress, mac_from_seed
+from ..net.capture import CaptureLog
 from ..net.link import LatencyModel
-from ..net.packet import CapturedPacket
 from ..sim.rng import RngRegistry
 
 AP_LAN_IP = "192.168.1.1"
@@ -38,41 +38,31 @@ class AccessPoint:
         self.latency = LatencyModel(vantage, rng)
         self.latency.register_server(
             self.lan_ip, "london" if vantage == "uk" else "us_west")
-        self._tap: List[CapturedPacket] = []
-        self.capturing = False
+        #: The tap: the TV's host stack logs every packet here.
+        self.log = CaptureLog()
 
     # -- capture control ----------------------------------------------------
 
     def start_capture(self) -> None:
-        self._tap.clear()
-        self.capturing = True
+        self.log.clear()
+        self.log.recording = True
 
-    def stop_capture(self) -> List[CapturedPacket]:
-        """Stop tapping and hand the capture over, in capture-time order.
+    def stop_capture(self) -> Tuple[bytes, int]:
+        """Stop tapping and hand the capture over: its pcap bytes, in
+        capture-time order, and its packet count.
 
-        The tap is emptied: the AP is reachable from the simulation's
-        reference cycles, which only the cyclic garbage collector frees,
-        so a tap kept here would hold a finished cell's whole capture
-        until the next full collection.
+        Encoding empties the log: the AP is reachable from the
+        simulation's reference cycles, which only the cyclic garbage
+        collector frees, so rows kept here would hold a finished cell's
+        whole capture until the next full collection.
         """
-        self.capturing = False
-        packets = self.packets
-        self._tap = []
-        return packets
-
-    def capture(self, packet: CapturedPacket) -> None:
-        """The tap callback handed to the TV's host stack."""
-        if self.capturing:
-            self._tap.append(packet)
-
-    @property
-    def packets(self) -> List[CapturedPacket]:
-        """Tap contents in capture-time order."""
-        return sorted(self._tap, key=lambda p: p.timestamp)
+        self.log.recording = False
+        count = len(self.log)
+        return self.log.encode(), count
 
     @property
     def packet_count(self) -> int:
-        return len(self._tap)
+        return len(self.log)
 
     def register_servers(self, servers) -> None:
         """Teach the latency model where every ground-truth server is."""
@@ -81,6 +71,6 @@ class AccessPoint:
                                          record.city.region_key)
 
     def __repr__(self) -> str:
-        state = "capturing" if self.capturing else "idle"
+        state = "capturing" if self.log.recording else "idle"
         return (f"AccessPoint({self.vantage}, {state}, "
                 f"{self.packet_count} packets)")

@@ -22,8 +22,6 @@ from ..dnsinfra.registry import DomainRegistry
 from ..dnsinfra.zones import Zone
 from ..media.sources import (FastApp, HdmiInput, HomeScreen, InputSource,
                              OttApp, ScreenCast, Tuner)
-from ..net.packet import CapturedPacket
-from ..net.pcap import dump_bytes
 from ..net.stack import HostStack
 from ..sim.clock import seconds
 from ..sim.events import EventLoop
@@ -191,7 +189,7 @@ def _run_workflow(spec: ExperimentSpec, seed: int, rng_label: str,
         gateway_mac=ap.mac,
         latency=ap.latency,
         rng=rng,
-        capture=ap.capture,
+        log=ap.log,
     )
     backend = assets.fresh_backend(spec.vendor.value, spec.country.value)
     tv_class = vendor_profile_of(spec.vendor).device_class
@@ -231,13 +229,13 @@ def _run_workflow(spec: ExperimentSpec, seed: int, rng_label: str,
         remote.select_source_at(at_ns, source)
     plug.power_off_at(spec.duration_ns - seconds(1))
     loop.run_until(spec.duration_ns)
-    packets: List[CapturedPacket] = ap.stop_capture()
+    pcap_bytes, packet_count = ap.stop_capture()
 
     return ExperimentResult(
         spec=spec,
         seed=seed,
-        pcap_bytes=dump_bytes(packets),
-        packet_count=len(packets),
+        pcap_bytes=pcap_bytes,
+        packet_count=packet_count,
         tv_mac=str(stack.mac),
         tv_ip=str(stack.ip),
         device_id=tv.identifiers.acr_device_id,

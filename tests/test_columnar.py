@@ -25,7 +25,8 @@ from repro.faults import salvage_pcap_bytes
 from repro.net import (CapturedPacket, ColumnarCapture, ColumnarSlice,
                        DnsMessage, DnsRecord, EthernetFrame, Ipv4Address,
                        Ipv4Packet, MacAddress, PcapError, TcpSegment,
-                       decode_all, dump_bytes, lazy_decode_all, load_bytes)
+                       decode_all, dump_bytes, lazy_decode, lazy_decode_all,
+                       load_bytes)
 from repro.net.columnar import OTHER_IP_CLASS, FramesReleasedError
 from repro.net.dns import TYPE_A, TYPE_CNAME, TYPE_PTR, encode_name
 from repro.net.packet import build_tcp_frame, build_udp_frame
@@ -411,6 +412,9 @@ class TestPayloadLengths:
         lengths = capture.payload_lengths().tolist()
         assert lengths[cut] == 0
         assert [n for i, n in enumerate(lengths) if i != cut] == [9, 1]
+        assert len(capture.view(cut).transport_payload) == lengths[cut]
+        assert len(lazy_decode(CapturedPacket(1, rows[cut]))
+                   .transport_payload) == lengths[cut]
 
     @pytest.mark.parametrize("size", [38, 39, 40, 41])
     def test_udp_length_field_cut(self, size):

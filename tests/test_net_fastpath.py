@@ -1,11 +1,11 @@
 """Equivalence tests for the fast-path codec tiers.
 
-The perf rewrite (vectorized checksum, template-based encode, lazy
-decode) is only allowed to change *speed*: every test here pins a fast
-tier against its reference implementation — the arithmetic checksum
-against the RFC 1071 carry loop, template frames against the full
-object codec, and the lazy decoder against ``decode_packet`` — under
-hypothesis-generated inputs.
+The perf rewrite (vectorized checksum, lazy decode) is only allowed to
+change *speed*: every test here pins a fast tier against its reference
+implementation — the arithmetic checksum against the RFC 1071 carry
+loop and the lazy decoder against ``decode_packet`` — under
+hypothesis-generated inputs.  The capture log's one-pass encode is
+pinned against the object codec in ``tests/test_capture_log.py``.
 """
 
 import pytest
@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 from flow_oracle import canonical_key, flow_keys
 from repro.net import (CapturedPacket, ColumnarCapture, Ipv4Address,
-                       MacAddress, TcpFrameTemplate, TcpSegment,
-                       UdpDatagram, decode_packet, dump_bytes, lazy_decode,
-                       lazy_decode_all)
-from repro.net.checksum import (incremental_update, internet_checksum,
-                                ones_complement_sum, verify_checksum)
+                       MacAddress, TcpSegment, decode_packet, dump_bytes,
+                       lazy_decode, lazy_decode_all)
+from repro.net.checksum import (internet_checksum, ones_complement_sum,
+                                verify_checksum)
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
 from repro.net.packet import build_tcp_frame, build_udp_frame
@@ -75,53 +74,6 @@ class TestChecksumEquivalence:
         data = b"\x12\x34\x56\x78"
         assert internet_checksum(data) == \
             (~ones_complement_sum(data)) & 0xFFFF
-
-    @given(st.binary(min_size=12, max_size=60).filter(lambda d: any(d)),
-           st.integers(min_value=0, max_value=4),
-           st.binary(min_size=4, max_size=4))
-    @settings(max_examples=200)
-    def test_incremental_update_matches_recompute(self, data, word,
-                                                  replacement):
-        buffer = bytearray(data if len(data) % 2 == 0 else data + b"\x01")
-        offset = word * 2
-        checksum = internet_checksum(bytes(buffer))
-        old = bytes(buffer[offset:offset + 4])
-        buffer[offset:offset + 4] = replacement
-        if not any(buffer):
-            return  # RFC 1624 path documents the nonzero-buffer contract
-        assert incremental_update(checksum, old, replacement) == \
-            internet_checksum(bytes(buffer))
-
-
-class TestTemplateEquivalence:
-    @given(addresses, addresses, ports, ports,
-           st.integers(min_value=0, max_value=(1 << 32) - 1),
-           st.integers(min_value=0, max_value=(1 << 32) - 1),
-           st.integers(min_value=0, max_value=255),
-           st.integers(min_value=0, max_value=65535),
-           st.sampled_from([64, 57, 3]),
-           st.binary(max_size=1460))
-    @settings(max_examples=150)
-    def test_frame_matches_object_codec(self, src, dst, sport, dport,
-                                        seq, ack, flags, ip_id, ttl,
-                                        payload):
-        template = TcpFrameTemplate(MAC_A, MAC_B, src, dst, sport, dport,
-                                    ttl=ttl)
-        segment = TcpSegment(sport, dport, seq, ack, flags,
-                             payload=payload)
-        reference = build_tcp_frame(MAC_A, MAC_B, src, dst, segment,
-                                    identification=ip_id, ttl=ttl)
-        assert template.frame(ip_id, seq, ack, flags, payload) == reference
-
-    def test_template_is_reusable_across_segments(self):
-        src = Ipv4Address.parse("192.168.1.23")
-        dst = Ipv4Address.parse("203.0.113.9")
-        template = TcpFrameTemplate(MAC_A, MAC_B, src, dst, 40001, 443)
-        for seq, payload in ((100, b""), (100, b"abc"), (103, b"x" * 1460)):
-            segment = TcpSegment(40001, 443, seq, 7, 0x18, payload=payload)
-            assert template.frame(5, seq, 7, 0x18, payload) == \
-                build_tcp_frame(MAC_A, MAC_B, src, dst, segment,
-                                identification=5)
 
 
 def _tcp_capture(items):

@@ -3,6 +3,7 @@ produce well-formed, decodable, causally-ordered captures."""
 
 import pytest
 
+from capture_tap import Tap
 from repro.net import (ColumnarCapture, DnsRecord, HostStack, Ipv4Address,
                        TlsSession, decode_all, dump_bytes, extract_sni,
                        load_bytes, mac_from_seed)
@@ -23,9 +24,9 @@ def env():
     latency = LatencyModel("uk", rng)
     latency.register_server(SERVER_IP, "amsterdam")
     latency.register_server(RESOLVER_IP, "london")
-    captured = []
+    captured = Tap()
     stack = HostStack(mac_from_seed(1), TV_IP, mac_from_seed(2),
-                      latency, rng, captured.append)
+                      latency, rng, captured.log)
     return stack, captured
 
 
@@ -96,6 +97,12 @@ class TestTlsSession:
         inbound = [p.timestamp for p in decoded if p.dst_ip == TV_IP]
         assert outbound == sorted(outbound)
         assert inbound == sorted(inbound)
+        # The capture is in time order; each direction's IP ids count
+        # up in emission order, so they stay consecutive only if the
+        # stack's timestamps rose with every packet it emitted.
+        for side in (TV_IP, SERVER_IP):
+            ids = [p.ip.identification for p in decoded if p.src_ip == side]
+            assert all((b - a) & 0xFFFF == 1 for a, b in zip(ids, ids[1:]))
 
     def test_close_emits_fin_handshake(self, env):
         stack, captured = env

@@ -16,7 +16,6 @@ from repro.analysis import Timeline, cumulative_bytes, packets_per_ms
 from repro.net import (CapturedPacket, ColumnarCapture, Ipv4Address,
                        MacAddress, TcpSegment, decode_all, decode_packet,
                        dump_bytes, load_bytes)
-from repro.net.checksum import incremental_update, internet_checksum
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
 from repro.net.packet import LazyPacket
@@ -168,45 +167,6 @@ class TestLazyVsFullDecode:
         assert lazy.dns is not None and full.dns is not None
         assert [q.name for q in lazy.dns.questions] == \
             [q.name for q in full.dns.questions]
-
-
-class TestIncrementalChecksum:
-    """RFC 1624 incremental update vs recompute-from-scratch."""
-
-    @given(st.binary(min_size=2, max_size=120).filter(
-        lambda b: len(b) % 2 == 0), st.data())
-    @settings(max_examples=120)
-    def test_patch_equals_recompute(self, header, data):
-        offset = data.draw(st.integers(
-            min_value=0, max_value=len(header) // 2 - 1)) * 2
-        width = data.draw(st.integers(
-            min_value=1, max_value=(len(header) - offset) // 2)) * 2
-        new_bytes = data.draw(st.binary(min_size=width, max_size=width))
-        patched = header[:offset] + new_bytes + header[offset + width:]
-        if not any(patched):
-            return  # the all-zero buffer is the documented exclusion
-        original = internet_checksum(header)
-        updated = incremental_update(
-            original, header[offset:offset + width], new_bytes)
-        assert updated == internet_checksum(patched)
-
-    @given(st.binary(min_size=20, max_size=60).filter(
-        lambda b: len(b) % 2 == 0 and any(b)), st.data())
-    @settings(max_examples=60)
-    def test_patch_chain_equals_recompute(self, header, data):
-        """Several successive patches accumulate correctly."""
-        current = bytearray(header)
-        checksum = internet_checksum(bytes(current))
-        for __ in range(data.draw(st.integers(min_value=1, max_value=4))):
-            offset = data.draw(st.integers(
-                min_value=0, max_value=len(current) // 2 - 1)) * 2
-            new_word = data.draw(st.binary(min_size=2, max_size=2))
-            old_word = bytes(current[offset:offset + 2])
-            current[offset:offset + 2] = new_word
-            if not any(current):
-                return
-            checksum = incremental_update(checksum, old_word, new_word)
-            assert checksum == internet_checksum(bytes(current))
 
 
 class TestFingerprintProperties:

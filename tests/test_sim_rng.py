@@ -1,5 +1,7 @@
 """Unit tests for named seeded RNG streams."""
 
+import random
+
 import pytest
 
 from repro.sim import RngRegistry
@@ -57,6 +59,25 @@ class TestHelpers:
         reg = RngRegistry(1)
         for __ in range(100):
             assert reg.jitter_ns("j", 10, fraction=0.99) >= 0
+
+    @pytest.mark.parametrize("base,fraction", [
+        (800_000, 0.06),   # the Wi-Fi hop: spread 48,000
+        (1_000_000, 0.1),
+        (10, 0.1),         # spread 1: half the 2-bit draws are rejected
+        (10, 0.99),        # clamped at zero
+        (19, 0.05),        # spread 0: no draw at all
+        (0, 0.3),
+    ])
+    def test_jitter_is_randint_from_the_same_state(self, base, fraction):
+        reg = RngRegistry(5)
+        twin = random.Random()
+        twin.setstate(reg.stream("j").getstate())
+        spread = int(base * fraction)
+        for __ in range(300):
+            expected = base if spread == 0 else \
+                max(0, base + twin.randint(-spread, spread))
+            assert reg.jitter_ns("j", base, fraction) == expected
+        assert reg.stream("j").getstate() == twin.getstate()
 
     def test_jitter_fraction_validated(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net import load_bytes
+from repro.net import dump_bytes, load_bytes
+from repro.net.pcap import iter_records
 from repro.sim import hours, minutes
 from repro.testbed import (AccessPoint, CampaignRunner, Country,
                            ExperimentSpec, Phase, Scenario, Vendor,
@@ -112,28 +113,51 @@ class TestRunner:
 
 
 class TestAccessPoint:
+    """The AP's capture log: gated by start/stop, handed over as pcap
+    bytes in capture-time order, and empty afterwards."""
+
+    @staticmethod
+    def _ap():
+        return AccessPoint("uk", Zone(DomainRegistry()), RngRegistry(1))
+
+    @staticmethod
+    def _records(raw):
+        return [(ts, raw[offset]) for ts, offset, __, __
+                in iter_records(raw)]
+
     def test_capture_gating(self):
-        registry = DomainRegistry()
-        ap = AccessPoint("uk", Zone(registry), RngRegistry(1))
-        from repro.net import CapturedPacket
-        ap.capture(CapturedPacket(1, b"x" * 20))
+        ap = self._ap()
+        flow = ap.log.flow(ap.mac, ap.mac, ap.lan_ip, ap.tv_ip, 1, 2, 64)
+        ap.log.frame(1_000, b"x" * 20)
+        ap.log.tcp(1_000, flow, 7, 1, 2, 0x10)
         assert ap.packet_count == 0  # not capturing yet
         ap.start_capture()
-        ap.capture(CapturedPacket(2, b"x" * 20))
+        ap.log.frame(2_000, b"y" * 20)
         assert ap.packet_count == 1
-        # Stopping hands the capture over and empties the tap.
-        assert [p.timestamp for p in ap.stop_capture()] == [2]
-        ap.capture(CapturedPacket(3, b"x" * 20))
+        # Stopping hands the capture over and empties the log.
+        raw, count = ap.stop_capture()
+        assert count == 1
+        assert self._records(raw) == [(2_000, ord("y"))]
+        assert len(ap.log) == 0
+        ap.log.frame(3_000, b"z" * 20)
+        ap.log.tcp(3_000, flow, 8, 1, 2, 0x10)
         assert ap.packet_count == 0
+        assert ap.stop_capture() == (dump_bytes([]), 0)
 
-    def test_packets_sorted(self):
-        registry = DomainRegistry()
-        ap = AccessPoint("uk", Zone(registry), RngRegistry(1))
-        from repro.net import CapturedPacket
+    def test_packets_sorted_ties_in_emission_order(self):
+        ap = self._ap()
+        flow = ap.log.flow(ap.mac, ap.mac, ap.lan_ip, ap.tv_ip, 1, 2, 64)
         ap.start_capture()
-        ap.capture(CapturedPacket(5, b"b" * 20))
-        ap.capture(CapturedPacket(1, b"a" * 20))
-        assert [p.timestamp for p in ap.packets] == [1, 5]
+        ap.log.frame(5_000, b"b" * 20)
+        ap.log.frame(1_000, b"a" * 20)
+        ap.log.tcp(5_000, flow, 7, 1, 2, 0x10)  # frame starts with ap.mac
+        ap.log.frame(5_000, b"c" * 20)
+        ap.log.frame(1_000, b"d" * 20)
+        raw, count = ap.stop_capture()
+        assert count == 5 and len(ap.log) == 0
+        assert self._records(raw) == [
+            (1_000, ord("a")), (1_000, ord("d")), (5_000, ord("b")),
+            (5_000, ap.mac.to_bytes()[0]), (5_000, ord("c"))]
 
 
 class TestCampaign:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from capture_tap import Tap
 from repro.dnsinfra import DomainRegistry, RecursiveResolver, Zone
 from repro.media import OttApp, Tuner
 from repro.net import HostStack, Ipv4Address, decode_all, mac_from_seed
@@ -26,9 +27,9 @@ def _make_tv(tv_class, country="uk", seed=3):
                             else "us_west")
     for record in registry.ipspace.all_servers():
         latency.register_server(record.address, record.city.region_key)
-    captured = []
+    captured = Tap()
     stack = HostStack(mac_from_seed(1), TV_IP, mac_from_seed(2),
-                      latency, rng, captured.append)
+                      latency, rng, captured.log)
     tv = tv_class(country=country, loop=loop, rng=rng, stack=stack,
                   resolver=resolver, resolver_ip=AP_IP, registry=registry,
                   backend=None, seed=seed)
