@@ -3,21 +3,31 @@
 The campaign cache is warmed once per session; benches then measure the
 regeneration (analysis) step over cached captures and print the
 reproduced table/figure next to the paper's values.  The grid result
-cache is pointed at a tempdir location (unless the caller already chose
-one) so benches stay incremental without touching ``~/.cache``.
+cache is a fresh temporary directory per session, removed when the
+session ends, unless the caller chose one with ``REPRO_CACHE_DIR``.
 """
 
 import os
+import shutil
 import tempfile
 
 import pytest
 
-os.environ.setdefault("REPRO_CACHE_DIR", os.path.join(
-    tempfile.gettempdir(), "repro-acr-test-cache"))
+#: The session's own result cache, removed when the session ends; None
+#: when the caller chose ``REPRO_CACHE_DIR``.
+SESSION_CACHE_DIR = None
+if "REPRO_CACHE_DIR" not in os.environ:
+    SESSION_CACHE_DIR = os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(
+        prefix="repro-acr-test-cache-")
 
 from repro.experiments import cache  # noqa: E402
 from repro.testbed import (Country, ExperimentSpec, Phase, Scenario,  # noqa: E402
                            paper_vendors)
+
+
+def pytest_unconfigure(config):
+    if SESSION_CACHE_DIR is not None:
+        shutil.rmtree(SESSION_CACHE_DIR, ignore_errors=True)
 
 
 def pytest_collection_modifyitems(items):

@@ -9,12 +9,14 @@ assets (reference libraries and their band indexes); spawned workers
 build their own.  Every report and every findings export must be
 sha256-identical.
 
-Then runs ``grid --minutes 8`` over the LG UK opted-in cells into a
-fresh ``--cache-dir`` three ways: ``--jobs 1``, and ``--jobs 2`` under
-``fork`` and under ``spawn``.  Grid workers store their own cache
-entries, so a spawned worker must write under the parent's cache root
-and version: all three directories must hold the same entry names and
-byte-identical ``.pcap`` files, with metas equal but for ``elapsed_s``.
+Then runs ``grid --minutes 8`` over the LG UK cells in both opted-in
+phases into a fresh ``--cache-dir`` three ways: ``--jobs 1``, and
+``--jobs 2`` under ``fork`` and under ``spawn``.  The pool runs each
+scenario's two phases as one task, and each worker stores its own cache
+entries, so a spawned worker must write both cells under the parent's
+cache root and version: all three directories must hold the same entry
+names and byte-identical ``.pcap`` files, with metas equal but for
+``elapsed_s``.
 
 The start method is set by a ``python -c`` wrapper around
 ``repro.cli.main``, so the CLI itself needs no option for it.
@@ -47,9 +49,10 @@ WRAPPER = ("import multiprocessing, sys\n"
 #: (start method, PYTHONHASHSEED) for each run.
 VARIANTS = (("fork", "0"), ("fork", "1"), ("fork", "2"), ("spawn", "0"))
 
-#: The grid leg's cells, and its (start method, jobs) runs.
+#: The grid leg's cells (two phases per scenario, so every pool task
+#: runs two cells), and its (start method, jobs) runs.
 GRID_ARGS = ["grid", "--minutes", "8", "--filter", "vendor=lg",
-             "--filter", "country=uk", "--filter", "phase=LIn-OIn"]
+             "--filter", "country=uk", "--filter", "phase=LIn-OIn,LOut-OIn"]
 GRID_VARIANTS = (("fork", 1), ("fork", 2), ("spawn", 2))
 
 

@@ -43,6 +43,13 @@ def _padded_json(body: dict, target_size: int) -> bytes:
 class AcrTransport:
     """What the client needs from the device's network plumbing."""
 
+    @property
+    def observes_plaintext(self) -> bool:
+        """Whether :meth:`send` reads its plaintexts.  The client builds
+        them only when it does; a transport without a plaintext
+        observer (a MITM proxy) says so here."""
+        return True
+
     def send(self, at_ns: int, domain: str, request_bytes: int,
              response_bytes: int,
              request_plaintext: Optional[bytes] = None,
@@ -159,12 +166,12 @@ class AcrClient:
         if request == 0 and response == 0:
             self._transport.keepalive_probe(at_ns, domain)
         else:
-            self._transport.send(
-                at_ns, domain, request, response,
-                request_plaintext=self._beacon_plaintext(
-                    request, source),
-                response_plaintext=_padded_json(
-                    {"status": "ok"}, response))
+            plaintexts = ((self._beacon_plaintext(request, source),
+                           _padded_json({"status": "ok"}, response))
+                          if self._transport.observes_plaintext
+                          else (None, None))
+            self._transport.send(at_ns, domain, request, response,
+                                 *plaintexts)
         self.stats.beacons += 1
 
     def _beacon_plaintext(self, size: int, source: InputSource) -> bytes:
@@ -199,11 +206,11 @@ class AcrClient:
             # of fingerprints back to back in one flush.
             request *= burst
             self.stats.burst_uploads += 1
-        self._transport.send(
-            at_ns, domain, request, self.profile.batch_response_bytes,
-            request_plaintext=batch.encode(),
-            response_plaintext=_padded_json(
-                {"ack": True}, self.profile.batch_response_bytes))
+        response = self.profile.batch_response_bytes
+        plaintexts = ((batch.encode(), _padded_json({"ack": True}, response))
+                      if self._transport.observes_plaintext
+                      else (None, None))
+        self._transport.send(at_ns, domain, request, response, *plaintexts)
         verdict = self._transport.deliver_batch(at_ns, domain, batch)
         if verdict is not None:
             self._last_recognised = verdict.recognised

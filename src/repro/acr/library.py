@@ -3,20 +3,23 @@
 The ACR operator pre-fingerprints its content library ("movies, ads, live
 feed", Figure 1); the matcher then recognises screen captures against it.
 The library holds its samples as numpy columns and owns the LSH band
-index the matcher queries: one index per library, shared by every
-matcher over it.
+index the matcher queries, and the matcher's memo of finished matches:
+one of each per library, shared by every matcher over it.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
 from ..media.content import ContentItem
 from .fingerprint import AUDIO_LANDMARKS, fingerprint_positions
+
+if TYPE_CHECKING:
+    from .matcher import Match
 
 DEFAULT_SAMPLE_INTERVAL_S = 4
 MAX_REFERENCE_SECONDS = 2700  # fingerprint the first N seconds per item
@@ -31,6 +34,10 @@ BAND_VALUES = 1 << BAND_BITS
 
 #: ``(order, offsets)``: see :func:`index_bands`.
 BandIndex = Tuple[np.ndarray, np.ndarray]
+
+#: ``(hamming tolerance, video hash, audio hashes)``: what a single
+#: capture's match depends on besides the library itself.
+MatchKey = Tuple[int, int, Tuple[int, ...]]
 
 
 def bands_of(video_hash: int) -> Tuple[int, ...]:
@@ -94,6 +101,9 @@ class ReferenceLibrary:
         #: One block per item ingested since the columns were last joined.
         self._blocks: List[LibraryColumns] = []
         self._index: Optional[BandIndex] = None
+        #: ``FingerprintMatcher.match_capture``'s answers over the
+        #: current samples; dropped with the band index on ingest.
+        self.match_memo: Dict[MatchKey, Optional["Match"]] = {}
 
     def ingest(self, item: ContentItem,
                max_seconds: Optional[int] = None) -> int:
@@ -123,6 +133,7 @@ class ReferenceLibrary:
                 np.array(positions, np.int32),
                 np.concatenate(video), np.concatenate(audio)))
         self._index = None
+        self.match_memo.clear()
         return len(positions)
 
     def ingest_all(self, items: Iterable[ContentItem],

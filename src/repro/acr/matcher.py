@@ -6,13 +6,16 @@ distance 3 is guaranteed to share a band by pigeonhole) from the
 reference library's band index, then candidates are verified with the
 true Hamming distance and audio-landmark overlap.  Batch queries vote
 across captures, so a 15-60 second batch resolves to a (content, offset)
-even when single frames are ambiguous.
+even when single frames are ambiguous.  Each answer is memoized in the
+library's ``match_memo``, so a capture a process has matched before
+(the same content replayed in another cell or household) costs one
+lookup.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .fingerprint import Capture, hamming_distance
 from .library import BANDS, ReferenceLibrary
@@ -21,18 +24,15 @@ DEFAULT_HAMMING_TOLERANCE = BANDS - 1  # pigeonhole guarantee
 MIN_VOTES_FRACTION = 0.34
 
 
-class Match:
-    """One verified candidate for a single capture."""
+class Match(NamedTuple):
+    """One verified candidate for a single capture.
 
-    __slots__ = ("content_id", "position_s", "video_distance",
-                 "audio_overlap")
+    Immutable, so every memo hit can share one object."""
 
-    def __init__(self, content_id: str, position_s: int,
-                 video_distance: int, audio_overlap: int) -> None:
-        self.content_id = content_id
-        self.position_s = position_s
-        self.video_distance = video_distance
-        self.audio_overlap = audio_overlap
+    content_id: str
+    position_s: int
+    video_distance: int
+    audio_overlap: int
 
     def __repr__(self) -> str:
         return (f"Match({self.content_id}@{self.position_s}s, "
@@ -74,7 +74,22 @@ class FingerprintMatcher:
 
     def match_capture(self, capture: Capture) -> Optional[Match]:
         """Best verified match for one capture, or None: the smallest
-        ``(distance, -overlap)``, the first candidate on a tie."""
+        ``(distance, -overlap)``, the first candidate on a tie.
+
+        The answer depends only on the tolerance, the capture's hashes
+        and the library's samples, so it is memoized in the library
+        (which drops the memo on ingest)."""
+        key = (self.hamming_tolerance, capture.video_hash,
+               tuple(capture.audio_hashes))
+        memo = self.library.match_memo
+        try:
+            return memo[key]
+        except KeyError:
+            match = memo[key] = self._search(capture)
+            return match
+
+    def _search(self, capture: Capture) -> Optional[Match]:
+        """:meth:`match_capture` without the memo."""
         columns = self.library.columns()
         rows = self.library.candidates(capture.video_hash)
         # (distance, -overlap, row) of the best candidate so far.

@@ -7,9 +7,10 @@ grid as a first-class object instead of one cell at a time:
 * :func:`enumerate_cells` expands the matrix, optionally restricted by
   ``axis=value[,value...]`` filters (the CLI's ``--filter``).
 * :class:`GridRunner` executes cells — serially or on a
-  :class:`concurrent.futures.ProcessPoolExecutor` — and each cell stores
-  its own entry in the :class:`ResultCache`, in the process that
-  simulated it, so only its metadata travels back.
+  :class:`concurrent.futures.ProcessPoolExecutor`, one task per group of
+  cells that differ only in phase — and each cell stores its own entry
+  in the :class:`ResultCache`, in the process that simulated it, so only
+  its metadata travels back.
 * :class:`ResultCache` is a content-addressed on-disk store keyed by
   ``(spec, seed, code-version)``: captures survive across processes as
   plain pcap files, checked against a CRC-32 on every read, and are
@@ -429,6 +430,28 @@ def _execute_cell(payload: Tuple
     return record.meta(), pcap, snapshot
 
 
+def _execute_group(payloads: Sequence[Tuple]) -> List[Tuple]:
+    """Run a group's cells in order through :func:`_execute_cell`: one
+    pool task, so the cells' shared content is fingerprinted and matched
+    once, by this process's memos."""
+    return [_execute_cell(payload) for payload in payloads]
+
+
+def _phase_groups(cells: Sequence[Tuple[int, ExperimentSpec]]
+                 ) -> List[List[Tuple[int, ExperimentSpec]]]:
+    """``(index, spec)`` pairs grouped by all but the phase (vendor,
+    country, scenario and duration), groups and members in input order.
+
+    The phases of one scenario replay the same content, so a group run
+    in one process renders and matches its fingerprints once.
+    """
+    groups: Dict[Tuple, List[Tuple[int, ExperimentSpec]]] = {}
+    for index, spec in cells:
+        groups.setdefault((spec.vendor, spec.country, spec.scenario,
+                           spec.duration_ns), []).append((index, spec))
+    return list(groups.values())
+
+
 def _payload(spec: ExperimentSpec, seed: int,
              cache: Optional[ResultCache],
              faults: FaultPlan = NULL_PLAN) -> Tuple:
@@ -505,7 +528,8 @@ class GridRunner:
         return [records[index] for index in range(len(specs))]
 
     def _execute(self, missing: List[Tuple[int, ExperimentSpec]]):
-        if self.jobs == 1 or len(missing) == 1:
+        groups = _phase_groups(missing)
+        if self.jobs == 1 or len(groups) == 1:
             # Built once up front, so that no cell's grid.simulate
             # timer absorbs the per-country asset build.
             with get_registry().span("assets.warm"):
@@ -514,7 +538,7 @@ class GridRunner:
                 yield index, spec, _cell_record(self.cache, _execute_cell(
                     _payload(spec, self.seed, self.cache, self.faults)))
             return
-        workers = min(self.jobs, len(missing))
+        workers = min(self.jobs, len(groups))
         if multiprocessing.get_start_method() == "fork":
             # Workers inherit warm assets copy-on-write; under spawn
             # they re-import from scratch, so parent warming would be
@@ -522,14 +546,14 @@ class GridRunner:
             warm_assets([spec for __, spec in missing])
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             futures = {
-                pool.submit(_execute_cell, _payload(
-                    spec, self.seed, self.cache, self.faults)):
-                (index, spec)
-                for index, spec in missing}
+                pool.submit(_execute_group, [
+                    _payload(spec, self.seed, self.cache, self.faults)
+                    for __, spec in group]): group
+                for group in groups}
             for future in concurrent.futures.as_completed(futures):
-                index, spec = futures[future]
-                yield index, spec, _cell_record(self.cache,
-                                                future.result())
+                for (index, spec), outcome in zip(futures[future],
+                                                  future.result()):
+                    yield index, spec, _cell_record(self.cache, outcome)
 
 
 # -- the consumer API ---------------------------------------------------------

@@ -173,6 +173,10 @@ class SmartTV(AcrTransport):
 
     # -- AcrTransport -----------------------------------------------------------
 
+    @property
+    def observes_plaintext(self) -> bool:
+        return self.mitm_proxy is not None
+
     def send(self, at_ns: int, domain: str, request_bytes: int,
              response_bytes: int,
              request_plaintext: Optional[bytes] = None,

@@ -5,22 +5,34 @@ experiment cells) are cached at session scope — and the testbed's own
 ``assets``/``experiments.cache`` layers memoize within the process — so
 the suite builds each one exactly once.
 
-The grid result cache is pointed at a tempdir location (unless the
-caller already chose one) so ``make test`` stays incremental across
-runs without writing into the user's ``~/.cache``.
+The grid result cache is a fresh temporary directory per session,
+removed when the session ends, unless the caller chose one with
+``REPRO_CACHE_DIR``.  So no run reads captures that older simulator
+code stored (the suites that pin their cache version would), writes
+into the user's ``~/.cache`` or leaves files behind.
 """
 
 import os
+import shutil
 import tempfile
 
 import pytest
 
-os.environ.setdefault("REPRO_CACHE_DIR", os.path.join(
-    tempfile.gettempdir(), "repro-acr-test-cache"))
+#: The session's own result cache, removed when the session ends; None
+#: when the caller chose ``REPRO_CACHE_DIR``.
+SESSION_CACHE_DIR = None
+if "REPRO_CACHE_DIR" not in os.environ:
+    SESSION_CACHE_DIR = os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(
+        prefix="repro-acr-test-cache-")
 
 from repro.testbed import (Country, ExperimentSpec, Phase, Scenario,  # noqa: E402
                            Vendor)
 from repro.experiments import cache as experiment_cache  # noqa: E402
+
+
+def pytest_unconfigure(config):
+    if SESSION_CACHE_DIR is not None:
+        shutil.rmtree(SESSION_CACHE_DIR, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

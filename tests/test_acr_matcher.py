@@ -328,9 +328,11 @@ class TestMatcher:
         matcher = FingerprintMatcher(ref)
         assert matcher.match_capture(
             capture_state(PlayState(library.shows[0], 10.0))) is not None
-        ref.ingest(library.shows[5])
         capture = capture_state(PlayState(library.shows[5], 10.0))
-        match = matcher.match_capture(capture)  # rebuilds the index
+        assert matcher.match_capture(capture) is None
+        ref.ingest(library.shows[5])
+        # The ingest dropped the index and the memoized miss.
+        match = matcher.match_capture(capture)
         assert match is not None
         assert match.content_id == library.shows[5].content_id
 
@@ -346,6 +348,56 @@ class TestMatcher:
                 if match and match.content_id == item.content_id:
                     hits += 1
         assert hits / trials > 0.9
+
+
+class TestMatchMemo:
+    """``match_capture`` answers from the library's memo (an ingest
+    drops it: ``TestMatcher.test_matcher_sees_later_ingest``)."""
+
+    @pytest.fixture
+    def ref(self, library):
+        ref = ReferenceLibrary(max_seconds=120)
+        ref.ingest(library.shows[0])
+        return ref
+
+    @pytest.fixture
+    def searches(self, ref, monkeypatch):
+        """The video hash of every candidate search from here on."""
+        hashes = []
+        real = ref.candidates
+
+        def counting(video_hash):
+            hashes.append(video_hash)
+            return real(video_hash)
+
+        monkeypatch.setattr(ref, "candidates", counting)
+        return hashes
+
+    def test_repeat_match_searches_once(self, ref, searches, library):
+        capture = capture_state(PlayState(library.shows[0], 50.0))
+        first = FingerprintMatcher(ref).match_capture(capture)
+        # Another matcher over the library (another backend) hits too.
+        second = FingerprintMatcher(ref).match_capture(capture)
+        assert searches == [capture.video_hash]
+        assert first is not None
+        assert match_fields(second) == match_fields(first)
+
+    def test_tolerance_is_part_of_the_key(self, ref, searches, library):
+        # 1 bit from its nearest sample: only the default tolerance
+        # matches it.
+        capture = capture_state(PlayState(library.shows[0], 57.0))
+        loose = FingerprintMatcher(ref).match_capture(capture)
+        strict = FingerprintMatcher(ref, 0).match_capture(capture)
+        assert len(searches) == 2
+        assert loose is not None and strict is None
+
+    def test_match_is_immutable(self, ref, library):
+        match = FingerprintMatcher(ref).match_capture(
+            capture_state(PlayState(library.shows[0], 50.0)))
+        with pytest.raises(AttributeError):
+            match.content_id = "other"
+        with pytest.raises(AttributeError):
+            match.audio_overlap += 1
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.acr.fingerprint import clear_fingerprint_cache
 from repro.analysis.pipeline import AuditPipeline
 from repro.cli import main
 from repro.experiments import grid as grid_mod
@@ -24,6 +25,7 @@ from repro.experiments.grid import (CacheReadError, CellRecord,
                                     warm_assets)
 from repro.net.addresses import Ipv4Address
 from repro.net.columnar import FramesReleasedError
+from repro.obs import disable, enable
 from repro.sim.clock import minutes
 from repro.testbed import Country, ExperimentSpec, Phase, Scenario, Vendor
 
@@ -286,6 +288,73 @@ class TestGridRunner:
         GridRunner(seed=3, cache=ResultCache(str(tmp_path))).run(
             specs, progress=lambda spec, record: seen.append(spec.label))
         assert sorted(seen) == sorted(spec.label for spec in specs)
+
+
+def test_phase_groups_keep_input_order():
+    specs = enumerate_cells(["vendor=lg", "country=uk",
+                             "scenario=idle,linear",
+                             "phase=LIn-OIn,LOut-OIn"])
+    cells = list(enumerate(specs))
+    interleaved = cells[::2] + cells[1::2]
+    assert [[spec.label for __, spec in group]
+            for group in grid_mod._phase_groups(interleaved)] == [
+        ["lg-uk-idle-LIn-OIn", "lg-uk-idle-LOut-OIn"],
+        ["lg-uk-linear-LIn-OIn", "lg-uk-linear-LOut-OIn"]]
+    shorter = [(index, ExperimentSpec(spec.vendor, spec.country,
+                                      spec.scenario, spec.phase, SHORT))
+               for index, spec in cells[:1]]
+    assert len(grid_mod._phase_groups(cells[:1] + shorter)) == 2
+
+
+@pytest.mark.slow
+class TestPhaseGroups:
+    """The phases of one scenario replay the same content, so the pool
+    runs them as one task and the second cell's fingerprints are hits in
+    that worker's memo."""
+
+    PHASES = ["vendor=lg", "country=uk", "phase=LIn-OIn,LOut-OIn"]
+
+    @staticmethod
+    def run(specs, jobs):
+        """The records and the absorbed counters of one run that starts
+        from an empty fingerprint memo."""
+        clear_fingerprint_cache()
+        registry = enable()
+        try:
+            records = GridRunner(seed=3, cache=None, jobs=jobs).run(specs)
+            counters = registry.snapshot()["counters"]
+        finally:
+            disable()
+        return records, counters
+
+    def test_pool_fingerprints_as_the_serial_run(self):
+        """Two groups, so the pool runs one two-cell task per worker.
+        Run cell by cell, each worker rendered the pair's shared
+        fingerprints again: twice the serial misses."""
+        specs = short_cells(*self.PHASES, "scenario=idle,linear")
+        serial, serial_counters = self.run(specs, 1)
+        pooled, pooled_counters = self.run(specs, 2)
+        assert serial_counters["acr.memo.miss"] > 0
+        assert pooled_counters["acr.memo.miss"] \
+            == serial_counters["acr.memo.miss"]
+        assert pooled_counters["grid.cells.executed"] == len(specs)
+        assert [record.label for record in pooled] \
+            == [spec.label for spec in specs]
+        for a, b in zip(serial, pooled):
+            assert a.pcap_bytes == b.pcap_bytes
+            assert {**a.meta(), "elapsed_s": 0} \
+                == {**b.meta(), "elapsed_s": 0}
+
+    def test_single_group_runs_in_process(self, simulations):
+        specs = short_cells(*self.PHASES, "scenario=linear")
+        serial, serial_counters = self.run(specs, 1)
+        simulations.clear()
+        pooled, pooled_counters = self.run(specs, 2)
+        assert simulations == [spec.label for spec in specs]
+        assert pooled_counters["acr.memo.miss"] \
+            == serial_counters["acr.memo.miss"]
+        assert [a.pcap_bytes for a in serial] \
+            == [b.pcap_bytes for b in pooled]
 
 
 @pytest.mark.slow

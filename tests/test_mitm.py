@@ -12,7 +12,11 @@ from repro.mitm import (KIND_ACR_BATCH, KIND_JSON_LOG, KIND_KEEPALIVE,
                         PayloadInspector, PlaintextRecord, TESTBED_CA,
                         TrustStore, inspect_record, shannon_entropy)
 from repro.acr import FingerprintBatch, capture_state
+from repro.acr import client as client_module
 from repro.media import PlayState
+from repro.sim import minutes
+from repro.testbed import (Country, ExperimentSpec, Phase, Scenario, Vendor,
+                           run_experiment)
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +204,49 @@ class TestEndToEndAudit:
         assert audit.advertising_id_observed  # telemetry leaks the adid
         telemetry = audit.reports["log-ingestion-eu.samsungacr.com"]
         assert telemetry.kinds.get("json-telemetry", 0) > 50
+
+
+class TestPlaintextOnlyWhenObserved:
+    """The ACR client builds an upload's plaintexts only for a transport
+    that reads them, which a TV does only with a MITM proxy set."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """``encode`` calls (batch sizes) and padded-JSON builds (target
+        sizes) from here on."""
+        calls = {"encode": [], "json": []}
+        encode, padded_json = FingerprintBatch.encode, \
+            client_module._padded_json
+
+        def counting_encode(batch):
+            calls["encode"].append(len(batch))
+            return encode(batch)
+
+        def counting_json(body, target_size):
+            calls["json"].append(target_size)
+            return padded_json(body, target_size)
+
+        monkeypatch.setattr(FingerprintBatch, "encode", counting_encode)
+        monkeypatch.setattr(client_module, "_padded_json", counting_json)
+        return calls
+
+    @staticmethod
+    def spec(scenario):
+        return ExperimentSpec(Vendor.LG, Country.UK, scenario,
+                              Phase.LIN_OIN, minutes(6))
+
+    @pytest.mark.parametrize("scenario", [Scenario.LINEAR, Scenario.FAST])
+    def test_upload_without_proxy_builds_nothing(self, builds, scenario):
+        stats = run_experiment(self.spec(scenario), seed=3).acr_stats
+        assert stats.full_batches + stats.beacons > 0
+        assert builds == {"encode": [], "json": []}
+
+    def test_proxy_sees_every_upload(self, builds):
+        result = run_experiment(self.spec(Scenario.LINEAR), seed=3,
+                                mitm=True)
+        batches = result.acr_stats.full_batches
+        assert batches > 0
+        assert len(builds["encode"]) == batches
+        uploads = [record for record in result.mitm_proxy.records
+                   if inspect_record(record).kind == KIND_ACR_BATCH]
+        assert len(uploads) == batches
