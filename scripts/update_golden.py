@@ -8,6 +8,10 @@ shifts the scorecard or report bytes.  The committed artifacts turn
 The artifact recipe itself lives in :mod:`repro.experiments.golden`,
 shared with the test, so the two sides always agree on names, vendor
 selections and byte conventions.
+
+The cells run through a temporary result cache, removed at exit, unless
+``REPRO_CACHE_DIR`` names one: every source edit changes every cache
+key, so entries stored in the user's cache would never be read again.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -28,6 +33,15 @@ JOBS = max(1, (os.cpu_count() or 2) - 1)
 
 
 def main() -> int:
+    if "REPRO_CACHE_DIR" in os.environ:
+        return write_pins()
+    with tempfile.TemporaryDirectory(
+            prefix="repro-acr-golden-cache-") as cache_dir:
+        os.environ["REPRO_CACHE_DIR"] = cache_dir
+        return write_pins()
+
+
+def write_pins() -> int:
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     pins = {}
     for name, content in artifacts(jobs=JOBS):

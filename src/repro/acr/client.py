@@ -27,13 +27,13 @@ from .policy import (CaptureDecision, TRIGGER_CONTENT_CHANGE,
 
 
 def _padded_json(body: dict, target_size: int) -> bytes:
-    """Encode ``body`` as JSON padded out to ``target_size`` bytes (real
-    clients pad/extend status payloads with context fields)."""
+    """Encode ``body`` as JSON padded out to exactly ``target_size``
+    bytes (real clients pad/extend status payloads with context fields).
+    With less room than an empty ``,"pad":""`` field takes, ``body``
+    comes back unpadded."""
     raw = json.dumps(body, separators=(",", ":")).encode("utf-8")
-    if len(raw) >= target_size:
-        return raw
-    padding = target_size - len(raw) - len(',"pad":""') - 2
-    if padding <= 0:
+    padding = target_size - len(raw) - len(',"pad":""')
+    if padding < 0:
         return raw
     padded = dict(body)
     padded["pad"] = "x" * padding

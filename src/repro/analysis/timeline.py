@@ -6,7 +6,7 @@ corresponds to a single millisecond slot."
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -15,48 +15,62 @@ from ..sim.clock import NS_PER_MS, NS_PER_SECOND
 
 
 class Timeline:
-    """Binned packet counts over a window."""
+    """Packet counts over ``n_bins`` consecutive bins of ``bin_ns`` from
+    ``start_ns``, held sparse.
 
-    def __init__(self, counts: np.ndarray, start_ns: int,
-                 bin_ns: int) -> None:
-        self.counts = counts
+    ``indexes`` are the non-empty bins in ascending order and ``values``
+    their packet counts (all positive); every other bin is empty.  Each
+    non-empty bin costs 16 bytes where a dense array costs 8 per bin, so
+    the sparse form is the smaller one until more than half the bins
+    carry a packet: a figure window is 600,000 one-millisecond bins
+    holding at most a few hundred spikes.
+    """
+
+    def __init__(self, indexes: np.ndarray, values: np.ndarray,
+                 n_bins: int, start_ns: int, bin_ns: int) -> None:
+        self.indexes = indexes
+        self.values = values
+        self.n_bins = n_bins
         self.start_ns = start_ns
         self.bin_ns = bin_ns
 
     @property
     def duration_ns(self) -> int:
-        return len(self.counts) * self.bin_ns
+        return self.n_bins * self.bin_ns
 
     @property
     def total_packets(self) -> int:
-        return int(self.counts.sum())
+        return int(self.values.sum())
 
     @property
     def peak(self) -> int:
-        return int(self.counts.max()) if len(self.counts) else 0
+        return int(self.values.max()) if len(self.values) else 0
 
     @property
     def active_bins(self) -> int:
-        return int((self.counts > 0).sum())
+        return len(self.indexes)
 
     def spike_times_ns(self) -> List[int]:
         """Timestamps (window-relative) of every non-empty bin."""
-        indexes = np.nonzero(self.counts)[0]
-        return [int(i) * self.bin_ns for i in indexes]
+        return [index * self.bin_ns for index in self.indexes.tolist()]
 
     def rebin(self, factor: int) -> "Timeline":
-        """Coarser view (e.g. ms -> s) by summing adjacent bins."""
+        """Coarser view (e.g. ms -> s) by summing adjacent bins; a tail
+        shorter than ``factor`` bins is dropped."""
         if factor <= 0:
             raise ValueError("factor must be positive")
-        n = len(self.counts) // factor * factor
-        coarse = self.counts[:n].reshape(-1, factor).sum(axis=1)
-        return Timeline(coarse, self.start_ns, self.bin_ns * factor)
+        n_bins = self.n_bins // factor
+        kept = self.indexes < n_bins * factor
+        coarse, starts = np.unique(self.indexes[kept] // factor,
+                                   return_index=True)
+        return Timeline(coarse, np.add.reduceat(self.values[kept], starts),
+                        n_bins, self.start_ns, self.bin_ns * factor)
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return self.n_bins
 
     def __repr__(self) -> str:
-        return (f"Timeline({len(self.counts)} bins x "
+        return (f"Timeline({self.n_bins} bins x "
                 f"{self.bin_ns / 1e6:.0f}ms, peak={self.peak}, "
                 f"packets={self.total_packets})")
 
@@ -78,11 +92,12 @@ def _binned(packets: List[DecodedPacket], start_ns: int, end_ns: int,
     if end_ns <= start_ns:
         raise ValueError("window ends before it starts")
     n_bins = -(-(end_ns - start_ns) // bin_ns)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for packet in packets:
-        if start_ns <= packet.timestamp < end_ns:
-            counts[(packet.timestamp - start_ns) // bin_ns] += 1
-    return Timeline(counts, start_ns, bin_ns)
+    times = np.fromiter((packet.timestamp for packet in packets),
+                        dtype=np.int64)
+    times = times[(times >= start_ns) & (times < end_ns)]
+    indexes, values = np.unique((times - start_ns) // bin_ns,
+                                return_counts=True)
+    return Timeline(indexes, values, n_bins, start_ns, bin_ns)
 
 
 def burst_times_ns(packets: List[DecodedPacket],

@@ -70,13 +70,22 @@ def sparkline(values: Sequence[float], width: int = 0) -> str:
 def plot_timeline(timeline: Timeline, width: int = 80,
                   label: str = "") -> str:
     """A one-line spike plot: each column is a window slice, character
-    height encodes the peak packets/ms inside the slice."""
-    counts = timeline.counts
-    if len(counts) == 0:
+    height encodes the peak packets/ms inside the slice.
+
+    The slices are ``np.array_split``'s over the bins: the first
+    ``len(timeline) % width`` slices hold one bin more than the rest
+    (and a window shorter than ``width`` leaves the last columns empty).
+    """
+    if len(timeline) == 0:
         return f"{label} (empty)"
-    slices = np.array_split(counts, width)
-    peaks = np.array([s.max() if len(s) else 0 for s in slices],
-                     dtype=np.float64)
+    if width <= 0:
+        raise ValueError("width must be positive")
+    size, extra = divmod(len(timeline), width)
+    column = np.arange(1, width + 1)
+    slice_ends = column * size + np.minimum(column, extra)
+    peaks = np.zeros(width, dtype=np.float64)
+    np.maximum.at(peaks, np.searchsorted(slice_ends, timeline.indexes,
+                                         side="right"), timeline.values)
     top = peaks.max()
     if top == 0:
         body = " " * width

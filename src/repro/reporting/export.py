@@ -26,9 +26,9 @@ def timeline_to_csv(timeline: Timeline) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["bin_start_ns", "packets"])
-    for index, count in enumerate(timeline.counts):
-        if count:
-            writer.writerow([index * timeline.bin_ns, int(count)])
+    for index, count in zip(timeline.indexes.tolist(),
+                            timeline.values.tolist()):
+        writer.writerow([index * timeline.bin_ns, count])
     return buffer.getvalue()
 
 

@@ -5,6 +5,8 @@ DESIGN.md (S1-S12) must hold on real one-hour captures.  The shared
 experiment cache keeps the total number of simulated hours bounded.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.experiments import (build_figure, comparison_rows, figure4,
@@ -54,6 +56,21 @@ class TestTimelineFigures:
                               Phase.LIN_OIN)
         timeline = acr_timeline(cache.pipeline_for(spec))
         assert timeline.duration_ns == 10 * 60 * 10 ** 9
+
+    def test_panel_holds_no_empty_bins(self):
+        # Warm the panel's six pipelines first: what the second build
+        # allocates is the timelines alone.  Dense per-millisecond
+        # arrays would hold 6 x 600,000 int64 bins (27.5 MiB).
+        build_figure(Vendor.LG, Country.UK)
+        tracemalloc.start()
+        try:
+            figure = build_figure(Vendor.LG, Country.UK)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(figure.timelines) == 6
+        assert held < 64 * 1024
+        assert peak < 1024 * 1024
 
 
 class TestCdfFigures:

@@ -206,6 +206,31 @@ class TestEndToEndAudit:
         assert telemetry.kinds.get("json-telemetry", 0) > 50
 
 
+class TestPaddedJson:
+    """MITM plaintexts are padded to exactly the modelled wire size."""
+
+    BODIES = [
+        {"ack": True},
+        {"status": "ok"},
+        {"type": "acr-status", "device": "a3f09c2e-77d1-4b6a",
+         "source": "tuner", "slot": 41},
+    ]
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_exact_size_whenever_a_pad_fits(self, body):
+        raw = json.dumps(body, separators=(",", ":")).encode("utf-8")
+        for target in range(len(raw) - 3, len(raw) + 400):
+            out = client_module._padded_json(body, target)
+            gap = target - len(raw)
+            if gap < len(',"pad":""'):
+                assert out == raw
+                continue
+            assert len(out) == target
+            parsed = json.loads(out)
+            assert parsed.pop("pad") == "x" * (gap - len(',"pad":""'))
+            assert parsed == body
+
+
 class TestPlaintextOnlyWhenObserved:
     """The ACR client builds an upload's plaintexts only for a transport
     that reads them, which a TV does only with a MITM proxy set."""

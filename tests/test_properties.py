@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from flow_oracle import canonical_key
 from repro.acr import Capture, FingerprintBatch, bands_of, hamming_distance
-from repro.analysis import Timeline, cumulative_bytes, packets_per_ms
+from repro.analysis import cumulative_bytes, packets_per_ms
 from repro.net import (CapturedPacket, ColumnarCapture, Ipv4Address,
                        MacAddress, TcpSegment, decode_all, decode_packet,
                        dump_bytes, load_bytes)
@@ -21,6 +21,8 @@ from repro.net.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
 from repro.net.packet import LazyPacket
 from repro.net.tcp import FLAG_ACK
 from repro.net.udp import UdpDatagram
+from repro.sim.clock import NS_PER_MS
+from timeline_oracle import dense_binned
 
 MAC_A = MacAddress.parse("02:00:00:00:00:01")
 MAC_B = MacAddress.parse("02:00:00:00:00:02")
@@ -224,7 +226,8 @@ class TestAnalysisProperties:
         timeline = packets_per_ms(packets, 0, 10 ** 11 + 1)
         # Rebinning can only drop packets in the truncated tail remainder.
         coarse = timeline.rebin(factor)
-        tail = timeline.counts[len(coarse.counts) * factor:].sum()
+        dense = dense_binned(timestamps, 0, 10 ** 11 + 1, NS_PER_MS)
+        tail = dense.counts[len(coarse) * factor:].sum()
         assert coarse.total_packets + tail == timeline.total_packets
 
     @given(st.lists(st.integers(min_value=0, max_value=10 ** 11),

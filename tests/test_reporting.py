@@ -7,17 +7,18 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import CumulativeCurve, Timeline
+from repro.analysis import CumulativeCurve
 from repro.reporting import (cdf_to_csv, findings_to_json, kb, plot_cdf,
                              plot_timeline, plot_timelines,
                              render_markdown, render_table, table_to_csv,
                              timeline_to_csv)
 from repro.reporting.ascii_plot import (LABEL_WIDTH, fit_label, meter,
                                         sparkline)
+from timeline_oracle import from_counts
 
 
 def _timeline(counts):
-    return Timeline(np.array(counts, dtype=np.int64), 0, 1_000_000)
+    return from_counts(counts, 0, 1_000_000)
 
 
 def _curve():
