@@ -5,7 +5,7 @@ from conftest import once
 
 from repro.analysis import AcrDomainAuditor, AuditPipeline
 from repro.experiments import cache
-from repro.net import decode_all, load_bytes
+from repro.net import ColumnarCapture
 from repro.reporting import render_table
 from repro.testbed import (Country, ExperimentSpec, Phase, Scenario,
                            Vendor)
@@ -60,7 +60,7 @@ def test_pcap_decode_throughput(benchmark, uk_opted_in_cells):
     raw = result.pcap_bytes
 
     def decode():
-        return len(decode_all(load_bytes(raw)))
+        return len(ColumnarCapture.from_pcap_bytes(raw))
 
     count = benchmark(decode)
     megabytes = len(raw) / 1e6

@@ -1,38 +1,44 @@
-"""Packet-codec hot path: vectorized checksum, capture-log encode, lazy decode.
+"""Packet-codec hot path: vectorized checksum, capture-log encode,
+columnar decode.
 
 Every table, figure, grid cell and fleet shard funnels through this
 path, so its perf trajectory is pinned hard:
 
 * the arithmetic RFC 1071 checksum must beat the seed per-byte carry
   loop by >= 5x on MSS-sized buffers;
-* lazy flow-key decode must beat full object decode by >= 5x on a
-  realistic synthesized capture;
 * columnar decode (raw pcap bytes -> numpy struct-array columns, zero
-  per-packet Python objects) must beat full object decode by >= 50x —
-  the one decode every audit runs;
+  per-packet Python objects) must beat the per-packet object decode of
+  ``tests/packet_oracle.py`` by >= 50x — the one decode every audit
+  runs;
 * encoding 3,000 segments to pcap bytes through the capture log (one
-  row each, then one numpy pass) must beat the object codec plus one
-  ``PcapWriter`` record per segment by >= 1.5x.
+  row each, then one numpy pass) must beat the object codec plus the
+  oracle's ``PcapWriter`` record per segment by >= 1.5x.
 
-These four are wall-clock floors (marker ``wallclock``): ``make
+These three are wall-clock floors (marker ``wallclock``): ``make
 bench-fidelity`` leaves them out, ``make bench`` runs them.  The same
 measurements feed ``scripts/bench_report.py`` (``make
-bench-json``), which is how future PRs regression-check against the
+bench-json``), which is how future changes regression-check against the
 committed ``BENCH_<n>.json`` trajectory.
 """
 
-import io
+import os
+import sys
 import time
 
 import pytest
 
-from repro.net import (CaptureLog, CapturedPacket, ColumnarCapture,
-                       Ipv4Address, MacAddress, PcapReader, TcpSegment,
-                       decode_all, decode_packet, dump_bytes, lazy_decode_all,
-                       load_bytes)
+from repro.net import (CaptureLog, ColumnarCapture, Ipv4Address, MacAddress,
+                       TcpSegment)
 from repro.net.checksum import internet_checksum
 from repro.net.packet import build_tcp_frame
+from repro.net.pcap import iter_records
 from repro.reporting import render_table
+
+# The object tier the fast paths replaced lives with the tests.
+sys.path.append(os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
+from packet_oracle import (CapturedPacket, decode_all,  # noqa: E402
+                           dump_bytes, load_bytes)
 
 MAC_TV = MacAddress.parse("02:00:00:00:00:01")
 MAC_AP = MacAddress.parse("02:00:00:00:00:02")
@@ -40,7 +46,6 @@ IP_TV = Ipv4Address.parse("192.168.1.23")
 IP_SRV = Ipv4Address.parse("203.0.113.9")
 
 CHECKSUM_SPEEDUP_FLOOR = 5.0
-DECODE_SPEEDUP_FLOOR = 5.0
 COLUMNAR_SPEEDUP_FLOOR = 50.0
 ENCODE_SPEEDUP_FLOOR = 1.5
 
@@ -95,13 +100,6 @@ def measure_checksum(buffers=2000, size=1460):
     return seed_s, fast_s
 
 
-def measure_decode(segments=1500):
-    packets = synth_capture(segments)
-    full_s = best_of(lambda: [decode_packet(p) for p in packets], repeats=3)
-    fast_s = best_of(lambda: lazy_decode_all(packets))
-    return full_s, fast_s
-
-
 def measure_columnar(segments=1500):
     """Raw pcap bytes all the way to queryable packets: object decode
     (``load_bytes`` + ``decode_all``) vs one columnar build."""
@@ -112,9 +110,9 @@ def measure_columnar(segments=1500):
 
 
 def encode_paths(frames=3000, payload_len=1200):
-    """The same segments to pcap bytes two ways: the object codec and a
-    ``PcapWriter`` record per segment, or one capture-log row per
-    segment and one encode."""
+    """The same segments to pcap bytes two ways: the object codec and
+    the oracle's ``PcapWriter`` record per segment, or one capture-log
+    row per segment and one encode."""
     payload = b"\xa5" * payload_len
 
     def object_path():
@@ -140,8 +138,9 @@ def measure_encode(frames=3000, payload_len=1200):
 
 
 def measure_pcap_load(segments=1500):
+    """The strict record walk, ``iter_records``, over a whole capture."""
     raw = dump_bytes(synth_capture(segments))
-    return best_of(lambda: list(PcapReader(io.BytesIO(raw))))
+    return best_of(lambda: list(iter_records(raw)))
 
 
 def _row(name, seed_s, fast_s):
@@ -160,16 +159,6 @@ def test_checksum_vectorization_speedup():
         internet_checksum(b"\x45\x00" * 30)
     assert speedup >= CHECKSUM_SPEEDUP_FLOOR, \
         f"checksum speedup {speedup:.1f}x below {CHECKSUM_SPEEDUP_FLOOR}x"
-
-
-@pytest.mark.wallclock
-def test_lazy_decode_speedup():
-    full_s, fast_s = measure_decode()
-    row, speedup = _row("decode (3000 pkts)", full_s, fast_s)
-    print("\n" + render_table(
-        ["microbench", "full ms", "lazy ms", "speedup"], [row]))
-    assert speedup >= DECODE_SPEEDUP_FLOOR, \
-        f"lazy decode speedup {speedup:.1f}x below {DECODE_SPEEDUP_FLOOR}x"
 
 
 @pytest.mark.wallclock

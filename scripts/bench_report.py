@@ -3,8 +3,8 @@
 Two kinds of point:
 
 * ``make bench-json`` measures the codec hot path: the hot-path
-  microbenches (seed-vs-fast checksum, full-vs-lazy decode,
-  object-vs-columnar decode, object-vs-capture-log encode) plus a
+  microbenches (seed-vs-fast checksum, object-vs-columnar decode,
+  object-vs-capture-log encode, the strict record walk) plus a
   reduced-grid end-to-end measurement (one cell simulated cold, then
   decoded into an audit pipeline).  A future change that erodes a
   speedup shows up as a smaller ratio in its ``BENCH_<n+1>.json`` diff.
@@ -64,15 +64,13 @@ def _entry(slow_s: float, fast_s: float) -> dict:
 def microbenches() -> dict:
     from benchmarks.bench_net_hotpath import (measure_checksum,
                                               measure_columnar,
-                                              measure_decode, measure_encode,
+                                              measure_encode,
                                               measure_pcap_load)
     checksum = measure_checksum()
-    decode = measure_decode()
     columnar = measure_columnar()
     encode = measure_encode()
     return {
         "checksum_1460B_x2000": _entry(*checksum),
-        "decode_3000_packets": _entry(*decode),
         "columnar_3000_packets": _entry(*columnar),
         "encode_3000_frames": _entry(*encode),
         "pcap_load_3000_packets_s": round(measure_pcap_load(), 6),
@@ -82,7 +80,7 @@ def microbenches() -> dict:
 def fold_spans(snapshot: dict) -> dict:
     """Reduce an obs snapshot to the BENCH-relevant breakdown: per-span
     count/total/mean wall ms plus the counters that explain them (memo
-    hit rates, lazy-vs-full decode counts)."""
+    hit rates, decode counts)."""
     spans = {}
     for name, entry in snapshot.get("histograms", {}).items():
         if not name.endswith(".wall_ms") or not entry["count"]:
@@ -102,7 +100,7 @@ def end_to_end(minutes: int) -> dict:
     decode).  Assets are warmed first so the numbers isolate the codec
     path the way the grid/fleet runners see it.  Runs under a live
     metrics registry so the span/counter breakdown (fingerprint memo
-    hits, lazy packet counts, phase timings) lands in the JSON beside
+    hits, decoded packet counts, phase timings) lands in the JSON beside
     the stopwatch numbers."""
     from repro.analysis import AuditPipeline
     from repro.experiments.grid import warm_assets

@@ -14,6 +14,11 @@ Drives the real CLI end to end and pins the findings contract:
 4. ``repro.cli findings diff`` of the two exports must report zero
    changes and exit 0.
 
+Before simulating anything the smoke derives its population: when no
+household in it can carry an ``OPTOUT`` finding (an opted-out
+household on a vendor that downsamples on opt-out), it exits 2 naming
+the smallest ``--households`` that has one (17 at seed 7).
+
 Usage::
 
     PYTHONPATH=src python scripts/findings_smoke.py [--households 24]
@@ -24,12 +29,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+
+from repro.fleet import PopulationSpec, parse_mix  # noqa: E402
+from repro.tv import vendors  # noqa: E402
 
 #: Lossy decode-layer plan: some captures arrive truncated or with
 #: corrupt record headers, so the salvage path quarantines records and
@@ -39,6 +51,20 @@ FAULT_PLAN = "pcap.truncate:0.2,pcap.corrupt:0.2"
 #: Roku's contract downsamples (never silences) on opt-out, so the
 #: default phase mix's opted-out households yield OPTOUT findings.
 MIX = "vendor=roku:1,lg:1,samsung:1"
+
+
+def first_optout_carrier(seed: int) -> int:
+    """Index of the population's first household that can carry an
+    ``OPTOUT`` finding: opted out, on a vendor whose contract keeps
+    uploading (downsampled) after opt-out.  Households are derived one
+    by one, so the index does not depend on the population size."""
+    population = PopulationSpec(1, seed, parse_mix([MIX]))
+    for index in itertools.count():
+        household = population.household(index)
+        if (not household.phase.opted_in
+                and vendors.get(household.vendor.value).contract.optout
+                == vendors.OPTOUT_DOWNSAMPLE):
+            return index
 
 
 def sha256(path: str) -> str:
@@ -70,6 +96,14 @@ def main() -> int:
                         help="work under this directory and keep it "
                              "(default: a temp dir, removed)")
     args = parser.parse_args()
+
+    first = first_optout_carrier(args.seed)
+    if first >= args.households:
+        print(f"error: no household of {args.households} at seed "
+              f"{args.seed} can carry an OPTOUT finding (the first is "
+              f"household {first}); run with --households {first + 1} "
+              f"or more", file=sys.stderr)
+        return 2
 
     work = args.keep_dir or tempfile.mkdtemp(prefix="findings-smoke-")
     os.makedirs(work, exist_ok=True)

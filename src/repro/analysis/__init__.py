@@ -6,16 +6,15 @@ from .acr_domains import (AcrDomainAuditor, AcrDomainFinding,
                           no_new_acr_domains)
 from .blocklists import Blocklist, NetifyDirectory
 from .cdf import CumulativeCurve, cumulative_bytes, median_step_interval_s
-from .compare import (CountryComparison, PhaseComparison, acr_volume_total,
-                      scenario_volume_profile)
+from .compare import CountryComparison, PhaseComparison, acr_volume_total
 from .dns_map import DnsMap
 from .periodicity import (PeriodicityReport, analyze_periodicity,
                           dominant_period_s)
 from .pipeline import AuditPipeline
 from .timeline import (Timeline, burst_times_ns, packets_per_ms,
-                       packets_per_second, peak_ratio, window_of)
+                       packets_per_second, peak_ratio)
 from .volumes import (VolumeCell, VolumeTable, build_volume_table,
-                      domain_volumes, normalize_rotating)
+                      normalize_rotating)
 
 __all__ = [
     "AcrDomainAuditor",
@@ -36,7 +35,6 @@ __all__ = [
     "build_volume_table",
     "burst_times_ns",
     "cumulative_bytes",
-    "domain_volumes",
     "dominant_period_s",
     "median_step_interval_s",
     "no_new_acr_domains",
@@ -44,6 +42,4 @@ __all__ = [
     "packets_per_ms",
     "packets_per_second",
     "peak_ratio",
-    "scenario_volume_profile",
-    "window_of",
 ]

@@ -6,11 +6,9 @@ during the LIn-OIn and LOut-OIn phases."
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
 import numpy as np
 
-from ..net.packet import DecodedPacket
+from ..net.columnar import ColumnarSlice
 from ..sim.clock import NS_PER_SECOND
 
 
@@ -61,48 +59,30 @@ class CumulativeCurve:
                 f"total={self.total_bytes}B)")
 
 
-def cumulative_bytes(packets: Sequence[DecodedPacket],
+def cumulative_bytes(packets: ColumnarSlice,
                      start_ns: int, end_ns: int,
                      sent_only_from=None) -> CumulativeCurve:
-    """Build the curve over a window.
+    """Build the curve over a window, straight from the capture's
+    timestamp and length columns.
 
     ``sent_only_from``: when given an address, count only bytes the TV
     *transmitted* (the paper plots "bytes transmitted to ACR domains").
+    Points are ordered by ``(time, length)``.
     """
     if end_ns <= start_ns:
         raise ValueError("window ends before it starts")
-    capture = getattr(packets, "capture", None)
-    if capture is not None:
-        # Columnar query results carry their row indices: build the
-        # curve straight from the timestamp/length columns.  The sort
-        # replicates the object path's ``points.sort()`` over
-        # ``(time, length)`` tuples exactly (lexicographic, stable).
-        rows = packets.indices
-        ts = capture.ts[rows]
-        keep = (ts >= start_ns) & (ts < end_ns)
-        if sent_only_from is not None:
-            keep &= capture.src[rows] == np.uint32(sent_only_from.value)
-            keep &= capture.proto[rows] >= 0
-        ts = ts[keep]
-        sizes = capture.length[rows][keep]
-        times = (ts - start_ns) / NS_PER_SECOND
-        order = np.lexsort((sizes, times))
-        times = times[order]
-        sizes = sizes[order]
-        return CumulativeCurve(times, np.cumsum(sizes) if len(sizes)
-                               else sizes)
-    points: List[Tuple[float, int]] = []
-    for packet in packets:
-        if not start_ns <= packet.timestamp < end_ns:
-            continue
-        if sent_only_from is not None:
-            if packet.src_ip != sent_only_from:
-                continue
-        points.append(((packet.timestamp - start_ns) / NS_PER_SECOND,
-                       packet.length))
-    points.sort()
-    times = np.array([t for t, __ in points], dtype=np.float64)
-    sizes = np.array([s for __, s in points], dtype=np.int64)
+    capture, rows = packets.capture, packets.indices
+    ts = capture.ts[rows]
+    keep = (ts >= start_ns) & (ts < end_ns)
+    if sent_only_from is not None:
+        keep &= capture.src[rows] == np.uint32(sent_only_from.value)
+        keep &= capture.proto[rows] >= 0
+    ts = ts[keep]
+    sizes = capture.length[rows][keep]
+    times = (ts - start_ns) / NS_PER_SECOND
+    order = np.lexsort((sizes, times))
+    times = times[order]
+    sizes = sizes[order]
     return CumulativeCurve(times, np.cumsum(sizes) if len(sizes)
                            else sizes)
 

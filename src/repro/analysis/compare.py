@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .pipeline import AuditPipeline
 from .volumes import normalize_rotating
@@ -98,10 +98,3 @@ def acr_volume_total(pipeline: AuditPipeline) -> float:
     """Total KB across every "acr" candidate domain in one capture."""
     return sum(pipeline.kilobytes_for(d)
                for d in pipeline.acr_candidate_domains())
-
-
-def scenario_volume_profile(pipelines: Dict[str, AuditPipeline]
-                            ) -> Dict[str, float]:
-    """Scenario -> total ACR KB, for who-wins-where comparisons."""
-    return {scenario: acr_volume_total(pipeline)
-            for scenario, pipeline in pipelines.items()}

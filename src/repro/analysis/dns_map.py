@@ -9,11 +9,11 @@ association, built purely from the capture.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..net.addresses import Ipv4Address
+from ..net.columnar import ColumnarView
 from ..net.dns import TYPE_A, TYPE_CNAME
-from ..net.packet import DecodedPacket
 
 
 class DnsMap:
@@ -25,8 +25,8 @@ class DnsMap:
         self._cnames: Dict[str, str] = {}
         self.answers_seen = 0
 
-    def observe(self, packet: DecodedPacket) -> None:
-        """Fold one decoded packet into the map (no-op unless DNS)."""
+    def observe(self, packet: ColumnarView) -> None:
+        """Fold one capture row into the map (no-op unless DNS)."""
         message = packet.dns
         if message is None or not message.is_response:
             return
@@ -41,11 +41,6 @@ class DnsMap:
             self.answers_seen += 1
             self._ip_to_names.setdefault(record.address, set()).add(name)
             self._name_to_ips.setdefault(name, set()).add(record.address)
-
-    def observe_all(self, packets: Iterable[DecodedPacket]) -> "DnsMap":
-        for packet in packets:
-            self.observe(packet)
-        return self
 
     def _canonical_name(self, name: str) -> str:
         seen = set()

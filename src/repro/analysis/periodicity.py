@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..net.packet import DecodedPacket
+from ..net.columnar import ColumnarSlice
 from ..sim.clock import NS_PER_SECOND
 from .timeline import burst_times_ns
 
@@ -48,7 +48,7 @@ class PeriodicityReport:
                 f"period={period}, cv={cv})")
 
 
-def analyze_periodicity(domain: str, packets: List[DecodedPacket],
+def analyze_periodicity(domain: str, packets: ColumnarSlice,
                         burst_gap_ns: int = 2 * NS_PER_SECOND
                         ) -> PeriodicityReport:
     """Burst detection + inter-burst interval statistics."""
@@ -63,7 +63,7 @@ def analyze_periodicity(domain: str, packets: List[DecodedPacket],
                              [float(v) for v in intervals])
 
 
-def dominant_period_s(packets: List[DecodedPacket],
+def dominant_period_s(packets: ColumnarSlice,
                       max_lag_s: int = 120) -> Optional[float]:
     """Autocorrelation-based period estimate on per-second counts.
 

@@ -6,11 +6,11 @@ corresponds to a single millisecond slot."
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-from ..net.packet import DecodedPacket
+from ..net.columnar import ColumnarSlice
 from ..sim.clock import NS_PER_MS, NS_PER_SECOND
 
 
@@ -75,19 +75,19 @@ class Timeline:
                 f"packets={self.total_packets})")
 
 
-def packets_per_ms(packets: List[DecodedPacket], start_ns: int,
+def packets_per_ms(packets: ColumnarSlice, start_ns: int,
                    end_ns: int) -> Timeline:
     """Millisecond-binned counts over [start_ns, end_ns)."""
     return _binned(packets, start_ns, end_ns, NS_PER_MS)
 
 
-def packets_per_second(packets: List[DecodedPacket], start_ns: int,
+def packets_per_second(packets: ColumnarSlice, start_ns: int,
                        end_ns: int) -> Timeline:
     """Second-binned counts over [start_ns, end_ns)."""
     return _binned(packets, start_ns, end_ns, NS_PER_SECOND)
 
 
-def _binned(packets: List[DecodedPacket], start_ns: int, end_ns: int,
+def _binned(packets: ColumnarSlice, start_ns: int, end_ns: int,
             bin_ns: int) -> Timeline:
     if end_ns <= start_ns:
         raise ValueError("window ends before it starts")
@@ -100,7 +100,7 @@ def _binned(packets: List[DecodedPacket], start_ns: int, end_ns: int,
     return Timeline(indexes, values, n_bins, start_ns, bin_ns)
 
 
-def burst_times_ns(packets: List[DecodedPacket],
+def burst_times_ns(packets: ColumnarSlice,
                    gap_ns: int = NS_PER_SECOND) -> List[int]:
     """Start timestamps of packet bursts (gaps > ``gap_ns`` split bursts)."""
     times = sorted(p.timestamp for p in packets)
@@ -122,13 +122,3 @@ def peak_ratio(active: Timeline, restricted: Timeline) -> float:
     if restricted.peak == 0:
         return float("inf")
     return active.peak / restricted.peak
-
-
-def window_of(packets: List[DecodedPacket],
-              minutes_: int = 10,
-              skip_ns: int = 0) -> Tuple[int, int]:
-    """A ``minutes_`` window starting after ``skip_ns`` of the capture."""
-    if not packets:
-        raise ValueError("empty capture")
-    start = packets[0].timestamp + skip_ns
-    return start, start + minutes_ * 60 * NS_PER_SECOND

@@ -80,12 +80,6 @@ def normalize_rotating(domain: str) -> str:
                   else f"acr{m.group(2)}.", domain)
 
 
-def domain_volumes(pipeline: AuditPipeline,
-                   domains: List[str]) -> Dict[str, float]:
-    """KB for each domain in one capture."""
-    return {domain: pipeline.kilobytes_for(domain) for domain in domains}
-
-
 def build_volume_table(pipelines_by_scenario: Dict[str, AuditPipeline],
                        acr_domains_by_scenario: Dict[str, List[str]]
                        ) -> VolumeTable:

@@ -13,29 +13,21 @@ Two halves:
 
 * **Salvage** — :func:`salvage_pcap_bytes`, the hardening that turns a
   corrupt capture from an abort into a counted degradation: walk the
-  record stream tolerantly, probe every frame with the same defensive
+  record stream with :func:`~repro.net.pcap.iter_records` up to its
+  first structural break, probe every frame with the same defensive
   decode the analysis uses, keep the good records byte-for-byte,
   and report each dropped record with evidence (index + reason).
 """
 
 from __future__ import annotations
 
-import struct
 from typing import List, Optional, Tuple
 
 from ..net.packet import LazyPacket
 from ..net.pcap import GLOBAL_HEADER, RECORD_HEADER, PcapError, \
-    parse_global_header
+    iter_records, parse_global_header
 from ..obs.metrics import get_registry
 from .plan import FaultPlan
-
-_NS_PER_US = 1_000
-_NS_PER_S = 1_000_000_000
-
-#: Record-length sanity bound for the tolerant salvage walk (matches
-#: the strict readers' "implausible record length" ceiling at the
-#: maximum snaplen).
-_MAX_RECORD_LEN = 65535 + 65536
 
 
 class InjectedFault(RuntimeError):
@@ -102,20 +94,11 @@ def _record_spans(raw: bytes) -> List[Tuple[int, int]]:
     """(start, end) byte spans of every complete record, tolerantly
     (stops at the first structural break instead of raising)."""
     spans: List[Tuple[int, int]] = []
-    position = GLOBAL_HEADER.size
-    size = len(raw)
-    header = RECORD_HEADER
-    while position < size:
-        if position + header.size > size:
-            break
-        incl_len = header.unpack_from(raw, position)[2]
-        if incl_len > _MAX_RECORD_LEN:
-            break
-        end = position + header.size + incl_len
-        if end > size:
-            break
-        spans.append((position, end))
-        position = end
+    try:
+        for __, offset, incl_len, __ in iter_records(raw):
+            spans.append((offset - RECORD_HEADER.size, offset + incl_len))
+    except PcapError:
+        pass
     return spans
 
 
@@ -206,40 +189,25 @@ def salvage_pcap_bytes(raw: bytes) -> Tuple[bytes, List[Tuple[int, str]]]:
     so routing a *healthy* segment through here is a no-op.
     """
     try:
-        swapped, snaplen, __ = parse_global_header(raw)
+        parse_global_header(raw)
     except PcapError as exc:
         return b"", [(-1, f"unusable global header: {exc}")]
-    header_size = RECORD_HEADER.size
-    unpack = struct.Struct(">IIII" if swapped else "<IIII").unpack_from
-    # Same acceptance bound as the strict readers, so a salvaged
-    # payload re-decodes without a second rejection pass.
-    max_record_len = snaplen + 65536
-    size = len(raw)
     good: List[bytes] = [bytes(raw[:GLOBAL_HEADER.size])]
     drops: List[Tuple[int, str]] = []
-    position = GLOBAL_HEADER.size
     index = 0
-    while position < size:
-        if position + header_size > size:
-            drops.append((index, "truncated pcap record header"))
-            break
-        ts_sec, ts_usec, incl_len, __ = unpack(raw, position)
-        if incl_len > max_record_len:
-            drops.append((index,
-                          f"implausible record length: {incl_len}"))
-            break
-        end = position + header_size + incl_len
-        if end > size:
-            drops.append((index, "truncated pcap record data"))
-            break
-        timestamp = ts_sec * _NS_PER_S + ts_usec * _NS_PER_US
-        reason = _probe(timestamp, bytes(raw[position + header_size:end]))
-        if reason is None:
-            good.append(bytes(raw[position:end]))
-        else:
-            drops.append((index, reason))
-        position = end
-        index += 1
+    try:
+        # The strict walk's acceptance rules, so a salvaged payload
+        # re-decodes without a second rejection pass.
+        for timestamp, offset, incl_len, __ in iter_records(raw):
+            end = offset + incl_len
+            reason = _probe(timestamp, bytes(raw[offset:end]))
+            if reason is None:
+                good.append(bytes(raw[offset - RECORD_HEADER.size:end]))
+            else:
+                drops.append((index, reason))
+            index += 1
+    except PcapError as exc:
+        drops.append((index, str(exc)))
     return b"".join(good), drops
 
 

@@ -1,5 +1,5 @@
-"""Network substrate: packet codecs, pcap files, a columnar decode, and a
-host stack.
+"""Network substrate: packet codecs, the pcap format, a columnar decode,
+and a host stack.
 
 Everything here is implemented from scratch at wire-format level so the
 testbed's captures are real pcap files and the analysis pipeline operates on
@@ -14,10 +14,8 @@ from .dns import DnsMessage, DnsQuestion, DnsRecord
 from .ethernet import EthernetFrame
 from .ip import Ipv4Packet
 from .link import LatencyModel
-from .packet import (CapturedPacket, DecodedPacket, LazyPacket, decode_all,
-                     decode_packet, lazy_decode, lazy_decode_all)
-from .pcap import (PcapError, PcapReader, PcapWriter, dump_bytes, load_bytes,
-                   load_file, save_file)
+from .packet import LazyPacket
+from .pcap import PcapError
 from .stack import HostStack, TlsSession
 from .tcp import TcpSegment
 from .tls import TlsRecord, extract_sni
@@ -26,11 +24,9 @@ from .udp import UdpDatagram
 __all__ = [
     "BROADCAST_MAC",
     "CaptureLog",
-    "CapturedPacket",
     "ColumnarCapture",
     "ColumnarSlice",
     "ColumnarView",
-    "DecodedPacket",
     "DnsMessage",
     "DnsQuestion",
     "DnsRecord",
@@ -43,21 +39,11 @@ __all__ = [
     "LazyPacket",
     "MacAddress",
     "PcapError",
-    "PcapReader",
-    "PcapWriter",
     "TcpSegment",
     "TlsRecord",
     "TlsSession",
     "UdpDatagram",
-    "decode_all",
-    "decode_packet",
-    "dump_bytes",
     "extract_sni",
-    "lazy_decode",
-    "lazy_decode_all",
-    "load_bytes",
-    "load_file",
     "mac_from_seed",
     "parse_endpoint",
-    "save_file",
 ]

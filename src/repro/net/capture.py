@@ -14,10 +14,10 @@ numpy pass: a stable argsort by timestamp, header rows gathered from
 the flow templates, the variable fields written through a big-endian
 structured view, both checksums from the static sums plus vectorized
 field and payload word sums, and one ``b"".join``.  The output is
-byte-identical to :func:`repro.net.pcap.dump_bytes` over the
-timestamp-sorted object-codec frames
-(:func:`repro.net.packet.build_tcp_frame`);
-``tests/test_capture_log.py`` pins that property-style.
+byte-identical to writing the timestamp-sorted object-codec frames
+(:func:`repro.net.packet.build_tcp_frame`) one pcap record at a time;
+``tests/test_capture_log.py`` pins that property-style against the
+record writer in ``tests/packet_oracle.py``.
 
 Memory: every ``BLOCK`` rows the log compacts its row tuples into int64
 columns and sums the words of their payloads, so neither the tuples
@@ -37,7 +37,8 @@ from .addresses import Ipv4Address, MacAddress
 from .checksum import word_sum
 from .ethernet import ETHERTYPE_IPV4
 from .ip import PROTO_TCP
-from .pcap import RECORD_HEADER, SNAPLEN, dump_bytes
+from .pcap import (GLOBAL_HEADER, LINKTYPE_ETHERNET, MAGIC_USEC,
+                   RECORD_HEADER, SNAPLEN, VERSION_MAJOR, VERSION_MINOR)
 
 HEADER_LEN = 54  # Ethernet (14) + IPv4 (20) + TCP without options (20)
 #: Rows compacted at a time: bounds the row tuples held and the payload
@@ -46,7 +47,8 @@ BLOCK = 256
 
 _RECORD_LEN = RECORD_HEADER.size
 _ROW_LEN = _RECORD_LEN + HEADER_LEN
-_PCAP_HEADER = dump_bytes([])  # the global header alone
+_PCAP_HEADER = GLOBAL_HEADER.pack(MAGIC_USEC, VERSION_MAJOR, VERSION_MINOR,
+                                  0, 0, SNAPLEN, LINKTYPE_ETHERNET)
 #: The flow id of a row that carries a whole encoded frame.  It indexes
 #: the spare all-zero template the encode appends to the flow tables.
 _RAW = -1
@@ -216,7 +218,7 @@ class CaptureLog:
             np.array(self._tcp_sums + [0])[flow] + tcp_len + (seq >> 16)
             + (seq & 0xFFFF) + (ack >> 16) + (ack & 0xFFFF) + flags
             + payload_sum)
-        # PcapWriter stores the first SNAPLEN bytes of a longer frame.
+        # A record stores the first SNAPLEN bytes of a longer frame.
         for i in np.flatnonzero(frame_len > SNAPLEN).tolist():
             data[i] = data[i][:SNAPLEN - HEADER_LEN * tcp[i]]
         return block.tobytes(), tcp

@@ -1,7 +1,7 @@
 """RFC 1071 internet checksum, used by the IPv4/TCP/UDP codecs.
 
 The one's-complement sum is the busiest few lines in the repo — every
-synthesized and every verified packet passes through it — so it is
+synthesized packet passes through it — so it is
 computed arithmetically rather than with a per-byte Python loop:
 ``2**16 ≡ 1 (mod 0xFFFF)``, so the end-around-carry sum of a buffer's
 big-endian 16-bit words equals the whole buffer taken as one big-endian
@@ -29,11 +29,7 @@ def word_sum(data: bytes) -> int:
 
 
 def ones_complement_sum(data: bytes) -> int:
-    """End-around-carry sum of big-endian 16-bit words, per RFC 1071.
-
-    Shared by :func:`internet_checksum` and :func:`verify_checksum`
-    (which historically each carried their own summing loop).
-    """
+    """End-around-carry sum of big-endian 16-bit words, per RFC 1071."""
     total = word_sum(data)
     if total == 0 and any(data):
         return 0xFFFF
@@ -43,11 +39,6 @@ def ones_complement_sum(data: bytes) -> int:
 def internet_checksum(data: bytes) -> int:
     """One's-complement of the one's-complement sum, per RFC 1071."""
     return (~ones_complement_sum(data)) & 0xFFFF
-
-
-def verify_checksum(data: bytes) -> bool:
-    """True when a buffer containing its own checksum sums to zero."""
-    return ones_complement_sum(data) == 0xFFFF
 
 
 def pseudo_header(src: bytes, dst: bytes, protocol: int,

@@ -15,8 +15,9 @@ The reference for every row is :class:`~repro.net.packet.LazyPacket`,
 and the equivalence suite holds the two identical:
 
 * the record walk raises the same :class:`~repro.net.pcap.PcapError`
-  surface as :class:`~repro.net.pcap.PcapReader`, and raises it before
-  any frame-level error, exactly like ``load_bytes`` + per-row decode;
+  surface as the strict walk :func:`~repro.net.pcap.iter_records`, and
+  raises it before any frame-level error, exactly like that walk run to
+  the end before any row decodes;
 * malformed or clipped frames raise the same ``ValueError`` messages in
   the same (capture) order as ``LazyPacket`` — any row the vectorized
   gather can't prove well-formed (short frames, IPv4 options,
@@ -220,7 +221,7 @@ def _build_columns(buf: memoryview) -> Dict[str, np.ndarray]:
     incl = _gather_u32(data, record + 8, swapped).astype(np.int64)
 
     # Record-level failures surface before any frame-level one, exactly
-    # like load_bytes (which finishes the whole walk before decoding).
+    # like a full iter_records walk ahead of any row decode.
     implausible = incl > snaplen + 65536
     if implausible.any():
         first = int(implausible.argmax())

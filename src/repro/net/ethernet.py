@@ -30,17 +30,6 @@ class EthernetFrame:
                 + self.ethertype.to_bytes(2, "big")
                 + self.payload)
 
-    @classmethod
-    def decode(cls, raw: bytes) -> "EthernetFrame":
-        if len(raw) < HEADER_LEN:
-            raise ValueError(f"frame too short: {len(raw)} bytes")
-        return cls(
-            dst=MacAddress.from_bytes(raw[0:6]),
-            src=MacAddress.from_bytes(raw[6:12]),
-            ethertype=int.from_bytes(raw[12:14], "big"),
-            payload=raw[14:],
-        )
-
     def __len__(self) -> int:
         return HEADER_LEN + len(self.payload)
 

@@ -1,6 +1,6 @@
 """IPv4 packet codec (RFC 791, no options, no fragmentation support needed
-for the testbed traffic, but the header fields are encoded/verified
-faithfully so the pcap round-trip is byte-exact)."""
+for the testbed traffic, but the header fields are encoded faithfully
+so the pcap round-trip is byte-exact)."""
 
 from __future__ import annotations
 
@@ -61,35 +61,6 @@ class Ipv4Packet:
         checksum = internet_checksum(bytes(header))
         header[10:12] = checksum.to_bytes(2, "big")
         return bytes(header) + self.payload
-
-    @classmethod
-    def decode(cls, raw: bytes, verify: bool = True) -> "Ipv4Packet":
-        if len(raw) < HEADER_LEN:
-            raise ValueError(f"IPv4 packet too short: {len(raw)} bytes")
-        version = raw[0] >> 4
-        if version != 4:
-            raise ValueError(f"not IPv4: version={version}")
-        ihl = (raw[0] & 0x0F) * 4
-        if ihl < HEADER_LEN or len(raw) < ihl:
-            raise ValueError(f"bad IHL: {ihl}")
-        total_length = int.from_bytes(raw[2:4], "big")
-        if total_length > len(raw):
-            raise ValueError(
-                f"truncated packet: header says {total_length}, "
-                f"buffer has {len(raw)}")
-        if verify and internet_checksum(raw[:ihl]) != 0:
-            raise ValueError("IPv4 header checksum mismatch")
-        flags_fragment = int.from_bytes(raw[6:8], "big")
-        return cls(
-            src=Ipv4Address.from_bytes(raw[12:16]),
-            dst=Ipv4Address.from_bytes(raw[16:20]),
-            protocol=raw[9],
-            payload=raw[ihl:total_length],
-            ttl=raw[8],
-            identification=int.from_bytes(raw[4:6], "big"),
-            dscp=raw[1] >> 2,
-            flags_df=bool(flags_fragment & 0x4000),
-        )
 
     def __repr__(self) -> str:
         return (f"Ipv4Packet({self.src} -> {self.dst}, proto={self.protocol},"

@@ -1,29 +1,22 @@
-"""Captured-packet model and the per-packet decoders.
+"""The per-row packet view and the object-codec frame builders.
 
-A :class:`CapturedPacket` is what the access point's tap records: a
-timestamp plus raw Ethernet bytes.  Two views re-parse those bytes:
+A :class:`LazyPacket` parses the fixed-offset header fields of one
+captured frame (ethertype, IPv4 addresses and protocol, transport
+ports) and nothing deeper until asked: its DNS payload parses on first
+``.dns`` access.  It is the columnar decode's (:mod:`repro.net.columnar`)
+per-row slow path and reference, every columnar row exposes its
+flow-level attribute surface, and salvage probes each record with it.
 
-* :func:`decode_packet` — the full decode: constructs
-  Ethernet/IP/TCP/UDP/DNS objects, validating as it goes.
-* :func:`lazy_decode` — precompiled fixed-offset header slicing that
-  yields the flow key (addresses, ports, protocol) and lengths without
-  building any per-layer object.  Full decode is deferred to the
-  packets that need it (DNS payloads parse on first ``.dns`` access;
-  ``.ip``/``.tcp``/``.udp``/``.eth`` delegate to a memoized full
-  decode).
-
-The analysis pipeline decodes whole captures column-wise
-(:mod:`repro.net.columnar`); :class:`LazyPacket` is that decode's
-per-row slow path and reference, and every columnar row exposes its
-exact attribute surface.
+:func:`build_udp_frame` and :func:`build_tcp_frame` compose a frame
+through the object codecs; the host stack uses them for the frames the
+capture log takes already encoded.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional
+from typing import Optional
 
-from ..obs.metrics import get_registry
 from .addresses import Ipv4Address, MacAddress
 from .dns import DnsMessage
 from .ethernet import ETHERTYPE_IPV4, EthernetFrame
@@ -32,123 +25,6 @@ from .tcp import TcpSegment
 from .udp import UdpDatagram
 
 DNS_PORT = 53
-
-
-class CapturedPacket:
-    """One packet on the wire: capture timestamp (ns) + raw frame bytes."""
-
-    __slots__ = ("timestamp", "data")
-
-    def __init__(self, timestamp: int, data: bytes) -> None:
-        if timestamp < 0:
-            raise ValueError("negative capture timestamp")
-        self.timestamp = timestamp
-        self.data = data
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:
-        return f"CapturedPacket(t={self.timestamp}, {len(self.data)}B)"
-
-
-class DecodedPacket:
-    """Parsed view of a captured packet (as deep as the bytes allow)."""
-
-    __slots__ = ("timestamp", "length", "eth", "ip", "tcp", "udp", "dns")
-
-    def __init__(self, timestamp: int, length: int,
-                 eth: EthernetFrame,
-                 ip: Optional[Ipv4Packet] = None,
-                 tcp: Optional[TcpSegment] = None,
-                 udp: Optional[UdpDatagram] = None,
-                 dns: Optional[DnsMessage] = None) -> None:
-        self.timestamp = timestamp
-        self.length = length
-        self.eth = eth
-        self.ip = ip
-        self.tcp = tcp
-        self.udp = udp
-        self.dns = dns
-
-    @property
-    def src_ip(self) -> Optional[Ipv4Address]:
-        return self.ip.src if self.ip else None
-
-    @property
-    def dst_ip(self) -> Optional[Ipv4Address]:
-        return self.ip.dst if self.ip else None
-
-    @property
-    def src_port(self) -> Optional[int]:
-        if self.tcp:
-            return self.tcp.src_port
-        if self.udp:
-            return self.udp.src_port
-        return None
-
-    @property
-    def dst_port(self) -> Optional[int]:
-        if self.tcp:
-            return self.tcp.dst_port
-        if self.udp:
-            return self.udp.dst_port
-        return None
-
-    @property
-    def flow_proto(self) -> Optional[str]:
-        """Flow-table protocol discriminator (None for non-IP)."""
-        if self.tcp:
-            return "tcp"
-        if self.udp:
-            return "udp"
-        return "ip" if self.ip else None
-
-    @property
-    def transport_payload(self) -> bytes:
-        if self.tcp:
-            return self.tcp.payload
-        if self.udp:
-            return self.udp.payload
-        return b""
-
-    def __repr__(self) -> str:
-        proto = "tcp" if self.tcp else ("udp" if self.udp else "eth")
-        return (f"DecodedPacket(t={self.timestamp}, {proto}, "
-                f"{self.src_ip}:{self.src_port} -> "
-                f"{self.dst_ip}:{self.dst_port}, {self.length}B)")
-
-
-def decode_packet(packet: CapturedPacket,
-                  verify_checksums: bool = False) -> DecodedPacket:
-    """Parse a captured packet as deep as its bytes allow.
-
-    DNS parse failures are tolerated (the payload may be a non-DNS UDP
-    protocol on port 53 in hostile captures); lower-layer failures raise.
-    """
-    data = packet.data
-    if type(data) is not bytes:
-        # Zero-copy loads hand us buffer views; the object layers slice
-        # and ``.decode()`` freely, so materialize real bytes once here.
-        data = bytes(data)
-    eth = EthernetFrame.decode(data)
-    decoded = DecodedPacket(packet.timestamp, len(data), eth)
-    if eth.ethertype != ETHERTYPE_IPV4:
-        return decoded
-    ip = Ipv4Packet.decode(eth.payload, verify=verify_checksums)
-    decoded.ip = ip
-    if ip.protocol == PROTO_TCP:
-        decoded.tcp = TcpSegment.decode(ip.payload)
-    elif ip.protocol == PROTO_UDP:
-        udp = UdpDatagram.decode(ip.payload)
-        decoded.udp = udp
-        if DNS_PORT in (udp.src_port, udp.dst_port):
-            try:
-                decoded.dns = DnsMessage.decode(udp.payload)
-            except ValueError:
-                decoded.dns = None
-    return decoded
-
 
 _PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}
 
@@ -167,21 +43,15 @@ class LazyPacket:
     Parses only the fixed-offset header fields (ethertype, IPv4
     addresses/protocol, transport ports) at construction; everything
     deeper is deferred.  ``.dns`` parses the DNS payload in place for
-    UDP port-53 packets, and the object-layer attributes (``ip``,
-    ``tcp``, ``udp``, ``eth``) fall back to a memoized
-    :func:`decode_packet`, so a lazy capture is drop-in compatible with
-    a fully decoded one — consumers just stay fast when they only touch
-    the flow key.  Keeps the full decode's failure surface: a frame
-    that claims IPv4 but is malformed or truncated (e.g. snaplen-clipped
-    records) raises ``ValueError`` exactly like ``Ipv4Packet.decode``,
+    UDP port-53 packets.  A frame that claims IPv4 but is malformed or
+    truncated (e.g. snaplen-clipped records) raises ``ValueError``
     rather than silently vanishing from the flow analysis.
     """
 
     __slots__ = ("timestamp", "data", "length", "src_ip", "dst_ip",
-                 "src_port", "dst_port", "proto", "_ihl", "_dns", "_full")
+                 "src_port", "dst_port", "proto", "_ihl", "_dns")
 
-    def __init__(self, timestamp: int, data: bytes,
-                 intern: Optional[Dict[bytes, Ipv4Address]] = None) -> None:
+    def __init__(self, timestamp: int, data: bytes) -> None:
         self.timestamp = timestamp
         self.data = data
         self.length = len(data)
@@ -192,14 +62,13 @@ class LazyPacket:
         self.proto: Optional[int] = None
         self._ihl = 0
         self._dns = _MISSING
-        self._full: Optional[DecodedPacket] = None
         if len(data) < 14:
             raise ValueError(f"frame too short: {len(data)} bytes")
         if data[12:14] != b"\x08\x00":
             return
-        # The frame claims IPv4: validate like the full decode so bad
-        # frames (including snaplen-truncated records) fail loudly
-        # instead of silently dropping out of the analysis.
+        # The frame claims IPv4: validate the header so bad frames
+        # (including snaplen-truncated records) fail loudly instead of
+        # silently dropping out of the analysis.
         if len(data) < 34:
             raise ValueError(f"IPv4 packet too short: {len(data) - 14} "
                              f"bytes")
@@ -216,18 +85,8 @@ class LazyPacket:
                 f"buffer has {len(data) - 14}")
         self._ihl = ihl
         self.proto = proto
-        if intern is not None:
-            src = intern.get(src_raw)
-            if src is None:
-                src = intern[src_raw] = Ipv4Address.from_bytes(src_raw)
-            dst = intern.get(dst_raw)
-            if dst is None:
-                dst = intern[dst_raw] = Ipv4Address.from_bytes(dst_raw)
-        else:
-            src = Ipv4Address.from_bytes(src_raw)
-            dst = Ipv4Address.from_bytes(dst_raw)
-        self.src_ip = src
-        self.dst_ip = dst
+        self.src_ip = Ipv4Address.from_bytes(src_raw)
+        self.dst_ip = Ipv4Address.from_bytes(dst_raw)
         if proto in _PROTO_NAMES and len(data) >= 14 + ihl + 4:
             self.src_port, self.dst_port = _PORTS.unpack_from(data, 14 + ihl)
 
@@ -237,31 +96,6 @@ class LazyPacket:
         if self.src_ip is None:
             return None
         return _PROTO_NAMES.get(self.proto, "ip")
-
-    @property
-    def full(self) -> DecodedPacket:
-        """The fully decoded object view (memoized)."""
-        if self._full is None:
-            get_registry().inc("pipeline.full_decodes")
-            self._full = decode_packet(
-                CapturedPacket(self.timestamp, self.data))
-        return self._full
-
-    @property
-    def eth(self) -> EthernetFrame:
-        return self.full.eth
-
-    @property
-    def ip(self) -> Optional[Ipv4Packet]:
-        return self.full.ip
-
-    @property
-    def tcp(self) -> Optional[TcpSegment]:
-        return self.full.tcp
-
-    @property
-    def udp(self) -> Optional[UdpDatagram]:
-        return self.full.udp
 
     @property
     def transport_payload(self) -> bytes:
@@ -281,8 +115,8 @@ class LazyPacket:
 
     @property
     def dns(self) -> Optional[DnsMessage]:
-        """Parse DNS in place for UDP/53 packets, like the full
-        decode."""
+        """Parse DNS in place for UDP/53 packets (``None`` when the
+        payload is not a valid DNS message)."""
         if self._dns is _MISSING:
             self._dns = None
             if self.proto == PROTO_UDP \
@@ -304,23 +138,6 @@ class LazyPacket:
                 f"{self.flow_proto or 'eth'}, "
                 f"{self.src_ip}:{self.src_port} -> "
                 f"{self.dst_ip}:{self.dst_port}, {self.length}B)")
-
-
-def lazy_decode(packet: CapturedPacket) -> LazyPacket:
-    """Flow-level view of one captured packet."""
-    return LazyPacket(packet.timestamp, packet.data)
-
-
-def lazy_decode_all(packets: List[CapturedPacket]) -> List[LazyPacket]:
-    """Flow-level views of a capture, in order.
-
-    Shares one address intern table across the capture: the handful of
-    distinct endpoints repeat across thousands of packets, so the flow
-    key reuses one ``Ipv4Address`` per endpoint instead of allocating
-    two per packet.
-    """
-    intern: Dict[bytes, Ipv4Address] = {}
-    return [LazyPacket(p.timestamp, p.data, intern) for p in packets]
 
 
 def build_udp_frame(src_mac: MacAddress, dst_mac: MacAddress,
@@ -346,8 +163,3 @@ def build_tcp_frame(src_mac: MacAddress, dst_mac: MacAddress,
                     ttl=ttl, identification=identification)
     return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, ip.encode()) \
         .encode()
-
-
-def decode_all(packets: List[CapturedPacket]) -> List[DecodedPacket]:
-    """Decode a capture in order."""
-    return [decode_packet(p) for p in packets]

@@ -51,10 +51,6 @@ class TcpSegment:
         self.payload = payload
         self.mss_option = mss_option
 
-    @property
-    def header_len(self) -> int:
-        return HEADER_LEN + (4 if self.mss_option else 0)
-
     def _options(self) -> bytes:
         if not self.mss_option:
             return b""
@@ -80,42 +76,6 @@ class TcpSegment:
         checksum = internet_checksum(pseudo + body)
         header[16:18] = checksum.to_bytes(2, "big")
         return bytes(header) + self.payload
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "TcpSegment":
-        if len(raw) < HEADER_LEN:
-            raise ValueError(f"TCP segment too short: {len(raw)} bytes")
-        data_offset = (raw[12] >> 4) * 4
-        if data_offset < HEADER_LEN or data_offset > len(raw):
-            raise ValueError(f"bad TCP data offset: {data_offset}")
-        mss = 0
-        options = raw[HEADER_LEN:data_offset]
-        i = 0
-        while i < len(options):
-            kind = options[i]
-            if kind == 0:  # end of options
-                break
-            if kind == 1:  # NOP
-                i += 1
-                continue
-            if i + 1 >= len(options):
-                break
-            length = options[i + 1]
-            if length < 2 or i + length > len(options):
-                break
-            if kind == 2 and length == 4:
-                mss = int.from_bytes(options[i + 2:i + 4], "big")
-            i += length
-        return cls(
-            src_port=int.from_bytes(raw[0:2], "big"),
-            dst_port=int.from_bytes(raw[2:4], "big"),
-            seq=int.from_bytes(raw[4:8], "big"),
-            ack=int.from_bytes(raw[8:12], "big"),
-            flags=raw[13],
-            payload=raw[data_offset:],
-            window=int.from_bytes(raw[14:16], "big"),
-            mss_option=mss,
-        )
 
     def __repr__(self) -> str:
         return (f"TcpSegment({self.src_port} -> {self.dst_port}, "

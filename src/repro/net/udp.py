@@ -41,19 +41,6 @@ class UdpDatagram:
         header[6:8] = checksum.to_bytes(2, "big")
         return bytes(header) + self.payload
 
-    @classmethod
-    def decode(cls, raw: bytes) -> "UdpDatagram":
-        if len(raw) < HEADER_LEN:
-            raise ValueError(f"UDP datagram too short: {len(raw)} bytes")
-        length = int.from_bytes(raw[4:6], "big")
-        if length < HEADER_LEN or length > len(raw):
-            raise ValueError(f"bad UDP length: {length}")
-        return cls(
-            src_port=int.from_bytes(raw[0:2], "big"),
-            dst_port=int.from_bytes(raw[2:4], "big"),
-            payload=raw[HEADER_LEN:length],
-        )
-
     def __repr__(self) -> str:
         return (f"UdpDatagram({self.src_port} -> {self.dst_port}, "
                 f"{len(self.payload)}B)")

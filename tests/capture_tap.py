@@ -1,6 +1,7 @@
 """A capture log for stack-level tests, read back as packets."""
 
-from repro.net import CaptureLog, load_bytes
+from packet_oracle import load_bytes
+from repro.net import CaptureLog
 
 
 class Tap:

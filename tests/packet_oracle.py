@@ -1,0 +1,316 @@
+"""The per-packet object tier: the reference the capture path is pinned
+against.
+
+Production writes a capture in one pass (``CaptureLog.encode``), walks
+its records with ``repro.net.pcap.iter_records`` and decodes it column
+by column (``repro.net.columnar``).  This module keeps the object tier
+those paths replaced, for tests and benchmarks to compare against:
+
+* ``CapturedPacket`` (a timestamp plus raw frame bytes), ``PcapWriter``
+  and ``dump_bytes``, the record-at-a-time writer ``CaptureLog.encode``
+  must match byte for byte, and ``load_bytes``, the ``iter_records``
+  walk as a packet list;
+* the layer decoders (``decode_ethernet``, ``decode_ipv4``,
+  ``decode_tcp``, ``decode_udp``) and ``decode_packet``/``decode_all``,
+  which parse a frame as deep as its bytes allow into a
+  ``DecodedPacket``;
+* ``lazy_decode``/``lazy_decode_all``, the ``LazyPacket`` rows that are
+  the columnar build's per-row reference;
+* ``verify_checksum``, ``observe_all`` (a ``DnsMap`` over a packet
+  sequence) and ``cumulative_bytes`` over a packet list, the reference
+  for the columnar CDF build.
+"""
+
+import io
+from typing import BinaryIO, Iterable, List, Optional, Union
+
+import numpy as np
+
+from repro.analysis.cdf import CumulativeCurve
+from repro.analysis.dns_map import DnsMap
+from repro.net.addresses import Ipv4Address, MacAddress
+from repro.net.checksum import internet_checksum, ones_complement_sum
+from repro.net.dns import DnsMessage
+from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
+from repro.net.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
+from repro.net.packet import DNS_PORT, LazyPacket
+from repro.net.pcap import (GLOBAL_HEADER, LINKTYPE_ETHERNET, MAGIC_USEC,
+                            RECORD_HEADER, SNAPLEN, VERSION_MAJOR,
+                            VERSION_MINOR, iter_records)
+from repro.net.tcp import TcpSegment
+from repro.net.udp import UdpDatagram
+from repro.sim.clock import NS_PER_SECOND
+
+_NS_PER_US = 1_000
+
+
+class CapturedPacket:
+    """One packet on the wire: capture timestamp (ns) + raw frame bytes."""
+
+    __slots__ = ("timestamp", "data")
+
+    def __init__(self, timestamp: int, data: bytes) -> None:
+        if timestamp < 0:
+            raise ValueError("negative capture timestamp")
+        self.timestamp = timestamp
+        self.data = data
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __repr__(self) -> str:
+        return f"CapturedPacket(t={self.timestamp}, {len(self.data)}B)"
+
+
+# -- pcap ---------------------------------------------------------------------
+
+
+class PcapWriter:
+    """Stream packets into a pcap file object, one record per write."""
+
+    def __init__(self, fileobj: BinaryIO, snaplen: int = SNAPLEN) -> None:
+        if snaplen <= 0:
+            raise ValueError(f"snaplen must be positive: {snaplen}")
+        self._file = fileobj
+        self._snaplen = snaplen
+        self.count = 0
+        self._file.write(GLOBAL_HEADER.pack(
+            MAGIC_USEC, VERSION_MAJOR, VERSION_MINOR,
+            0, 0, snaplen, LINKTYPE_ETHERNET))
+
+    def write(self, packet: CapturedPacket) -> None:
+        ts_sec, ts_ns = divmod(packet.timestamp, NS_PER_SECOND)
+        orig_len = len(packet.data)
+        # Records honor the declared snaplen the way a real capture
+        # engine would: truncate the stored bytes, preserve orig_len.
+        incl_len = min(orig_len, self._snaplen)
+        self._file.write(RECORD_HEADER.pack(ts_sec, ts_ns // _NS_PER_US,
+                                            incl_len, orig_len))
+        self._file.write(packet.data[:incl_len] if incl_len < orig_len
+                         else packet.data)
+        self.count += 1
+
+    def write_all(self, packets: Iterable[CapturedPacket]) -> None:
+        for packet in packets:
+            self.write(packet)
+
+
+def dump_bytes(packets: Iterable[CapturedPacket]) -> bytes:
+    """Serialize a packet list to pcap bytes in memory."""
+    buffer = io.BytesIO()
+    PcapWriter(buffer).write_all(packets)
+    return buffer.getvalue()
+
+
+def load_bytes(raw: Union[bytes, bytearray]) -> List[CapturedPacket]:
+    """Parse pcap bytes into a packet list; every packet's ``data`` is a
+    view into ``raw``."""
+    buf = memoryview(raw)
+    return [CapturedPacket(ts, buf[offset:offset + incl_len])
+            for ts, offset, incl_len, __ in iter_records(buf)]
+
+
+# -- layer decoders -------------------------------------------------------------
+
+
+def verify_checksum(data: bytes) -> bool:
+    """True when a buffer containing its own checksum sums to zero."""
+    return ones_complement_sum(data) == 0xFFFF
+
+
+def decode_ethernet(raw: bytes) -> EthernetFrame:
+    if len(raw) < 14:
+        raise ValueError(f"frame too short: {len(raw)} bytes")
+    return EthernetFrame(MacAddress.from_bytes(raw[0:6]),
+                         MacAddress.from_bytes(raw[6:12]),
+                         int.from_bytes(raw[12:14], "big"), raw[14:])
+
+
+def decode_ipv4(raw: bytes, verify: bool = True) -> Ipv4Packet:
+    if len(raw) < 20:
+        raise ValueError(f"IPv4 packet too short: {len(raw)} bytes")
+    version = raw[0] >> 4
+    if version != 4:
+        raise ValueError(f"not IPv4: version={version}")
+    ihl = (raw[0] & 0x0F) * 4
+    if ihl < 20 or len(raw) < ihl:
+        raise ValueError(f"bad IHL: {ihl}")
+    total_length = int.from_bytes(raw[2:4], "big")
+    if total_length > len(raw):
+        raise ValueError(f"truncated packet: header says {total_length}, "
+                         f"buffer has {len(raw)}")
+    if verify and internet_checksum(raw[:ihl]) != 0:
+        raise ValueError("IPv4 header checksum mismatch")
+    return Ipv4Packet(
+        src=Ipv4Address.from_bytes(raw[12:16]),
+        dst=Ipv4Address.from_bytes(raw[16:20]),
+        protocol=raw[9],
+        payload=raw[ihl:total_length],
+        ttl=raw[8],
+        identification=int.from_bytes(raw[4:6], "big"),
+        dscp=raw[1] >> 2,
+        flags_df=bool(int.from_bytes(raw[6:8], "big") & 0x4000))
+
+
+def decode_tcp(raw: bytes) -> TcpSegment:
+    if len(raw) < 20:
+        raise ValueError(f"TCP segment too short: {len(raw)} bytes")
+    data_offset = (raw[12] >> 4) * 4
+    if data_offset < 20 or data_offset > len(raw):
+        raise ValueError(f"bad TCP data offset: {data_offset}")
+    mss = 0
+    options = raw[20:data_offset]
+    i = 0
+    while i < len(options):
+        kind = options[i]
+        if kind == 0:  # end of options
+            break
+        if kind == 1:  # NOP
+            i += 1
+            continue
+        if i + 1 >= len(options):
+            break
+        length = options[i + 1]
+        if length < 2 or i + length > len(options):
+            break
+        if kind == 2 and length == 4:
+            mss = int.from_bytes(options[i + 2:i + 4], "big")
+        i += length
+    return TcpSegment(
+        src_port=int.from_bytes(raw[0:2], "big"),
+        dst_port=int.from_bytes(raw[2:4], "big"),
+        seq=int.from_bytes(raw[4:8], "big"),
+        ack=int.from_bytes(raw[8:12], "big"),
+        flags=raw[13],
+        payload=raw[data_offset:],
+        window=int.from_bytes(raw[14:16], "big"),
+        mss_option=mss)
+
+
+def decode_udp(raw: bytes) -> UdpDatagram:
+    if len(raw) < 8:
+        raise ValueError(f"UDP datagram too short: {len(raw)} bytes")
+    length = int.from_bytes(raw[4:6], "big")
+    if length < 8 or length > len(raw):
+        raise ValueError(f"bad UDP length: {length}")
+    return UdpDatagram(int.from_bytes(raw[0:2], "big"),
+                       int.from_bytes(raw[2:4], "big"), raw[8:length])
+
+
+# -- whole packets ----------------------------------------------------------------
+
+
+class DecodedPacket:
+    """Parsed view of a captured packet (as deep as the bytes allow)."""
+
+    __slots__ = ("timestamp", "length", "eth", "ip", "tcp", "udp", "dns")
+
+    def __init__(self, timestamp: int, length: int,
+                 eth: EthernetFrame) -> None:
+        self.timestamp = timestamp
+        self.length = length
+        self.eth = eth
+        self.ip: Optional[Ipv4Packet] = None
+        self.tcp: Optional[TcpSegment] = None
+        self.udp: Optional[UdpDatagram] = None
+        self.dns: Optional[DnsMessage] = None
+
+    @property
+    def src_ip(self) -> Optional[Ipv4Address]:
+        return self.ip.src if self.ip else None
+
+    @property
+    def dst_ip(self) -> Optional[Ipv4Address]:
+        return self.ip.dst if self.ip else None
+
+    @property
+    def src_port(self) -> Optional[int]:
+        transport = self.tcp or self.udp
+        return transport.src_port if transport else None
+
+    @property
+    def dst_port(self) -> Optional[int]:
+        transport = self.tcp or self.udp
+        return transport.dst_port if transport else None
+
+    @property
+    def flow_proto(self) -> Optional[str]:
+        """Flow-table protocol discriminator (None for non-IP)."""
+        if self.tcp:
+            return "tcp"
+        if self.udp:
+            return "udp"
+        return "ip" if self.ip else None
+
+    @property
+    def transport_payload(self) -> bytes:
+        transport = self.tcp or self.udp
+        return transport.payload if transport else b""
+
+
+def decode_packet(packet: CapturedPacket) -> DecodedPacket:
+    """Parse a captured packet as deep as its bytes allow, without
+    checking the IPv4 header checksum.
+
+    DNS parse failures are tolerated (the payload may be a non-DNS UDP
+    protocol on port 53 in hostile captures); lower-layer failures raise.
+    """
+    data = bytes(packet.data)
+    eth = decode_ethernet(data)
+    decoded = DecodedPacket(packet.timestamp, len(data), eth)
+    if eth.ethertype != ETHERTYPE_IPV4:
+        return decoded
+    ip = decoded.ip = decode_ipv4(eth.payload, verify=False)
+    if ip.protocol == PROTO_TCP:
+        decoded.tcp = decode_tcp(ip.payload)
+    elif ip.protocol == PROTO_UDP:
+        udp = decoded.udp = decode_udp(ip.payload)
+        if DNS_PORT in (udp.src_port, udp.dst_port):
+            try:
+                decoded.dns = DnsMessage.decode(udp.payload)
+            except ValueError:
+                decoded.dns = None
+    return decoded
+
+
+def decode_all(packets: Iterable[CapturedPacket]) -> List[DecodedPacket]:
+    """Decode a capture in order."""
+    return [decode_packet(p) for p in packets]
+
+
+def lazy_decode(packet: CapturedPacket) -> LazyPacket:
+    """The ``LazyPacket`` row of one captured packet."""
+    return LazyPacket(packet.timestamp, packet.data)
+
+
+def lazy_decode_all(packets: Iterable[CapturedPacket]) -> List[LazyPacket]:
+    """``LazyPacket`` rows of a capture, in order."""
+    return [LazyPacket(p.timestamp, p.data) for p in packets]
+
+
+# -- analysis references ------------------------------------------------------------
+
+
+def observe_all(packets) -> DnsMap:
+    """A DNS map that observed every packet, in order."""
+    dns_map = DnsMap()
+    for packet in packets:
+        dns_map.observe(packet)
+    return dns_map
+
+
+def cumulative_bytes(packets, start_ns: int, end_ns: int,
+                     sent_only_from=None) -> CumulativeCurve:
+    """``repro.analysis.cdf.cumulative_bytes`` over any packet
+    sequence: ``(time, length)`` points sorted as tuples."""
+    if end_ns <= start_ns:
+        raise ValueError("window ends before it starts")
+    points = sorted(
+        ((packet.timestamp - start_ns) / NS_PER_SECOND, packet.length)
+        for packet in packets
+        if start_ns <= packet.timestamp < end_ns
+        and (sent_only_from is None or packet.src_ip == sent_only_from))
+    times = np.array([t for t, __ in points], dtype=np.float64)
+    sizes = np.array([s for __, s in points], dtype=np.int64)
+    return CumulativeCurve(times, np.cumsum(sizes) if len(sizes)
+                           else sizes)

@@ -16,7 +16,7 @@ from repro.analysis import (AcrDomainAuditor, AuditPipeline, Blocklist,
                             no_new_acr_domains, normalize_rotating,
                             packets_per_ms, packets_per_second,
                             peak_ratio)
-from repro.net import Ipv4Address
+from repro.net import ColumnarCapture, ColumnarSlice, Ipv4Address
 from repro.sim import minutes, seconds
 
 
@@ -170,7 +170,7 @@ class TestVolumesAndCdf:
         assert 13 <= median_step_interval_s(curve) <= 17
 
     def test_empty_curve(self):
-        curve = cumulative_bytes([], 0, 100)
+        curve = cumulative_bytes(ColumnarSlice(ColumnarCapture()), 0, 100)
         assert curve.total_bytes == 0
         assert curve.time_to_fraction(0.5) == float("inf")
 

@@ -10,8 +10,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import (CaptureLog, CapturedPacket, Ipv4Address, MacAddress,
-                       TcpSegment, dump_bytes)
+from packet_oracle import CapturedPacket, dump_bytes
+from repro.net import CaptureLog, Ipv4Address, MacAddress, TcpSegment
 from repro.net.capture import BLOCK, SNAPLEN
 from repro.net.packet import build_tcp_frame, build_udp_frame
 from repro.net.tcp import FLAG_ACK, FLAG_SYN

@@ -19,17 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_oracle import flow_keys as oracle_flow_keys
-from repro.analysis import AuditPipeline, DnsMap
+from packet_oracle import (CapturedPacket, PcapWriter, decode_all,
+                           dump_bytes, lazy_decode, lazy_decode_all,
+                           load_bytes, observe_all)
+from packet_oracle import cumulative_bytes as oracle_cumulative_bytes
+from repro.analysis import AuditPipeline
 from repro.analysis.cdf import cumulative_bytes
 from repro.faults import salvage_pcap_bytes
-from repro.net import (CapturedPacket, ColumnarCapture, ColumnarSlice,
-                       DnsMessage, DnsRecord, EthernetFrame, Ipv4Address,
-                       Ipv4Packet, MacAddress, PcapError, TcpSegment,
-                       decode_all, dump_bytes, lazy_decode, lazy_decode_all,
-                       load_bytes)
+from repro.net import (ColumnarCapture, ColumnarSlice, DnsMessage, DnsRecord,
+                       EthernetFrame, Ipv4Address, Ipv4Packet, MacAddress,
+                       PcapError, TcpSegment)
 from repro.net.columnar import OTHER_IP_CLASS, FramesReleasedError
 from repro.net.dns import TYPE_A, TYPE_CNAME, TYPE_PTR, encode_name
-from repro.net.packet import build_tcp_frame, build_udp_frame
+from repro.net.packet import LazyPacket, build_tcp_frame, build_udp_frame
 
 MAC_TV = MacAddress.parse("02:00:00:00:00:01")
 MAC_GW = MacAddress.parse("02:00:00:00:00:02")
@@ -157,7 +159,7 @@ class OraclePipeline:
     def __init__(self, packets, tv_ip=None):
         self.packets = list(packets)
         self.tv_ip = infer_tv_ip(self.packets) if tv_ip is None else tv_ip
-        self.dns_map = DnsMap().observe_all(self.packets)
+        self.dns_map = observe_all(self.packets)
         self.index = {}
         for packet in self.packets:
             if self.tv_ip not in (packet.src_ip, packet.dst_ip):
@@ -262,7 +264,6 @@ class TestRowEquivalence:
     def test_ipv4_options_row_takes_the_reference_path(self):
         # IHL > 20 defeats the vectorized gather; the row must fall
         # back to the LazyPacket reference and still agree exactly.
-        from repro.net.packet import LazyPacket
         framed = _with_options(build_udp_frame(
             MAC_TV, MAC_GW, TV, REMOTES[0], 40000, 7777, b"options"))
         raw = dump_bytes([CapturedPacket(1_000_000, framed)])
@@ -308,10 +309,10 @@ class TestPipelineEquivalence:
         domains = sorted(oracle._domain_index())
         window = (0, 60 * 1_000_000_000)
         sender = TV if sent_only else None
-        reference, curve = (
-            cumulative_bytes(source.packets_for_all(domains), *window,
-                             sent_only_from=sender)
-            for source in (oracle, pipeline))
+        reference = oracle_cumulative_bytes(
+            oracle.packets_for_all(domains), *window, sent_only_from=sender)
+        curve = cumulative_bytes(pipeline.packets_for_all(domains), *window,
+                                 sent_only_from=sender)
         assert np.array_equal(curve.times_s, reference.times_s)
         assert np.array_equal(curve.cumulative_bytes,
                               reference.cumulative_bytes)
@@ -528,7 +529,6 @@ class TestErrorSurface:
 
     def test_snaplen_clipped_frame_raises_lazy_message(self):
         import io
-        from repro.net import PcapWriter
         frame = build_tcp_frame(MAC_TV, MAC_GW, TV, REMOTES[0],
                                 TcpSegment(5000, 443, 1, 2, 0x18,
                                            payload=b"p" * 400))

@@ -17,21 +17,23 @@ Three tiers of claim:
 
 import hashlib
 import os
+import struct
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from packet_oracle import CapturedPacket, dump_bytes
 from repro.experiments.grid import ResultCache
 from repro.faults import (FAULT_ATTEMPT_CAP, FaultPlan, FaultSpecError,
                           NULL_PLAN, produce_with_retries,
                           salvage_pcap_bytes, tamper_pcap_bytes)
 from repro.fleet import (FleetRunner, PopulationSpec,
                          render_population_report)
-from repro.net import (CapturedPacket, Ipv4Address, MacAddress,
-                       PcapError, TcpSegment, dump_bytes)
+from repro.net import Ipv4Address, MacAddress, PcapError, TcpSegment
 from repro.net.packet import build_tcp_frame
+from repro.net.pcap import GLOBAL_HEADER, RECORD_HEADER, iter_records
 from repro.service import (ServiceConfig, ServiceStopped, serve_fleet,
                            split_pcap_bytes)
 
@@ -70,6 +72,16 @@ def _capture(records: int = 6) -> bytes:
                        payload=bytes([i]) * (20 + i)),
             identification=i))
         for i in range(records)])
+
+
+def _byte_swapped(raw: bytes) -> bytes:
+    """The same capture with every header written big-endian (its magic
+    reads 0xD4C3B2A1 on a little-endian machine)."""
+    out = bytearray(struct.pack(">IHHiIII", *GLOBAL_HEADER.unpack_from(raw)))
+    for __, offset, incl_len, __ in iter_records(raw):
+        header = RECORD_HEADER.unpack_from(raw, offset - RECORD_HEADER.size)
+        out += struct.pack(">IIII", *header) + raw[offset:offset + incl_len]
+    return bytes(out)
 
 
 # -- the plan oracle ----------------------------------------------------------
@@ -196,6 +208,16 @@ class TestTamper:
                 for seq in range(8)}
         assert len(cuts) > 1
 
+    def test_byte_swapped_capture_is_cut_like_native(self):
+        # Records are found by the strict walk, which reads the header
+        # byte order: the same cut lands in the same record.
+        raw = _capture(records=4)
+        swapped = _byte_swapped(raw)
+        plan = FaultPlan({"pcap.truncate": 1.0}, seed=8)
+        cut, injected = tamper_pcap_bytes(plan, swapped, 0, 0)
+        assert injected == ["pcap.truncate"]
+        assert len(cut) == len(tamper_pcap_bytes(plan, raw, 0, 0)[0])
+
 
 class TestSalvage:
     def test_healthy_capture_is_a_strict_no_op(self):
@@ -217,6 +239,28 @@ class TestSalvage:
         # The surviving records are byte-identical slices.
         assert raw.startswith(clean)
         assert salvage_pcap_bytes(clean) == (clean, [])
+
+    @given(st.integers(min_value=0), st.booleans())
+    @example(0, True)
+    def test_break_is_the_strict_walk_error(self, cut, implausible):
+        raw = bytearray(_capture(records=4))
+        if implausible:
+            __, offset, __, __ = list(iter_records(raw))[2]
+            raw[offset - 8:offset - 4] = (2 ** 31).to_bytes(4, "little")
+        torn = bytes(raw[:GLOBAL_HEADER.size
+                         + cut % (len(raw) - GLOBAL_HEADER.size + 1)])
+        walked = []
+        expected = []
+        try:
+            for record in iter_records(torn):
+                walked.append(record)
+        except PcapError as exc:
+            expected = [(len(walked), str(exc))]
+        clean, drops = salvage_pcap_bytes(torn)
+        assert drops == expected
+        assert clean == torn[:GLOBAL_HEADER.size + sum(
+            RECORD_HEADER.size + incl_len
+            for __, __, incl_len, __ in walked)]
 
     def test_corrupt_record_is_quarantined_alone(self):
         plan = FaultPlan({"pcap.corrupt": 1.0}, seed=8)

@@ -1,12 +1,15 @@
-"""Unit + property tests for the Ethernet/IPv4/TCP/UDP codecs."""
+"""Unit + property tests for the Ethernet/IPv4/TCP/UDP codecs: every
+encoder round-trips through the oracle decoders."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from packet_oracle import (decode_ethernet, decode_ipv4, decode_tcp,
+                           decode_udp, verify_checksum)
 from repro.net import (EthernetFrame, Ipv4Address, Ipv4Packet, MacAddress,
                        TcpSegment, UdpDatagram)
-from repro.net.checksum import internet_checksum, verify_checksum
+from repro.net.checksum import internet_checksum
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.net.ip import PROTO_TCP, PROTO_UDP
 from repro.net.tcp import (FLAG_ACK, FLAG_PSH, FLAG_SYN, flag_names)
@@ -35,7 +38,7 @@ class TestChecksum:
 class TestEthernet:
     def test_roundtrip(self):
         frame = EthernetFrame(MAC_B, MAC_A, ETHERTYPE_IPV4, b"payload")
-        decoded = EthernetFrame.decode(frame.encode())
+        decoded = decode_ethernet(frame.encode())
         assert decoded.dst == MAC_B
         assert decoded.src == MAC_A
         assert decoded.ethertype == ETHERTYPE_IPV4
@@ -43,7 +46,7 @@ class TestEthernet:
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            EthernetFrame.decode(b"\x00" * 13)
+            decode_ethernet(b"\x00" * 13)
 
     def test_len(self):
         frame = EthernetFrame(MAC_B, MAC_A, ETHERTYPE_IPV4, b"xy")
@@ -52,14 +55,14 @@ class TestEthernet:
     @given(st.binary(max_size=512))
     def test_roundtrip_property(self, payload):
         frame = EthernetFrame(MAC_A, MAC_B, 0x0800, payload)
-        assert EthernetFrame.decode(frame.encode()).payload == payload
+        assert decode_ethernet(frame.encode()).payload == payload
 
 
 class TestIpv4:
     def test_roundtrip(self):
         packet = Ipv4Packet(IP_A, IP_B, PROTO_TCP, b"data", ttl=57,
                             identification=0x1234)
-        decoded = Ipv4Packet.decode(packet.encode())
+        decoded = decode_ipv4(packet.encode())
         assert decoded.src == IP_A
         assert decoded.dst == IP_B
         assert decoded.protocol == PROTO_TCP
@@ -71,23 +74,23 @@ class TestIpv4:
         raw = bytearray(Ipv4Packet(IP_A, IP_B, PROTO_UDP, b"x").encode())
         raw[8] ^= 0xFF  # corrupt TTL
         with pytest.raises(ValueError):
-            Ipv4Packet.decode(bytes(raw))
+            decode_ipv4(bytes(raw))
 
     def test_decode_without_verification_tolerates_corruption(self):
         raw = bytearray(Ipv4Packet(IP_A, IP_B, PROTO_UDP, b"x").encode())
         raw[8] ^= 0xFF
-        decoded = Ipv4Packet.decode(bytes(raw), verify=False)
+        decoded = decode_ipv4(bytes(raw), verify=False)
         assert decoded.ttl == 64 ^ 0xFF
 
     def test_not_ipv4(self):
         raw = bytearray(Ipv4Packet(IP_A, IP_B, 6, b"").encode())
         raw[0] = (6 << 4) | 5
         with pytest.raises(ValueError):
-            Ipv4Packet.decode(bytes(raw))
+            decode_ipv4(bytes(raw))
 
     def test_truncated(self):
         with pytest.raises(ValueError):
-            Ipv4Packet.decode(b"\x45\x00")
+            decode_ipv4(b"\x45\x00")
 
     def test_total_length_enforced(self):
         packet = Ipv4Packet(IP_A, IP_B, PROTO_TCP, b"hello")
@@ -97,13 +100,13 @@ class TestIpv4:
     @given(st.binary(max_size=1400))
     def test_roundtrip_property(self, payload):
         packet = Ipv4Packet(IP_A, IP_B, PROTO_TCP, payload)
-        assert Ipv4Packet.decode(packet.encode()).payload == payload
+        assert decode_ipv4(packet.encode()).payload == payload
 
 
 class TestUdp:
     def test_roundtrip(self):
         datagram = UdpDatagram(40001, 53, b"query")
-        decoded = UdpDatagram.decode(datagram.encode(IP_A, IP_B))
+        decoded = decode_udp(datagram.encode(IP_A, IP_B))
         assert decoded.src_port == 40001
         assert decoded.dst_port == 53
         assert decoded.payload == b"query"
@@ -114,12 +117,12 @@ class TestUdp:
 
     def test_truncated(self):
         with pytest.raises(ValueError):
-            UdpDatagram.decode(b"\x00" * 7)
+            decode_udp(b"\x00" * 7)
 
     @given(st.binary(max_size=1200))
     def test_roundtrip_property(self, payload):
         datagram = UdpDatagram(1234, 5678, payload)
-        decoded = UdpDatagram.decode(datagram.encode(IP_A, IP_B))
+        decoded = decode_udp(datagram.encode(IP_A, IP_B))
         assert decoded.payload == payload
 
 
@@ -127,7 +130,7 @@ class TestTcp:
     def test_roundtrip_with_mss(self):
         segment = TcpSegment(40001, 443, seq=1000, ack=2000,
                              flags=FLAG_SYN, mss_option=1460)
-        decoded = TcpSegment.decode(segment.encode(IP_A, IP_B))
+        decoded = decode_tcp(segment.encode(IP_A, IP_B))
         assert decoded.src_port == 40001
         assert decoded.dst_port == 443
         assert decoded.seq == 1000
@@ -138,7 +141,7 @@ class TestTcp:
     def test_roundtrip_payload(self):
         segment = TcpSegment(1, 2, 3, 4, FLAG_ACK | FLAG_PSH,
                              payload=b"tls bytes")
-        decoded = TcpSegment.decode(segment.encode(IP_A, IP_B))
+        decoded = decode_tcp(segment.encode(IP_A, IP_B))
         assert decoded.payload == b"tls bytes"
         assert decoded.mss_option == 0
 
@@ -152,12 +155,12 @@ class TestTcp:
 
     def test_truncated(self):
         with pytest.raises(ValueError):
-            TcpSegment.decode(b"\x00" * 19)
+            decode_tcp(b"\x00" * 19)
 
     @given(st.binary(max_size=1460),
            st.integers(min_value=0, max_value=(1 << 32) - 1))
     def test_roundtrip_property(self, payload, seq):
         segment = TcpSegment(40000, 443, seq, 77, FLAG_ACK, payload=payload)
-        decoded = TcpSegment.decode(segment.encode(IP_A, IP_B))
+        decoded = decode_tcp(segment.encode(IP_A, IP_B))
         assert decoded.payload == payload
         assert decoded.seq == seq

@@ -1,4 +1,5 @@
-"""Unit + property tests for the libpcap reader/writer."""
+"""Unit + property tests for the pcap format: the oracle record writer
+against the production record walk, ``iter_records``."""
 
 import io
 import struct
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net import (CapturedPacket, PcapError, PcapReader, PcapWriter,
-                       dump_bytes, load_bytes, load_file, save_file)
-from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_USEC
+from packet_oracle import CapturedPacket, PcapWriter, dump_bytes
+from repro.net import PcapError
+from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_USEC, iter_records
 
 
 def _packets(n=5):
@@ -17,36 +18,37 @@ def _packets(n=5):
             for i in range(n)]
 
 
+def _walk(raw):
+    """``(timestamp, frame bytes)`` of every record ``iter_records``
+    yields."""
+    return [(ts, raw[offset:offset + incl_len])
+            for ts, offset, incl_len, __ in iter_records(raw)]
+
+
 class TestRoundTrip:
     def test_memory_roundtrip(self):
         packets = _packets()
-        loaded = load_bytes(dump_bytes(packets))
+        loaded = _walk(dump_bytes(packets))
         assert len(loaded) == len(packets)
-        for original, copy in zip(packets, loaded):
-            assert copy.data == original.data
+        for original, (__, data) in zip(packets, loaded):
+            assert data == original.data
 
     def test_timestamp_microsecond_precision(self):
         packet = CapturedPacket(1_234_567_890, b"x" * 30)
-        loaded = load_bytes(dump_bytes([packet]))[0]
+        (timestamp, __), = _walk(dump_bytes([packet]))
         # nanoseconds are truncated to microseconds by the pcap format
-        assert loaded.timestamp == 1_234_567_000
-
-    def test_file_roundtrip(self, tmp_path):
-        path = str(tmp_path / "capture.pcap")
-        count = save_file(path, _packets(7))
-        assert count == 7
-        assert len(load_file(path)) == 7
+        assert timestamp == 1_234_567_000
 
     def test_empty_capture(self):
-        assert load_bytes(dump_bytes([])) == []
+        assert _walk(dump_bytes([])) == []
 
     @given(st.lists(st.tuples(
         st.integers(min_value=0, max_value=2 ** 40),
         st.binary(min_size=14, max_size=200)), max_size=20))
     def test_roundtrip_property(self, items):
         packets = [CapturedPacket(ts, data) for ts, data in items]
-        loaded = load_bytes(dump_bytes(packets))
-        assert [p.data for p in loaded] == [p.data for p in packets]
+        loaded = _walk(dump_bytes(packets))
+        assert [data for __, data in loaded] == [p.data for p in packets]
 
 
 class TestHeader:
@@ -64,9 +66,8 @@ class TestHeader:
         writer.write_all(_packets(3))
         assert writer.count == 3
 
-    def test_reader_exposes_version(self):
-        reader = PcapReader(io.BytesIO(dump_bytes([])))
-        assert reader.version == (2, 4)
+    def test_version(self):
+        assert struct.unpack("<HH", dump_bytes([])[4:8]) == (2, 4)
 
 
 class TestSnaplen:
@@ -83,9 +84,9 @@ class TestSnaplen:
         buffer = io.BytesIO()
         writer = PcapWriter(buffer, snaplen=64)
         writer.write(CapturedPacket(0, bytes(range(200)) + b"z" * 56))
-        loaded = load_bytes(buffer.getvalue())
+        loaded = _walk(buffer.getvalue())
         assert len(loaded) == 1
-        assert loaded[0].data == bytes(range(64))
+        assert loaded[0][1] == bytes(range(64))
 
     def test_short_packets_pass_through_unchanged(self):
         buffer = io.BytesIO()
@@ -94,11 +95,11 @@ class TestSnaplen:
         raw = buffer.getvalue()
         __, __, incl_len, orig_len = struct.unpack("<IIII", raw[24:40])
         assert (incl_len, orig_len) == (20, 20)
-        assert load_bytes(raw)[0].data == b"ok" * 10
+        assert _walk(raw)[0][1] == b"ok" * 10
 
     def test_default_snaplen_never_truncates_ethernet(self):
         packets = [CapturedPacket(0, b"\x01" * 1514)]
-        assert load_bytes(dump_bytes(packets))[0].data == b"\x01" * 1514
+        assert _walk(dump_bytes(packets))[0][1] == b"\x01" * 1514
 
     def test_nonpositive_snaplen_rejected(self):
         with pytest.raises(ValueError):
@@ -108,22 +109,22 @@ class TestSnaplen:
 class TestErrors:
     def test_bad_magic(self):
         with pytest.raises(PcapError):
-            load_bytes(b"\x00" * 24)
+            _walk(b"\x00" * 24)
 
     def test_truncated_global_header(self):
         with pytest.raises(PcapError):
-            load_bytes(b"\xd4\xc3\xb2\xa1")
+            _walk(b"\xd4\xc3\xb2\xa1")
 
     def test_truncated_record(self):
         raw = dump_bytes(_packets(1))
         with pytest.raises(PcapError):
-            load_bytes(raw[:-5])
+            _walk(raw[:-5])
 
     def test_truncated_record_header(self):
         raw = dump_bytes(_packets(1))
         # cut into the record header
         with pytest.raises(PcapError):
-            load_bytes(raw[:24 + 8])
+            _walk(raw[:24 + 8])
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_oracle import canonical_key
+from packet_oracle import (CapturedPacket, decode_all, decode_packet,
+                           dump_bytes, load_bytes)
 from repro.acr import Capture, FingerprintBatch, bands_of, hamming_distance
 from repro.analysis import cumulative_bytes, packets_per_ms
-from repro.net import (CapturedPacket, ColumnarCapture, Ipv4Address,
-                       MacAddress, TcpSegment, decode_all, decode_packet,
-                       dump_bytes, load_bytes)
+from repro.net import (ColumnarCapture, ColumnarSlice, Ipv4Address,
+                       MacAddress, TcpSegment)
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
 from repro.net.packet import LazyPacket
@@ -234,9 +235,12 @@ class TestAnalysisProperties:
                     min_size=1, max_size=100))
     @settings(max_examples=30)
     def test_cumulative_curve_invariants(self, timestamps):
-        packets = decode_all([CapturedPacket(ts, _frame(
-            Ipv4Address.parse("10.0.0.1"), Ipv4Address.parse("10.0.0.2"),
-            1000, 2000, b"")) for ts in timestamps])
+        capture = ColumnarCapture.from_pcap_bytes(dump_bytes([
+            CapturedPacket(ts, _frame(
+                Ipv4Address.parse("10.0.0.1"),
+                Ipv4Address.parse("10.0.0.2"), 1000, 2000, b""))
+            for ts in timestamps]))
+        packets = ColumnarSlice(capture, np.arange(len(capture)))
         curve = cumulative_bytes(packets, 0, 10 ** 11 + 1)
         assert curve.total_bytes == sum(p.length for p in packets)
         diffs = np.diff(curve.cumulative_bytes)

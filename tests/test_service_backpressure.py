@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from packet_oracle import CapturedPacket, dump_bytes
 from repro.fleet import FleetAggregate, PopulationSpec
-from repro.net import (CapturedPacket, Ipv4Address, MacAddress,
-                       TcpSegment, dump_bytes)
+from repro.net import Ipv4Address, MacAddress, TcpSegment
 from repro.net.packet import build_tcp_frame
 from repro.service import (AuditService, SegmentBus, ServiceConfig,
                            segment_record)

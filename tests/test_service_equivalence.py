@@ -20,10 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzz_inputs import json_values
+from packet_oracle import CapturedPacket, dump_bytes
 from repro.experiments.grid import ResultCache
 from repro.fleet import (FleetRunner, PopulationSpec,
                          render_population_report)
-from repro.net import CapturedPacket, PcapError, dump_bytes
+from repro.net import PcapError
 from repro.service import (CheckpointError, LiveState, ServiceConfig,
                            ServiceStopped, load_checkpoint, serve_fleet,
                            split_pcap_bytes, write_checkpoint)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import dump_bytes, load_bytes
+from packet_oracle import dump_bytes, load_bytes
 from repro.net.pcap import iter_records
 from repro.sim import hours, minutes
 from repro.testbed import (AccessPoint, CampaignRunner, Country,

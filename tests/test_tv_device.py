@@ -3,9 +3,10 @@
 import pytest
 
 from capture_tap import Tap
+from packet_oracle import decode_all
 from repro.dnsinfra import DomainRegistry, RecursiveResolver, Zone
 from repro.media import OttApp, Tuner
-from repro.net import HostStack, Ipv4Address, decode_all, mac_from_seed
+from repro.net import HostStack, Ipv4Address, mac_from_seed
 from repro.net.link import LatencyModel
 from repro.sim import EventLoop, RngRegistry, minutes, seconds
 from repro.testbed import linear_channel, media_library
