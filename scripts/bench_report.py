@@ -3,8 +3,8 @@
 Two kinds of point:
 
 * ``make bench-json`` measures the codec hot path: the hot-path
-  microbenches (seed-vs-fast checksum, object-vs-columnar decode,
-  object-vs-capture-log encode, the strict record walk) plus a
+  microbenches (object-vs-columnar decode, object-vs-capture-log
+  encode, the strict record walk) plus a
   reduced-grid end-to-end measurement (one cell simulated cold, then
   decoded into an audit pipeline).  A future change that erodes a
   speedup shows up as a smaller ratio in its ``BENCH_<n+1>.json`` diff.
@@ -62,15 +62,12 @@ def _entry(slow_s: float, fast_s: float) -> dict:
 
 
 def microbenches() -> dict:
-    from benchmarks.bench_net_hotpath import (measure_checksum,
-                                              measure_columnar,
+    from benchmarks.bench_net_hotpath import (measure_columnar,
                                               measure_encode,
                                               measure_pcap_load)
-    checksum = measure_checksum()
     columnar = measure_columnar()
     encode = measure_encode()
     return {
-        "checksum_1460B_x2000": _entry(*checksum),
         "columnar_3000_packets": _entry(*columnar),
         "encode_3000_frames": _entry(*encode),
         "pcap_load_3000_packets_s": round(measure_pcap_load(), 6),

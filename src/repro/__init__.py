@@ -5,7 +5,7 @@ First Look at Automatic Content Recognition Tracking in Smart TVs"
 The package is organised as the paper's testbed is:
 
 * :mod:`repro.sim` — discrete-event simulation engine.
-* :mod:`repro.net` — packet codecs, pcap files, flows, host stack.
+* :mod:`repro.net` — capture encode, pcap files, columnar decode, host stack.
 * :mod:`repro.dnsinfra` — vendor DNS zones and a recursive resolver.
 * :mod:`repro.geo` — GeoIP databases, traceroute, RIPE-IPmap-style
   arbitration and the DPF list.

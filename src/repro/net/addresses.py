@@ -1,6 +1,6 @@
 """MAC and IPv4 address types.
 
-Small immutable value types used across the packet codecs, the DNS registry
+Small immutable value types used across the capture path, the DNS registry
 and the geolocation substrate.  They parse from and render to the canonical
 text forms and serialize to network byte order.
 """

@@ -1,4 +1,4 @@
-"""The per-row packet view and the object-codec frame builders.
+"""The per-row packet view.
 
 A :class:`LazyPacket` parses the fixed-offset header fields of one
 captured frame (ethertype, IPv4 addresses and protocol, transport
@@ -6,10 +6,6 @@ ports) and nothing deeper until asked: its DNS payload parses on first
 ``.dns`` access.  It is the columnar decode's (:mod:`repro.net.columnar`)
 per-row slow path and reference, every columnar row exposes its
 flow-level attribute surface, and salvage probes each record with it.
-
-:func:`build_udp_frame` and :func:`build_tcp_frame` compose a frame
-through the object codecs; the host stack uses them for the frames the
-capture log takes already encoded.
 """
 
 from __future__ import annotations
@@ -17,12 +13,9 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from .addresses import Ipv4Address, MacAddress
+from .addresses import Ipv4Address
 from .dns import DnsMessage
-from .ethernet import ETHERTYPE_IPV4, EthernetFrame
-from .ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
-from .tcp import TcpSegment
-from .udp import UdpDatagram
+from .ip import PROTO_TCP, PROTO_UDP
 
 DNS_PORT = 53
 
@@ -138,28 +131,3 @@ class LazyPacket:
                 f"{self.flow_proto or 'eth'}, "
                 f"{self.src_ip}:{self.src_port} -> "
                 f"{self.dst_ip}:{self.dst_port}, {self.length}B)")
-
-
-def build_udp_frame(src_mac: MacAddress, dst_mac: MacAddress,
-                    src_ip: Ipv4Address, dst_ip: Ipv4Address,
-                    src_port: int, dst_port: int, payload: bytes,
-                    identification: int = 0, ttl: int = 64) -> bytes:
-    """Compose UDP payload down to Ethernet bytes."""
-    udp = UdpDatagram(src_port, dst_port, payload)
-    ip = Ipv4Packet(src_ip, dst_ip, PROTO_UDP,
-                    udp.encode(src_ip, dst_ip),
-                    ttl=ttl, identification=identification)
-    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, ip.encode()) \
-        .encode()
-
-
-def build_tcp_frame(src_mac: MacAddress, dst_mac: MacAddress,
-                    src_ip: Ipv4Address, dst_ip: Ipv4Address,
-                    segment: TcpSegment,
-                    identification: int = 0, ttl: int = 64) -> bytes:
-    """Compose a TCP segment down to Ethernet bytes."""
-    ip = Ipv4Packet(src_ip, dst_ip, PROTO_TCP,
-                    segment.encode(src_ip, dst_ip),
-                    ttl=ttl, identification=identification)
-    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, ip.encode()) \
-        .encode()

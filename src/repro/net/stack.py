@@ -2,9 +2,10 @@
 
 Device models call high-level operations (resolve a name, open a TLS
 session, exchange payloads, keep a connection alive); the stack emits every
-packet of both directions — handshakes, segmentation, ACKs, teardown — with
-capture timestamps as seen at the access point tap, as one row each in the
-AP's capture log (:mod:`repro.net.capture`).  The resulting capture is
+packet of both directions — handshakes, segmentation, ACKs, teardown, DNS —
+with capture timestamps as seen at the access point tap, as one row each
+(TCP, SYN or UDP) in the AP's capture log (:mod:`repro.net.capture`), which
+encodes every frame of the capture at once.  The resulting capture is
 indistinguishable, for the paper's analysis pipeline, from a tcpdump of a
 physical TV.
 """
@@ -19,12 +20,11 @@ from .addresses import Ipv4Address, MacAddress
 from .capture import CaptureLog
 from .dns import DnsMessage, DnsRecord
 from .link import LatencyModel
-from .packet import build_tcp_frame, build_udp_frame
-from .tcp import (FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN, TcpSegment)
+from .ip import PROTO_UDP
+from .tcp import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN, MSS
 from .tls import (AEAD_OVERHEAD, TlsRecord, application_records,
                   handshake_flights)
 
-MSS = 1460
 EPHEMERAL_BASE = 40000
 PROCESSING_NS = microseconds(150)
 
@@ -78,47 +78,26 @@ class HostStack:
         self._remote_ip_id = (self._remote_ip_id + 1) & 0xFFFF
         return self._remote_ip_id
 
-    def _emit_outbound_frame(self, at: int, frame: bytes) -> int:
-        ts = self._serialize_out(at + self.latency.wifi_hop_ns())
-        self.log.frame(ts, frame)
-        return ts
-
-    def _emit_inbound_frame(self, at: int, frame: bytes) -> int:
-        ts = self._serialize_in(at)
-        self.log.frame(ts, frame)
-        return ts
-
     def emit_outbound_udp(self, at: int, dst_ip: Ipv4Address,
                           src_port: int, dst_port: int,
                           payload: bytes) -> int:
         """TV -> Internet UDP datagram; returns capture timestamp."""
-        return self._emit_outbound_frame(at, build_udp_frame(
-            self.mac, self.gateway_mac, self.ip, dst_ip, src_port,
-            dst_port, payload, identification=self._next_ip_id()))
+        flow = self.log.flow(self.mac, self.gateway_mac, self.ip, dst_ip,
+                             src_port, dst_port, 64, PROTO_UDP)
+        ip_id = self._next_ip_id()
+        ts = self._serialize_out(at + self.latency.wifi_hop_ns())
+        self.log.udp(ts, flow, ip_id, payload)
+        return ts
 
     def emit_inbound_udp(self, at: int, src_ip: Ipv4Address,
                          src_port: int, dst_port: int,
                          payload: bytes, ttl: int = 57) -> int:
         """Internet -> TV UDP datagram; returns capture timestamp."""
-        return self._emit_inbound_frame(at, build_udp_frame(
-            self.gateway_mac, self.mac, src_ip, self.ip, src_port,
-            dst_port, payload, identification=self._next_remote_ip_id(),
-            ttl=ttl))
-
-    def emit_outbound_segment(self, at: int, dst_ip: Ipv4Address,
-                              segment: TcpSegment) -> int:
-        """TV -> Internet segment through the object codec (the SYN,
-        whose MSS option the capture log's fixed layout lacks)."""
-        return self._emit_outbound_frame(at, build_tcp_frame(
-            self.mac, self.gateway_mac, self.ip, dst_ip, segment,
-            identification=self._next_ip_id()))
-
-    def emit_inbound_segment(self, at: int, src_ip: Ipv4Address,
-                             segment: TcpSegment, ttl: int = 57) -> int:
-        """Internet -> TV segment through the object codec (SYN-ACK)."""
-        return self._emit_inbound_frame(at, build_tcp_frame(
-            self.gateway_mac, self.mac, src_ip, self.ip, segment,
-            identification=self._next_remote_ip_id(), ttl=ttl))
+        flow = self.log.flow(self.gateway_mac, self.mac, src_ip, self.ip,
+                             src_port, dst_port, ttl, PROTO_UDP)
+        ts = self._serialize_in(at)
+        self.log.udp(ts, flow, self._next_remote_ip_id(), payload)
+        return ts
 
     def tcp_flows(self, remote_ip: Ipv4Address, local_port: int,
                   remote_port: int, ttl: int = 57) -> Tuple[int, int]:
@@ -146,6 +125,23 @@ class HostStack:
         ts = self._serialize_in(at)
         self.log.tcp(ts, flow, self._next_remote_ip_id(), seq, ack, flags,
                      payload)
+        return ts
+
+    def emit_outbound_syn(self, at: int, flow: int, seq: int, ack: int,
+                          flags: int) -> int:
+        """TV -> Internet SYN with the MSS option; returns capture
+        timestamp."""
+        ip_id = self._next_ip_id()
+        ts = self._serialize_out(at + self.latency.wifi_hop_ns())
+        self.log.syn(ts, flow, ip_id, seq, ack, flags)
+        return ts
+
+    def emit_inbound_syn(self, at: int, flow: int, seq: int, ack: int,
+                         flags: int) -> int:
+        """Internet -> TV SYN-ACK with the MSS option; returns capture
+        timestamp."""
+        ts = self._serialize_in(at)
+        self.log.syn(ts, flow, self._next_remote_ip_id(), seq, ack, flags)
         return ts
 
     # -- DNS ---------------------------------------------------------------
@@ -212,16 +208,13 @@ class TlsSession:
                       stack.allocate_port(), server_port)
         owd = stack.latency.one_way_ns(server_ip)
 
-        syn = TcpSegment(session.client_port, server_port,
-                         session.client_seq, 0, FLAG_SYN, mss_option=MSS)
-        ts = stack.emit_outbound_segment(at, server_ip, syn)
+        ts = stack.emit_outbound_syn(at, session._out, session.client_seq,
+                                     0, FLAG_SYN)
         session.client_seq += 1
 
-        synack = TcpSegment(server_port, session.client_port,
-                            session.server_seq, session.client_seq,
-                            FLAG_SYN | FLAG_ACK, mss_option=MSS)
-        ts = stack.emit_inbound_segment(ts + 2 * owd + PROCESSING_NS,
-                                        server_ip, synack)
+        ts = stack.emit_inbound_syn(ts + 2 * owd + PROCESSING_NS,
+                                    session._in, session.server_seq,
+                                    session.client_seq, FLAG_SYN | FLAG_ACK)
         session.server_seq += 1
 
         ts = stack.emit_outbound_tcp(ts + PROCESSING_NS, session._out,

@@ -6,6 +6,14 @@ its records with ``repro.net.pcap.iter_records`` and decodes it column
 by column (``repro.net.columnar``).  This module keeps the object tier
 those paths replaced, for tests and benchmarks to compare against:
 
+* the RFC 1071 checksum (``ones_complement_sum``, ``internet_checksum``,
+  ``pseudo_header``, ``verify_checksum``) over ``repro.net.checksum``'s
+  ``word_sum``;
+* the per-layer codecs (``EthernetFrame``, ``Ipv4Packet``,
+  ``TcpSegment`` with ``flag_names``, ``UdpDatagram``) and
+  ``build_tcp_frame``/``build_udp_frame``, which compose a frame one
+  layer object at a time: the frames ``CaptureLog`` rows must encode
+  to;
 * ``CapturedPacket`` (a timestamp plus raw frame bytes), ``PcapWriter``
   and ``dump_bytes``, the record-at-a-time writer ``CaptureLog.encode``
   must match byte for byte, and ``load_bytes``, the ``iter_records``
@@ -16,9 +24,9 @@ those paths replaced, for tests and benchmarks to compare against:
   ``DecodedPacket``;
 * ``lazy_decode``/``lazy_decode_all``, the ``LazyPacket`` rows that are
   the columnar build's per-row reference;
-* ``verify_checksum``, ``observe_all`` (a ``DnsMap`` over a packet
-  sequence) and ``cumulative_bytes`` over a packet list, the reference
-  for the columnar CDF build.
+* ``observe_all`` (a ``DnsMap`` over a packet sequence) and
+  ``cumulative_bytes`` over a packet list, the reference for the
+  columnar CDF build.
 """
 
 import io
@@ -29,19 +37,261 @@ import numpy as np
 from repro.analysis.cdf import CumulativeCurve
 from repro.analysis.dns_map import DnsMap
 from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.checksum import internet_checksum, ones_complement_sum
+from repro.net.checksum import word_sum
 from repro.net.dns import DnsMessage
-from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
-from repro.net.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
+from repro.net.ethernet import ETHERTYPE_IPV4
+from repro.net.ip import PROTO_TCP, PROTO_UDP
 from repro.net.packet import DNS_PORT, LazyPacket
 from repro.net.pcap import (GLOBAL_HEADER, LINKTYPE_ETHERNET, MAGIC_USEC,
                             RECORD_HEADER, SNAPLEN, VERSION_MAJOR,
                             VERSION_MINOR, iter_records)
-from repro.net.tcp import TcpSegment
-from repro.net.udp import UdpDatagram
+from repro.net.tcp import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN
 from repro.sim.clock import NS_PER_SECOND
 
 _NS_PER_US = 1_000
+
+FLAG_RST = 0x04
+
+
+# -- checksums ----------------------------------------------------------------
+
+
+def ones_complement_sum(data: bytes) -> int:
+    """End-around-carry sum of big-endian 16-bit words, per RFC 1071:
+    ``word_sum``, with a nonzero buffer's multiple of 0xFFFF read as
+    0xFFFF ("negative zero") and only the all-zero buffer as 0."""
+    total = word_sum(data)
+    if total == 0 and any(data):
+        return 0xFFFF
+    return total
+
+
+def internet_checksum(data: bytes) -> int:
+    """One's-complement of the one's-complement sum, per RFC 1071."""
+    return (~ones_complement_sum(data)) & 0xFFFF
+
+
+def pseudo_header(src: bytes, dst: bytes, protocol: int,
+                  length: int) -> bytes:
+    """IPv4 pseudo header used in TCP/UDP checksum computation."""
+    return (src + dst
+            + bytes([0, protocol])
+            + length.to_bytes(2, "big"))
+
+
+def verify_checksum(data: bytes) -> bool:
+    """True when a buffer containing its own checksum sums to zero."""
+    return ones_complement_sum(data) == 0xFFFF
+
+
+# -- layer codecs -------------------------------------------------------------
+
+
+class EthernetFrame:
+    """An Ethernet II frame: dst, src, ethertype, payload."""
+
+    __slots__ = ("dst", "src", "ethertype", "payload")
+
+    def __init__(self, dst: MacAddress, src: MacAddress,
+                 ethertype: int, payload: bytes) -> None:
+        if not 0 <= ethertype <= 0xFFFF:
+            raise ValueError(f"ethertype out of range: {ethertype:#x}")
+        self.dst = dst
+        self.src = src
+        self.ethertype = ethertype
+        self.payload = payload
+
+    def encode(self) -> bytes:
+        return (self.dst.to_bytes()
+                + self.src.to_bytes()
+                + self.ethertype.to_bytes(2, "big")
+                + self.payload)
+
+    def __len__(self) -> int:
+        return 14 + len(self.payload)
+
+    def __repr__(self) -> str:
+        return (f"EthernetFrame({self.src} -> {self.dst}, "
+                f"type={self.ethertype:#06x}, {len(self.payload)}B)")
+
+
+class Ipv4Packet:
+    """IPv4 header (RFC 791, no options) + payload."""
+
+    __slots__ = ("src", "dst", "protocol", "ttl", "identification",
+                 "dscp", "flags_df", "payload")
+
+    def __init__(self, src: Ipv4Address, dst: Ipv4Address, protocol: int,
+                 payload: bytes, ttl: int = 64, identification: int = 0,
+                 dscp: int = 0, flags_df: bool = True) -> None:
+        if not 0 <= protocol <= 255:
+            raise ValueError(f"protocol out of range: {protocol}")
+        if not 0 < ttl <= 255:
+            raise ValueError(f"ttl out of range: {ttl}")
+        if not 0 <= identification <= 0xFFFF:
+            raise ValueError(f"identification out of range: {identification}")
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.ttl = ttl
+        self.identification = identification
+        self.dscp = dscp
+        self.flags_df = flags_df
+        self.payload = payload
+
+    @property
+    def total_length(self) -> int:
+        return 20 + len(self.payload)
+
+    def encode(self) -> bytes:
+        if self.total_length > 0xFFFF:
+            raise ValueError(f"IPv4 packet too large: {self.total_length}")
+        version_ihl = (4 << 4) | 5
+        flags_fragment = (0x4000 if self.flags_df else 0)
+        header = bytearray()
+        header.append(version_ihl)
+        header.append(self.dscp << 2)
+        header += self.total_length.to_bytes(2, "big")
+        header += self.identification.to_bytes(2, "big")
+        header += flags_fragment.to_bytes(2, "big")
+        header.append(self.ttl)
+        header.append(self.protocol)
+        header += b"\x00\x00"  # checksum placeholder
+        header += self.src.to_bytes()
+        header += self.dst.to_bytes()
+        checksum = internet_checksum(bytes(header))
+        header[10:12] = checksum.to_bytes(2, "big")
+        return bytes(header) + self.payload
+
+    def __repr__(self) -> str:
+        return (f"Ipv4Packet({self.src} -> {self.dst}, proto={self.protocol},"
+                f" ttl={self.ttl}, {len(self.payload)}B)")
+
+
+def flag_names(flags: int) -> str:
+    """Human-readable flag string, e.g. ``"SYN|ACK"``."""
+    names = []
+    for bit, name in ((FLAG_SYN, "SYN"), (FLAG_ACK, "ACK"),
+                      (FLAG_PSH, "PSH"), (FLAG_FIN, "FIN"),
+                      (FLAG_RST, "RST")):
+        if flags & bit:
+            names.append(name)
+    return "|".join(names) if names else "none"
+
+
+class TcpSegment:
+    """TCP header (RFC 793, no options beyond MSS on SYN) + payload."""
+
+    __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "window",
+                 "payload", "mss_option")
+
+    def __init__(self, src_port: int, dst_port: int, seq: int, ack: int,
+                 flags: int, payload: bytes = b"", window: int = 0xFFFF,
+                 mss_option: int = 0) -> None:
+        for name, port in (("src_port", src_port), ("dst_port", dst_port)):
+            if not 0 <= port <= 0xFFFF:
+                raise ValueError(f"{name} out of range: {port}")
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq & 0xFFFFFFFF
+        self.ack = ack & 0xFFFFFFFF
+        self.flags = flags
+        self.window = window
+        self.payload = payload
+        self.mss_option = mss_option
+
+    def _options(self) -> bytes:
+        if not self.mss_option:
+            return b""
+        return bytes([2, 4]) + self.mss_option.to_bytes(2, "big")
+
+    def encode(self, src_ip: Ipv4Address, dst_ip: Ipv4Address) -> bytes:
+        options = self._options()
+        data_offset = (20 + len(options)) // 4
+        header = bytearray()
+        header += self.src_port.to_bytes(2, "big")
+        header += self.dst_port.to_bytes(2, "big")
+        header += self.seq.to_bytes(4, "big")
+        header += self.ack.to_bytes(4, "big")
+        header.append(data_offset << 4)
+        header.append(self.flags)
+        header += self.window.to_bytes(2, "big")
+        header += b"\x00\x00"  # checksum placeholder
+        header += b"\x00\x00"  # urgent pointer
+        header += options
+        body = bytes(header) + self.payload
+        pseudo = pseudo_header(src_ip.to_bytes(), dst_ip.to_bytes(),
+                               PROTO_TCP, len(body))
+        checksum = internet_checksum(pseudo + body)
+        header[16:18] = checksum.to_bytes(2, "big")
+        return bytes(header) + self.payload
+
+    def __repr__(self) -> str:
+        return (f"TcpSegment({self.src_port} -> {self.dst_port}, "
+                f"[{flag_names(self.flags)}], seq={self.seq}, "
+                f"ack={self.ack}, {len(self.payload)}B)")
+
+
+class UdpDatagram:
+    """UDP header (RFC 768) + payload."""
+
+    __slots__ = ("src_port", "dst_port", "payload")
+
+    def __init__(self, src_port: int, dst_port: int, payload: bytes) -> None:
+        for name, port in (("src_port", src_port), ("dst_port", dst_port)):
+            if not 0 <= port <= 0xFFFF:
+                raise ValueError(f"{name} out of range: {port}")
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.payload = payload
+
+    @property
+    def length(self) -> int:
+        return 8 + len(self.payload)
+
+    def encode(self, src_ip: Ipv4Address, dst_ip: Ipv4Address) -> bytes:
+        header = bytearray()
+        header += self.src_port.to_bytes(2, "big")
+        header += self.dst_port.to_bytes(2, "big")
+        header += self.length.to_bytes(2, "big")
+        header += b"\x00\x00"
+        body = bytes(header) + self.payload
+        pseudo = pseudo_header(src_ip.to_bytes(), dst_ip.to_bytes(),
+                               PROTO_UDP, self.length)
+        checksum = internet_checksum(pseudo + body)
+        if checksum == 0:
+            checksum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
+        header[6:8] = checksum.to_bytes(2, "big")
+        return bytes(header) + self.payload
+
+    def __repr__(self) -> str:
+        return (f"UdpDatagram({self.src_port} -> {self.dst_port}, "
+                f"{len(self.payload)}B)")
+
+
+def build_udp_frame(src_mac: MacAddress, dst_mac: MacAddress,
+                    src_ip: Ipv4Address, dst_ip: Ipv4Address,
+                    src_port: int, dst_port: int, payload: bytes,
+                    identification: int = 0, ttl: int = 64) -> bytes:
+    """Compose UDP payload down to Ethernet bytes."""
+    udp = UdpDatagram(src_port, dst_port, payload)
+    ip = Ipv4Packet(src_ip, dst_ip, PROTO_UDP,
+                    udp.encode(src_ip, dst_ip),
+                    ttl=ttl, identification=identification)
+    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, ip.encode()) \
+        .encode()
+
+
+def build_tcp_frame(src_mac: MacAddress, dst_mac: MacAddress,
+                    src_ip: Ipv4Address, dst_ip: Ipv4Address,
+                    segment: TcpSegment,
+                    identification: int = 0, ttl: int = 64) -> bytes:
+    """Compose a TCP segment down to Ethernet bytes."""
+    ip = Ipv4Packet(src_ip, dst_ip, PROTO_TCP,
+                    segment.encode(src_ip, dst_ip),
+                    ttl=ttl, identification=identification)
+    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, ip.encode()) \
+        .encode()
 
 
 class CapturedPacket:
@@ -111,11 +361,6 @@ def load_bytes(raw: Union[bytes, bytearray]) -> List[CapturedPacket]:
 
 
 # -- layer decoders -------------------------------------------------------------
-
-
-def verify_checksum(data: bytes) -> bool:
-    """True when a buffer containing its own checksum sums to zero."""
-    return ones_complement_sum(data) == 0xFFFF
 
 
 def decode_ethernet(raw: bytes) -> EthernetFrame:

@@ -2,7 +2,9 @@
 
 ``CaptureLog.encode`` must write exactly what ``dump_bytes`` writes for
 the same packets built one at a time by ``build_tcp_frame`` and
-``build_udp_frame`` and stably sorted by timestamp.
+``build_udp_frame`` and stably sorted by timestamp.  Captures the
+simulation writes must also be well-formed on the wire: every checksum
+and length the oracle decoders read verifies.
 """
 
 import random
@@ -10,11 +12,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packet_oracle import CapturedPacket, dump_bytes
-from repro.net import CaptureLog, Ipv4Address, MacAddress, TcpSegment
+from packet_oracle import (CapturedPacket, TcpSegment, build_tcp_frame,
+                           build_udp_frame, decode_ethernet, decode_ipv4,
+                           decode_tcp, dump_bytes, load_bytes, pseudo_header,
+                           verify_checksum)
+from repro.net import CaptureLog, Ipv4Address, MacAddress
 from repro.net.capture import BLOCK, SNAPLEN
-from repro.net.packet import build_tcp_frame, build_udp_frame
-from repro.net.tcp import FLAG_ACK, FLAG_SYN
+from repro.net.ip import PROTO_TCP, PROTO_UDP
+from repro.net.tcp import FLAG_ACK, FLAG_SYN, MSS
+from repro.sim import minutes
+from repro.testbed import (Country, ExperimentSpec, Phase, Scenario, Vendor,
+                           run_experiment)
 
 MAC_TV = MacAddress.parse("02:00:00:00:00:01")
 MAC_AP = MacAddress.parse("02:00:00:00:00:02")
@@ -49,27 +57,29 @@ class Capture:
         self.flows = []
         for outbound, src, dst, sport, dport, ttl in flow_specs:
             macs = (MAC_TV, MAC_AP) if outbound else (MAC_AP, MAC_TV)
-            flow = self.log.flow(*macs, src, dst, sport, dport, ttl)
-            self.flows.append((flow, macs, src, dst, sport, dport, ttl))
+            tcp, udp = (self.log.flow(*macs, src, dst, sport, dport, ttl,
+                                      protocol)
+                        for protocol in (PROTO_TCP, PROTO_UDP))
+            self.flows.append((tcp, udp, macs, src, dst, sport, dport, ttl))
         self.packets = []
 
     def add(self, kind, index, ts, ip_id, seq, ack, flags, payload):
-        flow, macs, src, dst, sport, dport, ttl = \
+        tcp, udp, macs, src, dst, sport, dport, ttl = \
             self.flows[index % len(self.flows)]
         if kind == "udp":
             frame = build_udp_frame(*macs, src, dst, sport, dport, payload,
                                     identification=ip_id, ttl=ttl)
-            self.log.frame(ts, frame)
+            self.log.udp(ts, udp, ip_id, payload)
         else:
             segment = TcpSegment(sport, dport, seq, ack, flags,
                                  payload=payload,
-                                 mss_option=1460 if kind == "syn" else 0)
+                                 mss_option=MSS if kind == "syn" else 0)
             frame = build_tcp_frame(*macs, src, dst, segment,
                                     identification=ip_id, ttl=ttl)
             if kind == "syn":
-                self.log.frame(ts, frame)
+                self.log.syn(ts, tcp, ip_id, seq, ack, flags)
             else:
-                self.log.tcp(ts, flow, ip_id, seq, ack, flags, payload)
+                self.log.tcp(ts, tcp, ip_id, seq, ack, flags, payload)
         self.packets.append(CapturedPacket(ts, frame))
         return frame
 
@@ -99,12 +109,13 @@ class TestEncodeMatchesObjectCodec:
         capture = Capture([_flow(True), _flow(False, 57), _flow(True, 3)])
         for __ in range(3 * BLOCK + 17):
             kind = rng.choice(["tcp"] * 8 + ["syn", "udp"])
+            payload = rng.randbytes(rng.choice([0, 0, 1, 2, 3, 1460,
+                                                rng.randrange(1461)]))
             capture.add(kind, rng.randrange(3),
                         rng.randrange(0, 500) * 1_000,
                         rng.randrange(0x10000), rng.randrange(1 << 33),
                         rng.randrange(1 << 33), rng.randrange(256),
-                        rng.randbytes(rng.choice([0, 0, 1, 2, 3, 1460,
-                                                  rng.randrange(1461)])))
+                        b"" if kind == "syn" else payload)
         assert capture.log.encode() == capture.expected()
 
 
@@ -136,6 +147,20 @@ class TestEncodeCorners:
         assert frame[50:52] == b"\x00\x00"
         assert capture.log.encode() == capture.expected()
 
+    def test_udp_sum_zero_is_sent_as_ffff(self):
+        # The same cancelling payload under UDP: the computed checksum
+        # is 0x0000, which RFC 768 transmits as 0xFFFF.
+        probe = Capture([_flow()])
+        prefix = bytes(range(1, 9))
+        frame = probe.add("udp", 0, 1_000, 9, 0, 0, 0,
+                          prefix + b"\x00\x00")
+        balance = frame[40:42]
+        assert balance not in (b"\x00\x00", b"\xff\xff")
+        capture = Capture([_flow()])
+        frame = capture.add("udp", 0, 1_000, 9, 0, 0, 0, prefix + balance)
+        assert frame[40:42] == b"\xff\xff"
+        assert capture.log.encode() == capture.expected()
+
     def test_ip_sum_folding_to_zero(self):
         probe = Capture([_flow()])
         frame = probe.add("tcp", 0, 1_000, 0, 5, 6, FLAG_ACK, b"x")
@@ -156,7 +181,51 @@ class TestEncodeCorners:
     def test_rows_only_while_recording(self):
         capture = Capture([_flow()])
         capture.log.recording = False
-        capture.log.tcp(1_000, 0, 1, 2, 3, FLAG_ACK, b"lost")
-        capture.log.frame(1_000, b"lost" * 10)
+        tcp, udp = capture.flows[0][:2]
+        capture.log.tcp(1_000, tcp, 1, 2, 3, FLAG_ACK, b"lost")
+        capture.log.syn(1_000, tcp, 1, 2, 0, FLAG_SYN)
+        capture.log.udp(1_000, udp, 1, b"lost")
         assert len(capture.log) == 0
         assert capture.log.encode() == dump_bytes([])
+
+
+class TestSimulatedCapturesOnTheWire:
+    """The golden pins hash rendered text and the columnar decode reads
+    no checksum, so the frames the simulation writes are checked here:
+    seed-3, 8-minute LIn-OIn cells of both paper vendors in the UK,
+    watching linear TV (DNS and TCP) and casting a screen (a UDP
+    stream)."""
+
+    def test_checksums_lengths_and_options_verify(self):
+        frames = []
+        for vendor in (Vendor.SAMSUNG, Vendor.LG):
+            for scenario in (Scenario.LINEAR, Scenario.SCREEN_CAST):
+                spec = ExperimentSpec(vendor, Country.UK, scenario,
+                                      Phase.LIN_OIN, duration_ns=minutes(8))
+                raw = run_experiment(spec, seed=3).pcap_bytes
+                frames += [bytes(packet.data)
+                           for packet in load_bytes(raw)]
+        kinds = {"udp": 0, "syn": 0, "tcp": 0}
+        for frame in frames:
+            ip = decode_ipv4(decode_ethernet(frame).payload)  # header sum
+            assert int.from_bytes(frame[16:18], "big") == len(frame) - 14
+            transport = ip.payload
+            assert verify_checksum(pseudo_header(
+                ip.src.to_bytes(), ip.dst.to_bytes(), ip.protocol,
+                len(transport)) + transport)
+            if ip.protocol == PROTO_UDP:
+                assert int.from_bytes(transport[4:6], "big") \
+                    == len(transport)
+                assert transport[6:8] != b"\x00\x00"
+                kinds["udp"] += 1
+                continue
+            assert ip.protocol == PROTO_TCP
+            segment = decode_tcp(transport)
+            data_offset = transport[12] >> 4
+            if segment.flags & FLAG_SYN:
+                assert (data_offset, segment.mss_option) == (6, MSS)
+                kinds["syn"] += 1
+            else:
+                assert data_offset == 5
+                kinds["tcp"] += 1
+        assert all(kinds.values()), kinds

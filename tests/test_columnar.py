@@ -19,19 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_oracle import flow_keys as oracle_flow_keys
-from packet_oracle import (CapturedPacket, PcapWriter, decode_all,
-                           dump_bytes, lazy_decode, lazy_decode_all,
-                           load_bytes, observe_all)
+from packet_oracle import (CapturedPacket, EthernetFrame, Ipv4Packet,
+                           PcapWriter, TcpSegment, build_tcp_frame,
+                           build_udp_frame, decode_all, dump_bytes,
+                           lazy_decode, lazy_decode_all, load_bytes,
+                           observe_all)
 from packet_oracle import cumulative_bytes as oracle_cumulative_bytes
 from repro.analysis import AuditPipeline
 from repro.analysis.cdf import cumulative_bytes
 from repro.faults import salvage_pcap_bytes
 from repro.net import (ColumnarCapture, ColumnarSlice, DnsMessage, DnsRecord,
-                       EthernetFrame, Ipv4Address, Ipv4Packet, MacAddress,
-                       PcapError, TcpSegment)
+                       Ipv4Address, MacAddress, PcapError)
 from repro.net.columnar import OTHER_IP_CLASS, FramesReleasedError
 from repro.net.dns import TYPE_A, TYPE_CNAME, TYPE_PTR, encode_name
-from repro.net.packet import LazyPacket, build_tcp_frame, build_udp_frame
+from repro.net.packet import LazyPacket
 
 MAC_TV = MacAddress.parse("02:00:00:00:00:01")
 MAC_GW = MacAddress.parse("02:00:00:00:00:02")

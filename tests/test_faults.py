@@ -24,15 +24,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from packet_oracle import CapturedPacket, dump_bytes
+from packet_oracle import (CapturedPacket, TcpSegment, build_tcp_frame,
+                           dump_bytes)
 from repro.experiments.grid import ResultCache
 from repro.faults import (FAULT_ATTEMPT_CAP, FaultPlan, FaultSpecError,
                           NULL_PLAN, produce_with_retries,
                           salvage_pcap_bytes, tamper_pcap_bytes)
 from repro.fleet import (FleetRunner, PopulationSpec,
                          render_population_report)
-from repro.net import Ipv4Address, MacAddress, PcapError, TcpSegment
-from repro.net.packet import build_tcp_frame
+from repro.net import Ipv4Address, MacAddress, PcapError
 from repro.net.pcap import GLOBAL_HEADER, RECORD_HEADER, iter_records
 from repro.service import (ServiceConfig, ServiceStopped, serve_fleet,
                            split_pcap_bytes)

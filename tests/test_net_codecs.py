@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from packet_oracle import (decode_ethernet, decode_ipv4, decode_tcp,
-                           decode_udp, verify_checksum)
-from repro.net import (EthernetFrame, Ipv4Address, Ipv4Packet, MacAddress,
-                       TcpSegment, UdpDatagram)
-from repro.net.checksum import internet_checksum
+from packet_oracle import (EthernetFrame, Ipv4Packet, TcpSegment,
+                           UdpDatagram, decode_ethernet, decode_ipv4,
+                           decode_tcp, decode_udp, flag_names,
+                           internet_checksum, verify_checksum)
+from repro.net import Ipv4Address, MacAddress
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.net.ip import PROTO_TCP, PROTO_UDP
-from repro.net.tcp import (FLAG_ACK, FLAG_PSH, FLAG_SYN, flag_names)
+from repro.net.tcp import FLAG_ACK, FLAG_PSH, FLAG_SYN
 
 MAC_A = MacAddress.parse("02:00:00:00:00:01")
 MAC_B = MacAddress.parse("02:00:00:00:00:02")

@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_oracle import canonical_key, flow_keys
-from packet_oracle import (CapturedPacket, PcapWriter, decode_packet,
-                           dump_bytes, lazy_decode, lazy_decode_all,
+from packet_oracle import (CapturedPacket, EthernetFrame, PcapWriter,
+                           TcpSegment, build_tcp_frame, build_udp_frame,
+                           decode_packet, dump_bytes, internet_checksum,
+                           lazy_decode, lazy_decode_all, ones_complement_sum,
                            verify_checksum)
-from repro.net import ColumnarCapture, Ipv4Address, MacAddress, TcpSegment
-from repro.net.checksum import internet_checksum, ones_complement_sum
-from repro.net.ethernet import EthernetFrame
-from repro.net.packet import build_tcp_frame, build_udp_frame
+from repro.net import ColumnarCapture, Ipv4Address, MacAddress
 
 MAC_A = MacAddress.parse("02:00:00:00:00:01")
 MAC_B = MacAddress.parse("02:00:00:00:00:02")

@@ -11,17 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_oracle import canonical_key
-from packet_oracle import (CapturedPacket, decode_all, decode_packet,
-                           dump_bytes, load_bytes)
+from packet_oracle import (CapturedPacket, EthernetFrame, Ipv4Packet,
+                           TcpSegment, UdpDatagram, decode_all,
+                           decode_packet, dump_bytes, load_bytes)
 from repro.acr import Capture, FingerprintBatch, bands_of, hamming_distance
 from repro.analysis import cumulative_bytes, packets_per_ms
-from repro.net import (ColumnarCapture, ColumnarSlice, Ipv4Address,
-                       MacAddress, TcpSegment)
-from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
-from repro.net.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet
+from repro.net import ColumnarCapture, ColumnarSlice, Ipv4Address, MacAddress
+from repro.net.ethernet import ETHERTYPE_IPV4
+from repro.net.ip import PROTO_TCP, PROTO_UDP
 from repro.net.packet import LazyPacket
 from repro.net.tcp import FLAG_ACK
-from repro.net.udp import UdpDatagram
 from repro.sim.clock import NS_PER_MS
 from timeline_oracle import dense_binned
 

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packet_oracle import CapturedPacket, dump_bytes
+from packet_oracle import (CapturedPacket, TcpSegment, build_tcp_frame,
+                           dump_bytes)
 from repro.fleet import FleetAggregate, PopulationSpec
-from repro.net import Ipv4Address, MacAddress, TcpSegment
-from repro.net.packet import build_tcp_frame
+from repro.net import Ipv4Address, MacAddress
 from repro.service import (AuditService, SegmentBus, ServiceConfig,
                            segment_record)
 from repro.service import daemon as daemon_mod

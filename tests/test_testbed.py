@@ -3,6 +3,7 @@
 import pytest
 
 from packet_oracle import dump_bytes, load_bytes
+from repro.net.ip import PROTO_TCP, PROTO_UDP
 from repro.net.pcap import iter_records
 from repro.sim import hours, minutes
 from repro.testbed import (AccessPoint, CampaignRunner, Country,
@@ -122,42 +123,48 @@ class TestAccessPoint:
 
     @staticmethod
     def _records(raw):
-        return [(ts, raw[offset]) for ts, offset, __, __
-                in iter_records(raw)]
+        """(timestamp, IPv4 id) per record."""
+        return [(ts, int.from_bytes(raw[offset + 18:offset + 20], "big"))
+                for ts, offset, __, __ in iter_records(raw)]
+
+    @staticmethod
+    def _flows(ap):
+        """A TCP and a UDP flow on the AP's log."""
+        return [ap.log.flow(ap.mac, ap.mac, ap.lan_ip, ap.tv_ip, 1, 2, 64,
+                            protocol) for protocol in (PROTO_TCP, PROTO_UDP)]
 
     def test_capture_gating(self):
         ap = self._ap()
-        flow = ap.log.flow(ap.mac, ap.mac, ap.lan_ip, ap.tv_ip, 1, 2, 64)
-        ap.log.frame(1_000, b"x" * 20)
-        ap.log.tcp(1_000, flow, 7, 1, 2, 0x10)
+        tcp, udp = self._flows(ap)
+        ap.log.udp(1_000, udp, 1, b"x")
+        ap.log.tcp(1_000, tcp, 7, 1, 2, 0x10)
         assert ap.packet_count == 0  # not capturing yet
         ap.start_capture()
-        ap.log.frame(2_000, b"y" * 20)
+        ap.log.udp(2_000, udp, 2, b"y")
         assert ap.packet_count == 1
         # Stopping hands the capture over and empties the log.
         raw, count = ap.stop_capture()
         assert count == 1
-        assert self._records(raw) == [(2_000, ord("y"))]
+        assert self._records(raw) == [(2_000, 2)]
         assert len(ap.log) == 0
-        ap.log.frame(3_000, b"z" * 20)
-        ap.log.tcp(3_000, flow, 8, 1, 2, 0x10)
+        ap.log.udp(3_000, udp, 3, b"z")
+        ap.log.tcp(3_000, tcp, 8, 1, 2, 0x10)
         assert ap.packet_count == 0
         assert ap.stop_capture() == (dump_bytes([]), 0)
 
     def test_packets_sorted_ties_in_emission_order(self):
         ap = self._ap()
-        flow = ap.log.flow(ap.mac, ap.mac, ap.lan_ip, ap.tv_ip, 1, 2, 64)
+        tcp, udp = self._flows(ap)
         ap.start_capture()
-        ap.log.frame(5_000, b"b" * 20)
-        ap.log.frame(1_000, b"a" * 20)
-        ap.log.tcp(5_000, flow, 7, 1, 2, 0x10)  # frame starts with ap.mac
-        ap.log.frame(5_000, b"c" * 20)
-        ap.log.frame(1_000, b"d" * 20)
+        ap.log.udp(5_000, udp, 2, b"b")
+        ap.log.udp(1_000, udp, 1, b"a")
+        ap.log.tcp(5_000, tcp, 7, 1, 2, 0x10)
+        ap.log.udp(5_000, udp, 3, b"c")
+        ap.log.udp(1_000, udp, 4, b"d")
         raw, count = ap.stop_capture()
         assert count == 5 and len(ap.log) == 0
         assert self._records(raw) == [
-            (1_000, ord("a")), (1_000, ord("d")), (5_000, ord("b")),
-            (5_000, ap.mac.to_bytes()[0]), (5_000, ord("c"))]
+            (1_000, 1), (1_000, 4), (5_000, 2), (5_000, 7), (5_000, 3)]
 
 
 class TestCampaign:
