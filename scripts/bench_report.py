@@ -6,8 +6,9 @@ Two kinds of point:
   microbenches (object-vs-columnar decode, object-vs-capture-log
   encode, the strict record walk) plus a
   reduced-grid end-to-end measurement (one cell simulated cold, then
-  decoded into an audit pipeline).  A future change that erodes a
-  speedup shows up as a smaller ratio in its ``BENCH_<n+1>.json`` diff.
+  decoded into an audit pipeline in one piece and in ``serve``'s six
+  segments).  A future change that erodes a speedup shows up as a
+  smaller ratio in its ``BENCH_<n+1>.json`` diff.
   The microbench ratios are also asserted as floors by
   ``benchmarks/bench_net_hotpath.py`` in the tier-1-adjacent bench
   suite.
@@ -94,15 +95,20 @@ def fold_spans(snapshot: dict) -> dict:
 
 def end_to_end(minutes: int) -> dict:
     """One cold cell: simulate (capture-log encode) then audit (columnar
-    decode).  Assets are warmed first so the numbers isolate the codec
-    path the way the grid/fleet runners see it.  Runs under a live
-    metrics registry so the span/counter breakdown (fingerprint memo
+    decode), once in one piece and once cut into ``serve``'s default
+    segment count and extended segment by segment, as ``serve`` decodes
+    it.  Assets are warmed first so the numbers isolate the codec path
+    the way the grid/fleet runners see it.  Runs under a live metrics
+    registry so the span/counter breakdown (fingerprint memo
     hits, decoded packet counts, phase timings) lands in the JSON beside
-    the stopwatch numbers."""
+    the stopwatch numbers; ``walk_speculated_share`` is the share of the
+    one-piece decode's records that the record walk's vectorized rounds
+    accepted."""
     from repro.analysis import AuditPipeline
     from repro.experiments.grid import warm_assets
     from repro.net.addresses import Ipv4Address
     from repro.obs.metrics import disable, enable
+    from repro.service import ServiceConfig, split_pcap_bytes
     from repro.sim.clock import minutes as minutes_ns
     from repro.testbed import (Country, ExperimentSpec, Phase, Scenario,
                                Vendor, run_experiment)
@@ -116,12 +122,27 @@ def end_to_end(minutes: int) -> dict:
         with registry.span("bench.simulate"):
             result = run_experiment(spec, seed=7)
         encode_s = time.perf_counter() - started
+        tv_ip = Ipv4Address.parse(result.tv_ip)
         started = time.perf_counter()
         with registry.span("bench.decode"):
-            pipeline = AuditPipeline.from_pcap_bytes(
-                result.pcap_bytes, Ipv4Address.parse(result.tv_ip))
+            pipeline = AuditPipeline.from_pcap_bytes(result.pcap_bytes,
+                                                     tv_ip)
         decode_s = time.perf_counter() - started
+        counters = registry.counters
+        speculated = (counters["decode.columnar.walk_speculated"]
+                      / max(counters["decode.columnar.packets"], 1))
+        chunks = split_pcap_bytes(result.pcap_bytes,
+                                  ServiceConfig().segments)
+        started = time.perf_counter()
+        with registry.span("bench.decode_segments"):
+            segmented = AuditPipeline.incremental(tv_ip)
+            for chunk in chunks:
+                segmented.extend_pcap_bytes(chunk)
+        segments_s = time.perf_counter() - started
         domains = pipeline.acr_candidate_domains()
+        if segmented.acr_candidate_domains() != domains:
+            raise RuntimeError("segmented decode disagrees with the "
+                               "one-piece decode")
         snapshot = registry.snapshot()
     finally:
         disable()
@@ -131,7 +152,10 @@ def end_to_end(minutes: int) -> dict:
         "packets": result.packet_count,
         "pcap_bytes": len(result.pcap_bytes),
         "simulate_s": round(encode_s, 3),
-        "audit_decode_s": round(decode_s, 3),
+        "audit_decode_s": round(decode_s, 6),
+        "audit_decode_segments": len(chunks),
+        "audit_decode_segments_s": round(segments_s, 6),
+        "walk_speculated_share": round(speculated, 4),
         "acr_domains": domains,
         "obs": fold_spans(snapshot),
     }

@@ -1,10 +1,12 @@
 """Columnar decode: a whole capture as parallel field columns.
 
-The audit's one decode path: walk the pcap record headers once, then
-byte-gather every fixed-offset header field — timestamps, lengths,
-src/dst IPv4 addresses, ports, protocol, the UDP/53 DNS flag — into
-parallel numpy columns.  Zero per-packet Python objects are built;
-consumers scan columns directly (flow keys included:
+The audit's one decode path: collect every record offset with the
+shared record walk (:func:`~repro.net.pcap.walk_records`, which the
+streaming tier's segment splitter runs too), then gather every
+fixed-offset header field — timestamps, lengths, src/dst IPv4
+addresses, ports, protocol, the UDP/53 DNS flag — into parallel numpy
+columns, in two numpy gathers.  Zero per-packet Python objects are
+built; consumers scan columns directly (flow keys included:
 :meth:`ColumnarCapture.flow_keys`), and only the packets whose
 *payload* is actually read (DNS answers) are decoded further, via
 :class:`ColumnarView`, a row adapter with ``LazyPacket``'s flow-level
@@ -14,10 +16,11 @@ DNS) but none of its object layers.
 The reference for every row is :class:`~repro.net.packet.LazyPacket`,
 and the equivalence suite holds the two identical:
 
-* the record walk raises the same :class:`~repro.net.pcap.PcapError`
-  surface as the strict walk :func:`~repro.net.pcap.iter_records`, and
-  raises it before any frame-level error, exactly like that walk run to
-  the end before any row decodes;
+* the build checks the walked offsets and raises the same
+  :class:`~repro.net.pcap.PcapError` surface as the strict walk
+  :func:`~repro.net.pcap.iter_records`, and raises it before any
+  frame-level error, exactly like that walk run to the end before any
+  row decodes;
 * malformed or clipped frames raise the same ``ValueError`` messages in
   the same (capture) order as ``LazyPacket`` — any row the vectorized
   gather can't prove well-formed (short frames, IPv4 options,
@@ -37,7 +40,6 @@ bytes themselves are gone.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
@@ -48,8 +50,8 @@ from .addresses import Ipv4Address
 from .dns import DnsMessage
 from .ip import PROTO_TCP, PROTO_UDP
 from .packet import DNS_PORT, LazyPacket
-from .pcap import GLOBAL_HEADER, RECORD_HEADER, PcapError, \
-    parse_global_header
+from .pcap import RECORD_HEADER, PcapError, byte_windows, \
+    parse_global_header, walk_records
 
 _NS_PER_US = 1_000
 _NS_PER_S = 1_000_000_000
@@ -100,125 +102,20 @@ COLUMN_NAMES = tuple(name for name, __ in COLUMN_DTYPES)
 _FAST_MIN_FRAME = 38
 
 
-def _gather_u32(data: np.ndarray, base: np.ndarray,
-                big_endian: bool) -> np.ndarray:
-    b0 = data[base].astype(np.uint32)
-    b1 = data[base + 1].astype(np.uint32)
-    b2 = data[base + 2].astype(np.uint32)
-    b3 = data[base + 3].astype(np.uint32)
-    if big_endian:
-        return b0 << 24 | b1 << 16 | b2 << 8 | b3
-    return b3 << 24 | b2 << 16 | b1 << 8 | b0
+def _build_columns(buf: memoryview) -> Tuple[Dict[str, np.ndarray], int]:
+    """Decode one pcap buffer into columns (the decode hot path).
 
-
-#: Records walked in Python per probe window before speculating again.
-_SPEC_PROBE = 64
-#: Longest repeating record-size pattern the speculator recognises.
-_SPEC_MAX_PERIOD = 8
-#: Cap on predicted records per speculation round (bounds temp arrays).
-_SPEC_BATCH = 1 << 20
-
-
-def _tail_period(sizes: List[int]) -> Optional[int]:
-    """Smallest period of the recent record sizes, or ``None``."""
-    tail = sizes[-_SPEC_PROBE:]
-    for period in range(1, _SPEC_MAX_PERIOD + 1):
-        if len(tail) < 2 * period:
-            return None
-        if all(tail[i] == tail[i + period]
-               for i in range(len(tail) - period)):
-            return period
-    return None
-
-
-def _walk_offsets(buf: memoryview, data: np.ndarray, start: int,
-                  swapped: bool) -> Tuple[np.ndarray, int]:
-    """Collect record-header offsets, speculating through runs.
-
-    The record walk is inherently sequential (each offset depends on the
-    previous record's ``incl_len``), but capture traffic is heavily
-    patterned — data/ACK interleaves repeat a handful of frame sizes for
-    thousands of records.  So the walk alternates two modes: a short
-    Python probe learns the recent size pattern, then a vectorized round
-    *predicts* the next run of offsets by tiling that pattern through a
-    ``cumsum`` and keeps exactly the prefix whose actual ``incl_len``
-    fields (one numpy gather) match the prediction.  Accepted offsets
-    are therefore byte-verified — identical to what the sequential walk
-    would produce — and any pattern break just falls back to probing.
-
-    Validation is deliberately deferred: implausible lengths and
-    truncation are detected afterwards from the gathered columns (the
-    walk past a bad record only ever produces *later*-indexed garbage,
-    so "first error wins" ordering is preserved).
+    Also returns how many records the walk's vectorized rounds accepted.
     """
-    unpack = struct.Struct(">I" if swapped else "<I").unpack_from
-    limit = len(buf) - RECORD_HEADER.size
-    offset = start
-    pending: List[int] = []        # python-walked offsets, oldest first
-    chunks: List[np.ndarray] = []  # accepted offset runs, in order
-    sizes: List[int] = []          # recent incl values (pattern seed)
-    need_probe = True
-    while offset <= limit:
-        if need_probe:
-            walked = 0
-            while offset <= limit and walked < _SPEC_PROBE:
-                (incl,) = unpack(buf, offset + 8)
-                pending.append(offset)
-                sizes.append(incl)
-                offset += RECORD_HEADER.size + incl
-                walked += 1
-            if offset > limit:
-                break
-        del sizes[:-_SPEC_PROBE]
-        period = _tail_period(sizes)
-        if period is None:
-            need_probe = True
-            continue
-        pattern = np.array(sizes[-period:], dtype=np.int64)
-        # Size the round from the *mean* stride: overshoot past the end
-        # just fails validation, undershoot rolls into another round.
-        stride = RECORD_HEADER.size + float(pattern.mean())
-        count = min(int((len(buf) - offset) / stride) + period + 1,
-                    _SPEC_BATCH)
-        pred_sizes = np.resize(pattern, count)
-        pred_off = offset + np.concatenate(
-            ([0], np.cumsum(RECORD_HEADER.size + pred_sizes)[:-1]))
-        safe = np.minimum(pred_off, limit)
-        actual = _gather_u32(data, safe + 8, swapped).astype(np.int64)
-        ok = (pred_off <= limit) & (actual == pred_sizes)
-        bad = np.nonzero(~ok)[0]
-        won = int(bad[0]) if bad.size else count
-        if won:
-            if pending:
-                chunks.append(np.array(pending, dtype=np.int64))
-                pending.clear()
-            chunks.append(pred_off[:won])
-            offset = int(pred_off[won - 1]) + RECORD_HEADER.size \
-                + int(pred_sizes[won - 1])
-            sizes.extend(pred_sizes[max(won - _SPEC_PROBE, 0):won]
-                         .tolist())
-            # A short win means the pattern broke at the next record —
-            # go learn the new one; a full batch keeps speculating.
-            need_probe = won < count
-        else:
-            need_probe = True
-    if pending:
-        chunks.append(np.array(pending, dtype=np.int64))
-    record = np.concatenate(chunks) if chunks \
-        else np.empty(0, dtype=np.int64)
-    return record, offset
-
-
-def _build_columns(buf: memoryview) -> Dict[str, np.ndarray]:
-    """Decode one pcap buffer into columns (the decode hot path)."""
     swapped, snaplen, __ = parse_global_header(buf)
-    data = np.frombuffer(buf, dtype=np.uint8)
-    record, cursor = _walk_offsets(buf, data, GLOBAL_HEADER.size, swapped)
+    record, cursor, speculated = walk_records(buf, swapped)
     end = len(buf)
     count = len(record)
-    sec = _gather_u32(data, record, swapped).astype(np.int64)
-    usec = _gather_u32(data, record + 4, swapped).astype(np.int64)
-    incl = _gather_u32(data, record + 8, swapped).astype(np.int64)
+    # Each record header's first three words: seconds, microseconds and
+    # the captured length.
+    header = byte_windows(buf, 12)[record].view(
+        ">u4" if swapped else "<u4")
+    incl = header[:, 2].astype(np.int64)
 
     # Record-level failures surface before any frame-level one, exactly
     # like a full iter_records walk ahead of any row decode.
@@ -230,32 +127,33 @@ def _build_columns(buf: memoryview) -> Dict[str, np.ndarray]:
         raise PcapError("truncated pcap record data")
     if cursor < end:
         raise PcapError("truncated pcap record header")
+    if not count:
+        return _empty_columns(), speculated
 
-    ts = sec * _NS_PER_S + usec * _NS_PER_US
+    ts = (header[:, 0].astype(np.int64) * _NS_PER_S
+          + header[:, 1].astype(np.int64) * _NS_PER_US)
     frame = record + RECORD_HEADER.size
-    # Clip gather bases so short tail rows can't index past the buffer;
+    # Clip gather bases so short tail rows can't read past the buffer;
     # clipped rows never take the fast path (incl < _FAST_MIN_FRAME).
-    safe = np.minimum(frame, max(end - _FAST_MIN_FRAME, 0))
-
-    def byte_at(rel: int) -> np.ndarray:
-        return data[safe + rel]
-
-    ethertype = byte_at(12).astype(np.int32) << 8 | byte_at(13)
-    version_ihl = byte_at(14)
-    total_len = byte_at(16).astype(np.int64) << 8 | byte_at(17)
-    proto8 = byte_at(23).astype(np.int16)
-    src = _gather_u32(data, safe + 26, True)
-    dst = _gather_u32(data, safe + 30, True)
-    sport16 = byte_at(34).astype(np.int32) << 8 | byte_at(35)
-    dport16 = byte_at(36).astype(np.int32) << 8 | byte_at(37)
+    safe = np.minimum(frame, end - _FAST_MIN_FRAME)
+    # Frame bytes 10-37 as seven big-endian words: the ethertype ends
+    # word 0, then IPv4 version/IHL and total length, protocol, source,
+    # destination, and the two transport ports.
+    words = byte_windows(buf, _FAST_MIN_FRAME - 10)[safe + 10].view(">u4")
+    ethertype = words[:, 0] & 0xFFFF
+    version_ihl = words[:, 1] >> 24
+    total_len = (words[:, 1] & 0xFFFF).astype(np.int64)
+    proto8 = (words[:, 3] >> 16 & 0xFF).astype(np.int16)
+    sport16 = (words[:, 6] >> 16).astype(np.int32)
+    dport16 = (words[:, 6] & 0xFFFF).astype(np.int32)
 
     sized = incl >= _FAST_MIN_FRAME
     fast = (sized & (ethertype == 0x0800) & (version_ihl == 0x45)
             & (total_len + 14 <= incl))
     plain = sized & (ethertype != 0x0800)
 
-    src_col = np.where(fast, src, np.uint32(0)).astype(np.uint32)
-    dst_col = np.where(fast, dst, np.uint32(0)).astype(np.uint32)
+    src_col = np.where(fast, words[:, 4], np.uint32(0))
+    dst_col = np.where(fast, words[:, 5], np.uint32(0))
     proto_col = np.where(fast, proto8, -1).astype(np.int16)
     ihl_col = np.where(fast, 20, 0).astype(np.int16)
     ports_ok = fast & ((proto8 == PROTO_TCP) | (proto8 == PROTO_UDP))
@@ -295,7 +193,7 @@ def _build_columns(buf: memoryview) -> Dict[str, np.ndarray]:
         "proto": proto_col,
         "ihl": ihl_col,
         "dns": dns_col,
-    } if count else _empty_columns()
+    }, speculated
 
 
 def _empty_columns() -> Dict[str, np.ndarray]:
@@ -380,7 +278,7 @@ class ColumnarCapture:
         buf = raw if isinstance(raw, memoryview) else memoryview(raw)
         registry = get_registry()
         with registry.span("decode.columnar.build"):
-            columns = _build_columns(buf)
+            columns, speculated = _build_columns(buf)
         start = len(self.ts)
         count = len(columns["ts"])
         self._seg_starts.append(start)
@@ -396,6 +294,7 @@ class ColumnarCapture:
                                         columns[name])))
         if registry.enabled:
             registry.inc("decode.columnar.packets", count)
+            registry.inc("decode.columnar.walk_speculated", speculated)
         return start, start + count
 
     # -- row access -------------------------------------------------------------
@@ -494,14 +393,14 @@ class ColumnarCapture:
              | np.where(portless, 0, dport))
         klass = np.where((proto == PROTO_TCP) | (proto == PROTO_UDP),
                          proto, OTHER_IP_CLASS)
-        keys = np.unique(np.stack(
-            (klass << _ENDPOINT_BITS | np.minimum(a, b),
-             np.maximum(a, b)), axis=1), axis=0)
-        low = keys[:, 0] & _ENDPOINT_MASK
-        high = keys[:, 1]
-        return set(zip((low >> 16).tolist(), (low & 0xFFFF).tolist(),
-                       (high >> 16).tolist(), (high & 0xFFFF).tolist(),
-                       (keys[:, 0] >> _ENDPOINT_BITS).tolist()))
+        # A set of packed (class and low endpoint, high endpoint) pairs
+        # dedups in C; only the distinct pairs are unpacked.
+        pairs = set(zip((klass << _ENDPOINT_BITS
+                         | np.minimum(a, b)).tolist(),
+                        np.maximum(a, b).tolist()))
+        return {((low & _ENDPOINT_MASK) >> 16, low & 0xFFFF, high >> 16,
+                 high & 0xFFFF, low >> _ENDPOINT_BITS)
+                for low, high in pairs}
 
     def infer_tv_ip(self) -> Ipv4Address:
         """The device under audit: the most talkative private address,

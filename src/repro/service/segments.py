@@ -3,7 +3,8 @@
 A segment is a self-contained pcap (global header + a contiguous run of
 the original records) so any consumer that reads pcap bytes can ingest
 it directly.  The slicing is byte-preserving: records are located by
-scanning headers, never re-encoded, so
+the decode's own record walk (:func:`~repro.net.pcap.walk_records`),
+never re-encoded, and each segment is copied once, so
 
     sum(len(segment) - 24 for segments) + 24 == len(original)
 
@@ -16,7 +17,8 @@ from __future__ import annotations
 import struct
 from typing import List
 
-from ..net.pcap import GLOBAL_HEADER, MAGIC_USEC, RECORD_HEADER, PcapError
+from ..net.pcap import (GLOBAL_HEADER, MAGIC_USEC, RECORD_HEADER, PcapError,
+                        walk_records)
 
 #: Size of the libpcap global header every segment re-carries.
 PCAP_HEADER_LEN = GLOBAL_HEADER.size
@@ -47,36 +49,6 @@ class CaptureSegment:
                 f"{len(self.payload)} bytes)")
 
 
-def _record_offsets(raw: bytes) -> List[int]:
-    """Byte offsets of every record header, plus the end offset."""
-    if len(raw) < PCAP_HEADER_LEN:
-        raise PcapError("truncated pcap global header")
-    if struct.unpack_from("<I", raw)[0] != MAGIC_USEC:
-        raise PcapError("segment splitter needs a native-order pcap")
-    offsets = [PCAP_HEADER_LEN]
-    position = PCAP_HEADER_LEN
-    size = len(raw)
-    header = RECORD_HEADER
-    index = 0
-    while position < size:
-        if position + header.size > size:
-            raise PcapError(
-                f"truncated pcap record header: record {index} at "
-                f"byte {position} needs {header.size} header bytes, "
-                f"capture ends after {size - position}")
-        incl_len = header.unpack_from(raw, position)[2]
-        end = position + header.size + incl_len
-        if end > size:
-            raise PcapError(
-                f"truncated pcap record data: record {index} at byte "
-                f"{position} declares {incl_len} data bytes, capture "
-                f"ends after {size - position - header.size}")
-        position = end
-        offsets.append(position)
-        index += 1
-    return offsets
-
-
 def split_pcap_bytes(raw: bytes, parts: int) -> List[bytes]:
     """Slice a pcap into up to ``parts`` contiguous, self-framed chunks.
 
@@ -85,25 +57,44 @@ def split_pcap_bytes(raw: bytes, parts: int) -> List[bytes]:
     yield one chunk per packet; an empty capture yields a single
     header-only chunk.  The split is a pure function of
     ``(raw, parts)`` — both sides of a kill/resume cycle cut the same
-    capture identically.
+    capture identically.  A cut record raises :class:`PcapError` naming
+    its index and byte offset.
     """
     if parts <= 0:
         raise ValueError("parts must be positive")
-    offsets = _record_offsets(raw)
-    header = bytes(raw[:PCAP_HEADER_LEN])
-    records = len(offsets) - 1
+    if len(raw) < PCAP_HEADER_LEN:
+        raise PcapError("truncated pcap global header")
+    if struct.unpack_from("<I", raw)[0] != MAGIC_USEC:
+        raise PcapError("segment splitter needs a native-order pcap")
+    offsets, cursor, __ = walk_records(raw, False)
+    size = len(raw)
+    records = len(offsets)
+    if cursor < size:
+        raise PcapError(
+            f"truncated pcap record header: record {records} at "
+            f"byte {cursor} needs {RECORD_HEADER.size} header bytes, "
+            f"capture ends after {size - cursor}")
+    if cursor > size:
+        position = int(offsets[-1])
+        raise PcapError(
+            f"truncated pcap record data: record {records - 1} at byte "
+            f"{position} declares "
+            f"{cursor - position - RECORD_HEADER.size} data bytes, "
+            f"capture ends after {size - position - RECORD_HEADER.size}")
+    view = memoryview(raw)
+    header = bytes(view[:PCAP_HEADER_LEN])
     if records == 0:
         return [header]
     parts = min(parts, records)
     base, extra = divmod(records, parts)
     chunks: List[bytes] = []
-    start_record = 0
+    lo = PCAP_HEADER_LEN
+    stop = 0
     for index in range(parts):
-        count = base + (1 if index < extra else 0)
-        lo = offsets[start_record]
-        hi = offsets[start_record + count]
-        chunks.append(header + raw[lo:hi])
-        start_record += count
+        stop += base + (1 if index < extra else 0)
+        hi = int(offsets[stop]) if stop < records else size
+        chunks.append(b"".join((header, view[lo:hi])))
+        lo = hi
     return chunks
 
 

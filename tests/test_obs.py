@@ -522,6 +522,7 @@ class TestFleetMetricsJobsInvariance:
     #: per-packet decode count is ``decode.columnar.packets``.)
     DETERMINISTIC = ("fleet.households", "fleet.shards.completed",
                      "pipeline.extends", "decode.columnar.packets",
+                     "decode.columnar.walk_speculated",
                      "pipeline.domain_view.build",
                      "pipeline.domain_view.memo_hit")
 

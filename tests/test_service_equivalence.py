@@ -19,15 +19,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flow_oracle import flow_keys as oracle_flow_keys
 from fuzz_inputs import json_values
-from packet_oracle import CapturedPacket, dump_bytes
+from packet_oracle import CapturedPacket, decode_all, dump_bytes, load_bytes
 from repro.experiments.grid import ResultCache
 from repro.fleet import (FleetRunner, PopulationSpec,
                          render_population_report)
+from repro.fleet.runner import household_record
 from repro.net import PcapError
 from repro.service import (CheckpointError, LiveState, ServiceConfig,
-                           ServiceStopped, load_checkpoint, serve_fleet,
-                           split_pcap_bytes, write_checkpoint)
+                           ServiceStopped, load_checkpoint, segment_record,
+                           serve_fleet, split_pcap_bytes, write_checkpoint)
+from repro.service.auditor import HouseholdIngest
 from repro.service.checkpoint import (CHECKPOINT_NAME, checkpoint_path,
                                       population_key)
 from repro.service.segments import PCAP_HEADER_LEN
@@ -154,6 +157,27 @@ class TestStreamingEqualsBatch:
             result.state, population)) == batch_sha
         assert sha(render_population_report(
             result.state.aggregate, population)) == batch_sha
+
+
+class TestServeFlowKeys:
+    """A real household capture, cut as ``serve`` cuts it."""
+
+    def test_keys_after_every_segment_match_oracle(self, cache,
+                                                  population):
+        household = next(iter(population))
+        record, __ = household_record(household, cache)
+        segments = segment_record(household.index, record.pcap_bytes, 6)
+        assert len(segments) == 6
+        ingest = HouseholdIngest(household, record.tv_ip)
+        applied = []
+        for segment in segments:
+            ingest.ingest(segment)
+            applied += decode_all(load_bytes(segment.payload))
+            expected = oracle_flow_keys(applied)
+            assert ingest.flow_keys == expected
+            assert ingest.tracked_flows == len(expected)
+        assert ingest.packet_count == len(applied)
+        assert not ingest.findings
 
 
 class TestLiveStateFindings:
