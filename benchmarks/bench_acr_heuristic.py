@@ -55,9 +55,9 @@ def test_acr_heuristic(benchmark, uk_opted_in_cells, optout_cells):
 
 def test_pcap_decode_throughput(benchmark, uk_opted_in_cells):
     """Ablation D1: the cost of the real pcap round-trip."""
-    result = cache.result_for(ExperimentSpec(
+    record = cache.grid().record(ExperimentSpec(
         Vendor.LG, Country.UK, Scenario.LINEAR, Phase.LIN_OIN))
-    raw = result.pcap_bytes
+    raw = record.pcap_bytes
 
     def decode():
         return len(ColumnarCapture.from_pcap_bytes(raw))
@@ -65,16 +65,16 @@ def test_pcap_decode_throughput(benchmark, uk_opted_in_cells):
     count = benchmark(decode)
     megabytes = len(raw) / 1e6
     print(f"\ndecoded {count} packets from a {megabytes:.1f} MB pcap")
-    assert count == result.packet_count
+    assert count == record.packet_count
 
 
 def test_pipeline_build_throughput(benchmark, uk_opted_in_cells):
     """Full audit-pipeline construction over a one-hour capture."""
-    result = cache.result_for(ExperimentSpec(
+    record = cache.grid().record(ExperimentSpec(
         Vendor.LG, Country.UK, Scenario.LINEAR, Phase.LIN_OIN))
 
     def build():
-        return AuditPipeline.from_result(result)
+        return AuditPipeline.from_result(record)
 
     pipeline = benchmark(build)
     assert pipeline.acr_candidate_domains()

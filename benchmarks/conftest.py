@@ -1,6 +1,6 @@
 """Shared benchmark fixtures.
 
-The campaign cache is warmed once per session; benches then measure the
+Each session simulates its cells once; benches then measure the
 regeneration (analysis) step over cached captures and print the
 reproduced table/figure next to the paper's values.  The grid result
 cache is a fresh temporary directory per session, removed when the

@@ -65,9 +65,6 @@ class Blocklist:
     def is_listed(self, domain: str) -> bool:
         return any(_suffix_match(domain, entry) for entry in self.entries)
 
-    def listed_subset(self, domains: List[str]) -> List[str]:
-        return [d for d in domains if self.is_listed(d)]
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -85,9 +82,6 @@ class HostsFileBlocklist:
 
     def is_listed(self, domain: str) -> bool:
         return domain.lower().rstrip(".") in self.hostnames
-
-    def listed_subset(self, domains: List[str]) -> List[str]:
-        return [d for d in domains if self.is_listed(d)]
 
     def __len__(self) -> int:
         return len(self.hostnames)

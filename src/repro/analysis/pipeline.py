@@ -81,7 +81,8 @@ class AuditPipeline:
 
     @classmethod
     def from_result(cls, result) -> "AuditPipeline":
-        """From an ExperimentResult (reads only its pcap + TV IP)."""
+        """From any object with ``pcap_bytes`` and ``tv_ip`` (an
+        ExperimentResult or a grid CellRecord); reads nothing else."""
         return cls.from_pcap_bytes(result.pcap_bytes,
                                    Ipv4Address.parse(result.tv_ip))
 

@@ -31,6 +31,12 @@ from .testbed import (Country, ExperimentSpec, Phase, Scenario, Vendor,
 _PHASES = {phase.value: phase for phase in Phase}
 
 
+def _usage_error(message) -> int:
+    """Report bad input as one ``error:`` line on stderr; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _add_grid_options(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--jobs", type=int, default=1,
                      help="worker processes for cell execution "
@@ -319,9 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     from .sim.clock import minutes as minutes_ns
-    spec = ExperimentSpec(Vendor(args.vendor), Country(args.country),
-                          Scenario(args.scenario), _PHASES[args.phase],
-                          duration_ns=minutes_ns(args.minutes))
+    try:
+        spec = ExperimentSpec(Vendor(args.vendor), Country(args.country),
+                              Scenario(args.scenario), _PHASES[args.phase],
+                              duration_ns=minutes_ns(args.minutes))
+    except ValueError as exc:
+        return _usage_error(exc)
     print(f"running {spec.label} ({args.minutes} simulated minutes, "
           f"seed {args.seed})...")
     result = run_experiment(spec, seed=args.seed)
@@ -330,8 +339,11 @@ def _cmd_run(args) -> int:
           f"({len(result.pcap_bytes) / 1e6:.1f} MB); "
           f"validation: {'OK' if report.ok else report.failures}")
     if args.out:
-        with open(args.out, "wb") as fileobj:
-            fileobj.write(result.pcap_bytes)
+        try:
+            with open(args.out, "wb") as fileobj:
+                fileobj.write(result.pcap_bytes)
+        except OSError as exc:
+            return _usage_error(exc)
         print(f"wrote {args.out}")
     else:
         _print_audit(AuditPipeline.from_result(result))
@@ -359,9 +371,14 @@ def _print_audit(pipeline: AuditPipeline) -> None:
 
 
 def _cmd_audit(args) -> int:
-    with open(args.pcap, "rb") as fileobj:
-        raw = fileobj.read()
-    pipeline = AuditPipeline.from_pcap_bytes(raw)
+    try:
+        with open(args.pcap, "rb") as fileobj:
+            raw = fileobj.read()
+        # A PcapError, a malformed frame and a capture without a
+        # private address to audit all raise ValueError.
+        pipeline = AuditPipeline.from_pcap_bytes(raw)
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
     print(f"{len(pipeline.packets)} packets; contacted domains: "
           f"{', '.join(pipeline.contacted_domains)}")
     _print_audit(pipeline)
@@ -376,19 +393,16 @@ def _cmd_grid(args) -> int:
         specs = grid_mod.enumerate_cells(
             filters, duration_ns=minutes_ns(args.minutes))
     except (grid_mod.GridFilterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     if not specs:
         print("no cells match the filters", file=sys.stderr)
         return 1
     cache, cache_error = _open_cache(args)
     if cache_error:
-        print(f"error: {cache_error}", file=sys.stderr)
-        return 2
+        return _usage_error(cache_error)
     faults, fault_error = _parse_faults(args)
     if fault_error:
-        print(f"error: {fault_error}", file=sys.stderr)
-        return 2
+        return _usage_error(fault_error)
     runner = grid_mod.GridRunner(seed=args.seed, cache=cache,
                                  jobs=args.jobs, faults=faults)
     registry = _obs_start(args)
@@ -446,16 +460,13 @@ def _cmd_fleet(args) -> int:
         population = fleet_mod.PopulationSpec(
             args.households, seed=args.seed, mixes=mixes)
     except (fleet_mod.MixError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     cache, cache_error = _open_cache(args)
     if cache_error:
-        print(f"error: {cache_error}", file=sys.stderr)
-        return 2
+        return _usage_error(cache_error)
     faults, fault_error = _parse_faults(args)
     if fault_error:
-        print(f"error: {fault_error}", file=sys.stderr)
-        return 2
+        return _usage_error(fault_error)
     runner = fleet_mod.FleetRunner(cache=cache, jobs=args.jobs,
                                    faults=faults)
     registry = _obs_start(args)
@@ -515,8 +526,7 @@ def _cmd_serve(args) -> int:
     from . import service as service_mod
     faults, fault_error = _parse_faults(args)
     if fault_error:
-        print(f"error: {fault_error}", file=sys.stderr)
-        return 2
+        return _usage_error(fault_error)
     try:
         mixes = fleet_mod.parse_mix(args.mix)
         population = fleet_mod.PopulationSpec(
@@ -527,15 +537,12 @@ def _cmd_serve(args) -> int:
             checkpoint_every=args.checkpoint_every,
             faults=faults)
     except (fleet_mod.MixError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     if args.resume and not args.checkpoint_dir:
-        print("error: --resume needs --checkpoint-dir", file=sys.stderr)
-        return 2
+        return _usage_error("--resume needs --checkpoint-dir")
     cache, cache_error = _open_cache(args)
     if cache_error:
-        print(f"error: {cache_error}", file=sys.stderr)
-        return 2
+        return _usage_error(cache_error)
     registry = _obs_start(args)
     print(f"serve: {args.households} households, seed {args.seed}, "
           f"window {args.window}, {args.jobs} job(s), "
@@ -591,8 +598,7 @@ def _cmd_serve(args) -> int:
               file=sys.stderr)
         return 3
     except service_mod.CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     finally:
         signal.signal(signal.SIGTERM, previous[0])
         signal.signal(signal.SIGINT, previous[1])
@@ -639,8 +645,7 @@ def _cmd_scorecard(args) -> int:
     from .experiments.findings import render_checks
     error = _vendors_selection_error(args)
     if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
     checks = run_all_checks(seed=args.seed, jobs=args.jobs,
                             vendors=_parse_vendors(args))
     sys.stdout.write(render_checks(checks))
@@ -655,8 +660,7 @@ def _cmd_report(args) -> int:
     from .experiments.report import generate
     error = _vendors_selection_error(args)
     if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
     print(generate(seed=args.seed, jobs=args.jobs,
                    vendors=_parse_vendors(args)))
     return 0
@@ -669,11 +673,9 @@ def _cmd_findings(args) -> int:
         __, old_records = read_findings_jsonl(args.old)
         __, new_records = read_findings_jsonl(args.new)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     except ValueError as exc:
-        print(f"error: invalid findings file: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"invalid findings file: {exc}")
     diff = diff_records(old_records, new_records)
     sys.stdout.write(diff.render(args.old, args.new))
     return 1 if diff.is_regression else 0

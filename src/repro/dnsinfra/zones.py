@@ -47,11 +47,6 @@ class Zone:
         self._a.setdefault(name.lower(), []).append(
             DnsRecord.a(name, address, ttl=ttl))
 
-    def add_ptr(self, address: Ipv4Address, target: str,
-                ttl: int = DEFAULT_TTL) -> None:
-        pointer = address.reverse_pointer
-        self._ptr[pointer] = DnsRecord.ptr(pointer, target, ttl=ttl)
-
     @property
     def names(self) -> List[str]:
         return sorted(self._a)

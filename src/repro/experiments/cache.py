@@ -6,11 +6,8 @@ from memory, then from the content-addressed on-disk cache (see
 :mod:`repro.experiments.grid`), and only then simulated — which is what
 makes ``scorecard`` and ``report`` incremental across invocations.
 
-The legacy helpers (:func:`result_for`, :func:`pipeline_for`,
-:func:`campaign`) remain as thin wrappers so existing callers keep
-working; new code should go through :func:`grid`.  :func:`result_for`
-serves only the tests' ground-truth fixtures: every audit reads its
-cells through pipelines.
+:func:`grid` returns that object; :func:`pipeline_for` is shorthand for
+its memoized pipeline of one cell.
 """
 
 from __future__ import annotations
@@ -18,9 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..analysis.pipeline import AuditPipeline
-from ..testbed.campaign import CampaignRunner
 from ..testbed.experiment import ExperimentSpec
-from ..testbed.runner import ExperimentResult
 from .grid import DEFAULT_SEED, GridResults
 
 _grid: Optional[GridResults] = None
@@ -32,17 +27,6 @@ def grid(seed: int = DEFAULT_SEED) -> GridResults:
     if _grid is None or _grid.seed != seed:
         _grid = GridResults(seed=seed)
     return _grid
-
-
-def campaign(seed: int = DEFAULT_SEED) -> CampaignRunner:
-    """The grid's in-process campaign runner (full-result memo)."""
-    return grid(seed).campaign
-
-
-def result_for(spec: ExperimentSpec,
-               seed: int = DEFAULT_SEED) -> ExperimentResult:
-    """Run (or recall) one cell with its ground-truth handles."""
-    return grid(seed).result(spec)
 
 
 def pipeline_for(spec: ExperimentSpec,

@@ -39,7 +39,7 @@ from ..analysis.pipeline import AuditPipeline
 from ..faults import NULL_PLAN, FaultPlan, produce_with_retries
 from ..net.addresses import Ipv4Address
 from ..obs.metrics import get_registry, metrics_enabled, scoped
-from ..testbed.campaign import CampaignRunner, cell_key
+from ..testbed.campaign import cell_key
 from ..util import atomic_write_bytes
 from ..testbed.experiment import (Country, DEFAULT_DURATION_NS,
                                   ExperimentSpec, Phase, Scenario, Vendor)
@@ -288,8 +288,8 @@ class ResultCache:
         return self.key_for(spec.label, spec.duration_ns, seed)
 
     def key_for(self, label: str, duration_ns: int, seed: int) -> str:
-        # One canonical cell identity (shared with CampaignRunner via
-        # cell_key), salted with the code version for invalidation.
+        # The canonical cell identity, salted with the code version
+        # for invalidation.
         canonical = f"{cell_key(label, seed, duration_ns)}:{self.version}"
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -567,11 +567,8 @@ class GridResults:
     :class:`ResultCache` (no simulation), and only then by running the
     cell.  With a cache, the records hold metadata only and each kept
     pipeline has released its frames, so the process holds decoded
-    columns, never capture bytes.  Full
-    :class:`~repro.testbed.runner.ExperimentResult` objects (which carry
-    unpicklable ground-truth handles — registry, zone, backend) come
-    from an in-process :class:`~repro.testbed.campaign.CampaignRunner`
-    and serve only the tests' ground-truth fixtures.
+    columns, never capture bytes.  A cell that must be simulated runs
+    through :func:`_execute_cell`, in a pool worker or in this process.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED,
@@ -580,7 +577,6 @@ class GridResults:
         if cache == "default":
             cache = default_cache()
         self.cache = cache
-        self.campaign = CampaignRunner(seed=seed)
         self._records: Dict[Tuple[str, int], CellRecord] = {}
         self._pipelines: Dict[Tuple[str, int], AuditPipeline] = {}
         self._warmed: Set[str] = set()
@@ -641,18 +637,6 @@ class GridResults:
             pipeline.packets.release_frames()
             self._pipelines[key] = pipeline
         return pipeline
-
-    def result(self, spec: ExperimentSpec):
-        """The full in-process result (ground-truth handles included),
-        for the tests' ground-truth fixtures; always simulated here."""
-        result = self.campaign.run(spec)
-        key = self._key(spec)
-        if key not in self._records:
-            record = record_from_result(result)
-            if self.cache:
-                self.cache.store(record)
-            self._records[key] = record
-        return result
 
     def __repr__(self) -> str:
         return (f"GridResults(seed={self.seed}, "

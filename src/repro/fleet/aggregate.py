@@ -295,10 +295,6 @@ class FleetAggregate:
         return self.optout_acr_households / self.optout_households \
             if self.optout_households else 0.0
 
-    def optin_acr_fraction(self) -> float:
-        return self.optin_acr_households / self.optin_households \
-            if self.optin_households else 0.0
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FleetAggregate)
                 and all(getattr(self, slot) == getattr(other, slot)

@@ -7,7 +7,7 @@ from the experiment's vantage and ask RIPE IPmap, whose verdict wins.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..net.addresses import Ipv4Address
 from ..sim.rng import RngRegistry
@@ -82,13 +82,6 @@ class GeolocationAudit:
         verdict = self.ipmap.locate(address)
         return GeolocationFinding(address, domain, mm_city, ip2_city,
                                   False, True, verdict.city, trace)
-
-    def locate_all(self, addresses: List[Ipv4Address], vantage: str,
-                   domains: Optional[List[str]] = None
-                   ) -> List[GeolocationFinding]:
-        names = domains or [None] * len(addresses)
-        return [self.locate(address, vantage, name)
-                for address, name in zip(addresses, names)]
 
     def transfer_allowed(self, provider: str) -> bool:
         """UK-US Data Bridge check for a provider."""

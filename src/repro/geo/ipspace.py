@@ -9,7 +9,7 @@ recovers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..net.addresses import Ipv4Address, Ipv4Network
 from .locations import CITIES, City
@@ -121,11 +121,6 @@ class IpSpace:
 
     def all_servers(self) -> List[ServerRecord]:
         return list(self._servers.values())
-
-    def servers_of(self, provider: str) -> Iterator[ServerRecord]:
-        for record in self._servers.values():
-            if record.provider == provider:
-                yield record
 
     def __len__(self) -> int:
         return len(self._servers)

@@ -66,10 +66,6 @@ class TracerouteResult:
         self.hops = hops
 
     @property
-    def last_rtt_ms(self) -> float:
-        return self.hops[-1].rtt_ms
-
-    @property
     def transit_ptr_names(self) -> List[str]:
         return [hop.ptr_name for hop in self.hops if hop.ptr_name]
 

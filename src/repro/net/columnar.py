@@ -49,14 +49,13 @@ from ..obs.metrics import get_registry
 from .addresses import Ipv4Address
 from .dns import DnsMessage
 from .ip import PROTO_TCP, PROTO_UDP
-from .packet import DNS_PORT, LazyPacket
+from .packet import (_PROTO_NAMES, DNS_PORT, LazyPacket,
+                     slice_transport_payload)
 from .pcap import RECORD_HEADER, PcapError, byte_windows, \
     parse_global_header, walk_records
 
 _NS_PER_US = 1_000
 _NS_PER_S = 1_000_000_000
-
-_PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}
 
 #: A direction-independent flow key: ``(low address, low port, high
 #: address, high port, protocol class)``, every field a Python int.
@@ -205,7 +204,8 @@ def _payload_lengths(data: np.ndarray, off: np.ndarray, length: np.ndarray,
                      proto: np.ndarray, ihl: np.ndarray) -> np.ndarray:
     """``len(ColumnarView.transport_payload)`` for rows of one segment.
 
-    Mirrors the view's slices, clamped to the captured frame.  The fast
+    Mirrors :func:`~repro.net.packet.slice_transport_payload`, the one
+    payload rule both row types call, over whole columns.  The fast
     path proves only bytes 0-37 inside a record, while the UDP length
     sits at bytes 38-39 and the TCP data offset at byte 46, so gathers
     are clamped to the buffer and a value read past a row's own frame
@@ -498,20 +498,8 @@ class ColumnarView:
     @property
     def transport_payload(self):
         capture, index = self._capture, self._index
-        proto = int(capture.proto[index])
-        data = self.data
-        transport = 14 + int(capture.ihl[index])
-        if proto == PROTO_TCP:
-            if len(data) <= transport + 12:
-                return b""  # cut before the data offset: no payload
-            offset = transport + ((data[transport + 12] >> 4) * 4)
-            total = int.from_bytes(data[16:18], "big")
-            return data[offset:14 + total]
-        if proto == PROTO_UDP:
-            length = int.from_bytes(
-                data[transport + 4:transport + 6], "big")
-            return data[transport + 8:transport + length]
-        return b""
+        return slice_transport_payload(self.data, int(capture.proto[index]),
+                                       int(capture.ihl[index]))
 
     @property
     def dns(self) -> Optional[DnsMessage]:

@@ -30,6 +30,25 @@ _PORTS = struct.Struct("!HH")
 _MISSING = object()
 
 
+def slice_transport_payload(data, proto: Optional[int], ihl: int):
+    """The transport payload of one frame (``bytes`` or a ``memoryview``,
+    sliced as such), given its IPv4 protocol and header length: the one
+    payload rule both row types call.  A TCP frame cut before its
+    data-offset byte, and any protocol but TCP and UDP, read ``b""``.
+    """
+    transport = 14 + ihl
+    if proto == PROTO_TCP:
+        if len(data) <= transport + 12:
+            return b""  # cut before the data offset: no payload
+        offset = transport + ((data[transport + 12] >> 4) * 4)
+        total = int.from_bytes(data[16:18], "big")
+        return data[offset:14 + total]
+    if proto == PROTO_UDP:
+        length = int.from_bytes(data[transport + 4:transport + 6], "big")
+        return data[transport + 8:transport + length]
+    return b""
+
+
 class LazyPacket:
     """Flow-level view of a captured packet without per-layer objects.
 
@@ -92,19 +111,7 @@ class LazyPacket:
 
     @property
     def transport_payload(self) -> bytes:
-        if self.proto == PROTO_TCP:
-            transport = 14 + self._ihl
-            if len(self.data) <= transport + 12:
-                return b""  # cut before the data offset: no payload
-            offset = transport + ((self.data[transport + 12] >> 4) * 4)
-            total = int.from_bytes(self.data[16:18], "big")
-            return self.data[offset:14 + total]
-        if self.proto == PROTO_UDP:
-            transport = 14 + self._ihl
-            length = int.from_bytes(
-                self.data[transport + 4:transport + 6], "big")
-            return self.data[transport + 8:transport + length]
-        return b""
+        return slice_transport_payload(self.data, self.proto, self._ihl)
 
     @property
     def dns(self) -> Optional[DnsMessage]:

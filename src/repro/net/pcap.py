@@ -61,8 +61,7 @@ def parse_global_header(buf) -> Tuple[bool, int, int]:
     return swapped, snaplen, linktype
 
 
-def iter_records(buf, start: int = 0
-                 ) -> Iterator[Tuple[int, int, int, int]]:
+def iter_records(buf) -> Iterator[Tuple[int, int, int, int]]:
     """Walk the record headers of an in-memory pcap buffer.
 
     Yields ``(timestamp_ns, frame_offset, incl_len, orig_len)`` per
@@ -73,14 +72,10 @@ def iter_records(buf, start: int = 0
     afterwards): a truncated record header, a record longer than the
     snaplen allows and truncated record data raise :class:`PcapError`,
     checked in that order, once every record before the break has been
-    yielded.  ``start`` skips an already-validated global header so
-    capture *segments* (record stream only) can reuse the same walk.
+    yielded.
     """
-    if start == 0:
-        swapped, snaplen, __ = parse_global_header(buf)
-        offset = GLOBAL_HEADER.size
-    else:
-        swapped, snaplen, offset = False, SNAPLEN, start
+    swapped, snaplen, __ = parse_global_header(buf)
+    offset = GLOBAL_HEADER.size
     header = (">IIII" if swapped else "<IIII")
     unpack = struct.Struct(header).unpack_from
     header_size = RECORD_HEADER.size

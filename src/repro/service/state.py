@@ -14,7 +14,7 @@ resume point.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from ..findings import Finding, FindingsLedger, OPTOUT_VIOLATION_CODE
 from ..fleet.aggregate import FleetAggregate
@@ -40,35 +40,15 @@ class LiveState:
         self.aggregate.fold(summary)
         self.completed.add(household_index)
 
-    def merge_aggregate(self, other: FleetAggregate,
-                        completed: Iterable[int] = ()) -> None:
-        """Absorb a shard-level aggregate (e.g. a restored checkpoint)."""
-        overlap = self.completed.intersection(completed)
-        if overlap:
-            raise ValueError(
-                f"households folded twice: {sorted(overlap)[:5]}...")
-        self.aggregate = self.aggregate.merge(other)
-        self.completed.update(completed)
-
     # -- queries ----------------------------------------------------------------
 
     @property
     def households(self) -> int:
         return self.aggregate.households
 
-    def is_complete(self, household_index: int) -> bool:
-        return household_index in self.completed
-
     def acr_rate(self) -> float:
         """Fleet-wide fraction of households with ACR flows."""
         return self.aggregate.acr_fraction()
-
-    def acr_rate_by_vendor(self) -> Dict[str, float]:
-        """Per-vendor fraction of that vendor's households showing ACR."""
-        agg = self.aggregate
-        return {vendor: agg.acr_households_by_vendor[vendor]
-                / agg.vendors[vendor]
-                for vendor in sorted(agg.vendors)}
 
     def optout_violations(self) -> Dict[str, object]:
         """Opt-out efficacy, live: opted-out households still uploading."""
@@ -90,12 +70,6 @@ class LiveState:
         :meth:`optout_violations` rates."""
         return [finding for finding, __ in self.aggregate.findings
                 if finding.code == OPTOUT_VIOLATION_CODE]
-
-    def top_domains(self, count: int = 10) -> List[Tuple[str, int]]:
-        """Most-contacted ACR domains (by distinct households)."""
-        items = sorted(self.aggregate.domain_households.items(),
-                       key=lambda item: (-item[1], item[0]))
-        return items[:count]
 
     def __repr__(self) -> str:
         return (f"LiveState({self.households} households folded, "

@@ -1,12 +1,10 @@
 """Experiment orchestration: the capture access point, experiment
-vocabulary, the single-experiment runner, validation scripts, and
-campaign-level caching."""
+vocabulary, the single-experiment runner and validation scripts."""
 
 from .access_point import AccessPoint
 from .assets import (fast_channel, fresh_backend, linear_channel,
                      media_library, ott_playlist, reference_library,
                      ui_item)
-from .campaign import CampaignRunner
 from .experiment import (Country, DEFAULT_DURATION_NS, ExperimentSpec,
                          Phase, POWER_ON_AT_NS, Scenario,
                          SCENARIO_START_NS, Vendor, full_matrix,
@@ -18,7 +16,6 @@ from .validation import ValidationReport, validate, validate_session
 
 __all__ = [
     "AccessPoint",
-    "CampaignRunner",
     "Country",
     "DEFAULT_DURATION_NS",
     "ExperimentResult",

@@ -106,7 +106,6 @@ def session_duration_ns(segments: Sequence[Segment]) -> int:
 
 
 def run_experiment(spec: ExperimentSpec, seed: int = 0,
-                   registry: Optional[DomainRegistry] = None,
                    mitm: bool = False,
                    dns_blocklist=None) -> ExperimentResult:
     """Execute one experiment cell and return its artifacts.
@@ -123,14 +122,12 @@ def run_experiment(spec: ExperimentSpec, seed: int = 0,
     return _run_workflow(
         spec, seed, spec.label,
         [(SCENARIO_START_NS, build_source(spec, seed))],
-        registry=registry, mitm=mitm, dns_blocklist=dns_blocklist)
+        mitm=mitm, dns_blocklist=dns_blocklist)
 
 
 def run_session(vendor: Vendor, country, phase, segments: Sequence[Segment],
-                seed: int = 0, label: Optional[str] = None,
-                registry: Optional[DomainRegistry] = None,
-                mitm: bool = False,
-                dns_blocklist=None) -> ExperimentResult:
+                seed: int = 0,
+                label: Optional[str] = None) -> ExperimentResult:
     """Drive a multi-segment viewing session through one capture.
 
     ``segments`` is a sequence of ``(Scenario, dwell_ns)`` pairs; the
@@ -164,19 +161,17 @@ def run_session(vendor: Vendor, country, phase, segments: Sequence[Segment],
                                       duration_ns)
         plan.append((at_ns, build_source(segment_spec, seed)))
         at_ns += dwell_ns
-    return _run_workflow(spec, seed, rng_label, plan, registry=registry,
-                         mitm=mitm, dns_blocklist=dns_blocklist)
+    return _run_workflow(spec, seed, rng_label, plan)
 
 
 def _run_workflow(spec: ExperimentSpec, seed: int, rng_label: str,
                   source_plan: Sequence[Tuple[int, InputSource]],
-                  registry: Optional[DomainRegistry] = None,
                   mitm: bool = False,
                   dns_blocklist=None) -> ExperimentResult:
     """The §3.2 workflow over an arbitrary source schedule."""
     rng = RngRegistry(seed).fork(rng_label)
     loop = EventLoop()
-    registry = registry or DomainRegistry()
+    registry = DomainRegistry()
     zone = Zone(registry)
     ap = AccessPoint(spec.country.vantage, zone, rng)
     ap.register_servers(registry.ipspace.all_servers())

@@ -6,7 +6,7 @@ experiment workflow is automated and the boot DNS burst is always captured.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..sim.events import EventLoop
 from .device import SmartTV
@@ -33,10 +33,6 @@ class SmartPlug:
     def _off(self) -> None:
         self.tv.power_off()
         self.transitions.append((self.loop.now, "off"))
-
-    @property
-    def last_transition(self) -> Optional[Tuple[int, str]]:
-        return self.transitions[-1] if self.transitions else None
 
     def __repr__(self) -> str:
         return f"SmartPlug({len(self.transitions)} transitions)"

@@ -37,23 +37,8 @@ class RemoteControl:
         self._do(at_ns, f"select-source:{source.source_type.value}",
                  lambda: self.tv.select_source(source))
 
-    def login_at(self, at_ns: int) -> None:
-        def login() -> None:
-            self.tv.settings.login()
-            self.tv.identifiers.link_account(self.tv.seed)
-        self._do(at_ns, "login", login)
-
-    def logout_at(self, at_ns: int) -> None:
-        def logout() -> None:
-            self.tv.settings.logout()
-            self.tv.identifiers.unlink_account()
-        self._do(at_ns, "logout", logout)
-
     def opt_out_at(self, at_ns: int) -> None:
         self._do(at_ns, "opt-out", self.tv.settings.opt_out_all)
-
-    def opt_in_at(self, at_ns: int) -> None:
-        self._do(at_ns, "opt-in", self.tv.settings.opt_in_all)
 
     def performed(self, label: str) -> bool:
         return any(entry == label for __, entry in self.action_log)

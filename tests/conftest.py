@@ -48,10 +48,10 @@ def uk_reference():
 
 
 @pytest.fixture(scope="session")
-def lg_uk_linear_result():
+def lg_uk_linear_record():
     spec = ExperimentSpec(Vendor.LG, Country.UK, Scenario.LINEAR,
                           Phase.LIN_OIN)
-    return experiment_cache.result_for(spec)
+    return experiment_cache.grid().record(spec)
 
 
 @pytest.fixture(scope="session")

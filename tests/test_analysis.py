@@ -21,18 +21,18 @@ from repro.sim import minutes, seconds
 
 
 class TestPipeline:
-    def test_from_result_roundtrip(self, lg_uk_linear_result,
+    def test_from_result_roundtrip(self, lg_uk_linear_record,
                                    lg_uk_linear_pipeline):
         assert lg_uk_linear_pipeline.tv_ip == Ipv4Address.parse(
-            lg_uk_linear_result.tv_ip)
+            lg_uk_linear_record.tv_ip)
         assert len(lg_uk_linear_pipeline.packets) == \
-            lg_uk_linear_result.packet_count
+            lg_uk_linear_record.packet_count
 
-    def test_tv_ip_inference(self, lg_uk_linear_result):
+    def test_tv_ip_inference(self, lg_uk_linear_record):
         pipeline = AuditPipeline.from_pcap_bytes(
-            lg_uk_linear_result.pcap_bytes)
+            lg_uk_linear_record.pcap_bytes)
         assert pipeline.tv_ip == Ipv4Address.parse(
-            lg_uk_linear_result.tv_ip)
+            lg_uk_linear_record.tv_ip)
 
     def test_contacted_domains_no_lan(self, lg_uk_linear_pipeline):
         for domain in lg_uk_linear_pipeline.contacted_domains:

@@ -5,9 +5,11 @@ import json
 import pytest
 
 import repro.experiments
+from packet_oracle import CapturedPacket, build_udp_frame, dump_bytes
 from repro.cli import build_parser, main
 from repro.findings import (Evidence, Finding, FindingsLedger,
                             write_findings_jsonl)
+from repro.net import Ipv4Address, MacAddress
 
 
 class TestParser:
@@ -194,3 +196,63 @@ class TestRunCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "no ACR candidate domains" in out
+
+
+def _udp_capture(src, dst, corrupt_ihl=False):
+    """A two-packet pcap of UDP frames between two addresses."""
+    frame = build_udp_frame(
+        MacAddress.parse("02:00:00:00:00:01"),
+        MacAddress.parse("02:00:00:00:00:02"), Ipv4Address.parse(src),
+        Ipv4Address.parse(dst), 40000, 7777, b"payload")
+    bad = bytearray(frame)
+    if corrupt_ihl:
+        bad[14] = 0x41  # IHL = 4 bytes, below the 20-byte minimum
+    return dump_bytes([CapturedPacket(1_000_000, frame),
+                       CapturedPacket(2_000_000, bytes(bad))])
+
+
+def _assert_usage_error(capsys, argv, reason):
+    """Exit 2 with one ``error:`` line on stderr and no traceback;
+    returns what went to stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert reason in err
+    assert "Traceback" not in err
+    return captured.out
+
+
+class TestBadInputExits2:
+    """``audit`` and ``run`` end bad input with exit 2 and one line."""
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file or directory"),
+        (b"this is a text file, not a capture", "bad pcap magic"),
+        (_udp_capture("192.168.1.2", "203.0.113.1")[:-5],
+         "truncated pcap record data"),
+        (_udp_capture("192.168.1.2", "203.0.113.1", corrupt_ihl=True),
+         "bad IHL: 4"),
+        (_udp_capture("198.51.100.7", "203.0.113.1"),
+         "no private addresses in capture"),
+    ], ids=["missing", "not-pcap", "cut", "bad-frame", "no-tv"])
+    def test_audit(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "capture.pcap"
+        if content is not None:
+            path.write_bytes(content)
+        _assert_usage_error(capsys, ["audit", str(path)], reason)
+
+    def test_audit_of_a_directory(self, tmp_path, capsys):
+        _assert_usage_error(capsys, ["audit", str(tmp_path)],
+                            "Is a directory")
+
+    def test_run_too_short(self, capsys):
+        _assert_usage_error(capsys, ["run", "--minutes", "0"],
+                            "experiment too short for the workflow")
+
+    def test_run_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "capture.pcap"
+        stdout = _assert_usage_error(
+            capsys, ["run", "--minutes", "1", "--out", str(out)],
+            f"No such file or directory: '{out}'")
+        assert "captured" in stdout and "wrote" not in stdout

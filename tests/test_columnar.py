@@ -841,9 +841,9 @@ class TestRealCaptureTiers:
     """The oracle agrees on a genuine simulated experiment capture."""
 
     def test_experiment_capture_identical_across_tiers(
-            self, lg_uk_linear_result):
-        raw = lg_uk_linear_result.pcap_bytes
-        tv = Ipv4Address.parse(lg_uk_linear_result.tv_ip)
+            self, lg_uk_linear_record):
+        raw = lg_uk_linear_record.pcap_bytes
+        tv = Ipv4Address.parse(lg_uk_linear_record.tv_ip)
         oracle = OraclePipeline.from_pcap_bytes(raw, tv)
         _assert_queries_agree(oracle, AuditPipeline.from_pcap_bytes(raw, tv))
         assert infer_tv_ip(oracle.packets) == tv

@@ -1,4 +1,4 @@
-"""Tests for experiment vocabulary, runner, validation and campaign."""
+"""Tests for experiment vocabulary, runner and validation."""
 
 import pytest
 
@@ -6,11 +6,10 @@ from packet_oracle import dump_bytes, load_bytes
 from repro.net.ip import PROTO_TCP, PROTO_UDP
 from repro.net.pcap import iter_records
 from repro.sim import hours, minutes
-from repro.testbed import (AccessPoint, CampaignRunner, Country,
-                           ExperimentSpec, Phase, Scenario, Vendor,
-                           build_source, full_matrix, paper_vendors,
-                           phase_pair, run_experiment, scenario_sweep,
-                           validate)
+from repro.testbed import (AccessPoint, Country, ExperimentSpec, Phase,
+                           Scenario, Vendor, build_source, full_matrix,
+                           paper_vendors, phase_pair, run_experiment,
+                           scenario_sweep, validate)
 from repro.dnsinfra import DomainRegistry, Zone
 from repro.sim import RngRegistry
 
@@ -165,15 +164,3 @@ class TestAccessPoint:
         assert count == 5 and len(ap.log) == 0
         assert self._records(raw) == [
             (1_000, 1), (1_000, 4), (5_000, 2), (5_000, 7), (5_000, 3)]
-
-
-class TestCampaign:
-    def test_memoization(self):
-        runner = CampaignRunner(seed=3)
-        spec = ExperimentSpec(Vendor.LG, Country.UK, Scenario.IDLE,
-                              Phase.LIN_OIN, duration_ns=SHORT)
-        first = runner.run(spec)
-        second = runner.run(spec)
-        assert first is second
-        assert runner.runs == 1
-        assert runner.cache_hits == 1

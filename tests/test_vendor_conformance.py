@@ -15,6 +15,7 @@ no module outside ``repro/tv/vendors`` may compare against a vendor name
 or key a dispatch table on one.
 """
 
+import functools
 import os
 import re
 
@@ -26,6 +27,7 @@ from repro.findings.conformance import (cell_findings,
                                         conformance_reference_kb,
                                         optout_findings)
 from repro.sim.clock import minutes
+from repro.testbed import run_experiment, validate
 from repro.testbed.experiment import (Country, ExperimentSpec, Phase,
                                       Scenario, Vendor, paper_vendors,
                                       vendor_profile_of)
@@ -243,36 +245,42 @@ class TestConformanceMatrix:
         assert ledger.total() == 16
 
 
+@functools.lru_cache(maxsize=None)
+def _acr_stats(vendor: str, country: Country, phase: Phase):
+    """The TV's own ACR client counters for one Linear cell: ground
+    truth the capture does not carry, so the cell is simulated here."""
+    spec = ExperimentSpec(Vendor(vendor), country, Scenario.LINEAR, phase,
+                          duration_ns=CONFORMANCE_DURATION_NS)
+    result = run_experiment(spec, seed=SEED)
+    report = validate(result)
+    assert report.ok, report.failures
+    return result.acr_stats
+
+
 @pytest.mark.slow
 class TestDeviceLevelContracts:
     """White-box checks the black-box pipeline cannot see."""
 
-    def _result(self, vendor, country, phase):
-        spec = ExperimentSpec(Vendor(vendor), country, Scenario.LINEAR,
-                              phase, duration_ns=CONFORMANCE_DURATION_NS)
-        return experiment_cache.grid(SEED).result(spec)
-
     def test_roku_bursts_and_gating_counters(self):
-        stats = self._result("roku", Country.UK, Phase.LIN_OIN).acr_stats
+        stats = _acr_stats("roku", Country.UK, Phase.LIN_OIN)
         assert stats.burst_uploads > 0
         assert stats.content_gated_slots > 0
         assert stats.downsampled_batches == 0
 
     def test_roku_optout_downsample_counters(self):
-        stats = self._result("roku", Country.UK, Phase.LIN_OOUT).acr_stats
+        stats = _acr_stats("roku", Country.UK, Phase.LIN_OOUT)
         assert stats.downsampled_batches > 0
         assert stats.burst_uploads == 0
         assert stats.beacons == 0
         assert stats.disabled_slots > stats.downsampled_batches
 
     def test_vizio_uk_consent_default_silences_client(self):
-        stats = self._result("vizio", Country.UK, Phase.LIN_OIN).acr_stats
+        stats = _acr_stats("vizio", Country.UK, Phase.LIN_OIN)
         assert stats.full_batches == 0 and stats.beacons == 0
 
     def test_paper_vendors_unaffected_by_new_client_knobs(self):
         for vendor in paper_vendors():
-            stats = self._result(vendor.value, Country.UK,
-                                 Phase.LIN_OIN).acr_stats
+            stats = _acr_stats(vendor.value, Country.UK, Phase.LIN_OIN)
             assert stats.burst_uploads == 0
             assert stats.content_gated_slots == 0
             assert stats.downsampled_batches == 0
