@@ -1,7 +1,8 @@
 """The ACR core itself: matcher accuracy and throughput, with the
 Hamming-tolerance ablation called out in DESIGN.md (D3), the cost of
-fingerprinting the reference library the matcher searches, its resident
-size, and the cost of its band index and the backends built over it."""
+fingerprinting the reference library the matcher searches (frames at
+ingest, audio landmarks on first read), its resident size, and the cost
+of its band index and the backends built over it."""
 
 import pytest
 from bench_net_hotpath import best_of
@@ -94,13 +95,17 @@ def test_index_build(benchmark, reference):
 
 
 def test_library_resident_bytes(reference):
-    """The uk library's numpy footprint: its four sample columns plus
-    its band index (about 3 MB; the per-entry objects it replaced took
-    about 25 MB of Python allocations per country)."""
-    arrays = [*reference.columns(), *reference.band_index()]
+    """The uk library's numpy footprint: its three sample columns, its
+    landmark store and its band index (about 3 MB; the per-entry
+    objects it replaced took about 25 MB of Python allocations per
+    country).  The store is counted whole, filled or not: it is
+    allocated for every row when the columns join."""
+    arrays = [*reference.columns(), reference._landmarks,
+              *reference.band_index()]
     resident = sum(array.nbytes for array in arrays)
     print(f"\nreference library: {len(reference)} samples, "
-          f"{resident / 1e6:.2f} MB resident (columns + band index)")
+          f"{resident / 1e6:.2f} MB resident "
+          f"(columns + landmark store + band index)")
     assert resident < LIBRARY_RESIDENT_BYTES_CEILING
 
 
@@ -114,13 +119,18 @@ def test_backend_setup(benchmark, reference):
 @pytest.mark.wallclock
 def test_reference_build(library):
     """Fingerprinting 8 shows from an empty memo: the per-item batched
-    ingest against one single-position ``capture_state`` call per
-    sample."""
+    ingest, with every row's landmarks then read (so filled) through
+    ``ReferenceLibrary.landmarks``, against one single-position
+    ``capture_state`` call per sample."""
     shows = library.shows[:8]
 
     def batched():
         clear_fingerprint_cache()
-        return ReferenceLibrary().ingest_all(shows)
+        reference = ReferenceLibrary()
+        samples = reference.ingest_all(shows)
+        for row in range(samples):
+            reference.landmarks(row)
+        return samples
 
     def per_sample():
         clear_fingerprint_cache()

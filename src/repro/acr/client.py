@@ -19,7 +19,7 @@ import json
 from itertools import groupby
 from typing import Callable, List, Optional
 
-from ..media.sources import InputSource, SourceType
+from ..media.sources import InputSource
 from .fingerprint import Capture, FingerprintBatch, capture_batch
 from .matcher import BatchVerdict
 from .policy import (CaptureDecision, TRIGGER_CONTENT_CHANGE,

@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..media.content import ContentItem, PlayState
-from ..media.frames import (render_audio_batch, render_frame_batch,
-                            sample_clock)
+from ..media.frames import render_batch, sample_clock
 from ..obs.metrics import get_registry
 
 VIDEO_HASH_BITS = 64
@@ -147,9 +146,11 @@ def fingerprint_positions(item: ContentItem, positions: Sequence[float]
                           ) -> Tuple[np.ndarray, np.ndarray]:
     """Render ``item`` at each position and fingerprint it, unmemoized:
     the video hashes and the landmark rows, as the batch kernels return
-    them."""
-    return (video_fingerprint_batch(render_frame_batch(item, positions)),
-            audio_fingerprint_batch(render_audio_batch(item, positions)))
+    them.  Frames and audio are rendered together, so their random
+    streams are seeded in one pass (:func:`~repro.media.frames.render_batch`).
+    """
+    frames, audio = render_batch(item, positions)
+    return video_fingerprint_batch(frames), audio_fingerprint_batch(audio)
 
 
 class Capture:

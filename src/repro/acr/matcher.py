@@ -100,7 +100,7 @@ class FingerprintMatcher:
             if distance > self.hamming_tolerance:
                 continue
             overlap = len(query_audio.intersection(
-                columns.landmarks[row].tolist()))
+                self.library.landmarks(row)))
             if best is None or (distance, -overlap) < best[:2]:
                 best = (distance, -overlap, row)
         if best is None:

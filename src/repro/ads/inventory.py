@@ -7,7 +7,7 @@ correlate with what its ACR profile says it watched.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..acr.segments import SEGMENT_LABELS
 from ..sim.rng import RngRegistry

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 from ..acr.segments import SegmentProfiler
 from ..sim.rng import RngRegistry
-from .inventory import AdCreative, AdInventory, HOUSE_SEGMENT
+from .inventory import AdCreative, AdInventory
 
 TARGETED_FILL_RATE = 0.85  # targeted campaigns occasionally lose anyway
 

@@ -19,7 +19,6 @@ from ..sim.clock import minutes
 from ..testbed.experiment import (Country, ExperimentSpec, Phase, Scenario,
                                   Vendor)
 from ..testbed.runner import run_experiment
-from . import cache
 
 SWEEP_DURATION_NS = minutes(12)
 

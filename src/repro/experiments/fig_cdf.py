@@ -10,7 +10,6 @@ from typing import Dict, Tuple
 
 from ..analysis.cdf import (CumulativeCurve, cumulative_bytes,
                             median_step_interval_s)
-from ..net.addresses import Ipv4Address
 from ..sim.clock import minutes
 from ..testbed.experiment import (Country, ExperimentSpec, Phase, Scenario,
                                   Vendor, paper_vendors)

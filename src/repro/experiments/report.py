@@ -27,7 +27,7 @@ from .findings import run_all_checks
 from .findings import required_specs as scorecard_specs
 from .geolocation import run_geo_experiment
 from .grid import enumerate_cells
-from .tables_volumes import (SCENARIO_NAMES, build_table, comparison_rows)
+from .tables_volumes import build_table, comparison_rows
 
 _PAPER_TABLE_TITLES = {
     ("uk", Phase.LIN_OIN): "Table 2 — UK, LIn-OIn",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from enum import Enum
-from typing import List, Optional
+from typing import List
 
 
 class ContentKind(Enum):

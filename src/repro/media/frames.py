@@ -14,8 +14,9 @@ Audio is a short deterministic waveform per second, from which the audio
 fingerprinter extracts spectral landmarks.
 
 Both render a whole batch of one item's positions at once
-(:func:`render_frame_batch`, :func:`render_audio_batch`); the one-state
-:func:`render_frame` and :func:`render_audio` are one-row calls into them.
+(:func:`render_frame_batch`, :func:`render_audio_batch`, or both with one
+seeding pass: :func:`render_batch`); the one-state :func:`render_frame`
+and :func:`render_audio` are one-row calls into them.
 """
 
 from __future__ import annotations
@@ -157,6 +158,68 @@ def _scene_rows(clocks: List[Tuple[int, int]]) -> Tuple[Dict[int, int],
                           dtype=np.intp)
 
 
+def _render(item: ContentItem, positions: Sequence[float], frames: bool,
+            audio: bool) -> List[np.ndarray]:
+    """The frames, then the audio, of ``item`` at each position, for
+    whichever of the two are asked for: every random stream they draw
+    from is seeded in one :func:`_seed_words` pass.
+
+    The streams come in three families, listed in this order: one scene
+    field per scene and one drift field per position (frames), then one
+    tone set per scene (audio).  A stream's key depends only on the
+    item, the family and its scene or position, so each family draws the
+    same values whether it is rendered alone or with the other.
+    """
+    seed = item.visual_seed
+    clocks = [sample_clock(position) for position in positions]
+    scenes, rows = _scene_rows(clocks)
+    keys: List[int] = []
+    if frames:
+        keys += [_stream_key(seed, scene) for scene in scenes]
+        keys += [_stream_key(seed ^ 0x5DEECE66D, scene * 100000 + second)
+                 for second, scene in clocks]
+    field_count = len(keys)
+    if audio:
+        keys += [_stream_key(seed ^ 0xA5A5A5A5, scene) for scene in scenes]
+    streams = _streams(keys)
+    rendered = []
+    if frames:
+        fields = np.empty((field_count, FRAME_HEIGHT, FRAME_WIDTH),
+                          dtype=np.float32)
+        for stream, field in zip(streams, fields):
+            stream.random(dtype=np.float32, out=field)
+        base, drift = fields[:len(scenes)], fields[len(scenes):]
+        rendered.append(0.96 * base[rows] + 0.04 * drift)
+    if audio:
+        tones = np.empty((len(scenes), _AUDIO_TONES), dtype=np.int64)
+        amplitudes = np.empty((len(scenes), _AUDIO_TONES))
+        for row, stream in enumerate(streams[field_count:]):
+            tones[row] = stream.integers(60, AUDIO_RATE_HZ // 4,
+                                         size=_AUDIO_TONES)
+            amplitudes[row] = stream.random(_AUDIO_TONES) * 0.5 + 0.2
+        omega = (2.0 * np.pi * tones).astype(np.float32)[rows]
+        amplitudes = amplitudes[rows]
+        seconds = np.array([second for second, __ in clocks],
+                           dtype=np.int64)
+        phase = ((seconds % 16) * 0.37).astype(np.float32)[:, None]
+        signal = np.zeros((len(clocks), AUDIO_SAMPLES), dtype=np.float32)
+        for tone in range(_AUDIO_TONES):
+            signal += amplitudes[:, tone, None] * np.sin(
+                omega[:, tone, None] * _AUDIO_TIME + phase)
+        peak = np.abs(signal).max(axis=1, keepdims=True)
+        rendered.append(np.divide(signal, peak, out=signal,
+                                  where=peak > 0))
+    return rendered
+
+
+def render_batch(item: ContentItem, positions: Sequence[float]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`render_frame_batch` and :func:`render_audio_batch` of the
+    same positions, with one seeding pass for both."""
+    frames, audio = _render(item, positions, frames=True, audio=True)
+    return frames, audio
+
+
 def render_frame_batch(item: ContentItem,
                        positions: Sequence[float]) -> np.ndarray:
     """Luma frames of ``item`` at each position, float32 ``(n, H, W)``.
@@ -166,19 +229,8 @@ def render_frame_batch(item: ContentItem,
     fingerprints and scene cuts change the fingerprint sharply.  Each
     scene's field is drawn once per batch, each drift once per position.
     """
-    seed = item.visual_seed
-    clocks = [sample_clock(position) for position in positions]
-    scenes, rows = _scene_rows(clocks)
-    streams = _streams(
-        [_stream_key(seed, scene) for scene in scenes]
-        + [_stream_key(seed ^ 0x5DEECE66D, scene * 100000 + second)
-           for second, scene in clocks])
-    fields = np.empty((len(streams), FRAME_HEIGHT, FRAME_WIDTH),
-                      dtype=np.float32)
-    for stream, field in zip(streams, fields):
-        stream.random(dtype=np.float32, out=field)
-    base, drift = fields[:len(scenes)], fields[len(scenes):]
-    return 0.96 * base[rows] + 0.04 * drift
+    frames, = _render(item, positions, frames=True, audio=False)
+    return frames
 
 
 def render_frame(state: PlayState) -> np.ndarray:
@@ -199,26 +251,8 @@ def render_audio_batch(item: ContentItem,
     division is float32.  A one-ulp difference can reorder near-tie
     spectrum bins and so change the audio landmarks.
     """
-    seed = item.visual_seed ^ 0xA5A5A5A5
-    clocks = [sample_clock(position) for position in positions]
-    scenes, rows = _scene_rows(clocks)
-    tones = np.empty((len(scenes), _AUDIO_TONES), dtype=np.int64)
-    amplitudes = np.empty((len(scenes), _AUDIO_TONES))
-    for row, stream in enumerate(
-            _streams([_stream_key(seed, scene) for scene in scenes])):
-        tones[row] = stream.integers(60, AUDIO_RATE_HZ // 4,
-                                     size=_AUDIO_TONES)
-        amplitudes[row] = stream.random(_AUDIO_TONES) * 0.5 + 0.2
-    omega = (2.0 * np.pi * tones).astype(np.float32)[rows]
-    amplitudes = amplitudes[rows]
-    seconds = np.array([second for second, __ in clocks], dtype=np.int64)
-    phase = ((seconds % 16) * 0.37).astype(np.float32)[:, None]
-    signal = np.zeros((len(clocks), AUDIO_SAMPLES), dtype=np.float32)
-    for tone in range(_AUDIO_TONES):
-        signal += amplitudes[:, tone, None] * np.sin(
-            omega[:, tone, None] * _AUDIO_TIME + phase)
-    peak = np.abs(signal).max(axis=1, keepdims=True)
-    return np.divide(signal, peak, out=signal, where=peak > 0)
+    audio, = _render(item, positions, frames=False, audio=True)
+    return audio
 
 
 def render_audio(state: PlayState) -> np.ndarray:

@@ -316,10 +316,6 @@ class TlsSession:
                 application_records(response_len, response_filler))
         return ts
 
-    def keepalive(self, at: int) -> int:
-        """Small heartbeat record both ways; returns last capture ts."""
-        return self.exchange(at, 32, 32)
-
     def tcp_keepalive(self, at: int) -> int:
         """RFC 1122 keep-alive probe: an empty ACK and its ACK reply."""
         self._ensure_open()

@@ -27,7 +27,7 @@ import time
 from collections import OrderedDict
 from typing import List, Mapping, Optional, Sequence
 
-from ..reporting.ascii_plot import BARS, fit_label, meter, sparkline
+from ..reporting.ascii_plot import BARS, meter, sparkline
 
 #: Minimum seconds between live redraws (updates in between only
 #: refresh the view; the next redraw shows the latest state).

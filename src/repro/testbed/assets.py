@@ -2,7 +2,9 @@
 
 Building a reference fingerprint database over a full media library is the
 expensive part of standing up an operator backend; it depends only on
-(country, seed), so experiments share it.  Channels are cached with it.
+(country, seed), so experiments share it.  The build hashes frames only:
+each sample's audio landmarks are fingerprinted when a match first reads
+them.  Channels are cached with it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,11 @@ def reference_library(country: str, seed: int = 0) -> ReferenceLibrary:
     (it is never fingerprinted by the client anyway — OTT is restricted).
     The sample columns are joined and the band index is built here too
     (``band_index`` does both), so every backend over the library shares
-    them and pool workers forked after a warm-up inherit them.
+    them and pool workers forked after a warm-up inherit them.  Audio
+    landmarks are not built here: ``ReferenceLibrary.landmarks`` fills
+    them window by window as matches read them, in whichever process
+    matches, so a forked worker inherits only the fills its parent made
+    before the fork.
     """
     library = media_library(country, seed)
     reference = ReferenceLibrary()

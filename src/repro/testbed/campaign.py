@@ -8,8 +8,10 @@ from __future__ import annotations
 
 # Not used here: perfbench's trace targets wrap ``campaign.run_experiment``
 # and ``campaign.validate``, and a missing name fails every traced run.
-from .runner import run_experiment  # noqa: F401
-from .validation import validate  # noqa: F401
+from .runner import run_experiment
+from .validation import validate
+
+__all__ = ["cell_key", "run_experiment", "validate"]
 
 
 def cell_key(label: str, seed: int, duration_ns: int) -> str:

@@ -77,13 +77,14 @@ def shipped_oracle(country: str, seed: int = 0) -> OracleLibrary:
 
 def column_rows(reference):
     """``(content_id, position_s, video_hash, landmarks)`` of every row
-    of a ``ReferenceLibrary``, as Python ints and lists."""
+    of a ``ReferenceLibrary``, as Python ints and lists, landmarks read
+    (and so filled) through ``ReferenceLibrary.landmarks``."""
     columns = reference.columns()
     return [(reference.items[item_no].content_id, position, video_hash,
-             landmarks)
-            for item_no, position, video_hash, landmarks in zip(
+             reference.landmarks(row))
+            for row, (item_no, position, video_hash) in enumerate(zip(
                 columns.item_no.tolist(), columns.position_s.tolist(),
-                columns.video_hash.tolist(), columns.landmarks.tolist())]
+                columns.video_hash.tolist()))]
 
 
 def entry_rows(oracle: OracleLibrary):

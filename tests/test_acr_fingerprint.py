@@ -18,13 +18,14 @@ from repro.acr import (Capture, FingerprintBatch, ReferenceLibrary,
 from repro.acr.fingerprint import (_FINGERPRINT_CACHE, AUDIO_LANDMARKS,
                                    audio_fingerprint_batch, capture_batch,
                                    clear_fingerprint_cache,
+                                   fingerprint_positions,
                                    video_fingerprint_batch)
 from repro.acr.library import INGEST_CHUNK
 from repro.media import (AUDIO_RATE_HZ, AUDIO_SAMPLES, FRAME_HEIGHT,
                          FRAME_WIDTH, ContentItem, ContentKind, PlayState,
                          render_audio, render_frame, standard_library)
 from repro.media.frames import (_seed_words, _streams, render_audio_batch,
-                                render_frame_batch)
+                                render_batch, render_frame_batch)
 from repro.obs import disable, enable
 from reference_oracle import column_rows
 
@@ -375,6 +376,32 @@ class TestBatchEquivalence:
             [list(_oracle_audio_fingerprint(clip)) for clip in audio]
 
     @settings(max_examples=30, deadline=None)
+    @given(content_ids, st.lists(positions, min_size=1, max_size=24))
+    def test_joint_kernel_matches_single_family_kernels(self, content_id,
+                                                        points):
+        """The TV kernel seeds frames and audio in one pass: the same
+        bits as the two single-family renders, and still one
+        ``acr.memo.miss_batches`` per batch with a miss."""
+        item = _item(content_id)
+        frames, audio = render_batch(item, points)
+        assert frames.tobytes() == render_frame_batch(item, points).tobytes()
+        assert audio.tobytes() == render_audio_batch(item, points).tobytes()
+        video, landmarks = fingerprint_positions(item, points)
+        assert video.tolist() == video_fingerprint_batch(frames).tolist()
+        assert landmarks.tolist() == audio_fingerprint_batch(audio).tolist()
+        clear_fingerprint_cache()
+        registry = enable()
+        try:
+            captures = capture_batch(item, points)
+            counters = registry.snapshot()["counters"]
+        finally:
+            disable()
+            clear_fingerprint_cache()
+        assert counters["acr.memo.miss_batches"] == 1
+        assert [(c.video_hash, c.audio_hashes) for c in captures] == \
+            list(zip(video.tolist(), landmarks.tolist()))
+
+    @settings(max_examples=30, deadline=None)
     @given(content_ids, st.lists(positions, min_size=1, max_size=16),
            st.integers(min_value=0, max_value=8), st.data())
     def test_capture_batch_matches_oracle_and_memo(self, content_id, points,
@@ -439,7 +466,8 @@ class TestBatchEquivalence:
         columns = reference.columns()
         assert list(zip(columns.position_s.tolist(),
                         columns.video_hash.tolist(),
-                        map(tuple, columns.landmarks.tolist()))) == \
+                        map(tuple, map(reference.landmarks,
+                                       range(count))))) == \
             [(p, *_oracle_capture(item, p)) for p in range(count)]
 
     def test_batch_kernels_reject_wrong_rank(self):

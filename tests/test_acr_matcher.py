@@ -17,13 +17,17 @@ from hypothesis import strategies as st
 
 from repro.acr import (FingerprintMatcher, ReferenceLibrary, bands_of,
                        capture_state)
+from repro.acr import fingerprint as fingerprint_module
 from repro.acr import library as library_module
 from repro.acr.fingerprint import (_FINGERPRINT_CACHE, AUDIO_LANDMARKS,
+                                   audio_fingerprint_batch,
                                    clear_fingerprint_cache, hamming_distance)
-from repro.acr.library import BAND_BITS, BAND_VALUES, BANDS
+from repro.acr.library import BAND_BITS, BAND_VALUES, BANDS, INGEST_CHUNK
 from repro.acr.matcher import DEFAULT_HAMMING_TOLERANCE, Match
 from repro.media import (ContentItem, ContentKind, PlayState, build_channel,
                          standard_library)
+from repro.media import frames as frames_module
+from repro.media.frames import render_audio_batch
 from repro.obs import disable, enable
 from repro.sim import seconds
 from repro.testbed import assets
@@ -157,7 +161,7 @@ class TestReferenceLibrary:
         ref = ReferenceLibrary(sample_interval_s=1, max_seconds=3 * chunk)
         ref.ingest(library.ads[0])
         before = len(ref)
-        real = reference_module.fingerprint_positions
+        real = reference_module.render_frame_batch
         calls = []
 
         def fail_second_chunk(item, positions):
@@ -167,7 +171,7 @@ class TestReferenceLibrary:
             return real(item, positions)
 
         item = library.shows[0]
-        monkeypatch.setattr(reference_module, "fingerprint_positions",
+        monkeypatch.setattr(reference_module, "render_frame_batch",
                             fail_second_chunk)
         with pytest.raises(RuntimeError):
             ref.ingest(item)
@@ -189,8 +193,8 @@ class TestReferenceLibrary:
             (np.int32, (rows,))
         assert (columns.video_hash.dtype, columns.video_hash.shape) == \
             (np.uint64, (rows,))
-        assert (columns.landmarks.dtype, columns.landmarks.shape) == \
-            (np.uint32, (rows, AUDIO_LANDMARKS))
+        assert columns._fields == ("item_no", "position_s", "video_hash")
+        assert len(reference.landmarks(rows - 1)) == AUDIO_LANDMARKS
         assert columns.item_no.min() == 0
         assert columns.item_no.max() == reference.content_count - 1
 
@@ -198,8 +202,9 @@ class TestReferenceLibrary:
         ref = ReferenceLibrary()
         columns = ref.columns()
         assert [(column.dtype, column.shape) for column in columns] == [
-            (np.int32, (0,)), (np.int32, (0,)), (np.uint64, (0,)),
-            (np.uint32, (0, AUDIO_LANDMARKS))]
+            (np.int32, (0,)), (np.int32, (0,)), (np.uint64, (0,))]
+        with pytest.raises(IndexError):
+            ref.landmarks(0)
         assert len(ref) == ref.content_count == 0
         assert repr(ref) == "ReferenceLibrary(0 items, 0 samples)"
 
@@ -243,6 +248,153 @@ class TestReferenceLibrary:
         assert len(_FINGERPRINT_CACHE) == 0
         assert counters.get("acr.memo.miss", 0) == 0
         assert counters.get("acr.memo.hit", 0) == 0
+
+
+#: Rows per item in :class:`TestLandmarkFills`: shorter than a fill
+#: window, one window exactly, one row over, and a ragged third window.
+FILL_ITEM_ROWS = (1, 5, INGEST_CHUNK - 1, INGEST_CHUNK, INGEST_CHUNK + 1,
+                  2 * INGEST_CHUNK + 3)
+
+
+def _fill_library():
+    """A library of one item per ``FILL_ITEM_ROWS`` entry, sampled on
+    the default 4 s grid."""
+    ref = ReferenceLibrary()
+    for number, rows in enumerate(FILL_ITEM_ROWS):
+        ref.ingest(ContentItem(f"fill:{number}", "Fill", ContentKind.SHOW,
+                               rows * ref.sample_interval_s, "news"))
+    return ref
+
+
+def _one_position_landmarks(ref, row):
+    """Row ``row``'s landmarks from a one-position kernel call."""
+    columns = ref.columns()
+    item = ref.items[int(columns.item_no[row])]
+    return audio_fingerprint_batch(render_audio_batch(
+        item, [int(columns.position_s[row])]))[0].tolist()
+
+
+def _window_rows():
+    """Every item's first and last row and the rows either side of each
+    window edge, in row order."""
+    rows, first = set(), 0
+    for count in FILL_ITEM_ROWS:
+        rows.update((first, first + count - 1))
+        for edge in range(first + INGEST_CHUNK, first + count,
+                          INGEST_CHUNK):
+            rows.update((edge - 1, edge))
+        first += count
+    return sorted(rows)
+
+
+class TestLandmarkFills:
+    """Ingest hashes frames only; ``ReferenceLibrary.landmarks`` fills a
+    row's window of audio landmarks on its first read."""
+
+    def test_build_reaches_no_audio_kernel(self, library, monkeypatch):
+        """Ingest and the band index run with every audio kernel
+        patched to raise, wherever a module binds one."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the build reached an audio kernel")
+
+        for module in (library_module, fingerprint_module, frames_module):
+            for name in ("render_audio_batch", "audio_fingerprint_batch",
+                         "render_batch", "fingerprint_positions"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        ref = ReferenceLibrary()
+        ref.ingest_all(library.shows[:3])
+        ref.ingest(library.live_feeds[0], max_seconds=300)
+        order, __ = ref.band_index()
+        assert order.shape == (BANDS, len(ref))
+        with pytest.raises(AssertionError, match="audio kernel"):
+            ref.landmarks(0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.permutations(_window_rows()),
+           st.lists(st.integers(0, sum(FILL_ITEM_ROWS) - 1), max_size=8))
+    def test_any_read_order_matches_one_position_kernels(self, edges,
+                                                         extra):
+        """Window edges, last rows, items shorter than a window and a
+        few rows anywhere, read in any order: every row equals its
+        one-position kernel call, and each window is filled once."""
+        ref = _fill_library()
+        order = edges + extra
+        registry = enable()
+        try:
+            read = [ref.landmarks(row) for row in order]
+            fills = registry.snapshot()["counters"][
+                "acr.library.landmark_fills"]
+        finally:
+            disable()
+        assert read == [_one_position_landmarks(ref, row) for row in order]
+        columns = ref.columns()
+        windows = {(int(columns.item_no[row]),
+                    int(columns.position_s[row]) // ref.sample_interval_s
+                    // INGEST_CHUNK) for row in order}
+        assert fills == len(windows)
+
+    def test_failed_fill_is_retried(self, monkeypatch):
+        ref = _fill_library()
+        row = len(ref) - 1
+        real = library_module.render_audio_batch
+        calls = []
+
+        def fail_first(item, positions):
+            calls.append(list(positions))
+            if len(calls) == 1:
+                raise RuntimeError("render failed")
+            return real(item, positions)
+
+        monkeypatch.setattr(library_module, "render_audio_batch",
+                            fail_first)
+        registry = enable()
+        try:
+            with pytest.raises(RuntimeError):
+                ref.landmarks(row)
+            assert ref.landmarks(row) == _one_position_landmarks(ref, row)
+            assert ref.landmarks(row - 1) == \
+                _one_position_landmarks(ref, row - 1)
+            snapshot = registry.snapshot()
+        finally:
+            disable()
+        # The failed window was fingerprinted again, then read once.
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert len(calls[0]) == 3
+        assert snapshot["counters"]["acr.library.landmark_fills"] == 1
+
+    def test_one_fill_per_window(self):
+        ref = _fill_library()
+        start = sum(FILL_ITEM_ROWS[:-1])
+        registry = enable()
+        try:
+            ref.landmarks(start + 1)
+            ref.landmarks(start + INGEST_CHUNK - 1)
+            once = registry.snapshot()
+            ref.landmarks(start + INGEST_CHUNK)
+            twice = registry.snapshot()
+        finally:
+            disable()
+        assert once["counters"]["acr.library.landmark_fills"] == 1
+        assert once["histograms"]["acr.landmarks.wall_ms"]["count"] == 1
+        assert twice["counters"]["acr.library.landmark_fills"] == 2
+        assert twice["histograms"]["acr.landmarks.wall_ms"]["count"] == 2
+
+    def test_ingest_keeps_filled_rows(self, library):
+        """A later ingest adds unfilled rows and keeps the fills."""
+        ref = _fill_library()
+        first = ref.landmarks(0)
+        registry = enable()
+        try:
+            ref.ingest(library.ads[0])
+            assert ref.landmarks(0) == first
+            added = ref.landmarks(len(ref) - 1)
+            fills = registry.snapshot()["counters"][
+                "acr.library.landmark_fills"]
+        finally:
+            disable()
+        assert fills == 1
+        assert added == _one_position_landmarks(ref, len(ref) - 1)
 
 
 class TestBands:

@@ -520,6 +520,10 @@ class TestFleetMetricsJobsInvariance:
     #: Counters whose totals must match exactly across job counts.
     #: (The fleet decodes through the columnar tier by default, so the
     #: per-packet decode count is ``decode.columnar.packets``.)
+    #: ``acr.library.landmark_fills`` is not one: each process fills the
+    #: landmark windows its own matches first read, and a forked worker
+    #: inherits whatever its parent filled, so the total depends on how
+    #: households split over processes, as ``acr.memo.*`` does.
     DETERMINISTIC = ("fleet.households", "fleet.shards.completed",
                      "pipeline.extends", "decode.columnar.packets",
                      "decode.columnar.walk_speculated",

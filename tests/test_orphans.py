@@ -1,12 +1,19 @@
-"""Every function, method and class defined in ``src/repro`` is used.
+"""Every function, method and class defined in ``src/repro`` is used,
+and every name a module there imports is read.
 
 A definition whose name appears as a word no more often than it is
 defined is referenced by no Python file of the project: ``src``,
 ``tests``, ``benchmarks``, ``scripts``, ``examples`` and ``perfbench``.
 Words are counted in strings and comments too, since a name can be
 looked up by string (``getattr``, perfbench's trace targets).  Dunder
-names are excepted, since the language calls them.  There is no
-allowlist: code that nothing runs is deleted.
+names are excepted, since the language calls them.
+
+An import in a module other than a package ``__init__`` binds names
+for that module's own code: each must be read there (quoted forward
+references in annotations count) or listed in the module's ``__all__``,
+which is where a module that re-exports a name says so.
+
+There is no allowlist: code that nothing runs is deleted.
 """
 
 import ast
@@ -57,3 +64,76 @@ def test_every_definition_is_referenced():
     assert not unused, (
         f"defined under src/repro but referenced nowhere: "
         f"{', '.join(unused)}")
+
+
+def _import_bindings(tree):
+    """``{name: line}`` of every name an import statement binds,
+    ``from __future__`` features aside."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names_read(tree):
+    """Every name the module loads, including those inside quoted
+    annotations, plus the strings of its ``__all__``."""
+    nodes = list(ast.walk(tree))
+    for annotation in _annotations(tree):
+        nodes += [ast.parse(constant.value, mode="eval")
+                  for constant in ast.walk(annotation)
+                  if isinstance(constant, ast.Constant)
+                  and isinstance(constant.value, str)]
+    read = set()
+    for node in nodes:
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) \
+                    and not isinstance(child.ctx, ast.Store):
+                read.add(child.id)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return read
+
+
+def unread_imports(root=ROOT):
+    """Sorted ``path:line name`` of every imported name that a
+    non-``__init__`` module under ``root/src/repro`` never reads."""
+    found = []
+    for path, source in _python_sources(os.path.join(root, "src",
+                                                     "repro")):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        tree = ast.parse(source, path)
+        read = _names_read(tree)
+        found += [f"{os.path.relpath(path, root)}:{line} {name}"
+                  for name, line in _import_bindings(tree).items()
+                  if name not in read]
+    return sorted(found)
+
+
+def test_every_import_is_read():
+    unread = unread_imports()
+    assert not unread, (
+        f"imported but never read (use it, drop it or list it in "
+        f"__all__): {'; '.join(unread)}")
