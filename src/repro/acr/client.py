@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import json
 from itertools import groupby
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
+from ..media.content import ContentItem, PlayState
 from ..media.sources import InputSource
 from .fingerprint import Capture, FingerprintBatch, capture_batch
+from .library import INGEST_CHUNK
 from .matcher import BatchVerdict
 from .policy import (CaptureDecision, TRIGGER_CONTENT_CHANGE,
                      VendorAcrProfile, capture_decision)
@@ -260,9 +262,13 @@ class AcrClient:
         — 10 ms for LG, 500 ms for Samsung — from the batch alone.
 
         Each run of consecutive samples showing one item is fingerprinted
-        by one :func:`capture_batch` call, so a cold upload renders its
-        misses together; runs keep their order, so the captures, memo
-        entries and hit/miss counts are those of one call per sample.
+        by one :func:`capture_batch` call; runs keep their order, so the
+        captures, memo entries and hit/miss counts are those of one call
+        per sample.  A run passes as ``ahead`` what the next
+        ``INGEST_CHUNK // count - 1`` ticks would sample of its item on
+        this source, so a call that renders at all renders about
+        ``INGEST_CHUNK`` positions, and those ticks find their samples
+        rendered.  The later states are probed only when a call renders.
         """
         window = self.profile.batch_interval_ns
         count = self.profile.match_samples_per_batch
@@ -276,11 +282,25 @@ class AcrClient:
             if state is None:
                 continue
             samples.append((state, index * self.profile.capture_interval_ns))
+        later: List[Optional[PlayState]] = []
+
+        def ahead(item: ContentItem) -> Iterator[float]:
+            # A generator, so nothing is probed until a call renders.
+            if not later:
+                later.extend(
+                    source.screen_state(at_ns + tick * window + index * spread)
+                    for tick in range(INGEST_CHUNK // count - 1)
+                    for index in range(count))
+            for state in later:
+                if state is not None and state.item == item:
+                    yield state.position_s
+
         captures: List[Capture] = []
         for item, run in groupby(samples, key=lambda sample: sample[0].item):
             states, offsets = zip(*run)
             captures += capture_batch(
-                item, [state.position_s for state in states], offsets)
+                item, [state.position_s for state in states], offsets,
+                ahead(item))
         return FingerprintBatch(self.device_id, captures)
 
     def __repr__(self) -> str:

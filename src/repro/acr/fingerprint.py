@@ -17,7 +17,7 @@ quantity the paper measures on the wire.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,24 +180,40 @@ class Capture:
 _FINGERPRINT_CACHE: Dict[Tuple[int, int, int], Tuple[int, Tuple[int, ...]]] \
     = {}
 
+#: Fingerprints rendered ahead of their first ask, keyed and valued as
+#: the memo: the ``ahead`` positions :func:`capture_batch` rendered
+#: beside its misses.  An entry moves into the memo when a call first
+#: asks for it, so the memo's entries, their order and the
+#: ``acr.memo.*`` counts are those of a run that never looked ahead.
+_AHEAD: Dict[Tuple[int, int, int], Tuple[int, Tuple[int, ...]]] = {}
+
 
 def clear_fingerprint_cache() -> None:
-    """Drop the process-wide content-fingerprint memo (tests)."""
+    """Drop the process-wide content-fingerprint memo and the
+    fingerprints rendered ahead of their first ask."""
     _FINGERPRINT_CACHE.clear()
+    _AHEAD.clear()
 
 
 def capture_batch(item: ContentItem, positions: Sequence[float],
-                  offsets_ns: Optional[Sequence[int]] = None
-                  ) -> List[Capture]:
+                  offsets_ns: Optional[Sequence[int]] = None,
+                  ahead: Iterable[float] = ()) -> List[Capture]:
     """Fingerprint ``item`` at each playback position (memoized).
 
     Capture ``i`` carries ``offsets_ns[i]`` (every offset is 0 without
     them).  Equal to one :func:`capture_state` call per position, in
     order: the same captures, memo entries and ``acr.memo.hit``/``miss``
     counts (a key that repeats within the batch is one miss, then hits).
-    The misses are fingerprinted together by one
-    :func:`fingerprint_positions` call, counted in
-    ``acr.memo.miss_batches``; only they become Python ints and tuples.
+    A call with misses counts one ``acr.memo.miss_batches``; only what
+    it renders becomes Python ints and tuples.
+
+    ``ahead`` holds positions of ``item`` that later calls are expected
+    to ask for.  It is read only when the call has misses to render:
+    then the misses and every ``ahead`` key not yet fingerprinted are
+    rendered by one :func:`fingerprint_positions` call (one
+    ``acr.kernel.calls``, its length in ``acr.kernel.positions``), and
+    the ``ahead`` keys wait in ``_AHEAD`` for their first ask.  A miss
+    found there is served without a kernel call.
     """
     if offsets_ns is None:
         offsets_ns = [0] * len(positions)
@@ -211,9 +227,19 @@ def capture_batch(item: ContentItem, positions: Sequence[float],
     if missing:
         registry.inc("acr.memo.miss", len(missing))
         registry.inc("acr.memo.miss_batches")
-        video, audio = fingerprint_positions(item, list(missing.values()))
-        _FINGERPRINT_CACHE.update(zip(missing, zip(
-            video.tolist(), map(tuple, audio.tolist()))))
+        render = {key: position for key, position in missing.items()
+                  if key not in _AHEAD}
+        if render:
+            for position in ahead:
+                key = (seed, *sample_clock(position))
+                if key not in _FINGERPRINT_CACHE and key not in _AHEAD:
+                    render.setdefault(key, position)
+            registry.inc("acr.kernel.calls")
+            registry.inc("acr.kernel.positions", len(render))
+            video, audio = fingerprint_positions(item, list(render.values()))
+            _AHEAD.update(zip(render, zip(
+                video.tolist(), map(tuple, audio.tolist()))))
+        _FINGERPRINT_CACHE.update((key, _AHEAD.pop(key)) for key in missing)
     if len(keys) > len(missing):
         registry.inc("acr.memo.hit", len(keys) - len(missing))
     return [Capture(offset_ns, *_FINGERPRINT_CACHE[key])

@@ -43,7 +43,12 @@ class InputSource:
     source_type: SourceType
 
     def screen_state(self, at_ns: int) -> Optional[PlayState]:
-        """What is on screen at ``at_ns`` (None = nothing / static UI)."""
+        """What is on screen at ``at_ns`` (None = nothing / static UI).
+
+        Must answer for any ``at_ns >= 0``, without side effects: the
+        ACR client also asks about the times its next ticks will
+        sample, to fingerprint them ahead in one batch.
+        """
         raise NotImplementedError
 
     @property

@@ -174,7 +174,9 @@ class TestClientModes:
 
 
 class ScriptedSource(InputSource):
-    """Shows ``script[i]`` at an upload's ``i``-th sample time."""
+    """Shows ``script[i]`` at an upload's ``i``-th sample time, and
+    nothing after the script: the client's look-ahead also asks about
+    the next ticks' sample times."""
 
     source_type = SourceType.TUNER
 
@@ -184,7 +186,8 @@ class ScriptedSource(InputSource):
         self.spread_ns = spread_ns
 
     def screen_state(self, at_ns):
-        return self.script[(at_ns - self.window_start_ns) // self.spread_ns]
+        index = (at_ns - self.window_start_ns) // self.spread_ns
+        return self.script[index] if index < len(self.script) else None
 
 
 def _per_sample_batch(client, at_ns, source):
@@ -273,6 +276,52 @@ class TestBatchedUpload:
         assert counters.get("acr.memo.miss_batches", 0) == runs_with_a_miss
         assert oracle_counters.get("acr.memo.miss_batches", 0) == \
             oracle_counters.get("acr.memo.miss", 0)
+
+
+class TestLookAheadUpload:
+    """On a linear channel each kernel call also renders what the next
+    seven ticks will sample of its item, so a cold run makes at most one
+    call per eight ticks plus one per item change, and uploads exactly
+    what one ``capture_state`` per sample uploads."""
+
+    TICKS = 32
+
+    @pytest.mark.parametrize("vendor", ["lg", "samsung"])
+    def test_uploads_match_oracle_in_few_kernel_calls(self, vendor,
+                                                       library):
+        tuner = Tuner(build_channel("C1", library))
+        transport = RecordingTransport()
+        client = _client(vendor, "uk", tuner, transport)
+        clear_fingerprint_cache()
+        registry = enable()
+        try:
+            _run_ticks(client, self.TICKS)
+            counters = registry.snapshot()["counters"]
+        finally:
+            disable()
+        memo = list(_FINGERPRINT_CACHE.items())
+        clear_fingerprint_cache()
+        registry = enable()
+        try:
+            oracle = [_per_sample_batch(client, at_ns, tuner).encode()
+                      for at_ns, __, ___ in transport.batches]
+            oracle_counters = registry.snapshot()["counters"]
+        finally:
+            disable()
+        oracle_memo = list(_FINGERPRINT_CACHE.items())
+        clear_fingerprint_cache()
+        assert len(oracle) == self.TICKS
+        assert [batch.encode() for __, ___, batch in transport.batches] \
+            == oracle
+        assert memo == oracle_memo
+        for name in ("acr.memo.hit", "acr.memo.miss"):
+            assert counters.get(name, 0) == oracle_counters.get(name, 0)
+        window = client.profile.batch_interval_ns
+        spread = window // client.profile.match_samples_per_batch
+        items = [tuner.screen_state(t).item
+                 for t in range(0, self.TICKS * window, spread)]
+        changes = sum(a is not b for a, b in zip(items, items[1:]))
+        assert counters["acr.kernel.calls"] <= self.TICKS // 8 + changes
 
 
 class TestBackoff:

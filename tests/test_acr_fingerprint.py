@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.acr import (Capture, FingerprintBatch, ReferenceLibrary,
                        audio_fingerprint, capture_state, hamming_distance,
                        video_fingerprint)
+from repro.acr import fingerprint as fingerprint_module
 from repro.acr.fingerprint import (_FINGERPRINT_CACHE, AUDIO_LANDMARKS,
                                    audio_fingerprint_batch, capture_batch,
                                    clear_fingerprint_cache,
@@ -485,6 +486,137 @@ class TestBatchEquivalence:
         for call in (render_frame_batch, render_audio_batch, capture_batch):
             with pytest.raises(ValueError):
                 call(item, [3.0, -0.5])
+
+
+LOOK_AHEAD_ITEMS = [_item(f"ahead:{name}") for name in "AB"]
+#: A small range, so calls and their ``ahead`` lists share keys often.
+near_positions = st.one_of(st.integers(min_value=0, max_value=30),
+                           st.floats(min_value=0.0, max_value=30.0))
+look_ahead_calls = st.lists(st.tuples(
+    st.sampled_from(LOOK_AHEAD_ITEMS),
+    st.lists(near_positions, min_size=1, max_size=6),
+    st.lists(near_positions, max_size=12)), min_size=1, max_size=8)
+
+
+def _exploding():
+    """An ``ahead`` that fails the test if anything reads it."""
+    raise AssertionError("ahead read by a call that renders nothing")
+    yield  # pragma: no cover
+
+
+class TestLookAhead:
+    """``capture_batch(ahead=)`` renders later calls' positions beside
+    its misses and parks them in ``_AHEAD``; nothing a caller can see
+    besides ``acr.kernel.*`` may change."""
+
+    @staticmethod
+    def _run(calls, look_ahead):
+        """Captures, memo items and counters of ``calls`` from empty
+        stores, with or without their ``ahead`` lists."""
+        clear_fingerprint_cache()
+        registry = enable()
+        try:
+            captures = [
+                [(c.offset_ns, c.video_hash, tuple(c.audio_hashes))
+                 for c in capture_batch(
+                     item, points, list(range(len(points))),
+                     ahead if look_ahead else ())]
+                for item, points, ahead in calls]
+            counters = registry.snapshot()["counters"]
+            return captures, list(_FINGERPRINT_CACHE.items()), counters
+        finally:
+            disable()
+            clear_fingerprint_cache()
+
+    @settings(max_examples=40, deadline=None)
+    @given(look_ahead_calls)
+    @example([(LOOK_AHEAD_ITEMS[0], [1.0], [2.0, 3.0, 2.5]),
+              (LOOK_AHEAD_ITEMS[1], [2.0], [1.0]),
+              (LOOK_AHEAD_ITEMS[0], [3.0, 2.0, 9.0], [9.5, 10.0]),
+              (LOOK_AHEAD_ITEMS[0], [10.0, 1.0], [])])
+    def test_same_captures_memo_and_counts_as_without(self, calls):
+        captures, memo, counters = self._run(calls, True)
+        plain_captures, plain_memo, plain = self._run(calls, False)
+        assert captures == plain_captures
+        assert memo == plain_memo
+        memo_counts = {name: value for name, value in counters.items()
+                       if name.startswith("acr.memo.")}
+        assert memo_counts == {name: value for name, value in plain.items()
+                               if name.startswith("acr.memo.")}
+        # Without look-ahead every miss batch is one kernel call over
+        # exactly its misses; with it there are no more calls, and
+        # every miss is rendered exactly once.
+        assert plain.get("acr.kernel.calls", 0) \
+            == plain.get("acr.memo.miss_batches", 0)
+        assert plain.get("acr.kernel.positions", 0) \
+            == plain.get("acr.memo.miss", 0)
+        assert counters.get("acr.kernel.calls", 0) \
+            <= plain.get("acr.kernel.calls", 0)
+        assert counters.get("acr.kernel.positions", 0) \
+            >= plain.get("acr.kernel.positions", 0)
+
+    def test_ahead_is_read_only_by_a_call_that_renders(self):
+        item = LOOK_AHEAD_ITEMS[0]
+        clear_fingerprint_cache()
+        registry = enable()
+        try:
+            first = capture_batch(item, [1.0], ahead=[5.0, 1.5, 6.0])
+            assert list(fingerprint_module._AHEAD) == \
+                [_memo_key(item, 5.0), _memo_key(item, 6.0)]
+            capture_batch(item, [1.0], ahead=_exploding())    # a hit
+            served, = capture_batch(item, [5.0], ahead=_exploding())
+            counters = registry.snapshot()["counters"]
+        finally:
+            disable()
+        try:
+            assert (first[0].video_hash, tuple(first[0].audio_hashes)) == \
+                _oracle_capture(item, 1.0)
+            assert (served.video_hash, tuple(served.audio_hashes)) == \
+                _oracle_capture(item, 5.0)
+            assert list(_FINGERPRINT_CACHE) == \
+                [_memo_key(item, 1.0), _memo_key(item, 5.0)]
+            assert list(fingerprint_module._AHEAD) == [_memo_key(item, 6.0)]
+            assert counters["acr.memo.miss"] == 2
+            assert counters["acr.memo.miss_batches"] == 2
+            assert counters["acr.memo.hit"] == 1
+            assert counters["acr.kernel.calls"] == 1
+            assert counters["acr.kernel.positions"] == 3
+        finally:
+            clear_fingerprint_cache()
+
+    def test_kernel_that_raises_changes_nothing(self, monkeypatch):
+        item = LOOK_AHEAD_ITEMS[1]
+        clear_fingerprint_cache()
+        try:
+            capture_batch(item, [1.0], ahead=[2.0, 3.0])
+            memo = list(_FINGERPRINT_CACHE.items())
+            parked = list(fingerprint_module._AHEAD.items())
+
+            def broken(*args):
+                raise RuntimeError("kernel failed")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(fingerprint_module, "fingerprint_positions",
+                              broken)
+                with pytest.raises(RuntimeError):
+                    capture_batch(item, [2.0, 9.0], ahead=[10.0])
+            assert list(_FINGERPRINT_CACHE.items()) == memo
+            assert list(fingerprint_module._AHEAD.items()) == parked
+            # The next call retries: 2.0 comes from the side store, 9.0
+            # and 10.0 from a new kernel call.
+            captures = capture_batch(item, [2.0, 9.0], ahead=[10.0])
+            assert [(c.video_hash, tuple(c.audio_hashes))
+                    for c in captures] == \
+                [_oracle_capture(item, 2.0), _oracle_capture(item, 9.0)]
+            assert list(_FINGERPRINT_CACHE) == [
+                _memo_key(item, p) for p in (1.0, 2.0, 9.0)]
+            assert list(fingerprint_module._AHEAD) == [
+                _memo_key(item, p) for p in (3.0, 10.0)]
+            clear_fingerprint_cache()
+            assert not _FINGERPRINT_CACHE
+            assert not fingerprint_module._AHEAD
+        finally:
+            clear_fingerprint_cache()
 
 
 #: sha256 of each country's reference samples, computed with the

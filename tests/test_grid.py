@@ -290,29 +290,78 @@ class TestGridRunner:
         assert sorted(seen) == sorted(spec.label for spec in specs)
 
 
-def test_phase_groups_keep_input_order():
-    specs = enumerate_cells(["vendor=lg", "country=uk",
+def _content_key(spec):
+    return (spec.country, spec.scenario, spec.duration_ns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(enumerate_cells(["vendor=samsung,lg"])),
+                unique_by=lambda spec: spec.label, max_size=40),
+       st.lists(st.booleans(), min_size=40, max_size=40),
+       st.integers(min_value=1, max_value=9))
+def test_content_groups_partition_cells_in_input_order(specs, short, jobs):
+    """Every cell lands in exactly one task; a task holds cells of one
+    (country, scenario, duration), in input order; a group's tasks are
+    its consecutive runs of ``ceil(cells / jobs)``, groups in the order
+    their first cell came."""
+    specs = [ExperimentSpec(spec.vendor, spec.country, spec.scenario,
+                            spec.phase, SHORT) if cut else spec
+             for spec, cut in zip(specs, short)]
+    cells = [(3 * index + 1, spec) for index, spec in enumerate(specs)]
+    tasks = grid_mod._content_groups(cells, jobs)
+    share = -(-len(cells) // jobs)
+    groups = {}
+    for cell in cells:
+        groups.setdefault(_content_key(cell[1]), []).append(cell)
+    assert tasks == [group[start:start + share]
+                     for group in groups.values()
+                     for start in range(0, len(group), share)]
+    assert sorted(cell for task in tasks for cell in task) == sorted(cells)
+    for task in tasks:
+        assert 0 < len(task) <= share
+        assert len({_content_key(spec) for __, spec in task}) == 1
+
+
+def test_content_groups_span_vendors_and_phases():
+    specs = enumerate_cells(["vendor=samsung,lg", "country=uk",
                              "scenario=idle,linear",
                              "phase=LIn-OIn,LOut-OIn"])
     cells = list(enumerate(specs))
     interleaved = cells[::2] + cells[1::2]
-    assert [[spec.label for __, spec in group]
-            for group in grid_mod._phase_groups(interleaved)] == [
-        ["lg-uk-idle-LIn-OIn", "lg-uk-idle-LOut-OIn"],
-        ["lg-uk-linear-LIn-OIn", "lg-uk-linear-LOut-OIn"]]
+    assert [[spec.label for __, spec in task]
+            for task in grid_mod._content_groups(interleaved, 2)] == [
+        ["samsung-uk-idle-LIn-OIn", "lg-uk-idle-LIn-OIn",
+         "samsung-uk-idle-LOut-OIn", "lg-uk-idle-LOut-OIn"],
+        ["samsung-uk-linear-LIn-OIn", "lg-uk-linear-LIn-OIn",
+         "samsung-uk-linear-LOut-OIn", "lg-uk-linear-LOut-OIn"]]
     shorter = [(index, ExperimentSpec(spec.vendor, spec.country,
                                       spec.scenario, spec.phase, SHORT))
                for index, spec in cells[:1]]
-    assert len(grid_mod._phase_groups(cells[:1] + shorter)) == 2
+    assert len(grid_mod._content_groups(cells[:1] + shorter, 1)) == 2
+
+
+def test_paper_scorecard_cut():
+    """The 34 scorecard cells form nine content groups of 2, 4 and 8
+    cells.  Two workers get a share of 17, so nothing is cut; eight get
+    a share of 5, which cuts each linear group into 5 + 3."""
+    from repro.experiments.findings import required_specs
+    cells = list(enumerate(required_specs(["samsung", "lg"])))
+    assert len(cells) == 34
+    uncut = grid_mod._content_groups(cells, 1)
+    assert sorted(map(len, uncut)) == [2] * 5 + [4] * 2 + [8] * 2
+    assert grid_mod._content_groups(cells, 2) == uncut
+    eight = grid_mod._content_groups(cells, 8)
+    assert max(map(len, eight)) == 5
+    assert len(eight) == len(uncut) + 2
 
 
 @pytest.mark.slow
-class TestPhaseGroups:
-    """The phases of one scenario replay the same content, so the pool
-    runs them as one task and the second cell's fingerprints are hits in
-    that worker's memo."""
+class TestContentGroups:
+    """Both vendors and every phase of a scenario replay the same
+    content, so the pool runs them as one task and the later cells'
+    fingerprints are hits in that worker's memo."""
 
-    PHASES = ["vendor=lg", "country=uk", "phase=LIn-OIn,LOut-OIn"]
+    PHASES = ["vendor=samsung,lg", "country=uk", "phase=LIn-OIn,LOut-OIn"]
 
     @staticmethod
     def run(specs, jobs):
@@ -328,9 +377,10 @@ class TestPhaseGroups:
         return records, counters
 
     def test_pool_fingerprints_as_the_serial_run(self):
-        """Two groups, so the pool runs one two-cell task per worker.
-        Run cell by cell, each worker rendered the pair's shared
-        fingerprints again: twice the serial misses."""
+        """Two cross-vendor groups, so the pool runs one four-cell task
+        per worker and renders exactly the serial misses.  Grouped by
+        vendor too, each worker rendered its channel again for the other
+        vendor."""
         specs = short_cells(*self.PHASES, "scenario=idle,linear")
         serial, serial_counters = self.run(specs, 1)
         pooled, pooled_counters = self.run(specs, 2)
@@ -345,8 +395,10 @@ class TestPhaseGroups:
             assert {**a.meta(), "elapsed_s": 0} \
                 == {**b.meta(), "elapsed_s": 0}
 
-    def test_single_group_runs_in_process(self, simulations):
-        specs = short_cells(*self.PHASES, "scenario=linear")
+    def test_single_task_runs_in_process(self, simulations):
+        """One missing cell is one task, which this process runs."""
+        specs = short_cells("vendor=lg", "country=uk", "scenario=linear",
+                            "phase=LIn-OIn")
         serial, serial_counters = self.run(specs, 1)
         simulations.clear()
         pooled, pooled_counters = self.run(specs, 2)

@@ -424,8 +424,11 @@ class TestAcrMemoCounters:
                                     for p in positions])
         # The same hits and misses; one kernel call fills all three
         # misses of the batch, against one per miss.
-        assert batched.pop("acr.memo.miss_batches") == 1
-        assert sequential.pop("acr.memo.miss_batches") == 3
+        for name in ("acr.memo.miss_batches", "acr.kernel.calls"):
+            assert batched.pop(name) == 1
+            assert sequential.pop(name) == 3
+        assert batched.pop("acr.kernel.positions") \
+            == sequential.pop("acr.kernel.positions") == 3
         assert batched == sequential
         assert batched["acr.memo.miss"] == 3
         assert batched["acr.memo.hit"] == 7
@@ -523,7 +526,10 @@ class TestFleetMetricsJobsInvariance:
     #: ``acr.library.landmark_fills`` is not one: each process fills the
     #: landmark windows its own matches first read, and a forked worker
     #: inherits whatever its parent filled, so the total depends on how
-    #: households split over processes, as ``acr.memo.*`` does.
+    #: households split over processes, as ``acr.memo.*`` does.  Nor
+    #: are ``acr.kernel.calls`` and ``acr.kernel.positions``: they count
+    #: the renders behind each process's memo misses, and a look-ahead
+    #: render serves only the process that made it.
     DETERMINISTIC = ("fleet.households", "fleet.shards.completed",
                      "pipeline.extends", "decode.columnar.packets",
                      "decode.columnar.walk_speculated",
