@@ -10,14 +10,13 @@ build their own.  Every report and every findings export must be
 sha256-identical.
 
 Then runs ``grid --minutes 8`` over the Samsung and LG UK cells in both
-opted-in phases into a fresh ``--cache-dir`` four ways: ``--jobs 1``,
-``--jobs 2`` under ``fork`` and under ``spawn``, and ``--jobs 8`` under
-``fork``.  The pool runs each scenario's cells, both vendors and both
-phases, as one task; at ``--jobs 8`` the fair share of 3 cells cuts
-each four-cell group in two.  Each worker stores its own cache entries,
-so a spawned worker must write its cells under the parent's cache root
-and version: all four directories must hold the same entry names and
-byte-identical ``.pcap`` files, with metas equal but for ``elapsed_s``.
+opted-in phases into a fresh ``--cache-dir`` three ways: ``--jobs 1``,
+and ``--jobs 2`` under ``fork`` and under ``spawn``.  The pool runs each
+scenario's cells, both vendors and both phases, as one task, and each
+worker stores its own cache entries, so a spawned worker must write its
+cells under the parent's cache root and version: all three directories
+must hold the same entry names and byte-identical ``.pcap`` files, with
+metas equal but for ``elapsed_s``.
 
 The start method is set by a ``python -c`` wrapper around
 ``repro.cli.main``, so the CLI itself needs no option for it.
@@ -50,12 +49,11 @@ WRAPPER = ("import multiprocessing, sys\n"
 #: (start method, PYTHONHASHSEED) for each run.
 VARIANTS = (("fork", "0"), ("fork", "1"), ("fork", "2"), ("spawn", "0"))
 
-#: The grid leg's cells (two vendors and two phases per scenario, so a
-#: content group spans vendors), and its (start method, jobs) runs; the
-#: last one cuts every group.
+#: The grid leg's cells (two vendors and two phases per scenario, so
+#: every pool task spans vendors), and its (start method, jobs) runs.
 GRID_ARGS = ["grid", "--minutes", "8", "--filter", "vendor=samsung,lg",
              "--filter", "country=uk", "--filter", "phase=LIn-OIn,LOut-OIn"]
-GRID_VARIANTS = (("fork", 1), ("fork", 2), ("spawn", 2), ("fork", 8))
+GRID_VARIANTS = (("fork", 1), ("fork", 2), ("spawn", 2))
 
 
 def sha256(path: str) -> str:

@@ -8,9 +8,9 @@ grid as a first-class object instead of one cell at a time:
   ``axis=value[,value...]`` filters (the CLI's ``--filter``).
 * :class:`GridRunner` executes cells — serially or on a
   :class:`concurrent.futures.ProcessPoolExecutor`, one task per group of
-  cells that replay the same content, cut to a fair share of the run —
-  and each cell stores its own entry in the :class:`ResultCache`, in the
-  process that simulated it, so only its metadata travels back.
+  cells that replay the same content — and each cell stores its own
+  entry in the :class:`ResultCache`, in the process that simulated it,
+  so only its metadata travels back.
 * :class:`ResultCache` is a content-addressed on-disk store keyed by
   ``(spec, seed, code-version)``: captures survive across processes as
   plain pcap files, checked against a CRC-32 on every read, and are
@@ -437,26 +437,20 @@ def _execute_group(payloads: Sequence[Tuple]) -> List[Tuple]:
     return [_execute_cell(payload) for payload in payloads]
 
 
-def _content_groups(cells: Sequence[Tuple[int, ExperimentSpec]],
-                    jobs: int) -> List[List[Tuple[int, ExperimentSpec]]]:
+def _content_groups(cells: Sequence[Tuple[int, ExperimentSpec]]
+                    ) -> List[List[Tuple[int, ExperimentSpec]]]:
     """``(index, spec)`` pairs grouped by the content they replay
-    (country, scenario and duration), groups and members in input
-    order, each group cut into consecutive runs of at most
-    ``ceil(len(cells) / jobs)`` cells.
+    (country, scenario and duration), groups and members in input order.
 
     Every vendor and phase of a scenario in one country watches the
     same channel or playlist, so a group run in one process renders
-    and matches its fingerprints once.  The cut keeps every task to a
-    fair share of the cells, so a large group cannot hold the run on
-    one worker while the others idle.
+    and matches its fingerprints once.
     """
     groups: Dict[Tuple, List[Tuple[int, ExperimentSpec]]] = {}
     for index, spec in cells:
         groups.setdefault((spec.country, spec.scenario, spec.duration_ns),
                           []).append((index, spec))
-    share = -(-len(cells) // jobs)
-    return [group[start:start + share] for group in groups.values()
-            for start in range(0, len(group), share)]
+    return list(groups.values())
 
 
 def _payload(spec: ExperimentSpec, seed: int,
@@ -535,8 +529,8 @@ class GridRunner:
         return [records[index] for index in range(len(specs))]
 
     def _execute(self, missing: List[Tuple[int, ExperimentSpec]]):
-        tasks = _content_groups(missing, self.jobs)
-        if self.jobs == 1 or len(tasks) == 1:
+        groups = _content_groups(missing)
+        if self.jobs == 1 or len(groups) == 1:
             # Built once up front, so that no cell's grid.simulate
             # timer absorbs the per-country asset build.
             with get_registry().span("assets.warm"):
@@ -545,7 +539,7 @@ class GridRunner:
                 yield index, spec, _cell_record(self.cache, _execute_cell(
                     _payload(spec, self.seed, self.cache, self.faults)))
             return
-        workers = min(self.jobs, len(tasks))
+        workers = min(self.jobs, len(groups))
         if multiprocessing.get_start_method() == "fork":
             # Workers inherit warm assets copy-on-write; under spawn
             # they re-import from scratch, so parent warming would be
@@ -555,8 +549,8 @@ class GridRunner:
             futures = {
                 pool.submit(_execute_group, [
                     _payload(spec, self.seed, self.cache, self.faults)
-                    for __, spec in task]): task
-                for task in tasks}
+                    for __, spec in group]): group
+                for group in groups}
             for future in concurrent.futures.as_completed(futures):
                 for (index, spec), outcome in zip(futures[future],
                                                   future.result()):

@@ -297,29 +297,22 @@ def _content_key(spec):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(enumerate_cells(["vendor=samsung,lg"])),
                 unique_by=lambda spec: spec.label, max_size=40),
-       st.lists(st.booleans(), min_size=40, max_size=40),
-       st.integers(min_value=1, max_value=9))
-def test_content_groups_partition_cells_in_input_order(specs, short, jobs):
-    """Every cell lands in exactly one task; a task holds cells of one
-    (country, scenario, duration), in input order; a group's tasks are
-    its consecutive runs of ``ceil(cells / jobs)``, groups in the order
-    their first cell came."""
+       st.lists(st.booleans(), min_size=40, max_size=40))
+def test_content_groups_partition_cells_in_input_order(specs, short):
+    """Every cell lands in exactly one group; a group holds every cell
+    of one (country, scenario, duration), in input order; groups come in
+    the order of their first cell."""
     specs = [ExperimentSpec(spec.vendor, spec.country, spec.scenario,
                             spec.phase, SHORT) if cut else spec
              for spec, cut in zip(specs, short)]
     cells = [(3 * index + 1, spec) for index, spec in enumerate(specs)]
-    tasks = grid_mod._content_groups(cells, jobs)
-    share = -(-len(cells) // jobs)
-    groups = {}
-    for cell in cells:
-        groups.setdefault(_content_key(cell[1]), []).append(cell)
-    assert tasks == [group[start:start + share]
-                     for group in groups.values()
-                     for start in range(0, len(group), share)]
-    assert sorted(cell for task in tasks for cell in task) == sorted(cells)
-    for task in tasks:
-        assert 0 < len(task) <= share
-        assert len({_content_key(spec) for __, spec in task}) == 1
+    groups = grid_mod._content_groups(cells)
+    keys = [_content_key(group[0][1]) for group in groups]
+    assert keys == list(dict.fromkeys(_content_key(spec)
+                                      for __, spec in cells))
+    for key, group in zip(keys, groups):
+        assert group == [cell for cell in cells
+                         if _content_key(cell[1]) == key]
 
 
 def test_content_groups_span_vendors_and_phases():
@@ -328,8 +321,8 @@ def test_content_groups_span_vendors_and_phases():
                              "phase=LIn-OIn,LOut-OIn"])
     cells = list(enumerate(specs))
     interleaved = cells[::2] + cells[1::2]
-    assert [[spec.label for __, spec in task]
-            for task in grid_mod._content_groups(interleaved, 2)] == [
+    assert [[spec.label for __, spec in group]
+            for group in grid_mod._content_groups(interleaved)] == [
         ["samsung-uk-idle-LIn-OIn", "lg-uk-idle-LIn-OIn",
          "samsung-uk-idle-LOut-OIn", "lg-uk-idle-LOut-OIn"],
         ["samsung-uk-linear-LIn-OIn", "lg-uk-linear-LIn-OIn",
@@ -337,22 +330,17 @@ def test_content_groups_span_vendors_and_phases():
     shorter = [(index, ExperimentSpec(spec.vendor, spec.country,
                                       spec.scenario, spec.phase, SHORT))
                for index, spec in cells[:1]]
-    assert len(grid_mod._content_groups(cells[:1] + shorter, 1)) == 2
+    assert len(grid_mod._content_groups(cells[:1] + shorter)) == 2
 
 
-def test_paper_scorecard_cut():
+def test_paper_scorecard_content_groups():
     """The 34 scorecard cells form nine content groups of 2, 4 and 8
-    cells.  Two workers get a share of 17, so nothing is cut; eight get
-    a share of 5, which cuts each linear group into 5 + 3."""
+    cells, so ``--jobs 2`` runs nine pool tasks."""
     from repro.experiments.findings import required_specs
     cells = list(enumerate(required_specs(["samsung", "lg"])))
     assert len(cells) == 34
-    uncut = grid_mod._content_groups(cells, 1)
-    assert sorted(map(len, uncut)) == [2] * 5 + [4] * 2 + [8] * 2
-    assert grid_mod._content_groups(cells, 2) == uncut
-    eight = grid_mod._content_groups(cells, 8)
-    assert max(map(len, eight)) == 5
-    assert len(eight) == len(uncut) + 2
+    assert sorted(map(len, grid_mod._content_groups(cells))) \
+        == [2] * 5 + [4] * 2 + [8] * 2
 
 
 @pytest.mark.slow
@@ -395,18 +383,20 @@ class TestContentGroups:
             assert {**a.meta(), "elapsed_s": 0} \
                 == {**b.meta(), "elapsed_s": 0}
 
-    def test_single_task_runs_in_process(self, simulations):
-        """One missing cell is one task, which this process runs."""
-        specs = short_cells("vendor=lg", "country=uk", "scenario=linear",
-                            "phase=LIn-OIn")
+    def test_single_group_runs_in_process(self, simulations):
+        """Samsung and LG on one linear channel form one content group,
+        which this process runs: the serial misses, captures and metas."""
+        specs = short_cells(*self.PHASES, "scenario=linear")
         serial, serial_counters = self.run(specs, 1)
         simulations.clear()
         pooled, pooled_counters = self.run(specs, 2)
         assert simulations == [spec.label for spec in specs]
         assert pooled_counters["acr.memo.miss"] \
             == serial_counters["acr.memo.miss"]
-        assert [a.pcap_bytes for a in serial] \
-            == [b.pcap_bytes for b in pooled]
+        for a, b in zip(serial, pooled):
+            assert a.pcap_bytes == b.pcap_bytes
+            assert {**a.meta(), "elapsed_s": 0} \
+                == {**b.meta(), "elapsed_s": 0}
 
 
 @pytest.mark.slow
