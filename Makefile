@@ -96,9 +96,10 @@ findings-smoke:
 	$(PY) scripts/findings_smoke.py --households $(or $(SMOKE_N),24) \
 		--jobs $(or $(SMOKE_JOBS),8)
 
-# Start-method and hash-seed invariance smoke: the fleet report and
-# the findings export must be sha256-identical under the fork and spawn
-# start methods and under PYTHONHASHSEED 0, 1 and 2.
+# Start-method, hash-seed and job-count invariance smoke: the fleet
+# report and the findings export must be sha256-identical under the fork
+# and spawn start methods, under PYTHONHASHSEED 0, 1 and 2, and at
+# --jobs 1 and 3.
 invariance-smoke:
 	$(PY) scripts/invariance_smoke.py --households $(or $(SMOKE_N),32) \
 		--jobs $(or $(SMOKE_JOBS),2)

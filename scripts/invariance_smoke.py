@@ -1,13 +1,16 @@
 #!/usr/bin/env python
-"""Start-method and hash-seed invariance smoke for the fleet outputs
-and the grid's stored captures.
+"""Start-method, hash-seed and job-count invariance smoke for the fleet
+outputs and the grid's stored captures.
 
-Runs ``fleet --households N --jobs J --no-cache --findings-out`` four
+Runs ``fleet --households N --jobs J --no-cache --findings-out`` six
 ways: under the ``fork`` start method with ``PYTHONHASHSEED`` 0, 1 and
-2, and under ``spawn``.  Forked pool workers inherit the parent's warm
-assets (reference libraries and their band indexes); spawned workers
-build their own.  Every report and every findings export must be
-sha256-identical.
+2, under ``spawn``, and forked at ``--jobs 1`` and ``--jobs 3``.  Forked
+pool workers inherit the parent's warm assets (reference libraries and
+their band indexes); spawned workers build their own.  Shards are runs
+of one country's households, so at ``--jobs 3`` the default population
+(two runs of one country, one of the other) puts one country's runs on
+different workers.  Every report and every findings export must be
+sha256-identical to the ``--jobs 1`` run.
 
 Then runs ``grid --minutes 8`` over the Samsung and LG UK cells in both
 opted-in phases into a fresh ``--cache-dir`` three ways: ``--jobs 1``,
@@ -46,8 +49,10 @@ WRAPPER = ("import multiprocessing, sys\n"
            "from repro.cli import main\n"
            "sys.exit(main(sys.argv[1:]))\n")
 
-#: (start method, PYTHONHASHSEED) for each run.
-VARIANTS = (("fork", "0"), ("fork", "1"), ("fork", "2"), ("spawn", "0"))
+#: (start method, PYTHONHASHSEED, --jobs) for each fleet run; ``None``
+#: takes the smoke's ``--jobs``.
+VARIANTS = (("fork", "0", 1), ("fork", "0", None), ("fork", "1", None),
+            ("fork", "2", None), ("spawn", "0", None), ("fork", "0", 3))
 
 #: The grid leg's cells (two vendors and two phases per scenario, so
 #: every pool task spans vendors), and its (start method, jobs) runs.
@@ -133,15 +138,16 @@ def main() -> int:
           f"{args.jobs} jobs, seed {args.seed}, work dir {work}")
     try:
         outputs = {"report": [], "findings": []}
-        for number, (method, hash_seed) in enumerate(VARIANTS, 1):
-            name = f"{method}-hash{hash_seed}"
+        for number, (method, hash_seed, jobs) in enumerate(VARIANTS, 1):
+            jobs = jobs or args.jobs
+            name = f"{method}-hash{hash_seed}-jobs{jobs}"
             report = os.path.join(work, f"report-{name}.txt")
             findings = os.path.join(work, f"findings-{name}.jsonl")
             print(f"[{number}/{len(VARIANTS)}] {method}, "
-                  f"PYTHONHASHSEED={hash_seed}")
+                  f"PYTHONHASHSEED={hash_seed}, --jobs {jobs}")
             run_cli(method, hash_seed,
                     ["fleet", "--households", str(args.households),
-                     "--jobs", str(args.jobs), "--seed", str(args.seed),
+                     "--jobs", str(jobs), "--seed", str(args.seed),
                      "--no-cache", "--findings-out", findings],
                     report)
             outputs["report"].append(report)
@@ -152,12 +158,12 @@ def main() -> int:
             for path, digest in digests.items():
                 print(f"  sha256 {digest}  {os.path.basename(path)}")
             if len(set(digests.values())) != 1:
-                raise SystemExit(f"FAIL: the {kind} differs between "
-                                 f"start methods or hash seeds")
-        print("OK: report and findings export are start-method and "
-              "hash-seed invariant")
+                raise SystemExit(f"FAIL: the {kind} differs from the "
+                                 f"--jobs 1 run")
+        print("OK: report and findings export are job-count, "
+              "start-method and hash-seed invariant")
 
-        check_grid(work, VARIANTS[0][1])
+        check_grid(work, "0")
         print("OK: the grid stores the same cache entries at any job "
               "count and start method")
         return 0

@@ -6,11 +6,11 @@ grid as a first-class object instead of one cell at a time:
 
 * :func:`enumerate_cells` expands the matrix, optionally restricted by
   ``axis=value[,value...]`` filters (the CLI's ``--filter``).
-* :class:`GridRunner` executes cells — serially or on a
-  :class:`concurrent.futures.ProcessPoolExecutor`, one task per group of
-  cells that replay the same content — and each cell stores its own
-  entry in the :class:`ResultCache`, in the process that simulated it,
-  so only its metadata travels back.
+* :class:`GridRunner` executes cells — serially or on the worker pool
+  (:mod:`repro.experiments.pool`), one task per group of cells that
+  replay the same content — and each cell stores its own entry in the
+  :class:`ResultCache`, in the process that simulated it, so only its
+  metadata travels back.
 * :class:`ResultCache` is a content-addressed on-disk store keyed by
   ``(spec, seed, code-version)``: captures survive across processes as
   plain pcap files, checked against a CRC-32 on every read, and are
@@ -25,10 +25,8 @@ byte-identical to a serial one — ``tests/test_grid.py`` asserts it.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 import zlib
@@ -38,13 +36,14 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 from ..analysis.pipeline import AuditPipeline
 from ..faults import NULL_PLAN, FaultPlan, produce_with_retries
 from ..net.addresses import Ipv4Address
-from ..obs.metrics import get_registry, metrics_enabled, scoped
+from ..obs.metrics import get_registry
 from ..testbed.campaign import cell_key
 from ..util import atomic_write_bytes
 from ..testbed.experiment import (Country, DEFAULT_DURATION_NS,
                                   ExperimentSpec, Phase, Scenario, Vendor)
 from ..testbed.runner import run_experiment
 from ..testbed.validation import validate
+from .pool import partition, run_tasks, warm_assets
 
 DEFAULT_SEED = 7
 
@@ -382,12 +381,10 @@ def default_cache() -> Optional[ResultCache]:
 # -- execution ----------------------------------------------------------------
 
 
-def _execute_cell(payload: Tuple
-                  ) -> Tuple[Dict, Optional[bytes], Optional[Dict]]:
-    """Run, validate and store one cell; return (meta, pcap, metrics
-    snapshot).  The grid's one way to produce a cell, in a pool worker
-    or in process.  The meta carries the capture's CRC-32, computed
-    here.
+def _execute_cell(payload: Tuple) -> Tuple[Dict, Optional[bytes]]:
+    """Run, validate and store one cell; return (meta, pcap).  The
+    grid's one way to produce a cell, in a pool worker or in process.
+    The meta carries the capture's CRC-32, computed here.
 
     When the payload names a cache (its root and version), the cell is
     stored here through :meth:`ResultCache.store` and ``pcap`` is
@@ -396,38 +393,33 @@ def _execute_cell(payload: Tuple
 
     Takes and returns only primitives so it pickles cleanly; the heavy
     ground-truth handles (backend, registry, zone) stay in the worker.
-    The snapshot (``None`` unless the parent had metrics enabled) is
-    collected in a worker-local registry so the parent can absorb it
-    without double counting.
     """
-    (vendor, country, scenario, phase, duration_ns, seed,
-     collect_metrics, plan_tuple, cache_at) = payload
+    (vendor, country, scenario, phase, duration_ns, seed, plan_tuple,
+     cache_at) = payload
     spec = ExperimentSpec(Vendor(vendor), Country(country),
                           Scenario(scenario), Phase(phase), duration_ns)
     faults = FaultPlan.from_tuple(plan_tuple)
-    with scoped(collect_metrics) as registry:
-        started = time.perf_counter()
+    warm_assets(countries=[country])
+    started = time.perf_counter()
 
-        def simulate():
-            with get_registry().span("grid.simulate"):
-                return run_experiment(spec, seed=seed)
+    def simulate():
+        with get_registry().span("grid.simulate"):
+            return run_experiment(spec, seed=seed)
 
-        # Injected worker crashes/hangs are keyed by the cell label, so
-        # the retry counters are identical at any job count.
-        result, __ = produce_with_retries(faults, (spec.label,),
-                                          simulate)
-        report = validate(result)
-        if not report.ok:
-            raise RuntimeError(f"experiment {spec.label} failed "
-                               f"validation: {report.failures}")
-        get_registry().inc("grid.cells.executed")
-        record = record_from_result(
-            result, elapsed_s=time.perf_counter() - started)
-        if cache_at is not None:
-            ResultCache(*cache_at).store(record)
-        snapshot = registry.snapshot() if registry is not None else None
-    pcap = None if cache_at is not None else result.pcap_bytes
-    return record.meta(), pcap, snapshot
+    # Injected worker crashes/hangs are keyed by the cell label, so the
+    # retry counters are identical at any job count.
+    result, __ = produce_with_retries(faults, (spec.label,), simulate)
+    report = validate(result)
+    if not report.ok:
+        raise RuntimeError(f"experiment {spec.label} failed "
+                           f"validation: {report.failures}")
+    get_registry().inc("grid.cells.executed")
+    record = record_from_result(
+        result, elapsed_s=time.perf_counter() - started)
+    if cache_at is None:
+        return record.meta(), result.pcap_bytes
+    ResultCache(*cache_at).store(record)
+    return record.meta(), None
 
 
 def _execute_group(payloads: Sequence[Tuple]) -> List[Tuple]:
@@ -446,54 +438,25 @@ def _content_groups(cells: Sequence[Tuple[int, ExperimentSpec]]
     same channel or playlist, so a group run in one process renders
     and matches its fingerprints once.
     """
-    groups: Dict[Tuple, List[Tuple[int, ExperimentSpec]]] = {}
-    for index, spec in cells:
-        groups.setdefault((spec.country, spec.scenario, spec.duration_ns),
-                          []).append((index, spec))
-    return list(groups.values())
+    return partition(cells, lambda cell: (
+        cell[1].country, cell[1].scenario, cell[1].duration_ns))
 
 
 def _payload(spec: ExperimentSpec, seed: int,
              cache: Optional[ResultCache],
              faults: FaultPlan = NULL_PLAN) -> Tuple:
     return (spec.vendor.value, spec.country.value, spec.scenario.value,
-            spec.phase.value, spec.duration_ns, seed, metrics_enabled(),
-            faults.as_tuple(),
+            spec.phase.value, spec.duration_ns, seed, faults.as_tuple(),
             (cache.root, cache.version) if cache else None)
 
 
 def _cell_record(cache: Optional[ResultCache], outcome: Tuple
                  ) -> CellRecord:
     """The caller's record of an :func:`_execute_cell` outcome."""
-    meta, pcap, snapshot = outcome
-    get_registry().absorb(snapshot)
+    meta, pcap = outcome
     if pcap is None:
         return cache.stored(meta)
     return CellRecord(pcap_bytes=pcap, **meta)
-
-
-def warm_assets(specs: Sequence[ExperimentSpec] = (),
-                countries: Iterable[str] = ()) -> None:
-    """Pre-build the shared per-country assets in this process.
-
-    Building a reference fingerprint database takes far longer than
-    simulating a cell, but it is memoized per country.  Pool workers are
-    forked from the parent (Linux default), so warming before the fork
-    lets every worker inherit the assets copy-on-write instead of each
-    rebuilding them from scratch.
-
-    Callers name the countries either through ``specs`` (grid cells) or
-    directly via ``countries`` (the fleet runner, which has households
-    rather than specs).
-    """
-    from ..testbed import assets
-    for country in sorted({spec.country.value for spec in specs}
-                          | set(countries)):
-        assets.media_library(country, 0)
-        assets.reference_library(country, 0)
-        assets.linear_channel(country, 0)
-        assets.fast_channel(country, 0)
-    assets.ui_item()
 
 
 class GridRunner:
@@ -530,31 +493,14 @@ class GridRunner:
 
     def _execute(self, missing: List[Tuple[int, ExperimentSpec]]):
         groups = _content_groups(missing)
-        if self.jobs == 1 or len(groups) == 1:
-            # Built once up front, so that no cell's grid.simulate
-            # timer absorbs the per-country asset build.
-            with get_registry().span("assets.warm"):
-                warm_assets([spec for __, spec in missing])
-            for index, spec in missing:
-                yield index, spec, _cell_record(self.cache, _execute_cell(
-                    _payload(spec, self.seed, self.cache, self.faults)))
-            return
-        workers = min(self.jobs, len(groups))
-        if multiprocessing.get_start_method() == "fork":
-            # Workers inherit warm assets copy-on-write; under spawn
-            # they re-import from scratch, so parent warming would be
-            # pure waste.
-            warm_assets([spec for __, spec in missing])
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            futures = {
-                pool.submit(_execute_group, [
-                    _payload(spec, self.seed, self.cache, self.faults)
-                    for __, spec in group]): group
-                for group in groups}
-            for future in concurrent.futures.as_completed(futures):
-                for (index, spec), outcome in zip(futures[future],
-                                                  future.result()):
-                    yield index, spec, _cell_record(self.cache, outcome)
+        outcomes = run_tasks(
+            _execute_group,
+            [[_payload(spec, self.seed, self.cache, self.faults)
+              for __, spec in group] for group in groups],
+            self.jobs, {spec.country.value for __, spec in missing})
+        for group, group_outcomes in zip(groups, outcomes):
+            for (index, spec), outcome in zip(group, group_outcomes):
+                yield index, spec, _cell_record(self.cache, outcome)
 
 
 # -- the consumer API ---------------------------------------------------------
@@ -580,7 +526,6 @@ class GridResults:
         self.cache = cache
         self._records: Dict[Tuple[str, int], CellRecord] = {}
         self._pipelines: Dict[Tuple[str, int], AuditPipeline] = {}
-        self._warmed: Set[str] = set()
 
     def _key(self, spec: ExperimentSpec) -> Tuple[str, int]:
         return (spec.label, spec.duration_ns)
@@ -608,11 +553,6 @@ class GridResults:
 
     def _produce(self, spec: ExperimentSpec) -> CellRecord:
         """Simulate one cell in this process, as a grid worker would."""
-        country = spec.country.value
-        if country not in self._warmed:
-            self._warmed.add(country)
-            with get_registry().span("assets.warm"):
-                warm_assets(countries=[country])
         return _cell_record(self.cache, _execute_cell(
             _payload(spec, self.seed, self.cache)))
 

@@ -12,9 +12,7 @@ injection is bounded per retry site — guaranteed to recover.  See
 """
 
 from .inject import (
-    InjectedFault,
     degradation_evidence,
-    maybe_raise_worker_fault,
     produce_with_retries,
     salvage_pcap_bytes,
     tamper_pcap_bytes,
@@ -32,10 +30,8 @@ __all__ = [
     "FAULT_SITES",
     "FaultPlan",
     "FaultSpecError",
-    "InjectedFault",
     "NULL_PLAN",
     "degradation_evidence",
-    "maybe_raise_worker_fault",
     "produce_with_retries",
     "salvage_pcap_bytes",
     "tamper_pcap_bytes",

@@ -4,8 +4,8 @@ Two halves:
 
 * **Injection** — pure, deterministic transforms driven by a
   :class:`~repro.faults.plan.FaultPlan`: tamper a pcap segment
-  (truncate mid-record / corrupt one frame header) or raise an
-  :class:`InjectedFault` where a worker would crash or hang.  Injected
+  (truncate mid-record / corrupt one frame header) or fail production
+  attempts where a worker would crash or hang.  Injected
   pcap damage is constructed so the decode detects it (a structural
   ``PcapError`` or a frame ``ValueError``) before any pipeline state
   mutates — which is what lets the ingest layer quarantine and
@@ -30,61 +30,34 @@ from ..obs.metrics import get_registry
 from .plan import FaultPlan
 
 
-class InjectedFault(RuntimeError):
-    """A simulated infrastructure failure (worker crash or hang).
-
-    Raised *inside* the failing component — in a pool worker it really
-    crosses the process boundary — so the recovery path exercised is
-    the one a genuine failure would take.
-    """
-
-    def __init__(self, site: str, attempt: int) -> None:
-        super().__init__(f"injected {site} (attempt {attempt})")
-        self.site = site
-        self.attempt = attempt
-
-    def __reduce__(self):
-        return (InjectedFault, (self.site, self.attempt))
-
-
-def maybe_raise_worker_fault(plan: FaultPlan, attempt: int,
-                             *coords) -> None:
-    """Raise :class:`InjectedFault` when a worker-level fault fires.
-
-    Consulted once per production attempt with stable coordinates; the
-    bounded oracle guarantees some attempt under
-    :data:`~repro.faults.plan.FAULT_ATTEMPT_CAP` runs clean.
-    """
-    for site in ("worker.crash", "worker.hang"):
-        if plan.fires_bounded(site, attempt, *coords):
-            raise InjectedFault(site, attempt)
-
-
 def produce_with_retries(plan: FaultPlan, coords: Tuple, produce):
-    """Run ``produce()`` under bounded injected crash/hang retries.
+    """Run ``produce()`` after the bounded injected crash/hang retries.
 
-    The in-process twin of the daemon's pool resubmission loop: counts
-    ``faults.injected.worker.*`` per failed attempt and
-    ``faults.recovered.worker.*`` once the retry succeeds, and returns
-    ``(result, sites that fired)`` so callers can convert each failure
-    into its kind of virtual-time backoff.
+    Each attempt consults the plan's ``worker.crash`` and
+    ``worker.hang`` sites with stable coordinates; an attempt where one
+    fires counts ``faults.injected.worker.*`` and is retried, and the
+    bounded oracle guarantees some attempt under
+    :data:`~repro.faults.plan.FAULT_ATTEMPT_CAP` runs clean.  The
+    successful attempt counts ``faults.recovered.worker.*`` per failure.
+    Returns ``(result, sites that fired)`` so callers can convert each
+    failure into its kind of virtual-time backoff.
     """
     registry = get_registry()
     injected: List[str] = []
     attempt = 0
     while True:
-        try:
-            maybe_raise_worker_fault(plan, attempt, *coords)
-        except InjectedFault as fault:
-            injected.append(fault.site)
-            registry.inc(f"faults.injected.{fault.site}")
-            registry.inc("retry.worker.attempts")
-            attempt += 1
-            continue
-        result = produce()
-        for site in injected:
-            registry.inc(f"faults.recovered.{site}")
-        return result, injected
+        site = next((site for site in ("worker.crash", "worker.hang")
+                     if plan.fires_bounded(site, attempt, *coords)), None)
+        if site is None:
+            break
+        injected.append(site)
+        registry.inc(f"faults.injected.{site}")
+        registry.inc("retry.worker.attempts")
+        attempt += 1
+    result = produce()
+    for site in injected:
+        registry.inc(f"faults.recovered.{site}")
+    return result, injected
 
 
 # -- pcap tampering -----------------------------------------------------------

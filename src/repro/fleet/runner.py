@@ -1,16 +1,19 @@
-"""Sharded fleet execution over the grid's process pool and result cache.
+"""Sharded fleet execution over the worker pool and the grid's result cache.
 
 A fleet run is embarrassingly parallel: each household session is a pure
 function of ``(household label, derived seed)``.  The runner
 
-* partitions households into fixed-size shards whose boundaries depend
-  only on N (never on ``--jobs``), so the fold structure — fold within a
-  shard, merge shards in index order — is identical however many workers
-  execute it, and the aggregate report is byte-identical across job
-  counts;
-* executes shards on a :class:`~concurrent.futures.ProcessPoolExecutor`
-  after :func:`~repro.experiments.grid.warm_assets` builds the shared
-  per-country assets pre-fork;
+* partitions households by country and cuts each country's households,
+  in index order, into shards of at most ``SHARD_SIZE``: a shard's
+  households watch one country's channels, so the worker that runs it
+  renders and matches them once.  The shards depend only on the
+  population (never on ``--jobs``), so the fold structure — fold within
+  a shard, merge shards in shard order — is identical however many
+  workers execute it, and the aggregate report is byte-identical across
+  job counts;
+* executes shards on the worker pool (:mod:`repro.experiments.pool`),
+  which warms the shared per-country assets and reruns the shards a
+  dead worker lost;
 * memoizes each household capture in the content-addressed
   :class:`~repro.experiments.grid.ResultCache` (keyed by household
   label, diary duration and derived seed), so a repeated or *grown*
@@ -23,28 +26,28 @@ function of ``(household label, derived seed)``.  The runner
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.pipeline import AuditPipeline
 from ..faults import (NULL_PLAN, FaultPlan, produce_with_retries,
                       salvage_pcap_bytes, tamper_pcap_bytes)
 from ..findings import Finding
 from ..experiments.grid import (CacheReadError, ResultCache,
-                                record_from_result, warm_assets)
+                                record_from_result)
+from ..experiments.pool import partition, run_tasks, warm_assets
 from ..net.addresses import Ipv4Address
 from ..net.pcap import GLOBAL_HEADER, PcapError
-from ..obs.metrics import get_registry, metrics_enabled, scoped
+from ..obs.metrics import get_registry
 from ..testbed.runner import run_session
 from ..testbed.validation import validate_session
 from .aggregate import FleetAggregate, merge_all, summarize_household
 from .population import HouseholdSpec, PopulationSpec
 
-#: Households per shard.  Fixed (not derived from --jobs) so the shard
-#: partition — and therefore the fold/merge structure — depends only on
-#: the population, which is what makes reports job-count invariant.
+#: Most households per shard.  Fixed (not derived from --jobs) so the
+#: shard partition — and therefore the fold/merge structure — depends
+#: only on the population, which is what makes reports job-count
+#: invariant.
 SHARD_SIZE = 16
 
 ProgressFn = Callable[[int, int, int, int], None]
@@ -59,18 +62,17 @@ class FleetRunError(RuntimeError):
 
 
 def household_record(household: HouseholdSpec,
-                     cache: Optional[ResultCache],
-                     warm: Optional[Callable[[], None]] = None):
+                     cache: Optional[ResultCache]):
     """Produce (or recall) one household's capture record.
 
     Returns ``(record, executed)``.  A cached capture that turns out to
     be unreadable is dropped and the household re-run, mirroring the
-    grid's self-healing behaviour.  ``warm``, if given, runs before a
-    household is simulated, outside its ``fleet.simulate`` span.  This
-    is the single capture-production step shared by the batch shard
-    workers below and the streaming service tier (:mod:`repro.service`),
-    which chops the record's pcap into segments instead of auditing it
-    in one piece.
+    grid's self-healing behaviour.  The country's assets are warmed
+    before a household is simulated, outside its ``fleet.simulate``
+    span.  This is the single capture-production step shared by the
+    batch shard workers below and the streaming service tier
+    (:mod:`repro.service`), which chops the record's pcap into segments
+    instead of auditing it in one piece.
     """
     diary = household.diary_obj
     record = cache.load_for(household.label, diary.duration_ns,
@@ -82,8 +84,7 @@ def household_record(household: HouseholdSpec,
         except CacheReadError:
             record = None
     if record is None:
-        if warm is not None:
-            warm()
+        warm_assets(countries=[household.country.value])
         with get_registry().span("fleet.simulate"):
             result = run_session(
                 household.vendor, household.country, household.phase,
@@ -105,14 +106,12 @@ def household_record(household: HouseholdSpec,
 
 def _audit_household(household: HouseholdSpec,
                      cache: Optional[ResultCache],
-                     faults: FaultPlan = NULL_PLAN,
-                     warm: Optional[Callable[[], None]] = None
-                     ) -> Tuple[dict, bool]:
+                     faults: FaultPlan = NULL_PLAN) -> Tuple[dict, bool]:
     """Run (or recall) one household and reduce it to a summary.
 
     Returns ``(summary, executed)``."""
     registry = get_registry()
-    record, executed = household_record(household, cache, warm)
+    record, executed = household_record(household, cache)
     pcap_bytes = record.pcap_bytes
     packet_count, pcap_len = record.packet_count, record.pcap_len
     if faults:
@@ -149,58 +148,50 @@ def _audit_household(household: HouseholdSpec,
     return summary, executed
 
 
-def _run_shard(payload) -> Tuple[FleetAggregate, int, int,
-                                 Optional[dict]]:
-    """Pool worker: audit one shard, return its merged aggregate.
+def shards(households: Sequence[HouseholdSpec], size: int
+           ) -> List[List[HouseholdSpec]]:
+    """The fleet's pool tasks: households grouped by country, each
+    country's households cut, in index order, into runs of at most
+    ``size``."""
+    return partition(households, lambda household: household.country,
+                     size)
 
-    Takes only primitives (household tuples + cache coordinates + the
-    fault plan) and returns the shard's :class:`FleetAggregate` plus
-    executed/cached counts and — when the parent had metrics enabled —
-    the shard's own metrics snapshot, collected in a worker-local
-    registry so the parent can absorb it without double counting.
-    Never a capture.
-    """
-    (household_tuples, cache_root, cache_version, collect_metrics,
-     plan_tuple) = payload
-    cache = ResultCache(cache_root, version=cache_version) \
-        if cache_root else None
+
+def household_payloads(tasks: Sequence[Sequence[HouseholdSpec]],
+                       cache: Optional[ResultCache],
+                       faults: FaultPlan) -> List[Tuple]:
+    """One picklable pool payload per task of households: the
+    households' tuples, the cache's root and version, and the fault
+    plan."""
+    cache_at = (cache.root, cache.version) if cache else None
+    return [(tuple(household.as_tuple() for household in task),
+             cache_at, faults.as_tuple()) for task in tasks]
+
+
+def _run_shard(payload) -> Tuple[FleetAggregate, int, int]:
+    """Pool worker: audit one shard, return its merged aggregate and
+    its executed and cached counts.  Never a capture."""
+    household_tuples, cache_at, plan_tuple = payload
+    cache = ResultCache(*cache_at) if cache_at else None
     faults = FaultPlan.from_tuple(plan_tuple)
-    households = [HouseholdSpec.from_tuple(values)
-                  for values in household_tuples]
     aggregate = FleetAggregate()
     executed = cached = 0
-    warmed = False
-
-    def warm() -> None:
-        # The shard's countries' assets, built (or, when a forked
-        # parent already built them, found) once, before the shard's
-        # first simulation, so that no household's timer absorbs it.
-        # A shard served wholly from the cache never needs them.
-        nonlocal warmed
-        if not warmed:
-            warmed = True
-            with get_registry().span("assets.warm"):
-                warm_assets(countries={household.country.value
-                                       for household in households})
-
-    with scoped(collect_metrics) as registry:
-        with get_registry().span("fleet.shard"):
-            for household in households:
-                # An injected audit-worker crash/hang kills this
-                # household's attempt mid-shard; the bounded retry
-                # makes the shard self-healing.
-                (summary, ran), __ = produce_with_retries(
-                    faults, (household.index,),
-                    lambda: _audit_household(household, cache, faults,
-                                             warm))
-                aggregate.fold(summary)
-                if ran:
-                    executed += 1
-                else:
-                    cached += 1
-        get_registry().inc("fleet.shards.completed")
-        snapshot = registry.snapshot() if registry is not None else None
-    return aggregate, executed, cached, snapshot
+    with get_registry().span("fleet.shard"):
+        for values in household_tuples:
+            household = HouseholdSpec.from_tuple(values)
+            # An injected audit-worker crash/hang kills this household's
+            # attempt mid-shard; the bounded retry makes the shard
+            # self-healing.
+            (summary, ran), __ = produce_with_retries(
+                faults, (household.index,),
+                lambda: _audit_household(household, cache, faults))
+            aggregate.fold(summary)
+            if ran:
+                executed += 1
+            else:
+                cached += 1
+    get_registry().inc("fleet.shards.completed")
+    return aggregate, executed, cached
 
 
 class FleetResult:
@@ -238,16 +229,6 @@ class FleetRunner:
         self.shard_size = shard_size
         self.faults = faults
 
-    def _payloads(self, population: PopulationSpec) -> List[Tuple]:
-        cache_root = self.cache.root if self.cache else None
-        cache_version = self.cache.version if self.cache else None
-        households = [household.as_tuple() for household in population]
-        return [
-            (tuple(households[start:start + self.shard_size]),
-             cache_root, cache_version, metrics_enabled(),
-             self.faults.as_tuple())
-            for start in range(0, len(households), self.shard_size)]
-
     def run(self, population: PopulationSpec,
             progress: Optional[ProgressFn] = None,
             observer: Optional[ObserverFn] = None) -> FleetResult:
@@ -255,75 +236,45 @@ class FleetRunner:
 
         ``progress`` receives plain shard counts; ``observer``
         additionally receives the aggregate folded so far (shards merge
-        in index order), which is what the live dashboard renders —
+        in shard order), which is what the live dashboard renders —
         both are observation only and never affect the result.
         """
         started = time.perf_counter()
-        payloads = self._payloads(population)
-        shard_outputs: List[Optional[Tuple]] = [None] * len(payloads)
-
-        def collect(index: int, output: Tuple) -> None:
-            shard_outputs[index] = output
-            get_registry().absorb(output[3])
+        tasks = shards(list(population), self.shard_size)
+        outputs: List[Tuple] = []
+        for output in run_tasks(
+                _run_shard,
+                household_payloads(tasks, self.cache, self.faults),
+                self.jobs, population.countries()):
+            outputs.append(output)
             registry = get_registry()
             if registry.enabled:
                 elapsed = time.perf_counter() - started
-                folded = sum(o[0].households for o in shard_outputs
-                             if o is not None)
+                folded = sum(done[0].households for done in outputs)
                 if elapsed > 0:
                     registry.gauge_set("fleet.households_per_s",
                                        round(folded / elapsed, 3))
-            self._report(progress, observer, shard_outputs)
+            self._report(progress, observer, outputs, len(tasks))
 
-        if self.jobs == 1 or len(payloads) == 1:
-            for index, payload in enumerate(payloads):
-                collect(index, _run_shard(payload))
-        else:
-            workers = min(self.jobs, len(payloads))
-            if multiprocessing.get_start_method() == "fork":
-                # Same pre-fork warm-up the grid runner does: workers
-                # inherit the per-country reference libraries
-                # copy-on-write instead of each rebuilding them.
-                warm_assets(countries=population.countries())
-            failed: List[int] = []
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                futures = {
-                    pool.submit(_run_shard, payload): index
-                    for index, payload in enumerate(payloads)}
-                for future in concurrent.futures.as_completed(futures):
-                    try:
-                        collect(futures[future], future.result())
-                    except concurrent.futures.process.BrokenProcessPool:
-                        # A worker died for real (OOM-kill, segfault).
-                        # The pool is unusable from here on; requeue
-                        # every lost shard for the serial pass below.
-                        failed.append(futures[future])
-            for index in sorted(failed):
-                get_registry().inc("retry.shard.requeued")
-                collect(index, _run_shard(payloads[index]))
-
-        aggregate = merge_all(output[0] for output in shard_outputs)
-        executed = sum(output[1] for output in shard_outputs)
-        cached = sum(output[2] for output in shard_outputs)
+        aggregate = merge_all(output[0] for output in outputs)
+        executed = sum(output[1] for output in outputs)
+        cached = sum(output[2] for output in outputs)
         return FleetResult(aggregate, population.households,
-                           len(payloads), executed, cached,
+                           len(tasks), executed, cached,
                            time.perf_counter() - started)
 
     @staticmethod
     def _report(progress: Optional[ProgressFn],
                 observer: Optional[ObserverFn],
-                shard_outputs: List) -> None:
+                outputs: List, total: int) -> None:
         if progress is None and observer is None:
             return
-        done = [output for output in shard_outputs if output is not None]
-        counts = (len(done), len(shard_outputs),
-                  sum(output[1] for output in done),
-                  sum(output[2] for output in done))
+        counts = (len(outputs), total,
+                  sum(output[1] for output in outputs),
+                  sum(output[2] for output in outputs))
         if progress is not None:
             progress(*counts)
         if observer is not None:
-            # Index order keeps the partial aggregate canonical (the
+            # Shard order keeps the partial aggregate canonical (the
             # same discipline as the final merge).
-            observer(*counts, merge_all(
-                output[0] for output in shard_outputs
-                if output is not None))
+            observer(*counts, merge_all(output[0] for output in outputs))

@@ -5,9 +5,10 @@
 
 * households are admitted in index order, at most ``window`` in flight
   (the bounded-memory household window);
-* each admitted household's capture — produced synchronously or by a
-  bounded-lookahead process pool, recalled from the shared result cache
-  when warm — is cut into ``segments`` pcap slices whose *offer* times
+* each admitted household's capture — produced in process or ahead on
+  the worker pool (:mod:`repro.experiments.pool`, look-ahead bounded by
+  the window), recalled from the shared result cache when warm — is cut
+  into ``segments`` pcap slices whose *offer* times
   carry a per-segment deterministic jitter, so segments arrive
   interleaved and out of order;
 * the :class:`~repro.service.bus.SegmentBus` admits offers under the
@@ -29,19 +30,18 @@ this.
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import hashlib
-import multiprocessing
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..experiments.grid import ResultCache, warm_assets
-from ..faults import (NULL_PLAN, FaultPlan, InjectedFault,
-                      maybe_raise_worker_fault, produce_with_retries,
+from ..experiments.grid import ResultCache
+from ..experiments.pool import partition, run_tasks
+from ..faults import (NULL_PLAN, FaultPlan, produce_with_retries,
                       tamper_pcap_bytes)
 from ..fleet.population import HouseholdSpec, PopulationSpec
-from ..fleet.runner import household_record
-from ..obs.metrics import get_registry, metrics_enabled, scoped
+from ..fleet.runner import household_payloads, household_record
+from ..obs.metrics import get_registry
 from ..sim.clock import milliseconds, seconds
 from ..sim.events import EventLoop
 from .auditor import IncrementalAuditor
@@ -162,134 +162,45 @@ class ServiceResult:
                 f"{self.elapsed_s:.1f}s)")
 
 
-def _produce(payload) -> Tuple[int, str, bytes, bool, Optional[dict]]:
-    """Pool worker: produce one household capture (cache-aware).
+def _produce(payload) -> Tuple[str, bytes, bool, List[str]]:
+    """Pool worker: produce one household capture (cache-aware) under
+    the bounded injected crash/hang retries.
 
-    The trailing metrics snapshot (``None`` unless the parent had
-    metrics enabled) is collected in a worker-local registry so the
-    parent can absorb simulate spans and cache counters from pool
-    workers too.  An injected worker crash/hang raises out of the
-    worker *before* production — the parent counts it and resubmits
-    with the next attempt number, so injection totals live entirely
-    parent-side and stay jobs-invariant.
+    Returns ``(tv_ip, pcap, executed, sites)``: ``sites`` are the
+    injected faults that fired, which the caller turns into
+    virtual-time backoff.  Injection is keyed by the household index
+    and the attempt, so the backoff and the fault counters are the same
+    at any ``--jobs``.
     """
-    (household_tuple, cache_root, cache_version, collect_metrics,
-     plan_tuple, attempt) = payload
+    (household_tuple,), cache_at, plan_tuple = payload
     household = HouseholdSpec.from_tuple(household_tuple)
-    maybe_raise_worker_fault(FaultPlan.from_tuple(plan_tuple), attempt,
-                             household.index)
-    cache = ResultCache(cache_root, version=cache_version) \
-        if cache_root else None
-    with scoped(collect_metrics) as registry:
-        record, executed = household_record(household, cache)
-        snapshot = registry.snapshot() if registry is not None else None
-    return (household.index, record.tv_ip, record.pcap_bytes, executed,
-            snapshot)
+    cache = ResultCache(*cache_at) if cache_at else None
+    (record, executed), sites = produce_with_retries(
+        FaultPlan.from_tuple(plan_tuple), (household.index,),
+        lambda: household_record(household, cache))
+    return record.tv_ip, record.pcap_bytes, executed, sites
 
 
 class _CaptureSource:
-    """Produce household captures, optionally ahead on a process pool.
+    """Household captures in admission order, from the worker pool.
 
-    Lookahead is bounded by the service window, so parent memory holds
-    at most ``window`` undelivered captures — production order is index
-    order, delivery order is the service's admission order (identical),
-    and *none* of this affects virtual-time scheduling.
+    Look-ahead is bounded by the service window, so parent memory holds
+    at most ``window`` undelivered captures, and *none* of this affects
+    virtual-time scheduling.
     """
 
-    def __init__(self, queue: List[HouseholdSpec],
-                 cache: Optional[ResultCache], jobs: int, lookahead: int,
-                 faults: FaultPlan = NULL_PLAN) -> None:
-        self._queue = queue
-        self._cache = cache
-        self._lookahead = max(1, lookahead)
-        self._jobs = max(1, jobs)
-        self._faults = faults
-        self._pool = None
-        self._futures: Dict[int, concurrent.futures.Future] = {}
-        self._next_submit = 0
-        self._warmed = False
+    def __init__(self, captures: Iterator[Tuple]) -> None:
+        self._captures = captures
         self.executed = 0
         self.cached = 0
 
-    def __enter__(self) -> "_CaptureSource":
-        if self._jobs > 1 and len(self._queue) > 1:
-            if multiprocessing.get_start_method() == "fork":
-                warm_assets(countries=sorted(
-                    {h.country.value for h in self._queue}))
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                min(self._jobs, len(self._queue)))
-            self._top_up()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._pool is not None:
-            for future in self._futures.values():
-                future.cancel()
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def _warm(self) -> None:
-        # The queue's countries' assets, built once before the first
-        # household this process simulates, so that no household's
-        # fleet.simulate timer absorbs them.  A run served wholly from
-        # the cache never needs them.
-        if not self._warmed:
-            self._warmed = True
-            with get_registry().span("assets.warm"):
-                warm_assets(countries={household.country.value
-                                       for household in self._queue})
-
-    def _payload(self, household: HouseholdSpec, attempt: int = 0):
-        return (household.as_tuple(),
-                self._cache.root if self._cache else None,
-                self._cache.version if self._cache else None,
-                metrics_enabled(), self._faults.as_tuple(), attempt)
-
-    def _top_up(self) -> None:
-        while (self._next_submit < len(self._queue)
-               and len(self._futures) < self._lookahead):
-            household = self._queue[self._next_submit]
-            self._futures[household.index] = self._pool.submit(
-                _produce, self._payload(household))
-            self._next_submit += 1
-
-    def get(self, household: HouseholdSpec) -> Tuple[str, bytes, int]:
-        """The capture for one household (blocks on wall time only).
-
-        Returns ``(tv_ip, pcap, backoff_ns)`` — the virtual-time cost
-        of any injected crash/hang retries spent producing it, for the
-        caller to add to the household's segment arrival times.  Sync
-        and pool paths consult the same fault oracle with the same
-        coordinates and count parent-side, so both the backoff and the
-        counters are identical at any ``--jobs``.
-        """
-        if self._pool is None:
-            (record, executed), sites = produce_with_retries(
-                self._faults, (household.index,),
-                lambda: household_record(household, self._cache,
-                                         self._warm))
-            tv_ip, pcap = record.tv_ip, record.pcap_bytes
-        else:
-            registry = get_registry()
-            future = self._futures.pop(household.index)
-            sites = []
-            while True:
-                try:
-                    (__, tv_ip, pcap, executed,
-                     snapshot) = future.result()
-                    break
-                except InjectedFault as fault:
-                    sites.append(fault.site)
-                    registry.inc(f"faults.injected.{fault.site}")
-                    registry.inc("retry.worker.attempts")
-                    future = self._pool.submit(
-                        _produce,
-                        self._payload(household,
-                                      attempt=fault.attempt + 1))
-            for site in sites:
-                registry.inc(f"faults.recovered.{site}")
-            get_registry().absorb(snapshot)
-            self._top_up()
+    def get(self) -> Tuple[str, bytes, int]:
+        """The next admitted household's capture (blocks on wall time
+        only), as ``(tv_ip, pcap, backoff_ns)``: ``backoff_ns`` is the
+        virtual-time cost of the injected crash/hang retries spent
+        producing it, for the caller to add to the household's segment
+        arrival times."""
+        tv_ip, pcap, executed, sites = next(self._captures)
         if executed:
             self.executed += 1
         else:
@@ -457,7 +368,7 @@ class AuditService:
                    and auditor.open_households < config.window):
                 household = queue[admit_cursor]
                 admit_cursor += 1
-                tv_ip, pcap, backoff_ns = source.get(household)
+                tv_ip, pcap, backoff_ns = source.get()
                 segments = segment_record(household.index, pcap,
                                           config.segments)
                 auditor.open(household, tv_ip)
@@ -496,9 +407,15 @@ class AuditService:
                         loop.call_after(jitter_ns + DUP_DELAY_NS,
                                         deliver_dup, segment)
 
-        with _CaptureSource(queue, self.cache, self.jobs,
-                            lookahead=config.window,
-                            faults=faults) as source:
+        # One household per task, in admission order (the index key never
+        # groups two), so the look-ahead produces captures in the order
+        # the window admits them.
+        tasks = partition(queue, lambda household: household.index)
+        with contextlib.closing(run_tasks(
+                _produce, household_payloads(tasks, self.cache, faults),
+                self.jobs, {household.country.value for household in queue},
+                lookahead=config.window)) as captures:
+            source = _CaptureSource(captures)
             admit_next()
             while loop.pending:
                 # Only a stop with households still unfolded interrupts:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import List
 
-from ..net.pcap import iter_records
+import numpy as np
+
+from ..net.pcap import byte_windows, parse_global_header, walk_records
 from ..sim.clock import seconds
 from .experiment import Phase, POWER_ON_AT_NS, Scenario
 from .runner import ExperimentResult
@@ -52,12 +54,23 @@ def _workflow_checks(report: ValidationReport,
     report.record("capture-nonempty", result.packet_count > 0,
                   "no packets captured")
 
-    # The record walk alone: counting and ordering need no frame bytes.
-    timestamps = [timestamp for timestamp, __, __, __
-                  in iter_records(result.pcap_bytes)]
-    report.record("pcap-roundtrip", len(timestamps) == result.packet_count,
-                  f"pcap has {len(timestamps)} of {result.packet_count}")
-    report.record("timestamps-sorted", timestamps == sorted(timestamps))
+    # The written bytes' record walk alone: counting and ordering need
+    # no frame bytes, and the timestamps are one gather of the record
+    # headers.  A walk that does not end at the buffer's end found a
+    # cut record.
+    raw = result.pcap_bytes
+    swapped, __, __ = parse_global_header(raw)
+    offsets, cursor, __ = walk_records(raw, swapped)
+    header = byte_windows(raw, 8)[offsets].view(
+        ">u4" if swapped else "<u4").astype(np.int64)
+    timestamps = header[:, 0] * seconds(1) + header[:, 1] * 1_000
+    report.record("pcap-roundtrip",
+                  len(offsets) == result.packet_count
+                  and cursor == len(raw),
+                  f"pcap has {len(offsets)} of {result.packet_count} "
+                  f"records, walk ends at byte {cursor} of {len(raw)}")
+    report.record("timestamps-sorted",
+                  bool(np.all(timestamps[1:] >= timestamps[:-1])))
 
     report.record(
         "powered-on-then-off",
@@ -67,9 +80,8 @@ def _workflow_checks(report: ValidationReport,
     # Boot burst: traffic within 10 s of power-on (§3.2: most DNS happens
     # in the first few seconds) — except when fully opted out AND idle,
     # where only gated-but-allowed services speak.
-    early = [t for t in timestamps
-             if t <= POWER_ON_AT_NS + seconds(10)]
-    report.record("boot-burst", len(early) > 0,
+    report.record("boot-burst",
+                  bool(np.any(timestamps <= POWER_ON_AT_NS + seconds(10))),
                   "no traffic within 10s of power-on")
 
 

@@ -558,14 +558,13 @@ class TestFleetMetricsJobsInvariance:
         # acr.memo.* are deliberately absent here: the fingerprint memo
         # and the reference libraries are process-wide, so those counts
         # depend on what already ran in this process, not on --jobs.
+        # So is assets.warm: a process builds a country's assets once
+        # (TestWarmUpAttribution counts it in fresh processes).
         # Span histogram *counts* are deterministic (sums are wall time).
         for name in ("fleet.simulate.wall_ms", "fleet.decode.wall_ms",
-                     "fleet.shard.wall_ms", "assets.warm.wall_ms"):
+                     "fleet.shard.wall_ms"):
             assert serial["histograms"][name]["count"] \
                 == parallel["histograms"][name]["count"], name
-        # Each shard warms its countries' assets once, outside the
-        # per-household simulate timer (three one-household shards).
-        assert serial["histograms"]["assets.warm.wall_ms"]["count"] == 3
 
     def test_warm_up_is_not_booked_to_a_household(self, tmp_path):
         """In a fresh serial run the first shard builds the reference
@@ -604,9 +603,10 @@ def _fresh_run_histograms(tmp_path, *command):
 
 @pytest.mark.slow
 class TestWarmUpAttribution:
-    """The grid's and the service's serial producers build each
-    country's assets once, under ``assets.warm``, before their first
-    simulation, so no cell's or household's timer absorbs the build."""
+    """A process builds each country's assets once, under
+    ``assets.warm``, before its first simulation of that country, and a
+    forking pool's parent builds them before the pool starts, so no
+    cell's or household's timer absorbs the build."""
 
     def test_serial_grid(self, tmp_path):
         histograms = _fresh_run_histograms(
@@ -616,6 +616,16 @@ class TestWarmUpAttribution:
         simulate = histograms["grid.simulate.wall_ms"]
         warm = histograms["assets.warm.wall_ms"]
         assert simulate["count"] == 6 and warm["count"] == 1
+        assert simulate["max"] < warm["max"]
+
+    def test_forked_fleet_warms_once_in_the_parent(self, tmp_path):
+        # Two countries, so two shards run on the pool.
+        histograms = _fresh_run_histograms(
+            tmp_path, "fleet", "--households", "4", "--seed", "22",
+            "--mix", "country=uk:1,us:1", "--jobs", "2")
+        simulate = histograms["fleet.simulate.wall_ms"]
+        warm = histograms["assets.warm.wall_ms"]
+        assert simulate["count"] == 4 and warm["count"] == 1
         assert simulate["max"] < warm["max"]
 
     def test_serial_serve(self, tmp_path):

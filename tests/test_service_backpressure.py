@@ -56,7 +56,7 @@ class _FakeRecord:
         self.pcap_bytes = pcap_bytes
 
 
-def fake_household_record(household, cache, warm=None):
+def fake_household_record(household, cache):
     return _FakeRecord(TV_IP, synthetic_pcap(household.index)), True
 
 

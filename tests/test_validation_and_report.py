@@ -89,6 +89,17 @@ class TestValidationCatchesBrokenCaptures:
         assert _failed(_with_records(short_run, records[:-1])) == \
             {"pcap-roundtrip"}
 
+    @pytest.mark.parametrize("into", ["data", "header"])
+    def test_cut_capture_fails_roundtrip(self, short_run, into):
+        raw = short_run.pcap_bytes
+        last = len(_records(raw)[-1][1])
+        cut = copy.copy(short_run)
+        # Past the last record's header, so the walk counts every
+        # record but ends beyond the buffer, or inside that header.
+        cut.pcap_bytes = raw[:-5] if into == "data" \
+            else raw[:len(raw) - last + 8]
+        assert _failed(cut) == {"pcap-roundtrip"}
+
     def test_swapped_records_fail_ordering(self, short_run):
         records = _records(short_run.pcap_bytes)
         first = next(i for i in range(len(records) - 1)
