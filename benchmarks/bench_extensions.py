@@ -1,14 +1,12 @@
-"""Benches for the future-work extensions: MITM payload audit, the
-ACR->ads linkage study, and DNS-blocklist effectiveness."""
+"""Benches for the future-work extensions: MITM payload audit and
+DNS-blocklist effectiveness."""
 
 from conftest import once
 
-from repro.ads import run_linkage_study
 from repro.experiments.blocklist_eval import run_evaluation
 from repro.experiments.mitm_audit import run_mitm_audit
 from repro.reporting import render_table
-from repro.testbed import (Vendor, fresh_backend, media_library,
-                           paper_vendors)
+from repro.testbed import Vendor, paper_vendors
 
 
 def test_mitm_payload_audit(benchmark):
@@ -35,23 +33,6 @@ def test_mitm_payload_audit(benchmark):
     assert samsung_audit.opaque_domains == \
         ["acr-eu-prd.samsungcloud.tv"]
     assert all(a.advertising_id_observed for a in audits)
-
-
-def test_ads_linkage(benchmark):
-    library = media_library("uk", 0)
-
-    def study():
-        backend = fresh_backend("lg", "uk")
-        return run_linkage_study(backend, library.shows[0], seed=2)
-
-    result = once(benchmark, study)
-    print(f"\nACR->ads linkage ({result.genre}): opt-in targeted "
-          f"{result.optin_rate:.0%} (aligned "
-          f"{result.optin_aligned_rate:.0%}), opt-out "
-          f"{result.optout_rate:.0%}, revenue lift "
-          f"{result.revenue_lift:.1f}x")
-    assert result.linkage_established
-    assert result.revenue_lift > 3.0
 
 
 def test_blocklist_effectiveness(benchmark):

@@ -5,9 +5,9 @@ shifts the scorecard or report bytes.  The committed artifacts turn
 "output is byte-identical" claims into an executed test
 (``tests/test_golden_corpus.py``) instead of a manual diff.
 
-The artifact recipe itself lives in :mod:`repro.experiments.golden`,
-shared with the test, so the two sides always agree on names, vendor
-selections and byte conventions.
+The artifact recipe itself lives in ``tests/golden_recipe.py``, beside
+the corpus and shared with the test, so the two sides always agree on
+names, vendor selections and byte conventions.
 
 The cells run through a temporary result cache, removed at exit, unless
 ``REPRO_CACHE_DIR`` names one: every source edit changes every cache
@@ -23,8 +23,10 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# The artifact recipe lives beside the corpus it writes.
+sys.path.insert(1, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
-from repro.experiments.golden import artifacts  # noqa: E402
+from golden_recipe import artifacts  # noqa: E402
 from repro.util import atomic_write_text  # noqa: E402
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional
@@ -35,6 +36,44 @@ def _usage_error(message) -> int:
     """Report bad input as one ``error:`` line on stderr; exit code 2."""
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+class _WriteError(Exception):
+    """An output file could not be written; :func:`main` reports it as
+    a usage error."""
+
+
+def _output_error(args) -> Optional[str]:
+    """A usage-error message if an output the invocation names cannot
+    be written, else None.
+
+    Commands call it before they simulate anything: each output file's
+    directory must exist, and ``--checkpoint-dir`` is created unless
+    the run resumes from it.
+    """
+    for option in ("metrics_out", "out", "findings_out"):
+        path = getattr(args, option, None)
+        if path and not os.path.isdir(os.path.dirname(
+                os.path.abspath(path))):
+            return (f"cannot write --{option.replace('_', '-')} {path}: "
+                    f"no such directory")
+    checkpoint_dir = getattr(args, "checkpoint_dir", None)
+    if checkpoint_dir and not args.resume:
+        try:
+            os.makedirs(checkpoint_dir, exist_ok=True)
+        except OSError as exc:
+            return f"cannot use --checkpoint-dir {checkpoint_dir}: {exc}"
+    return None
+
+
+def _write_output(path: str, write, *payload) -> None:
+    """``write(path, *payload)``, then a ``wrote`` line on stderr."""
+    try:
+        write(path, *payload)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") \
+            from exc
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _add_grid_options(cmd: argparse.ArgumentParser) -> None:
@@ -89,9 +128,8 @@ def _obs_write(args, registry, **meta) -> None:
     if registry is None or not args.metrics_out:
         return
     from .obs.metrics import write_metrics_jsonl
-    write_metrics_jsonl(args.metrics_out, registry.snapshot(),
-                        {"command": args.command, **meta})
-    print(f"wrote {args.metrics_out}", file=sys.stderr)
+    _write_output(args.metrics_out, write_metrics_jsonl,
+                  registry.snapshot(), {"command": args.command, **meta})
 
 
 def _obs_stop(registry) -> None:
@@ -118,9 +156,8 @@ def _write_findings(args, ledger, **meta) -> None:
     if not getattr(args, "findings_out", None):
         return
     from .findings import write_findings_jsonl
-    write_findings_jsonl(args.findings_out, ledger,
-                         {"command": args.command, **meta})
-    print(f"wrote {args.findings_out}", file=sys.stderr)
+    _write_output(args.findings_out, write_findings_jsonl, ledger,
+                  {"command": args.command, **meta})
 
 
 def _add_fault_options(cmd: argparse.ArgumentParser) -> None:
@@ -397,6 +434,9 @@ def _cmd_grid(args) -> int:
     if not specs:
         print("no cells match the filters", file=sys.stderr)
         return 1
+    error = _output_error(args)
+    if error:
+        return _usage_error(error)
     cache, cache_error = _open_cache(args)
     if cache_error:
         return _usage_error(cache_error)
@@ -461,6 +501,9 @@ def _cmd_fleet(args) -> int:
             args.households, seed=args.seed, mixes=mixes)
     except (fleet_mod.MixError, ValueError) as exc:
         return _usage_error(exc)
+    error = _output_error(args)
+    if error:
+        return _usage_error(error)
     cache, cache_error = _open_cache(args)
     if cache_error:
         return _usage_error(cache_error)
@@ -512,8 +555,7 @@ def _cmd_fleet(args) -> int:
     print(report, end="")
     if args.out:
         from .util import atomic_write_text
-        atomic_write_text(args.out, report)
-        print(f"wrote {args.out}", file=sys.stderr)
+        _write_output(args.out, atomic_write_text, report)
     _write_findings(args, result.aggregate.findings,
                     households=args.households, seed=args.seed)
     return 0
@@ -540,6 +582,9 @@ def _cmd_serve(args) -> int:
         return _usage_error(exc)
     if args.resume and not args.checkpoint_dir:
         return _usage_error("--resume needs --checkpoint-dir")
+    error = _output_error(args)
+    if error:
+        return _usage_error(error)
     cache, cache_error = _open_cache(args)
     if cache_error:
         return _usage_error(cache_error)
@@ -618,8 +663,7 @@ def _cmd_serve(args) -> int:
     print(report, end="")
     if args.out:
         from .util import atomic_write_text
-        atomic_write_text(args.out, report)
-        print(f"wrote {args.out}", file=sys.stderr)
+        _write_output(args.out, atomic_write_text, report)
     _write_findings(args, result.state.findings,
                     households=args.households, seed=args.seed)
     return 0
@@ -643,7 +687,7 @@ def _vendors_selection_error(args) -> Optional[str]:
 def _cmd_scorecard(args) -> int:
     from .experiments import run_all_checks
     from .experiments.findings import render_checks
-    error = _vendors_selection_error(args)
+    error = _vendors_selection_error(args) or _output_error(args)
     if error:
         return _usage_error(error)
     checks = run_all_checks(seed=args.seed, jobs=args.jobs,
@@ -707,7 +751,10 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _WriteError as exc:
+        return _usage_error(exc)
 
 
 if __name__ == "__main__":

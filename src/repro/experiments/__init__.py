@@ -1,6 +1,6 @@
 """Per-figure/table experiment drivers, the findings scorecard, the
 parallel grid runner with its on-disk result cache, and the future-work
-studies (MITM payloads, ads linkage, blocklist evaluation)."""
+studies (MITM payloads, blocklist evaluation)."""
 
 from . import cache
 from .blocklist_eval import (BlocklistEvaluation, BlocklistTrial,

@@ -1,16 +1,16 @@
 """First-class findings: model, ledger, export, and diff.
 
-The four emitters in the repository — scorecard checks, vendor
-conformance contracts, fleet/service degradation quarantines, and
-service opt-out violations — all produce the same frozen
-:class:`Finding` value, accumulate through the same associative
-:class:`FindingsLedger`, export through the same schema-v1 JSONL
-(``--findings-out``) and compare through the same ``findings diff``.
+The three production emitters — scorecard checks, fleet/service
+degradation quarantines, and service opt-out violations — all produce
+the same frozen :class:`Finding` value, accumulate through the same
+associative :class:`FindingsLedger`, export through the same schema-v1
+JSONL (``--findings-out``) and compare through the same ``findings
+diff``.  The vendor conformance suite's oracle
+(``tests/conformance_oracle.py``) emits its ``CONF-*`` findings
+through the same types.
 
-:mod:`repro.findings.conformance` (the contract evaluator) is imported
-explicitly by its callers rather than re-exported here: it pulls in the
-analysis stack, while this package root stays light enough for the
-fault/fleet layers to import.
+This package root stays light enough for the fault/fleet layers to
+import: it pulls in no analysis code.
 """
 
 from .diff import FindingsDiff, diff_records, record_identity

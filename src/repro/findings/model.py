@@ -18,13 +18,13 @@ Every emitter in the repository routes through this module:
 
 * the scorecard checks (:mod:`repro.experiments.findings`, S1-S12 and
   X1-X6);
-* the vendor conformance contracts
-  (:mod:`repro.findings.conformance`);
 * fleet/service degradation quarantines (:meth:`Finding.degradation`
   — also the single formatter behind the legacy evidence string);
 * service opt-out violations (:meth:`Finding.optout_violation`,
   emitted by ``FleetAggregate.fold`` so batch and streaming paths
-  cannot diverge).
+  cannot diverge);
+* the vendor conformance suite's oracle
+  (``tests/conformance_oracle.py``), outside ``src``.
 """
 
 from __future__ import annotations

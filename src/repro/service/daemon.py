@@ -115,6 +115,8 @@ class ServiceConfig:
             raise ValueError("credit window must be positive")
         if segments <= 0:
             raise ValueError("segments per household must be positive")
+        if checkpoint_every < 0:
+            raise ValueError("checkpoint interval must not be negative")
         self.window = window
         self.credits = credits
         self.segments = segments

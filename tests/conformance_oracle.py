@@ -1,4 +1,5 @@
-"""Vendor conformance contracts evaluated into findings.
+"""Vendor conformance contracts evaluated into findings: the
+conformance suite's oracle.
 
 Each registered :class:`~repro.tv.vendors.base.VendorProfile` declares
 a :class:`~repro.tv.vendors.base.VendorContract` — expected ACR
@@ -6,8 +7,9 @@ endpoint set per country, cadence (or burstiness), and opt-out class.
 This module measures one Linear capture against that declaration and
 emits one :class:`~repro.findings.model.Finding` per contract clause,
 so the differential conformance suite
-(``tests/test_vendor_conformance.py``) and any future CLI surface read
-the same structured verdicts instead of bespoke assertion strings.
+(``tests/test_vendor_conformance.py``) reads structured verdicts
+instead of bespoke assertion strings.  No command emits ``CONF-*``
+findings, so the evaluator lives beside the suite, not in ``src``.
 
 Codes:
 
@@ -28,10 +30,10 @@ from __future__ import annotations
 
 from typing import List
 
-from ..analysis.periodicity import analyze_periodicity
-from ..analysis.volumes import normalize_rotating
-from ..tv import vendors
-from .model import Evidence, Finding
+from repro.analysis.periodicity import analyze_periodicity
+from repro.analysis.volumes import normalize_rotating
+from repro.findings import Evidence, Finding
+from repro.tv import vendors
 
 #: Ceilings for the reduced-activity classes, as fractions of the
 #: vendor's richest opted-in Linear volume (the same bounds the

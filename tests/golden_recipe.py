@@ -4,15 +4,16 @@
 ``tests/golden/`` and ``tests/test_golden_corpus.py`` *regenerates and
 compares* them; both iterate :func:`artifacts` so the name set, vendor
 selections and byte-level conventions (e.g. the CLI's trailing newline
-on the report) can never drift apart.
+on the report) can never drift apart.  It lives beside the corpus
+because nothing else reads it; the script puts ``tests/`` on its path.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from .findings import render_checks, run_all_checks
-from .report import generate
+from repro.experiments.findings import render_checks, run_all_checks
+from repro.experiments.report import generate
 
 DEFAULT_SEED = 7
 

@@ -224,7 +224,7 @@ def _assert_usage_error(capsys, argv, reason):
 
 
 class TestBadInputExits2:
-    """``audit`` and ``run`` end bad input with exit 2 and one line."""
+    """Bad input and unwritable outputs end in exit 2 and one line."""
 
     @pytest.mark.parametrize("content, reason", [
         (None, "No such file or directory"),
@@ -256,3 +256,47 @@ class TestBadInputExits2:
             capsys, ["run", "--minutes", "1", "--out", str(out)],
             f"No such file or directory: '{out}'")
         assert "captured" in stdout and "wrote" not in stdout
+
+    @pytest.mark.parametrize("command, option", [
+        ("grid", "--metrics-out"), ("fleet", "--metrics-out"),
+        ("fleet", "--out"), ("fleet", "--findings-out"),
+        ("serve", "--metrics-out"), ("serve", "--out"),
+        ("serve", "--findings-out"), ("serve", "--checkpoint-dir"),
+        ("scorecard", "--findings-out"),
+    ], ids=lambda value: value.lstrip("-"))
+    def test_unwritable_output_fails_before_simulating(
+            self, tmp_path, capsys, monkeypatch, command, option):
+        monkeypatch.setattr(repro.experiments, "run_all_checks",
+                            lambda **kwargs: pytest.fail("simulated"))
+        # An output file in a missing directory; a --checkpoint-dir,
+        # which serve creates, under a regular file.
+        (tmp_path / "file").write_text("")
+        parent = "file" if option == "--checkpoint-dir" else "missing"
+        path = tmp_path / parent / "out"
+        argv = [command, option, str(path)]
+        if command != "scorecard":
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        assert _assert_usage_error(capsys, argv, str(path)) == ""
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["scorecard"],
+        ["fleet", "--households", "1", "--mix", "country=uk:1"],
+    ], ids=lambda argv: argv[0])
+    def test_output_unwritable_after_the_run(self, tmp_path, capsys,
+                                             monkeypatch, argv):
+        monkeypatch.setattr(repro.experiments, "run_all_checks",
+                            lambda **kwargs: _fabricated_checks(True))
+        # A directory where the file should go passes the up-front
+        # check and fails only when the run's output is written.
+        assert main(argv + ["--findings-out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out and "Traceback" not in captured.err
+        *progress, last = captured.err.splitlines()
+        assert last.startswith("error: ") and "Is a directory" in last
+        assert not any(line.startswith("error: ") for line in progress)
+
+    def test_serve_negative_checkpoint_interval(self, capsys):
+        _assert_usage_error(
+            capsys, ["serve", "--checkpoint-every", "-1", "--no-cache"],
+            "checkpoint interval must not be negative")

@@ -6,8 +6,8 @@ report byte for byte.  Any unintended simulation or rendering drift —
 a reordered dict, a float format change, a perturbed RNG stream — fails
 here with a diff instead of silently changing the published numbers.
 
-The artifact recipe is :func:`repro.experiments.golden.artifacts`,
-shared with ``scripts/update_golden.py`` so the test always validates
+The artifact recipe is :func:`golden_recipe.artifacts`
+(``tests/golden_recipe.py``), shared with ``scripts/update_golden.py`` so the test always validates
 exactly what the update script writes.
 """
 
@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.experiments.golden import artifacts
+from golden_recipe import artifacts
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "golden")

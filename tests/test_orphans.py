@@ -13,6 +13,11 @@ for that module's own code: each must be read there (quoted forward
 references in annotations count) or listed in the module's ``__all__``,
 which is where a module that re-exports a name says so.
 
+Every module under ``src/repro`` is in the static import closure of
+``repro.cli``: code that only a test, a bench or an example imports
+lives beside it, not in ``src``.  ``src`` has no ``importlib`` or
+``__import__``, so the static closure is the one a command loads.
+
 There is no allowlist: code that nothing runs is deleted.
 """
 
@@ -137,3 +142,87 @@ def test_every_import_is_read():
     assert not unread, (
         f"imported but never read (use it, drop it or list it in "
         f"__all__): {'; '.join(unread)}")
+
+
+#: The module every command starts from (``python -m repro.cli``).
+ENTRY = "repro.cli"
+
+
+def _with_parents(dotted):
+    """``a``, ``a.b`` and ``a.b.c`` for ``a.b.c``: importing a module
+    runs every package above it."""
+    parts = dotted.split(".")
+    return [".".join(parts[:end]) for end in range(1, len(parts) + 1)]
+
+
+def _imported(name, is_package, tree):
+    """Every dotted name an ``import`` or ``from ... import`` anywhere
+    in module ``name`` may load, with relative imports resolved.  A
+    ``from`` import yields its module and, since ``from . import x``
+    and ``from .pkg import sub`` load submodules, each imported name
+    under it; names that are not modules are dropped by the caller."""
+    package = name.split(".") if is_package else name.split(".")[:-1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = ".".join(package[:len(package) - node.level + 1]
+                                + ([node.module] if node.module else []))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def unreached_modules(root=ROOT):
+    """Sorted dotted names of the modules under ``root/src/repro``
+    outside the static import closure of :data:`ENTRY`."""
+    src = os.path.join(root, "src")
+    trees, packages = {}, set()
+    for path, source in _python_sources(os.path.join(src, "repro")):
+        parts = os.path.relpath(path, src)[:-len(".py")].split(os.sep)
+        if parts[-1] == "__init__":
+            parts.pop()
+            packages.add(".".join(parts))
+        trees[".".join(parts)] = ast.parse(source, path)
+    reached, pending = set(), [ENTRY]
+    while pending:
+        for name in _with_parents(pending.pop()):
+            if name in trees and name not in reached:
+                reached.add(name)
+                pending += _imported(name, name in packages, trees[name])
+    return sorted(set(trees) - reached)
+
+
+def test_every_module_is_reached_by_a_command():
+    unreached = unreached_modules()
+    assert not unreached, (
+        f"under src/repro but outside the import closure of {ENTRY} "
+        f"(move it beside the tests that use it, or delete it): "
+        f"{', '.join(unreached)}")
+
+
+def test_closure_follows_every_import_form(tmp_path):
+    """Each module below is reached through exactly one import form;
+    the closure must follow all four to leave only ``unreached``."""
+    files = {
+        # ``from . import x`` in a package __init__.
+        "__init__.py": "from . import eager\n",
+        "eager.py": "",
+        # A function-level ``from .pkg import sub``.
+        "cli.py": "def main():\n    from .pkg import sub\n",
+        "pkg/__init__.py": "",
+        # ``import a.b.c`` runs the packages above ``c``, and what
+        # those import.
+        "pkg/sub.py": "import repro.deep.inner.leaf\n",
+        "deep/__init__.py": "from .helper import VALUE\n",
+        "deep/helper.py": "VALUE = 1\n",
+        "deep/inner/__init__.py": "",
+        "deep/inner/leaf.py": "",
+        "unreached.py": "",
+    }
+    for relative, source in files.items():
+        path = tmp_path / "src" / "repro" / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    assert unreached_modules(root=str(tmp_path)) == ["repro.unreached"]

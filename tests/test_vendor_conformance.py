@@ -5,7 +5,7 @@ and evaluate the *registry-declared* contract — expected ACR endpoint
 set, cadence (or burstiness), consent default, opt-out effect — against
 what the analysis pipeline actually measures (the same machinery that
 regenerates Tables 1-5).  The contract clauses live in
-``repro.findings.conformance`` and come back as structured ``Finding``
+``tests/conformance_oracle.py`` and come back as structured ``Finding``
 objects; this suite asserts every one of them passes, so a vendor
 plugin whose declared contract drifts from its simulated behaviour
 fails here, not in production.
@@ -21,11 +21,10 @@ import re
 
 import pytest
 
+from conformance_oracle import (cell_findings, conformance_reference_kb,
+                                optout_findings)
 from repro.experiments import cache as experiment_cache
 from repro.findings import FindingsLedger
-from repro.findings.conformance import (cell_findings,
-                                        conformance_reference_kb,
-                                        optout_findings)
 from repro.sim.clock import minutes
 from repro.testbed import run_experiment, validate
 from repro.testbed.experiment import (Country, ExperimentSpec, Phase,
@@ -197,7 +196,7 @@ class TestConformanceMatrix:
     """Registry-declared contract vs measured capture, cell by cell.
 
     The contract clauses are evaluated by
-    ``repro.findings.conformance`` into structured findings; each cell
+    ``tests/conformance_oracle.py`` into structured findings; each cell
     must come back non-empty with every finding passed.
     """
 
