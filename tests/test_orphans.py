@@ -221,8 +221,34 @@ def test_closure_follows_every_import_form(tmp_path):
         "deep/inner/leaf.py": "",
         "unreached.py": "",
     }
+    _write_package(tmp_path, files)
+    assert unreached_modules(root=str(tmp_path)) == ["repro.unreached"]
+
+
+def test_closure_resolves_parent_relative_imports(tmp_path):
+    """``from ..x import y`` and ``from .. import z`` in a subpackage
+    resolve against the package above it; a module that only an
+    unreached module imports is unreached too."""
+    files = {
+        "__init__.py": "",
+        "cli.py": "from .commands import run\n",
+        "commands/__init__.py": "",
+        "commands/run.py": ("from ..util import helper\n"
+                            "from .. import config\n"),
+        "util.py": "def helper():\n    pass\n",
+        "config.py": "",
+        "stale.py": "from . import stale_helper\n",
+        "stale_helper.py": "",
+    }
+    _write_package(tmp_path, files)
+    assert unreached_modules(root=str(tmp_path)) == [
+        "repro.stale", "repro.stale_helper"]
+
+
+def _write_package(root, files):
+    """Write ``files`` (path under ``src/repro`` -> source) below
+    ``root``."""
     for relative, source in files.items():
-        path = tmp_path / "src" / "repro" / relative
+        path = root / "src" / "repro" / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source)
-    assert unreached_modules(root=str(tmp_path)) == ["repro.unreached"]

@@ -268,3 +268,28 @@ class TestServiceBackpressure:
         assert agg.acr_bytes_by_vendor == {}
         restored = FleetAggregate.from_dict(agg.to_dict())
         assert restored == agg
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize("knob, value, reason", [
+        ("window", 0, "household window must be positive"),
+        ("credits", 0, "credit window must be positive"),
+        ("segments", 0, "segments per household must be positive"),
+        ("checkpoint_every", -1, "checkpoint interval must not be negative"),
+    ], ids=["window", "credits", "segments", "checkpoint_every"])
+    def test_rejects_out_of_range_knob(self, knob, value, reason):
+        with pytest.raises(ValueError, match=reason):
+            ServiceConfig(**{knob: value})
+
+    @pytest.mark.usefixtures("fake_captures")
+    @pytest.mark.parametrize("every, written", [(0, 1), (1, 5), (3, 2)])
+    def test_checkpoint_interval_counts_completions(self, tmp_path, every,
+                                                    written):
+        # A snapshot after every ``every`` folded households, and one
+        # on exit; 0 means only the one on exit.
+        config = ServiceConfig(segments=3, checkpoint_every=every)
+        result = AuditService(PopulationSpec(4, seed=5), cache=None,
+                              config=config,
+                              checkpoint_dir=str(tmp_path)).run()
+        assert result.state.households == 4
+        assert result.checkpoints_written == written
