@@ -2,10 +2,9 @@
 """Inside the black box: the ACR pipeline end to end (paper Figure 1).
 
 The paper audits ACR from outside; this reproduction also implements the
-system itself.  This example walks the whole loop on one device:
+system itself.  This example walks the loop on one device:
 
-  captured frames -> content fingerprint -> ACR server match ->
-  viewing sessions -> audience segments
+  captured frames -> content fingerprint -> ACR server match
 
 and demonstrates the "dumb display" privacy problem: a console game over
 HDMI still gets fingerprinted and uploaded, even though the operator
@@ -17,10 +16,8 @@ Usage::
 """
 
 from repro.acr import (AcrBackend, FingerprintBatch, ReferenceLibrary,
-                       SegmentProfiler, capture_state, hamming_distance,
-                       video_fingerprint)
+                       capture_state, hamming_distance, video_fingerprint)
 from repro.media import PlayState, render_frame, standard_library
-from repro.reporting import render_table
 from repro.sim import seconds
 
 
@@ -70,26 +67,6 @@ def main() -> None:
           f"match={verdict.content_id or '<no match>'}")
     print("  (the TV tracked a 'dumb display' input — the paper's most")
     print("   privacy-sensitive finding)")
-
-    print("\n=== 5. Viewing history -> audience segments ===")
-    # Accumulate enough recognised minutes to cross the segment threshold.
-    for minute in range(5, 45):
-        captures = [capture_state(PlayState(
-            show, (100.0 + 15 * minute + i) % show.duration_s))
-            for i in range(8)]
-        backend.ingest(FingerprintBatch("demo-tv", captures),
-                       seconds(15 * minute))
-    sessions = backend.sessions_for("demo-tv")
-    profiler = SegmentProfiler(backend, reference)
-    profile = profiler.profile("demo-tv")
-    rows = [[s.content_id, f"{s.duration_s:.0f}s", str(s.events)]
-            for s in sessions]
-    print(render_table(["content", "duration", "events"], rows,
-                       title="Reconstructed viewing sessions"))
-    print(f"\ngenre watch-time: "
-          f"{ {g: round(s) for g, s in profile.genre_seconds.items()} }")
-    print(f"assigned audience segments: {profile.segments}")
-    print("(Figure 1's final stage: segments feed personalised ads)")
 
 
 if __name__ == "__main__":

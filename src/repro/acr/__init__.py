@@ -1,6 +1,6 @@
 """The ACR system under audit: fingerprinting, reference library, matcher,
-vendor capture policies, on-TV client, operator backend and audience
-segmentation — the full Figure-1 loop of the paper."""
+vendor capture policies, on-TV client and operator backend — the
+Figure-1 loop of the paper up to the operator's viewing history."""
 
 from .client import AcrClient, AcrClientStats, AcrTransport
 from .fingerprint import (Capture, FingerprintBatch, audio_fingerprint,
@@ -10,7 +10,6 @@ from .library import ReferenceLibrary, bands_of
 from .matcher import BatchVerdict, FingerprintMatcher, Match
 from .policy import (CaptureDecision, VendorAcrProfile,
                      capture_decision, profile_for)
-from .segments import (AudienceProfile, SEGMENT_LABELS, SegmentProfiler)
 from .server import AcrBackend, ViewingEvent, ViewingSession
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "AcrClient",
     "AcrClientStats",
     "AcrTransport",
-    "AudienceProfile",
     "BatchVerdict",
     "Capture",
     "CaptureDecision",
@@ -26,8 +24,6 @@ __all__ = [
     "FingerprintMatcher",
     "Match",
     "ReferenceLibrary",
-    "SEGMENT_LABELS",
-    "SegmentProfiler",
     "VendorAcrProfile",
     "ViewingEvent",
     "ViewingSession",

@@ -3,8 +3,7 @@
 The paper audits the client side of this black box; we also implement the
 server so the full Figure-1 loop runs: fingerprints arrive, get matched
 against the reference library, and accumulate into per-device viewing
-sessions that the segmenter (:mod:`repro.acr.segments`) turns into audience
-segments.
+sessions.
 """
 
 from __future__ import annotations

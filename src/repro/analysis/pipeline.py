@@ -61,7 +61,10 @@ class AuditPipeline:
         #: lazily against the complete map (`_domain_index`).
         self._by_remote: Dict[int, List[np.ndarray]] = {}
         self._domain_view: Optional[Dict[str, np.ndarray]] = None
-        self._absorb(0, len(capture))
+        # An incremental pipeline starts empty: ``pipeline.extends``
+        # counts the pieces applied to it, not its construction.
+        if len(capture):
+            self._absorb(0, len(capture))
 
     # -- constructors -----------------------------------------------------------
 

@@ -368,6 +368,9 @@ def _cmd_run(args) -> int:
                               duration_ns=minutes_ns(args.minutes))
     except ValueError as exc:
         return _usage_error(exc)
+    error = _output_error(args)
+    if error:
+        return _usage_error(error)
     print(f"running {spec.label} ({args.minutes} simulated minutes, "
           f"seed {args.seed})...")
     result = run_experiment(spec, seed=args.seed)
@@ -527,20 +530,17 @@ def _cmd_fleet(args) -> int:
                               unit="households", plain=args.plain,
                               registry=registry)
 
-    def progress(done, total, executed, cached):
+    def progress(done, total, executed, cached, aggregate):
+        if dashboard is not None:
+            dashboard.update(aggregate.households, executed=executed,
+                             cached=cached, aggregate=aggregate)
+            return
         print(f"  shard {done}/{total} "
               f"({executed} executed, {cached} cached)",
               file=sys.stderr)
 
-    def observer(done, total, executed, cached, aggregate):
-        dashboard.update(aggregate.households, executed=executed,
-                         cached=cached, aggregate=aggregate)
-
     try:
-        result = runner.run(
-            population,
-            progress=None if dashboard is not None else progress,
-            observer=observer if dashboard is not None else None)
+        result = runner.run(population, progress=progress)
         if dashboard is not None:
             dashboard.finish(note=f"done in {result.elapsed_s:.1f}s")
         _obs_write(args, registry, households=args.households,
@@ -613,7 +613,11 @@ def _cmd_serve(args) -> int:
     previous = [signal.signal(signal.SIGTERM, _request_stop),
                 signal.signal(signal.SIGINT, _request_stop)]
 
-    def progress(done, total, executed, cached):
+    def progress(done, total, executed, cached, aggregate):
+        if dashboard is not None:
+            dashboard.update(done, executed=executed, cached=cached,
+                             aggregate=aggregate)
+            return
         line = (f"  {done}/{total} households folded "
                 f"({executed} executed, {cached} cached)")
         if args.plain:
@@ -621,17 +625,11 @@ def _cmd_serve(args) -> int:
         else:
             print(f"\r{line}", end="", file=sys.stderr, flush=True)
 
-    def observer(done, total, executed, cached, state):
-        dashboard.update(done, executed=executed, cached=cached,
-                         aggregate=state)
-
     try:
         result = service_mod.serve_fleet(
             population, cache=cache, config=config, jobs=args.jobs,
             checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-            progress=None if dashboard is not None else progress,
-            observer=observer if dashboard is not None else None,
-            stop_check=lambda: stop["requested"])
+            progress=progress, stop_check=lambda: stop["requested"])
         if dashboard is not None:
             dashboard.finish(note=f"done in {result.elapsed_s:.1f}s")
         _obs_write(args, registry, households=args.households,

@@ -12,7 +12,6 @@ injection is bounded per retry site — guaranteed to recover.  See
 """
 
 from .inject import (
-    degradation_evidence,
     produce_with_retries,
     salvage_pcap_bytes,
     tamper_pcap_bytes,
@@ -31,7 +30,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpecError",
     "NULL_PLAN",
-    "degradation_evidence",
     "produce_with_retries",
     "salvage_pcap_bytes",
     "tamper_pcap_bytes",

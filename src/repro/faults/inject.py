@@ -183,21 +183,3 @@ def salvage_pcap_bytes(raw: bytes) -> Tuple[bytes, List[Tuple[int, str]]]:
         drops.append((index, str(exc)))
     return b"".join(good), drops
 
-
-def degradation_evidence(label: str, household_index: int,
-                         segment_seq: Optional[int], record_index: int,
-                         reason: str) -> str:
-    """The canonical evidence string one quarantined record reports.
-
-    Stable and self-contained — household identity, capture label,
-    segment and record coordinates, and the decode failure — so
-    degradation records aggregate (and dedupe) as plain Counter keys
-    and render verbatim in the report and metrics export.  Since the
-    findings model became the source of truth this is a thin view over
-    :meth:`repro.findings.Finding.degradation`; the one formatter lives
-    there so the text and the structured evidence can never drift.
-    """
-    from ..findings import Finding
-    finding = Finding.degradation(label, household_index, segment_seq,
-                                  record_index, reason)
-    return finding.evidence[0].text

@@ -17,7 +17,7 @@ from .diff import FindingsDiff, diff_records, record_identity
 from .export import (FINDINGS_SCHEMA_VERSION, ledger_from_file,
                      ledger_to_jsonl, read_findings_jsonl,
                      write_findings_jsonl)
-from .ledger import FindingsLedger, merge_all
+from .ledger import FindingsLedger
 from .model import (DEGRADATION_CODE, OPTOUT_VIOLATION_CODE, SEVERITIES,
                     Evidence, Finding, severity_rank)
 
@@ -33,7 +33,6 @@ __all__ = [
     "diff_records",
     "ledger_from_file",
     "ledger_to_jsonl",
-    "merge_all",
     "read_findings_jsonl",
     "record_identity",
     "severity_rank",

@@ -128,10 +128,3 @@ class FindingsLedger:
             ledger.fold(Finding.from_dict(payload), count)
         return ledger
 
-
-def merge_all(ledgers: Iterable[FindingsLedger]) -> FindingsLedger:
-    """Left-fold ``merge`` (``FindingsLedger()`` is the identity)."""
-    merged = FindingsLedger()
-    for ledger in ledgers:
-        merged = merged.merge(ledger)
-    return merged

@@ -11,7 +11,7 @@ fold every audit into constant-memory streaming aggregates
 Exposed on the CLI as ``python -m repro.cli fleet``.
 """
 
-from .aggregate import FleetAggregate, merge_all, summarize_household
+from .aggregate import FleetAggregate, summarize_household
 from .diary import DIARIES, Diary, Segment, diary_named
 from .population import (DEFAULT_MIX, HouseholdSpec, MixError,
                          PopulationSpec, parse_mix, sample_population)
@@ -32,7 +32,6 @@ __all__ = [
     "SHARD_SIZE",
     "Segment",
     "diary_named",
-    "merge_all",
     "parse_mix",
     "render_population_report",
     "sample_population",

@@ -304,13 +304,3 @@ class FleetAggregate:
         return (f"FleetAggregate({self.households} households, "
                 f"{self.acr_households} with ACR flows)")
 
-
-def merge_all(aggregates) -> FleetAggregate:
-    """Left-fold ``merge`` over shard aggregates (associative, so the
-    grouping is irrelevant; callers still pass shards in index order so
-    even floating-point *consumers* of the result see one canonical
-    object)."""
-    merged = FleetAggregate()
-    for aggregate in aggregates:
-        merged = merged.merge(aggregate)
-    return merged

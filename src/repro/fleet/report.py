@@ -30,9 +30,9 @@ def render_population_report(aggregate: FleetAggregate,
                              population: PopulationSpec) -> str:
     """The full population report for one fleet run.
 
-    Accepts either a bare :class:`FleetAggregate` or anything carrying
-    one under ``.aggregate`` (a ``FleetResult``, or the streaming
-    tier's ``LiveState``) — both paths must render byte-identically.
+    Accepts a :class:`FleetAggregate` (what ``serve`` folds) or a
+    ``FleetResult`` carrying one under ``.aggregate``; both render
+    byte-identically.
     """
     sections: List[str] = []
     agg = getattr(aggregate, "aggregate", aggregate)

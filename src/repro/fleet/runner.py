@@ -18,16 +18,18 @@ function of ``(household label, derived seed)``.  The runner
   :class:`~repro.experiments.grid.ResultCache` (keyed by household
   label, diary duration and derived seed), so a repeated or *grown*
   fleet only simulates new households;
-* folds each household's audit into a
-  :class:`~repro.fleet.aggregate.FleetAggregate` inside the worker and
-  returns only the shard aggregate — captures never cross the process
+* audits each household through one :class:`HouseholdIngest` — the
+  household step the streaming service (:mod:`repro.service`) shares,
+  fed here the whole capture as one piece — and folds the summary into
+  a :class:`~repro.fleet.aggregate.FleetAggregate` inside the worker,
+  returning only the shard aggregate: captures never cross the process
   boundary and parent memory stays constant in N.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.pipeline import AuditPipeline
 from ..faults import (NULL_PLAN, FaultPlan, produce_with_retries,
@@ -41,7 +43,7 @@ from ..net.pcap import GLOBAL_HEADER, PcapError
 from ..obs.metrics import get_registry
 from ..testbed.runner import run_session
 from ..testbed.validation import validate_session
-from .aggregate import FleetAggregate, merge_all, summarize_household
+from .aggregate import FleetAggregate, summarize_household
 from .population import HouseholdSpec, PopulationSpec
 
 #: Most households per shard.  Fixed (not derived from --jobs) so the
@@ -50,11 +52,9 @@ from .population import HouseholdSpec, PopulationSpec
 #: invariant.
 SHARD_SIZE = 16
 
-ProgressFn = Callable[[int, int, int, int], None]
-
-#: Richer progress hook: (done shards, total shards, executed, cached,
-#: aggregate folded so far) — what the dashboard renders from.
-ObserverFn = Callable[[int, int, int, int, FleetAggregate], None]
+#: Progress hook: (done shards, total shards, executed, cached,
+#: aggregate folded so far).  Observation only.
+ProgressFn = Callable[[int, int, int, int, FleetAggregate], None]
 
 
 class FleetRunError(RuntimeError):
@@ -104,6 +104,73 @@ def household_record(household: HouseholdSpec,
     return record, executed
 
 
+class HouseholdIngest:
+    """One household's audit: capture pieces in, one summary out.
+
+    The only code that turns capture bytes into a household summary.
+    The fleet applies a whole capture as one piece; the streaming
+    service applies its segments in ``seq`` order.  The summary is the
+    same for any cut of the capture.
+    """
+
+    __slots__ = ("household", "pipeline", "packet_count", "pcap_len",
+                 "findings")
+
+    def __init__(self, household: HouseholdSpec, tv_ip: str) -> None:
+        self.household = household
+        self.pipeline = AuditPipeline.incremental(Ipv4Address.parse(tv_ip))
+        self.packet_count = 0
+        #: Audited capture size: the global header once, plus the
+        #: records of every applied piece.
+        self.pcap_len = GLOBAL_HEADER.size
+        #: Degradation findings, one per quarantined record — empty on
+        #: any clean capture.
+        self.findings: List[Finding] = []
+
+    def ingest(self, payload: bytes, seq: Optional[int] = None) -> bool:
+        """Apply one pcap-framed piece (``seq`` is its segment number,
+        ``None`` for a whole capture); true when it was quarantined.
+
+        A piece the decode rejects is not fatal: the decodable records
+        are salvaged and applied (``extend_pcap_bytes`` is all or
+        nothing, so the rejected attempt left the pipeline unchanged),
+        each dropped record becomes a degradation finding, and the
+        packet and byte accounting covers only what was audited.
+        """
+        try:
+            self._apply(payload)
+            return False
+        except (PcapError, ValueError):
+            pass
+        clean, drops = salvage_pcap_bytes(payload)
+        if len(clean) > GLOBAL_HEADER.size:
+            self._apply(clean)
+        household = self.household
+        for record_index, reason in drops:
+            self.findings.append(Finding.degradation(
+                household.label, household.index, seq, record_index,
+                reason))
+        get_registry().inc("faults.degraded.records", len(drops))
+        return True
+
+    def _apply(self, raw: bytes) -> None:
+        self.packet_count += self.pipeline.extend_pcap_bytes(raw)
+        self.pcap_len += len(raw) - GLOBAL_HEADER.size
+
+    def summarize(self) -> Dict[str, object]:
+        """The finished household summary.
+
+        ``findings`` appears only when records were quarantined, so a
+        clean household's summary — and everything folded from it — is
+        identical to one produced before the fault layer existed.
+        """
+        summary = summarize_household(self.household, self.pipeline,
+                                      self.packet_count, self.pcap_len)
+        if self.findings:
+            summary["findings"] = list(self.findings)
+        return summary
+
+
 def _audit_household(household: HouseholdSpec,
                      cache: Optional[ResultCache],
                      faults: FaultPlan = NULL_PLAN) -> Tuple[dict, bool]:
@@ -113,39 +180,15 @@ def _audit_household(household: HouseholdSpec,
     registry = get_registry()
     record, executed = household_record(household, cache)
     pcap_bytes = record.pcap_bytes
-    packet_count, pcap_len = record.packet_count, record.pcap_len
     if faults:
         pcap_bytes, __ = tamper_pcap_bytes(faults, pcap_bytes,
                                            household.index)
-    quarantined: List[Finding] = []
-    tv_ip = Ipv4Address.parse(record.tv_ip)
+    ingest = HouseholdIngest(household, record.tv_ip)
     with registry.span("fleet.decode"):
-        try:
-            pipeline = AuditPipeline.from_pcap_bytes(pcap_bytes, tv_ip)
-        except (PcapError, ValueError) as exc:
-            # Quarantine-and-continue: salvage what still decodes and
-            # surface every dropped record as a counted finding instead
-            # of aborting the shard.
-            clean, drops = salvage_pcap_bytes(pcap_bytes)
+        if ingest.ingest(pcap_bytes):
             registry.inc("faults.degraded.captures")
-            registry.inc("faults.degraded.records", len(drops))
-            for record_index, reason in drops:
-                quarantined.append(Finding.degradation(
-                    household.label, household.index, None,
-                    record_index, reason))
-            pipeline = AuditPipeline.from_pcap_bytes(clean, tv_ip) \
-                if clean else AuditPipeline.incremental(tv_ip)
-            packet_count = len(pipeline.packets)
-            pcap_len = max(len(clean), GLOBAL_HEADER.size)
-    summary = summarize_household(household, pipeline,
-                                  packet_count, pcap_len)
-    if quarantined:
-        summary["findings"] = quarantined
     registry.inc("fleet.households")
-    # Drop the heavy objects before the next household: the aggregate
-    # keeps only the summary's integers.
-    del pipeline, record
-    return summary, executed
+    return ingest.summarize(), executed
 
 
 def shards(households: Sequence[HouseholdSpec], size: int
@@ -230,51 +273,35 @@ class FleetRunner:
         self.faults = faults
 
     def run(self, population: PopulationSpec,
-            progress: Optional[ProgressFn] = None,
-            observer: Optional[ObserverFn] = None) -> FleetResult:
+            progress: Optional[ProgressFn] = None) -> FleetResult:
         """Audit every household; constant parent memory in N.
 
-        ``progress`` receives plain shard counts; ``observer``
-        additionally receives the aggregate folded so far (shards merge
-        in shard order), which is what the live dashboard renders —
-        both are observation only and never affect the result.
+        Shard aggregates merge in shard order as they arrive, so after
+        each shard ``progress`` receives the shard counts and the
+        aggregate folded so far.  It observes only and never affects
+        the result.
         """
         started = time.perf_counter()
         tasks = shards(list(population), self.shard_size)
-        outputs: List[Tuple] = []
-        for output in run_tasks(
-                _run_shard,
-                household_payloads(tasks, self.cache, self.faults),
-                self.jobs, population.countries()):
-            outputs.append(output)
+        aggregate = FleetAggregate()
+        executed = cached = 0
+        for done, (shard, shard_executed, shard_cached) in enumerate(
+                run_tasks(_run_shard,
+                          household_payloads(tasks, self.cache,
+                                             self.faults),
+                          self.jobs, population.countries()), 1):
+            aggregate = aggregate.merge(shard)
+            executed += shard_executed
+            cached += shard_cached
             registry = get_registry()
             if registry.enabled:
                 elapsed = time.perf_counter() - started
-                folded = sum(done[0].households for done in outputs)
                 if elapsed > 0:
-                    registry.gauge_set("fleet.households_per_s",
-                                       round(folded / elapsed, 3))
-            self._report(progress, observer, outputs, len(tasks))
-
-        aggregate = merge_all(output[0] for output in outputs)
-        executed = sum(output[1] for output in outputs)
-        cached = sum(output[2] for output in outputs)
+                    registry.gauge_set(
+                        "fleet.households_per_s",
+                        round(aggregate.households / elapsed, 3))
+            if progress is not None:
+                progress(done, len(tasks), executed, cached, aggregate)
         return FleetResult(aggregate, population.households,
                            len(tasks), executed, cached,
                            time.perf_counter() - started)
-
-    @staticmethod
-    def _report(progress: Optional[ProgressFn],
-                observer: Optional[ObserverFn],
-                outputs: List, total: int) -> None:
-        if progress is None and observer is None:
-            return
-        counts = (len(outputs), total,
-                  sum(output[1] for output in outputs),
-                  sum(output[2] for output in outputs))
-        if progress is not None:
-            progress(*counts)
-        if observer is not None:
-            # Shard order keeps the partial aggregate canonical (the
-            # same discipline as the final merge).
-            observer(*counts, merge_all(output[0] for output in outputs))

@@ -5,10 +5,10 @@ progress bar, executed/cached meters, cache hit rate, a vendor×country
 ACR-hit heatmap, and a sparkline of ACR upload volume over the run —
 redrawn in place (cursor-up + erase) and throttled to a few frames per
 second.  Everything in the frame is a *view* over state the run already
-maintains: the :class:`~repro.fleet.aggregate.FleetAggregate` /
-:class:`~repro.service.state.LiveState` the report is rendered from and
-the active :mod:`repro.obs.metrics` snapshot.  The dashboard never
-computes a number of its own, so turning it on cannot change a result.
+maintains: the :class:`~repro.fleet.aggregate.FleetAggregate` the
+report is rendered from and the active :mod:`repro.obs.metrics`
+snapshot.  The dashboard never computes a number of its own, so
+turning it on cannot change a result.
 
 Fallback discipline (ansviewer-style): when stderr is not a TTY, when
 ``NO_COLOR`` is set, when ``TERM=dumb``, or when the user passes
@@ -235,7 +235,6 @@ class Dashboard:
                aggregate=None, note: Optional[str] = None,
                force: bool = False) -> None:
         """Refresh the view; redraw if the throttle window has passed."""
-        aggregate = getattr(aggregate, "aggregate", aggregate)
         snapshot = self._registry.snapshot() if self._registry is not None \
             else None
         spark = list(self._view.spark)

@@ -18,7 +18,7 @@ it: credit exhaustion pauses a household without deadlock.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..faults import NULL_PLAN, FaultPlan
 from ..obs.metrics import get_registry
@@ -166,11 +166,6 @@ class SegmentBus:
 
     def cursor(self, household_index: int) -> int:
         return self._lanes[household_index].cursor
-
-    def pending(self) -> List[Tuple[int, int]]:
-        """(household, cursor) for every open lane, sorted."""
-        return sorted((index, lane.cursor)
-                      for index, lane in self._lanes.items())
 
     def __repr__(self) -> str:
         return (f"SegmentBus({self.open_lanes} lanes, "

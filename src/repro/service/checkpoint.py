@@ -2,10 +2,12 @@
 
 A checkpoint is one JSON document: the folded
 :class:`~repro.fleet.aggregate.FleetAggregate`, the set of completed
-household indices, the in-flight ingestion cursors (informational — a
-resumed run replays unfinished households from segment 0, since
-captures are recalled from the result cache, not recomputed), and the
-population identity that guards against resuming the wrong fleet.
+household indices, and the population identity that guards against
+resuming the wrong fleet.  Nothing in flight is saved: a resumed run
+replays unfinished households from segment 0, since captures are
+recalled from the result cache, not recomputed.  (Documents from
+before this layout also carry ``cursors``, ``households`` and
+``segments_folded``; the loader ignores them.)
 
 Durability is layered:
 
@@ -40,13 +42,12 @@ import hashlib
 import json
 import os
 import re
-from typing import List, Mapping, Optional, Tuple
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 from ..faults import FAULT_ATTEMPT_CAP, NULL_PLAN, FaultPlan
 from ..fleet.aggregate import FleetAggregate
 from ..obs.metrics import get_registry
 from ..util import atomic_write_text
-from .state import LiveState
 
 #: Bump on any incompatible change to the checkpoint document.
 CHECKPOINT_VERSION = 1
@@ -87,27 +88,18 @@ def rotated_sequences(directory: str) -> List[int]:
 
 
 class Checkpoint:
-    """A loaded (or about-to-be-written) snapshot."""
+    """A loaded snapshot."""
 
-    __slots__ = ("aggregate", "completed", "cursors", "population_key",
-                 "households", "segments_folded")
+    __slots__ = ("aggregate", "completed", "population_key")
 
-    def __init__(self, aggregate: FleetAggregate, completed,
-                 cursors: Mapping[int, int], population_key: str,
-                 households: int, segments_folded: int = 0) -> None:
+    def __init__(self, aggregate: FleetAggregate, completed: Iterable[int],
+                 population_key: str) -> None:
         self.aggregate = aggregate
         self.completed = set(completed)
-        self.cursors = dict(cursors)
         self.population_key = population_key
-        self.households = households
-        self.segments_folded = segments_folded
-
-    def restore_state(self) -> LiveState:
-        return LiveState(self.aggregate, self.completed)
 
     def __repr__(self) -> str:
-        return (f"Checkpoint({len(self.completed)}/{self.households} "
-                f"households, {len(self.cursors)} in flight)")
+        return f"Checkpoint({len(self.completed)} households folded)"
 
 
 def population_key(seed: int, mixes: Mapping[str, Mapping[str, float]]
@@ -134,9 +126,8 @@ def _document_digest(document: Mapping) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_checkpoint(directory: str, state: LiveState,
-                     cursors: Mapping[int, int], key: str,
-                     households: int, segments_folded: int = 0,
+def write_checkpoint(directory: str, aggregate: FleetAggregate,
+                     completed: Iterable[int], key: str,
                      faults: FaultPlan = NULL_PLAN) -> str:
     """Durably persist a snapshot; returns the canonical file path.
 
@@ -151,12 +142,8 @@ def write_checkpoint(directory: str, state: LiveState,
         "version": CHECKPOINT_VERSION,
         "seq": seq,
         "population": key,
-        "households": households,
-        "segments_folded": segments_folded,
-        "completed": sorted(state.completed),
-        "cursors": {str(index): ingested
-                    for index, ingested in sorted(cursors.items())},
-        "aggregate": state.aggregate.to_dict(),
+        "completed": sorted(completed),
+        "aggregate": aggregate.to_dict(),
     }
     document["digest"] = _document_digest(document)
     text = json.dumps(document, sort_keys=True, indent=1) + "\n"
@@ -197,22 +184,16 @@ def _checkpoint_from(document: Mapping) -> Checkpoint:
     raises ``KeyError``, ``TypeError``, ``ValueError``,
     ``AttributeError`` or ``OverflowError``."""
     population = document["population"]
-    cursors = document["cursors"]
     completed = document["completed"]
     aggregate = document["aggregate"]
-    if not (isinstance(population, str) and isinstance(cursors, dict)
-            and isinstance(completed, list)
+    if not (isinstance(population, str) and isinstance(completed, list)
             and isinstance(aggregate, dict)):
-        raise TypeError("mistyped population, cursors, completed or "
-                        "aggregate field")
+        raise TypeError("mistyped population, completed or aggregate "
+                        "field")
     return Checkpoint(
         aggregate=FleetAggregate.from_dict(aggregate),
         completed=[int(index) for index in completed],
-        cursors={int(index): int(ingested)
-                 for index, ingested in cursors.items()},
         population_key=population,
-        households=int(document["households"]),
-        segments_folded=int(document.get("segments_folded", 0)),
     )
 
 

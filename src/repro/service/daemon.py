@@ -15,10 +15,11 @@
   per-household credit window; refusals park the segment until the bus
   reports a drain, when a retry event is scheduled (never re-entrantly);
 * completed households are finalized by the
-  :class:`~repro.service.auditor.IncrementalAuditor` into
-  :class:`~repro.service.state.LiveState`, freeing an admission slot;
+  :class:`~repro.service.auditor.IncrementalAuditor` into its
+  :class:`~repro.fleet.aggregate.FleetAggregate`, freeing an admission
+  slot;
 * every ``checkpoint_every`` completions (and on a stop request) the
-  state is snapshotted atomically.
+  aggregate and the completed set are snapshotted atomically.
 
 Scheduling happens purely in virtual time and is a function of
 ``(population, config)`` alone — worker pools affect wall clock, never
@@ -33,14 +34,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..experiments.grid import ResultCache
 from ..experiments.pool import partition, run_tasks
 from ..faults import (NULL_PLAN, FaultPlan, produce_with_retries,
                       tamper_pcap_bytes)
+from ..fleet.aggregate import FleetAggregate
 from ..fleet.population import HouseholdSpec, PopulationSpec
-from ..fleet.runner import household_payloads, household_record
+from ..fleet.runner import ProgressFn, household_payloads, household_record
 from ..obs.metrics import get_registry
 from ..sim.clock import milliseconds, seconds
 from ..sim.events import EventLoop
@@ -49,7 +51,6 @@ from .bus import DEFAULT_CREDITS, SegmentBus
 from .checkpoint import (load_checkpoint, population_key,
                          write_checkpoint)
 from .segments import CaptureSegment, segment_record
-from .state import LiveState
 
 #: Offer jitter spread: segments of one household land within this
 #: virtual span of its admission, in a seq-independent shuffle.
@@ -79,12 +80,6 @@ DUP_DELAY_NS = milliseconds(30)
 #: admissible" invariant the drain-driven retry relies on, so a parked
 #: household is also re-polled on a timer (fault runs only).
 STARVE_RETRY_NS = milliseconds(11)
-
-ProgressFn = Callable[[int, int, int, int], None]
-
-#: Richer progress hook: (done, total, executed, cached, LiveState) —
-#: what the live dashboard renders from.  Observation only.
-ObserverFn = Callable[[int, int, int, int, "LiveState"], None]
 
 
 class ServiceStopped(RuntimeError):
@@ -126,7 +121,8 @@ class ServiceConfig:
 
 
 class ServiceResult:
-    """Outcome of one service run: live state plus execution stats."""
+    """Outcome of one service run: the folded aggregate (``state``)
+    plus execution stats."""
 
     __slots__ = ("state", "population", "executed", "cached",
                  "resumed_households", "segments_delivered", "refusals",
@@ -134,7 +130,7 @@ class ServiceResult:
                  "peak_buffered_segments", "checkpoints_written",
                  "elapsed_s")
 
-    def __init__(self, state: LiveState, population: PopulationSpec,
+    def __init__(self, state: FleetAggregate, population: PopulationSpec,
                  executed: int, cached: int, resumed_households: int,
                  segments_delivered: int, refusals: int,
                  peak_open_households: int, peak_tracked_flows: int,
@@ -152,10 +148,6 @@ class ServiceResult:
         self.peak_buffered_segments = peak_buffered_segments
         self.checkpoints_written = checkpoints_written
         self.elapsed_s = elapsed_s
-
-    @property
-    def aggregate(self):
-        return self.state.aggregate
 
     def __repr__(self) -> str:
         return (f"ServiceResult({self.state.households} households, "
@@ -183,36 +175,6 @@ def _produce(payload) -> Tuple[str, bytes, bool, List[str]]:
     return record.tv_ip, record.pcap_bytes, executed, sites
 
 
-class _CaptureSource:
-    """Household captures in admission order, from the worker pool.
-
-    Look-ahead is bounded by the service window, so parent memory holds
-    at most ``window`` undelivered captures, and *none* of this affects
-    virtual-time scheduling.
-    """
-
-    def __init__(self, captures: Iterator[Tuple]) -> None:
-        self._captures = captures
-        self.executed = 0
-        self.cached = 0
-
-    def get(self) -> Tuple[str, bytes, int]:
-        """The next admitted household's capture (blocks on wall time
-        only), as ``(tv_ip, pcap, backoff_ns)``: ``backoff_ns`` is the
-        virtual-time cost of the injected crash/hang retries spent
-        producing it, for the caller to add to the household's segment
-        arrival times."""
-        tv_ip, pcap, executed, sites = next(self._captures)
-        if executed:
-            self.executed += 1
-        else:
-            self.cached += 1
-        backoff_ns = sum(
-            HANG_TIMEOUT_NS if site == "worker.hang"
-            else RETRY_BACKOFF_NS for site in sites)
-        return tv_ip, pcap, backoff_ns
-
-
 class AuditService:
     """One streaming fleet run over the event loop."""
 
@@ -222,8 +184,7 @@ class AuditService:
                  checkpoint_dir: Optional[str] = None,
                  resume: bool = False,
                  progress: Optional[ProgressFn] = None,
-                 stop_check: Optional[Callable[[], bool]] = None,
-                 observer: Optional[ObserverFn] = None) -> None:
+                 stop_check: Optional[Callable[[], bool]] = None) -> None:
         self.population = population
         self.cache = cache
         self.config = config or ServiceConfig()
@@ -232,7 +193,6 @@ class AuditService:
         self.resume = resume
         self.progress = progress
         self.stop_check = stop_check
-        self.observer = observer
         self.checkpoints_written = 0
 
     # -- deterministic arrival schedule -----------------------------------------
@@ -253,23 +213,24 @@ class AuditService:
         key = population_key(self.population.seed,
                              self.population.mixes)
 
-        state = LiveState()
-        resumed = 0
+        auditor = IncrementalAuditor()
         if self.resume:
             if not self.checkpoint_dir:
                 raise ValueError("--resume needs a checkpoint dir")
             snapshot = load_checkpoint(self.checkpoint_dir,
                                        expect_key=key)
-            state = snapshot.restore_state()
-            resumed = len(state.completed)
+            auditor = IncrementalAuditor(snapshot.aggregate,
+                                         snapshot.completed)
+        completed = auditor.completed
+        resumed = len(completed)
 
         queue = [household for household in self.population
-                 if household.index not in state.completed]
-        auditor = IncrementalAuditor(state)
+                 if household.index not in completed]
         loop = EventLoop()
         total = self.population.households
         parked: Dict[int, Dict[int, CaptureSegment]] = {}
         since_checkpoint = 0
+        executed = cached = 0
         faults = config.faults
 
         def on_complete(index: int) -> None:
@@ -283,16 +244,13 @@ class AuditService:
                 registry.gauge_max("service.open_households_peak",
                                    auditor.peak_open_households)
             if self.progress is not None:
-                self.progress(len(state.completed), total,
-                              source.executed, source.cached)
-            if self.observer is not None:
-                self.observer(len(state.completed), total,
-                              source.executed, source.cached, state)
+                self.progress(len(completed), total, executed, cached,
+                              auditor.aggregate)
             if (self.checkpoint_dir
                     and config.checkpoint_every
                     and since_checkpoint >= config.checkpoint_every):
                 since_checkpoint = 0
-                self._checkpoint(state, auditor)
+                self._checkpoint(auditor)
             admit_next()
 
         def on_drain(index: int) -> None:
@@ -365,12 +323,24 @@ class AuditService:
         admit_cursor = 0
 
         def admit_next() -> None:
-            nonlocal admit_cursor
+            nonlocal admit_cursor, executed, cached
             while (admit_cursor < len(queue)
                    and auditor.open_households < config.window):
                 household = queue[admit_cursor]
                 admit_cursor += 1
-                tv_ip, pcap, backoff_ns = source.get()
+                # Blocks on wall time only: the pool's look-ahead, and
+                # so the captures parent memory holds, is bounded by
+                # the window, and none of it affects virtual time.
+                tv_ip, pcap, ran, sites = next(captures)
+                if ran:
+                    executed += 1
+                else:
+                    cached += 1
+                # The injected crash/hang retries spent producing the
+                # capture delay its segments' arrivals.
+                backoff_ns = sum(
+                    HANG_TIMEOUT_NS if site == "worker.hang"
+                    else RETRY_BACKOFF_NS for site in sites)
                 segments = segment_record(household.index, pcap,
                                           config.segments)
                 auditor.open(household, tv_ip)
@@ -417,27 +387,26 @@ class AuditService:
                 _produce, household_payloads(tasks, self.cache, faults),
                 self.jobs, {household.country.value for household in queue},
                 lookahead=config.window)) as captures:
-            source = _CaptureSource(captures)
             admit_next()
             while loop.pending:
                 # Only a stop with households still unfolded interrupts:
                 # once all are folded, the leftover events are no-op
                 # retries and late duplicates, and the run is complete.
                 if (self.stop_check is not None
-                        and len(state.completed) < total
+                        and len(completed) < total
                         and self.stop_check()):
-                    path = self._checkpoint(state, auditor)
+                    path = self._checkpoint(auditor)
                     raise ServiceStopped(
                         f"stop requested with "
-                        f"{len(state.completed)}/{total} households "
+                        f"{len(completed)}/{total} households "
                         f"folded", path)
                 loop.run_to_completion(max_events=1)
 
         if self.checkpoint_dir:
-            self._checkpoint(state, auditor)
+            self._checkpoint(auditor)
         return ServiceResult(
-            state=state, population=self.population,
-            executed=source.executed, cached=source.cached,
+            state=auditor.aggregate, population=self.population,
+            executed=executed, cached=cached,
             resumed_households=resumed,
             segments_delivered=bus.delivered, refusals=bus.refused,
             peak_open_households=auditor.peak_open_households,
@@ -446,17 +415,14 @@ class AuditService:
             checkpoints_written=self.checkpoints_written,
             elapsed_s=time.perf_counter() - started)
 
-    def _checkpoint(self, state: LiveState,
-                    auditor: IncrementalAuditor) -> Optional[str]:
+    def _checkpoint(self, auditor: IncrementalAuditor) -> Optional[str]:
         if not self.checkpoint_dir:
             return None
         with get_registry().span("service.checkpoint"):
             path = write_checkpoint(
-                self.checkpoint_dir, state, auditor.cursors(),
+                self.checkpoint_dir, auditor.aggregate, auditor.completed,
                 population_key(self.population.seed,
                                self.population.mixes),
-                self.population.households,
-                segments_folded=auditor.segments_ingested,
                 faults=self.config.faults)
         self.checkpoints_written += 1
         return path
@@ -468,11 +434,10 @@ def serve_fleet(population: PopulationSpec,
                 checkpoint_dir: Optional[str] = None,
                 resume: bool = False,
                 progress: Optional[ProgressFn] = None,
-                stop_check: Optional[Callable[[], bool]] = None,
-                observer: Optional[ObserverFn] = None
+                stop_check: Optional[Callable[[], bool]] = None
                 ) -> ServiceResult:
     """Convenience wrapper: build and run one :class:`AuditService`."""
     return AuditService(population, cache=cache, config=config,
                         jobs=jobs, checkpoint_dir=checkpoint_dir,
                         resume=resume, progress=progress,
-                        stop_check=stop_check, observer=observer).run()
+                        stop_check=stop_check).run()

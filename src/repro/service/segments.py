@@ -38,11 +38,6 @@ class CaptureSegment:
         self.total = total
         self.payload = payload
 
-    @property
-    def record_bytes(self) -> int:
-        """Payload length minus the re-carried global header."""
-        return len(self.payload) - PCAP_HEADER_LEN
-
     def __repr__(self) -> str:
         return (f"CaptureSegment(hh={self.household_index}, "
                 f"{self.seq + 1}/{self.total}, "

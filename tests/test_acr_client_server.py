@@ -1,4 +1,4 @@
-"""Tests for the ACR client state machine, backend, and segmentation."""
+"""Tests for the ACR client state machine and backend."""
 
 from itertools import groupby
 
@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.acr import (AcrBackend, AcrClient, AcrTransport, CaptureDecision,
-                       FingerprintBatch, ReferenceLibrary, SegmentProfiler,
-                       capture_decision, capture_state, profile_for)
+                       FingerprintBatch, ReferenceLibrary, capture_decision,
+                       capture_state, profile_for)
 from repro.acr.fingerprint import _FINGERPRINT_CACHE, clear_fingerprint_cache
 from repro.media import (HdmiInput, HomeScreen, InputSource, OttApp,
                          PlayState, ScreenCast, SourceType, Tuner,
@@ -409,26 +409,3 @@ class TestBackend:
             pytest.approx(60.0)
         assert backend.watch_seconds("tv-x", "other") == 0.0
 
-
-class TestSegments:
-    def test_profile_from_viewing(self, library, reference):
-        backend = AcrBackend("alphonso", reference)
-        item = library.shows[0]
-        # 40 recognised batches spanning > MIN_SEGMENT_SECONDS.
-        for i in range(40):
-            captures = [capture_state(PlayState(
-                item, (30 + 15 * i + j) % item.duration_s))
-                for j in range(6)]
-            backend.ingest(FingerprintBatch("tv-x", captures),
-                           seconds(15) * i)
-        profiler = SegmentProfiler(backend, reference)
-        profile = profiler.profile("tv-x")
-        assert profile.genre_seconds  # some genre accumulated
-        assert len(profile.segments) >= 1
-
-    def test_empty_history_no_segments(self, reference):
-        backend = AcrBackend("alphonso", reference)
-        profiler = SegmentProfiler(backend, reference)
-        profile = profiler.profile("ghost-tv")
-        assert profile.segments == []
-        assert profile.genre_seconds == {}

@@ -493,27 +493,31 @@ class TestFlowKeys:
         capture = ColumnarCapture.from_pcap_bytes(raw)
         assert capture.flow_keys(0, len(capture)) == set()
 
-    def test_household_ingest_tracks_every_applied_row(self):
+    def test_auditor_tracks_every_applied_row(self):
         # Salvaged rows of a quarantined segment count; the record the
         # salvage drops does not.
         from repro.fleet import PopulationSpec
-        from repro.service.auditor import HouseholdIngest
+        from repro.service.auditor import IncrementalAuditor
         from repro.service.segments import CaptureSegment
         household = next(iter(PopulationSpec(1, seed=21)))
         first = _frames([("dns", 0, 0), ("tcp", 0, True, 5000, b"a")])
         salvaged = _frames([("udp", 1, True, 6000, b"b")])
         dropped = bytearray(_frames([("udp", 2, True, 7000, b"c")])[0].data)
         dropped[14] = 0x41  # IHL = 4: the decode rejects this record
-        ingest = HouseholdIngest(household, str(TV))
-        ingest.ingest(CaptureSegment(household.index, 0, 2,
-                                     dump_bytes(first)))
-        assert ingest.tracked_flows == 2
-        ingest.ingest(CaptureSegment(household.index, 1, 2, dump_bytes(
+        auditor = IncrementalAuditor()
+        auditor.open(household, str(TV))
+        auditor.ingest(CaptureSegment(household.index, 0, 2,
+                                      dump_bytes(first)))
+        assert auditor.tracked_flows == 2
+        auditor.ingest(CaptureSegment(household.index, 1, 2, dump_bytes(
             salvaged + [CapturedPacket(9_000_000, bytes(dropped))])))
-        assert len(ingest.findings) == 1
-        assert ingest.flow_keys == oracle_flow_keys(
+        assert auditor.flow_keys[household.index] == oracle_flow_keys(
             decode_all(first + salvaged))
-        assert ingest.tracked_flows == 3
+        assert auditor.tracked_flows == 3
+        summary = auditor.finalize(household.index)
+        assert len(summary["findings"]) == 1
+        assert summary["findings"][0].evidence[0].segment == 1
+        assert auditor.tracked_flows == 0
 
 
 class TestErrorSurface:
@@ -691,9 +695,7 @@ class TestHostileDns:
     def test_short_a_record_through_fleet_and_service(self, tmp_path):
         from repro.experiments.grid import CellRecord, ResultCache
         from repro.fleet import PopulationSpec
-        from repro.fleet.runner import _audit_household
-        from repro.service.auditor import HouseholdIngest
-        from repro.service.segments import CaptureSegment
+        from repro.fleet.runner import HouseholdIngest, _audit_household
         household = next(iter(PopulationSpec(1, seed=21)))
         raw = _short_a_capture()
         cache = ResultCache(str(tmp_path), version="hostile-dns")
@@ -707,8 +709,7 @@ class TestHostileDns:
         assert not executed and "findings" not in summary
         # ...and one the service ingests as a segment: no quarantine.
         ingest = HouseholdIngest(household, str(TV))
-        ingest.ingest(CaptureSegment(household.index, 0, 1, raw))
-        assert ingest.findings == []
+        assert not ingest.ingest(raw, 0)
         assert ingest.summarize() == summary
 
     def test_compressed_cname_resolves_like_spelled_out(self):

@@ -21,11 +21,10 @@ from hypothesis import strategies as st
 from fuzz_inputs import NESTED_LINE, damaged_jsonl
 from repro.experiments.findings import (FindingCheck, ledger_from_checks,
                                         render_checks, scorecard)
-from repro.faults import degradation_evidence
 from repro.findings import (DEGRADATION_CODE, FINDINGS_SCHEMA_VERSION,
                             OPTOUT_VIOLATION_CODE, SEVERITIES, Evidence,
                             Finding, FindingsLedger, diff_records,
-                            ledger_from_file, ledger_to_jsonl, merge_all,
+                            ledger_from_file, ledger_to_jsonl,
                             read_findings_jsonl, record_identity,
                             severity_rank, write_findings_jsonl)
 from repro.findings.model import EVIDENCE_TYPES
@@ -118,8 +117,6 @@ class TestModel:
         assert finding.code == DEGRADATION_CODE
         assert finding.severity == "medium" and not finding.passed
         entry = finding.evidence[0]
-        assert entry.text == degradation_evidence(
-            "hh-0007", 7, 3, 12, "bad magic")
         assert entry.text == ("household 7 [hh-0007] segment 3 "
                               "record 12: bad magic")
         assert (entry.household, entry.segment, entry.record_start,
@@ -190,7 +187,7 @@ class TestLedger:
         assert a.merge(b) == b.merge(a)
         assert a.merge(b).merge(c) == a.merge(b.merge(c))
         assert a.merge(FindingsLedger()) == a
-        assert merge_all([a, b, c]) == (a + b) + c
+        assert sum((a, b, c), FindingsLedger()) == a.merge(b.merge(c))
 
     def test_merge_leaves_operands_untouched(self):
         a = FindingsLedger([_finding(code="A")])

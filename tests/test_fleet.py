@@ -20,7 +20,7 @@ from repro.findings import (DEGRADATION_CODE, OPTOUT_VIOLATION_CODE,
                             Finding, FindingsLedger)
 from repro.fleet import (DIARIES, FleetAggregate, FleetRunner,
                          HouseholdSpec, MixError, PopulationSpec,
-                         diary_named, merge_all, parse_mix,
+                         diary_named, parse_mix,
                          render_population_report, sample_population)
 from repro.fleet.runner import household_record
 from repro.sim.clock import minutes, seconds
@@ -285,11 +285,6 @@ class TestAggregate:
             counter = getattr(merged, name)
             assert all(counter.values()), f"zero count left in {name}"
 
-    def test_merge_all_of_nothing_is_the_identity(self):
-        assert merge_all([]) == FleetAggregate()
-        a = folded(SUMMARIES)
-        assert merge_all([]).merge(a) == a
-
     def test_checkpoint_roundtrip_preserves_equality(self):
         # The canonical (nonzero-only) serialization must restore an
         # aggregate that compares equal to the live one it snapshotted,
@@ -304,7 +299,10 @@ class TestAggregate:
         serial = folded(SUMMARIES)
         shards = [folded(SUMMARIES[:1]), folded(SUMMARIES[1:3]),
                   folded(SUMMARIES[3:])]
-        assert merge_all(shards) == serial
+        merged = FleetAggregate()
+        for shard in shards:
+            merged = merged.merge(shard)
+        assert merged == serial
 
     def test_derived_views(self):
         aggregate = folded(SUMMARIES)
@@ -452,9 +450,9 @@ class TestFleetRunner:
         seen = []
         FleetRunner(cache=cache, jobs=1, shard_size=2).run(
             population,
-            progress=lambda done, total, ran, hit: seen.append(
-                (done, total)))
-        assert seen == [(1, 2), (2, 2)]
+            progress=lambda done, total, ran, hit, aggregate: seen.append(
+                (done, total, aggregate.households)))
+        assert seen == [(1, 2, 2), (2, 2, 4)]
 
 
 @pytest.mark.slow

@@ -20,8 +20,8 @@ from packet_oracle import (CapturedPacket, TcpSegment, build_tcp_frame,
                            dump_bytes)
 from repro.fleet import FleetAggregate, PopulationSpec
 from repro.net import Ipv4Address, MacAddress
-from repro.service import (AuditService, SegmentBus, ServiceConfig,
-                           segment_record)
+from repro.service import (AuditService, IncrementalAuditor, SegmentBus,
+                           ServiceConfig, segment_record)
 from repro.service import daemon as daemon_mod
 
 MAC_TV = MacAddress.parse("02:00:00:00:00:01")
@@ -225,14 +225,14 @@ class TestServiceBackpressure:
         wide = service(6, window=6, segments=4).run()
         assert narrow.peak_open_households == 1
         assert wide.peak_open_households > 1
-        assert narrow.aggregate == wide.aggregate
+        assert narrow.state == wide.state
 
     def test_draining_resumes_deterministically(self):
         # Same population + config: the whole schedule (deliveries,
         # refusals, peaks) replays identically, not just the aggregate.
         first = service(5, credits=1, segments=7, window=3).run()
         second = service(5, credits=1, segments=7, window=3).run()
-        assert first.aggregate == second.aggregate
+        assert first.state == second.state
         assert first.segments_delivered == second.segments_delivered
         assert first.refusals == second.refusals
         assert first.peak_tracked_flows == second.peak_tracked_flows
@@ -248,7 +248,7 @@ class TestServiceBackpressure:
                                            (3, 3, 4)):
             other = service(5, credits=credits, segments=segments,
                             window=2, arrival_seed=arrival).run()
-            assert other.aggregate == baseline.aggregate
+            assert other.state == baseline.state
 
     def test_deadlock_free_under_minimal_credit(self):
         # credits=1 + out-of-order arrivals is the worst case: every
@@ -262,12 +262,31 @@ class TestServiceBackpressure:
         # aggregate must stay equal to a fresh fold (no zero-count
         # Counter residue from the by-vendor accumulators).
         result = service(4, segments=3).run()
-        agg = result.aggregate
+        agg = result.state
         assert agg.households == 4
         assert agg.acr_households == 0
         assert agg.acr_bytes_by_vendor == {}
         restored = FleetAggregate.from_dict(agg.to_dict())
         assert restored == agg
+
+
+class TestIncrementalAuditor:
+    def test_folds_each_household_once(self):
+        household = next(iter(PopulationSpec(1, seed=5)))
+        auditor = IncrementalAuditor()
+        auditor.open(household, TV_IP)
+        for segment in segment_record(household.index, synthetic_pcap(),
+                                      3):
+            auditor.ingest(segment)
+        assert auditor.tracked_flows == FLOWS_PER_HOUSEHOLD
+        summary = auditor.finalize(household.index)
+        assert (auditor.open_households, auditor.tracked_flows) == (0, 0)
+        assert auditor.completed == {household.index}
+        assert auditor.aggregate == FleetAggregate().fold(summary)
+        auditor.open(household, TV_IP)
+        with pytest.raises(ValueError, match="already folded"):
+            auditor.finalize(household.index)
+        assert auditor.aggregate.households == 1
 
 
 class TestServiceConfig:

@@ -23,14 +23,14 @@ from flow_oracle import flow_keys as oracle_flow_keys
 from fuzz_inputs import json_values
 from packet_oracle import CapturedPacket, decode_all, dump_bytes, load_bytes
 from repro.experiments.grid import ResultCache
-from repro.fleet import (FleetRunner, PopulationSpec,
+from repro.fleet import (FleetAggregate, FleetRunner, PopulationSpec,
                          render_population_report)
 from repro.fleet.runner import household_record
 from repro.net import PcapError
-from repro.service import (CheckpointError, LiveState, ServiceConfig,
-                           ServiceStopped, load_checkpoint, segment_record,
-                           serve_fleet, split_pcap_bytes, write_checkpoint)
-from repro.service.auditor import HouseholdIngest
+from repro.service import (CheckpointError, IncrementalAuditor,
+                           ServiceConfig, ServiceStopped, load_checkpoint,
+                           segment_record, serve_fleet, split_pcap_bytes,
+                           write_checkpoint)
 from repro.service.checkpoint import (CHECKPOINT_NAME, checkpoint_path,
                                       population_key)
 from repro.service.segments import PCAP_HEADER_LEN
@@ -148,15 +148,14 @@ class TestStreamingEqualsBatch:
         assert sha(render_population_report(parallel.aggregate,
                                             population)) == batch_sha
 
-    def test_live_state_renders_like_its_aggregate(self, cache,
-                                                   population,
-                                                   batch_sha):
+    def test_served_aggregate_equals_batch(self, cache, population,
+                                           batch_sha):
         result = serve_fleet(population, cache=cache,
                              config=ServiceConfig(segments=3))
+        assert result.state == FleetRunner(cache=cache).run(
+            population).aggregate
         assert sha(render_population_report(
             result.state, population)) == batch_sha
-        assert sha(render_population_report(
-            result.state.aggregate, population)) == batch_sha
 
 
 class TestServeFlowKeys:
@@ -168,50 +167,18 @@ class TestServeFlowKeys:
         record, __ = household_record(household, cache)
         segments = segment_record(household.index, record.pcap_bytes, 6)
         assert len(segments) == 6
-        ingest = HouseholdIngest(household, record.tv_ip)
+        auditor = IncrementalAuditor()
+        auditor.open(household, record.tv_ip)
         applied = []
         for segment in segments:
-            ingest.ingest(segment)
+            auditor.ingest(segment)
             applied += decode_all(load_bytes(segment.payload))
             expected = oracle_flow_keys(applied)
-            assert ingest.flow_keys == expected
-            assert ingest.tracked_flows == len(expected)
-        assert ingest.packet_count == len(applied)
-        assert not ingest.findings
-
-
-class TestLiveStateFindings:
-    """The structured-findings surface over the live aggregate."""
-
-    def _summary(self, index, opted_in, acr):
-        return {
-            "label": f"hh-{index:04d}", "index": index,
-            "vendor": "roku", "country": "us",
-            "phase": "LIn-OIn" if opted_in else "LIn-OOut",
-            "diary": "binge", "opted_in": opted_in, "packets": 50,
-            "pcap_len": 4000,
-            "acr_domains": ["acr.roku.example"] if acr else [],
-            "acr_bytes": 2048 if acr else 0,
-            "acr_upload_bytes": 1024 if acr else 0,
-            "acr_packets": 8 if acr else 0, "acr_bursts": 2 if acr else 0,
-            "cadence_sum_ns": 0, "cadence_intervals": 0,
-        }
-
-    def test_optout_violations_surface_structured_findings(self):
-        state = LiveState()
-        state.fold(0, self._summary(0, opted_in=True, acr=True))
-        state.fold(1, self._summary(1, opted_in=False, acr=True))
-        state.fold(2, self._summary(2, opted_in=False, acr=False))
-        assert state.optout_violations() == {
-            "optout_households": 2, "violating_households": 1,
-            "violation_rate": 0.5}
-        violations = state.violation_findings()
-        assert len(violations) == 1
-        entry = violations[0].evidence[0]
-        assert entry.household == 1 and entry.capture == "hh-0001"
-        assert entry.flow == "acr.roku.example"
-        # The ledger view and the per-code filter agree.
-        assert state.findings.failed() == violations
+            assert auditor.flow_keys[household.index] == expected
+            assert auditor.tracked_flows == len(expected)
+        summary = auditor.finalize(household.index)
+        assert summary["packets"] == len(applied)
+        assert "findings" not in summary
 
 
 @pytest.mark.slow
@@ -279,7 +246,27 @@ class TestKillResumeEqualsBatch:
                                 checkpoint_dir=ckdir, resume=True)
             assert grown.resumed_households == 2
             batch = FleetRunner(cache=cache, jobs=1).run(full)
-            assert grown.aggregate == batch.aggregate
+            assert grown.state == batch.aggregate
+
+    def test_resume_from_a_legacy_checkpoint(self, cache, population,
+                                             batch_sha):
+        # A checkpoint written in the first version-1 layout resumes:
+        # the two households it holds are not run again, and the report
+        # matches the batch run.
+        small = PopulationSpec(households=2, seed=21, mixes=UK_QUICK)
+        folded = serve_fleet(small, cache=cache,
+                             config=ServiceConfig(segments=4)).state
+        with tempfile.TemporaryDirectory() as ckdir:
+            with open(checkpoint_path(ckdir), "w",
+                      encoding="utf-8") as fileobj:
+                fileobj.write(legacy_text(folded, [0, 1], population_key(
+                    population.seed, population.mixes)))
+            resumed = serve_fleet(population, cache=cache,
+                                  config=ServiceConfig(segments=4),
+                                  checkpoint_dir=ckdir, resume=True)
+            assert resumed.resumed_households == 2
+            assert sha(render_population_report(
+                resumed.state, population)) == batch_sha
 
     def test_resume_of_a_finished_run_is_idempotent(self, cache,
                                                     population,
@@ -364,18 +351,34 @@ MALFORMED_IDS = ["list", "string", "not-utf8", "fields-missing"]
 def valid_document():
     """A verified checkpoint document, one household folded."""
     with tempfile.TemporaryDirectory() as directory:
-        state = LiveState()
-        state.aggregate.households = 1
-        write_checkpoint(directory, state, {3: 2}, population_key(1, {}), 5)
+        aggregate = FleetAggregate()
+        aggregate.households = 1
+        write_checkpoint(directory, aggregate, [0], population_key(1, {}))
         with open(checkpoint_path(directory), encoding="utf-8") as fileobj:
             return json.load(fileobj)
+
+
+def legacy_text(aggregate, completed, key):
+    """A checkpoint file in the first version-1 layout, which also
+    carried the population size, the count of segments applied and the
+    in-flight ingestion cursors; the digest covers them all."""
+    document = {
+        "version": 1, "seq": 0, "population": key,
+        "households": POP["households"], "segments_folded": 9,
+        "completed": sorted(completed), "cursors": {"2": 1},
+        "aggregate": aggregate.to_dict(),
+    }
+    canonical = json.dumps(document, sort_keys=True,
+                           separators=(",", ":"))
+    document["digest"] = hashlib.sha256(canonical.encode()).hexdigest()
+    return json.dumps(document, sort_keys=True, indent=1) + "\n"
 
 
 #: Where a mistyped value can go: a top-level field, or one slot of the
 #: folded aggregate.
 DOCUMENT_FIELDS = sorted(
     [(field,) for field in valid_document()]
-    + [("aggregate", slot) for slot in LiveState().aggregate.to_dict()])
+    + [("aggregate", slot) for slot in FleetAggregate().to_dict()])
 
 
 def assert_loads_or_refuses(raw):
@@ -395,7 +398,7 @@ class TestCheckpointGuards:
 
     def test_checkpoint_for_a_different_fleet_is_refused(self, tmp_path):
         key = population_key(1, {"vendor": {"lg": 1.0}})
-        write_checkpoint(str(tmp_path), LiveState(), {}, key, 5)
+        write_checkpoint(str(tmp_path), FleetAggregate(), (), key)
         with pytest.raises(CheckpointError, match="different fleet"):
             load_checkpoint(str(tmp_path), expect_key=population_key(
                 2, {"vendor": {"lg": 1.0}}))
@@ -422,11 +425,34 @@ class TestCheckpointGuards:
     def test_malformed_canonical_falls_back_to_rotated_twin(
             self, tmp_path, raw):
         key = population_key(1, {})
-        write_checkpoint(str(tmp_path), LiveState(), {3: 2}, key, 5)
+        write_checkpoint(str(tmp_path), FleetAggregate(), [3], key)
         with open(checkpoint_path(str(tmp_path)), "wb") as fileobj:
             fileobj.write(raw)
         loaded = load_checkpoint(str(tmp_path), expect_key=key)
-        assert (loaded.households, loaded.cursors) == (5, {3: 2})
+        assert loaded.completed == {3}
+
+    def test_legacy_document_loads_without_its_extra_fields(self,
+                                                            tmp_path):
+        key = population_key(1, {})
+        aggregate = FleetAggregate()
+        aggregate.households = 2
+        (tmp_path / CHECKPOINT_NAME).write_text(
+            legacy_text(aggregate, [0, 1], key), encoding="utf-8")
+        loaded = load_checkpoint(str(tmp_path), expect_key=key)
+        assert loaded.completed == {0, 1}
+        assert loaded.aggregate == aggregate
+        # The new layout drops exactly the fields nothing read back.
+        document = valid_document()
+        assert not {"cursors", "households", "segments_folded"} \
+            & set(document)
+
+    def test_damaged_legacy_document_is_refused(self, tmp_path):
+        text = legacy_text(FleetAggregate(), [0], population_key(1, {}))
+        (tmp_path / CHECKPOINT_NAME).write_text(
+            text.replace('"segments_folded": 9', '"segments_folded": 8'),
+            encoding="utf-8")
+        with pytest.raises(CheckpointError, match="digest mismatch"):
+            load_checkpoint(str(tmp_path))
 
     def test_resume_from_malformed_checkpoint_exits_2(self, tmp_path,
                                                       capsys):
