@@ -25,7 +25,7 @@ import time
 import pytest
 
 from repro.net import CaptureLog, ColumnarCapture, Ipv4Address, MacAddress
-from repro.net.pcap import iter_records
+from repro.net.pcap import walk_records
 from repro.reporting import render_table
 
 # The object tier the fast paths replaced lives with the tests.
@@ -114,9 +114,10 @@ def measure_encode(frames=3000, payload_len=1200):
 
 
 def measure_pcap_load(segments=1500):
-    """The strict record walk, ``iter_records``, over a whole capture."""
+    """The record walk every decode, split and salvage runs,
+    ``walk_records``, over a whole capture."""
     raw = dump_bytes(synth_capture(segments))
-    return best_of(lambda: list(iter_records(raw)))
+    return best_of(lambda: walk_records(raw))
 
 
 def _row(name, seed_s, fast_s):

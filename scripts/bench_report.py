@@ -101,9 +101,7 @@ def end_to_end(minutes: int) -> dict:
     the way the grid/fleet runners see it.  Runs under a live metrics
     registry so the span/counter breakdown (fingerprint memo
     hits, decoded packet counts, phase timings) lands in the JSON beside
-    the stopwatch numbers; ``walk_speculated_share`` is the share of the
-    one-piece decode's records that the record walk's vectorized rounds
-    accepted."""
+    the stopwatch numbers."""
     from repro.analysis import AuditPipeline
     from repro.experiments.grid import warm_assets
     from repro.net.addresses import Ipv4Address
@@ -128,9 +126,6 @@ def end_to_end(minutes: int) -> dict:
             pipeline = AuditPipeline.from_pcap_bytes(result.pcap_bytes,
                                                      tv_ip)
         decode_s = time.perf_counter() - started
-        counters = registry.counters
-        speculated = (counters["decode.columnar.walk_speculated"]
-                      / max(counters["decode.columnar.packets"], 1))
         chunks = split_pcap_bytes(result.pcap_bytes,
                                   ServiceConfig().segments)
         started = time.perf_counter()
@@ -155,7 +150,6 @@ def end_to_end(minutes: int) -> dict:
         "audit_decode_s": round(decode_s, 6),
         "audit_decode_segments": len(chunks),
         "audit_decode_segments_s": round(segments_s, 6),
-        "walk_speculated_share": round(speculated, 4),
         "acr_domains": domains,
         "obs": fold_spans(snapshot),
     }

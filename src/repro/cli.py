@@ -749,6 +749,8 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return _COMMANDS[args.command](args)
     except _WriteError as exc:

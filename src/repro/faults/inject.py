@@ -12,11 +12,15 @@ Two halves:
   re-apply safely.
 
 * **Salvage** — :func:`salvage_pcap_bytes`, the hardening that turns a
-  corrupt capture from an abort into a counted degradation: walk the
-  record stream with :func:`~repro.net.pcap.iter_records` up to its
-  first structural break, probe every frame with the same defensive
-  decode the analysis uses, keep the good records byte-for-byte,
-  and report each dropped record with evidence (index + reason).
+  corrupt capture from an abort into a counted degradation: take the
+  records the shared record walk (:func:`~repro.net.pcap.walk_records`)
+  accepts before the stream's first break, probe every frame with the
+  same defensive decode the analysis uses, keep the good records
+  byte-for-byte, and report each dropped record, and the break, with
+  evidence (index + reason).
+
+Both halves frame records with that one walk: the tamper sites pick
+their record among the ones it accepts.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import List, Optional, Tuple
 
 from ..net.packet import LazyPacket
 from ..net.pcap import GLOBAL_HEADER, RECORD_HEADER, PcapError, \
-    iter_records, parse_global_header
+    walk_records
 from ..obs.metrics import get_registry
 from .plan import FaultPlan
 
@@ -63,18 +67,6 @@ def produce_with_retries(plan: FaultPlan, coords: Tuple, produce):
 # -- pcap tampering -----------------------------------------------------------
 
 
-def _record_spans(raw: bytes) -> List[Tuple[int, int]]:
-    """(start, end) byte spans of every complete record, tolerantly
-    (stops at the first structural break instead of raising)."""
-    spans: List[Tuple[int, int]] = []
-    try:
-        for __, offset, incl_len, __ in iter_records(raw):
-            spans.append((offset - RECORD_HEADER.size, offset + incl_len))
-    except PcapError:
-        pass
-    return spans
-
-
 def tamper_pcap_bytes(plan: FaultPlan, payload: bytes,
                       *coords) -> Tuple[bytes, List[str]]:
     """Apply the plan's pcap faults to one capture (segment) payload.
@@ -96,19 +88,24 @@ def tamper_pcap_bytes(plan: FaultPlan, payload: bytes,
     corrupt = plan.fires("pcap.corrupt", *coords)
     if not (truncate or corrupt):
         return payload, injected
-    spans = _record_spans(payload)
-    if not spans:
+    try:
+        walk = walk_records(payload)
+    except PcapError:
         return payload, injected
+    starts = walk.offsets.tolist()
+    if not starts:
+        return payload, injected
+    lengths = walk.headers[:, 2].tolist()
     registry = get_registry()
     if corrupt:
         pick = int(plan.draw("pcap.corrupt.record", *coords)
-                   * len(spans))
+                   * len(starts))
         # The recipe needs 15 frame bytes; records are Ethernet frames
         # (>= 14 bytes on the wire), so scan forward for one that fits.
-        for offset in range(len(spans)):
-            start, end = spans[(pick + offset) % len(spans)]
-            frame = start + RECORD_HEADER.size
-            if end - frame >= 15:
+        for offset in range(len(starts)):
+            record = (pick + offset) % len(starts)
+            if lengths[record] >= 15:
+                frame = starts[record] + RECORD_HEADER.size
                 tampered = bytearray(payload)
                 # Claim IPv4, then break the version nibble: the
                 # columnar decode and its LazyPacket reference raise
@@ -120,9 +117,9 @@ def tamper_pcap_bytes(plan: FaultPlan, payload: bytes,
                 registry.inc("faults.injected.pcap.corrupt")
                 break
     if truncate:
-        start, end = spans[int(plan.draw("pcap.truncate.record",
-                                         *coords) * len(spans))]
-        length = end - start - RECORD_HEADER.size
+        record = int(plan.draw("pcap.truncate.record", *coords)
+                     * len(starts))
+        start, length = starts[record], lengths[record]
         cut = start + RECORD_HEADER.size + length // 2 if length \
             else start + RECORD_HEADER.size // 2
         payload = payload[:cut]
@@ -134,12 +131,12 @@ def tamper_pcap_bytes(plan: FaultPlan, payload: bytes,
 # -- salvage (quarantine-and-continue) ----------------------------------------
 
 
-def _probe(timestamp: int, data: bytes) -> Optional[str]:
+def _probe(data: bytes) -> Optional[str]:
     """Reason string if this frame would fail analysis decode, else
     ``None``.  Mirrors the decode's failure surface: LazyPacket field
     parse plus the in-place DNS parse for UDP datagrams."""
     try:
-        packet = LazyPacket(timestamp, data)
+        packet = LazyPacket(0, data)
         if packet.proto == 17:
             packet.dns
     except Exception as exc:  # noqa: BLE001 — any decode error quarantines
@@ -154,32 +151,30 @@ def salvage_pcap_bytes(raw: bytes) -> Tuple[bytes, List[Tuple[int, str]]]:
     every record that decodes (byte-identical slices of the original —
     never re-encoded) and ``drops`` lists ``(record index, reason)``
     for each quarantined record (index ``-1`` marks an unusable global
-    header).  A structural break (truncated header/data) ends the walk:
-    framing past the break cannot be trusted, so the remaining records
-    are reported as a single drop at the break's index.
+    header).  The record walk's first break (a cut header, an
+    implausible length, cut data) ends the salvage: framing past the
+    break cannot be trusted, so the remaining records are reported as a
+    single drop at the break's index, with the decode's error text.
 
     ``salvage(raw) == (raw, [])`` for any capture the decode accepts,
     so routing a *healthy* segment through here is a no-op.
     """
     try:
-        parse_global_header(raw)
+        walk = walk_records(raw)
     except PcapError as exc:
         return b"", [(-1, f"unusable global header: {exc}")]
     good: List[bytes] = [bytes(raw[:GLOBAL_HEADER.size])]
     drops: List[Tuple[int, str]] = []
-    index = 0
-    try:
-        # The strict walk's acceptance rules, so a salvaged payload
-        # re-decodes without a second rejection pass.
-        for timestamp, offset, incl_len, __ in iter_records(raw):
-            end = offset + incl_len
-            reason = _probe(timestamp, bytes(raw[offset:end]))
-            if reason is None:
-                good.append(bytes(raw[offset - RECORD_HEADER.size:end]))
-            else:
-                drops.append((index, reason))
-            index += 1
-    except PcapError as exc:
-        drops.append((index, str(exc)))
+    # The walk's acceptance rules are the decode's, so a salvaged
+    # payload re-decodes without a second rejection pass.
+    for index, (start, length) in enumerate(zip(
+            walk.offsets.tolist(), walk.headers[:, 2].tolist())):
+        end = start + RECORD_HEADER.size + length
+        reason = _probe(bytes(raw[start + RECORD_HEADER.size:end]))
+        if reason is None:
+            good.append(bytes(raw[start:end]))
+        else:
+            drops.append((index, reason))
+    if walk.error is not None:
+        drops.append((len(walk.offsets), str(walk.error)))
     return b"".join(good), drops
-

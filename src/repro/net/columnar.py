@@ -1,26 +1,25 @@
 """Columnar decode: a whole capture as parallel field columns.
 
-The audit's one decode path: collect every record offset with the
-shared record walk (:func:`~repro.net.pcap.walk_records`, which the
-streaming tier's segment splitter runs too), then gather every
-fixed-offset header field — timestamps, lengths, src/dst IPv4
-addresses, ports, protocol, the UDP/53 DNS flag — into parallel numpy
-columns, in two numpy gathers.  Zero per-packet Python objects are
-built; consumers scan columns directly (flow keys included:
-:meth:`ColumnarCapture.flow_keys`), and only the packets whose
-*payload* is actually read (DNS answers) are decoded further, via
-:class:`ColumnarView`, a row adapter with ``LazyPacket``'s flow-level
-attributes (addresses, ports, protocol, length, transport payload,
-DNS) but none of its object layers.
+The audit's one decode path: take every record offset and header from
+the shared record walk (:func:`~repro.net.pcap.walk_records`, which
+validation, the streaming tier's segment splitter and salvage run
+too), then gather every fixed-offset frame field — src/dst IPv4
+addresses, ports, protocol, the UDP/53 DNS flag — in one numpy gather,
+into numpy columns parallel to the headers' timestamps and lengths.
+Zero per-packet Python objects are built; consumers scan columns
+directly (flow keys included: :meth:`ColumnarCapture.flow_keys`), and
+only the packets whose *payload* is actually read (DNS answers) are
+decoded further, via :class:`ColumnarView`, a row adapter with
+``LazyPacket``'s flow-level attributes (addresses, ports, protocol,
+length, transport payload, DNS) but none of its object layers.
 
 The reference for every row is :class:`~repro.net.packet.LazyPacket`,
 and the equivalence suite holds the two identical:
 
-* the build checks the walked offsets and raises the same
-  :class:`~repro.net.pcap.PcapError` surface as the strict walk
-  :func:`~repro.net.pcap.iter_records`, and raises it before any
-  frame-level error, exactly like that walk run to the end before any
-  row decodes;
+* the build raises the walk's first record-level
+  :class:`~repro.net.pcap.PcapError` before any frame-level error,
+  exactly like a strict reading of every record ahead of any row
+  decode;
 * malformed or clipped frames raise the same ``ValueError`` messages in
   the same (capture) order as ``LazyPacket`` — any row the vectorized
   gather can't prove well-formed (short frames, IPv4 options,
@@ -51,8 +50,7 @@ from .dns import DnsMessage
 from .ip import PROTO_TCP, PROTO_UDP
 from .packet import (_PROTO_NAMES, DNS_PORT, LazyPacket,
                      slice_transport_payload)
-from .pcap import RECORD_HEADER, PcapError, byte_windows, \
-    parse_global_header, walk_records
+from .pcap import RECORD_HEADER, byte_windows, walk_records
 
 _NS_PER_US = 1_000
 _NS_PER_S = 1_000_000_000
@@ -101,34 +99,18 @@ COLUMN_NAMES = tuple(name for name, __ in COLUMN_DTYPES)
 _FAST_MIN_FRAME = 38
 
 
-def _build_columns(buf: memoryview) -> Tuple[Dict[str, np.ndarray], int]:
-    """Decode one pcap buffer into columns (the decode hot path).
-
-    Also returns how many records the walk's vectorized rounds accepted.
-    """
-    swapped, snaplen, __ = parse_global_header(buf)
-    record, cursor, speculated = walk_records(buf, swapped)
+def _build_columns(buf: memoryview) -> Dict[str, np.ndarray]:
+    """Decode one pcap buffer into columns (the decode hot path)."""
+    record, header, __, error = walk_records(buf)
+    # A broken record stream is refused before any frame-level check,
+    # as a strict reading of every record ahead of any row decode
+    # would refuse it.
+    if error is not None:
+        raise error
+    if not len(record):
+        return _empty_columns()
     end = len(buf)
-    count = len(record)
-    # Each record header's first three words: seconds, microseconds and
-    # the captured length.
-    header = byte_windows(buf, 12)[record].view(
-        ">u4" if swapped else "<u4")
     incl = header[:, 2].astype(np.int64)
-
-    # Record-level failures surface before any frame-level one, exactly
-    # like a full iter_records walk ahead of any row decode.
-    implausible = incl > snaplen + 65536
-    if implausible.any():
-        first = int(implausible.argmax())
-        raise PcapError(f"implausible record length: {int(incl[first])}")
-    if cursor > end:
-        raise PcapError("truncated pcap record data")
-    if cursor < end:
-        raise PcapError("truncated pcap record header")
-    if not count:
-        return _empty_columns(), speculated
-
     ts = (header[:, 0].astype(np.int64) * _NS_PER_S
           + header[:, 1].astype(np.int64) * _NS_PER_US)
     frame = record + RECORD_HEADER.size
@@ -192,7 +174,7 @@ def _build_columns(buf: memoryview) -> Tuple[Dict[str, np.ndarray], int]:
         "proto": proto_col,
         "ihl": ihl_col,
         "dns": dns_col,
-    }, speculated
+    }
 
 
 def _empty_columns() -> Dict[str, np.ndarray]:
@@ -278,7 +260,7 @@ class ColumnarCapture:
         buf = raw if isinstance(raw, memoryview) else memoryview(raw)
         registry = get_registry()
         with registry.span("decode.columnar.build"):
-            columns, speculated = _build_columns(buf)
+            columns = _build_columns(buf)
         start = len(self.ts)
         count = len(columns["ts"])
         self._seg_starts.append(start)
@@ -294,7 +276,6 @@ class ColumnarCapture:
                                         columns[name])))
         if registry.enabled:
             registry.inc("decode.columnar.packets", count)
-            registry.inc("decode.columnar.walk_speculated", speculated)
         return start, start + count
 
     # -- row access -------------------------------------------------------------

@@ -4,7 +4,9 @@ A segment is a self-contained pcap (global header + a contiguous run of
 the original records) so any consumer that reads pcap bytes can ingest
 it directly.  The slicing is byte-preserving: records are located by
 the decode's own record walk (:func:`~repro.net.pcap.walk_records`),
-never re-encoded, and each segment is copied once, so
+which also decides that a capture is broken, so the splitter refuses
+exactly what the decode refuses.  Records are never re-encoded, and
+each segment is copied once, so
 
     sum(len(segment) - 24 for segments) + 24 == len(original)
 
@@ -14,11 +16,9 @@ therefore the fleet report — byte-identical to the batch path.
 
 from __future__ import annotations
 
-import struct
 from typing import List
 
-from ..net.pcap import (GLOBAL_HEADER, MAGIC_USEC, RECORD_HEADER, PcapError,
-                        walk_records)
+from ..net.pcap import GLOBAL_HEADER, PcapError, walk_records
 
 #: Size of the libpcap global header every segment re-carries.
 PCAP_HEADER_LEN = GLOBAL_HEADER.size
@@ -52,30 +52,17 @@ def split_pcap_bytes(raw: bytes, parts: int) -> List[bytes]:
     yield one chunk per packet; an empty capture yields a single
     header-only chunk.  The split is a pure function of
     ``(raw, parts)`` — both sides of a kill/resume cycle cut the same
-    capture identically.  A cut record raises :class:`PcapError` naming
-    its index and byte offset.
+    capture identically.  A capture the decode refuses is refused with
+    the decode's :class:`PcapError` text, followed by the index and
+    byte offset of the first record the walk rejected.
     """
     if parts <= 0:
         raise ValueError("parts must be positive")
-    if len(raw) < PCAP_HEADER_LEN:
-        raise PcapError("truncated pcap global header")
-    if struct.unpack_from("<I", raw)[0] != MAGIC_USEC:
-        raise PcapError("segment splitter needs a native-order pcap")
-    offsets, cursor, __ = walk_records(raw, False)
-    size = len(raw)
+    offsets, __, cursor, error = walk_records(raw)
     records = len(offsets)
-    if cursor < size:
-        raise PcapError(
-            f"truncated pcap record header: record {records} at "
-            f"byte {cursor} needs {RECORD_HEADER.size} header bytes, "
-            f"capture ends after {size - cursor}")
-    if cursor > size:
-        position = int(offsets[-1])
-        raise PcapError(
-            f"truncated pcap record data: record {records - 1} at byte "
-            f"{position} declares "
-            f"{cursor - position - RECORD_HEADER.size} data bytes, "
-            f"capture ends after {size - position - RECORD_HEADER.size}")
+    if error is not None:
+        raise PcapError(f"{error} (record {records} at byte {cursor})")
+    size = len(raw)
     view = memoryview(raw)
     header = bytes(view[:PCAP_HEADER_LEN])
     if records == 0:

@@ -1,8 +1,8 @@
 """The per-packet object tier: the reference the capture path is pinned
 against.
 
-Production writes a capture in one pass (``CaptureLog.encode``), walks
-its records with ``repro.net.pcap.iter_records`` and decodes it column
+Production writes a capture in one pass (``CaptureLog.encode``), frames
+its records with ``repro.net.pcap.walk_records`` and decodes it column
 by column (``repro.net.columnar``).  This module keeps the object tier
 those paths replaced, for tests and benchmarks to compare against:
 
@@ -16,7 +16,9 @@ those paths replaced, for tests and benchmarks to compare against:
   to;
 * ``CapturedPacket`` (a timestamp plus raw frame bytes), ``PcapWriter``
   and ``dump_bytes``, the record-at-a-time writer ``CaptureLog.encode``
-  must match byte for byte, and ``load_bytes``, the ``iter_records``
+  must match byte for byte; ``iter_records``, the strict record reader
+  that raises at a stream's first break, which ``walk_records`` must
+  match record for record and error for error; and ``load_bytes``, its
   walk as a packet list;
 * the layer decoders (``decode_ethernet``, ``decode_ipv4``,
   ``decode_tcp``, ``decode_udp``) and ``decode_packet``/``decode_all``,
@@ -30,7 +32,8 @@ those paths replaced, for tests and benchmarks to compare against:
 """
 
 import io
-from typing import BinaryIO, Iterable, List, Optional, Union
+import struct
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,11 +47,12 @@ from repro.net.ip import PROTO_TCP, PROTO_UDP
 from repro.net.packet import DNS_PORT, LazyPacket
 from repro.net.pcap import (GLOBAL_HEADER, LINKTYPE_ETHERNET, MAGIC_USEC,
                             RECORD_HEADER, SNAPLEN, VERSION_MAJOR,
-                            VERSION_MINOR, iter_records)
+                            VERSION_MINOR, PcapError, parse_global_header)
 from repro.net.tcp import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN
 from repro.sim.clock import NS_PER_SECOND
 
 _NS_PER_US = 1_000
+_NS_PER_S = NS_PER_SECOND
 
 FLAG_RST = 0x04
 
@@ -350,6 +354,39 @@ def dump_bytes(packets: Iterable[CapturedPacket]) -> bytes:
     buffer = io.BytesIO()
     PcapWriter(buffer).write_all(packets)
     return buffer.getvalue()
+
+
+def iter_records(buf) -> Iterator[Tuple[int, int, int, int]]:
+    """Walk the record headers of an in-memory pcap buffer.
+
+    Yields ``(timestamp_ns, frame_offset, incl_len, orig_len)`` per
+    record without copying a single frame byte — consumers slice (or
+    index into) the one buffer they already hold.  This is the strict
+    record reader, written independently of ``repro.net.pcap``'s
+    ``walk_records`` (which collects the same records and returns its
+    first break instead of raising it): a truncated record header, a
+    record longer than the snaplen allows and truncated record data
+    raise :class:`PcapError`, checked in that order, once every record
+    before the break has been yielded.
+    """
+    swapped, snaplen, __ = parse_global_header(buf)
+    offset = GLOBAL_HEADER.size
+    header = (">IIII" if swapped else "<IIII")
+    unpack = struct.Struct(header).unpack_from
+    header_size = RECORD_HEADER.size
+    end = len(buf)
+    while offset < end:
+        if end - offset < header_size:
+            raise PcapError("truncated pcap record header")
+        ts_sec, ts_usec, incl_len, orig_len = unpack(buf, offset)
+        if incl_len > snaplen + 65536:
+            raise PcapError(f"implausible record length: {incl_len}")
+        offset += header_size
+        if end - offset < incl_len:
+            raise PcapError("truncated pcap record data")
+        yield (ts_sec * _NS_PER_S + ts_usec * _NS_PER_US,
+               offset, incl_len, orig_len)
+        offset += incl_len
 
 
 def load_bytes(raw: Union[bytes, bytearray]) -> List[CapturedPacket]:

@@ -5,6 +5,9 @@ import json
 import pytest
 
 import repro.experiments
+import repro.experiments.report
+import repro.fleet
+import repro.service
 from packet_oracle import CapturedPacket, build_udp_frame, dump_bytes
 from repro.cli import build_parser, main
 from repro.findings import (Evidence, Finding, FindingsLedger,
@@ -298,6 +301,28 @@ class TestBadInputExits2:
         *progress, last = captured.err.splitlines()
         assert last.startswith("error: ") and "Is a directory" in last
         assert not any(line.startswith("error: ") for line in progress)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["grid", "fleet", "serve",
+                                         "scorecard", "report"])
+    def test_jobs_below_one(self, tmp_path, capsys, monkeypatch, command,
+                            jobs):
+        def simulated(*args, **kwargs):
+            pytest.fail("simulated")
+
+        for owner, name in ((repro.experiments, "run_all_checks"),
+                            (repro.experiments.report, "generate"),
+                            (repro.experiments.grid.GridRunner, "run"),
+                            (repro.fleet.FleetRunner, "run"),
+                            (repro.service, "serve_fleet")):
+            monkeypatch.setattr(owner, name, simulated)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = [command, "--jobs", jobs]
+        if command in ("grid", "fleet", "serve"):
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        assert _assert_usage_error(
+            capsys, argv, f"--jobs must be at least 1, got {jobs}") == ""
+        assert not (tmp_path / "cache").exists()
 
     def test_serve_negative_checkpoint_interval(self, capsys):
         _assert_usage_error(

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from packet_oracle import (CapturedPacket, TcpSegment, build_tcp_frame,
-                           dump_bytes)
+                           dump_bytes, iter_records)
 from repro.experiments.grid import ResultCache
 from repro.faults import (FAULT_ATTEMPT_CAP, FaultPlan, FaultSpecError,
                           NULL_PLAN, produce_with_retries,
@@ -33,7 +33,7 @@ from repro.faults import (FAULT_ATTEMPT_CAP, FaultPlan, FaultSpecError,
 from repro.fleet import (FleetRunner, PopulationSpec,
                          render_population_report)
 from repro.net import Ipv4Address, MacAddress, PcapError
-from repro.net.pcap import GLOBAL_HEADER, RECORD_HEADER, iter_records
+from repro.net.pcap import GLOBAL_HEADER, RECORD_HEADER
 from repro.service import (ServiceConfig, ServiceStopped, serve_fleet,
                            split_pcap_bytes)
 
@@ -282,15 +282,15 @@ class TestSegmenterEvidence:
 
     def test_truncated_record_data_names_index_and_offset(self):
         raw = _capture(records=2)
-        with pytest.raises(PcapError,
-                           match=r"record 1 at byte \d+ declares"):
+        with pytest.raises(PcapError, match=r"^truncated pcap record data "
+                           r"\(record 1 at byte \d+\)$"):
             split_pcap_bytes(raw[:-3], 2)
 
     def test_truncated_record_header_names_index_and_offset(self):
         from repro.service.segments import PCAP_HEADER_LEN
         raw = _capture(records=2)
-        with pytest.raises(PcapError,
-                           match=r"record 0 at byte 24 needs"):
+        with pytest.raises(PcapError, match=r"^truncated pcap record header "
+                           r"\(record 0 at byte 24\)$"):
             split_pcap_bytes(raw[:PCAP_HEADER_LEN + 8], 2)
 
 

@@ -1,5 +1,6 @@
 """Unit + property tests for the pcap format: the oracle record writer
-against the production record walk, ``iter_records``."""
+against the oracle's strict record reader, ``iter_records``, which
+``tests/test_record_walk.py`` pins the production walk against."""
 
 import io
 import struct
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from packet_oracle import CapturedPacket, PcapWriter, dump_bytes
+from packet_oracle import CapturedPacket, PcapWriter, dump_bytes, \
+    iter_records
 from repro.net import PcapError
-from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_USEC, iter_records
+from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_USEC
 
 
 def _packets(n=5):

@@ -532,7 +532,6 @@ class TestFleetMetricsJobsInvariance:
     #: render serves only the process that made it.
     DETERMINISTIC = ("fleet.households", "fleet.shards.completed",
                      "pipeline.extends", "decode.columnar.packets",
-                     "decode.columnar.walk_speculated",
                      "pipeline.domain_view.build",
                      "pipeline.domain_view.memo_hit")
 

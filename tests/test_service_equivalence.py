@@ -102,9 +102,9 @@ class TestSplitIsBytePreserving:
            parts=st.integers(min_value=-2, max_value=15))
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_bytes_split_or_refuse(self, raw, parts):
-        # Anything but a native-order pcap is refused with PcapError (a
-        # ValueError), as is a non-positive part count; whatever splits
-        # loses no byte.
+        # Anything the decode's record walk refuses is refused with
+        # PcapError (a ValueError), as is a non-positive part count;
+        # whatever splits loses no byte.
         try:
             chunks = split_pcap_bytes(raw, parts)
         except (PcapError, ValueError):

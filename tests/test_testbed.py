@@ -2,9 +2,8 @@
 
 import pytest
 
-from packet_oracle import dump_bytes, load_bytes
+from packet_oracle import dump_bytes, iter_records, load_bytes
 from repro.net.ip import PROTO_TCP, PROTO_UDP
-from repro.net.pcap import iter_records
 from repro.sim import hours, minutes
 from repro.testbed import (AccessPoint, Country, ExperimentSpec, Phase,
                            Scenario, Vendor, build_source, full_matrix,

@@ -5,11 +5,12 @@ import copy
 
 import pytest
 
+from packet_oracle import iter_records
 from repro.experiments.report import (cadence_section, cdf_section,
                                       scorecard_section)
 from repro.experiments.tables_volumes import (PAPER_TABLE2, PAPER_TABLE4,
                                               paper_reference)
-from repro.net.pcap import GLOBAL_HEADER, RECORD_HEADER, iter_records
+from repro.net.pcap import GLOBAL_HEADER, RECORD_HEADER
 from repro.sim import minutes
 from repro.testbed import (Country, ExperimentSpec, Phase, Scenario,
                            Vendor, run_experiment, validate)
@@ -94,8 +95,8 @@ class TestValidationCatchesBrokenCaptures:
         raw = short_run.pcap_bytes
         last = len(_records(raw)[-1][1])
         cut = copy.copy(short_run)
-        # Past the last record's header, so the walk counts every
-        # record but ends beyond the buffer, or inside that header.
+        # Inside the last record's data or header: the walk stops at
+        # that record with the decode's error.
         cut.pcap_bytes = raw[:-5] if into == "data" \
             else raw[:len(raw) - last + 8]
         assert _failed(cut) == {"pcap-roundtrip"}
