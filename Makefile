@@ -37,9 +37,10 @@ bench-fleet:
 	$(PY) -m pytest benchmarks/bench_fleet.py -q
 
 # Codec hot-path trajectory: microbenches + a reduced-grid end-to-end
-# cell, written to BENCH_5.json so future PRs can regress-check.
+# cell, written to the git-ignored .benchmarks/bench-json.json, so a run
+# never rewrites the committed BENCH_5.json point it is compared with.
 bench-json:
-	$(PY) scripts/bench_report.py --out BENCH_5.json
+	$(PY) scripts/bench_report.py --out .benchmarks/bench-json.json
 
 # Commit-ready perf point: fold perfbench's result files
 # (.perfbench/results/, written by perfbench/run.py) into the next free

@@ -1,9 +1,7 @@
-"""Benches for the future-work extensions: MITM payload audit and
-DNS-blocklist effectiveness."""
+"""Bench for the future-work extension: the MITM payload audit."""
 
 from conftest import once
 
-from repro.experiments.blocklist_eval import run_evaluation
 from repro.experiments.mitm_audit import run_mitm_audit
 from repro.reporting import render_table
 from repro.testbed import Vendor, paper_vendors
@@ -34,16 +32,3 @@ def test_mitm_payload_audit(benchmark):
         ["acr-eu-prd.samsungcloud.tv"]
     assert all(a.advertising_id_observed for a in audits)
 
-
-def test_blocklist_effectiveness(benchmark):
-    evaluation = once(benchmark, run_evaluation, list(range(8)))
-    rows = [[str(t.seed), t.active_domain,
-             "listed" if t.listed else "MISSED",
-             f"{t.leaked_kb:.1f}", f"{t.baseline_kb:.1f}"]
-            for t in evaluation.trials]
-    print("\n" + render_table(
-        ["seed", "active rotation target", "in snapshot", "leaked KB",
-         "baseline KB"], rows,
-        title="DNS blocklist vs hostname rotation "
-              f"(leak rate {evaluation.leak_rate:.0%})"))
-    assert 0.0 < evaluation.leak_rate < 1.0

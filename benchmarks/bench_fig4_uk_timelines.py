@@ -5,29 +5,22 @@ timelines and asserts the paper's shape: Linear and HDMI dominate, peaks
 in restricted scenarios are several-fold smaller.
 """
 
-from conftest import once
+from conftest import once, panels, print_panel
 
-from repro.experiments import figure4
-from repro.experiments.fig_timelines import SCENARIO_LABELS
-from repro.reporting import plot_timeline
-from repro.testbed import Scenario
+from repro.testbed import Country, Phase, Scenario
 
 
 def test_figure4_uk_timelines(benchmark, uk_opted_in_cells):
-    panels = once(benchmark, figure4)
-    for panel in panels:
-        print(f"\nFigure 4 ({panel.vendor.value}, UK, LIn-OIn) — "
-              f"packets/ms over 10 min:")
-        for scenario in Scenario:
-            print(plot_timeline(panel.timelines[scenario], width=72,
-                                label=SCENARIO_LABELS[scenario]))
+    figure = once(benchmark, panels, Country.UK, Phase.LIN_OIN)
+    for panel in figure:
+        print_panel(f"Figure 4 ({panel.vendor.value}, UK, LIn-OIn)", panel)
         # Shape: Linear and HDMI spike hardest.
         active_peak = min(panel.peak(Scenario.LINEAR),
                           panel.peak(Scenario.HDMI))
         restricted_peak = max(
             panel.peak(s) for s in (Scenario.IDLE, Scenario.OTT))
         assert active_peak > restricted_peak
-    lg, samsung = panels
+    lg, samsung = figure
     ratio = lg.peak_reduction(Scenario.LINEAR, Scenario.OTT)
     print(f"\nLG peak reduction Linear vs OTT: {ratio:.1f}x "
           f"(paper: up to 12x)")

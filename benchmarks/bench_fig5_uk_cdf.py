@@ -5,34 +5,22 @@ periodicity differs between vendors, Samsung speaks at higher frequency,
 and login status leaves the curves essentially unchanged.
 """
 
-from conftest import once
+from conftest import (once, opted_in_curves, print_curve_totals,
+                      sent_kb)
 
 from repro.analysis import median_step_interval_s
-from repro.experiments import figure5, transmitted_curve
-from repro.reporting import plot_cdf, render_table
+from repro.experiments import transmitted_curve
 from repro.testbed import (Country, ExperimentSpec, Phase, Scenario,
                            Vendor, paper_vendors)
 
 
 def test_figure5_uk_cdf(benchmark, uk_opted_in_cells):
-    figure = once(benchmark, figure5)
-    rows = []
-    for vendor in paper_vendors():
-        for scenario in Scenario:
-            lin = figure.total_kb(vendor, scenario, Phase.LIN_OIN)
-            lout = figure.total_kb(vendor, scenario, Phase.LOUT_OIN)
-            rows.append([vendor.value, scenario.value,
-                         f"{lin:.1f}", f"{lout:.1f}"])
-    print("\n" + render_table(
-        ["vendor", "scenario", "LIn-OIn KB sent", "LOut-OIn KB sent"],
-        rows, title="Figure 5 (UK): transmitted bytes per curve"))
-
-    curve = figure.curve(Vendor.LG, Scenario.LINEAR, Phase.LIN_OIN)
-    print("\n" + plot_cdf(curve, label="LG / Linear / LIn-OIn"))
+    curves = once(benchmark, opted_in_curves, Country.UK)
+    print_curve_totals("Figure 5 (UK): transmitted bytes per curve", curves)
 
     # Vendor cadence visible in the CDF steps (fingerprint channel).
-    lg_step = figure.transfer_period_s(Vendor.LG, Scenario.LINEAR,
-                                       Phase.LIN_OIN)
+    lg_step = median_step_interval_s(
+        curves[(Vendor.LG, Scenario.LINEAR, Phase.LIN_OIN)])
     samsung_fp = transmitted_curve(
         ExperimentSpec(Vendor.SAMSUNG, Country.UK, Scenario.LINEAR,
                        Phase.LIN_OIN),
@@ -45,6 +33,6 @@ def test_figure5_uk_cdf(benchmark, uk_opted_in_cells):
 
     # Login status does not shift the curves materially.
     for vendor in paper_vendors():
-        lin = figure.total_kb(vendor, Scenario.LINEAR, Phase.LIN_OIN)
-        lout = figure.total_kb(vendor, Scenario.LINEAR, Phase.LOUT_OIN)
+        lin = sent_kb(curves, vendor, Scenario.LINEAR, Phase.LIN_OIN)
+        lout = sent_kb(curves, vendor, Scenario.LINEAR, Phase.LOUT_OIN)
         assert abs(lin - lout) / max(lin, lout) < 0.3

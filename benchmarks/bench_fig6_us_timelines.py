@@ -4,22 +4,15 @@ Same panels as Figure 4 for the US; the headline divergence is FAST,
 which spikes like Linear in the US.
 """
 
-from conftest import once
+from conftest import once, panels, print_panel
 
-from repro.experiments import figure6
-from repro.experiments.fig_timelines import SCENARIO_LABELS
-from repro.reporting import plot_timeline
-from repro.testbed import Scenario
+from repro.testbed import Country, Phase, Scenario
 
 
 def test_figure6_us_timelines(benchmark, us_opted_in_cells):
-    panels = once(benchmark, figure6)
-    for panel in panels:
-        print(f"\nFigure 6 ({panel.vendor.value}, US, LIn-OIn) — "
-              f"packets/ms over 10 min:")
-        for scenario in Scenario:
-            print(plot_timeline(panel.timelines[scenario], width=72,
-                                label=SCENARIO_LABELS[scenario]))
+    figure = once(benchmark, panels, Country.US, Phase.LIN_OIN)
+    for panel in figure:
+        print_panel(f"Figure 6 ({panel.vendor.value}, US, LIn-OIn)", panel)
         # US shape: FAST joins Linear and HDMI as a heavy scenario.
         fast = panel.timelines[Scenario.FAST].total_packets
         linear = panel.timelines[Scenario.LINEAR].total_packets

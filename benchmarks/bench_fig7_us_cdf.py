@@ -1,35 +1,22 @@
 """Figure 7: CDF of bytes transmitted to ACR domains, US, opted-in phases."""
 
-from conftest import once
+from conftest import (once, opted_in_curves, print_curve_totals,
+                      sent_kb)
 
-from repro.experiments import figure7
-from repro.reporting import plot_cdf, render_table
-from repro.testbed import Phase, Scenario, Vendor, paper_vendors
+from repro.testbed import Country, Phase, Scenario, paper_vendors
 
 
 def test_figure7_us_cdf(benchmark, us_opted_in_cells):
-    figure = once(benchmark, figure7)
-    rows = []
-    for vendor in paper_vendors():
-        for scenario in Scenario:
-            lin = figure.total_kb(vendor, scenario, Phase.LIN_OIN)
-            lout = figure.total_kb(vendor, scenario, Phase.LOUT_OIN)
-            rows.append([vendor.value, scenario.value,
-                         f"{lin:.1f}", f"{lout:.1f}"])
-    print("\n" + render_table(
-        ["vendor", "scenario", "LIn-OIn KB sent", "LOut-OIn KB sent"],
-        rows, title="Figure 7 (US): transmitted bytes per curve"))
-    print("\n" + plot_cdf(
-        figure.curve(Vendor.LG, Scenario.FAST, Phase.LIN_OIN),
-        label="LG / FAST / LIn-OIn (US: FAST is tracked like Linear)"))
+    curves = once(benchmark, opted_in_curves, Country.US)
+    print_curve_totals("Figure 7 (US): transmitted bytes per curve", curves)
 
     # US shape: FAST transmissions rival Linear for both vendors.
     for vendor in paper_vendors():
-        fast = figure.total_kb(vendor, Scenario.FAST, Phase.LIN_OIN)
-        linear = figure.total_kb(vendor, Scenario.LINEAR, Phase.LIN_OIN)
+        fast = sent_kb(curves, vendor, Scenario.FAST, Phase.LIN_OIN)
+        linear = sent_kb(curves, vendor, Scenario.LINEAR, Phase.LIN_OIN)
         assert fast > 0.6 * linear
     # Login status immaterial in the US too.
     for vendor in paper_vendors():
-        lin = figure.total_kb(vendor, Scenario.LINEAR, Phase.LIN_OIN)
-        lout = figure.total_kb(vendor, Scenario.LINEAR, Phase.LOUT_OIN)
+        lin = sent_kb(curves, vendor, Scenario.LINEAR, Phase.LIN_OIN)
+        lout = sent_kb(curves, vendor, Scenario.LINEAR, Phase.LOUT_OIN)
         assert abs(lin - lout) / max(lin, lout) < 0.3

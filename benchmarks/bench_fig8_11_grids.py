@@ -5,26 +5,32 @@ all six scenarios.  Asserts the §4.2/§4.3 reading: the grids look the
 same across login phases, and the US FAST panel diverges from the UK's.
 """
 
-from conftest import once
+from conftest import once, panels, print_panel
 
-from repro.experiments import figures_8_to_11
-from repro.experiments.fig_timelines import SCENARIO_LABELS
-from repro.reporting import plot_timeline
-from repro.testbed import Scenario
+from repro.testbed import Country, Phase, Scenario
+
+GRIDS = {
+    "figure8": (Country.UK, Phase.LIN_OIN),
+    "figure9": (Country.UK, Phase.LOUT_OIN),
+    "figure10": (Country.US, Phase.LIN_OIN),
+    "figure11": (Country.US, Phase.LOUT_OIN),
+}
+
+
+def _grids():
+    return {name: panels(country, phase)
+            for name, (country, phase) in GRIDS.items()}
 
 
 def test_figures_8_to_11_grids(benchmark, uk_opted_in_cells,
                                us_opted_in_cells):
-    grids = once(benchmark, figures_8_to_11)
+    grids = once(benchmark, _grids)
     assert set(grids) == {"figure8", "figure9", "figure10", "figure11"}
-    for name, panels in grids.items():
-        print(f"\n=== {name} ===")
-        for panel in panels:
-            print(f"-- {panel.vendor.value} / {panel.country.value} / "
-                  f"{panel.phase.value}")
-            for scenario in Scenario:
-                print(plot_timeline(panel.timelines[scenario], width=64,
-                                    label=SCENARIO_LABELS[scenario]))
+    for name, grid in grids.items():
+        for panel in grid:
+            print_panel(f"{name}: {panel.vendor.value} / "
+                        f"{panel.country.value} / {panel.phase.value}",
+                        panel)
 
     # Login-phase grids match in shape: per-scenario packet totals close.
     for uk_pair in (("figure8", "figure9"), ("figure10", "figure11")):

@@ -2,7 +2,9 @@
 
 Two kinds of point:
 
-* ``make bench-json`` measures the codec hot path: the hot-path
+* ``make bench-json`` measures the codec hot path (written to the
+  git-ignored ``.benchmarks/bench-json.json``, beside the committed
+  ``BENCH_5.json`` it can be compared with): the hot-path
   microbenches (object-vs-columnar decode, object-vs-capture-log
   encode, the strict record walk) plus a
   reduced-grid end-to-end measurement (one cell simulated cold, then
@@ -38,6 +40,9 @@ import time
 from typing import Dict, List
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Where ``make bench-json`` writes: git-ignored, so a run never
+#: rewrites a committed trajectory point.
+DEFAULT_OUT = os.path.join(".benchmarks", "bench-json.json")
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, REPO_ROOT)
 
@@ -239,8 +244,8 @@ def write_point(point: dict, directory: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="emit a BENCH_<n>.json trajectory point")
-    parser.add_argument("--out", default="BENCH_5.json",
-                        help="output path (default BENCH_5.json)")
+    parser.add_argument("--out", default=DEFAULT_OUT,
+                        help=f"output path (default {DEFAULT_OUT})")
     parser.add_argument("--minutes", type=int, default=10,
                         help="simulated minutes for the end-to-end cell "
                              "(default 10; CI uses the default reduced "
@@ -276,6 +281,7 @@ def main() -> int:
         report["end_to_end"] = end_to_end(args.minutes)
 
     payload = json.dumps(report, indent=2) + "\n"
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fileobj:
         fileobj.write(payload)
     print(payload, end="")

@@ -3,9 +3,8 @@ vendor capture policies, on-TV client and operator backend — the
 Figure-1 loop of the paper up to the operator's viewing history."""
 
 from .client import AcrClient, AcrClientStats, AcrTransport
-from .fingerprint import (Capture, FingerprintBatch, audio_fingerprint,
-                          capture_state, hamming_distance,
-                          video_fingerprint)
+from .fingerprint import (Capture, FingerprintBatch, capture_state,
+                          hamming_distance, video_fingerprint)
 from .library import ReferenceLibrary, bands_of
 from .matcher import BatchVerdict, FingerprintMatcher, Match
 from .policy import (CaptureDecision, VendorAcrProfile,
@@ -27,7 +26,6 @@ __all__ = [
     "VendorAcrProfile",
     "ViewingEvent",
     "ViewingSession",
-    "audio_fingerprint",
     "bands_of",
     "capture_decision",
     "capture_state",

@@ -135,13 +135,6 @@ def audio_fingerprint_batch(signals: np.ndarray) -> np.ndarray:
     return hashes.astype(np.uint32)
 
 
-def audio_fingerprint(signal: np.ndarray) -> List[int]:
-    """Landmark hashes from a one-second audio excerpt."""
-    if signal.ndim != 1:
-        raise ValueError("expected 1-D audio samples")
-    return audio_fingerprint_batch(signal[None])[0].tolist()
-
-
 def fingerprint_positions(item: ContentItem, positions: Sequence[float]
                           ) -> Tuple[np.ndarray, np.ndarray]:
     """Render ``item`` at each position and fingerprint it, unmemoized:

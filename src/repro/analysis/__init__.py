@@ -8,11 +8,9 @@ from .blocklists import Blocklist, NetifyDirectory
 from .cdf import CumulativeCurve, cumulative_bytes, median_step_interval_s
 from .compare import CountryComparison, PhaseComparison, acr_volume_total
 from .dns_map import DnsMap
-from .periodicity import (PeriodicityReport, analyze_periodicity,
-                          dominant_period_s)
+from .periodicity import PeriodicityReport, analyze_periodicity
 from .pipeline import AuditPipeline
-from .timeline import (Timeline, burst_times_ns, packets_per_ms,
-                       packets_per_second, peak_ratio)
+from .timeline import Timeline, burst_times_ns, packets_per_ms
 from .volumes import (VolumeCell, VolumeTable, build_volume_table,
                       normalize_rotating)
 
@@ -35,11 +33,8 @@ __all__ = [
     "build_volume_table",
     "burst_times_ns",
     "cumulative_bytes",
-    "dominant_period_s",
     "median_step_interval_s",
     "no_new_acr_domains",
     "normalize_rotating",
     "packets_per_ms",
-    "packets_per_second",
-    "peak_ratio",
 ]

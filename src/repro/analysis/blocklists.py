@@ -69,46 +69,6 @@ class Blocklist:
         return len(self.entries)
 
 
-class HostsFileBlocklist:
-    """A hosts-file-style list: *exact hostnames*, as Blokada ships them.
-
-    Exactness is the operational weakness the rotation study exploits:
-    a snapshot listing ``eu-acr1..eu-acr4.alphonso.tv`` silently misses
-    ``eu-acr5`` when the vendor rotates past the snapshot.
-    """
-
-    def __init__(self, hostnames: List[str]) -> None:
-        self.hostnames = {h.lower().rstrip(".") for h in hostnames}
-
-    def is_listed(self, domain: str) -> bool:
-        return domain.lower().rstrip(".") in self.hostnames
-
-    def __len__(self) -> int:
-        return len(self.hostnames)
-
-    def __repr__(self) -> str:
-        return f"HostsFileBlocklist({len(self.hostnames)} hosts)"
-
-
-def stale_hosts_snapshot(known_rotation_max: int = 4
-                         ) -> HostsFileBlocklist:
-    """A Blokada-like snapshot taken when only rotation indices
-    1..``known_rotation_max`` had been observed in the wild."""
-    hosts = []
-    for prefix in ("eu-acr", "tkacr"):
-        hosts.extend(f"{prefix}{i}.alphonso.tv"
-                     for i in range(1, known_rotation_max + 1))
-    hosts += [
-        "acr-eu-prd.samsungcloud.tv",
-        "acr-us-prd.samsungcloud.tv",
-        "acr0.samsungcloudsolution.com",
-        "log-config.samsungacr.com",
-        "log-ingestion-eu.samsungacr.com",
-        "log-ingestion.samsungacr.com",
-    ]
-    return HostsFileBlocklist(hosts)
-
-
 class NetifyDirectory:
     """A Netify-style domain intelligence directory."""
 

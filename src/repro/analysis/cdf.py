@@ -34,13 +34,6 @@ class CumulativeCurve:
             return np.zeros_like(self.cumulative_bytes, dtype=np.float64)
         return self.cumulative_bytes / total
 
-    def value_at(self, t_s: float) -> int:
-        """Cumulative bytes at time ``t_s`` (step interpolation)."""
-        index = np.searchsorted(self.times_s, t_s, side="right") - 1
-        if index < 0:
-            return 0
-        return int(self.cumulative_bytes[index])
-
     def time_to_fraction(self, fraction: float) -> float:
         """Earliest time by which ``fraction`` of bytes had been sent."""
         if not 0.0 <= fraction <= 1.0:

@@ -62,45 +62,3 @@ def analyze_periodicity(domain: str, packets: ColumnarSlice,
     return PeriodicityReport(domain, len(bursts), period, cv,
                              [float(v) for v in intervals])
 
-
-def dominant_period_s(packets: ColumnarSlice,
-                      max_lag_s: int = 120) -> Optional[float]:
-    """Autocorrelation-based period estimate on per-second counts.
-
-    More robust than burst medians when bursts overlap (e.g. Samsung's
-    minute batches riding on five-minute peaks).
-    """
-    if not packets:
-        return None
-    times = np.array(sorted(p.timestamp for p in packets))
-    start = times[0]
-    seconds_index = ((times - start) // NS_PER_SECOND).astype(np.int64)
-    duration = int(seconds_index[-1]) + 1
-    if duration < 4:
-        return None
-    counts = np.bincount(seconds_index, minlength=duration).astype(
-        np.float64)
-    counts -= counts.mean()
-    max_lag = min(max_lag_s, duration - 2)
-    if max_lag < 2:
-        return None
-    correlation = np.array([
-        float(np.dot(counts[:-lag], counts[lag:]))
-        for lag in range(1, max_lag + 1)])
-    denominator = float(np.dot(counts, counts))
-    if denominator <= 0:
-        return None
-    correlation /= denominator
-    # First strong local maximum beyond trivial lags.
-    best_lag = None
-    for lag in range(2, len(correlation) - 1):
-        if correlation[lag] > 0.2 and \
-                correlation[lag] >= correlation[lag - 1] and \
-                correlation[lag] >= correlation[lag + 1]:
-            best_lag = lag + 1
-            break
-    if best_lag is None:
-        best_lag = int(np.argmax(correlation)) + 1
-        if correlation[best_lag - 1] < 0.1:
-            return None
-    return float(best_lag)

@@ -81,12 +81,6 @@ def packets_per_ms(packets: ColumnarSlice, start_ns: int,
     return _binned(packets, start_ns, end_ns, NS_PER_MS)
 
 
-def packets_per_second(packets: ColumnarSlice, start_ns: int,
-                       end_ns: int) -> Timeline:
-    """Second-binned counts over [start_ns, end_ns)."""
-    return _binned(packets, start_ns, end_ns, NS_PER_SECOND)
-
-
 def _binned(packets: ColumnarSlice, start_ns: int, end_ns: int,
             bin_ns: int) -> Timeline:
     if end_ns <= start_ns:
@@ -114,11 +108,3 @@ def burst_times_ns(packets: ColumnarSlice,
         last = t
     return bursts
 
-
-def peak_ratio(active: Timeline, restricted: Timeline) -> float:
-    """Figure-4 style comparison: how much taller are the active-scenario
-    spikes than the restricted-scenario ones ("peaks get reduced by up
-    to 12x")."""
-    if restricted.peak == 0:
-        return float("inf")
-    return active.peak / restricted.peak

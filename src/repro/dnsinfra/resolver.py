@@ -75,35 +75,6 @@ class RecursiveResolver:
         return record.target_name if record else None
 
 
-class FilteringResolver:
-    """A resolver wrapper that sinkholes blocklisted names.
-
-    This is how DNS-based ad blocking (Pi-hole, Blokada at a router)
-    actually intervenes: listed queries return NXDOMAIN, everything else
-    passes through to the inner resolver.
-    """
-
-    def __init__(self, inner: RecursiveResolver, blocklist) -> None:
-        # ``blocklist`` is anything with an ``is_listed(name) -> bool``.
-        self.inner = inner
-        self.blocklist = blocklist
-        self.blocked_queries = 0
-
-    def resolve(self, name: str, now_ns: int) -> ResolveResult:
-        if self.blocklist.is_listed(name):
-            self.blocked_queries += 1
-            return ResolveResult(name.lower(), [], False, True)
-        return self.inner.resolve(name, now_ns)
-
-    def resolve_ptr(self, address: Ipv4Address,
-                    now_ns: int) -> Optional[str]:
-        return self.inner.resolve_ptr(address, now_ns)
-
-    @property
-    def zone(self) -> Zone:
-        return self.inner.zone
-
-
 class StubCache:
     """The TV-side stub resolver cache.
 

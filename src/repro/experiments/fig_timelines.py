@@ -8,7 +8,7 @@ full phase-country grids.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..analysis.pipeline import AuditPipeline
 from ..analysis.timeline import Timeline, packets_per_ms
@@ -77,32 +77,3 @@ def build_figure(vendor: Vendor, country: Country,
             cache.grid(seed).pipeline(spec))
     return TimelineFigure(vendor, country, phase, timelines)
 
-
-def figure4(seed: int = cache.DEFAULT_SEED) -> List[TimelineFigure]:
-    """Figure 4: (a) LG and (b) Samsung, UK, LIn-OIn."""
-    return [build_figure(Vendor.LG, Country.UK, Phase.LIN_OIN, seed),
-            build_figure(Vendor.SAMSUNG, Country.UK, Phase.LIN_OIN, seed)]
-
-
-def figure6(seed: int = cache.DEFAULT_SEED) -> List[TimelineFigure]:
-    """Figure 6: (a) LG and (b) Samsung, US, LIn-OIn."""
-    return [build_figure(Vendor.LG, Country.US, Phase.LIN_OIN, seed),
-            build_figure(Vendor.SAMSUNG, Country.US, Phase.LIN_OIN, seed)]
-
-
-def figures_8_to_11(seed: int = cache.DEFAULT_SEED
-                    ) -> Dict[str, List[TimelineFigure]]:
-    """The appendix grids: both vendors for each (country, opted-in phase).
-
-    Figure 8 = UK LIn-OIn, 9 = UK LOut-OIn, 10 = US LIn-OIn,
-    11 = US LOut-OIn.
-    """
-    grids: Dict[str, List[TimelineFigure]] = {}
-    for name, country, phase in (
-            ("figure8", Country.UK, Phase.LIN_OIN),
-            ("figure9", Country.UK, Phase.LOUT_OIN),
-            ("figure10", Country.US, Phase.LIN_OIN),
-            ("figure11", Country.US, Phase.LOUT_OIN)):
-        grids[name] = [build_figure(Vendor.LG, country, phase, seed),
-                       build_figure(Vendor.SAMSUNG, country, phase, seed)]
-    return grids

@@ -44,9 +44,6 @@ from .grid import enumerate_cells
 
 _PAPER_VENDOR_NAMES = frozenset(v.value for v in paper_vendors())
 
-#: Historical alias: scorecard checks now *are* findings.
-FindingCheck = Finding
-
 
 def covers(*vendor_names: str) -> Callable:
     """Decorator tagging a check with the vendors it reads cells for."""
@@ -677,20 +674,6 @@ def run_all_checks(seed: int = cache.DEFAULT_SEED,
     if jobs and jobs > 1:
         cache.grid(seed).ensure(required_specs(vendors), jobs=jobs)
     return [check(seed) for check in selected_checks(vendors)]
-
-
-def scorecard(seed: int = cache.DEFAULT_SEED,
-              vendors: Optional[Iterable[str]] = None,
-              jobs: Optional[int] = None) -> Dict[str, bool]:
-    """``{finding code: passed}`` for the selected vendors.
-
-    ``jobs`` is forwarded to :func:`run_all_checks` so the dict API can
-    prefetch through the process pool exactly like the CLI scorecard;
-    the verdicts are identical to a serial run.
-    """
-    return {check.code: check.passed
-            for check in run_all_checks(seed, jobs=jobs,
-                                        vendors=vendors)}
 
 
 def ledger_from_checks(checks: Iterable[Finding]) -> FindingsLedger:

@@ -14,9 +14,8 @@ import: it pulls in no analysis code.
 """
 
 from .diff import FindingsDiff, diff_records, record_identity
-from .export import (FINDINGS_SCHEMA_VERSION, ledger_from_file,
-                     ledger_to_jsonl, read_findings_jsonl,
-                     write_findings_jsonl)
+from .export import (FINDINGS_SCHEMA_VERSION, ledger_to_jsonl,
+                     read_findings_jsonl, write_findings_jsonl)
 from .ledger import FindingsLedger
 from .model import (DEGRADATION_CODE, OPTOUT_VIOLATION_CODE, SEVERITIES,
                     Evidence, Finding, severity_rank)
@@ -31,7 +30,6 @@ __all__ = [
     "OPTOUT_VIOLATION_CODE",
     "SEVERITIES",
     "diff_records",
-    "ledger_from_file",
     "ledger_to_jsonl",
     "read_findings_jsonl",
     "record_identity",

@@ -120,8 +120,3 @@ def _check_finding(record: Dict[str, object], line_no: int) -> None:
                 fail(f"evidence field {key!r} must be "
                      f"{expected.__name__}, got {value!r}")
 
-
-def ledger_from_file(path: str) -> FindingsLedger:
-    """Read an export back into a ledger (round-trip of the writer)."""
-    __, records = read_findings_jsonl(path)
-    return FindingsLedger.from_jsonable(records)

@@ -14,7 +14,7 @@ Exposed on the CLI as ``python -m repro.cli fleet``.
 from .aggregate import FleetAggregate, summarize_household
 from .diary import DIARIES, Diary, Segment, diary_named
 from .population import (DEFAULT_MIX, HouseholdSpec, MixError,
-                         PopulationSpec, parse_mix, sample_population)
+                         PopulationSpec, parse_mix)
 from .report import render_population_report
 from .runner import FleetResult, FleetRunError, FleetRunner, SHARD_SIZE
 
@@ -34,6 +34,5 @@ __all__ = [
     "diary_named",
     "parse_mix",
     "render_population_report",
-    "sample_population",
     "summarize_household",
 ]

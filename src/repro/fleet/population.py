@@ -233,9 +233,3 @@ class PopulationSpec:
         return (f"PopulationSpec({self.households} households, "
                 f"seed={self.seed})")
 
-
-def sample_population(households: int, seed: int = 7,
-                      mixes: Optional[Mapping] = None
-                      ) -> List[HouseholdSpec]:
-    """Convenience wrapper: derive the full household list."""
-    return PopulationSpec(households, seed=seed, mixes=mixes).sample()

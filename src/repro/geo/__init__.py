@@ -7,8 +7,8 @@ from .dpf import DpfList, DpfParticipant
 from .geoip import (GeoIpDatabase, build_ip2location, build_maxmind,
                     IP2LOCATION_ERRORS, MAXMIND_ERRORS)
 from .ipspace import IpSpace, ServerRecord
-from .locations import (AIRPORT_CODES, CITIES, City, city_for_airport,
-                        haversine_km, min_rtt_ms)
+from .locations import (AIRPORT_CODES, CITIES, City, haversine_km,
+                        min_rtt_ms)
 from .probes import AtlasProbe, ProbeMesh
 from .ripe_ipmap import (EngineVerdict, LatencyEngine, LocationVerdict,
                          ReverseDnsEngine, RipeIpMap)
@@ -39,7 +39,6 @@ __all__ = [
     "TracerouteResult",
     "build_ip2location",
     "build_maxmind",
-    "city_for_airport",
     "haversine_km",
     "min_rtt_ms",
 ]

@@ -79,8 +79,3 @@ def haversine_km(a: City, b: City) -> float:
 def min_rtt_ms(a: City, b: City) -> float:
     """Physically minimal RTT between two cities (speed-of-light bound)."""
     return 2.0 * haversine_km(a, b) / EFFECTIVE_KM_PER_MS
-
-
-def city_for_airport(code: str) -> City:
-    """Map an airport/geo hint to its city; raises KeyError if unknown."""
-    return CITIES[AIRPORT_CODES[code.lower()]]

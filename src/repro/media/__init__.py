@@ -2,13 +2,12 @@
 the TV input sources corresponding to the paper's six scenarios."""
 
 from .content import (ContentItem, ContentKind, GENRES, LIBRARY_KINDS,
-                      PlayState, ad_break, make_content_id)
+                      PlayState, make_content_id)
 from .frames import (AUDIO_RATE_HZ, AUDIO_SAMPLES, FRAME_HEIGHT, FRAME_WIDTH,
-                     frame_similarity, render_audio, render_frame,
-                     render_sequence)
+                     render_frame)
 from .library import MediaLibrary, standard_library
 from .schedule import (AD_BREAK_EVERY_S, Channel, ScheduleSlot,
-                       build_channel, build_lineup)
+                       build_channel)
 from .sources import (FastApp, HdmiInput, HomeScreen, InputSource, OttApp,
                       ScreenCast, SourceType, Tuner)
 
@@ -34,13 +33,8 @@ __all__ = [
     "ScreenCast",
     "SourceType",
     "Tuner",
-    "ad_break",
     "build_channel",
-    "build_lineup",
-    "frame_similarity",
     "make_content_id",
-    "render_audio",
     "render_frame",
-    "render_sequence",
     "standard_library",
 ]

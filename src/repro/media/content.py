@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 from enum import Enum
-from typing import List
 
 
 class ContentKind(Enum):
@@ -99,11 +98,3 @@ def launcher_item() -> ContentItem:
     """The smart TV launcher UI as a content item (Idle scenario)."""
     return ContentItem("ui:launcher", "Launcher", ContentKind.UI,
                        duration_s=86400, genre="news")
-
-
-def ad_break(ads: List[ContentItem],
-             start_index: int = 0) -> List[ContentItem]:
-    """A standard three-slot ad break drawn round-robin from a pool."""
-    if not ads:
-        raise ValueError("empty ad pool")
-    return [ads[(start_index + i) % len(ads)] for i in range(3)]

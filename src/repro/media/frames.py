@@ -16,7 +16,7 @@ fingerprinter extracts spectral landmarks.
 Both render a whole batch of one item's positions at once
 (:func:`render_frame_batch`, :func:`render_audio_batch`, or both with one
 seeding pass: :func:`render_batch`); the one-state :func:`render_frame`
-and :func:`render_audio` are one-row calls into them.
+is a one-row call into them.
 """
 
 from __future__ import annotations
@@ -253,35 +253,3 @@ def render_audio_batch(item: ContentItem,
     """
     audio, = _render(item, positions, frames=False, audio=True)
     return audio
-
-
-def render_audio(state: PlayState) -> np.ndarray:
-    """One second of synthetic audio as float32 samples in [-1, 1]."""
-    return render_audio_batch(state.item, [state.position_s])[0]
-
-
-def frame_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Normalised correlation between two frames (1.0 = identical).
-
-    A flat frame has nothing to correlate: two equal flat frames score
-    1.0, and a flat frame scores 0.0 against any other frame.
-    """
-    if a.shape != b.shape:
-        raise ValueError("frame shape mismatch")
-    fa = a.ravel() - a.mean()
-    fb = b.ravel() - b.mean()
-    denom = float(np.linalg.norm(fa) * np.linalg.norm(fb))
-    # A flat frame's float32 mean can round, leaving a constant residue
-    # that would correlate perfectly with another flat frame's.
-    if denom == 0 or np.ptp(a) == 0 or np.ptp(b) == 0:
-        return 1.0 if np.array_equal(a, b) else 0.0
-    return float(np.dot(fa, fb) / denom)
-
-
-def render_sequence(item: ContentItem, start_s: float,
-                    count: int, step_s: float = 1.0) -> list:
-    """Frames for ``count`` consecutive samples starting at ``start_s``."""
-    if count < 0:
-        raise ValueError("negative count")
-    return list(render_frame_batch(
-        item, [start_s + i * step_s for i in range(count)]))

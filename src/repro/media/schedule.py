@@ -116,10 +116,3 @@ def build_channel(name: str, library: MediaLibrary, kind: str = "linear",
                     slots.append(ScheduleSlot(clock_s, ad.duration_s, ad))
                     clock_s += ad.duration_s
     return Channel(name, slots, kind)
-
-
-def build_lineup(library: MediaLibrary, kind: str,
-                 names: List[str]) -> List[Channel]:
-    """A lineup of channels over one library."""
-    return [build_channel(name, library, kind=kind, offset=3 * i)
-            for i, name in enumerate(names)]

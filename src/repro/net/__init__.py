@@ -6,8 +6,7 @@ testbed's captures are real pcap files and the analysis pipeline operates on
 raw bytes, exactly like the paper's Mon(IoT)r-based setup.
 """
 
-from .addresses import (BROADCAST_MAC, Ipv4Address, Ipv4Network, MacAddress,
-                        mac_from_seed, parse_endpoint)
+from .addresses import Ipv4Address, Ipv4Network, MacAddress, mac_from_seed
 from .capture import CaptureLog
 from .columnar import ColumnarCapture, ColumnarSlice, ColumnarView
 from .dns import DnsMessage, DnsQuestion, DnsRecord
@@ -15,10 +14,9 @@ from .link import LatencyModel
 from .packet import LazyPacket
 from .pcap import PcapError
 from .stack import HostStack, TlsSession
-from .tls import TlsRecord, extract_sni
+from .tls import TlsRecord
 
 __all__ = [
-    "BROADCAST_MAC",
     "CaptureLog",
     "ColumnarCapture",
     "ColumnarSlice",
@@ -35,7 +33,5 @@ __all__ = [
     "PcapError",
     "TlsRecord",
     "TlsSession",
-    "extract_sni",
     "mac_from_seed",
-    "parse_endpoint",
 ]

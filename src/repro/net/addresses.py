@@ -8,7 +8,7 @@ text forms and serialize to network byte order.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Tuple
+from typing import Iterator
 
 _MAC_RE = re.compile(r"^([0-9a-fA-F]{2}[:-]){5}[0-9a-fA-F]{2}$")
 
@@ -64,9 +64,6 @@ class MacAddress:
 
     def __hash__(self) -> int:
         return hash(("mac", self._value))
-
-
-BROADCAST_MAC = MacAddress((1 << 48) - 1)
 
 
 class Ipv4Address:
@@ -214,14 +211,3 @@ def mac_from_seed(seed: int, locally_administered: bool = True) -> MacAddress:
     if locally_administered:
         value |= (1 << 41)
     return MacAddress(value)
-
-
-def parse_endpoint(text: str) -> Tuple[Ipv4Address, int]:
-    """Parse ``"192.0.2.1:443"`` into (address, port)."""
-    host, sep, port = text.rpartition(":")
-    if not sep:
-        raise ValueError(f"missing port in endpoint: {text!r}")
-    port_num = int(port)
-    if not 0 < port_num < 65536:
-        raise ValueError(f"port out of range: {port_num}")
-    return Ipv4Address.parse(host), port_num

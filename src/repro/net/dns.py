@@ -24,7 +24,6 @@ FLAG_QR_RESPONSE = 0x8000
 FLAG_RD = 0x0100
 FLAG_RA = 0x0080
 RCODE_NOERROR = 0
-RCODE_NXDOMAIN = 3
 
 
 def encode_name(name: str) -> bytes:

@@ -9,22 +9,20 @@ the fidelity the audit can observe:
 * opaque application-data records whose sizes equal ciphertext sizes
   (plaintext + AEAD tag + record header).
 
-A passive observer (our analysis scripts) can parse record headers and the
-SNI from the ClientHello — the same vantage point mitmproxy-without-keys or
-tcpdump would give the paper's authors.
+A passive observer can parse record headers and the SNI from the
+ClientHello — the same vantage point mitmproxy-without-keys or tcpdump
+would give the paper's authors (``tests/packet_oracle.py`` parses it).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 CONTENT_CHANGE_CIPHER_SPEC = 20
-CONTENT_ALERT = 21
 CONTENT_HANDSHAKE = 22
 CONTENT_APPLICATION_DATA = 23
 
 HANDSHAKE_CLIENT_HELLO = 1
-HANDSHAKE_SERVER_HELLO = 2
 
 VERSION_TLS12 = 0x0303
 
@@ -98,50 +96,6 @@ def build_client_hello(server_name: str, client_random: bytes) -> TlsRecord:
     handshake = (bytes([HANDSHAKE_CLIENT_HELLO])
                  + len(body).to_bytes(3, "big") + body)
     return TlsRecord(CONTENT_HANDSHAKE, handshake)
-
-
-def extract_sni(record: TlsRecord) -> Optional[str]:
-    """Pull the SNI hostname out of a ClientHello record, if present."""
-    if record.content_type != CONTENT_HANDSHAKE:
-        return None
-    payload = record.payload
-    if len(payload) < 4 or payload[0] != HANDSHAKE_CLIENT_HELLO:
-        return None
-    body = payload[4:4 + int.from_bytes(payload[1:4], "big")]
-    # Fixed-size prefix: version(2) + random(32) + session id
-    offset = 2 + 32
-    if offset >= len(body):
-        return None
-    session_len = body[offset]
-    offset += 1 + session_len
-    if offset + 2 > len(body):
-        return None
-    suites_len = int.from_bytes(body[offset:offset + 2], "big")
-    offset += 2 + suites_len
-    if offset >= len(body):
-        return None
-    compression_len = body[offset]
-    offset += 1 + compression_len
-    if offset + 2 > len(body):
-        return None
-    ext_total = int.from_bytes(body[offset:offset + 2], "big")
-    offset += 2
-    end = min(len(body), offset + ext_total)
-    while offset + 4 <= end:
-        ext_type = int.from_bytes(body[offset:offset + 2], "big")
-        ext_len = int.from_bytes(body[offset + 2:offset + 4], "big")
-        offset += 4
-        if ext_type == 0 and offset + ext_len <= end:
-            ext = body[offset:offset + ext_len]
-            if len(ext) >= 5:
-                host_len = int.from_bytes(ext[3:5], "big")
-                host = ext[5:5 + host_len]
-                try:
-                    return host.decode("ascii")
-                except UnicodeDecodeError:
-                    return None
-        offset += ext_len
-    return None
 
 
 def application_records(plaintext_len: int,

@@ -16,8 +16,7 @@ analysis stack into every one of them — a cycle waiting to happen.
 """
 
 from .metrics import (METRICS_SCHEMA_VERSION, MetricsRegistry,
-                      NullRegistry, disable, empty_snapshot, enable,
-                      get_registry, merge_all_snapshots, merge_snapshots,
+                      NullRegistry, disable, enable, get_registry,
                       metrics_enabled, scoped, snapshot_to_jsonl,
                       write_metrics_jsonl)
 
@@ -29,11 +28,8 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "disable",
-    "empty_snapshot",
     "enable",
     "get_registry",
-    "merge_all_snapshots",
-    "merge_snapshots",
     "metrics_enabled",
     "scoped",
     "snapshot_to_jsonl",

@@ -3,8 +3,8 @@
 Observability here follows the same discipline as
 :class:`~repro.fleet.aggregate.FleetAggregate`: every instrument
 accumulates into plain numbers, a :meth:`MetricsRegistry.snapshot` is a
-plain dict, and snapshots combine through an associative *and*
-commutative :func:`merge_snapshots` —
+plain dict, and :meth:`MetricsRegistry.absorb` folds snapshots into a
+registry under rules that are associative *and* commutative —
 
 * **counters** merge by summing,
 * **gauges** merge by ``max`` (the peak discipline: a fleet-wide gauge
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 #: Bump on any incompatible change to the snapshot / JSONL schema.
 METRICS_SCHEMA_VERSION = 1
@@ -178,7 +178,7 @@ class MetricsRegistry:
 
     def absorb(self, snapshot: Optional[Mapping[str, object]]) -> None:
         """Merge a snapshot (e.g. from a shard worker) into this live
-        registry, under the same rules as :func:`merge_snapshots`."""
+        registry, under the merge rules in the module docstring."""
         if not snapshot:
             return
         for name, value in snapshot.get("counters", {}).items():
@@ -208,29 +208,6 @@ class MetricsRegistry:
 
 
 # -- snapshot algebra ---------------------------------------------------------
-
-
-def empty_snapshot() -> Dict[str, object]:
-    """The merge identity."""
-    return MetricsRegistry().snapshot()
-
-
-def merge_snapshots(left: Mapping[str, object],
-                    right: Mapping[str, object]) -> Dict[str, object]:
-    """Combine two snapshots (associative and commutative)."""
-    registry = MetricsRegistry()
-    registry.absorb(left)
-    registry.absorb(right)
-    return registry.snapshot()
-
-
-def merge_all_snapshots(snapshots: Iterable[Optional[Mapping[str, object]]]
-                        ) -> Dict[str, object]:
-    """Left-fold :func:`merge_snapshots`; ``None`` entries are skipped."""
-    registry = MetricsRegistry()
-    for snapshot in snapshots:
-        registry.absorb(snapshot)
-    return registry.snapshot()
 
 
 # -- the active registry ------------------------------------------------------

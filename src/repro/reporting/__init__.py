@@ -1,19 +1,9 @@
-"""Output rendering: ASCII tables, terminal plots, CSV/JSON export."""
+"""Output rendering: ASCII tables and the dashboard's terminal plot
+primitives."""
 
-from .ascii_plot import plot_cdf, plot_timeline, plot_timelines
-from .export import (cdf_to_csv, findings_to_json, table_to_csv,
-                     timeline_to_csv)
-from .tables import kb, render_markdown, render_table
+from .tables import render_markdown, render_table
 
 __all__ = [
-    "cdf_to_csv",
-    "findings_to_json",
-    "kb",
-    "plot_cdf",
-    "plot_timeline",
-    "plot_timelines",
     "render_markdown",
     "render_table",
-    "table_to_csv",
-    "timeline_to_csv",
 ]

@@ -44,7 +44,3 @@ def _numericish(cell: str) -> bool:
     stripped = cell.replace(".", "").replace("-", "").replace("x", "")
     return stripped.isdigit() and cell not in ("-",)
 
-
-def kb(value: float) -> str:
-    """Kilobyte cell formatting matching the paper's tables."""
-    return f"{value:.1f}"

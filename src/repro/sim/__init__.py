@@ -19,11 +19,10 @@ from .clock import (
     milliseconds,
     minutes,
     seconds,
-    to_milliseconds,
     to_seconds,
 )
 from .events import Event, EventLoop
-from .process import Process, Signal, Sleep, WaitFor, spawn
+from .process import Process, Sleep, spawn
 from .rng import RngRegistry
 
 __all__ = [
@@ -32,9 +31,7 @@ __all__ = [
     "EventLoop",
     "Process",
     "RngRegistry",
-    "Signal",
     "Sleep",
-    "WaitFor",
     "NS_PER_HOUR",
     "NS_PER_MINUTE",
     "NS_PER_MS",
@@ -46,6 +43,5 @@ __all__ = [
     "minutes",
     "seconds",
     "spawn",
-    "to_milliseconds",
     "to_seconds",
 ]

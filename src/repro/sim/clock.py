@@ -44,11 +44,6 @@ def to_seconds(ns: int) -> float:
     return ns / NS_PER_SECOND
 
 
-def to_milliseconds(ns: int) -> float:
-    """Convert integer nanoseconds to float milliseconds."""
-    return ns / NS_PER_MS
-
-
 class Clock:
     """Monotonic virtual clock owned by a :class:`~repro.sim.events.EventLoop`.
 

@@ -12,7 +12,6 @@ This gives device models a readable, sequential style::
 Supported commands:
 
 * :class:`Sleep` — resume after a virtual-time delay.
-* :class:`WaitFor` — resume when a :class:`Signal` fires.
 
 Processes can be stopped (e.g. when the TV powers off); a stopped process
 never resumes.
@@ -20,7 +19,7 @@ never resumes.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterator, List, Optional
+from typing import Any, Generator, Iterator, Optional
 
 from .events import Event, EventLoop
 
@@ -34,38 +33,6 @@ class Sleep:
         if delay < 0:
             raise ValueError("negative sleep")
         self.delay = int(delay)
-
-
-class WaitFor:
-    """Yield command: suspend until ``signal`` fires."""
-
-    __slots__ = ("signal",)
-
-    def __init__(self, signal: "Signal") -> None:
-        self.signal = signal
-
-
-class Signal:
-    """A broadcast wake-up primitive.
-
-    ``fire(value)`` resumes every process currently waiting on the signal,
-    delivering ``value`` as the result of the ``yield``.
-    """
-
-    def __init__(self, loop: EventLoop) -> None:
-        self._loop = loop
-        self._waiters: List["Process"] = []
-
-    def fire(self, value: Any = None) -> int:
-        """Wake all waiters; returns the number of processes resumed."""
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            # Resume via the loop so wake-ups are ordered deterministically.
-            self._loop.call_after(0, proc._resume, value)
-        return len(waiters)
-
-    def _register(self, proc: "Process") -> None:
-        self._waiters.append(proc)
 
 
 ProcessBody = Generator[Any, Any, None]
@@ -120,8 +87,6 @@ class Process:
         if isinstance(command, Sleep):
             self._pending_event = self.loop.call_after(
                 command.delay, self._resume, None)
-        elif isinstance(command, WaitFor):
-            command.signal._register(self)
         else:
             raise TypeError(
                 f"process {self.name!r} yielded unsupported command: "

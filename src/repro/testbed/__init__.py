@@ -7,8 +7,7 @@ from .assets import (fast_channel, fresh_backend, linear_channel,
                      ui_item)
 from .experiment import (Country, DEFAULT_DURATION_NS, ExperimentSpec,
                          Phase, POWER_ON_AT_NS, Scenario,
-                         SCENARIO_START_NS, Vendor, full_matrix,
-                         paper_vendors, phase_pair, scenario_sweep,
+                         SCENARIO_START_NS, Vendor, paper_vendors,
                          vendor_profile_of)
 from .runner import (ExperimentResult, build_source, run_experiment,
                      run_session)
@@ -29,17 +28,14 @@ __all__ = [
     "build_source",
     "fast_channel",
     "fresh_backend",
-    "full_matrix",
     "linear_channel",
     "media_library",
     "ott_playlist",
     "paper_vendors",
-    "phase_pair",
     "vendor_profile_of",
     "reference_library",
     "run_experiment",
     "run_session",
-    "scenario_sweep",
     "ui_item",
     "validate",
     "validate_session",

@@ -9,7 +9,7 @@ extension vendors make the full grid 4-wide).
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Tuple
+from typing import List
 
 from ..sim.clock import hours, seconds
 from ..tv import vendors as vendor_registry
@@ -108,33 +108,3 @@ class ExperimentSpec:
     def __hash__(self) -> int:
         return hash((self.label, self.duration_ns))
 
-
-def full_matrix(duration_ns: int = DEFAULT_DURATION_NS
-                ) -> List[ExperimentSpec]:
-    """Every cell of the design: scenarios x phases x countries x every
-    registered vendor (the paper's 6x4x2x2 grid, widened per plugin)."""
-    specs: List[ExperimentSpec] = []
-    for vendor in Vendor:
-        for country in Country:
-            for scenario in Scenario:
-                for phase in Phase:
-                    specs.append(ExperimentSpec(
-                        vendor, country, scenario, phase, duration_ns))
-    return specs
-
-
-def scenario_sweep(vendor: Vendor, country: Country, phase: Phase,
-                   duration_ns: int = DEFAULT_DURATION_NS
-                   ) -> List[ExperimentSpec]:
-    """All six scenarios for one vendor/country/phase (one table row set)."""
-    return [ExperimentSpec(vendor, country, scenario, phase, duration_ns)
-            for scenario in Scenario]
-
-
-def phase_pair(vendor: Vendor, country: Country, scenario: Scenario,
-               phases: Tuple[Phase, Phase],
-               duration_ns: int = DEFAULT_DURATION_NS
-               ) -> List[ExperimentSpec]:
-    """Two phases of the same cell, for differential comparisons."""
-    return [ExperimentSpec(vendor, country, scenario, phase, duration_ns)
-            for phase in phases]

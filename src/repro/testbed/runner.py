@@ -106,23 +106,18 @@ def session_duration_ns(segments: Sequence[Segment]) -> int:
 
 
 def run_experiment(spec: ExperimentSpec, seed: int = 0,
-                   mitm: bool = False,
-                   dns_blocklist=None) -> ExperimentResult:
+                   mitm: bool = False) -> ExperimentResult:
     """Execute one experiment cell and return its artifacts.
 
     ``mitm=True`` installs the testbed CA on the TV and routes every TLS
     session through a pinning-aware interception proxy; the result then
     carries a :class:`~repro.mitm.proxy.MitmProxy` full of plaintext for
     non-pinned hosts (the paper's future-work payload study).
-
-    ``dns_blocklist`` (anything with ``is_listed(name)``) sinkholes
-    listed names at the AP resolver — the Pi-hole/Blokada intervention
-    whose effectiveness the blocklist evaluation measures.
     """
     return _run_workflow(
         spec, seed, spec.label,
         [(SCENARIO_START_NS, build_source(spec, seed))],
-        mitm=mitm, dns_blocklist=dns_blocklist)
+        mitm=mitm)
 
 
 def run_session(vendor: Vendor, country, phase, segments: Sequence[Segment],
@@ -166,8 +161,7 @@ def run_session(vendor: Vendor, country, phase, segments: Sequence[Segment],
 
 def _run_workflow(spec: ExperimentSpec, seed: int, rng_label: str,
                   source_plan: Sequence[Tuple[int, InputSource]],
-                  mitm: bool = False,
-                  dns_blocklist=None) -> ExperimentResult:
+                  mitm: bool = False) -> ExperimentResult:
     """The §3.2 workflow over an arbitrary source schedule."""
     rng = RngRegistry(seed).fork(rng_label)
     loop = EventLoop()
@@ -175,9 +169,6 @@ def _run_workflow(spec: ExperimentSpec, seed: int, rng_label: str,
     zone = Zone(registry)
     ap = AccessPoint(spec.country.vantage, zone, rng)
     ap.register_servers(registry.ipspace.all_servers())
-    if dns_blocklist is not None:
-        from ..dnsinfra.resolver import FilteringResolver
-        ap.resolver = FilteringResolver(ap.resolver, dns_blocklist)
     stack = HostStack(
         mac=_tv_mac(spec, seed),
         ip=ap.tv_ip,

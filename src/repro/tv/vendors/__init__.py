@@ -17,7 +17,7 @@ from .base import (ACTIVITY_ADS_ONLY, ACTIVITY_DOWNSAMPLED, ACTIVITY_FULL,
                    ACTIVITY_SILENT, OPTOUT_DOWNSAMPLE, OPTOUT_SILENCE,
                    RotationSpec, VendorContract, VendorProfile,
                    catalog_profiles, get, is_registered, paper_vendor_names,
-                   profiles, register, vendor_names)
+                   register, vendor_names)
 from . import samsung as _samsung  # noqa: F401  (registration order 1st)
 from . import lg as _lg            # noqa: F401  (2nd)
 from . import roku as _roku        # noqa: F401  (3rd)
@@ -37,7 +37,6 @@ __all__ = [
     "get",
     "is_registered",
     "paper_vendor_names",
-    "profiles",
     "register",
     "vendor_names",
 ]

@@ -269,11 +269,6 @@ def is_registered(name: str) -> bool:
     return name in _REGISTRY
 
 
-def profiles() -> List[VendorProfile]:
-    """Every profile, in registration (user-visible) order."""
-    return list(_REGISTRY.values())
-
-
 def catalog_profiles() -> List[VendorProfile]:
     """Every profile, in domain-catalog (IP allocation) order."""
     return sorted(_REGISTRY.values(), key=lambda p: p.catalog_order)

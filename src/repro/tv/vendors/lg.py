@@ -171,7 +171,7 @@ _DECISIONS = {
 }
 
 
-PROFILE = register(VendorProfile(
+register(VendorProfile(
     name="lg",
     display_name="LG (webOS)",
     device_class=LgTv,

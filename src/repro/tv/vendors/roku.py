@@ -169,7 +169,7 @@ _DECISIONS = {
 }
 
 
-PROFILE = register(VendorProfile(
+register(VendorProfile(
     name="roku",
     display_name="Roku-style (third-party SDK)",
     device_class=RokuTv,

@@ -280,7 +280,7 @@ _DECISIONS = {
 }
 
 
-PROFILE = register(VendorProfile(
+register(VendorProfile(
     name="samsung",
     display_name="Samsung (Tizen)",
     device_class=SamsungTv,

@@ -130,7 +130,7 @@ _DECISIONS = {
 }
 
 
-PROFILE = register(VendorProfile(
+register(VendorProfile(
     name="vizio",
     display_name="Vizio-style (Inscape)",
     device_class=VizioTv,

@@ -28,7 +28,9 @@ those paths replaced, for tests and benchmarks to compare against:
   the columnar build's per-row reference;
 * ``observe_all`` (a ``DnsMap`` over a packet sequence) and
   ``cumulative_bytes`` over a packet list, the reference for the
-  columnar CDF build.
+  columnar CDF build;
+* ``extract_sni``, the passive observer's parse of a ClientHello's
+  server name, which the handshake builders must carry.
 """
 
 import io
@@ -49,6 +51,7 @@ from repro.net.pcap import (GLOBAL_HEADER, LINKTYPE_ETHERNET, MAGIC_USEC,
                             RECORD_HEADER, SNAPLEN, VERSION_MAJOR,
                             VERSION_MINOR, PcapError, parse_global_header)
 from repro.net.tcp import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN
+from repro.net.tls import CONTENT_HANDSHAKE, HANDSHAKE_CLIENT_HELLO, TlsRecord
 from repro.sim.clock import NS_PER_SECOND
 
 _NS_PER_US = 1_000
@@ -596,3 +599,50 @@ def cumulative_bytes(packets, start_ns: int, end_ns: int,
     sizes = np.array([s for __, s in points], dtype=np.int64)
     return CumulativeCurve(times, np.cumsum(sizes) if len(sizes)
                            else sizes)
+
+
+# -- TLS ----------------------------------------------------------------------
+
+
+def extract_sni(record: TlsRecord) -> Optional[str]:
+    """Pull the SNI hostname out of a ClientHello record, if present."""
+    if record.content_type != CONTENT_HANDSHAKE:
+        return None
+    payload = record.payload
+    if len(payload) < 4 or payload[0] != HANDSHAKE_CLIENT_HELLO:
+        return None
+    body = payload[4:4 + int.from_bytes(payload[1:4], "big")]
+    # Fixed-size prefix: version(2) + random(32) + session id
+    offset = 2 + 32
+    if offset >= len(body):
+        return None
+    session_len = body[offset]
+    offset += 1 + session_len
+    if offset + 2 > len(body):
+        return None
+    suites_len = int.from_bytes(body[offset:offset + 2], "big")
+    offset += 2 + suites_len
+    if offset >= len(body):
+        return None
+    compression_len = body[offset]
+    offset += 1 + compression_len
+    if offset + 2 > len(body):
+        return None
+    ext_total = int.from_bytes(body[offset:offset + 2], "big")
+    offset += 2
+    end = min(len(body), offset + ext_total)
+    while offset + 4 <= end:
+        ext_type = int.from_bytes(body[offset:offset + 2], "big")
+        ext_len = int.from_bytes(body[offset + 2:offset + 4], "big")
+        offset += 4
+        if ext_type == 0 and offset + ext_len <= end:
+            ext = body[offset:offset + ext_len]
+            if len(ext) >= 5:
+                host_len = int.from_bytes(ext[3:5], "big")
+                host = ext[5:5 + host_len]
+                try:
+                    return host.decode("ascii")
+                except UnicodeDecodeError:
+                    return None
+        offset += ext_len
+    return None

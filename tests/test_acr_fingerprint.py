@@ -13,8 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.acr import (Capture, FingerprintBatch, ReferenceLibrary,
-                       audio_fingerprint, capture_state, hamming_distance,
-                       video_fingerprint)
+                       capture_state, hamming_distance, video_fingerprint)
 from repro.acr import fingerprint as fingerprint_module
 from repro.acr.fingerprint import (_FINGERPRINT_CACHE, AUDIO_LANDMARKS,
                                    audio_fingerprint_batch, capture_batch,
@@ -24,7 +23,7 @@ from repro.acr.fingerprint import (_FINGERPRINT_CACHE, AUDIO_LANDMARKS,
 from repro.acr.library import INGEST_CHUNK
 from repro.media import (AUDIO_RATE_HZ, AUDIO_SAMPLES, FRAME_HEIGHT,
                          FRAME_WIDTH, ContentItem, ContentKind, PlayState,
-                         render_audio, render_frame, standard_library)
+                         render_frame, standard_library)
 from repro.media.frames import (_seed_words, _streams, render_audio_batch,
                                 render_batch, render_frame_batch)
 from repro.obs import disable, enable
@@ -182,32 +181,36 @@ class TestVectorizedResampleEquivalence:
                 _oracle_video_fingerprint(frame)
 
 
+def _landmarks(item, position):
+    """The audio landmarks of ``item`` at ``position``."""
+    return audio_fingerprint_batch(
+        render_audio_batch(item, [position]))[0].tolist()
+
+
 class TestAudioFingerprint:
     def test_deterministic(self, library):
-        audio = render_audio(PlayState(library.shows[0], 10.0))
-        assert audio_fingerprint(audio) == audio_fingerprint(audio)
+        audio = render_audio_batch(library.shows[0], [10.0])
+        assert np.array_equal(audio_fingerprint_batch(audio),
+                              audio_fingerprint_batch(audio))
 
     def test_landmark_count(self, library):
-        audio = render_audio(PlayState(library.shows[0], 10.0))
-        landmarks = audio_fingerprint(audio)
+        landmarks = _landmarks(library.shows[0], 10.0)
         assert 1 <= len(landmarks) <= 15
 
     def test_same_scene_overlap(self, library):
         item = library.shows[0]
-        a = set(audio_fingerprint(render_audio(PlayState(item, 32.0))))
-        b = set(audio_fingerprint(render_audio(PlayState(item, 33.0))))
+        a = set(_landmarks(item, 32.0))
+        b = set(_landmarks(item, 33.0))
         assert len(a & b) >= 3
 
     def test_different_content_low_overlap(self, library):
-        a = set(audio_fingerprint(render_audio(
-            PlayState(library.shows[0], 32.0))))
-        b = set(audio_fingerprint(render_audio(
-            PlayState(library.shows[1], 32.0))))
+        a = set(_landmarks(library.shows[0], 32.0))
+        b = set(_landmarks(library.shows[1], 32.0))
         assert len(a & b) <= 2
 
-    def test_rejects_non_1d(self):
+    def test_rejects_one_unstacked_excerpt(self):
         with pytest.raises(ValueError):
-            audio_fingerprint(np.zeros((4, 4), dtype=np.float32))
+            audio_fingerprint_batch(np.zeros(4, dtype=np.float32))
 
 
 class TestBatchCodec:

@@ -4,6 +4,8 @@ volumes, CDFs, periodicity, the heuristic, and comparisons.
 Session-scoped fixtures in conftest.py provide real one-hour captures.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,11 @@ from repro.analysis import (AcrDomainAuditor, AuditPipeline, Blocklist,
                             CumulativeCurve, DnsMap, NetifyDirectory,
                             PhaseComparison, acr_volume_total,
                             analyze_periodicity, burst_times_ns,
-                            cumulative_bytes, dominant_period_s,
-                            median_step_interval_s,
+                            cumulative_bytes, median_step_interval_s,
                             no_new_acr_domains, normalize_rotating,
-                            packets_per_ms, packets_per_second,
-                            peak_ratio)
+                            packets_per_ms)
 from repro.net import ColumnarCapture, ColumnarSlice, Ipv4Address
+from repro.analysis.periodicity import REGULAR_CV_THRESHOLD
 from repro.sim import minutes, seconds
 
 
@@ -94,14 +95,6 @@ class TestTimelines:
         assert coarse.total_packets == timeline.total_packets
         assert coarse.bin_ns == seconds(1)
 
-    def test_per_second_equals_rebinned_ms(self, lg_uk_linear_pipeline):
-        pipeline = lg_uk_linear_pipeline
-        packets = pipeline.packets_for_all(
-            pipeline.acr_candidate_domains())
-        per_s = packets_per_second(packets, minutes(10), minutes(20))
-        per_ms = packets_per_ms(packets, minutes(10), minutes(20))
-        assert per_s.total_packets == per_ms.total_packets
-
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             packets_per_ms([], 100, 100)
@@ -120,7 +113,7 @@ class TestTimelines:
         active = packets_per_ms(linear_packets, minutes(10), minutes(20))
         restricted = packets_per_ms(idle_packets, minutes(10),
                                     minutes(20))
-        assert peak_ratio(active, restricted) > 1.0
+        assert active.peak > restricted.peak
 
 
 class TestVolumesAndCdf:
@@ -192,19 +185,47 @@ class TestPeriodicity:
         assert report.period_s == pytest.approx(60.0, abs=4.0)
         assert report.regular
 
-    def test_dominant_period_autocorrelation(self,
-                                             lg_uk_linear_pipeline):
-        pipeline = lg_uk_linear_pipeline
-        domain = pipeline.acr_candidate_domains()[0]
-        period = dominant_period_s(pipeline.packets_for(domain))
-        assert period is not None
-        assert period == pytest.approx(15.0, abs=2.0)
-
     def test_no_packets_no_period(self):
         report = analyze_periodicity("ghost", [])
         assert report.period_s is None
         assert not report.regular
-        assert dominant_period_s([]) is None
+
+    @staticmethod
+    def _at(*times_s):
+        return [SimpleNamespace(timestamp=seconds(t)) for t in times_s]
+
+    def test_single_burst_has_no_period(self):
+        report = analyze_periodicity("one", self._at(0, 0.5, 1.5, 3.0))
+        assert report.bursts == 1
+        assert report.period_s is None and report.cv is None
+        assert not report.regular
+
+    def test_gap_must_exceed_the_threshold_to_split(self):
+        assert burst_times_ns(self._at(0, 1, 2, 3.5)) == [0, seconds(3.5)]
+        assert burst_times_ns(self._at(3.5, 0, 2, 1), gap_ns=seconds(2)) \
+            == [0]
+
+    def test_five_even_bursts_are_regular_four_are_not(self):
+        four = analyze_periodicity("d", self._at(0, 15, 30, 45))
+        five = analyze_periodicity("d", self._at(0, 15, 30, 45, 60))
+        assert four.cv == 0.0 and not four.regular
+        assert five.regular
+        assert five.period_s == 15.0
+        assert five.intervals_s == [15.0] * 4
+
+    def test_irregular_contacts_are_not_regular(self):
+        report = analyze_periodicity("ads",
+                                     self._at(0, 5, 60, 70, 200, 210))
+        assert report.intervals_s == [5.0, 55.0, 10.0, 130.0, 10.0]
+        assert report.period_s == 10.0  # the median interval
+        assert report.cv >= REGULAR_CV_THRESHOLD
+        assert not report.regular
+
+    def test_report_repr(self):
+        assert repr(analyze_periodicity("d", self._at(0, 15, 30))) == \
+            "PeriodicityReport(d, 3 bursts, period=15.0s, cv=0.00)"
+        assert repr(analyze_periodicity("d", [])) == \
+            "PeriodicityReport(d, 0 bursts, period=n/a, cv=n/a)"
 
 
 class TestBlocklists:

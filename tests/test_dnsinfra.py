@@ -164,6 +164,38 @@ class TestRecursiveResolver:
         assert name is not None and "nyc" in name
 
 
+    def test_lookup_is_case_insensitive(self, zone):
+        resolver = RecursiveResolver(zone)
+        first = resolver.resolve("EU-ACR1.Alphonso.TV", 0)
+        second = resolver.resolve("eu-acr1.alphonso.tv", seconds(1))
+        assert first.name == "eu-acr1.alphonso.tv"
+        assert second.from_cache
+        assert second.addresses == first.addresses
+
+    def test_negative_cache_expires_after_a_minute(self, zone):
+        resolver = RecursiveResolver(zone)
+        resolver.resolve("ghost.example", 0)
+        later = resolver.resolve("ghost.example", seconds(60))
+        assert later.nxdomain and not later.from_cache
+        assert (resolver.queries, resolver.cache_hits) == (2, 0)
+
+    def test_addresses_are_the_zone_a_records(self, zone):
+        result = RecursiveResolver(zone).resolve(
+            "acr-eu-prd.samsungcloud.tv", 0)
+        assert result.addresses == [
+            r.address for r in zone.lookup_a("acr-eu-prd.samsungcloud.tv")]
+        assert result.addresses
+
+    def test_result_repr_names_state_and_origin(self, zone):
+        resolver = RecursiveResolver(zone)
+        assert repr(resolver.resolve("ghost.example", 0)) == \
+            "ResolveResult('ghost.example', NXDOMAIN, authoritative)"
+        resolver.resolve("eu-acr1.alphonso.tv", 0)
+        hit = resolver.resolve("eu-acr1.alphonso.tv", 1)
+        assert repr(hit) == (f"ResolveResult('eu-acr1.alphonso.tv', "
+                             f"{len(hit.records)} records, cache)")
+
+
 class TestStubCache:
     def test_miss_then_hit(self):
         cache = StubCache()
@@ -184,4 +216,19 @@ class TestStubCache:
     def test_empty_records_not_stored(self):
         cache = StubCache()
         cache.store("a.b", [], 0)
+        assert len(cache) == 0
+
+    def test_lookup_is_case_insensitive(self):
+        cache = StubCache()
+        cache.store("A.B", [DnsRecord.a(
+            "a.b", Ipv4Address.parse("1.2.3.4"), ttl=60)], 0)
+        assert cache.lookup("a.B", 1) is not None
+
+    def test_shortest_ttl_bounds_the_entry(self):
+        cache = StubCache()
+        cache.store("a.b", [
+            DnsRecord.a("a.b", Ipv4Address.parse("1.2.3.4"), ttl=600),
+            DnsRecord.a("a.b", Ipv4Address.parse("1.2.3.5"), ttl=30)], 0)
+        assert len(cache.lookup("a.b", seconds(29))) == 2
+        assert cache.lookup("a.b", seconds(30)) is None
         assert len(cache) == 0

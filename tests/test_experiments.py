@@ -9,23 +9,26 @@ import tracemalloc
 
 import pytest
 
-from repro.experiments import (build_figure, comparison_rows, figure4,
-                               figure5, run_geo_experiment, table2, table4,
+from repro.experiments import (build_figure, comparison_rows,
+                               run_geo_experiment, table2, table4,
                                transmitted_curve)
 from repro.experiments import findings as findings_mod
-from repro.experiments.fig_timelines import acr_timeline
+from repro.experiments.fig_timelines import (SCENARIO_LABELS,
+                                             TimelineFigure, acr_timeline)
 from repro.experiments.tables_volumes import SCENARIO_NAMES
 from repro.experiments import cache
 from repro.experiments.geolocation import observed_acr_domains
 from repro.geo.audit import GeolocationAudit
 from repro.sim.rng import RngRegistry
 from repro.testbed import (Country, ExperimentSpec, Phase, Scenario,
-                           Vendor, run_experiment)
+                           Vendor, paper_vendors, run_experiment)
+from timeline_oracle import from_counts
 
 
 class TestTimelineFigures:
     def test_figure4_panels(self):
-        lg, samsung = figure4()
+        lg, samsung = [build_figure(vendor, Country.UK, Phase.LIN_OIN)
+                       for vendor in (Vendor.LG, Vendor.SAMSUNG)]
         assert lg.vendor is Vendor.LG
         assert samsung.vendor is Vendor.SAMSUNG
         assert set(lg.timelines) == set(Scenario)
@@ -73,6 +76,34 @@ class TestTimelineFigures:
         assert peak < 1024 * 1024
 
 
+class TestTimelineFigurePanel:
+    """The panel's own arithmetic, on timelines stated bin by bin."""
+
+    @staticmethod
+    def _panel(peaks):
+        return TimelineFigure(Vendor.LG, Country.UK, Phase.LIN_OIN, {
+            scenario: from_counts([0, peaks.get(scenario, 1), 0])
+            for scenario in Scenario})
+
+    def test_peak_reduction_is_the_ratio_of_peaks(self):
+        panel = self._panel({Scenario.LINEAR: 12, Scenario.OTT: 3})
+        assert panel.peak(Scenario.LINEAR) == 12
+        assert panel.peak_reduction(Scenario.LINEAR, Scenario.OTT) == 4.0
+
+    def test_peak_reduction_over_a_silent_scenario_is_infinite(self):
+        panel = self._panel({Scenario.LINEAR: 5, Scenario.OTT: 0})
+        assert panel.peak_reduction(Scenario.LINEAR, Scenario.OTT) == \
+            float("inf")
+
+    def test_repr_names_the_panel(self):
+        assert repr(self._panel({})) == \
+            "TimelineFigure(lg/uk/LIn-OIn, 6 scenarios)"
+
+    def test_every_scenario_has_a_distinct_label(self):
+        assert set(SCENARIO_LABELS) == set(Scenario)
+        assert len(set(SCENARIO_LABELS.values())) == len(Scenario)
+
+
 class TestCdfFigures:
     def test_curves_nonempty_for_active_scenarios(self):
         spec = ExperimentSpec(Vendor.SAMSUNG, Country.UK,
@@ -95,14 +126,16 @@ class TestCdfFigures:
         assert 50 <= median_step_interval_s(samsung_curve) <= 70
 
     def test_figure5_has_all_curves(self):
-        figure = figure5()
-        assert len(figure.curves) == 2 * 6 * 2  # vendor x scenario x phase
+        curves = {(vendor, scenario, phase): transmitted_curve(
+                      ExperimentSpec(vendor, Country.UK, scenario, phase))
+                  for vendor in paper_vendors() for scenario in Scenario
+                  for phase in (Phase.LIN_OIN, Phase.LOUT_OIN)}
+        assert len(curves) == 2 * 6 * 2  # vendor x scenario x phase
 
     def test_login_phases_similar_in_cdf(self):
-        figure = figure5()
-        lin = figure.total_kb(Vendor.LG, Scenario.LINEAR, Phase.LIN_OIN)
-        lout = figure.total_kb(Vendor.LG, Scenario.LINEAR,
-                               Phase.LOUT_OIN)
+        lin, lout = (transmitted_curve(ExperimentSpec(
+            Vendor.LG, Country.UK, Scenario.LINEAR, phase)).total_bytes
+            / 1000 for phase in (Phase.LIN_OIN, Phase.LOUT_OIN))
         assert lin == pytest.approx(lout, rel=0.25)
 
 

@@ -19,14 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzz_inputs import NESTED_LINE, damaged_jsonl
-from repro.experiments.findings import (FindingCheck, ledger_from_checks,
-                                        render_checks, scorecard)
+from repro.experiments.findings import (ledger_from_checks, render_checks,
+                                        run_all_checks)
 from repro.findings import (DEGRADATION_CODE, FINDINGS_SCHEMA_VERSION,
                             OPTOUT_VIOLATION_CODE, SEVERITIES, Evidence,
                             Finding, FindingsLedger, diff_records,
-                            ledger_from_file, ledger_to_jsonl,
-                            read_findings_jsonl, record_identity,
-                            severity_rank, write_findings_jsonl)
+                            ledger_to_jsonl, read_findings_jsonl,
+                            record_identity, severity_rank,
+                            write_findings_jsonl)
 from repro.findings.model import EVIDENCE_TYPES
 
 sys.path.insert(0, os.path.join(
@@ -85,7 +85,6 @@ class TestModel:
         finding = _finding(code="S3")
         assert finding.finding_id == "S3"
         assert finding.description == "check S3"
-        assert isinstance(finding, FindingCheck)
 
     def test_evidence_text_joins_non_empty_texts(self):
         finding = Finding(code="X", title="x", evidence=(
@@ -266,7 +265,7 @@ class TestExport:
         meta, records = read_findings_jsonl(path)
         assert meta["command"] == "fleet" and meta["seed"] == 7
         assert len(records) == 2
-        assert ledger_from_file(path) == ledger
+        assert FindingsLedger.from_jsonable(records) == ledger
 
     def test_reader_rejects_malformed_files(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
@@ -468,10 +467,11 @@ class TestRenderChecks:
 @pytest.mark.slow
 class TestScorecardJobsForwarding:
     def test_parallel_verdicts_match_serial(self):
-        """``scorecard(jobs=N)`` must forward jobs to the check runner
-        and produce verdicts identical to a serial run (the second call
+        """``run_all_checks(jobs=N)`` must prefetch through the pool and
+        produce verdicts identical to a serial run (the second call
         rides the grid cache the first one warmed)."""
-        serial = scorecard()
-        parallel = scorecard(jobs=2)
+        serial = {check.code: check.passed for check in run_all_checks()}
+        parallel = {check.code: check.passed
+                    for check in run_all_checks(jobs=2)}
         assert parallel == serial
         assert {"S1", "S12", "X1", "X6"} <= set(serial)

@@ -21,7 +21,7 @@ from repro.findings import (DEGRADATION_CODE, OPTOUT_VIOLATION_CODE,
 from repro.fleet import (DIARIES, FleetAggregate, FleetRunner,
                          HouseholdSpec, MixError, PopulationSpec,
                          diary_named, parse_mix,
-                         render_population_report, sample_population)
+                         render_population_report)
 from repro.fleet.runner import household_record
 from repro.sim.clock import minutes, seconds
 from repro.testbed.experiment import (Phase, SCENARIO_START_NS, Scenario,
@@ -36,37 +36,37 @@ UK_QUICK = {"country": {"uk": 1.0}, "diary": {"second_screen": 1.0}}
 
 class TestPopulationSampling:
     def test_same_seed_same_households(self):
-        first = sample_population(20, seed=9)
-        second = sample_population(20, seed=9)
+        first = PopulationSpec(20, seed=9).sample()
+        second = PopulationSpec(20, seed=9).sample()
         assert first == second
 
     def test_prefix_stable_when_population_grows(self):
         # Household i is derived from (seed, i) alone, so growing the
         # fleet re-derives the existing households identically — the
         # property that lets an enlarged fleet reuse its cache.
-        small = sample_population(5, seed=9)
-        large = sample_population(50, seed=9)
+        small = PopulationSpec(5, seed=9).sample()
+        large = PopulationSpec(50, seed=9).sample()
         assert large[:5] == small
 
     def test_different_fleet_seed_changes_households(self):
-        assert sample_population(20, seed=9) != \
-            sample_population(20, seed=10)
+        assert PopulationSpec(20, seed=9).sample() != \
+            PopulationSpec(20, seed=10).sample()
 
     def test_household_seeds_are_distinct(self):
-        seeds = [h.seed for h in sample_population(200, seed=9)]
+        seeds = [h.seed for h in PopulationSpec(200, seed=9).sample()]
         assert len(set(seeds)) == len(seeds)
 
     def test_identical_across_processes(self):
         """The cache contract: another process derives the exact same
         population from the same fleet seed."""
-        households = sample_population(25, seed=13)
+        households = PopulationSpec(25, seed=13).sample()
         digest = hashlib.sha256(
             repr([h.as_tuple() for h in households]).encode()).hexdigest()
 
         code = (
             "import hashlib\n"
-            "from repro.fleet import sample_population\n"
-            "households = sample_population(25, seed=13)\n"
+            "from repro.fleet import PopulationSpec\n"
+            "households = PopulationSpec(25, seed=13).sample()\n"
             "print(hashlib.sha256(repr([h.as_tuple() for h in "
             "households]).encode()).hexdigest())\n")
         import repro
@@ -98,7 +98,7 @@ class TestPopulationSampling:
         assert lg > 240  # expectation 270; far from 150
 
     def test_roundtrip_through_tuples(self):
-        for household in sample_population(10, seed=3):
+        for household in PopulationSpec(10, seed=3).sample():
             assert HouseholdSpec.from_tuple(household.as_tuple()) == \
                 household
 

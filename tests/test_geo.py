@@ -4,9 +4,9 @@ traceroute, IPmap arbitration, DPF list, and the full audit workflow."""
 import pytest
 
 from repro.dnsinfra import DomainRegistry, RecursiveResolver, Zone
-from repro.geo import (CITIES, DpfList, GeolocationAudit, IpSpace, ProbeMesh,
-                       ReverseDnsEngine, TracerouteEngine, build_ip2location,
-                       build_maxmind, city_for_airport, haversine_km,
+from repro.geo import (AIRPORT_CODES, CITIES, DpfList, GeolocationAudit,
+                       IpSpace, ProbeMesh, ReverseDnsEngine, TracerouteEngine,
+                       build_ip2location, build_maxmind, haversine_km,
                        min_rtt_ms)
 from repro.sim import RngRegistry
 
@@ -38,10 +38,9 @@ class TestLocations:
         assert 60 < rtt < 100  # physically-grounded bound
 
     def test_airport_mapping(self):
-        assert city_for_airport("AMS").name == "Amsterdam"
-        assert city_for_airport("lhr").name == "London"
-        with pytest.raises(KeyError):
-            city_for_airport("xxx")
+        assert CITIES[AIRPORT_CODES["ams"]].name == "Amsterdam"
+        assert CITIES[AIRPORT_CODES["lhr"]].name == "London"
+        assert "xxx" not in AIRPORT_CODES
 
 
 class TestIpSpace:

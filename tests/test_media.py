@@ -6,9 +6,9 @@ import pytest
 from repro.media import (AD_BREAK_EVERY_S, Channel, ContentItem, ContentKind,
                          FastApp, HdmiInput, HomeScreen, MediaLibrary,
                          OttApp, PlayState, ScheduleSlot, ScreenCast,
-                         SourceType, Tuner, build_channel, build_lineup,
-                         frame_similarity, render_audio, render_frame,
-                         render_sequence, standard_library)
+                         SourceType, Tuner, build_channel, render_frame,
+                         standard_library)
+from repro.media.frames import render_audio_batch, render_frame_batch
 from repro.sim import seconds
 
 
@@ -19,6 +19,11 @@ def library():
 
 def _ui_item():
     return ContentItem("ui:home", "Home", ContentKind.UI, 86400, "news")
+
+
+def _similarity(a, b):
+    """Pearson correlation of two frames' pixels (1.0 = identical)."""
+    return np.corrcoef(a.ravel(), b.ravel())[0, 1]
 
 
 class TestContent:
@@ -81,59 +86,40 @@ class TestFrames:
         item = library.shows[0]
         a = render_frame(PlayState(item, 40.0))
         b = render_frame(PlayState(item, 41.0))  # same 8 s scene
-        assert frame_similarity(a, b) > 0.9
+        assert _similarity(a, b) > 0.9
 
     def test_different_content_dissimilar(self, library):
         a = render_frame(PlayState(library.shows[0], 40.0))
         b = render_frame(PlayState(library.shows[1], 40.0))
-        assert frame_similarity(a, b) < 0.5
+        assert _similarity(a, b) < 0.5
 
     def test_scene_cut_changes_frame(self, library):
         item = library.shows[0]
         a = render_frame(PlayState(item, 7.0))
         b = render_frame(PlayState(item, 9.0))  # across a scene boundary
-        assert frame_similarity(a, b) < 0.5
-
-    def test_flat_frame_is_not_similar_to_a_show(self, library):
-        shown = render_frame(PlayState(library.shows[0], 40.0))
-        grey = np.full_like(shown, 0.5)
-        assert frame_similarity(grey, shown) == 0.0
-        assert frame_similarity(shown, grey) == 0.0
-
-    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.3, 0.7)])
-    def test_different_flat_frames_are_not_identical(self, low, high):
-        """0.3's float32 mean rounds, so its centred frame is a small
-        constant instead of zeros."""
-        dark = np.full((18, 32), low, dtype=np.float32)
-        bright = np.full((18, 32), high, dtype=np.float32)
-        assert frame_similarity(dark, bright) == 0.0
-        assert frame_similarity(dark, dark.copy()) == 1.0
+        assert _similarity(a, b) < 0.5
 
     def test_frame_range(self, library):
         frame = render_frame(PlayState(library.shows[0], 1.0))
         assert frame.min() >= 0.0 and frame.max() <= 1.0
 
     def test_audio_normalised(self, library):
-        audio = render_audio(PlayState(library.shows[0], 1.0))
+        audio = render_audio_batch(library.shows[0], [1.0])[0]
         assert np.max(np.abs(audio)) <= 1.0 + 1e-6
         assert len(audio) == 512
 
-    def test_render_sequence_matches_render_frame(self, library):
+    def test_frame_batch_matches_render_frame(self, library):
         item = library.shows[0]
-        frames = render_sequence(item, 5.5, 7, step_s=1.5)
+        frames = render_frame_batch(item, [5.5 + i * 1.5 for i in range(7)])
         assert len(frames) == 7
         for i, frame in enumerate(frames):
             assert np.array_equal(
                 frame, render_frame(PlayState(item, 5.5 + i * 1.5)))
-        assert render_sequence(item, 3.0, 0) == []
+        assert len(render_frame_batch(item, [])) == 0
 
-    def test_render_sequence_rejects_negative_count(self, library):
+    def test_frame_batch_rejects_negative_position(self, library):
         with pytest.raises(ValueError):
-            render_sequence(library.shows[0], 0.0, -1)
-
-    def test_render_sequence_rejects_negative_start(self, library):
-        with pytest.raises(ValueError):
-            render_sequence(library.shows[0], -1.0, 3)
+            render_frame_batch(library.shows[0], [1.0, -1.0, 3.0])
 
 
 class TestSchedule:
@@ -173,9 +159,10 @@ class TestSchedule:
         assert kinds[0] == ContentKind.SHOW
         assert ContentKind.AD in kinds
 
-    def test_lineup_channels_differ(self, library):
-        lineup = build_lineup(library, "fast", ["F1", "F2"])
-        assert lineup[0].playing_at(0).item != lineup[1].playing_at(0).item
+    def test_offset_channels_differ(self, library):
+        first = build_channel("F1", library, kind="fast")
+        second = build_channel("F2", library, kind="fast", offset=3)
+        assert first.playing_at(0).item != second.playing_at(0).item
 
     def test_invalid_slots_rejected(self, library):
         show = library.shows[0]

@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net import DnsMessage, DnsRecord, Ipv4Address
-from repro.net.dns import (FLAG_QR_RESPONSE, RCODE_NXDOMAIN, TYPE_A,
-                           TYPE_CNAME, TYPE_PTR, decode_name, encode_name)
+from repro.net.dns import (FLAG_QR_RESPONSE, TYPE_A, TYPE_CNAME, TYPE_PTR,
+                           decode_name, encode_name)
 
 ADDR = Ipv4Address.parse("203.0.113.10")
+#: RFC 1035's name-error response code.
+RCODE_NXDOMAIN = 3
 
 label = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-",
                 min_size=1, max_size=20).filter(

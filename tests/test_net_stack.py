@@ -4,9 +4,9 @@ produce well-formed, decodable, causally-ordered captures."""
 import pytest
 
 from capture_tap import Tap
-from packet_oracle import decode_all, dump_bytes, load_bytes
+from packet_oracle import decode_all, dump_bytes, extract_sni, load_bytes
 from repro.net import (ColumnarCapture, DnsRecord, HostStack, Ipv4Address,
-                       TlsSession, extract_sni, mac_from_seed)
+                       TlsSession, mac_from_seed)
 from repro.net.link import LatencyModel
 from repro.net.tcp import FLAG_ACK, FLAG_FIN, FLAG_SYN
 from repro.net.tls import TlsRecord

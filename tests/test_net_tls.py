@@ -2,10 +2,11 @@
 
 import pytest
 
+from packet_oracle import extract_sni
 from repro.net.tls import (AEAD_OVERHEAD, CONTENT_APPLICATION_DATA,
                            CONTENT_HANDSHAKE, MAX_RECORD_PAYLOAD, TlsRecord,
                            application_records, build_client_hello,
-                           extract_sni, handshake_flights)
+                           handshake_flights)
 
 RANDOM = bytes(range(32))
 

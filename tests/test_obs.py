@@ -2,9 +2,10 @@
 algebra, the ANSI dashboard, and the JSONL export surface.
 
 The merge suite mirrors ``tests/test_fleet.py``'s FleetAggregate
-discipline: snapshots must combine associatively and commutatively with
-``empty_snapshot()`` as the identity, which is what makes the exported
-totals independent of ``--jobs``.
+discipline: snapshots folded through ``MetricsRegistry.absorb`` must
+combine associatively and commutatively with an empty registry's
+snapshot as the identity, which is what makes the exported totals
+independent of ``--jobs``.
 """
 
 import io
@@ -21,15 +22,24 @@ from repro.fleet import FleetAggregate, FleetRunner, PopulationSpec
 from repro.obs import (Dashboard, DashboardView, detect_plain,
                        render_frame, render_plain_line)
 from repro.obs.metrics import (DEFAULT_BUCKETS_MS, NULL, MetricsRegistry,
-                               disable, empty_snapshot, enable,
-                               get_registry, merge_all_snapshots,
-                               merge_snapshots, metrics_enabled, scoped,
-                               snapshot_to_jsonl, write_metrics_jsonl)
+                               disable, enable, get_registry,
+                               metrics_enabled, scoped, snapshot_to_jsonl,
+                               write_metrics_jsonl)
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "scripts"))
 from check_metrics import check_lines  # noqa: E402
+
+
+def merge_snapshots(*snapshots):
+    """``snapshots`` folded into a fresh registry through
+    ``MetricsRegistry.absorb``, as a parent folds its workers'
+    (``None`` entries are skipped)."""
+    registry = MetricsRegistry()
+    for snapshot in snapshots:
+        registry.absorb(snapshot)
+    return registry.snapshot()
 
 
 def _summary(vendor, country, acr):
@@ -142,8 +152,8 @@ class TestSnapshotAlgebra:
 
     def test_empty_snapshot_is_identity(self):
         a, __, __ = self._snapshots()
-        assert merge_snapshots(a, empty_snapshot()) == a
-        assert merge_snapshots(empty_snapshot(), a) == a
+        assert merge_snapshots(a, merge_snapshots()) == a
+        assert merge_snapshots(merge_snapshots(), a) == a
 
     def test_merge_rules(self):
         a, b, __ = self._snapshots()
@@ -158,8 +168,7 @@ class TestSnapshotAlgebra:
 
     def test_merge_all_skips_none(self):
         a, b, __ = self._snapshots()
-        assert merge_all_snapshots([None, a, None, b]) \
-            == merge_snapshots(a, b)
+        assert merge_snapshots(None, a, None, b) == merge_snapshots(a, b)
 
     def test_mismatched_bucket_bounds_refused(self):
         registry = MetricsRegistry()

@@ -18,6 +18,10 @@ Every module under ``src/repro`` is in the static import closure of
 lives beside it, not in ``src``.  ``src`` has no ``importlib`` or
 ``__import__``, so the static closure is the one a command loads.
 
+Every top-level name of a module there is read by code a command,
+an example or the benchmark harness runs (:func:`unread_names`); a
+package ``__init__`` that re-exports a name does not read it.
+
 There is no allowlist: code that nothing runs is deleted.
 """
 
@@ -25,6 +29,8 @@ import ast
 import collections
 import os
 import re
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCANNED = ("src", "tests", "benchmarks", "scripts", "examples",
@@ -98,21 +104,29 @@ def _annotations(tree):
             yield node.annotation
 
 
+def _loads(tree):
+    """Every ``Name`` and ``Attribute`` node the module loads, those
+    inside quoted annotations included."""
+    roots = [tree] + [ast.parse(constant.value, mode="eval")
+                      for annotation in _annotations(tree)
+                      for constant in ast.walk(annotation)
+                      if isinstance(constant, ast.Constant)
+                      and isinstance(constant.value, str)]
+    return [node for root in roots for node in ast.walk(root)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and not isinstance(node.ctx, ast.Store)]
+
+
+def _identifiers_loaded(tree):
+    """The identifier of every name and attribute the module loads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in _loads(tree)}
+
+
 def _names_read(tree):
     """Every name the module loads, including those inside quoted
     annotations, plus the strings of its ``__all__``."""
-    nodes = list(ast.walk(tree))
-    for annotation in _annotations(tree):
-        nodes += [ast.parse(constant.value, mode="eval")
-                  for constant in ast.walk(annotation)
-                  if isinstance(constant, ast.Constant)
-                  and isinstance(constant.value, str)]
-    read = set()
-    for node in nodes:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) \
-                    and not isinstance(child.ctx, ast.Store):
-                read.add(child.id)
+    read = {node.id for node in _loads(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__"
@@ -243,6 +257,145 @@ def test_closure_resolves_parent_relative_imports(tmp_path):
     _write_package(tmp_path, files)
     assert unreached_modules(root=str(tmp_path)) == [
         "repro.stale", "repro.stale_helper"]
+
+
+def _top_level_names(tree):
+    """``{name: line}`` of every top-level ``def``, ``class`` and
+    assigned name of a module, dunders aside."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update((name.id, node.lineno) for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name)
+                         and isinstance(name.ctx, ast.Store))
+    return {name: line for name, line in names.items()
+            if not _is_dunder(name)}
+
+
+def _read_outside_src(root):
+    """What the example scripts and the benchmark harness read: every
+    name and attribute an ``examples/*.py`` or ``perfbench/*.py`` file
+    loads or imports, plus each perfbench string that is a whole
+    identifier (the ``(owner, "attr")`` trace targets)."""
+    read = set()
+    for top in ("examples", "perfbench"):
+        directory = os.path.join(root, top)
+        for path, source in _python_sources(directory):
+            if os.path.dirname(path) != directory:
+                continue
+            tree = ast.parse(source, path)
+            read |= _identifiers_loaded(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.alias):
+                    read.add(node.name.rpartition(".")[2])
+                elif (top == "perfbench" and isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and node.value.isidentifier()):
+                    read.add(node.value)
+    return read
+
+
+def unread_names(root=ROOT):
+    """Sorted ``path:line name`` of every top-level name of a
+    non-``__init__`` module under ``root/src/repro`` that nothing reads.
+
+    A name is read when any ``src/repro`` module, its own included,
+    loads it as a name or as an attribute ``x.name`` (quoted
+    annotations count; a package ``__init__``'s imports and
+    ``__all__`` do not), when an ``examples/*.py`` script reads or
+    imports it (tier-1 runs every example), or when a ``perfbench/*.py``
+    file reads or imports it or names it in a string that is exactly
+    the identifier.  perfbench is a reader because it drives the
+    program through its API and traces layers by attribute name, and it
+    changes only with the benchmark itself; that is what keeps its
+    reset hooks (``clear_fingerprint_cache``, ``experiments.cache.reset``)
+    and trace targets.  Its strings are parsed, not word-matched, so the
+    ``scorecard`` inside ``"scorecard-cold"`` reads nothing.  Tests do
+    not read: a name only they use lives beside them.  Names are matched
+    by spelling, not by binding.
+    """
+    read, defined = _read_outside_src(root), []
+    for path, source in _python_sources(os.path.join(root, "src",
+                                                     "repro")):
+        tree = ast.parse(source, path)
+        read |= _identifiers_loaded(tree)
+        if os.path.basename(path) != "__init__.py":
+            defined += [(os.path.relpath(path, root), line, name)
+                        for name, line in _top_level_names(tree).items()]
+    return sorted(f"{path}:{line} {name}" for path, line, name in defined
+                  if name not in read)
+
+
+def test_every_top_level_name_is_read():
+    unread = unread_names()
+    assert not unread, (
+        f"defined at the top of a src/repro module but read by no "
+        f"command, example or perfbench file (delete it, or move it "
+        f"beside the tests that use it): {'; '.join(unread)}")
+
+
+def test_name_check_reads_commands_examples_and_perfbench(tmp_path):
+    """Each name of ``api/impl.py`` has one reader, or none."""
+    _write_package(tmp_path, {
+        "__init__.py": "",
+        "cli.py": ("from .api import called\n"
+                   "def main(arg: \"Quoted\"):\n"
+                   "    return called(arg)\n"
+                   "if __name__ == \"__main__\":\n"
+                   "    main(None)\n"),
+        "api/__init__.py": (
+            "from .impl import (Quoted, called, for_example, reexported,\n"
+            "                   scorecard, traced)\n"
+            "__all__ = [\"Quoted\", \"called\", \"for_example\",\n"
+            "           \"reexported\", \"scorecard\", \"traced\"]\n"),
+        "api/impl.py": ("class Quoted:\n    pass\n"
+                        "def called(arg):\n    return arg\n"
+                        "def for_example():\n    pass\n"
+                        "def reexported():\n    pass\n"
+                        "def scorecard():\n    pass\n"
+                        "def traced():\n    pass\n"),
+    })
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.api import for_example\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "workloads.py").write_text(
+        "from repro.api import impl\n"
+        "TARGETS = [(impl, \"traced\")]\n"
+        "WORKLOAD = \"scorecard-cold\"\n")
+    assert unread_names(root=str(tmp_path)) == [
+        "src/repro/api/impl.py:7 reexported",
+        "src/repro/api/impl.py:9 scorecard"]
+
+
+@pytest.mark.parametrize("init, cli, unread", [
+    ("", "", ["src/repro/util.py:3 helper"]),
+    ("from .util import helper, used\n__all__ = [\"helper\", \"used\"]\n",
+     "", ["src/repro/util.py:3 helper"]),
+    ("", "from .util import helper\nhelper()\n", []),
+], ids=["only-a-test-calls-it", "re-exported-by-its-package",
+        "called-by-the-cli"])
+def test_name_check_on_a_function_only_a_test_calls(tmp_path, init, cli,
+                                                     unread):
+    """A public function that only a test calls is reported, and still
+    is once its package ``__init__`` re-exports it; a call from
+    ``cli.py`` reads it."""
+    _write_package(tmp_path, {
+        "__init__.py": init,
+        "cli.py": "from .util import used\nused()\n" + cli,
+        "util.py": ("def used():\n    pass\n"
+                    "def helper():\n    pass\n"),
+    })
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_util.py").write_text(
+        "from repro.util import helper\n\n"
+        "def test_helper():\n    helper()\n")
+    assert unread_names(root=str(tmp_path)) == unread
 
 
 def _write_package(root, files):

@@ -1,29 +1,14 @@
-"""Tests for table rendering, ASCII plots and exports."""
-
-import csv
-import io
-import json
+"""Tests for table rendering and the dashboard's ASCII primitives."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.analysis import CumulativeCurve
-from repro.reporting import (cdf_to_csv, findings_to_json, kb, plot_cdf,
-                             plot_timeline, plot_timelines,
-                             render_markdown, render_table, table_to_csv,
-                             timeline_to_csv)
-from repro.reporting.ascii_plot import (LABEL_WIDTH, fit_label, meter,
-                                        sparkline)
-from timeline_oracle import from_counts
+from repro.reporting import render_markdown, render_table
+from repro.reporting.ascii_plot import BARS, meter, sparkline
 
-
-def _timeline(counts):
-    return from_counts(counts, 0, 1_000_000)
-
-
-def _curve():
-    times = np.array([1.0, 2.0, 10.0])
-    return CumulativeCurve(times, np.cumsum([100, 200, 700]))
+WIDE = "a-wide-header"
 
 
 class TestRenderTable:
@@ -47,65 +32,31 @@ class TestRenderTable:
         assert lines[1] == "|---|---|"
         assert lines[2] == "| 1 | 2 |"
 
-    def test_kb_format(self):
-        assert kb(4759.66) == "4759.7"
-        assert kb(0) == "0.0"
+    @pytest.mark.parametrize("cell, numeric", [
+        ("4759.7", True), ("12x", True), ("-0.5", True), ("-", False),
+        ("n/a", False), ("LIn-OIn", False)])
+    def test_numeric_cells_right_aligned(self, cell, numeric):
+        row = render_table([WIDE], [[cell]]).splitlines()[2]
+        padded = cell.rjust(len(WIDE)) if numeric else cell.ljust(len(WIDE))
+        assert row == f"| {padded} |"
 
+    def test_numeric_header_stays_left_aligned(self):
+        header = render_table(["1", "b"], [["12345", "x"]]).splitlines()[0]
+        assert header == "| 1     | b |"
 
-class TestPlots:
-    def test_timeline_plot_width(self):
-        out = plot_timeline(_timeline([0, 5, 0, 0] * 100), width=40,
-                            label="Linear")
-        assert "Linear" in out
-        assert "peak=5" in out
+    def test_cells_are_stringified(self):
+        out = render_table(["n", "kb"], [[3, 4.5]])
+        assert out.splitlines()[2] == "| 3 | 4.5 |"
 
-    def test_empty_timeline(self):
-        out = plot_timeline(_timeline([]), label="none")
-        assert "empty" in out
+    def test_no_rows_renders_header_and_separator(self):
+        assert render_table(["ab", "c"], []).splitlines() == [
+            "| ab | c |", "|----|---|"]
 
-    def test_all_zero_timeline(self):
-        out = plot_timeline(_timeline([0] * 50), label="quiet")
-        assert "peak=0" in out
-
-    def test_multiple_timelines(self):
-        out = plot_timelines([_timeline([1, 2]), _timeline([3, 4])],
-                             ["a", "b"])
-        assert out.count("|") >= 4
-
-    def test_cdf_plot_shape(self):
-        out = plot_cdf(_curve(), width=30, height=5, label="curve")
-        lines = out.splitlines()
-        assert lines[0] == "curve"
-        assert any("#" in line for line in lines)
-
-    def test_cdf_plot_empty(self):
-        empty = CumulativeCurve(np.array([]), np.array([]))
-        assert "no traffic" in plot_cdf(empty)
+    def test_markdown_stringifies_cells(self):
+        assert render_markdown(["n"], [[7]]).splitlines()[2] == "| 7 |"
 
 
 class TestAsciiPrimitives:
-    def test_fit_label_pads_short_labels(self):
-        assert fit_label("Linear") == "Linear" + " " * 18
-        assert len(fit_label("Linear")) == LABEL_WIDTH
-
-    def test_fit_label_truncates_with_ellipsis(self):
-        long = "log-ingestion-eu.samsungacr.com uploads"
-        fitted = fit_label(long)
-        assert len(fitted) == LABEL_WIDTH
-        assert fitted.endswith("...")
-        assert fitted == long[:LABEL_WIDTH - 3] + "..."
-
-    def test_fit_label_tiny_width(self):
-        assert fit_label("abcdef", width=2) == "ab"
-
-    def test_long_label_no_longer_breaks_timeline_alignment(self):
-        # Regression: `{label:24s}` let an overlong label push the plot
-        # body out of column; the fitted label pins the `|` position.
-        short = plot_timeline(_timeline([1, 2]), width=10, label="a")
-        long = plot_timeline(_timeline([1, 2]), width=10,
-                             label="x" * 60)
-        assert short.index("|") == long.index("|") == LABEL_WIDTH + 1
-
     def test_meter_bounds(self):
         assert meter(0.0, 4) == "[----]"
         assert meter(1.0, 4) == "[####]"
@@ -120,32 +71,41 @@ class TestAsciiPrimitives:
     def test_sparkline_all_zero_is_blank(self):
         assert sparkline([0, 0, 0]) == "   "
 
+    def test_meter_zero_width_is_empty(self):
+        assert meter(0.5, 0) == ""
 
-class TestExports:
-    def test_table_to_csv_roundtrip(self):
-        out = table_to_csv(["a", "b"], [["1", "2"], ["3", "4"]])
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows == [["a", "b"], ["1", "2"], ["3", "4"]]
+    def test_meter_negative_fraction_clamped(self):
+        assert meter(-1.0, 4) == "[----]"
 
-    def test_timeline_csv_skips_empty_bins(self):
-        out = timeline_to_csv(_timeline([0, 3, 0, 7]))
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["bin_start_ns", "packets"]
-        assert len(rows) == 3  # header + 2 non-empty bins
+    @given(st.floats(allow_nan=False, min_value=-10, max_value=10),
+           st.integers(min_value=1, max_value=200))
+    def test_meter_spans_exactly_its_width(self, fraction, width):
+        bar = meter(fraction, width)
+        assert len(bar) == width + 2
+        assert set(bar[1:-1]) <= {"#", "-"}
 
-    def test_cdf_csv(self):
-        out = cdf_to_csv(_curve())
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["time_s", "cumulative_bytes"]
-        assert int(rows[-1][1]) == 1000
+    def test_sparkline_peak_is_top_of_ramp(self):
+        line = sparkline([1, 2, 4])
+        assert line[-1] == BARS[-1]
+        assert " " not in line
 
-    def test_findings_json(self):
-        class Dummy:
-            __slots__ = ("name", "passed")
+    def test_sparkline_negative_values_are_blank(self):
+        assert sparkline([-1, -2]) == "  "
 
-            def __init__(self):
-                self.name = "s1"
-                self.passed = True
+    def test_sparkline_empty_pads_to_width(self):
+        assert sparkline([], width=5) == " " * 5
 
-        out = json.loads(findings_to_json([Dummy()]))
-        assert out == [{"name": "s1", "passed": True}]
+    def test_sparkline_short_series_pads_to_width(self):
+        assert sparkline([1, 2], width=5) == sparkline([1, 2]) + " " * 3
+
+    @pytest.mark.parametrize("n_values,width", [(403, 40), (23, 40)])
+    def test_each_value_alone_lands_in_its_array_split_column(
+            self, n_values, width):
+        columns = [column for column, chunk in enumerate(
+            np.array_split(np.arange(n_values), width)) for __ in chunk]
+        for index in range(n_values):
+            values = np.zeros(n_values)
+            values[index] = 1
+            column = columns[index]
+            assert sparkline(values, width) == \
+                " " * column + BARS[-1] + " " * (width - column - 1)

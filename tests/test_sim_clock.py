@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim import clock as clock_mod
-from repro.sim.clock import (Clock, hours, microseconds, milliseconds,
-                             minutes, seconds, to_milliseconds, to_seconds)
+from repro.sim.clock import (NS_PER_MS, Clock, hours, microseconds,
+                             milliseconds, minutes, seconds, to_seconds)
 
 
 class TestConversions:
@@ -12,7 +12,7 @@ class TestConversions:
         assert to_seconds(seconds(12.5)) == pytest.approx(12.5)
 
     def test_milliseconds_roundtrip(self):
-        assert to_milliseconds(milliseconds(3.25)) == pytest.approx(3.25)
+        assert milliseconds(3.25) / NS_PER_MS == pytest.approx(3.25)
 
     def test_units_are_consistent(self):
         assert seconds(1) == milliseconds(1000) == microseconds(10 ** 6)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EventLoop, Signal, Sleep, WaitFor, seconds, spawn
+from repro.sim import EventLoop, Process, Sleep, seconds, spawn
 
 
 class TestSleep:
@@ -79,55 +79,41 @@ class TestStop:
         assert ran == []
 
 
-class TestSignal:
-    def test_waitfor_receives_fired_value(self):
+class TestState:
+    def test_repr_and_alive_follow_the_lifecycle(self):
         loop = EventLoop()
-        sig = Signal(loop)
-        got = []
 
-        def waiter():
-            value = yield WaitFor(sig)
-            got.append((loop.now, value))
+        def body():
+            yield Sleep(seconds(1))
 
-        spawn(loop, waiter())
-        loop.call_at(seconds(2), sig.fire, "payload")
-        loop.run_until(seconds(3))
-        assert got == [(seconds(2), "payload")]
-
-    def test_fire_wakes_all_waiters(self):
-        loop = EventLoop()
-        sig = Signal(loop)
-        woken = []
-
-        def waiter(tag):
-            yield WaitFor(sig)
-            woken.append(tag)
-
-        spawn(loop, waiter("a"))
-        spawn(loop, waiter("b"))
-        loop.call_at(seconds(1), sig.fire)
+        proc = spawn(loop, body(), name="acr")
+        assert proc.alive and repr(proc) == "Process('acr', running)"
         loop.run_until(seconds(2))
-        assert sorted(woken) == ["a", "b"]
+        assert not proc.alive and repr(proc) == "Process('acr', finished)"
 
-    def test_fire_with_no_waiters_returns_zero(self):
+    def test_stop_after_finish_leaves_it_finished(self):
         loop = EventLoop()
-        sig = Signal(loop)
-        assert sig.fire() == 0
 
-    def test_waiter_not_rewoken_by_second_fire(self):
+        def body():
+            yield Sleep(0)
+
+        proc = spawn(loop, body())
+        loop.run_until(seconds(1))
+        proc.stop()
+        assert proc.finished and not proc.alive
+        assert repr(proc) == "Process('proc', stopped)"
+
+    def test_unstarted_process_never_runs(self):
         loop = EventLoop()
-        sig = Signal(loop)
-        count = []
+        ran = []
 
-        def waiter():
-            yield WaitFor(sig)
-            count.append(1)
+        def body():
+            ran.append(loop.now)
+            yield Sleep(0)
 
-        spawn(loop, waiter())
-        loop.call_at(seconds(1), sig.fire)
-        loop.call_at(seconds(2), sig.fire)
-        loop.run_until(seconds(3))
-        assert count == [1]
+        proc = Process(loop, body())
+        loop.run_until(seconds(1))
+        assert ran == [] and proc.alive
 
 
 class TestErrors:

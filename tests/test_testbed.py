@@ -5,10 +5,10 @@ import pytest
 from packet_oracle import dump_bytes, iter_records, load_bytes
 from repro.net.ip import PROTO_TCP, PROTO_UDP
 from repro.sim import hours, minutes
+from repro.experiments.grid import enumerate_cells
 from repro.testbed import (AccessPoint, Country, ExperimentSpec, Phase,
-                           Scenario, Vendor, build_source, full_matrix,
-                           paper_vendors, phase_pair, run_experiment,
-                           scenario_sweep, validate)
+                           Scenario, Vendor, build_source, paper_vendors,
+                           run_experiment, validate)
 from repro.dnsinfra import DomainRegistry, Zone
 from repro.sim import RngRegistry
 
@@ -17,7 +17,7 @@ SHORT = minutes(6)
 
 class TestVocabulary:
     def test_full_matrix_size(self):
-        assert len(full_matrix()) == 6 * 4 * 2 * len(Vendor)
+        assert len(enumerate_cells()) == 6 * 4 * 2 * len(Vendor)
         assert len(paper_vendors()) == 2
 
     def test_phase_semantics(self):
@@ -44,13 +44,15 @@ class TestVocabulary:
                            Phase.LIN_OIN, duration_ns=1000)
 
     def test_scenario_sweep(self):
-        sweep = scenario_sweep(Vendor.SAMSUNG, Country.US, Phase.LIN_OIN)
+        sweep = enumerate_cells(["vendor=samsung", "country=us",
+                                 "phase=LIn-OIn"])
         assert len(sweep) == 6
         assert {s.scenario for s in sweep} == set(Scenario)
 
     def test_phase_pair(self):
-        pair = phase_pair(Vendor.LG, Country.UK, Scenario.LINEAR,
-                          (Phase.LIN_OIN, Phase.LIN_OOUT))
+        pair = enumerate_cells(["vendor=lg", "country=uk",
+                                "scenario=linear",
+                                "phase=LIn-OIn,LIn-OOut"])
         assert [s.phase for s in pair] == [Phase.LIN_OIN, Phase.LIN_OOUT]
 
     def test_country_vantage(self):

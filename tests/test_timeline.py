@@ -1,6 +1,6 @@
 """Sparse timelines against the dense oracle (``timeline_oracle``).
 
-Every query, ``rebin``, the CSV export and the ASCII plot of a sparse
+Every query and ``rebin`` of a sparse
 :class:`~repro.analysis.timeline.Timeline` must read exactly what the
 dense per-bin array it replaced reads.
 """
@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 import timeline_oracle as oracle
 from repro.analysis.timeline import _binned, packets_per_ms
 from repro.experiments.fig_timelines import WINDOW_MINUTES, WINDOW_START
-from repro.reporting import plot_timeline, timeline_to_csv
-from repro.sim.clock import NS_PER_MS, minutes
+from repro.sim.clock import NS_PER_MS, NS_PER_SECOND, minutes
 
 
 def assert_same(sparse, dense):
@@ -30,7 +29,6 @@ def assert_same(sparse, dense):
     assert sparse.spike_times_ns() == dense.spike_times_ns()
     assert repr(sparse) == repr(dense)
     assert np.array_equal(oracle.dense_counts(sparse), dense.counts)
-    assert timeline_to_csv(sparse) == oracle.timeline_to_csv(dense)
 
 
 @st.composite
@@ -55,41 +53,31 @@ def windows(draw):
 class TestAgainstDenseOracle:
     @given(windows(), st.integers(min_value=1, max_value=40))
     @settings(max_examples=150, deadline=None)
-    def test_queries_rebin_csv_and_plot(self, window, factor):
+    def test_queries_and_rebin(self, window, factor):
         stamps, start, end, bin_ns = window
         dense = oracle.dense_binned(stamps, start, end, bin_ns)
         packets = [SimpleNamespace(timestamp=t) for t in stamps]
         sparse = _binned(packets, start, end, bin_ns)
         assert_same(sparse, dense)
         assert_same(sparse.rebin(factor), dense.rebin(factor))
-        for width in {1, len(dense) - 1, len(dense), len(dense) + 3, 7, 80}:
-            if width >= 1:
-                assert plot_timeline(sparse, width, "x") == \
-                    oracle.plot_timeline(dense, width, "x")
+
+    @given(windows(), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=150, deadline=None)
+    def test_rebin_equals_binning_at_the_wider_width(self, window, factor):
+        """Over whole coarse bins, summing ``factor`` bins equals
+        binning at ``factor`` times the width."""
+        stamps, start, end, bin_ns = window
+        coarse = bin_ns * factor
+        end = start + coarse * max(1, (end - start) // coarse)
+        packets = [SimpleNamespace(timestamp=t) for t in stamps]
+        assert_same(_binned(packets, start, end, bin_ns).rebin(factor),
+                    oracle.dense_binned(stamps, start, end, coarse))
 
     def test_rebin_rejects_nonpositive_factor(self):
         sparse = oracle.from_counts([1, 0, 2])
         for factor in (0, -3):
             with pytest.raises(ValueError):
                 sparse.rebin(factor)
-
-
-class TestPlotSlices:
-    """``plot_timeline`` cuts the bins where ``np.array_split`` does."""
-
-    @pytest.mark.parametrize("n_bins,width", [(403, 40), (23, 40)])
-    def test_each_bin_alone_lands_in_its_array_split_column(self, n_bins,
-                                                            width):
-        for index in range(n_bins):
-            counts = np.zeros(n_bins, dtype=np.int64)
-            counts[index] = 1
-            dense = oracle.DenseTimeline(counts, 0, NS_PER_MS)
-            assert plot_timeline(oracle.from_counts(counts), width) == \
-                oracle.plot_timeline(dense, width)
-
-    def test_rejects_zero_width(self):
-        with pytest.raises(ValueError):
-            plot_timeline(oracle.from_counts([1, 2]), width=0)
 
 
 class TestFigureWindow:
@@ -105,6 +93,16 @@ class TestFigureWindow:
         assert sparse.total_packets > 0
         assert_same(sparse, dense)
         assert_same(sparse.rebin(1000), dense.rebin(1000))
-        for width in (64, 72, 80):
-            assert plot_timeline(sparse, width, "Antenna") == \
-                oracle.plot_timeline(dense, width, "Antenna")
+
+    def test_second_bins_equal_rebinned_ms(self, lg_uk_linear_pipeline):
+        pipeline = lg_uk_linear_pipeline
+        packets = pipeline.packets_for_all(
+            pipeline.acr_candidate_domains())
+        start, end = minutes(10), minutes(20)
+        per_s = _binned(packets, start, end, NS_PER_SECOND)
+        per_ms = packets_per_ms(packets, start, end).rebin(1000)
+        assert per_s.total_packets > 0
+        assert_same(per_ms, oracle.dense_binned(
+            (p.timestamp for p in packets), start, end, NS_PER_SECOND))
+        assert np.array_equal(per_s.indexes, per_ms.indexes)
+        assert np.array_equal(per_s.values, per_ms.values)

@@ -87,15 +87,15 @@ class TestRegistry:
         # must never displace those allocations (cached captures pin
         # them byte for byte).
         extension_orders = [profile.catalog_order
-                            for profile in vendors.profiles()
+                            for profile in vendors.catalog_profiles()
                             if not profile.audited_in_paper]
         paper_orders = [profile.catalog_order
-                        for profile in vendors.profiles()
+                        for profile in vendors.catalog_profiles()
                         if profile.audited_in_paper]
         assert max(paper_orders) < min(extension_orders)
 
     def test_profiles_are_complete(self):
-        for profile in vendors.profiles():
+        for profile in vendors.catalog_profiles():
             for country in profile.countries:
                 assert profile.acr_profiles[country].vendor == profile.name
                 assert profile.services(country)

@@ -1,21 +1,17 @@
 """The dense timeline oracle for ``repro.analysis.timeline``.
 
 ``DenseTimeline``/``dense_binned`` keep every bin of the window as an
-int64 count, the way timelines were held before they went sparse, and
-``plot_timeline``/``timeline_to_csv`` read those counts the way the
-reporting readers did.  ``from_counts`` builds the production (sparse)
-timeline from a list of per-bin counts, for tests that state a timeline
-bin by bin, and ``dense_counts`` turns a sparse timeline back into them.
+int64 count, the way timelines were held before they went sparse.
+``from_counts`` builds the production (sparse) timeline from a list of
+per-bin counts, for tests that state a timeline bin by bin, and
+``dense_counts`` turns a sparse timeline back into them.
 """
 
-import csv
-import io
 from typing import List
 
 import numpy as np
 
 from repro.analysis.timeline import Timeline
-from repro.reporting.ascii_plot import BARS, fit_label
 
 
 class DenseTimeline:
@@ -74,33 +70,6 @@ def dense_binned(timestamps, start_ns: int, end_ns: int,
         if start_ns <= timestamp < end_ns:
             counts[(timestamp - start_ns) // bin_ns] += 1
     return DenseTimeline(counts, start_ns, bin_ns)
-
-
-def plot_timeline(timeline: DenseTimeline, width: int = 80,
-                  label: str = "") -> str:
-    counts = timeline.counts
-    if len(counts) == 0:
-        return f"{label} (empty)"
-    slices = np.array_split(counts, width)
-    peaks = np.array([s.max() if len(s) else 0 for s in slices],
-                     dtype=np.float64)
-    top = peaks.max()
-    if top == 0:
-        body = " " * width
-    else:
-        levels = np.ceil(peaks / top * (len(BARS) - 1)).astype(int)
-        body = "".join(BARS[level] for level in levels)
-    return f"{fit_label(label)} |{body}| peak={int(top)} pkts/bin"
-
-
-def timeline_to_csv(timeline: DenseTimeline) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["bin_start_ns", "packets"])
-    for index, count in enumerate(timeline.counts):
-        if count:
-            writer.writerow([index * timeline.bin_ns, int(count)])
-    return buffer.getvalue()
 
 
 def from_counts(counts, start_ns: int = 0,
