@@ -8,6 +8,7 @@ import pytest
 from bench_net_hotpath import best_of
 
 from repro.acr import (FingerprintMatcher, ReferenceLibrary, capture_state)
+from repro.acr import matcher as matcher_module
 from repro.acr.fingerprint import clear_fingerprint_cache
 from repro.acr.library import (BANDS, DEFAULT_SAMPLE_INTERVAL_S,
                                MAX_REFERENCE_SECONDS, index_bands)
@@ -65,9 +66,11 @@ def test_match_throughput(benchmark, reference, probe_captures):
 
 @pytest.mark.parametrize("tolerance", [0, 1, 3, 6])
 def test_tolerance_ablation(benchmark, reference, probe_captures,
-                            tolerance):
+                            tolerance, monkeypatch):
     """D3 ablation: accuracy/cost as the Hamming radius varies."""
-    matcher = FingerprintMatcher(reference, hamming_tolerance=tolerance)
+    monkeypatch.setattr(matcher_module, "DEFAULT_HAMMING_TOLERANCE",
+                        tolerance)
+    matcher = FingerprintMatcher(reference)
 
     def match_all():
         reference.match_memo.clear()  # time the search, not the memo
@@ -77,6 +80,9 @@ def test_tolerance_ablation(benchmark, reference, probe_captures,
             and match.content_id == content_id)
 
     hits = benchmark(match_all)
+    # The memo does not key on the tolerance: leave none of these
+    # verdicts in the shared library.
+    reference.match_memo.clear()
     print(f"\ntolerance={tolerance}: accuracy "
           f"{hits / len(probe_captures):.0%}")
     if tolerance >= 3:

@@ -53,7 +53,7 @@ def test_lg_rotation_scheme(benchmark):
     registry = DomainRegistry()
 
     def rotation_schedule():
-        return [registry.rotating_acr_domain(
+        return [registry.fingerprint_domain(
             "lg", "uk", window * ROTATION_PERIOD_NS, seed=7)
             for window in range(24)]
 

@@ -21,6 +21,7 @@ import pytest
 
 from repro.experiments.grid import ResultCache, warm_assets
 from repro.fleet import FleetRunner, PopulationSpec
+from repro.fleet import runner as runner_module
 from repro.reporting import render_table
 
 # One country (one asset build), short diaries, so the bench stays
@@ -41,17 +42,18 @@ def shared_assets():
 
 
 @pytest.mark.wallclock
-def test_fleet_parallel_scaling(shared_assets):
-    # shard_size=3 over 12 households -> 4 shards, so the jobs=4 run
+def test_fleet_parallel_scaling(shared_assets, monkeypatch):
+    # Shards of 3 over 12 households -> 4 shards, so the jobs=4 run
     # genuinely executes on the process pool (a single shard would
     # silently take FleetRunner's in-process path).
+    monkeypatch.setattr(runner_module, "SHARD_SIZE", 3)
     pop = population(12)
     started = time.perf_counter()
-    serial = FleetRunner(cache=None, jobs=1, shard_size=3).run(pop)
+    serial = FleetRunner(cache=None, jobs=1).run(pop)
     serial_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = FleetRunner(cache=None, jobs=4, shard_size=3).run(pop)
+    parallel = FleetRunner(cache=None, jobs=4).run(pop)
     parallel_s = time.perf_counter() - started
     assert parallel.shards == 4
 

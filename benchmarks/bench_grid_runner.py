@@ -35,7 +35,7 @@ def grid_specs():
 def shared_assets():
     """Build the per-country assets once so every timed run starts from
     the same warm-asset state (as the CLI does before forking workers)."""
-    grid_mod.warm_assets(grid_specs())
+    grid_mod.warm_assets({spec.country.value for spec in grid_specs()})
 
 
 def test_grid_serial_cold(benchmark, shared_assets):

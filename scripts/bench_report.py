@@ -118,7 +118,7 @@ def end_to_end(minutes: int) -> dict:
 
     spec = ExperimentSpec(Vendor.LG, Country.UK, Scenario.LINEAR,
                           Phase.LIN_OIN, duration_ns=minutes_ns(minutes))
-    warm_assets([spec])
+    warm_assets([spec.country.value])
     registry = enable()
     try:
         started = time.perf_counter()

@@ -31,4 +31,12 @@ Quickstart::
     print(audit.acr_candidate_domains())
 """
 
+import os
+
+# ``src/`` calls no BLAS routine, yet numpy's OpenBLAS starts a thread
+# pool at import, and that idle pool cost 0.12-0.19 s of CPU per process
+# on a 2-core container.  This runs before any ``repro`` module imports
+# numpy; a user's own setting still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "1.0.0"

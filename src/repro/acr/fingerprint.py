@@ -239,9 +239,10 @@ def capture_batch(item: ContentItem, positions: Sequence[float],
             for key, offset_ns in zip(keys, offsets_ns)]
 
 
-def capture_state(state: PlayState, offset_ns: int = 0) -> Capture:
-    """Fingerprint whatever a play state is showing (memoized)."""
-    return capture_batch(state.item, [state.position_s], [offset_ns])[0]
+def capture_state(state: PlayState) -> Capture:
+    """Fingerprint whatever a play state is showing (memoized), at
+    offset 0."""
+    return capture_batch(state.item, [state.position_s], [0])[0]
 
 
 #: Per capture on the wire: offset (ms), video hash, landmark count.

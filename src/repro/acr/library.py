@@ -48,9 +48,9 @@ BAND_VALUES = 1 << BAND_BITS
 #: ``(order, offsets)``: see :func:`index_bands`.
 BandIndex = Tuple[np.ndarray, np.ndarray]
 
-#: ``(hamming tolerance, video hash, audio hashes)``: what a single
-#: capture's match depends on besides the library itself.
-MatchKey = Tuple[int, int, Tuple[int, ...]]
+#: ``(video hash, audio hashes)``: what a single capture's match
+#: depends on besides the library itself.
+MatchKey = Tuple[int, Tuple[int, ...]]
 
 
 def bands_of(video_hash: int) -> Tuple[int, ...]:
@@ -102,12 +102,7 @@ class ReferenceLibrary:
     :class:`LibraryColumns` plus a landmark store filled on first use:
     no Python object per sample."""
 
-    def __init__(self, sample_interval_s: int = DEFAULT_SAMPLE_INTERVAL_S,
-                 max_seconds: int = MAX_REFERENCE_SECONDS) -> None:
-        if sample_interval_s <= 0:
-            raise ValueError("sample interval must be positive")
-        self.sample_interval_s = sample_interval_s
-        self.max_seconds = max_seconds
+    def __init__(self) -> None:
         #: Every ingested item, in ingest order; ``item_no`` indexes it.
         self.items: List[ContentItem] = []
         self._item_nos: Dict[str, int] = {}
@@ -127,16 +122,16 @@ class ReferenceLibrary:
                max_seconds: Optional[int] = None) -> int:
         """Hash one item's frames; returns the number of samples added.
 
-        ``max_seconds`` overrides the library-wide depth cap for this item
+        ``max_seconds`` overrides :data:`MAX_REFERENCE_SECONDS` for this item
         (operators fingerprint broadcast content in full but may only keep
         a prefix of a long-tail movie catalog).  The audio is left to
         :meth:`landmarks`.
         """
         if item.content_id in self._item_nos:
             return 0
-        cap = self.max_seconds if max_seconds is None else max_seconds
+        cap = MAX_REFERENCE_SECONDS if max_seconds is None else max_seconds
         positions = range(0, min(item.duration_s, cap),
-                          self.sample_interval_s)
+                          DEFAULT_SAMPLE_INTERVAL_S)
         chunks = [video_fingerprint_batch(render_frame_batch(
                       item, positions[start:start + INGEST_CHUNK]))
                   for start in range(0, len(positions), INGEST_CHUNK)]
@@ -228,9 +223,6 @@ class ReferenceLibrary:
         except KeyError:
             raise KeyError(f"content not in library: {content_id!r}") \
                 from None
-
-    def knows(self, content_id: str) -> bool:
-        return content_id in self._item_nos
 
     @property
     def content_count(self) -> int:

@@ -65,22 +65,17 @@ class BatchVerdict:
 class FingerprintMatcher:
     """The server-side matcher over a reference library."""
 
-    def __init__(self, library: ReferenceLibrary,
-                 hamming_tolerance: int = DEFAULT_HAMMING_TOLERANCE) -> None:
-        if hamming_tolerance < 0:
-            raise ValueError("negative tolerance")
+    def __init__(self, library: ReferenceLibrary) -> None:
         self.library = library
-        self.hamming_tolerance = hamming_tolerance
 
     def match_capture(self, capture: Capture) -> Optional[Match]:
         """Best verified match for one capture, or None: the smallest
         ``(distance, -overlap)``, the first candidate on a tie.
 
-        The answer depends only on the tolerance, the capture's hashes
-        and the library's samples, so it is memoized in the library
-        (which drops the memo on ingest)."""
-        key = (self.hamming_tolerance, capture.video_hash,
-               tuple(capture.audio_hashes))
+        The answer depends only on the capture's hashes and the
+        library's samples, so it is memoized in the library (which drops
+        the memo on ingest)."""
+        key = (capture.video_hash, tuple(capture.audio_hashes))
         memo = self.library.match_memo
         try:
             return memo[key]
@@ -97,7 +92,7 @@ class FingerprintMatcher:
         query_audio = set(capture.audio_hashes)
         for row, video_hash in zip(rows, columns.video_hash[rows].tolist()):
             distance = hamming_distance(capture.video_hash, video_hash)
-            if distance > self.hamming_tolerance:
+            if distance > DEFAULT_HAMMING_TOLERANCE:
                 continue
             overlap = len(query_audio.intersection(
                 self.library.landmarks(row)))

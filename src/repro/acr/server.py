@@ -8,7 +8,7 @@ sessions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..sim.clock import NS_PER_SECOND
 from .fingerprint import FingerprintBatch
@@ -75,7 +75,6 @@ class AcrBackend:
         self.matcher = FingerprintMatcher(library)
         self.batches_received = 0
         self.batches_recognised = 0
-        self._events: Dict[str, List[ViewingEvent]] = {}
         self._sessions: Dict[str, List[ViewingSession]] = {}
 
     def ingest(self, batch: FingerprintBatch, at_ns: int) -> BatchVerdict:
@@ -86,7 +85,6 @@ class AcrBackend:
             self.batches_recognised += 1
             event = ViewingEvent(batch.device_id, at_ns,
                                  verdict.content_id, verdict.confidence)
-            self._events.setdefault(batch.device_id, []).append(event)
             self._sessionize(event)
         return verdict
 
@@ -102,20 +100,8 @@ class AcrBackend:
 
     # -- queries -------------------------------------------------------------
 
-    def events_for(self, device_id: str) -> List[ViewingEvent]:
-        return list(self._events.get(device_id, []))
-
     def sessions_for(self, device_id: str) -> List[ViewingSession]:
         return list(self._sessions.get(device_id, []))
-
-    def watch_seconds(self, device_id: str,
-                      content_id: Optional[str] = None) -> float:
-        """Total recognised viewing seconds, optionally for one content."""
-        total = 0.0
-        for session in self._sessions.get(device_id, []):
-            if content_id is None or session.content_id == content_id:
-                total += session.duration_s
-        return total
 
     @property
     def recognition_rate(self) -> float:

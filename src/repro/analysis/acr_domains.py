@@ -77,10 +77,9 @@ class AcrDomainAuditor:
     """Runs the heuristic over opted-in (and optionally opted-out)
     captures of the same cell."""
 
-    def __init__(self, blocklist: Optional[Blocklist] = None,
-                 netify: Optional[NetifyDirectory] = None) -> None:
-        self.blocklist = blocklist or Blocklist()
-        self.netify = netify or NetifyDirectory()
+    def __init__(self) -> None:
+        self.blocklist = Blocklist()
+        self.netify = NetifyDirectory()
 
     def audit(self, opted_in: AuditPipeline,
               opted_out: Optional[AuditPipeline] = None
@@ -105,13 +104,6 @@ class AcrDomainAuditor:
                 disappears_on_optout=disappears,
             ))
         return findings
-
-    def validated_domains(self, opted_in: AuditPipeline,
-                          opted_out: Optional[AuditPipeline] = None
-                          ) -> List[str]:
-        return [finding.domain
-                for finding in self.audit(opted_in, opted_out)
-                if finding.validated]
 
     def counterexample_regularity(self, pipeline: AuditPipeline
                                   ) -> Dict[str, PeriodicityReport]:

@@ -8,7 +8,7 @@ suffix/wildcard lists over the simulated domain universe.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 # Blokada-1Hosts-like: plain suffix entries; a domain is listed when it
 # equals an entry or ends with "." + entry.
@@ -58,9 +58,8 @@ def _suffix_match(domain: str, entry: str) -> bool:
 class Blocklist:
     """A Blokada-style hosts list."""
 
-    def __init__(self, entries: Optional[List[str]] = None) -> None:
-        self.entries = [e.lower() for e in
-                        (entries if entries is not None else BLOKADA_LITE)]
+    def __init__(self) -> None:
+        self.entries = [entry.lower() for entry in BLOKADA_LITE]
 
     def is_listed(self, domain: str) -> bool:
         return any(_suffix_match(domain, entry) for entry in self.entries)
@@ -72,10 +71,8 @@ class Blocklist:
 class NetifyDirectory:
     """A Netify-style domain intelligence directory."""
 
-    def __init__(self,
-                 catalog: Optional[Dict[str, Dict[str, str]]] = None
-                 ) -> None:
-        self.catalog = catalog if catalog is not None else NETIFY_CATALOG
+    def __init__(self) -> None:
+        self.catalog = NETIFY_CATALOG
 
     def classify(self, domain: str) -> Optional[Dict[str, str]]:
         for suffix, info in self.catalog.items():

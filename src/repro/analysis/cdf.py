@@ -27,23 +27,6 @@ class CumulativeCurve:
         return int(self.cumulative_bytes[-1]) if len(
             self.cumulative_bytes) else 0
 
-    def fraction_curve(self) -> np.ndarray:
-        """Normalised to [0, 1] — the CDF view."""
-        total = self.total_bytes
-        if total == 0:
-            return np.zeros_like(self.cumulative_bytes, dtype=np.float64)
-        return self.cumulative_bytes / total
-
-    def time_to_fraction(self, fraction: float) -> float:
-        """Earliest time by which ``fraction`` of bytes had been sent."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        curve = self.fraction_curve()
-        indexes = np.nonzero(curve >= fraction)[0]
-        if len(indexes) == 0:
-            return float("inf")
-        return float(self.times_s[indexes[0]])
-
     def __len__(self) -> int:
         return len(self.times_s)
 

@@ -15,20 +15,17 @@ class PhaseComparison:
                  "volumes_a", "volumes_b")
 
     def __init__(self, label_a: str, pipeline_a: AuditPipeline,
-                 label_b: str, pipeline_b: AuditPipeline,
-                 domains: Optional[List[str]] = None) -> None:
+                 label_b: str, pipeline_b: AuditPipeline) -> None:
         self.label_a = label_a
         self.label_b = label_b
         self.domains_a = set(map(normalize_rotating,
                                  pipeline_a.acr_candidate_domains()))
         self.domains_b = set(map(normalize_rotating,
                                  pipeline_b.acr_candidate_domains()))
-        targets_a = domains or pipeline_a.acr_candidate_domains()
-        targets_b = domains or pipeline_b.acr_candidate_domains()
-        self.volumes_a = {normalize_rotating(d):
-                          pipeline_a.kilobytes_for(d) for d in targets_a}
-        self.volumes_b = {normalize_rotating(d):
-                          pipeline_b.kilobytes_for(d) for d in targets_b}
+        self.volumes_a = {normalize_rotating(d): pipeline_a.kilobytes_for(d)
+                          for d in pipeline_a.acr_candidate_domains()}
+        self.volumes_b = {normalize_rotating(d): pipeline_b.kilobytes_for(d)
+                          for d in pipeline_b.acr_candidate_domains()}
 
     @property
     def same_domain_set(self) -> bool:

@@ -60,13 +60,6 @@ class DnsMap:
             return None
         return sorted(names)[0]
 
-    def addresses_for(self, name: str) -> List[Ipv4Address]:
-        return sorted(self._name_to_ips.get(name.lower(), ()))
-
-    @property
-    def all_domains(self) -> List[str]:
-        return sorted(self._name_to_ips)
-
     def label(self, address: Ipv4Address) -> str:
         """Domain if known, else a stable unknown-IP label."""
         name = self.domain_for(address)

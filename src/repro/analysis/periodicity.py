@@ -48,11 +48,11 @@ class PeriodicityReport:
                 f"period={period}, cv={cv})")
 
 
-def analyze_periodicity(domain: str, packets: ColumnarSlice,
-                        burst_gap_ns: int = 2 * NS_PER_SECOND
-                        ) -> PeriodicityReport:
-    """Burst detection + inter-burst interval statistics."""
-    bursts = burst_times_ns(packets, gap_ns=burst_gap_ns)
+def analyze_periodicity(domain: str,
+                        packets: ColumnarSlice) -> PeriodicityReport:
+    """Burst detection (a gap over 2 s splits bursts) + inter-burst
+    interval statistics."""
+    bursts = burst_times_ns(packets, gap_ns=2 * NS_PER_SECOND)
     if len(bursts) < 2:
         return PeriodicityReport(domain, len(bursts), None, None, [])
     intervals = np.diff(np.array(bursts, dtype=np.float64)) / NS_PER_SECOND

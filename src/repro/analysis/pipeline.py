@@ -215,10 +215,6 @@ class AuditPipeline:
         sent = capture.src[rows] == np.uint32(self.tv_ip.value)
         return np.sort(capture.ts[rows][sent]).tolist()
 
-    def byte_totals(self) -> Dict[str, int]:
-        return {domain: self.bytes_for(domain)
-                for domain in self.contacted_domains}
-
     # -- the heuristic's first stage ------------------------------------------------
 
     def acr_candidate_domains(self) -> List[str]:

@@ -46,26 +46,6 @@ class Timeline:
     def peak(self) -> int:
         return int(self.values.max()) if len(self.values) else 0
 
-    @property
-    def active_bins(self) -> int:
-        return len(self.indexes)
-
-    def spike_times_ns(self) -> List[int]:
-        """Timestamps (window-relative) of every non-empty bin."""
-        return [index * self.bin_ns for index in self.indexes.tolist()]
-
-    def rebin(self, factor: int) -> "Timeline":
-        """Coarser view (e.g. ms -> s) by summing adjacent bins; a tail
-        shorter than ``factor`` bins is dropped."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        n_bins = self.n_bins // factor
-        kept = self.indexes < n_bins * factor
-        coarse, starts = np.unique(self.indexes[kept] // factor,
-                                   return_index=True)
-        return Timeline(coarse, np.add.reduceat(self.values[kept], starts),
-                        n_bins, self.start_ns, self.bin_ns * factor)
-
     def __len__(self) -> int:
         return self.n_bins
 

@@ -24,7 +24,7 @@ order is part of the byte-stability contract for cached captures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..geo.ipspace import IpSpace, ServerRecord
 from ..sim.clock import NS_PER_HOUR
@@ -62,9 +62,9 @@ class DomainRecord:
 class DomainRegistry:
     """Catalog of hostnames with allocated ground-truth servers."""
 
-    def __init__(self, ipspace: Optional[IpSpace] = None) -> None:
+    def __init__(self) -> None:
         from ..tv import vendors
-        self.ipspace = ipspace or IpSpace()
+        self.ipspace = IpSpace()
         self._records: Dict[str, DomainRecord] = {}
         self._servers: Dict[str, ServerRecord] = {}
         for profile in vendors.catalog_profiles():
@@ -105,32 +105,10 @@ class DomainRegistry:
         except KeyError:
             raise KeyError(f"domain not in catalog: {name!r}") from None
 
-    def knows(self, name: str) -> bool:
-        return name.lower() in self._records
-
     def all_names(self) -> List[str]:
         return sorted(self._records)
 
     # -- rotation -------------------------------------------------------------
-
-    def rotating_acr_domain(self, vendor: str, country: str, at_ns: int,
-                            seed: int = 0) -> str:
-        """The ACR hostname active at virtual time ``at_ns`` for a vendor
-        with a declared rotation policy (LG's ``eu-acrX`` scheme).
-
-        The index changes every rotation period, derived from a keyed
-        hash so different seeds see different (but stable) schedules —
-        matching the paper's "X is an arbitrary number that changes
-        periodically".
-        """
-        from ..tv import vendors
-        if not vendors.is_registered(vendor):
-            raise ValueError(f"unknown vendor: {vendor!r}")
-        profile = vendors.get(vendor)
-        if profile.rotation is None:
-            raise ValueError(
-                f"{vendor} does not use rotating ACR hostnames")
-        return profile.rotating_domain(country, at_ns, seed)
 
     def fingerprint_domain(self, vendor: str, country: str, at_ns: int,
                            seed: int = 0) -> str:

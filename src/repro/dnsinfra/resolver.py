@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..net.addresses import Ipv4Address
 from ..net.dns import DnsRecord
 from .zones import Zone
 
@@ -27,10 +26,6 @@ class ResolveResult:
         self.records = records
         self.from_cache = from_cache
         self.nxdomain = nxdomain
-
-    @property
-    def addresses(self) -> List[Ipv4Address]:
-        return [r.address for r in self.records if r.rtype == 1]
 
     def __repr__(self) -> str:
         state = "NXDOMAIN" if self.nxdomain else \
@@ -67,12 +62,6 @@ class RecursiveResolver:
         ttl_ns = min(r.ttl for r in records) * 10 ** 9
         self._cache[key] = (now_ns + ttl_ns, records)
         return ResolveResult(key, records, False, False)
-
-    def resolve_ptr(self, address: Ipv4Address,
-                    now_ns: int) -> Optional[str]:
-        """Reverse lookup; no caching needed at simulation scale."""
-        record = self.zone.lookup_ptr(address)
-        return record.target_name if record else None
 
 
 class StubCache:

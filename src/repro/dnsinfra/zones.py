@@ -41,12 +41,6 @@ class Zone:
         """PTR record for an address, or None."""
         return self._ptr.get(address.reverse_pointer)
 
-    def add_a(self, name: str, address: Ipv4Address,
-              ttl: int = DEFAULT_TTL) -> None:
-        """Register an extra A record (testbed-local services etc.)."""
-        self._a.setdefault(name.lower(), []).append(
-            DnsRecord.a(name, address, ttl=ttl))
-
     @property
     def names(self) -> List[str]:
         return sorted(self._a)

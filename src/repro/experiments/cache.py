@@ -29,10 +29,10 @@ def grid(seed: int = DEFAULT_SEED) -> GridResults:
     return _grid
 
 
-def pipeline_for(spec: ExperimentSpec,
-                 seed: int = DEFAULT_SEED) -> AuditPipeline:
-    """The decoded audit pipeline for one cell, memoized."""
-    return grid(seed).pipeline(spec)
+def pipeline_for(spec: ExperimentSpec) -> AuditPipeline:
+    """The decoded audit pipeline for one cell at the default seed,
+    memoized."""
+    return grid().pipeline(spec)
 
 
 def reset() -> None:

@@ -518,23 +518,20 @@ class GridResults:
     through :func:`_execute_cell`, in a pool worker or in this process.
     """
 
-    def __init__(self, seed: int = DEFAULT_SEED,
-                 cache: Union[ResultCache, None, str] = "default") -> None:
+    def __init__(self, seed: int = DEFAULT_SEED) -> None:
         self.seed = seed
-        if cache == "default":
-            cache = default_cache()
-        self.cache = cache
+        self.cache = default_cache()
         self._records: Dict[Tuple[str, int], CellRecord] = {}
         self._pipelines: Dict[Tuple[str, int], AuditPipeline] = {}
 
     def _key(self, spec: ExperimentSpec) -> Tuple[str, int]:
         return (spec.label, spec.duration_ns)
 
-    def ensure(self, specs: Sequence[ExperimentSpec], jobs: int = 1,
-               progress: Optional[ProgressFn] = None) -> List[CellRecord]:
+    def ensure(self, specs: Sequence[ExperimentSpec],
+               jobs: int = 1) -> List[CellRecord]:
         """Prefetch cells (parallel when ``jobs > 1``) into this object."""
         runner = GridRunner(seed=self.seed, cache=self.cache, jobs=jobs)
-        records = runner.run(specs, progress=progress)
+        records = runner.run(specs)
         for spec, record in zip(specs, records):
             self._records.setdefault(self._key(spec), record)
         return records

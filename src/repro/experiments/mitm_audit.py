@@ -54,13 +54,12 @@ class MitmAuditResult:
                 f"{len(self.opaque_domains)} pinned)")
 
 
-def run_mitm_audit(vendor: Vendor, country: Country = Country.UK,
-                   scenario: Scenario = Scenario.LINEAR,
-                   phase: Phase = Phase.LIN_OIN,
-                   seed: int = cache.DEFAULT_SEED) -> MitmAuditResult:
-    """Run one MITM-instrumented cell and inspect every payload."""
-    spec = ExperimentSpec(vendor, country, scenario, phase)
-    result = run_experiment(spec, seed=seed, mitm=True)
+def run_mitm_audit(vendor: Vendor) -> MitmAuditResult:
+    """Run one MITM-instrumented uk linear LIn-OIn cell at the default
+    seed and inspect every payload."""
+    spec = ExperimentSpec(vendor, Country.UK, Scenario.LINEAR,
+                          Phase.LIN_OIN)
+    result = run_experiment(spec, seed=cache.DEFAULT_SEED, mitm=True)
     proxy = result.mitm_proxy
     inspector = PayloadInspector(proxy)
     reports = inspector.inspect_all()

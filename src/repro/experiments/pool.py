@@ -66,21 +66,17 @@ def partition(items: Sequence[Item], key: Callable[[Item], Hashable],
             for start in range(0, len(group), size)]
 
 
-def warm_assets(specs: Sequence = (), countries: Iterable[str] = ()
-                ) -> None:
-    """Build the shared per-country assets in this process.
+def warm_assets(countries: Iterable[str]) -> None:
+    """Build the shared per-country assets of ``countries`` in this
+    process.
 
     Building a reference fingerprint database takes far longer than
     simulating a cell, and it is memoized per country, so this runs
     once per process and country, under an ``assets.warm`` span: before
     a process's first simulation of a country, and in a forking parent
     before its pool starts.
-
-    Callers name the countries through ``specs`` (grid cells) or
-    directly through ``countries``.
     """
-    todo = sorted(({spec.country.value for spec in specs}
-                   | set(countries)) - _warmed)
+    todo = sorted(set(countries) - _warmed)
     if not todo:
         return
     from ..testbed import assets

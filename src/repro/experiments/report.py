@@ -133,15 +133,15 @@ def scorecard_section(seed: int, vendors=None) -> List[str]:
     checks = run_all_checks(seed, vendors=vendors)
     # The paper-pair slice keeps its historical heading (and bytes);
     # extension findings widen it.
-    extended = any(check.finding_id.startswith("X") for check in checks)
+    extended = any(check.code.startswith("X") for check in checks)
     title = ("## Findings scorecard (S1-S12 + vendor extensions)"
              if extended else "## Findings scorecard (S1-S12)")
     lines = [title, ""]
     rows = []
     for check in checks:
-        rows.append([check.finding_id,
+        rows.append([check.code,
                      "PASS" if check.passed else "FAIL",
-                     check.description,
+                     check.title,
                      check.evidence_text().replace("|", "/")])
     lines.append(render_markdown(
         ["Id", "Result", "Paper finding", "Measured evidence"], rows))

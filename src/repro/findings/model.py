@@ -106,13 +106,6 @@ class Evidence:
                              f"{sorted(unknown)}")
         return cls(**dict(payload))
 
-    def locus(self) -> Tuple:
-        """The pointer fields only — the identity used by ``findings
-        diff`` so re-measured numbers in ``text`` do not read as new
-        findings."""
-        return tuple(getattr(self, spec.name) for spec in fields(self)
-                     if spec.name != "text")
-
 
 def _degradation_text(label: str, household_index: int,
                       segment_seq: Optional[int], record_index: int,
@@ -155,16 +148,6 @@ class Finding:
                 f"got {self.confidence!r}")
         if not isinstance(self.evidence, tuple):
             object.__setattr__(self, "evidence", tuple(self.evidence))
-
-    # -- compatibility aliases (the scorecard's historical names) ---------------
-
-    @property
-    def finding_id(self) -> str:
-        return self.code
-
-    @property
-    def description(self) -> str:
-        return self.title
 
     # -- rendering --------------------------------------------------------------
 

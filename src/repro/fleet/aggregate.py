@@ -279,21 +279,12 @@ class FleetAggregate:
 
     # -- derived views ----------------------------------------------------------
 
-    def acr_fraction(self) -> float:
-        return self.acr_households / self.households \
-            if self.households else 0.0
-
     def mean_cadence_s(self, vendor: str) -> float:
         intervals = self.cadence_intervals_by_vendor[vendor]
         if not intervals:
             return 0.0
         return (self.cadence_sum_ns_by_vendor[vendor]
                 / intervals / 1e9)
-
-    def optout_leak_fraction(self) -> float:
-        """Fraction of opted-out households that still show ACR flows."""
-        return self.optout_acr_households / self.optout_households \
-            if self.optout_households else 0.0
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FleetAggregate)

@@ -263,13 +263,9 @@ class FleetRunner:
     """Execute a population, sharded, through the result cache."""
 
     def __init__(self, cache: Optional[ResultCache] = None, jobs: int = 1,
-                 shard_size: int = SHARD_SIZE,
                  faults: FaultPlan = NULL_PLAN) -> None:
-        if shard_size <= 0:
-            raise ValueError("shard size must be positive")
         self.cache = cache
         self.jobs = max(1, jobs)
-        self.shard_size = shard_size
         self.faults = faults
 
     def run(self, population: PopulationSpec,
@@ -282,7 +278,7 @@ class FleetRunner:
         the result.
         """
         started = time.perf_counter()
-        tasks = shards(list(population), self.shard_size)
+        tasks = shards(list(population), SHARD_SIZE)
         aggregate = FleetAggregate()
         executed = cached = 0
         for done, (shard, shard_executed, shard_cached) in enumerate(

@@ -7,7 +7,7 @@ data transfers between the UK and the US under the UK-US Data Bridge."
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class DpfParticipant:
@@ -51,16 +51,11 @@ _PARTICIPANTS: List[DpfParticipant] = [
 class DpfList:
     """Queryable snapshot of the DPF participant list."""
 
-    def __init__(self,
-                 participants: Optional[List[DpfParticipant]] = None) -> None:
+    def __init__(self) -> None:
         self._by_provider: Dict[str, DpfParticipant] = {}
-        for participant in (participants if participants is not None
-                            else _PARTICIPANTS):
+        for participant in _PARTICIPANTS:
             for provider in participant.providers:
                 self._by_provider[provider] = participant
-
-    def participant_for(self, provider: str) -> Optional[DpfParticipant]:
-        return self._by_provider.get(provider)
 
     def allows_uk_us_transfer(self, provider: str) -> bool:
         """True when the provider is an active DPF participant that has

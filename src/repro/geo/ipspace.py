@@ -109,12 +109,6 @@ class IpSpace:
         """Ground-truth record for an address, if allocated."""
         return self._servers.get(address)
 
-    def true_city(self, address: Ipv4Address) -> City:
-        record = self._servers.get(address)
-        if record is None:
-            raise KeyError(f"address not allocated: {address}")
-        return record.city
-
     def ptr_name(self, address: Ipv4Address) -> Optional[str]:
         record = self._servers.get(address)
         return record.ptr_name if record else None

@@ -8,7 +8,7 @@ routing inflation factor and jitter.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..sim.rng import RngRegistry
 from .locations import CITIES, City, min_rtt_ms
@@ -34,27 +34,22 @@ DEFAULT_PROBE_CITIES = ["london", "amsterdam", "frankfurt", "new_york",
 class ProbeMesh:
     """A set of anchor probes that can ping any (ground-truth) location."""
 
-    def __init__(self, rng: RngRegistry,
-                 cities: List[str] = None) -> None:
+    def __init__(self, rng: RngRegistry) -> None:
         self.rng = rng
-        names = cities if cities is not None else DEFAULT_PROBE_CITIES
         self.probes = [AtlasProbe(6000 + i, CITIES[name])
-                       for i, name in enumerate(names)]
+                       for i, name in enumerate(DEFAULT_PROBE_CITIES)]
 
-    def measure_rtt_ms(self, probe: AtlasProbe, target: City,
-                       samples: int = 3) -> float:
-        """Minimum observed RTT over ``samples`` pings, in milliseconds.
+    def measure_rtt_ms(self, probe: AtlasProbe, target: City) -> float:
+        """Minimum observed RTT over three pings, in milliseconds.
 
         RTT = physical lower bound x routing inflation (5%..45%) + per-ping
         jitter; taking the min over samples mirrors how IPmap's latency
         engine discards queueing noise.
         """
-        if samples < 1:
-            raise ValueError("need at least one sample")
         floor = min_rtt_ms(probe.city, target)
         best = float("inf")
         stream = f"probe:{probe.probe_id}:{target.name}"
-        for __ in range(samples):
+        for __ in range(3):
             inflation = 1.05 + 0.40 * self.rng.stream(stream).random()
             jitter = 0.4 * self.rng.stream(stream).random()
             best = min(best, floor * inflation + jitter)

@@ -65,10 +65,6 @@ class TracerouteResult:
         self.vantage = vantage
         self.hops = hops
 
-    @property
-    def transit_ptr_names(self) -> List[str]:
-        return [hop.ptr_name for hop in self.hops if hop.ptr_name]
-
     def __repr__(self) -> str:
         return (f"TracerouteResult({self.target} from {self.vantage}, "
                 f"{len(self.hops)} hops)")

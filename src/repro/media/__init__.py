@@ -1,7 +1,7 @@
 """Content substrate: items, synthetic frames/audio, channel schedules, and
 the TV input sources corresponding to the paper's six scenarios."""
 
-from .content import (ContentItem, ContentKind, GENRES, LIBRARY_KINDS,
+from .content import (ContentItem, ContentKind, GENRES,
                       PlayState, make_content_id)
 from .frames import (AUDIO_RATE_HZ, AUDIO_SAMPLES, FRAME_HEIGHT, FRAME_WIDTH,
                      render_frame)
@@ -25,7 +25,6 @@ __all__ = [
     "HdmiInput",
     "HomeScreen",
     "InputSource",
-    "LIBRARY_KINDS",
     "MediaLibrary",
     "OttApp",
     "PlayState",

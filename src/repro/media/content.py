@@ -25,11 +25,6 @@ class ContentKind(Enum):
     UI = "ui"                # smart TV home screen
 
 
-# Kinds the vendor content library can know about; a console game session
-# or a private laptop desktop is not in any reference library.
-LIBRARY_KINDS = {ContentKind.SHOW, ContentKind.AD, ContentKind.MOVIE,
-                 ContentKind.EPISODE, ContentKind.LIVE}
-
 GENRES = ["news", "sports", "drama", "travel", "shopping", "cooking",
           "documentary", "kids", "music", "comedy"]
 
@@ -56,11 +51,6 @@ class ContentItem:
         """Stable seed that drives this item's synthetic frames."""
         digest = hashlib.sha256(self.content_id.encode("ascii")).digest()
         return int.from_bytes(digest[:8], "big")
-
-    @property
-    def in_reference_library(self) -> bool:
-        """Can a vendor content library plausibly contain this item?"""
-        return self.kind in LIBRARY_KINDS
 
     def __repr__(self) -> str:
         return (f"ContentItem({self.content_id!r}, {self.kind.value}, "

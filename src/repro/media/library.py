@@ -7,7 +7,7 @@ and the ACR reference database is trained on — plus "off-library" content
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..sim.rng import RngRegistry
 from .content import (ContentItem, ContentKind, GENRES, make_content_id)
@@ -36,41 +36,41 @@ class MediaLibrary:
 
     # -- population ---------------------------------------------------------
 
-    def populate(self, shows: int = 40, ads: int = 30, movies: int = 15,
-                 live_feeds: int = 6, episodes: int = 25,
-                 games: int = 5, desktops: int = 3) -> "MediaLibrary":
-        """Fill the catalog with a standard mix; returns self."""
-        for i in range(shows):
+    def populate(self) -> "MediaLibrary":
+        """Fill the catalog with the standard mix (40 shows, 30 ads, 15
+        movies, 6 live feeds, 25 episodes, 5 games, 3 desktops); returns
+        self."""
+        for i in range(40):
             self.shows.append(ContentItem(
                 self._next_id("show"), f"Show {i}", ContentKind.SHOW,
                 duration_s=self._rng.choice([1320, 1740, 2640]),
                 genre=self._genre()))
-        for i in range(ads):
+        for i in range(30):
             self.ads.append(ContentItem(
                 self._next_id("ad"), f"Ad {i}", ContentKind.AD,
                 duration_s=self._rng.choice([15, 20, 30]),
                 genre=self._rng.choice(["shopping", "travel"])))
-        for i in range(movies):
+        for i in range(15):
             self.movies.append(ContentItem(
                 self._next_id("movie"), f"Movie {i}", ContentKind.MOVIE,
                 duration_s=self._rng.choice([5400, 6600, 7800]),
                 genre=self._genre()))
-        for i in range(live_feeds):
+        for i in range(6):
             self.live_feeds.append(ContentItem(
                 self._next_id("live"), f"Live feed {i}", ContentKind.LIVE,
                 duration_s=86400, genre=self._rng.choice(
                     ["news", "sports"])))
-        for i in range(episodes):
+        for i in range(25):
             self.episodes.append(ContentItem(
                 self._next_id("episode"), f"Episode {i}",
                 ContentKind.EPISODE,
                 duration_s=self._rng.choice([1500, 2700, 3300]),
                 genre=self._genre()))
-        for i in range(games):
+        for i in range(5):
             self.off_library.append(ContentItem(
                 self._next_id("game"), f"Game session {i}",
                 ContentKind.GAME, duration_s=86400, genre="kids"))
-        for i in range(desktops):
+        for i in range(3):
             self.off_library.append(ContentItem(
                 self._next_id("desktop"), f"Laptop desktop {i}",
                 ContentKind.DESKTOP, duration_s=86400, genre="news"))
@@ -88,21 +88,14 @@ class MediaLibrary:
     def all_items(self) -> List[ContentItem]:
         return self.reference_items + self.off_library
 
-    def find(self, content_id: str) -> Optional[ContentItem]:
-        for item in self.all_items:
-            if item.content_id == content_id:
-                return item
-        return None
-
     def game(self, index: int = 0) -> ContentItem:
         games = [i for i in self.off_library
                  if i.kind == ContentKind.GAME]
         return games[index % len(games)]
 
-    def desktop(self, index: int = 0) -> ContentItem:
-        desktops = [i for i in self.off_library
-                    if i.kind == ContentKind.DESKTOP]
-        return desktops[index % len(desktops)]
+    def desktop(self) -> ContentItem:
+        return next(i for i in self.off_library
+                    if i.kind == ContentKind.DESKTOP)
 
     def __len__(self) -> int:
         return len(self.all_items)

@@ -16,6 +16,7 @@ from .library import MediaLibrary
 
 AD_BREAK_EVERY_S = 600  # one break roughly every ten minutes
 AD_SLOTS_PER_BREAK = 3
+SHOWS_PER_CHANNEL = 6
 
 
 class ScheduleSlot:
@@ -71,26 +72,13 @@ class Channel:
         return PlayState(slot.item,
                          slot.item_offset_s + (second - slot.start_s))
 
-    def items_between(self, start_ns: int, end_ns: int) -> List[ContentItem]:
-        """Distinct content items on air in a window (order of airing)."""
-        if end_ns < start_ns:
-            raise ValueError("window ends before it starts")
-        seen: List[ContentItem] = []
-        t = start_ns
-        while t <= end_ns:
-            item = self.playing_at(t).item
-            if item not in seen:
-                seen.append(item)
-            t += NS_PER_SECOND
-        return seen
-
     def __repr__(self) -> str:
         return (f"Channel({self.name!r}, {self.kind}, "
                 f"{len(self.slots)} slots, cycle={self.cycle_s}s)")
 
 
 def build_channel(name: str, library: MediaLibrary, kind: str = "linear",
-                  shows: int = 6, offset: int = 0) -> Channel:
+                  offset: int = 0) -> Channel:
     """A channel alternating show segments with ad breaks.
 
     ``offset`` lets different channels draw different shows from the same
@@ -101,7 +89,7 @@ def build_channel(name: str, library: MediaLibrary, kind: str = "linear",
     slots: List[ScheduleSlot] = []
     clock_s = 0
     ad_cursor = offset
-    for i in range(shows):
+    for i in range(SHOWS_PER_CHANNEL):
         show = library.shows[(offset + i) % len(library.shows)]
         position = 0
         while position < show.duration_s:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Mapping
-from typing import Dict, List, Optional, Set
+from typing import Dict, Set
 
 
 class Certificate:
@@ -97,13 +97,10 @@ PINNED_DOMAINS: Mapping = _RegistryPins()
 class TrustStore:
     """A client's certificate validation policy."""
 
-    def __init__(self, vendor: str,
-                 extra_roots: Optional[List[CertificateAuthority]] = None,
-                 pinned: Optional[Set[str]] = None) -> None:
+    def __init__(self, vendor: str) -> None:
         self.vendor = vendor
-        self.roots = [OPERATOR_CA] + list(extra_roots or [])
-        self.pinned = (set(pinned) if pinned is not None
-                       else set(PINNED_DOMAINS.get(vendor, set())))
+        self.roots = [OPERATOR_CA]
+        self.pinned = set(PINNED_DOMAINS.get(vendor, set()))
 
     def install_root(self, ca: CertificateAuthority) -> None:
         if ca not in self.roots:

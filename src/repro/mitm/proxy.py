@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .ca import CertificateAuthority, TESTBED_CA, TrustStore
+from .ca import TESTBED_CA, TrustStore
 
 
 class PlaintextRecord:
@@ -61,16 +61,14 @@ class InterceptionStats:
 class MitmProxy:
     """TLS-terminating proxy with pinning-aware fallback."""
 
-    def __init__(self, trust_store: TrustStore,
-                 ca: CertificateAuthority = TESTBED_CA) -> None:
+    def __init__(self, trust_store: TrustStore) -> None:
         self.trust_store = trust_store
-        self.ca = ca
         self.records: List[PlaintextRecord] = []
         self.stats: Dict[str, InterceptionStats] = {}
 
     def can_intercept(self, domain: str) -> bool:
         """Would this client accept our forged leaf for ``domain``?"""
-        forged = self.ca.issue(domain)
+        forged = TESTBED_CA.issue(domain)
         return self.trust_store.accepts(forged, domain)
 
     def observe(self, at_ns: int, domain: str,
@@ -91,9 +89,6 @@ class MitmProxy:
         return True
 
     # -- queries -----------------------------------------------------------
-
-    def records_for(self, domain: str) -> List[PlaintextRecord]:
-        return [r for r in self.records if r.domain == domain]
 
     @property
     def intercepted_domains(self) -> List[str]:

@@ -8,7 +8,6 @@ text forms and serialize to network byte order.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 _MAC_RE = re.compile(r"^([0-9a-fA-F]{2}[:-]){5}[0-9a-fA-F]{2}$")
 
@@ -43,14 +42,6 @@ class MacAddress:
     @property
     def value(self) -> int:
         return self._value
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self._value == (1 << 48) - 1
-
-    @property
-    def is_multicast(self) -> bool:
-        return bool((self._value >> 40) & 0x01)
 
     def __str__(self) -> str:
         raw = self.to_bytes()
@@ -180,15 +171,6 @@ class Ipv4Network:
                 f"host index {index} outside /{self.prefix} block")
         return Ipv4Address(self.network.value + index)
 
-    def hosts(self) -> Iterator[Ipv4Address]:
-        """Iterate usable host addresses (skips network/broadcast on /30-)."""
-        if self.prefix >= 31:
-            start, stop = 0, self.num_addresses
-        else:
-            start, stop = 1, self.num_addresses - 1
-        for index in range(start, stop):
-            yield Ipv4Address(self.network.value + index)
-
     def __str__(self) -> str:
         return f"{self.network}/{self.prefix}"
 
@@ -204,10 +186,10 @@ class Ipv4Network:
         return hash(("net4", self.network.value, self.prefix))
 
 
-def mac_from_seed(seed: int, locally_administered: bool = True) -> MacAddress:
-    """Derive a stable unicast MAC from an integer seed."""
+def mac_from_seed(seed: int) -> MacAddress:
+    """Derive a stable, locally administered unicast MAC from an integer
+    seed."""
     value = seed & ((1 << 48) - 1)
     value &= ~(1 << 40)  # clear multicast bit
-    if locally_administered:
-        value |= (1 << 41)
+    value |= (1 << 41)   # set locally administered bit
     return MacAddress(value)

@@ -116,10 +116,6 @@ class DnsRecord:
         return cls(name, TYPE_A, ttl, address.to_bytes())
 
     @classmethod
-    def cname(cls, name: str, target: str, ttl: int = 300) -> "DnsRecord":
-        return cls(name, TYPE_CNAME, ttl, encode_name(target))
-
-    @classmethod
     def ptr(cls, name: str, target: str, ttl: int = 300) -> "DnsRecord":
         return cls(name, TYPE_PTR, ttl, encode_name(target))
 

@@ -18,6 +18,7 @@ from .addresses import Ipv4Address
 
 WIFI_HOP_NS = microseconds(800)
 SERIALIZATION_NS_PER_BYTE = 8  # ~1 Gbps wired path
+JITTER_FRACTION = 0.06  # of each delay, drawn per packet
 
 # One-way WAN latency in milliseconds from a vantage region to a server
 # region.  Derived from typical public RTT matrices (London<->Amsterdam
@@ -47,13 +48,11 @@ ONE_WAY_MS: Dict[str, Dict[str, float]] = {
 class LatencyModel:
     """Per-destination one-way delays with reproducible jitter."""
 
-    def __init__(self, vantage: str, rng: RngRegistry,
-                 jitter_fraction: float = 0.06) -> None:
+    def __init__(self, vantage: str, rng: RngRegistry) -> None:
         if vantage not in ONE_WAY_MS:
             raise ValueError(f"unknown vantage region: {vantage!r}")
         self.vantage = vantage
         self._rng = rng
-        self._jitter = jitter_fraction
         self._server_regions: Dict[Ipv4Address, str] = {}
 
     def register_server(self, address: Ipv4Address, region: str) -> None:
@@ -72,7 +71,8 @@ class LatencyModel:
         """One-way AP -> server delay with jitter, in nanoseconds."""
         region = self.region_of(address)
         base = milliseconds(ONE_WAY_MS[self.vantage][region])
-        return self._rng.jitter_ns(f"latency:{region}", base, self._jitter)
+        return self._rng.jitter_ns(f"latency:{region}", base,
+                                   JITTER_FRACTION)
 
     def rtt_ns(self, address: Ipv4Address) -> int:
         """Round-trip AP <-> server delay with jitter."""
@@ -84,4 +84,5 @@ class LatencyModel:
 
     def wifi_hop_ns(self) -> int:
         """TV <-> AP hop delay with jitter."""
-        return self._rng.jitter_ns("latency:wifi", WIFI_HOP_NS, self._jitter)
+        return self._rng.jitter_ns("latency:wifi", WIFI_HOP_NS,
+                                   JITTER_FRACTION)

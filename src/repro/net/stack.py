@@ -22,8 +22,8 @@ from .dns import DnsMessage, DnsRecord
 from .link import LatencyModel
 from .ip import PROTO_UDP
 from .tcp import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN, MSS
-from .tls import (AEAD_OVERHEAD, TlsRecord, application_records,
-                  handshake_flights)
+from .tls import (AEAD_OVERHEAD, CERTIFICATE_SIZE, TlsRecord,
+                  application_records, handshake_flights)
 
 EPHEMERAL_BASE = 40000
 PROCESSING_NS = microseconds(150)
@@ -100,14 +100,14 @@ class HostStack:
         return ts
 
     def tcp_flows(self, remote_ip: Ipv4Address, local_port: int,
-                  remote_port: int, ttl: int = 57) -> Tuple[int, int]:
+                  remote_port: int) -> Tuple[int, int]:
         """Capture-log flow ids of a connection's outbound and inbound
-        directions."""
+        directions (the server's packets arrive with TTL 57)."""
         log = self.log
         return (log.flow(self.mac, self.gateway_mac, self.ip, remote_ip,
                          local_port, remote_port, 64),
                 log.flow(self.gateway_mac, self.mac, remote_ip, self.ip,
-                         remote_port, local_port, ttl))
+                         remote_port, local_port, 57))
 
     def emit_outbound_tcp(self, at: int, flow: int, seq: int, ack: int,
                           flags: int, payload: bytes = b"") -> int:
@@ -197,15 +197,15 @@ class TlsSession:
 
     @classmethod
     def open(cls, stack: HostStack, at: int, server_ip: Ipv4Address,
-             server_name: str, server_port: int = 443,
-             certificate_size: int = 2800) -> "TlsSession":
-        """TCP three-way handshake + TLS 1.2 handshake; returns the session.
+             server_name: str) -> "TlsSession":
+        """TCP three-way handshake + TLS 1.2 handshake to port 443;
+        returns the session.
 
         ``session.established_at`` is the capture time of the client
         Finished flight, after which :meth:`exchange` may be called.
         """
         session = cls(stack, server_ip, server_name,
-                      stack.allocate_port(), server_port)
+                      stack.allocate_port(), 443)
         owd = stack.latency.one_way_ns(server_ip)
 
         ts = stack.emit_outbound_syn(at, session._out, session.client_seq,
@@ -224,9 +224,9 @@ class TlsSession:
         client_random = stack.rng.token_bytes(
             f"tls:{server_name}:crandom", 32)
         server_filler = stack.rng.token_bytes(
-            f"tls:{server_name}:sfiller", 200 + certificate_size)
+            f"tls:{server_name}:sfiller", 200 + CERTIFICATE_SIZE)
         flight1, flight2, flight3 = handshake_flights(
-            server_name, client_random, server_filler, certificate_size)
+            server_name, client_random, server_filler)
 
         ts = session._send_records(ts + PROCESSING_NS, flight1)
         ts = session._recv_records(ts + 2 * owd + PROCESSING_NS, flight2)

@@ -29,42 +29,25 @@ VERSION_TLS12 = 0x0303
 RECORD_HEADER_LEN = 5
 AEAD_OVERHEAD = 16  # GCM tag
 MAX_RECORD_PAYLOAD = 16384
+CERTIFICATE_SIZE = 2800  # bytes of the server's Certificate record
 
 
 class TlsRecord:
-    """One TLS record: content type, version, payload."""
+    """One TLS 1.2 record: content type and payload."""
 
-    __slots__ = ("content_type", "version", "payload")
+    __slots__ = ("content_type", "payload")
 
-    def __init__(self, content_type: int, payload: bytes,
-                 version: int = VERSION_TLS12) -> None:
+    def __init__(self, content_type: int, payload: bytes) -> None:
         if len(payload) > MAX_RECORD_PAYLOAD + 256:
             raise ValueError(f"TLS record too large: {len(payload)}")
         self.content_type = content_type
-        self.version = version
         self.payload = payload
 
     def encode(self) -> bytes:
         return (bytes([self.content_type])
-                + self.version.to_bytes(2, "big")
+                + VERSION_TLS12.to_bytes(2, "big")
                 + len(self.payload).to_bytes(2, "big")
                 + self.payload)
-
-    @classmethod
-    def decode_stream(cls, raw: bytes) -> Tuple[List["TlsRecord"], bytes]:
-        """Parse as many whole records as possible; return (records, rest)."""
-        records: List[TlsRecord] = []
-        offset = 0
-        while offset + RECORD_HEADER_LEN <= len(raw):
-            content_type = raw[offset]
-            version = int.from_bytes(raw[offset + 1:offset + 3], "big")
-            length = int.from_bytes(raw[offset + 3:offset + 5], "big")
-            end = offset + RECORD_HEADER_LEN + length
-            if end > len(raw):
-                break
-            records.append(cls(content_type, raw[offset + 5:end], version))
-            offset = end
-        return records, raw[offset:]
 
     def __len__(self) -> int:
         return RECORD_HEADER_LEN + len(self.payload)
@@ -126,8 +109,7 @@ def application_records(plaintext_len: int,
 
 
 def handshake_flights(server_name: str, client_random: bytes,
-                      server_filler: bytes,
-                      certificate_size: int = 2800) -> Tuple[
+                      server_filler: bytes) -> Tuple[
                           List[TlsRecord], List[TlsRecord], List[TlsRecord]]:
     """The three handshake flights as record lists.
 
@@ -137,22 +119,20 @@ def handshake_flights(server_name: str, client_random: bytes,
     byte counts in the paper's keep-alive-only scenarios.
     """
     client_hello = build_client_hello(server_name, client_random)
-    need = 90 + certificate_size + 4 + 16 + 75
+    # Server filler layout: ServerHello, Certificate, ServerHelloDone,
+    # then the client's key exchange and Finished.
+    done = 90 + CERTIFICATE_SIZE
+    need = done + 4 + 16 + 75
     if len(server_filler) < need:
         raise ValueError(f"server filler too short: need {need}")
     server_hello = TlsRecord(CONTENT_HANDSHAKE, server_filler[:90])
-    certificate = TlsRecord(
-        CONTENT_HANDSHAKE, server_filler[90:90 + certificate_size])
-    server_done = TlsRecord(
-        CONTENT_HANDSHAKE,
-        server_filler[90 + certificate_size:90 + certificate_size + 4])
-    client_kex = TlsRecord(
-        CONTENT_HANDSHAKE,
-        server_filler[94 + certificate_size:94 + certificate_size + 75])
+    certificate = TlsRecord(CONTENT_HANDSHAKE, server_filler[90:done])
+    server_done = TlsRecord(CONTENT_HANDSHAKE, server_filler[done:done + 4])
+    client_kex = TlsRecord(CONTENT_HANDSHAKE,
+                           server_filler[done + 4:done + 79])
     ccs = TlsRecord(CONTENT_CHANGE_CIPHER_SPEC, b"\x01")
-    finished = TlsRecord(
-        CONTENT_HANDSHAKE,
-        server_filler[169 + certificate_size:169 + certificate_size + 16])
+    finished = TlsRecord(CONTENT_HANDSHAKE,
+                         server_filler[done + 79:done + 95])
     return ([client_hello],
             [server_hello, certificate, server_done],
             [client_kex, ccs, finished])

@@ -32,26 +32,25 @@ from ..reporting.ascii_plot import BARS, meter, sparkline
 #: Minimum seconds between live redraws (updates in between only
 #: refresh the view; the next redraw shows the latest state).
 REFRESH_INTERVAL_S = 0.25
+#: Columns a live frame spans, borders included.
+WIDTH = 80
 
 _BOLD = "\x1b[1m"
 _RESET = "\x1b[0m"
 
 
-def detect_plain(stream=None, plain: bool = False,
-                 environ: Optional[Mapping[str, str]] = None) -> bool:
-    """Should output degrade to plain progress lines?
+def detect_plain(stream, plain: bool) -> bool:
+    """Should output to ``stream`` degrade to plain progress lines?
 
     True for an explicit ``--plain``, ``NO_COLOR`` (any value),
     ``TERM=dumb``, or a stream that is not a terminal.
     """
     if plain:
         return True
-    env = os.environ if environ is None else environ
-    if env.get("NO_COLOR"):
+    if os.environ.get("NO_COLOR"):
         return True
-    if env.get("TERM", "") == "dumb":
+    if os.environ.get("TERM", "") == "dumb":
         return True
-    stream = stream if stream is not None else sys.stderr
     isatty = getattr(stream, "isatty", None)
     return not (isatty and isatty())
 
@@ -67,8 +66,7 @@ class DashboardView:
                  elapsed_s: float = 0.0,
                  snapshot: Optional[Mapping] = None,
                  aggregate=None,
-                 spark: Sequence[float] = (),
-                 note: Optional[str] = None) -> None:
+                 spark: Sequence[float] = ()) -> None:
         self.title = title
         self.unit = unit
         self.done = done
@@ -79,7 +77,8 @@ class DashboardView:
         self.snapshot = snapshot
         self.aggregate = aggregate
         self.spark = spark
-        self.note = note
+        #: A closing remark :meth:`Dashboard.finish` sets.
+        self.note: Optional[str] = None
 
 
 # -- pure rendering -----------------------------------------------------------
@@ -119,11 +118,11 @@ def _heatmap_lines(aggregate, inner: int) -> List[str]:
     return [line[:inner] for line in lines]
 
 
-def render_frame(view: DashboardView, width: int = 80,
-                 color: bool = False) -> str:
-    """Render one complete frame (no trailing newline), deterministically
-    from the view alone — the golden-frame tests pin this byte for byte."""
-    inner = width - 4  # borders plus one space of padding each side
+def render_frame(view: DashboardView, color: bool = False) -> str:
+    """Render one complete frame (no trailing newline), :data:`WIDTH`
+    columns wide, deterministically from the view alone — the
+    golden-frame tests pin this byte for byte."""
+    inner = WIDTH - 4  # borders plus one space of padding each side
     lines: List[str] = []
 
     def emit(text: str = "") -> None:
@@ -180,10 +179,9 @@ def render_frame(view: DashboardView, width: int = 80,
         pad = len(_BOLD) + len(_RESET)
     else:
         pad = 0
-    top = "┌─" + title + "─" * (width - 3 - len(title) + pad) \
-        + "┐"
+    top = "┌─" + title + "─" * (WIDTH - 3 - len(title) + pad) + "┐"
     body = ["│ " + line.ljust(inner) + " │" for line in lines]
-    bottom = "└" + "─" * (width - 2) + "┘"
+    bottom = "└" + "─" * (WIDTH - 2) + "┘"
     return "\n".join([top] + body + [bottom])
 
 
@@ -210,16 +208,12 @@ class Dashboard:
     """
 
     def __init__(self, title: str, total: int, unit: str = "items",
-                 stream=None, width: int = 80, plain: bool = False,
-                 refresh_s: float = REFRESH_INTERVAL_S,
-                 registry=None) -> None:
+                 plain: bool = False, registry=None) -> None:
         self.title = title
         self.total = total
         self.unit = unit
-        self.stream = stream if stream is not None else sys.stderr
-        self.width = width
+        self.stream = sys.stderr
         self.plain = detect_plain(self.stream, plain)
-        self.refresh_s = refresh_s
         self._registry = registry
         self._started = time.perf_counter()
         self._last_draw = 0.0
@@ -232,8 +226,7 @@ class Dashboard:
     # -- state ------------------------------------------------------------------
 
     def update(self, done: int, executed: int = 0, cached: int = 0,
-               aggregate=None, note: Optional[str] = None,
-               force: bool = False) -> None:
+               aggregate=None) -> None:
         """Refresh the view; redraw if the throttle window has passed."""
         snapshot = self._registry.snapshot() if self._registry is not None \
             else None
@@ -247,9 +240,8 @@ class Dashboard:
             self.title, self.unit, done, self.total,
             executed=executed, cached=cached,
             elapsed_s=time.perf_counter() - self._started,
-            snapshot=snapshot, aggregate=aggregate, spark=spark,
-            note=note)
-        self._draw(force=force)
+            snapshot=snapshot, aggregate=aggregate, spark=spark)
+        self._draw()
 
     def finish(self, note: Optional[str] = None) -> None:
         """Draw the final frame (always) and leave the cursor below it."""
@@ -270,10 +262,10 @@ class Dashboard:
                 print(line, file=self.stream, flush=True)
             return
         now = time.perf_counter()
-        if not force and now - self._last_draw < self.refresh_s:
+        if not force and now - self._last_draw < REFRESH_INTERVAL_S:
             return
         self._last_draw = now
-        frame = render_frame(self._view, width=self.width, color=True)
+        frame = render_frame(self._view, color=True)
         lines = frame.split("\n")
         out = []
         if self._last_height:

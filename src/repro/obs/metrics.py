@@ -107,7 +107,7 @@ class NullRegistry:
         pass
 
     @contextmanager
-    def span(self, name: str, clock=None):
+    def span(self, name: str):
         yield
 
     def absorb(self, snapshot: Optional[Mapping[str, object]]) -> None:
@@ -148,20 +148,14 @@ class MetricsRegistry:
         histogram.observe(value)
 
     @contextmanager
-    def span(self, name: str, clock=None):
-        """Time a block: wall ms into ``<name>.wall_ms``, and — given a
-        :class:`~repro.sim.clock.Clock` — virtual ms into
-        ``<name>.sim_ms``."""
-        wall_started = time.perf_counter()
-        sim_started = clock.now if clock is not None else None
+    def span(self, name: str):
+        """Time a block: wall ms into ``<name>.wall_ms``."""
+        started = time.perf_counter()
         try:
             yield
         finally:
             self.observe(f"{name}.wall_ms",
-                         (time.perf_counter() - wall_started) * 1e3)
-            if sim_started is not None:
-                self.observe(f"{name}.sim_ms",
-                             (clock.now - sim_started) / 1e6)
+                         (time.perf_counter() - started) * 1e3)
 
     # -- snapshots --------------------------------------------------------------
 
@@ -228,10 +222,10 @@ def metrics_enabled() -> bool:
     return _active is not NULL
 
 
-def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Install (and return) a live registry as the active one."""
+def enable() -> MetricsRegistry:
+    """Install (and return) a new live registry as the active one."""
     global _active
-    _active = registry if registry is not None else MetricsRegistry()
+    _active = MetricsRegistry()
     return _active
 
 

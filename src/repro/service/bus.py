@@ -157,13 +157,6 @@ class SegmentBus:
         duplicates and resends must check before offering.)"""
         return household_index in self._lanes
 
-    def admissible(self, household_index: int, seq: int) -> bool:
-        """Would ``offer`` accept (or ignore) this seq right now?"""
-        lane = self._lanes.get(household_index)
-        if lane is None:
-            return False
-        return seq < lane.cursor + self.credits
-
     def cursor(self, household_index: int) -> int:
         return self._lanes[household_index].cursor
 

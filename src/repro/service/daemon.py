@@ -98,11 +98,10 @@ class ServiceConfig:
     gets audited, visibly and with evidence.)"""
 
     __slots__ = ("window", "credits", "segments", "checkpoint_every",
-                 "arrival_seed", "faults")
+                 "faults")
 
     def __init__(self, window: int = 8, credits: int = DEFAULT_CREDITS,
                  segments: int = 6, checkpoint_every: int = 25,
-                 arrival_seed: Optional[int] = None,
                  faults: FaultPlan = NULL_PLAN) -> None:
         if window <= 0:
             raise ValueError("household window must be positive")
@@ -116,7 +115,6 @@ class ServiceConfig:
         self.credits = credits
         self.segments = segments
         self.checkpoint_every = checkpoint_every
-        self.arrival_seed = arrival_seed
         self.faults = faults
 
 
@@ -198,11 +196,9 @@ class AuditService:
     # -- deterministic arrival schedule -----------------------------------------
 
     def _jitter_ns(self, household_index: int, seq: int) -> int:
-        seed = self.config.arrival_seed
-        if seed is None:
-            seed = self.population.seed
         digest = hashlib.sha256(
-            f"{seed}:arrival:{household_index}:{seq}".encode()).digest()
+            f"{self.population.seed}:arrival:{household_index}:{seq}"
+            .encode()).digest()
         return 1 + int.from_bytes(digest[:8], "big") % ARRIVAL_SPREAD_NS
 
     # -- the run ----------------------------------------------------------------

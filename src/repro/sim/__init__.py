@@ -19,7 +19,6 @@ from .clock import (
     milliseconds,
     minutes,
     seconds,
-    to_seconds,
 )
 from .events import Event, EventLoop
 from .process import Process, Sleep, spawn
@@ -43,5 +42,4 @@ __all__ = [
     "minutes",
     "seconds",
     "spawn",
-    "to_seconds",
 ]

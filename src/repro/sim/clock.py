@@ -39,11 +39,6 @@ def hours(value: float) -> int:
     return round(value * NS_PER_HOUR)
 
 
-def to_seconds(ns: int) -> float:
-    """Convert integer nanoseconds to float seconds."""
-    return ns / NS_PER_SECOND
-
-
 class Clock:
     """Monotonic virtual clock owned by a :class:`~repro.sim.events.EventLoop`.
 
@@ -52,20 +47,13 @@ class Clock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: int = 0) -> None:
-        if start < 0:
-            raise ValueError("clock cannot start before t=0")
-        self._now = int(start)
+    def __init__(self) -> None:
+        self._now = 0
 
     @property
     def now(self) -> int:
         """Current virtual time in nanoseconds."""
         return self._now
-
-    @property
-    def now_seconds(self) -> float:
-        """Current virtual time in seconds (for reporting only)."""
-        return to_seconds(self._now)
 
     def advance_to(self, t: int) -> None:
         """Move the clock forward to ``t`` nanoseconds.

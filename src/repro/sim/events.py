@@ -56,8 +56,8 @@ class EventLoop:
         loop.run_until(hours(1))
     """
 
-    def __init__(self, start: int = 0) -> None:
-        self.clock = Clock(start)
+    def __init__(self) -> None:
+        self.clock = Clock()
         self._heap: List[Event] = []
         self._seq = 0
         self._running = False

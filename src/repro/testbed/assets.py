@@ -71,11 +71,11 @@ def ui_item() -> ContentItem:
     return launcher_item()
 
 
-def fresh_backend(vendor: str, country: str, seed: int = 0) -> AcrBackend:
+def fresh_backend(vendor: str, country: str) -> AcrBackend:
     """A new operator backend over the shared reference library."""
     from ..tv import vendors
     operator = vendors.get(vendor).operator
-    return AcrBackend(operator, reference_library(country, seed))
+    return AcrBackend(operator, reference_library(country, 0))
 
 
 def ott_playlist(country: str, seed: int = 0) -> List[ContentItem]:

@@ -46,9 +46,6 @@ class DeviceIdentifiers:
         self.account_id = "acct-" + _digest(seed, "account").hex()[:12]
         return self.account_id
 
-    def unlink_account(self) -> None:
-        self.account_id = None
-
     @property
     def acr_device_id(self) -> str:
         """What the ACR client reports: the advertising ID, never the

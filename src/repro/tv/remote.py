@@ -37,11 +37,5 @@ class RemoteControl:
         self._do(at_ns, f"select-source:{source.source_type.value}",
                  lambda: self.tv.select_source(source))
 
-    def opt_out_at(self, at_ns: int) -> None:
-        self._do(at_ns, "opt-out", self.tv.settings.opt_out_all)
-
-    def performed(self, label: str) -> bool:
-        return any(entry == label for __, entry in self.action_log)
-
     def __repr__(self) -> str:
         return f"RemoteControl({len(self.action_log)} actions)"

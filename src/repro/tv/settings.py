@@ -64,15 +64,7 @@ class PrivacySettings:
     def login(self) -> None:
         self.logged_in = True
 
-    def logout(self) -> None:
-        self.logged_in = False
-
     # -- individual options -----------------------------------------------------
-
-    def set_option(self, key: str, value: bool) -> None:
-        if key not in self._values:
-            raise KeyError(f"no option {key!r} on {self.vendor}")
-        self._values[key] = value
 
     def option(self, key: str) -> bool:
         try:

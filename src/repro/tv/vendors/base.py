@@ -31,6 +31,9 @@ def json_payload(body: dict) -> bytes:
     TLS-terminating MITM proxy would recover)."""
     return json.dumps(body, separators=(",", ":")).encode("utf-8")
 
+#: Every vendor is deployed, and audited, in both countries.
+COUNTRIES = ("uk", "us")
+
 #: The vendor's opt-out behaviour once every consent toggle is exercised.
 OPTOUT_SILENCE = "silence"        # no ACR traffic at all (the paper's pair)
 OPTOUT_DOWNSAMPLE = "downsample"  # uploads continue at a reduced rate
@@ -135,7 +138,6 @@ class VendorProfile:
                  domains: Callable[[str], List],
                  contract: VendorContract,
                  catalog_order: int,
-                 countries: Sequence[str] = ("uk", "us"),
                  audited_in_paper: bool = False,
                  rotation: Optional[RotationSpec] = None,
                  fingerprint_domains: Optional[Mapping[str, str]] = None,
@@ -152,7 +154,7 @@ class VendorProfile:
         if rotation is None and not fingerprint_domains:
             raise ValueError(f"{name}: need a rotation spec or explicit "
                              f"fingerprint domains")
-        for country in countries:
+        for country in COUNTRIES:
             if country not in acr_profiles:
                 raise ValueError(f"{name}: no ACR profile for {country!r}")
         self.name = name
@@ -169,7 +171,7 @@ class VendorProfile:
         self.acr_profiles = dict(acr_profiles)
         self.capture_decisions = dict(capture_decisions)
         self.domains = domains
-        self.countries = tuple(countries)
+        self.countries = COUNTRIES
         self.catalog_order = catalog_order
         self.rotation = rotation
         self.fingerprint_domains = dict(fingerprint_domains or {})

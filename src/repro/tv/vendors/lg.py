@@ -49,12 +49,6 @@ class LgTv(SmartTV):
 
     vendor = "lg"
 
-    @property
-    def active_acr_domain(self) -> str:
-        """The rotation target at the current virtual time."""
-        return self.registry.rotating_acr_domain(
-            self.vendor, self.country, self.loop.now, self.seed)
-
 
 # -- background services -------------------------------------------------------
 

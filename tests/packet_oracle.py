@@ -29,8 +29,9 @@ those paths replaced, for tests and benchmarks to compare against:
 * ``observe_all`` (a ``DnsMap`` over a packet sequence) and
   ``cumulative_bytes`` over a packet list, the reference for the
   columnar CDF build;
-* ``extract_sni``, the passive observer's parse of a ClientHello's
-  server name, which the handshake builders must carry.
+* ``decode_stream``, which splits a byte stream into whole TLS records
+  and the rest, and ``extract_sni``, the passive observer's parse of a
+  ClientHello's server name, which the handshake builders must carry.
 """
 
 import io
@@ -51,7 +52,8 @@ from repro.net.pcap import (GLOBAL_HEADER, LINKTYPE_ETHERNET, MAGIC_USEC,
                             RECORD_HEADER, SNAPLEN, VERSION_MAJOR,
                             VERSION_MINOR, PcapError, parse_global_header)
 from repro.net.tcp import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN
-from repro.net.tls import CONTENT_HANDSHAKE, HANDSHAKE_CLIENT_HELLO, TlsRecord
+from repro.net.tls import (CONTENT_HANDSHAKE, HANDSHAKE_CLIENT_HELLO,
+                           RECORD_HEADER_LEN, TlsRecord)
 from repro.sim.clock import NS_PER_SECOND
 
 _NS_PER_US = 1_000
@@ -602,6 +604,21 @@ def cumulative_bytes(packets, start_ns: int, end_ns: int,
 
 
 # -- TLS ----------------------------------------------------------------------
+
+
+def decode_stream(raw: bytes) -> Tuple[List[TlsRecord], bytes]:
+    """Parse as many whole records as possible; return (records, rest).
+    The version bytes are skipped: every record is TLS 1.2."""
+    records: List[TlsRecord] = []
+    offset = 0
+    while offset + RECORD_HEADER_LEN <= len(raw):
+        length = int.from_bytes(raw[offset + 3:offset + 5], "big")
+        end = offset + RECORD_HEADER_LEN + length
+        if end > len(raw):
+            break
+        records.append(TlsRecord(raw[offset], raw[offset + 5:end]))
+        offset = end
+    return records, raw[offset:]
 
 
 def extract_sni(record: TlsRecord) -> Optional[str]:

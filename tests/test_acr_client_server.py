@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.acr import (AcrBackend, AcrClient, AcrTransport, CaptureDecision,
                        FingerprintBatch, ReferenceLibrary, capture_decision,
                        capture_state, profile_for)
-from repro.acr.fingerprint import _FINGERPRINT_CACHE, clear_fingerprint_cache
+from repro.acr.fingerprint import (_FINGERPRINT_CACHE, capture_batch,
+                                   clear_fingerprint_cache)
 from repro.media import (HdmiInput, HomeScreen, InputSource, OttApp,
                          PlayState, ScreenCast, SourceType, Tuner,
                          build_channel, standard_library, ContentItem,
@@ -191,7 +192,8 @@ class ScriptedSource(InputSource):
 
 
 def _per_sample_batch(client, at_ns, source):
-    """The upload as one ``capture_state`` call per sample (the oracle)."""
+    """The upload as one ``capture_batch`` call per sample (the
+    oracle)."""
     profile = client.profile
     window = profile.batch_interval_ns
     spread = window // profile.match_samples_per_batch
@@ -203,8 +205,9 @@ def _per_sample_batch(client, at_ns, source):
         state = source.screen_state(t)
         if state is None:
             continue
-        captures.append(capture_state(
-            state, offset_ns=index * profile.capture_interval_ns))
+        captures.append(capture_batch(
+            state.item, [state.position_s],
+            [index * profile.capture_interval_ns])[0])
     return FingerprintBatch(client.device_id, captures)
 
 
@@ -361,8 +364,8 @@ class TestBackend:
         channel = build_channel("C1", library)
         client = _client("lg", "uk", Tuner(channel), transport)
         _run_ticks(client, 8)
-        events = backend.events_for("tv-0001")
-        assert len(events) >= 6
+        sessions = backend.sessions_for("tv-0001")
+        assert sum(session.events for session in sessions) >= 6
         assert backend.recognition_rate > 0.7
 
     def test_sessions_merge_contiguous_content(self, library, reference):
@@ -395,17 +398,4 @@ class TestBackend:
         verdict = backend.ingest_raw(raw, 0)
         assert verdict.recognised
         assert verdict.content_id == item.content_id
-
-    def test_watch_seconds(self, library, reference):
-        backend = AcrBackend("alphonso", reference)
-        item = library.shows[0]
-        for i in range(5):
-            captures = [capture_state(PlayState(item, 30.0 + 15 * i + j))
-                        for j in range(6)]
-            backend.ingest(FingerprintBatch("tv-x", captures),
-                           seconds(15) * i)
-        assert backend.watch_seconds("tv-x") == pytest.approx(60.0)
-        assert backend.watch_seconds("tv-x", item.content_id) == \
-            pytest.approx(60.0)
-        assert backend.watch_seconds("tv-x", "other") == 0.0
 

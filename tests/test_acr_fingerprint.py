@@ -13,13 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.acr import (Capture, FingerprintBatch, ReferenceLibrary,
-                       capture_state, hamming_distance, video_fingerprint)
+                       hamming_distance, video_fingerprint)
 from repro.acr import fingerprint as fingerprint_module
 from repro.acr.fingerprint import (_FINGERPRINT_CACHE, AUDIO_LANDMARKS,
                                    audio_fingerprint_batch, capture_batch,
                                    clear_fingerprint_cache,
                                    fingerprint_positions,
                                    video_fingerprint_batch)
+from repro.acr import library as library_module
 from repro.acr.library import INGEST_CHUNK
 from repro.media import (AUDIO_RATE_HZ, AUDIO_SAMPLES, FRAME_HEIGHT,
                          FRAME_WIDTH, ContentItem, ContentKind, PlayState,
@@ -215,9 +216,9 @@ class TestAudioFingerprint:
 
 class TestBatchCodec:
     def _batch(self, library, n=5):
-        captures = [capture_state(PlayState(library.shows[0], 10.0 + i),
-                                  offset_ns=i * 10 ** 9)
-                    for i in range(n)]
+        captures = capture_batch(library.shows[0],
+                                 [10.0 + i for i in range(n)],
+                                 [i * 10 ** 9 for i in range(n)])
         return FingerprintBatch("tv-psid-0001", captures)
 
     def test_roundtrip(self, library):
@@ -462,11 +463,12 @@ class TestBatchEquivalence:
         assert (capture.video_hash, tuple(capture.audio_hashes)) == \
             _oracle_capture(item, position)
 
-    def test_ingest_across_chunk_cuts_matches_oracle(self):
+    def test_ingest_across_chunk_cuts_matches_oracle(self, monkeypatch):
         item = _item("chunked:0001")
         count = 3 * INGEST_CHUNK + 5
-        reference = ReferenceLibrary(sample_interval_s=1, max_seconds=count)
-        assert reference.ingest(item) == count
+        monkeypatch.setattr(library_module, "DEFAULT_SAMPLE_INTERVAL_S", 1)
+        reference = ReferenceLibrary()
+        assert reference.ingest(item, max_seconds=count) == count
         columns = reference.columns()
         assert list(zip(columns.position_s.tolist(),
                         columns.video_hash.tolist(),

@@ -9,6 +9,7 @@ per-sample build the columns replaced (``reference_oracle``).
 
 import gc
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from repro.acr import (FingerprintMatcher, ReferenceLibrary, bands_of,
                        capture_state)
 from repro.acr import fingerprint as fingerprint_module
 from repro.acr import library as library_module
+from repro.acr import matcher as matcher_module
 from repro.acr.fingerprint import (_FINGERPRINT_CACHE, AUDIO_LANDMARKS,
                                    audio_fingerprint_batch,
                                    clear_fingerprint_cache, hamming_distance)
-from repro.acr.library import BAND_BITS, BAND_VALUES, BANDS, INGEST_CHUNK
+from repro.acr.library import (BAND_BITS, BAND_VALUES, BANDS,
+                               DEFAULT_SAMPLE_INTERVAL_S, INGEST_CHUNK)
 from repro.acr.matcher import DEFAULT_HAMMING_TOLERANCE, Match
 from repro.media import (ContentItem, ContentKind, PlayState, build_channel,
                          standard_library)
@@ -43,7 +46,8 @@ class OracleMatcher(FingerprintMatcher):
     def __init__(self, library: OracleLibrary,
                  hamming_tolerance: int = DEFAULT_HAMMING_TOLERANCE
                  ) -> None:
-        super().__init__(library, hamming_tolerance)
+        super().__init__(library)
+        self.hamming_tolerance = hamming_tolerance
         self._band_index = [defaultdict(list) for __ in range(BANDS)]
         self._indexed_entries = 0
         self.reindex()
@@ -124,9 +128,10 @@ def matcher(reference):
 
 
 class TestReferenceLibrary:
-    def test_ingest_counts_samples(self, library):
-        ref = ReferenceLibrary(sample_interval_s=2, max_seconds=20)
-        added = ref.ingest(library.shows[0])
+    def test_ingest_counts_samples(self, library, monkeypatch):
+        monkeypatch.setattr(library_module, "DEFAULT_SAMPLE_INTERVAL_S", 2)
+        ref = ReferenceLibrary()
+        added = ref.ingest(library.shows[0], max_seconds=20)
         assert added == 10
 
     def test_ingest_idempotent(self, library):
@@ -134,15 +139,12 @@ class TestReferenceLibrary:
         ref.ingest(library.shows[0])
         assert ref.ingest(library.shows[0]) == 0
 
-    def test_short_item_fully_sampled(self, library):
-        ref = ReferenceLibrary(sample_interval_s=2)
+    def test_short_item_fully_sampled(self, library, monkeypatch):
+        monkeypatch.setattr(library_module, "DEFAULT_SAMPLE_INTERVAL_S", 2)
+        ref = ReferenceLibrary()
         ad = library.ads[0]
         added = ref.ingest(ad)
         assert added == -(-ad.duration_s // 2)  # ceil
-
-    def test_knows(self, reference, library):
-        assert reference.knows(library.shows[0].content_id)
-        assert not reference.knows("nope")
 
     def test_item_lookup(self, reference, library):
         item = library.shows[0]
@@ -150,15 +152,12 @@ class TestReferenceLibrary:
         with pytest.raises(KeyError):
             reference.item("missing")
 
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            ReferenceLibrary(sample_interval_s=0)
-
     def test_failed_ingest_leaves_no_partial_item(self, library,
                                                   monkeypatch):
         from repro.acr import library as reference_module
         chunk = reference_module.INGEST_CHUNK
-        ref = ReferenceLibrary(sample_interval_s=1, max_seconds=3 * chunk)
+        monkeypatch.setattr(reference_module, "DEFAULT_SAMPLE_INTERVAL_S", 1)
+        ref = ReferenceLibrary()
         ref.ingest(library.ads[0])
         before = len(ref)
         real = reference_module.render_frame_batch
@@ -174,11 +173,12 @@ class TestReferenceLibrary:
         monkeypatch.setattr(reference_module, "render_frame_batch",
                             fail_second_chunk)
         with pytest.raises(RuntimeError):
-            ref.ingest(item)
-        assert not ref.knows(item.content_id)
+            ref.ingest(item, max_seconds=3 * chunk)
+        with pytest.raises(KeyError):
+            ref.item(item.content_id)
         assert len(ref) == before
-        assert ref.ingest(item) == 3 * chunk
-        assert ref.knows(item.content_id)
+        assert ref.ingest(item, max_seconds=3 * chunk) == 3 * chunk
+        assert ref.item(item.content_id) is item
         assert len(ref) == before + 3 * chunk
         assert ref.columns().position_s[before:].tolist() == \
             list(range(3 * chunk))
@@ -214,7 +214,6 @@ class TestReferenceLibrary:
         ref = ReferenceLibrary()
         empty, show = library.ads[0], library.shows[0]
         assert ref.ingest(empty, max_seconds=0) == 0
-        assert ref.knows(empty.content_id)
         assert ref.item(empty.content_id) is empty
         assert ref.ingest(empty) == 0
         assert len(ref) == 0
@@ -223,16 +222,17 @@ class TestReferenceLibrary:
         assert set(ref.columns().item_no.tolist()) == {1}
         assert ref.items == [empty, show]
 
-    def test_ingest_adds_no_object_per_sample(self):
+    def test_ingest_adds_no_object_per_sample(self, monkeypatch):
         """A 300-position item adds a handful of GC-tracked objects and
         leaves the TV-side memo untouched.  The per-entry build added a
         ``ReferenceEntry`` and a landmark list per sample."""
+        monkeypatch.setattr(library_module, "DEFAULT_SAMPLE_INTERVAL_S", 1)
         # The first ingest in a process fills the dHash resample plans.
-        warm = ReferenceLibrary(sample_interval_s=1, max_seconds=300)
+        warm = ReferenceLibrary()
         warm.ingest(ContentItem("gc:warm", "Warm", ContentKind.SHOW, 300,
                                 "news"))
         item = ContentItem("gc:item", "Item", ContentKind.SHOW, 300, "news")
-        ref = ReferenceLibrary(sample_interval_s=1, max_seconds=300)
+        ref = ReferenceLibrary()
         clear_fingerprint_cache()
         registry = enable()
         try:
@@ -262,7 +262,7 @@ def _fill_library():
     ref = ReferenceLibrary()
     for number, rows in enumerate(FILL_ITEM_ROWS):
         ref.ingest(ContentItem(f"fill:{number}", "Fill", ContentKind.SHOW,
-                               rows * ref.sample_interval_s, "news"))
+                               rows * DEFAULT_SAMPLE_INTERVAL_S, "news"))
     return ref
 
 
@@ -330,7 +330,7 @@ class TestLandmarkFills:
         assert read == [_one_position_landmarks(ref, row) for row in order]
         columns = ref.columns()
         windows = {(int(columns.item_no[row]),
-                    int(columns.position_s[row]) // ref.sample_interval_s
+                    int(columns.position_s[row]) // DEFAULT_SAMPLE_INTERVAL_S
                     // INGEST_CHUNK) for row in order}
         assert fills == len(windows)
 
@@ -462,17 +462,16 @@ class TestMatcher:
         assert verdict.recognised
         assert verdict.content_id == item.content_id
 
-    def test_tolerance_zero_still_matches_on_grid(self, reference,
-                                                  library):
-        strict = FingerprintMatcher(reference, hamming_tolerance=0)
+    def test_tolerance_zero_still_matches_on_grid(self, library,
+                                                  monkeypatch):
+        # The memo does not key on the tolerance: a fresh library.
+        monkeypatch.setattr(matcher_module, "DEFAULT_HAMMING_TOLERANCE", 0)
         item = library.shows[0]
+        ref = ReferenceLibrary()
+        ref.ingest(item)
         capture = capture_state(PlayState(item, 50.0))  # on the 2 s grid
-        match = strict.match_capture(capture)
+        match = FingerprintMatcher(ref).match_capture(capture)
         assert match is not None and match.video_distance == 0
-
-    def test_negative_tolerance_rejected(self, reference):
-        with pytest.raises(ValueError):
-            FingerprintMatcher(reference, hamming_tolerance=-1)
 
     def test_matcher_sees_later_ingest(self, library):
         ref = ReferenceLibrary()
@@ -508,8 +507,8 @@ class TestMatchMemo:
 
     @pytest.fixture
     def ref(self, library):
-        ref = ReferenceLibrary(max_seconds=120)
-        ref.ingest(library.shows[0])
+        ref = ReferenceLibrary()
+        ref.ingest(library.shows[0], max_seconds=120)
         return ref
 
     @pytest.fixture
@@ -534,13 +533,18 @@ class TestMatchMemo:
         assert first is not None
         assert match_fields(second) == match_fields(first)
 
-    def test_tolerance_is_part_of_the_key(self, ref, searches, library):
+    def test_tolerance_bounds_the_match(self, ref, searches, library,
+                                        monkeypatch):
         # 1 bit from its nearest sample: only the default tolerance
-        # matches it.
+        # matches it.  The memo does not key on the tolerance, so the
+        # strict match runs over a fresh library.
         capture = capture_state(PlayState(library.shows[0], 57.0))
         loose = FingerprintMatcher(ref).match_capture(capture)
-        strict = FingerprintMatcher(ref, 0).match_capture(capture)
-        assert len(searches) == 2
+        monkeypatch.setattr(matcher_module, "DEFAULT_HAMMING_TOLERANCE", 0)
+        fresh = ReferenceLibrary()
+        fresh.ingest(library.shows[0], max_seconds=120)
+        strict = FingerprintMatcher(fresh).match_capture(capture)
+        assert searches == [capture.video_hash]
         assert loose is not None and strict is None
 
     def test_match_is_immutable(self, ref, library):
@@ -570,9 +574,9 @@ def index_builds(monkeypatch):
 def small_reference(library):
     """Small enough to check every slot quickly, with enough repeated
     band values that an unstable sort reorders them."""
-    ref = ReferenceLibrary(max_seconds=120)
-    ref.ingest_all(library.shows[:4])
-    ref.ingest_all(library.ads[:4])
+    ref = ReferenceLibrary()
+    ref.ingest_all(library.shows[:4], max_seconds=120)
+    ref.ingest_all(library.ads[:4], max_seconds=120)
     return ref
 
 
@@ -701,7 +705,7 @@ class TestMatcherAgainstOracle:
         """Some items are ingested after both matchers exist and have
         matched, so the library's index is dropped and rebuilt."""
         items = library.shows[:4] + library.ads[:3] + library.live_feeds[:1]
-        ref = ReferenceLibrary(max_seconds=160)
+        ref = ReferenceLibrary()
         oracle_ref = OracleLibrary(max_seconds=160)
 
         def ingest(steps):
@@ -726,9 +730,13 @@ class TestMatcherAgainstOracle:
                 == verdict_fields(oracle.match_batch(captures))
 
         captures = [capture(*probe) for probe in probes]
-        ingest(before)
-        ours = FingerprintMatcher(ref, tolerance)
-        oracle = OracleMatcher(oracle_ref, tolerance)
-        check()
-        ingest(after)
-        check()
+        with mock.patch.object(library_module, "MAX_REFERENCE_SECONDS",
+                               160), \
+                mock.patch.object(matcher_module,
+                                  "DEFAULT_HAMMING_TOLERANCE", tolerance):
+            ingest(before)
+            ours = FingerprintMatcher(ref)
+            oracle = OracleMatcher(oracle_ref, tolerance)
+            check()
+            ingest(after)
+            check()

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,26 @@ from repro.cli import build_parser, main
 from repro.findings import (Evidence, Finding, FindingsLedger,
                             write_findings_jsonl)
 from repro.net import Ipv4Address, MacAddress
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")],
+                         ids=["unset", "user-setting-wins"])
+def test_import_asks_openblas_for_one_thread(preset, expected):
+    """A fresh ``import repro`` sets ``OPENBLAS_NUM_THREADS`` before
+    numpy loads, unless the user chose a count."""
+    src_dir = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, repro; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == expected
 
 
 class TestParser:

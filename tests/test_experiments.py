@@ -249,7 +249,7 @@ class TestGeoExperiment:
 def test_finding_check(check):
     """Every paper finding (S1-S12) holds on the simulated testbed."""
     result = check()
-    assert result.passed, f"{result.finding_id}: {result.evidence_text()}"
+    assert result.passed, f"{result.code}: {result.evidence_text()}"
 
 
 class TestS12AcrossSeeds:
@@ -265,9 +265,8 @@ class TestS12AcrossSeeds:
         # Seed 5's last acr0 upload lands 14.9 s before the teardown,
         # which read as a 13th burst and pushed the interval CV to 0.29.
         from repro.analysis import AcrDomainAuditor
-        opted_in = cache.pipeline_for(ExperimentSpec(
-            Vendor.SAMSUNG, Country.UK, Scenario.LINEAR, Phase.LIN_OIN),
-            seed=5)
+        opted_in = cache.grid(5).pipeline(ExperimentSpec(
+            Vendor.SAMSUNG, Country.UK, Scenario.LINEAR, Phase.LIN_OIN))
         cadence = {finding.domain: finding.periodicity
                    for finding in AcrDomainAuditor().audit(opted_in)}
         acr0 = cadence["acr0.samsungcloudsolution.com"]

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arrival_order import arrivals
 from packet_oracle import (CapturedPacket, TcpSegment, build_tcp_frame,
                            dump_bytes, iter_records)
 from repro.experiments.grid import ResultCache
@@ -319,11 +320,11 @@ def serve_faults_sha(population, cache, faults, **kwargs) -> str:
         window=kwargs.pop("window", 3),
         credits=kwargs.pop("credits", 2),
         segments=kwargs.pop("segments", 5),
-        arrival_seed=kwargs.pop("arrival_seed", None),
         checkpoint_every=kwargs.pop("checkpoint_every", 1),
         faults=faults)
-    result = serve_fleet(population, cache=cache, config=config,
-                         **kwargs)
+    with arrivals(kwargs.pop("arrival_seed", None)):
+        result = serve_fleet(population, cache=cache, config=config,
+                             **kwargs)
     return sha(render_population_report(result.state,
                                         result.population))
 

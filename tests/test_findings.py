@@ -81,11 +81,6 @@ class TestModel:
         assert repr(failed) == failed.status_line() \
             == "[FAIL] S2: check S2"
 
-    def test_compat_aliases(self):
-        finding = _finding(code="S3")
-        assert finding.finding_id == "S3"
-        assert finding.description == "check S3"
-
     def test_evidence_text_joins_non_empty_texts(self):
         finding = Finding(code="X", title="x", evidence=(
             Evidence(text="first"), Evidence(text="", household=1),
@@ -99,12 +94,6 @@ class TestModel:
         assert "vendor" not in entry.to_dict()  # None pointers elided
         with pytest.raises(ValueError, match="unknown evidence"):
             Evidence.from_dict({"text": "t", "severity": "high"})
-
-    def test_locus_excludes_text(self):
-        a = Evidence(text="measured 3", household=1, segment=2)
-        b = Evidence(text="measured 99", household=1, segment=2)
-        assert a.locus() == b.locus()
-        assert a != b
 
     def test_finding_dict_roundtrip(self):
         finding = _finding(code="X2", severity="critical", passed=False,

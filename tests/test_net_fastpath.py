@@ -175,20 +175,33 @@ class TestLazyDecodeEquivalence:
 
 class TestFingerprintMemo:
     def test_cache_returns_equal_captures(self):
-        from repro.acr.fingerprint import (capture_state,
+        from repro.acr.fingerprint import (capture_batch, capture_state,
                                            clear_fingerprint_cache)
         from repro.media.content import ContentItem, ContentKind, PlayState
         item = ContentItem("c1", "Title", ContentKind.SHOW, 600, "news")
         state = PlayState(item, 123.4)
         clear_fingerprint_cache()
-        cold = capture_state(state, offset_ns=10)
-        warm = capture_state(state, offset_ns=20)
+        cold, = capture_batch(item, [123.4], [10])
+        warm, = capture_batch(item, [123.4], [20])
         assert warm.video_hash == cold.video_hash
         assert warm.audio_hashes == cold.audio_hashes
         assert (cold.offset_ns, warm.offset_ns) == (10, 20)
         # Mutating one capture's landmarks must not poison the memo.
         warm.audio_hashes.append(0xDEAD)
         assert capture_state(state).audio_hashes == cold.audio_hashes
+        clear_fingerprint_cache()
+
+    def test_capture_state_is_the_batch_capture_at_offset_0(self):
+        from repro.acr.fingerprint import (capture_batch, capture_state,
+                                           clear_fingerprint_cache)
+        from repro.media.content import ContentItem, ContentKind, PlayState
+        item = ContentItem("c1", "Title", ContentKind.SHOW, 600, "news")
+        clear_fingerprint_cache()
+        single = capture_state(PlayState(item, 42.0))
+        batched, = capture_batch(item, [42.0], [0])
+        assert single.offset_ns == 0
+        assert (single.video_hash, single.audio_hashes) == \
+            (batched.video_hash, batched.audio_hashes)
         clear_fingerprint_cache()
 
     def test_batch_shares_memo_but_never_landmark_lists(self):

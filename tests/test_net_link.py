@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import Ipv4Address
+from repro.net import link as link_module
 from repro.net.link import (LatencyModel, ONE_WAY_MS,
                             SERIALIZATION_NS_PER_BYTE)
 from repro.sim import RngRegistry, milliseconds
@@ -33,8 +34,9 @@ class TestLatencyModel:
             value = model.one_way_ns(SERVER)
             assert 0.9 * base <= value <= 1.1 * base
 
-    def test_rtt_is_two_one_ways(self):
-        model = LatencyModel("uk", RngRegistry(1), jitter_fraction=0.0)
+    def test_rtt_is_two_one_ways(self, monkeypatch):
+        monkeypatch.setattr(link_module, "JITTER_FRACTION", 0.0)
+        model = LatencyModel("uk", RngRegistry(1))
         model.register_server(SERVER, "new_york")
         assert model.rtt_ns(SERVER) == 2 * model.one_way_ns(SERVER)
 

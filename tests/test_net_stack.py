@@ -4,12 +4,12 @@ produce well-formed, decodable, causally-ordered captures."""
 import pytest
 
 from capture_tap import Tap
-from packet_oracle import decode_all, dump_bytes, extract_sni, load_bytes
+from packet_oracle import (decode_all, decode_stream, dump_bytes, extract_sni,
+                           load_bytes)
 from repro.net import (ColumnarCapture, DnsRecord, HostStack, Ipv4Address,
                        TlsSession, mac_from_seed)
 from repro.net.link import LatencyModel
 from repro.net.tcp import FLAG_ACK, FLAG_FIN, FLAG_SYN
-from repro.net.tls import TlsRecord
 from repro.sim import RngRegistry, seconds
 
 TV_IP = Ipv4Address.parse("192.168.1.50")
@@ -68,13 +68,25 @@ class TestTlsSession:
         assert flags[1] == FLAG_SYN | FLAG_ACK
         assert flags[2] == FLAG_ACK
 
+    def test_session_reaches_port_443(self, env):
+        stack, captured = env
+        TlsSession.open(stack, 0, SERVER_IP, SERVER_NAME)
+        syn = decode_all(captured)[0]
+        assert (syn.tcp.flags, syn.tcp.dst_port) == (FLAG_SYN, 443)
+
+    def test_server_packets_arrive_with_ttl_57(self, env):
+        stack, captured = env
+        TlsSession.open(stack, 0, SERVER_IP, SERVER_NAME)
+        ttls = {(p.ip.src, p.ip.ttl) for p in decode_all(captured) if p.tcp}
+        assert ttls == {(TV_IP, 64), (SERVER_IP, 57)}
+
     def test_sni_visible_in_capture(self, env):
         stack, captured = env
         TlsSession.open(stack, 0, SERVER_IP, SERVER_NAME)
         snis = []
         for packet in decode_all(captured):
             if packet.tcp and packet.tcp.payload:
-                records, __ = TlsRecord.decode_stream(packet.tcp.payload)
+                records, __ = decode_stream(packet.tcp.payload)
                 snis.extend(extract_sni(r) for r in records)
         assert SERVER_NAME in [s for s in snis if s]
 

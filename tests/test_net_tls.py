@@ -2,11 +2,12 @@
 
 import pytest
 
-from packet_oracle import extract_sni
+from packet_oracle import decode_stream, extract_sni
+from repro.net import tls as tls_module
 from repro.net.tls import (AEAD_OVERHEAD, CONTENT_APPLICATION_DATA,
-                           CONTENT_HANDSHAKE, MAX_RECORD_PAYLOAD, TlsRecord,
-                           application_records, build_client_hello,
-                           handshake_flights)
+                           CONTENT_HANDSHAKE, MAX_RECORD_PAYLOAD,
+                           VERSION_TLS12, TlsRecord, application_records,
+                           build_client_hello, handshake_flights)
 
 RANDOM = bytes(range(32))
 
@@ -16,7 +17,7 @@ class TestRecordCodec:
         records = [TlsRecord(CONTENT_APPLICATION_DATA, b"a" * 100),
                    TlsRecord(CONTENT_HANDSHAKE, b"b" * 50)]
         raw = b"".join(r.encode() for r in records)
-        decoded, rest = TlsRecord.decode_stream(raw)
+        decoded, rest = decode_stream(raw)
         assert rest == b""
         assert [r.content_type for r in decoded] == \
             [CONTENT_APPLICATION_DATA, CONTENT_HANDSHAKE]
@@ -24,7 +25,7 @@ class TestRecordCodec:
 
     def test_partial_record_left_as_rest(self):
         raw = TlsRecord(23, b"x" * 10).encode()
-        decoded, rest = TlsRecord.decode_stream(raw[:-3])
+        decoded, rest = decode_stream(raw[:-3])
         assert decoded == []
         assert rest == raw[:-3]
 
@@ -34,6 +35,11 @@ class TestRecordCodec:
 
     def test_len_includes_header(self):
         assert len(TlsRecord(23, b"x" * 10)) == 15
+
+    def test_records_are_tls12(self):
+        for content_type in (CONTENT_HANDSHAKE, CONTENT_APPLICATION_DATA):
+            raw = TlsRecord(content_type, b"x").encode()
+            assert raw[1:3] == VERSION_TLS12.to_bytes(2, "big")
 
 
 class TestClientHello:
@@ -100,9 +106,9 @@ class TestHandshakeFlights:
         cert = flight2[1]
         assert len(cert.payload) == 2800
 
-    def test_custom_certificate_size(self):
-        __, flight2, __ = handshake_flights(
-            "x.y", RANDOM, b"\xaa" * 6000, certificate_size=4096)
+    def test_custom_certificate_size(self, monkeypatch):
+        monkeypatch.setattr(tls_module, "CERTIFICATE_SIZE", 4096)
+        __, flight2, __ = handshake_flights("x.y", RANDOM, b"\xaa" * 6000)
         assert len(flight2[1].payload) == 4096
 
     def test_filler_too_short(self):

@@ -19,6 +19,8 @@ from hypothesis import example, given, settings
 
 from fuzz_inputs import NESTED_LINE, damaged_jsonl
 from repro.fleet import FleetAggregate, FleetRunner, PopulationSpec
+from repro.fleet import runner as runner_module
+from repro.obs import dashboard as dashboard_module
 from repro.obs import (Dashboard, DashboardView, detect_plain,
                        render_frame, render_plain_line)
 from repro.obs.metrics import (DEFAULT_BUCKETS_MS, NULL, MetricsRegistry,
@@ -73,11 +75,6 @@ def _registry(hits=6, misses=2, stored=2):
     return registry
 
 
-class _FakeClock:
-    def __init__(self, now_ns=0):
-        self.now = now_ns
-
-
 class TestRegistry:
     def test_counters_accumulate(self):
         registry = MetricsRegistry()
@@ -114,15 +111,6 @@ class TestRegistry:
         entry = registry.snapshot()["histograms"]["work.wall_ms"]
         assert entry["count"] == 1
         assert entry["sum"] >= 0.0
-
-    def test_span_records_virtual_time_from_clock(self):
-        registry = MetricsRegistry()
-        clock = _FakeClock(0)
-        with registry.span("work", clock=clock):
-            clock.now += 250_000_000  # 250 simulated ms
-        entry = registry.snapshot()["histograms"]["work.sim_ms"]
-        assert entry["count"] == 1
-        assert entry["sum"] == pytest.approx(250.0)
 
 
 class TestSnapshotAlgebra:
@@ -228,19 +216,27 @@ class TestActiveRegistry:
 
 
 class TestDetectPlain:
+    @pytest.fixture(autouse=True)
+    def colour_terminal(self, monkeypatch):
+        """An environment that asks for nothing plain."""
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setenv("TERM", "xterm")
+
     def test_explicit_plain_wins(self):
-        assert detect_plain(io.StringIO(), plain=True, environ={})
+        assert detect_plain(_Tty(), plain=True)
 
-    def test_no_color(self):
+    def test_no_color(self, monkeypatch):
         tty = _Tty()
-        assert detect_plain(tty, environ={"NO_COLOR": "1"})
-        assert not detect_plain(tty, environ={})
+        assert not detect_plain(tty, plain=False)
+        monkeypatch.setenv("NO_COLOR", "1")
+        assert detect_plain(tty, plain=False)
 
-    def test_dumb_terminal(self):
-        assert detect_plain(_Tty(), environ={"TERM": "dumb"})
+    def test_dumb_terminal(self, monkeypatch):
+        monkeypatch.setenv("TERM", "dumb")
+        assert detect_plain(_Tty(), plain=False)
 
     def test_non_tty_stream(self):
-        assert detect_plain(io.StringIO(), environ={})
+        assert detect_plain(io.StringIO(), plain=False)
 
 
 class _Tty(io.StringIO):
@@ -265,29 +261,30 @@ GOLDEN_FRAME = "\n".join([
 ])
 
 
-def _view(**overrides):
+def _view(note="checkpoint ck/0003", **overrides):
     values = dict(title="fleet", unit="households", done=3, total=4,
                   executed=2, cached=1, elapsed_s=2.0,
                   snapshot=_registry().snapshot(),
                   aggregate=_aggregate(),
-                  spark=[0.0, 10.0, 5.0, 20.0],
-                  note="checkpoint ck/0003")
+                  spark=[0.0, 10.0, 5.0, 20.0])
     values.update(overrides)
-    return DashboardView(**values)
+    view = DashboardView(**values)
+    view.note = note
+    return view
 
 
 class TestRenderFrame:
     def test_golden_frame_bytes(self):
-        assert render_frame(_view(), width=80, color=False) \
-            == GOLDEN_FRAME
+        assert render_frame(_view(), color=False) == GOLDEN_FRAME
 
     def test_color_differs_only_by_escapes(self):
-        colored = render_frame(_view(), width=80, color=True)
+        colored = render_frame(_view(), color=True)
         stripped = colored.replace("\x1b[1m", "").replace("\x1b[0m", "")
         assert stripped == GOLDEN_FRAME
 
-    def test_every_line_same_width(self):
-        for line in render_frame(_view(), width=72).split("\n"):
+    def test_every_line_same_width(self, monkeypatch):
+        monkeypatch.setattr(dashboard_module, "WIDTH", 72)
+        for line in render_frame(_view()).split("\n"):
             assert len(line) == 72
 
     def test_degenerate_view_renders(self):
@@ -297,13 +294,13 @@ class TestRenderFrame:
     def test_columns_row_absent_without_decode_counters(self):
         # The golden frame above predates the columnar decode; frames
         # from runs that never touch it must not change.
-        assert "columns" not in render_frame(_view(), width=80)
+        assert "columns" not in render_frame(_view())
 
     def test_columns_row_without_arena_reports_decodes(self):
         registry = _registry()
         registry.inc("decode.columnar.packets", 5556)
         frame = render_frame(_view(snapshot=registry.snapshot()),
-                             width=80, color=False)
+                             color=False)
         row = next(line for line in frame.splitlines()
                    if "columns" in line)
         assert row.strip("│ ") == "columns  5556 pkts decoded"
@@ -311,7 +308,7 @@ class TestRenderFrame:
     def test_faults_row_absent_without_fault_counters(self):
         # Clean runs never show the faults meter, so every pre-existing
         # golden frame stays byte-identical.
-        assert "faults" not in render_frame(_view(), width=80)
+        assert "faults" not in render_frame(_view())
 
     def test_faults_row_renders_recovery_meter(self):
         registry = _registry()
@@ -319,7 +316,7 @@ class TestRenderFrame:
         registry.inc("faults.recovered.worker.crash", 3)
         registry.inc("faults.degraded.records", 2)
         frame = render_frame(_view(snapshot=registry.snapshot()),
-                             width=80, color=False)
+                             color=False)
         assert ("│ faults   [###############-----] 3/4 recovered   "
                 "2 degraded") in frame
 
@@ -336,42 +333,53 @@ class TestRenderFrame:
 
 
 class TestDashboardWidget:
-    def test_plain_mode_prints_each_changed_update(self):
-        stream = io.StringIO()
-        dashboard = Dashboard("fleet", 4, unit="households",
-                              stream=stream, plain=True)
+    """The dashboard draws on ``sys.stderr`` (``capsys`` reads it)."""
+
+    def test_plain_mode_prints_each_changed_update(self, capsys):
+        dashboard = Dashboard("fleet", 4, unit="households", plain=True)
         dashboard.update(1, executed=1)
         dashboard.update(1, executed=1)  # unchanged -> deduped
         dashboard.update(2, executed=2)
         dashboard.finish()
-        assert stream.getvalue().splitlines() == [
+        assert capsys.readouterr().err.splitlines() == [
             "[fleet] 1/4 households (1 executed, 0 cached)",
             "[fleet] 2/4 households (2 executed, 0 cached)",
         ]
 
-    def test_plain_output_is_deterministic(self):
+    def test_plain_output_is_deterministic(self, capsys):
         outputs = []
         for __ in range(2):
-            stream = io.StringIO()
-            dashboard = Dashboard("fleet", 2, unit="households",
-                                  stream=stream, plain=True)
+            dashboard = Dashboard("fleet", 2, unit="households", plain=True)
             dashboard.update(1)
             dashboard.update(2)
             dashboard.finish(note="done")
-            outputs.append(stream.getvalue())
-        assert outputs[0] == outputs[1]
+            outputs.append(capsys.readouterr().err)
+        assert outputs[0] and outputs[0] == outputs[1]
 
-    def test_non_tty_stream_degrades_to_plain(self):
-        stream = io.StringIO()
-        dashboard = Dashboard("grid", 2, unit="cells", stream=stream)
+    def test_non_tty_stream_degrades_to_plain(self, capsys):
+        dashboard = Dashboard("grid", 2, unit="cells")
         assert dashboard.plain
+
+    def test_live_mode_throttles_redraws(self, monkeypatch):
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setenv("TERM", "xterm")
+        monkeypatch.setattr(dashboard_module, "REFRESH_INTERVAL_S", 3600.0)
+        stream = _Tty()
+        monkeypatch.setattr(sys, "stderr", stream)
+        dashboard = Dashboard("fleet", 4, unit="households")
+        dashboard.update(1)
+        dashboard.update(2)  # inside the refresh interval: not drawn
+        assert stream.getvalue().count("┌") == 1
+        dashboard.finish()  # always drawn
+        assert stream.getvalue().count("┌") == 2
 
     def test_live_mode_redraws_in_place(self, monkeypatch):
         monkeypatch.delenv("NO_COLOR", raising=False)
         monkeypatch.setenv("TERM", "xterm")
+        monkeypatch.setattr(dashboard_module, "REFRESH_INTERVAL_S", 0.0)
         stream = _Tty()
-        dashboard = Dashboard("fleet", 4, unit="households",
-                              stream=stream, refresh_s=0.0)
+        monkeypatch.setattr(sys, "stderr", stream)
+        dashboard = Dashboard("fleet", 4, unit="households")
         assert not dashboard.plain
         dashboard.update(1, aggregate=_aggregate())
         dashboard.update(2, aggregate=_aggregate())
@@ -380,10 +388,8 @@ class TestDashboardWidget:
         # The second frame moves the cursor up over the first.
         assert "\x1b[" in out and "F┌" in out.replace("\x1b[1m", "")
 
-    def test_aggregate_drives_upload_sparkline(self):
-        stream = io.StringIO()
-        dashboard = Dashboard("fleet", 4, unit="households",
-                              stream=stream, plain=True)
+    def test_aggregate_drives_upload_sparkline(self, capsys):
+        dashboard = Dashboard("fleet", 4, unit="households", plain=True)
         dashboard.update(1, aggregate=_aggregate())
         assert list(dashboard._spark.values()) == [3000]
         dashboard.update(2, aggregate=_aggregate())
@@ -551,11 +557,14 @@ class TestFleetMetricsJobsInvariance:
                    "diary": {"second_screen": 1.0}})
         registry = enable()
         try:
-            FleetRunner(cache=None, jobs=jobs, shard_size=1).run(
-                population)
+            FleetRunner(cache=None, jobs=jobs).run(population)
             return registry.snapshot()
         finally:
             disable()
+
+    @pytest.fixture(autouse=True)
+    def one_household_shards(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "SHARD_SIZE", 1)
 
     def test_totals_independent_of_jobs(self):
         serial = self._run(1)
@@ -662,11 +671,15 @@ class TestFaultMetricsJobsInvariance:
                                seed=9)
         registry = enable()
         try:
-            FleetRunner(cache=None, jobs=jobs, shard_size=1,
+            FleetRunner(cache=None, jobs=jobs,
                         faults=plan).run(population)
             return registry.snapshot()["counters"]
         finally:
             disable()
+
+    @pytest.fixture(autouse=True)
+    def one_household_shards(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "SHARD_SIZE", 1)
 
     def test_fault_totals_independent_of_jobs(self):
         serial = self._run(1)

@@ -22,11 +22,25 @@ Every top-level name of a module there is read by code a command,
 an example or the benchmark harness runs (:func:`unread_names`); a
 package ``__init__`` that re-exports a name does not read it.
 
+Every method and property of a class there is read by the same readers,
+matched by spelling as top-level names are (:func:`unread_members`).
+Dunders are exempt, and so is a method that a base class from outside
+``repro`` declares, since that library calls it as the language calls
+dunders.
+
+Every defaulted parameter of a function or method there is set by some
+reader's call (:func:`unset_defaults`): by keyword, positionally past
+its index, through ``*``/``**`` unpacking, or by handing the function
+on as a value.  A parameter that no reader sets is the constant its
+default is, and a test that needs another value patches that constant.
+
 There is no allowlist: code that nothing runs is deleted.
 """
 
 import ast
+import builtins
 import collections
+import importlib
 import os
 import re
 
@@ -35,7 +49,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCANNED = ("src", "tests", "benchmarks", "scripts", "examples",
            "perfbench")
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 WORD = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
 
 
@@ -277,26 +292,57 @@ def _top_level_names(tree):
             if not _is_dunder(name)}
 
 
+def _trees_outside_src(root):
+    """``(path, tree)`` of every ``examples/*.py`` and
+    ``perfbench/*.py`` file, the path relative to ``root``."""
+    trees = []
+    for top in ("examples", "perfbench"):
+        directory = os.path.join(root, top)
+        trees += [(os.path.relpath(path, root), ast.parse(source, path))
+                  for path, source in _python_sources(directory)
+                  if os.path.dirname(path) == directory]
+    return trees
+
+
 def _read_outside_src(root):
     """What the example scripts and the benchmark harness read: every
     name and attribute an ``examples/*.py`` or ``perfbench/*.py`` file
     loads or imports, plus each perfbench string that is a whole
     identifier (the ``(owner, "attr")`` trace targets)."""
     read = set()
-    for top in ("examples", "perfbench"):
-        directory = os.path.join(root, top)
-        for path, source in _python_sources(directory):
-            if os.path.dirname(path) != directory:
-                continue
-            tree = ast.parse(source, path)
-            read |= _identifiers_loaded(tree)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.alias):
-                    read.add(node.name.rpartition(".")[2])
-                elif (top == "perfbench" and isinstance(node, ast.Constant)
-                      and isinstance(node.value, str)
-                      and node.value.isidentifier()):
-                    read.add(node.value)
+    for path, tree in _trees_outside_src(root):
+        read |= _identifiers_loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                read.add(node.name.rpartition(".")[2])
+            elif (path.startswith("perfbench")
+                  and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                read.add(node.value)
+    return read
+
+
+def _src_trees(root):
+    """``(path, tree)`` of every module under ``root/src/repro``, the
+    path relative to ``root``."""
+    for path, source in _python_sources(os.path.join(root, "src",
+                                                     "repro")):
+        yield os.path.relpath(path, root), ast.parse(source, path)
+
+
+def _modules(root):
+    """:func:`_src_trees` without the package ``__init__`` modules."""
+    return [(path, tree) for path, tree in _src_trees(root)
+            if os.path.basename(path) != "__init__.py"]
+
+
+def _read_set(root):
+    """Every identifier a reader reads: what any ``src/repro`` module
+    loads, plus :func:`_read_outside_src`."""
+    read = _read_outside_src(root)
+    for __, tree in _src_trees(root):
+        read |= _identifiers_loaded(tree)
     return read
 
 
@@ -319,15 +365,10 @@ def unread_names(root=ROOT):
     not read: a name only they use lives beside them.  Names are matched
     by spelling, not by binding.
     """
-    read, defined = _read_outside_src(root), []
-    for path, source in _python_sources(os.path.join(root, "src",
-                                                     "repro")):
-        tree = ast.parse(source, path)
-        read |= _identifiers_loaded(tree)
-        if os.path.basename(path) != "__init__.py":
-            defined += [(os.path.relpath(path, root), line, name)
-                        for name, line in _top_level_names(tree).items()]
-    return sorted(f"{path}:{line} {name}" for path, line, name in defined
+    read = _read_set(root)
+    return sorted(f"{path}:{line} {name}"
+                  for path, tree in _modules(root)
+                  for name, line in _top_level_names(tree).items()
                   if name not in read)
 
 
@@ -396,6 +437,329 @@ def test_name_check_on_a_function_only_a_test_calls(tmp_path, init, cli,
         "from repro.util import helper\n\n"
         "def test_helper():\n    helper()\n")
     assert unread_names(root=str(tmp_path)) == unread
+
+
+def _absolute_imports(tree):
+    """``{name: dotted path}`` of every name a module binds by importing
+    from outside ``repro`` (relative imports are inside it)."""
+    paths = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                module = alias.name if alias.asname \
+                    else alias.name.split(".")[0]
+                paths[alias.asname or module] = module
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                paths[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+    return {name: path for name, path in paths.items()
+            if path.split(".")[0] != "repro"}
+
+
+def _resolve(dotted):
+    """The object a dotted path names, found by importing its longest
+    module prefix and reading the rest as attributes."""
+    parts = dotted.split(".")
+    for end in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:end]))
+        except ImportError:
+            continue
+        for part in parts[end:]:
+            found = getattr(found, part)
+        return found
+    raise ImportError(dotted)
+
+
+def _library_declared(cls, imports):
+    """Every name that a base of class ``cls`` from outside ``repro``
+    (a library or a builtin) declares: the library calls those
+    methods, as the language calls dunders."""
+    declared = set()
+    for base in cls.bases:
+        head, __, rest = ast.unparse(base).partition(".")
+        if head in imports:
+            path = imports[head] + ("." + rest if rest else "")
+        elif hasattr(builtins, head):
+            path = "builtins." + ast.unparse(base)
+        else:
+            continue
+        declared |= set(dir(_resolve(path)))
+    return declared
+
+
+def _members(tree):
+    """``(class, def, exempt)`` for every ``def`` in a class body of a
+    module: ``exempt`` when the language or a library calls it (a
+    dunder, or a name a non-``repro`` base declares)."""
+    imports = _absolute_imports(tree)
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            declared = _library_declared(cls, imports)
+            for node in cls.body:
+                if isinstance(node, FUNCTIONS):
+                    yield cls, node, (_is_dunder(node.name)
+                                      or node.name in declared)
+
+
+def unread_members(root=ROOT):
+    """Sorted ``path:line Class.member`` of every method or property of
+    a non-``__init__`` module under ``root/src/repro`` that no reader
+    reads: the rule of :func:`unread_names`, applied to class members.
+    Dunders, and methods a base from outside ``repro`` declares (numpy
+    calls ``ISeedSequence.generate_state``), are exempt."""
+    read = _read_set(root)
+    return sorted(f"{path}:{node.lineno} {cls.name}.{node.name}"
+                  for path, tree in _modules(root)
+                  for cls, node, exempt in _members(tree)
+                  if not exempt and node.name not in read)
+
+
+def test_every_class_member_is_read():
+    unread = unread_members()
+    assert not unread, (
+        f"a method or property of a src/repro class that no command, "
+        f"example or perfbench file reads (delete it, or move it beside "
+        f"the tests that use it): {'; '.join(unread)}")
+
+
+def _defaulted(node):
+    """``(position, name)`` of every defaulted parameter of a ``def``;
+    ``position`` is its index among the positional parameters, or
+    ``None`` for a keyword-only one."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    found = [(index, positional[index].arg)
+             for index in range(first, len(positional))]
+    found += [(None, arg.arg) for arg, default
+              in zip(node.args.kwonlyargs, node.args.kw_defaults)
+              if default is not None]
+    return found
+
+
+def _is_static(node):
+    return any(isinstance(decorator, ast.Name)
+               and decorator.id == "staticmethod"
+               for decorator in node.decorator_list)
+
+
+def _callables(tree):
+    """``(qualified name, spelling, bound, def)`` for every ``def`` of a
+    module whose defaults a call can set.  ``spelling`` is what a call
+    names: the class for ``__init__``, the ``def``'s own name
+    otherwise.  ``bound`` is how many leading parameters the call does
+    not pass (``self`` or ``cls``)."""
+    members = {node: (cls, exempt) for cls, node, exempt in _members(tree)}
+    for node in ast.walk(tree):
+        if not isinstance(node, FUNCTIONS):
+            continue
+        cls, exempt = members.get(node, (None, False))
+        if cls is None:
+            yield node.name, node.name, 0, node
+        elif node.name == "__init__":
+            yield f"{cls.name}.__init__", cls.name, 1, node
+        elif not exempt:
+            yield (f"{cls.name}.{node.name}", node.name,
+                   0 if _is_static(node) else 1, node)
+
+
+def _spelling(node):
+    """The identifier a ``Name`` or ``Attribute`` node ends in."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _call_spellings(call, cls):
+    """What a call names: its callee's identifier, the enclosing class
+    ``cls`` for ``cls(...)`` and ``type(self)(...)``, and each base of
+    ``cls`` for ``super().__init__(...)``."""
+    func = call.func
+    if cls is not None:
+        if isinstance(func, ast.Name) and func.id == "cls":
+            return [cls.name]
+        if (isinstance(func, ast.Call) and _spelling(func.func) == "type"
+                and [ast.unparse(arg) for arg in func.args] == ["self"]):
+            return [cls.name]
+        if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                and isinstance(func.value, ast.Call)
+                and _spelling(func.value.func) == "super"):
+            return [_spelling(base) for base in cls.bases]
+    return [_spelling(func)]
+
+
+#: Where a load is a value handed on: passed, stored or returned.
+VALUE_PARENTS = (ast.Call, ast.keyword, ast.Assign, ast.AnnAssign,
+                 ast.Return, ast.Yield, ast.List, ast.Tuple, ast.Set,
+                 ast.Dict, ast.Starred)
+
+
+def _settings(tree):
+    """``(spelling, positional, keywords)`` for every call in a module:
+    how many leading positional parameters it passes (all of them with a
+    ``*`` argument) and which it passes by keyword (all of them with a
+    ``**`` argument, as ``None``).  A callable loaded as a value rather
+    than called may be called with anything, so it sets every
+    parameter."""
+    every = float("inf")
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    typing = {node for annotation in _annotations(tree)
+              for node in ast.walk(annotation)}
+
+    def enclosing_class(node):
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, ast.ClassDef):
+                return node
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            positional = every if any(isinstance(arg, ast.Starred)
+                                      for arg in node.args) \
+                else len(node.args)
+            keywords = {keyword.arg for keyword in node.keywords}
+            if None in keywords:
+                positional, keywords = every, None
+            for spelling in _call_spellings(node, enclosing_class(node)):
+                yield spelling, positional, keywords
+        elif (isinstance(node, (ast.Name, ast.Attribute))
+              and isinstance(node.ctx, ast.Load) and node not in typing
+              and isinstance(parents.get(node), VALUE_PARENTS)
+              and getattr(parents[node], "func", None) is not node):
+            yield _spelling(node), every, None
+
+
+def unset_defaults(root=ROOT):
+    """Sorted ``path:line function(parameter)`` of every defaulted
+    parameter of a non-``__init__`` module under ``root/src/repro``
+    that no reader's call sets.
+
+    The readers are those of :func:`unread_names`.  A call sets a
+    parameter when it names a callable of that spelling and passes the
+    parameter by keyword, positionally past its index, or through
+    ``*``/``**`` unpacking; a callable loaded as a value (passed,
+    stored or returned) counts as set in full.  ``ClassName(...)``,
+    ``cls(...)`` and ``type(self)(...)`` in its class, and
+    ``super().__init__(...)`` in a subclass call ``__init__``.  Dunders
+    other than ``__init__`` are exempt, as are methods a base from
+    outside ``repro`` declares.  A parameter no reader sets is the
+    constant its default is.
+    """
+    calls = collections.defaultdict(list)
+    trees = list(_src_trees(root)) + _trees_outside_src(root)
+    for __, tree in trees:
+        for spelling, positional, keywords in _settings(tree):
+            calls[spelling].append((positional, keywords))
+    found = []
+    for path, tree in _modules(root):
+        for name, spelling, bound, node in _callables(tree):
+            for position, parameter in _defaulted(node):
+                if not any(
+                        keywords is None or parameter in keywords
+                        or (position is not None
+                            and position < positional + bound)
+                        for positional, keywords in calls[spelling]):
+                    found.append(f"{path}:{node.lineno} "
+                                 f"{name}({parameter})")
+    return sorted(found)
+
+
+def test_every_default_is_set_by_a_reader():
+    unset = unset_defaults()
+    assert not unset, (
+        f"a defaulted parameter that no command, example or perfbench "
+        f"call sets (make it the constant its default is): "
+        f"{'; '.join(unset)}")
+
+
+def test_member_check_reads_commands_examples_and_perfbench(tmp_path):
+    """Each member of ``Box`` has one reader, or none; ``Encoder``
+    overrides a method ``json.JSONEncoder`` declares."""
+    _write_package(tmp_path, {
+        "__init__.py": "",
+        "cli.py": ("from .shapes import Box, Encoder\n"
+                   "def main():\n"
+                   "    return Box().area, Encoder\n"),
+        "shapes.py": ("import json\n"
+                      "class Box:\n"
+                      "    @property\n"
+                      "    def area(self):\n"
+                      "        return self._side()\n"
+                      "    def _side(self):\n"
+                      "        return 2\n"
+                      "    def for_example(self):\n"
+                      "        pass\n"
+                      "    def traced(self):\n"
+                      "        pass\n"
+                      "    def only_tested(self):\n"
+                      "        pass\n"
+                      "class Encoder(json.JSONEncoder):\n"
+                      "    def default(self, o):\n"
+                      "        return str(o)\n"),
+    })
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.shapes import Box\nbox = Box()\nbox.for_example()\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "workloads.py").write_text(
+        "from repro import shapes\n"
+        "TARGETS = [(shapes.Box, \"traced\")]\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_shapes.py").write_text(
+        "from repro.shapes import Box\n\n"
+        "def test_only_tested():\n    Box().only_tested()\n")
+    assert unread_members(root=str(tmp_path)) == [
+        "src/repro/shapes.py:12 Box.only_tested"]
+
+
+@pytest.mark.parametrize("call, unset", [
+    ("", ["src/repro/util.py:1 scale(factor)"]),
+    ("scale(1, factor=2)\n", []),
+    ("scale(1, 2)\n", []),
+    ("scale(1, **{\"factor\": 2})\n", []),
+    ("run(scale)\n", []),
+], ids=["only-a-test-sets-it", "keyword", "positional", "double-star",
+        "passed-as-a-value"])
+def test_default_check_on_a_parameter_only_a_test_sets(tmp_path, call,
+                                                       unset):
+    """A default only a test overrides is reported; a keyword, a
+    positional argument past its index, ``**`` unpacking, or handing
+    the function on as a value sets it."""
+    _write_package(tmp_path, {
+        "__init__.py": "",
+        "cli.py": "from .util import run, scale\nscale(1)\n" + call,
+        "util.py": ("def scale(value, factor=1):\n"
+                    "    return value * factor\n"
+                    "def run(fn):\n"
+                    "    return fn(1)\n"),
+    })
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_util.py").write_text(
+        "from repro.util import scale\n\n"
+        "def test_scale():\n    assert scale(1, factor=3) == 3\n")
+    assert unset_defaults(root=str(tmp_path)) == unset
+
+
+@pytest.mark.parametrize("factory, unset", [
+    ("", ["src/repro/point.py:2 Point.__init__(y)"]),
+    ("    @classmethod\n"
+     "    def diagonal(cls, x):\n"
+     "        return cls(x, x)\n", []),
+], ids=["constructed-by-name", "cls-in-a-classmethod"])
+def test_default_check_maps_cls_calls_to_init(tmp_path, factory, unset):
+    """``Point(1)`` leaves ``y`` at its default; ``cls(x, x)`` in a
+    classmethod of ``Point`` sets it."""
+    _write_package(tmp_path, {
+        "__init__.py": "",
+        "cli.py": "from .point import Point\nPoint(1)\n",
+        "point.py": ("class Point:\n"
+                     "    def __init__(self, x, y=0):\n"
+                     "        self.x, self.y = x, y\n" + factory),
+    })
+    assert unset_defaults(root=str(tmp_path)) == unset
 
 
 def _write_package(root, files):

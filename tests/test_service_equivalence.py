@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arrival_order import arrivals
 from flow_oracle import flow_keys as oracle_flow_keys
 from fuzz_inputs import json_values
 from packet_oracle import CapturedPacket, decode_all, dump_bytes, load_bytes
@@ -50,10 +51,10 @@ def serve_sha(population, cache, **kwargs) -> str:
         window=kwargs.pop("window", 3),
         credits=kwargs.pop("credits", 2),
         segments=kwargs.pop("segments", 5),
-        arrival_seed=kwargs.pop("arrival_seed", None),
         checkpoint_every=kwargs.pop("checkpoint_every", 1))
-    result = serve_fleet(population, cache=cache, config=config,
-                         **kwargs)
+    with arrivals(kwargs.pop("arrival_seed", None)):
+        result = serve_fleet(population, cache=cache, config=config,
+                             **kwargs)
     return sha(render_population_report(result.state,
                                         result.population))
 
@@ -206,14 +207,13 @@ class TestKillResumeEqualsBatch:
                 ticks[0] += 1
                 return ticks[0] > stop_after
 
-            config = ServiceConfig(segments=segments,
-                                   arrival_seed=arrival_seed,
-                                   checkpoint_every=1)
+            config = ServiceConfig(segments=segments, checkpoint_every=1)
             try:
-                result = serve_fleet(population, cache=cache,
-                                     config=config,
-                                     checkpoint_dir=ckdir,
-                                     stop_check=stop_check)
+                with arrivals(arrival_seed):
+                    result = serve_fleet(population, cache=cache,
+                                         config=config,
+                                         checkpoint_dir=ckdir,
+                                         stop_check=stop_check)
                 report = render_population_report(result.state,
                                                   population)
             except ServiceStopped:

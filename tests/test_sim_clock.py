@@ -3,13 +3,13 @@
 import pytest
 
 from repro.sim import clock as clock_mod
-from repro.sim.clock import (NS_PER_MS, Clock, hours, microseconds,
-                             milliseconds, minutes, seconds, to_seconds)
+from repro.sim.clock import (NS_PER_MS, NS_PER_SECOND, Clock, hours,
+                             microseconds, milliseconds, minutes, seconds)
 
 
 class TestConversions:
     def test_seconds_roundtrip(self):
-        assert to_seconds(seconds(12.5)) == pytest.approx(12.5)
+        assert seconds(12.5) / NS_PER_SECOND == pytest.approx(12.5)
 
     def test_milliseconds_roundtrip(self):
         assert milliseconds(3.25) / NS_PER_MS == pytest.approx(3.25)
@@ -31,26 +31,20 @@ class TestClock:
     def test_starts_at_zero(self):
         assert Clock().now == 0
 
-    def test_custom_start(self):
-        assert Clock(start=100).now == 100
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            Clock(start=-1)
-
     def test_advance_forward(self):
         c = Clock()
         c.advance_to(seconds(5))
         assert c.now == seconds(5)
-        assert c.now_seconds == pytest.approx(5.0)
 
     def test_advance_to_same_time_allowed(self):
-        c = Clock(start=10)
+        c = Clock()
+        c.advance_to(10)
         c.advance_to(10)
         assert c.now == 10
 
     def test_backwards_rejected(self):
-        c = Clock(start=100)
+        c = Clock()
+        c.advance_to(100)
         with pytest.raises(ValueError):
             c.advance_to(99)
 

@@ -10,7 +10,7 @@ from repro.net import HostStack, Ipv4Address, mac_from_seed
 from repro.net.link import LatencyModel
 from repro.sim import EventLoop, RngRegistry, minutes, seconds
 from repro.testbed import linear_channel, media_library
-from repro.tv import LgTv, RemoteControl, SamsungTv, SmartPlug
+from repro.tv import LgTv, RemoteControl, SamsungTv, SmartPlug, vendors
 from repro.tv.services import services_for
 
 TV_IP = Ipv4Address.parse("192.168.1.50")
@@ -88,11 +88,6 @@ class TestLgBehaviour:
         acr_names = {n for n in dns_names if "acr" in n}
         assert len(acr_names) == 1
         assert next(iter(acr_names)).startswith("eu-acr")
-
-    def test_active_domain_matches_registry(self):
-        tv, __, __ = _make_tv(LgTv)
-        assert tv.active_acr_domain == tv.registry.rotating_acr_domain(
-            "lg", "uk", 0, tv.seed)
 
     def test_batches_every_15s(self):
         tv, loop, __ = _make_tv(LgTv)
@@ -174,11 +169,8 @@ class TestPeripherals:
         tv.power_on()
         remote.select_source_at(seconds(5),
                                 Tuner(linear_channel("uk", 0)))
-        remote.opt_out_at(seconds(10))
         loop.run_until(seconds(30))
-        assert remote.performed("select-source:tuner")
-        assert remote.performed("opt-out")
-        assert tv.settings.is_opted_out
+        assert remote.action_log == [(seconds(5), "select-source:tuner")]
 
 
 class TestServicesCatalog:
@@ -187,6 +179,11 @@ class TestServicesCatalog:
         assert services_for("samsung", "us")
         with pytest.raises(ValueError):
             services_for("philips", "uk")
+
+    def test_every_vendor_serves_both_countries(self):
+        for profile in vendors.catalog_profiles():
+            assert profile.countries == ("uk", "us")
+            assert set(profile.acr_profiles) >= {"uk", "us"}
 
     def test_ads_services_gated(self):
         specs = services_for("samsung", "uk")

@@ -5,6 +5,9 @@ int64 count, the way timelines were held before they went sparse.
 ``from_counts`` builds the production (sparse) timeline from a list of
 per-bin counts, for tests that state a timeline bin by bin, and
 ``dense_counts`` turns a sparse timeline back into them.
+``active_bins``, ``spike_times_ns`` and ``rebin`` are the sparse
+timeline's queries that no figure reads, kept to hold the sparse form
+to the dense one.
 """
 
 from typing import List
@@ -79,6 +82,28 @@ def from_counts(counts, start_ns: int = 0,
     indexes = np.flatnonzero(counts)
     return Timeline(indexes, counts[indexes], len(counts), start_ns,
                     bin_ns)
+
+
+def active_bins(timeline: Timeline) -> int:
+    return len(timeline.indexes)
+
+
+def spike_times_ns(timeline: Timeline) -> List[int]:
+    """Timestamps (window-relative) of every non-empty bin."""
+    return [index * timeline.bin_ns for index in timeline.indexes.tolist()]
+
+
+def rebin(timeline: Timeline, factor: int) -> Timeline:
+    """Coarser view (e.g. ms -> s) by summing adjacent bins; a tail
+    shorter than ``factor`` bins is dropped."""
+    if factor <= 0:
+        raise ValueError("factor must be positive")
+    n_bins = timeline.n_bins // factor
+    kept = timeline.indexes < n_bins * factor
+    coarse, starts = np.unique(timeline.indexes[kept] // factor,
+                               return_index=True)
+    return Timeline(coarse, np.add.reduceat(timeline.values[kept], starts),
+                    n_bins, timeline.start_ns, timeline.bin_ns * factor)
 
 
 def dense_counts(timeline: Timeline) -> np.ndarray:
